@@ -63,6 +63,7 @@ from .nehari import (
     nehari_project,
     nehari_residuals,
     orbit_dedup,
+    rescale_diagonal_sup,
     scalar_ground_state,
     semitrivial_threshold,
     sphere_infimum,

@@ -24,6 +24,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -67,6 +68,7 @@ from .nehari import (
     diagonal_sup,
     ground_state,
     multiplicity_search,
+    rescale_diagonal_sup,
     scalar_ground_state,
     semitrivial_threshold,
 )
@@ -91,6 +93,14 @@ def _check_keys(d: dict, allowed: set[str], required: set[str], where: str) -> N
     missing = required - set(d)
     if missing:
         raise ConfigError(f"missing key(s) in {where}: {sorted(missing)}")
+
+
+def _finite_float(text: str) -> float:
+    """JSON number hook: rejects NaN, Infinity and literals that overflow."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite number {text} in the config")
+    return x
 
 
 def _positive(x, name) -> float:
@@ -372,7 +382,7 @@ def _run_multiplicity(cfg: RunConfig) -> tuple[dict, int]:
     return report, code
 
 
-def _run_thresholds(cfg: RunConfig, threads: int) -> tuple[dict, int]:
+def _run_thresholds(cfg: RunConfig) -> tuple[dict, int]:
     basis = cfg.basis()
     grid = cfg.grid(basis)
     task = dict(cfg.task)
@@ -380,12 +390,9 @@ def _run_thresholds(cfg: RunConfig, threads: int) -> tuple[dict, int]:
     m = int(task["m"])
     lam_grid = [float(x) for x in task.get("lambda_grid", np.geomspace(0.5, 500, 10))]
     th = semitrivial_threshold(cfg.params, basis, grid, cfg.solver)
-
-    def sup_at(lam: float) -> float:
-        return diagonal_sup(cfg.params, m, lam=lam, basis=basis, grid=grid)
-
-    with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
-        sups = list(pool.map(sup_at, lam_grid))
+    lam0 = cfg.params.lam
+    sup0 = diagonal_sup(cfg.params, m, lam=lam0, basis=basis, grid=grid)
+    sups = [rescale_diagonal_sup(cfg.params, sup0, lam0, lam) for lam in lam_grid]
     lam_bar = coupling_threshold(
         cfg.params, m, th.c0, basis, grid,
         lam_lo=float(task.get("lambda_lo", 1e-6)),
@@ -600,7 +607,7 @@ def _run_verify_estimates(cfg: RunConfig, threads: int) -> tuple[dict, int]:
 SUBCOMMANDS = {
     "ground-state": (True, lambda cfg, threads: _run_ground_state(cfg)),
     "multiplicity": (True, lambda cfg, threads: _run_multiplicity(cfg)),
-    "thresholds": (True, lambda cfg, threads: _run_thresholds(cfg, threads)),
+    "thresholds": (True, lambda cfg, threads: _run_thresholds(cfg)),
     "limit": (False, lambda cfg, threads: _run_limit(cfg)),
     "synchronized": (True, lambda cfg, threads: _run_synchronized(cfg)),
     "verify-estimates": (False, lambda cfg, threads: _run_verify_estimates(cfg, threads)),
@@ -619,8 +626,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            raw = json.load(fh, parse_constant=_finite_float, parse_float=_finite_float)
+    except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

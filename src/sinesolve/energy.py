@@ -326,6 +326,10 @@ class GalerkinSystem:
         m1, m2, mix = self.power_masses(z)
         return pr.mu1 * m1 + pr.mu2 * m2 + pr.p * pr.lam * mix
 
+    def tilde_indices(self, split: SpectralSplit) -> np.ndarray:
+        """Indices of the nonpositive directions inside the stacked vector."""
+        return np.concatenate([split.tilde(1), self.m + split.tilde(2)]).astype(int)
+
 
 class ScalarProblem:
     """Single-component functional J_i(w) = 1/2 B_i(w,w) - mu_i/p int |w|^p."""
@@ -350,8 +354,19 @@ class ScalarProblem:
         v = synthesize(ScalarField(self.basis, c), self.grid)
         return integrate(np.abs(v) ** self.params.p, self.grid)
 
+    def quadratic(self, c: np.ndarray) -> float:
+        return float(np.sum(self.shift * c * c))
+
+    def nehari_denominator(self, c: np.ndarray) -> float:
+        """mu_i int |w|^p."""
+        return self.mu * self.mass(c)
+
+    def tilde_indices(self, split: SpectralSplit) -> np.ndarray:
+        """Indices of the nonpositive directions of component i."""
+        return split.tilde(self.i).astype(int)
+
     def energy(self, c: np.ndarray) -> float:
-        return float(0.5 * np.sum(self.shift * c * c) - self.mu / self.params.p * self.mass(c))
+        return float(0.5 * self.quadratic(c) - self.mu / self.params.p * self.mass(c))
 
     def gradient(self, c: np.ndarray) -> np.ndarray:
         v = synthesize(ScalarField(self.basis, c), self.grid)

@@ -30,7 +30,7 @@ class BoundaryInfimumError(SolverError):
 
 
 class BracketFailureError(SolverError):
-    """Bisection could not bracket the requested crossing within budget."""
+    """The requested crossing lies outside the allowed bracket."""
 
 
 class InconsistencyError(SolverError):

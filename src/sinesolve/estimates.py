@@ -22,7 +22,7 @@ import scipy.optimize
 from .domain import BoxDomain, QuadratureGrid, SineBasis
 from .energy import SpectralSplit, SystemParams
 from .errors import PreconditionError
-from .limit import BubbleProfile, LimitParams
+from .limit import BubbleProfile, LimitParams, _golden_min
 from .radial import _panel_rule, graded_edges, radial_integral, radial_tail_integral
 
 SLOPE_TOL = 0.15
@@ -313,21 +313,8 @@ def ray_maximum(
     vals = ray_energy(ts_grid, quad, hom, ts)
     j = int(np.argmax(vals))
     lo, hi = ts_grid[max(j - 1, 0)], ts_grid[min(j + 1, len(ts_grid) - 1)]
-    golden = 0.5 * (np.sqrt(5.0) - 1.0)
-    a, b = lo, hi
-    c = b - golden * (b - a)
-    d = a + golden * (b - a)
-    fc, fd = ray_energy(c, quad, hom, ts), ray_energy(d, quad, hom, ts)
-    while b - a > 1e-14 * max(t_star, 1.0):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - golden * (b - a)
-            fc = ray_energy(c, quad, hom, ts)
-        else:
-            a, c, fc = c, d, fd
-            d = a + golden * (b - a)
-            fd = ray_energy(d, quad, hom, ts)
-    direct = ray_energy(0.5 * (a + b), quad, hom, ts)
+    t_max = _golden_min(lambda t: -ray_energy(t, quad, hom, ts), lo, hi, tol=1e-14 * max(t_star, 1.0))
+    direct = ray_energy(t_max, quad, hom, ts)
     return float(closed), float(direct)
 
 

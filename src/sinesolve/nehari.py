@@ -118,61 +118,30 @@ class ThresholdResult:
         return min(s.b_value for s in self.scalar_states)
 
 
-# -- generic engine helpers ----------------------------------------------------
-# Both GalerkinSystem (stacked pair vectors) and ScalarProblem (single vectors)
-# expose energy/gradient/hessian plus the quadratic form and the Nehari
-# denominator, so one set of search routines serves the system and the two
-# scalar equations.
-
-
-def _scalar_quadratic(prob: ScalarProblem, c: np.ndarray) -> float:
-    return float(np.sum(prob.shift * c * c))
-
-
-def _engine_quadratic(engine, z):
-    if isinstance(engine, ScalarProblem):
-        return _scalar_quadratic(engine, z)
-    return engine.quadratic(z)
-
-
-def _engine_denominator(engine, z):
-    if isinstance(engine, ScalarProblem):
-        return engine.mu * engine.mass(z)
-    return engine.nehari_denominator(z)
-
-
-def _engine_p(engine) -> float:
-    return engine.params.p
+# -- generic search routines ---------------------------------------------------
+# GalerkinSystem (stacked pair vectors) and ScalarProblem (single vectors)
+# share one engine interface: params, basis, m, energy/gradient/hessian, the
+# quadratic form, the Nehari denominator and tilde_indices(split).  So one
+# set of search routines serves the system, the two scalar equations and the
+# diagonal functional.
 
 
 def _plus_h1_norm(engine, z: np.ndarray, tilde_idx: np.ndarray) -> float:
-    gamma = engine.basis.eigenvalues
-    if isinstance(engine, ScalarProblem):
-        g = gamma.copy()
-    else:
-        g = np.concatenate([gamma, gamma])
+    g = np.tile(engine.basis.eigenvalues, z.size // engine.m)
     w = z.copy()
     w[tilde_idx] = 0.0
     return float(np.sqrt(np.sum(g * w * w)))
 
 
-def tilde_indices(engine, split: SpectralSplit) -> np.ndarray:
-    """Indices of the nonpositive directions inside the engine's vector."""
-    if isinstance(engine, ScalarProblem):
-        return split.tilde(engine.i).astype(int)
-    m = engine.m
-    return np.concatenate([split.tilde(1), m + split.tilde(2)]).astype(int)
-
-
 def project_ray(engine, z: np.ndarray) -> np.ndarray:
     """Closed-form Nehari scaling t* z, valid when the quadratic form is positive."""
-    b = _engine_quadratic(engine, z)
+    b = engine.quadratic(z)
     if b <= 0.0:
         raise NoProjectionError("quadratic form nonpositive: the ray misses the Nehari set")
-    d = _engine_denominator(engine, z)
+    d = engine.nehari_denominator(z)
     if d <= 0.0:
         raise NoProjectionError("vanishing nonlinear mass along the ray")
-    t = (b / d) ** (1.0 / (_engine_p(engine) - 2.0))
+    t = (b / d) ** (1.0 / (engine.params.p - 2.0))
     return t * z
 
 
@@ -330,7 +299,7 @@ def nehari_residuals(
     """Derivative of the energy along the ray through u and the tilde directions."""
     engine = GalerkinSystem(params, u.basis, grid)
     z = u.coeffs()
-    t_idx = tilde_indices(engine, split)
+    t_idx = engine.tilde_indices(split)
     if _plus_h1_norm(engine, z, t_idx) < plus_floor:
         raise PreconditionError("point lies (numerically) inside the nonpositive subspace")
     g = engine.gradient(z)
@@ -346,7 +315,7 @@ def nehari_project(
     """Point of the Nehari set of the form t u + v, t > 0, v nonpositive-part."""
     engine = GalerkinSystem(params, u.basis, grid)
     z = u.coeffs()
-    t_idx = tilde_indices(engine, split)
+    t_idx = engine.tilde_indices(split)
     if _plus_h1_norm(engine, z, t_idx) < 1e-12 * max(np.linalg.norm(z), 1e-300):
         raise PreconditionError("the point has no positive part; no ray to project")
     if split.definite:
@@ -416,10 +385,7 @@ def _system_seeds(
 
 def _converge_seed(engine, split, z0, config: SolverConfig) -> np.ndarray | None:
     """Project a seed onto the Nehari set and drive the gradient to zero."""
-    if isinstance(engine, ScalarProblem):
-        t_idx = split.tilde(engine.i).astype(int)
-    else:
-        t_idx = tilde_indices(engine, split)
+    t_idx = engine.tilde_indices(split)
     try:
         if t_idx.size == 0:
             z = nehari_descent(engine, z0, config)
@@ -459,7 +425,7 @@ def scalar_ground_state(
         seeds.append(config.seed_amplitude * z / np.linalg.norm(z))
     best = None
     diagnostics = []
-    t_idx = split.tilde(i).astype(int)
+    t_idx = prob.tilde_indices(split)
     for z0 in seeds:
         z = _converge_seed(prob, split, z0, config)
         if z is None:
@@ -480,7 +446,7 @@ def scalar_ground_state(
         w=ScalarField(basis, z),
         energy=e,
         grad_norm=float(np.linalg.norm(prob.gradient(z))),
-        b_value=float(np.sum(prob.shift * z * z)),
+        b_value=prob.quadratic(z),
     )
 
 
@@ -540,7 +506,7 @@ def ground_state(
         threshold = semitrivial_threshold(params, basis, grid, config)
     engine = GalerkinSystem(params, basis, grid)
     rng = np.random.default_rng(config.rng_seed)
-    t_idx = tilde_indices(engine, split)
+    t_idx = engine.tilde_indices(split)
     best: CriticalPoint | None = None
     diagnostics: list[str] = []
     for z0 in _system_seeds(engine, split, config, rng, threshold.scalar_states):
@@ -613,7 +579,7 @@ def multiplicity_search(
         threshold = semitrivial_threshold(params, basis, grid, config)
     engine = GalerkinSystem(params, basis, grid)
     rng = np.random.default_rng(config.rng_seed)
-    t_idx = tilde_indices(engine, split)
+    t_idx = engine.tilde_indices(split)
 
     deflate: list[np.ndarray] = [np.zeros(2 * engine.m)]  # never re-converge to 0
     found: list[np.ndarray] = []
@@ -721,17 +687,32 @@ def sphere_infimum(
     return float(best_val)
 
 
+def _mu_eff(params: SystemParams, lam: float) -> float:
+    """Nonlinear coefficient (mu_1 + mu_2 + p lam)/2 of the diagonal functional."""
+    return 0.5 * (params.mu1 + params.mu2 + params.p * lam)
+
+
 def _diag_problem(params: SystemParams, lam: float, basis: SineBasis, grid: QuadratureGrid | None):
     """Scalar problem equivalent to the energy restricted to the diagonal.
 
     For u = (w, w) the coupled energy equals 2 J(w) with J the scalar
-    functional with shift (kappa_1+kappa_2)/2 and coefficient
-    (mu_1 + mu_2 + p lam)/2.
+    functional with shift (kappa_1+kappa_2)/2 and coefficient mu_eff(lam).
     """
     kbar = 0.5 * (params.kappa1 + params.kappa2)
     p_eff = dataclasses.replace(params, kappa1=kbar, kappa2=kbar, lam=lam)
-    mu_eff = 0.5 * (params.mu1 + params.mu2 + params.p * lam)
-    return ScalarProblem(p_eff, 1, basis, grid, mu=mu_eff)
+    return ScalarProblem(p_eff, 1, basis, grid, mu=_mu_eff(params, lam))
+
+
+def rescale_diagonal_sup(params: SystemParams, value: float, lam_from: float, lam_to: float) -> float:
+    """Diagonal supremum at coupling lam_to, given its value at lam_from.
+
+    The coupling enters the diagonal functional only through mu_eff, and
+    J_mu(s w) = s^2 J_1(w) for s^(p-2) = 1/mu, so over any linear subspace
+    sup J_mu = mu^(-2/(p-2)) sup J_1.  The law is exact:
+    sup(lam_to) = sup(lam_from) (mu_eff(lam_from) / mu_eff(lam_to))^(2/(p-2)).
+    """
+    ratio = _mu_eff(params, lam_from) / _mu_eff(params, lam_to)
+    return float(value * ratio ** (2.0 / (params.p - 2.0)))
 
 
 def diagonal_sup(
@@ -754,11 +735,9 @@ def diagonal_sup(
         raise PreconditionError(f"m must lie in [1, {basis.size}]")
     lam = params.lam if lam is None else float(lam)
     kbar = 0.5 * (params.kappa1 + params.kappa2)
-    gamma = basis.eigenvalues
-    if gamma[m - 1] <= kbar:
+    if basis.eigenvalues[m - 1] <= kbar:
         return 0.0
     prob = _diag_problem(params, lam, basis, grid if grid is not None else QuadratureGrid.for_basis(basis, oversample=2.0))
-    p = params.p
 
     def neg(c):
         full = np.zeros(basis.size)
@@ -772,14 +751,11 @@ def diagonal_sup(
 
     starts = []
     for j in range(m):
-        bj = gamma[j] - kbar
-        if bj <= 0:
+        if prob.shift[j] <= 0:
             continue
-        e = np.zeros(m)
+        e = np.zeros(basis.size)
         e[j] = 1.0
-        dj = prob.mu * prob.mass(_embed(e, np.arange(m), basis.size))
-        e[j] = (bj / dj) ** (1.0 / (p - 2.0))
-        starts.append(e)
+        starts.append(project_ray(prob, e)[:m])
     rng = np.random.default_rng(rng_seed)
     scale = np.linalg.norm(starts[-1]) if starts else 1.0
     for _ in range(n_starts):
@@ -799,37 +775,25 @@ def coupling_threshold(
     grid: QuadratureGrid | None = None,
     lam_lo: float = 1e-6,
     lam_hi: float = 1e8,
-    rel_width: float = 1e-3,
 ) -> float:
     """Smallest coupling beyond which the diagonal supremum drops under c0.
 
-    Bisection on lam (the supremum is decreasing in lam); returns 0 exactly
-    when gamma_m <= (kappa_1 + kappa_2)/2.
+    Closed form from one diagonal_sup call at params.lam: the supremum is
+    decreasing in lam, and inverting the exact law of rescale_diagonal_sup
+    gives mu_eff(lam_bar) = mu_eff(lam) (sup(lam) / c0)^((p-2)/2).  Returns
+    0 exactly when gamma_m <= (kappa_1 + kappa_2)/2; raises
+    BracketFailureError when lam_bar <= lam_lo or lam_bar > lam_hi.
     """
     if c0 <= 0:
         raise PreconditionError("c0 must be positive")
     kbar = 0.5 * (params.kappa1 + params.kappa2)
     if basis.eigenvalues[m - 1] <= kbar:
         return 0.0
-    grid = grid if grid is not None else QuadratureGrid.for_basis(basis, oversample=2.0)
-
-    def sup(lam):
-        return diagonal_sup(params, m, lam=lam, basis=basis, grid=grid)
-
-    if sup(lam_lo) < c0:
-        raise BracketFailureError(f"supremum already below threshold at lam={lam_lo}")
-    hi = max(2 * lam_lo, params.lam)
-    for _ in range(200):
-        if sup(hi) < c0:
-            break
-        hi *= 2.0
-        if hi > lam_hi:
-            raise BracketFailureError(f"no crossing found below lam={lam_hi}")
-    lo = lam_lo
-    while (hi - lo) > rel_width * hi:
-        mid = np.sqrt(lo * hi)
-        if sup(mid) < c0:
-            hi = mid
-        else:
-            lo = mid
-    return float(np.sqrt(lo * hi))
+    sup = diagonal_sup(params, m, lam=params.lam, basis=basis, grid=grid)
+    mu_bar = _mu_eff(params, params.lam) * (sup / c0) ** ((params.p - 2.0) / 2.0)
+    lam_bar = (2.0 * mu_bar - params.mu1 - params.mu2) / params.p
+    if lam_bar <= lam_lo:
+        raise BracketFailureError(f"supremum already below threshold at lam={lam_lo} (lam_bar={lam_bar:.6g})")
+    if lam_bar > lam_hi:
+        raise BracketFailureError(f"crossing lam_bar={lam_bar:.6g} lies above lam={lam_hi}")
+    return float(lam_bar)

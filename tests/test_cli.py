@@ -63,6 +63,26 @@ def test_malformed_config_exit_2(tmp_path):
     assert not os.path.exists(tmp_path / "never.json")
 
 
+@pytest.mark.parametrize(
+    "subcommand, section, key, literal",
+    [
+        ("ground-state", "problem", "kappa1", "NaN"),
+        ("thresholds", "task", "lambda_grid", "[1.0, NaN]"),
+        ("ground-state", "problem", "quadrature_oversample", "NaN"),
+        ("ground-state", "problem", "quadrature_oversample", "1e400"),
+    ],
+)
+def test_non_finite_config_exit_2(tmp_path, subcommand, section, key, literal):
+    cfg = copy.deepcopy(BASE)
+    cfg["task"] = {"m": 2} if subcommand == "thresholds" else {}
+    cfg[section][key] = "PLACEHOLDER"
+    cfg["output"]["report"] = str(tmp_path / "never.json")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg).replace('"PLACEHOLDER"', literal))
+    assert main([subcommand, "--config", str(path)]) == 2
+    assert not os.path.exists(tmp_path / "never.json")
+
+
 def test_ground_state_run_and_schema(tmp_path):
     cfg = copy.deepcopy(BASE)
     cfg["output"]["report"] = str(tmp_path / "gs.json")

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sinesolve import (
     BoxDomain,
@@ -22,6 +24,7 @@ from sinesolve import (
     nehari_project,
     nehari_residuals,
     orbit_dedup,
+    rescale_diagonal_sup,
     scalar_ground_state,
     semitrivial_threshold,
     spectral_split,
@@ -331,6 +334,37 @@ def test_coupling_threshold_monotone_in_m(basis, grid, config):
 def test_coupling_threshold_bracket_failure(basis, grid):
     with pytest.raises(BracketFailureError):
         coupling_threshold(params_with(), 1, 1e6, basis, grid, lam_lo=1e-6, lam_hi=10.0)
+
+
+def test_coupling_threshold_bracket_failure_above_lam_hi(basis, grid):
+    # c0 far under the supremum puts lambda-bar near 1.6e4, above lam_hi
+    with pytest.raises(BracketFailureError):
+        coupling_threshold(params_with(), 1, 1e-3, basis, grid, lam_lo=1e-6, lam_hi=10.0)
+
+
+def test_coupling_threshold_exact(basis, grid, config):
+    pr = params_with()
+    th = semitrivial_threshold(pr, basis, grid, config)
+    lam_bar = coupling_threshold(pr, 3, th.c0, basis, grid)
+    assert diagonal_sup(pr, 3, lam=lam_bar, basis=basis, grid=grid) == pytest.approx(th.c0, rel=1e-10)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    lam=st.floats(1e-3, 1e3),
+    alpha=st.floats(1.1, 3.0),
+    beta=st.floats(1.1, 3.0),
+    k1=st.floats(0.0, 0.95),
+    k2=st.floats(0.0, 0.95),
+    m=st.integers(1, 4),
+)
+def test_diagonal_sup_lambda_law(basis, grid, lam, alpha, beta, k1, k2, m):
+    # kappa_i below gamma_m, so the supremum is positive
+    gamma_m = basis.eigenvalues[m - 1]
+    pr = params_with(kappa1=k1 * gamma_m, kappa2=k2 * gamma_m, alpha=alpha, beta=beta)
+    sup1 = diagonal_sup(pr, m, lam=1.0, basis=basis, grid=grid)
+    direct = diagonal_sup(pr, m, lam=lam, basis=basis, grid=grid)
+    assert rescale_diagonal_sup(pr, sup1, 1.0, lam) == pytest.approx(direct, rel=1e-10)
 
 
 def test_ground_state_convergence_failure(basis, grid):
