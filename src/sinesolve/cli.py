@@ -103,6 +103,16 @@ def _finite_float(text: str) -> float:
     return x
 
 
+def _float_sized_int(text: str) -> int:
+    """JSON integer hook: rejects integer literals too large for a float."""
+    x = int(text)
+    try:
+        float(x)
+    except OverflowError:
+        raise ValueError(f"integer literal of {len(text)} digits is too large for a float") from None
+    return x
+
+
 def _positive(x, name) -> float:
     x = float(x)
     if not x > 0 or not np.isfinite(x):
@@ -397,6 +407,7 @@ def _run_thresholds(cfg: RunConfig) -> tuple[dict, int]:
         cfg.params, m, th.c0, basis, grid,
         lam_lo=float(task.get("lambda_lo", 1e-6)),
         lam_hi=float(task.get("lambda_hi", 1e8)),
+        sup=sup0,
     )
     report = _report_skeleton(cfg)
     report["results"] = [
@@ -626,7 +637,9 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
-            raw = json.load(fh, parse_constant=_finite_float, parse_float=_finite_float)
+            raw = json.load(
+                fh, parse_constant=_finite_float, parse_float=_finite_float, parse_int=_float_sized_int
+            )
     except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -152,6 +152,27 @@ def composite_gauss_legendre(length: float, n_nodes: int, panel_order: int = PAN
     return nodes.ravel(), weights.ravel()
 
 
+class SineTransform:
+    """Sine tables of one basis on one grid, built once.
+
+    `synthesis[i]` holds e_k on the nodes of axis i, `projection[i]` its
+    weighted transpose, and `permutation` the tensor position of each sorted
+    mode.  Obtained through `QuadratureGrid.transform`, which keeps one per
+    basis for as long as the grid lives.
+    """
+
+    def __init__(self, basis: "SineBasis", grid: "QuadratureGrid"):
+        if not grid.compatible_with(basis):
+            raise BasisMismatchError("grid and basis live on different domains")
+        self.synthesis = tuple(basis.axis_matrix(i, grid.axis_nodes[i]) for i in range(grid.dim))
+        self.projection = tuple(
+            (s * w[:, None]).T for s, w in zip(self.synthesis, grid.axis_weights)
+        )
+        self.permutation = basis.tensor_permutation()
+        for arr in (*self.synthesis, *self.projection, self.permutation):
+            arr.setflags(write=False)
+
+
 @dataclass(frozen=True, eq=False)
 class QuadratureGrid:
     """Tensor-product quadrature: per-axis node and weight arrays."""
@@ -159,10 +180,22 @@ class QuadratureGrid:
     lengths: tuple[float, ...]
     axis_nodes: tuple[np.ndarray, ...]
     axis_weights: tuple[np.ndarray, ...]
+    _transforms: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         for arr in (*self.axis_nodes, *self.axis_weights):
             arr.setflags(write=False)
+
+    def transform(self, basis: "SineBasis") -> SineTransform:
+        """The sine tables of `basis` on this grid, built on first use.
+
+        Equal bases share one entry; if two threads race on the first use,
+        setdefault keeps one of their identical table sets.
+        """
+        tr = self._transforms.get(basis)
+        if tr is None:
+            tr = self._transforms.setdefault(basis, SineTransform(basis, self))
+        return tr
 
     @classmethod
     def for_domain(
@@ -220,25 +253,27 @@ def _tensor_apply(tensor: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def coeff_tensor(field: ScalarField) -> np.ndarray:
-    """Coefficients scattered into the dense (K_1,...,K_N) tensor."""
+def coeff_tensor(field: ScalarField, permutation: np.ndarray) -> np.ndarray:
+    """Coefficients scattered into the dense (K_1,...,K_N) tensor.
+
+    `permutation` is `field.basis.tensor_permutation()`, passed in so that
+    callers holding a SineTransform do not rebuild it.
+    """
     t = np.zeros(field.basis.cutoffs)
-    t.ravel()[field.basis.tensor_permutation()] = field.coeffs
+    t.ravel()[permutation] = field.coeffs
     return t
 
 
 def synthesize(field: ScalarField, grid: QuadratureGrid) -> np.ndarray:
     """Pointwise values sum_k c_k e_k(x) at all grid nodes."""
-    if not grid.compatible_with(field.basis):
-        raise BasisMismatchError("grid and basis live on different domains")
-    mats = [field.basis.axis_matrix(i, grid.axis_nodes[i]) for i in range(grid.dim)]
-    return _tensor_apply(coeff_tensor(field), mats)
+    tr = grid.transform(field.basis)
+    return _tensor_apply(coeff_tensor(field, tr.permutation), tr.synthesis)
 
 
 def evaluate_at(field: ScalarField, axis_points: Sequence[np.ndarray]) -> np.ndarray:
     """Values of the field on an arbitrary tensor grid of points inside the box."""
     mats = [field.basis.axis_matrix(i, np.asarray(p)) for i, p in enumerate(axis_points)]
-    return _tensor_apply(coeff_tensor(field), mats)
+    return _tensor_apply(coeff_tensor(field, field.basis.tensor_permutation()), mats)
 
 
 def integrate(values: np.ndarray, grid: QuadratureGrid) -> float:
@@ -254,16 +289,12 @@ def integrate(values: np.ndarray, grid: QuadratureGrid) -> float:
 
 def project(values: np.ndarray, basis: SineBasis, grid: QuadratureGrid) -> np.ndarray:
     """Quadrature projections integral(values * e_k) for every mode, sorted order."""
-    if not grid.compatible_with(basis):
-        raise BasisMismatchError("grid and basis live on different domains")
-    if np.asarray(values).shape != grid.shape:
-        raise ValueError(f"value shape {np.asarray(values).shape} does not match grid {grid.shape}")
-    mats = [
-        (basis.axis_matrix(i, grid.axis_nodes[i]) * grid.axis_weights[i][:, None]).T
-        for i in range(grid.dim)
-    ]
-    tensor = _tensor_apply(np.asarray(values), mats)
-    return tensor.ravel()[basis.tensor_permutation()]
+    tr = grid.transform(basis)
+    values = np.asarray(values)
+    if values.shape != grid.shape:
+        raise ValueError(f"value shape {values.shape} does not match grid {grid.shape}")
+    tensor = _tensor_apply(values, tr.projection)
+    return tensor.ravel()[tr.permutation]
 
 
 def mode_mass_matrix(weight_values: np.ndarray, basis: SineBasis, grid: QuadratureGrid) -> np.ndarray:
@@ -272,8 +303,7 @@ def mode_mass_matrix(weight_values: np.ndarray, basis: SineBasis, grid: Quadratu
     Assembled axis by axis through the tensor-product structure, so the cost
     is O(Q * M) per axis rather than O(Q * M^2).
     """
-    if not grid.compatible_with(basis):
-        raise BasisMismatchError("grid and basis live on different domains")
+    tr = grid.transform(basis)
     a = np.asarray(weight_values)
     if a.shape != grid.shape:
         raise ValueError("weight values do not match the grid")
@@ -281,15 +311,13 @@ def mode_mass_matrix(weight_values: np.ndarray, basis: SineBasis, grid: Quadratu
     for i, w in enumerate(grid.axis_weights):
         a = a * w.reshape((-1,) + (1,) * (n - 1 - i))
     # running shape: (Q_i..Q_n, k_1,l_1, .., k_{i-1},l_{i-1})
-    for i in range(n):
-        S = basis.axis_matrix(i, grid.axis_nodes[i])
+    for S in tr.synthesis:
         a = np.einsum("q...,qk,ql->...kl", a, S, S, optimize=True)
     # now shape (k_1,l_1,...,k_n,l_n) -> (k_1,...,k_n,l_1,...,l_n)
     a = np.transpose(a, axes=list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
     m = int(np.prod(basis.cutoffs))
     a = a.reshape(m, m)
-    perm = basis.tensor_permutation()
-    return a[np.ix_(perm, perm)]
+    return a[np.ix_(tr.permutation, tr.permutation)]
 
 
 def h1_inner(f: ScalarField, g: ScalarField) -> float:

@@ -257,6 +257,7 @@ class GalerkinSystem:
         gamma = basis.eigenvalues
         self.shift1 = gamma - params.kappa1
         self.shift2 = gamma - params.kappa2
+        self.shift = np.concatenate([self.shift1, self.shift2])
 
     # -- pointwise synthesis ------------------------------------------------
 

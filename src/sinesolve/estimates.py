@@ -431,7 +431,7 @@ def _tilde_ascent(
     proj = project(ubar, basis, grid)
     gamma = basis.eigenvalues
     pairs = split.tilde_pairs()
-    mats = [basis.axis_matrix(i, grid.axis_nodes[i]) for i in range(domain.dim)]
+    mats = grid.transform(basis).synthesis
     n_tilde = len(pairs)
 
     # one synthesized grid per tilde direction, built once

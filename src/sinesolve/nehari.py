@@ -226,25 +226,35 @@ def newton_polish(engine, z: np.ndarray, tol: float, max_iter: int = 120) -> tup
 
 
 def nehari_descent(engine, z: np.ndarray, config: SolverConfig) -> np.ndarray:
-    """Project-after-step gradient descent on the Nehari set (definite case)."""
+    """Project-after-step Sobolev gradient descent on the Nehari set (definite case).
+
+    Steps along d = g / (gamma_k - kappa_i), the gradient in the inner product
+    of the quadratic form (a diagonal solve in the sine basis), so a unit step
+    suits every mode and the iteration count does not grow with the cutoff
+    (Neuberger, Sobolev Gradients and Differential Equations, 1997).  On the
+    Nehari ray the quadratic form equals the Nehari denominator, so the
+    energy there is (1/2 - 1/p) times the quadratic form, with no quadrature.
+    """
+    on_ray = 0.5 - 1.0 / engine.params.p
     z = project_ray(engine, z)
-    step = 1.0 / max(np.max(engine.basis.eigenvalues), 1.0)
+    e0 = on_ray * engine.quadratic(z)
+    step = 1.0
     for _ in range(config.descent_max_iter):
         g = engine.gradient(z)
-        gn = np.linalg.norm(g)
-        if gn < config.descent_switch_tol:
+        if np.linalg.norm(g) < config.descent_switch_tol:
             break
-        e0 = engine.energy(z)
+        d = g / engine.shift
+        gd = float(np.dot(g, d))
         s = step
         while True:
-            trial_raw = z - s * g
             try:
-                trial = project_ray(engine, trial_raw)
+                trial = project_ray(engine, z - s * d)
+                e = on_ray * engine.quadratic(trial)
             except NoProjectionError:
-                trial = None
-            if trial is not None and engine.energy(trial) <= e0 - 1e-4 * s * gn * gn:
-                z = trial
-                step = min(s * 2.0, 1e3 * step)
+                e = np.inf
+            if e <= e0 - 1e-4 * s * gd:
+                z, e0 = trial, e
+                step = min(2.0 * s, 1.0)
                 break
             s *= 0.5
             if s < 1e-16:
@@ -775,13 +785,15 @@ def coupling_threshold(
     grid: QuadratureGrid | None = None,
     lam_lo: float = 1e-6,
     lam_hi: float = 1e8,
+    sup: float | None = None,
 ) -> float:
     """Smallest coupling beyond which the diagonal supremum drops under c0.
 
-    Closed form from one diagonal_sup call at params.lam: the supremum is
-    decreasing in lam, and inverting the exact law of rescale_diagonal_sup
-    gives mu_eff(lam_bar) = mu_eff(lam) (sup(lam) / c0)^((p-2)/2).  Returns
-    0 exactly when gamma_m <= (kappa_1 + kappa_2)/2; raises
+    Closed form from one diagonal_sup call at params.lam, skipped when the
+    caller passes that supremum as `sup`: the supremum is decreasing in lam,
+    and inverting the exact law of rescale_diagonal_sup gives
+    mu_eff(lam_bar) = mu_eff(lam) (sup(lam) / c0)^((p-2)/2).  Returns 0
+    exactly when gamma_m <= (kappa_1 + kappa_2)/2; raises
     BracketFailureError when lam_bar <= lam_lo or lam_bar > lam_hi.
     """
     if c0 <= 0:
@@ -789,7 +801,8 @@ def coupling_threshold(
     kbar = 0.5 * (params.kappa1 + params.kappa2)
     if basis.eigenvalues[m - 1] <= kbar:
         return 0.0
-    sup = diagonal_sup(params, m, lam=params.lam, basis=basis, grid=grid)
+    if sup is None:
+        sup = diagonal_sup(params, m, lam=params.lam, basis=basis, grid=grid)
     mu_bar = _mu_eff(params, params.lam) * (sup / c0) ** ((params.p - 2.0) / 2.0)
     lam_bar = (2.0 * mu_bar - params.mu1 - params.mu2) / params.p
     if lam_bar <= lam_lo:

@@ -245,3 +245,37 @@ def test_verify_estimates_failing_bound_exit_4(tmp_path):
     rep = json.loads((tmp_path / "fail.json").read_text())
     linking = [r for r in rep["results"] if r["family"] == "linking"]
     assert linking and not linking[0]["passed"]
+
+
+@pytest.mark.parametrize("section, key", [("problem", "kappa1"), ("problem", "cutoffs")])
+def test_oversized_integer_config_exit_2(tmp_path, section, key):
+    cfg = copy.deepcopy(BASE)
+    cfg[section][key] = "PLACEHOLDER"
+    cfg["output"]["report"] = str(tmp_path / "never.json")
+    huge = "1" + "0" * 400
+    literal = f"[{huge}]" if key == "cutoffs" else huge
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg).replace('"PLACEHOLDER"', literal))
+    assert main(["ground-state", "--config", str(path)]) == 2
+    assert not os.path.exists(tmp_path / "never.json")
+
+
+def test_thresholds_runs_one_diagonal_sup(tmp_path, monkeypatch):
+    from sinesolve import cli, nehari
+
+    calls = []
+    original = nehari.diagonal_sup
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("lam"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "diagonal_sup", counting)
+    monkeypatch.setattr(nehari, "diagonal_sup", counting)
+    cfg = copy.deepcopy(BASE)
+    cfg["problem"]["lambda"] = 1.0
+    cfg["task"] = {"m": 2, "lambda_grid": [1.0, 5.0]}
+    cfg["output"]["report"] = str(tmp_path / "th.json")
+    assert main(["thresholds", "--config", write_config(tmp_path, cfg)]) == 0
+    assert calls == [1.0]
+    assert json.loads((tmp_path / "th.json").read_text())["thresholds"]["lambda_bar"] > 0

@@ -11,6 +11,7 @@ from sinesolve import (
     eigenvalue,
     h1_inner,
     integrate,
+    project,
     synthesize,
     unit_mode,
 )
@@ -176,3 +177,134 @@ def test_fields_immutable(basis_1d):
     f = unit_mode(basis_1d, 0)
     with pytest.raises(ValueError):
         f.coeffs[0] = 2.0
+
+
+# -- transform tables ----------------------------------------------------------
+
+
+def _table_apply(tensor, mats):
+    out = tensor
+    for ax, m in enumerate(mats):
+        out = np.moveaxis(np.tensordot(m, out, axes=(1, ax)), 0, ax)
+    return out
+
+
+@pytest.mark.parametrize(
+    "lengths, cutoffs",
+    [((1.0,), (12,)), ((1.0, 0.7), (5, 4)), ((1.0, 1.3, 0.8), (3, 4, 2))],
+)
+def test_transforms_match_explicit_tables(lengths, cutoffs):
+    # the arithmetic of sine tables rebuilt from axis_matrix on every call
+    basis = SineBasis(BoxDomain(lengths), cutoffs)
+    grid = QuadratureGrid.for_basis(basis, oversample=2.0)
+    rng = np.random.default_rng(7)
+    tables = [basis.axis_matrix(i, grid.axis_nodes[i]) for i in range(grid.dim)]
+    perm = np.ravel_multi_index((basis.modes - 1).T, basis.cutoffs)
+
+    c = rng.standard_normal(basis.size)
+    t = np.zeros(basis.cutoffs)
+    t.ravel()[perm] = c
+    np.testing.assert_array_equal(
+        synthesize(ScalarField(basis, c), grid), _table_apply(t, tables)
+    )
+
+    values = rng.standard_normal(grid.shape)
+    weighted = [(s * w[:, None]).T for s, w in zip(tables, grid.axis_weights)]
+    np.testing.assert_array_equal(
+        project(values, basis, grid), _table_apply(values, weighted).ravel()[perm]
+    )
+
+    n = grid.dim
+    a = values
+    for i, w in enumerate(grid.axis_weights):
+        a = a * w.reshape((-1,) + (1,) * (n - 1 - i))
+    for s in tables:
+        a = np.einsum("q...,qk,ql->...kl", a, s, s, optimize=True)
+    a = np.transpose(a, axes=list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
+    a = a.reshape(basis.size, basis.size)[np.ix_(perm, perm)]
+    np.testing.assert_array_equal(mode_mass_matrix(values, basis, grid), a)
+
+
+def test_transform_tables_built_once(monkeypatch):
+    basis = SineBasis(BoxDomain((1.0, 0.5)), (6, 3))
+    grid = QuadratureGrid.for_basis(basis)
+    calls = []
+    original = SineBasis.axis_matrix
+
+    def counting(self, axis, x):
+        calls.append(axis)
+        return original(self, axis, x)
+
+    monkeypatch.setattr(SineBasis, "axis_matrix", counting)
+    c = np.arange(basis.size, dtype=float)
+    for _ in range(3):
+        vals = synthesize(ScalarField(basis, c), grid)
+        project(vals, basis, grid)
+        mode_mass_matrix(vals, basis, grid)
+    # an equal basis built separately reads the same tables
+    synthesize(unit_mode(SineBasis(BoxDomain((1.0, 0.5)), (6, 3)), 0), grid)
+    assert calls == [0, 1]
+    assert grid.transform(basis) is grid.transform(SineBasis(BoxDomain((1.0, 0.5)), (6, 3)))
+
+
+def test_two_bases_on_one_grid_keep_their_own_tables():
+    small = SineBasis(BoxDomain((1.0,)), (4,))
+    large = SineBasis(BoxDomain((1.0,)), (9,))
+    grid = QuadratureGrid.for_domain(small.domain, 32)
+    assert grid.transform(small) is not grid.transform(large)
+    assert grid.transform(small).synthesis[0].shape == (32, 4)
+    assert grid.transform(large).synthesis[0].shape == (32, 9)
+    c = np.zeros(large.size)
+    c[:4] = [1.0, -2.0, 0.5, 3.0]
+    np.testing.assert_allclose(
+        synthesize(ScalarField(large, c), grid),
+        synthesize(ScalarField(small, c[:4]), grid),
+        atol=1e-13,
+    )
+    np.testing.assert_allclose(
+        project(np.ones(grid.shape), large, grid)[:4],
+        project(np.ones(grid.shape), small, grid),
+        atol=1e-13,
+    )
+
+
+def test_transform_domain_mismatch(basis_1d):
+    other = QuadratureGrid.for_domain(BoxDomain((2.0,)), 32)
+    with pytest.raises(BasisMismatchError):
+        project(np.ones(other.shape), basis_1d, other)
+    with pytest.raises(BasisMismatchError):
+        mode_mass_matrix(np.ones(other.shape), basis_1d, other)
+
+
+def test_transform_shared_across_threads():
+    # many threads racing on first use of one grid: one table set per basis,
+    # and every synthesis equals the serial one
+    import sys
+    import threading
+
+    bases = [SineBasis(BoxDomain((1.0, 0.8)), (k, 3)) for k in (2, 4, 6)]
+    grid = QuadratureGrid.for_domain(bases[0].domain, 24)
+    fields = [ScalarField(b, np.linspace(1.0, 2.0, b.size)) for b in bases]
+    expected = [synthesize(f, QuadratureGrid.for_domain(b.domain, 24)) for f, b in zip(fields, bases)]
+    mismatches, seen = [], set()
+
+    def work():
+        for _ in range(20):
+            for f, want in zip(fields, expected):
+                if not np.array_equal(synthesize(f, grid), want):
+                    mismatches.append(f.basis.cutoffs)
+                seen.add((f.basis.cutoffs, id(grid.transform(f.basis))))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert mismatches == []
+    assert len(seen) == len(bases)

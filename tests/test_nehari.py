@@ -13,6 +13,7 @@ from sinesolve import (
     PairField,
     QuadratureGrid,
     ScalarField,
+    ScalarProblem,
     SineBasis,
     SolverConfig,
     SystemParams,
@@ -38,7 +39,7 @@ from sinesolve.errors import (
     NoProjectionError,
     PreconditionError,
 )
-from sinesolve.nehari import evaluate_point
+from sinesolve.nehari import evaluate_point, nehari_descent
 
 
 @pytest.fixture(scope="module")
@@ -237,6 +238,41 @@ def test_ground_state_definite(basis, grid, config):
     eng = GalerkinSystem(pr, basis, grid)
     m1, m2, _ = eng.power_masses(gs.u.coeffs())
     assert gs.energy >= (0.5 - 1.0 / pr.p) * (pr.mu1 * m1 + pr.mu2 * m2) - 1e-9
+
+
+@pytest.fixture(scope="module")
+def box24():
+    basis24 = SineBasis(BoxDomain((1.0,)), (24,))
+    return basis24, SolverConfig().make_grid(basis24)
+
+
+@pytest.mark.parametrize("kind", ["system", "scalar"])
+def test_descent_from_first_mode_is_short(box24, config, kind):
+    # Sobolev-preconditioned steps: a handful of gradients where plain
+    # 1/gamma_max steps took hundreds (system) or hit the 400-step cap (scalar)
+    basis24, grid24 = box24
+    pr = params_with(lam=50.0)
+    e1 = unit_mode(basis24, 0).coeffs
+    if kind == "system":
+        engine, z0 = GalerkinSystem(pr, basis24, grid24), np.concatenate([e1, e1])
+    else:
+        engine, z0 = ScalarProblem(pr, 1, basis24, grid24), e1
+    gradient, calls = engine.gradient, []
+
+    def counting(z):
+        calls.append(1)
+        return gradient(z)
+
+    engine.gradient = counting
+    z = nehari_descent(engine, z0, config)
+    assert np.linalg.norm(gradient(z)) < config.descent_switch_tol
+    assert len(calls) <= 20
+
+
+def test_ground_state_definite_default_seeds(box24):
+    basis24, grid24 = box24
+    gs = ground_state(params_with(lam=50.0), basis24, config=SolverConfig(), grid=grid24)
+    assert gs.energy == pytest.approx(0.312001188332069, abs=1e-12)
 
 
 def test_ground_state_indefinite(basis, grid, config):
