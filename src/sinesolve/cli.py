@@ -34,7 +34,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .domain import BoxDomain, QuadratureGrid, SineBasis
+from .domain import BoxDomain, SineBasis
 from .energy import SystemParams, spectral_split
 from .errors import (
     BoundaryInfimumError,
@@ -128,7 +128,6 @@ class RunConfig:
     params: SystemParams | None
     lengths: tuple[float, ...] | None
     cutoffs: tuple[int, ...] | None
-    oversample: float
     solver: SolverConfig
     budget: int
     zero_tol: float | None
@@ -140,9 +139,6 @@ class RunConfig:
         if self.lengths is None or self.cutoffs is None:
             raise ConfigError("this subcommand needs problem.lengths and problem.cutoffs")
         return SineBasis(BoxDomain(self.lengths), self.cutoffs)
-
-    def grid(self, basis: SineBasis) -> QuadratureGrid:
-        return QuadratureGrid.for_basis(basis, oversample=self.oversample)
 
 
 _PROBLEM_KEYS = {
@@ -240,7 +236,6 @@ def parse_config(raw: dict, needs_box: bool) -> RunConfig:
         params=params,
         lengths=lengths,
         cutoffs=cutoffs,
-        oversample=oversample,
         solver=solver,
         budget=budget,
         zero_tol=zero_tol,
@@ -335,7 +330,7 @@ def _report_skeleton(cfg: RunConfig) -> dict:
 
 def _run_ground_state(cfg: RunConfig) -> tuple[dict, int]:
     basis = cfg.basis()
-    grid = cfg.grid(basis)
+    grid = cfg.solver.make_grid(basis)
     split = spectral_split(cfg.params, basis, cfg.zero_tol)
     th = semitrivial_threshold(cfg.params, basis, grid, cfg.solver)
     gs = ground_state(cfg.params, basis, split, cfg.solver, grid, th)
@@ -359,13 +354,13 @@ def _run_ground_state(cfg: RunConfig) -> tuple[dict, int]:
         ]
     )
     report["thresholds"] = {"c0": float(th.c0), "min_scalar_b": float(th.min_b)}
-    report["timing"]["counters"] = {"scalar_solves": 2, "system_solves": 1}
+    report["timing"]["counters"] = {"scalar_solves": th.scalar_solves, "system_solves": 1}
     return report, code
 
 
 def _run_multiplicity(cfg: RunConfig) -> tuple[dict, int]:
     basis = cfg.basis()
-    grid = cfg.grid(basis)
+    grid = cfg.solver.make_grid(basis)
     split = spectral_split(cfg.params, basis, cfg.zero_tol)
     task = dict(cfg.task)
     _check_keys(task, {"k", "dedup_tol"}, {"k"}, "task")
@@ -385,7 +380,7 @@ def _run_multiplicity(cfg: RunConfig) -> tuple[dict, int]:
     report["results"] = _sorted_records([_point_record(p, "system") for p in pts])
     report["thresholds"] = {"c0": float(th.c0), "min_scalar_b": float(th.min_b)}
     report["timing"]["counters"] = {
-        "scalar_solves": 2,
+        "scalar_solves": th.scalar_solves,
         "orbits_found": len(pts),
         "target_k": k,
     }
@@ -394,7 +389,7 @@ def _run_multiplicity(cfg: RunConfig) -> tuple[dict, int]:
 
 def _run_thresholds(cfg: RunConfig) -> tuple[dict, int]:
     basis = cfg.basis()
-    grid = cfg.grid(basis)
+    grid = cfg.solver.make_grid(basis)
     task = dict(cfg.task)
     _check_keys(task, {"m", "lambda_grid", "lambda_lo", "lambda_hi"}, {"m"}, "task")
     m = int(task["m"])
@@ -415,7 +410,7 @@ def _run_thresholds(cfg: RunConfig) -> tuple[dict, int]:
         for lam, v in zip(lam_grid, sups)
     ]
     report["thresholds"] = {"c0": float(th.c0), "lambda_bar": float(lam_bar), "m": m}
-    report["timing"]["counters"] = {"lambda_points": len(lam_grid), "scalar_solves": 2}
+    report["timing"]["counters"] = {"lambda_points": len(lam_grid), "scalar_solves": th.scalar_solves}
     return report, 0
 
 
@@ -457,7 +452,7 @@ def _run_synchronized(cfg: RunConfig) -> tuple[dict, int]:
     if cfg.params.kappa1 != cfg.params.kappa2:
         raise ConfigError("synchronized runs need kappa1 == kappa2")
     basis = cfg.basis()
-    grid = cfg.grid(basis)
+    grid = cfg.solver.make_grid(basis)
     task = dict(cfg.task)
     _check_keys(task, {"r_lo", "r_hi"}, set(), "task")
     scan = find_roots(

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import BasisMismatchError
+from .radial import panel_rule
 
 #: Gauss-Legendre order of one quadrature panel.  At the default node count
 #: (2K+8 per axis) this keeps the Gram matrix of the first ~64 modes within
@@ -144,12 +144,7 @@ def require_same_basis(f: ScalarField, g: ScalarField) -> None:
 def composite_gauss_legendre(length: float, n_nodes: int, panel_order: int = PANEL_ORDER):
     """Composite Gauss-Legendre rule on (0, length) with at least n_nodes nodes."""
     n_panels = max(1, int(np.ceil(n_nodes / panel_order)))
-    xg, wg = leggauss(panel_order)
-    edges = np.linspace(0.0, length, n_panels + 1)
-    half = 0.5 * np.diff(edges)
-    nodes = (0.5 * (edges[:-1] + edges[1:]))[:, None] + half[:, None] * xg
-    weights = half[:, None] * wg
-    return nodes.ravel(), weights.ravel()
+    return panel_rule(np.linspace(0.0, length, n_panels + 1), panel_order)
 
 
 class SineTransform:

@@ -311,16 +311,6 @@ class GalerkinSystem:
         h12 = -mode_mass_matrix(w12, self.basis, self.grid)
         return np.block([[h11, h12], [h12.T, h22]])
 
-    def b_form(self, z: np.ndarray, w: np.ndarray) -> float:
-        return float(
-            np.sum(self.shift1 * z[: self.m] * w[: self.m])
-            + np.sum(self.shift2 * z[self.m :] * w[self.m :])
-        )
-
-    def h1_norm(self, z: np.ndarray) -> float:
-        gamma = self.basis.eigenvalues
-        return float(np.sqrt(np.sum(gamma * z[: self.m] ** 2) + np.sum(gamma * z[self.m :] ** 2)))
-
     def nehari_denominator(self, z: np.ndarray) -> float:
         """int(mu_1 |u_1|^p + mu_2 |u_2|^p + p lam |u_1|^alpha |u_2|^beta)."""
         pr = self.params

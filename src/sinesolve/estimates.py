@@ -19,11 +19,20 @@ from typing import Sequence
 import numpy as np
 import scipy.optimize
 
-from .domain import BoxDomain, QuadratureGrid, SineBasis
+from .domain import (
+    BoxDomain,
+    QuadratureGrid,
+    ScalarField,
+    SineBasis,
+    integrate,
+    project,
+    synthesize,
+    unit_mode,
+)
 from .energy import SpectralSplit, SystemParams
 from .errors import PreconditionError
 from .limit import BubbleProfile, LimitParams, _golden_min
-from .radial import _panel_rule, graded_edges, radial_integral, radial_tail_integral
+from .radial import graded_edges, panel_rule, radial_integral, radial_tail_integral
 
 SLOPE_TOL = 0.15
 
@@ -343,7 +352,7 @@ def _graded_box_grid(domain: BoxDomain, eps: float, order: int = 8) -> Quadratur
         c = 0.5 * L
         inner = graded_edges(max(eps, 1e-8), c, ratio=3.0)
         edges = np.unique(np.concatenate([c - inner[::-1], c + inner]))
-        n, w = _panel_rule(edges, order)
+        n, w = panel_rule(edges, order)
         nodes.append(n)
         weights.append(w)
     return QuadratureGrid(lengths=domain.lengths, axis_nodes=tuple(nodes), axis_weights=tuple(weights))
@@ -426,22 +435,14 @@ def _tilde_ascent(
     ts = lp.two_star
 
     # L^2 projections of the cutoff bubble on every mode -> exact B cross terms
-    from .domain import integrate, project
-
     proj = project(ubar, basis, grid)
     gamma = basis.eigenvalues
     pairs = split.tilde_pairs()
-    mats = grid.transform(basis).synthesis
     n_tilde = len(pairs)
 
-    # one synthesized grid per tilde direction, built once
-    col_list = []
-    for ci, k in pairs:
-        mode = basis.modes[k]
-        vals = mats[0][:, mode[0] - 1]
-        for ax in range(1, domain.dim):
-            vals = np.multiply.outer(vals, mats[ax][:, mode[ax] - 1])
-        col_list.append(vals)
+    # one synthesized grid per tilde direction, built once; synthesize returns
+    # a transposed view in dim >= 2, and C order keeps the sums below fast
+    col_list = [np.ascontiguousarray(synthesize(unit_mode(basis, k), grid)) for _, k in pairs]
 
     def point_values(t, w):
         w1 = np.zeros(grid.shape)
@@ -518,31 +519,23 @@ def mixed_norm_constant(
         raise PreconditionError("both nonpositive subspaces must be nontrivial")
     if len(omega) != basis.domain.dim:
         raise PreconditionError("omega needs one interval per axis")
-    from numpy.polynomial.legendre import leggauss
-
-    xg, wg = leggauss(nodes_per_axis)
-    axis_nodes, axis_weights = [], []
+    rules = []
     for (a, b), L in zip(omega, basis.domain.lengths):
         if not 0.0 <= a < b <= L:
             raise PreconditionError("omega must be a subbox of the domain")
-        axis_nodes.append(0.5 * (a + b) + 0.5 * (b - a) * xg)
-        axis_weights.append(0.5 * (b - a) * wg)
-    mats = [basis.axis_matrix(i, np.asarray(n)) for i, n in enumerate(axis_nodes)]
+        rules.append(panel_rule(np.array([a, b]), nodes_per_axis))
+    # nodes on the subbox only; the domain's lengths keep the basis compatible
+    grid = QuadratureGrid(
+        lengths=basis.domain.lengths,
+        axis_nodes=tuple(r[0] for r in rules),
+        axis_weights=tuple(r[1] for r in rules),
+    )
+    gamma = basis.eigenvalues
 
     def tilde_synth(idx, coeffs):
-        vals = np.zeros(tuple(len(n) for n in axis_nodes))
-        for k, c in zip(idx, coeffs):
-            mode = basis.modes[k]
-            col = mats[0][:, mode[0] - 1]
-            for ax in range(1, basis.domain.dim):
-                col = np.multiply.outer(col, mats[ax][:, mode[ax] - 1])
-            vals += c * col
-        return vals
-
-    weight = np.ones(tuple(len(n) for n in axis_nodes))
-    for i, w in enumerate(axis_weights):
-        weight = weight * w.reshape((-1,) + (1,) * (len(axis_weights) - 1 - i))
-    gamma = basis.eigenvalues
+        c = np.zeros(basis.size)
+        c[idx] = coeffs
+        return synthesize(ScalarField(basis, c), grid)
 
     def objective(y):
         a, b = y[: t1.size], y[t1.size :]
@@ -552,7 +545,7 @@ def mixed_norm_constant(
             return np.inf
         v1 = tilde_synth(t1, a / na)
         v2 = tilde_synth(t2, b / nb)
-        return float(np.sum(weight * np.abs(v1) ** params.alpha * np.abs(v2) ** params.beta))
+        return integrate(np.abs(v1) ** params.alpha * np.abs(v2) ** params.beta, grid)
 
     rng = np.random.default_rng(rng_seed)
     dim = t1.size + t2.size

@@ -105,13 +105,34 @@ class ScalarGroundState:
     grad_norm: float
     b_value: float
 
+    def scaled(self, mu: float, p: float) -> "ScalarGroundState":
+        """This unit-coefficient state carried to coefficient mu.
+
+        If w solves -Lap w - kappa w = |w|^{p-2} w, then s w with
+        s = mu^(-1/(p-2)) solves the equation with coefficient mu; its
+        energy and quadratic form scale by s^2 and its gradient by s.
+        Quadrature is linear, so the law holds for the discrete energy too.
+        """
+        s = mu ** (-1.0 / (p - 2.0))
+        return ScalarGroundState(
+            w=s * self.w,
+            energy=s * s * self.energy,
+            grad_norm=s * self.grad_norm,
+            b_value=s * s * self.b_value,
+        )
+
 
 @dataclass(frozen=True)
 class ThresholdResult:
-    """Semitrivial energy threshold: min of the two scalar ground energies."""
+    """Semitrivial energy threshold: min of the two scalar ground energies.
+
+    `scalar_solves` counts the scalar searches run to build it (0 for a
+    result built by hand).
+    """
 
     c0: float
     scalar_states: tuple[ScalarGroundState, ScalarGroundState]
+    scalar_solves: int = 0
 
     @property
     def min_b(self) -> float:
@@ -265,7 +286,6 @@ def nehari_descent(engine, z: np.ndarray, config: SolverConfig) -> np.ndarray:
 def evaluate_point(engine, z: np.ndarray, config: SolverConfig, orbit_id: int = 0) -> CriticalPoint:
     """Package a coefficient vector as a CriticalPoint record."""
     m = engine.m
-    pr = engine.params
     u = PairField.from_coeffs(engine.basis, z)
     m1, m2, _ = engine.power_masses(z)
     total = m1 + m2
@@ -328,11 +348,7 @@ def nehari_project(
     t_idx = engine.tilde_indices(split)
     if _plus_h1_norm(engine, z, t_idx) < 1e-12 * max(np.linalg.norm(z), 1e-300):
         raise PreconditionError("the point has no positive part; no ray to project")
-    if split.definite:
-        out = project_ray(engine, z)
-    else:
-        out = project_general(engine, z, t_idx)
-    return PairField.from_coeffs(u.basis, out)
+    return PairField.from_coeffs(u.basis, project_general(engine, z, t_idx))
 
 
 # -- orbit handling -------------------------------------------------------------
@@ -418,9 +434,13 @@ def scalar_ground_state(
     config: SolverConfig = SolverConfig(),
     mu: float | None = None,
 ) -> ScalarGroundState:
-    """Least-energy nontrivial solution of -Lap w - kappa_i w = mu_i |w|^{p-2} w."""
+    """Least-energy nontrivial solution of -Lap w - kappa_i w = mu |w|^{p-2} w.
+
+    mu defaults to mu_i.  The search runs at unit coefficient, and the
+    state for mu follows from it by `ScalarGroundState.scaled`.
+    """
     split = spectral_split(params, basis)
-    prob = ScalarProblem(params, i, basis, grid if grid is not None else config.make_grid(basis), mu=mu)
+    prob = ScalarProblem(params, i, basis, grid if grid is not None else config.make_grid(basis), mu=1.0)
     rng = np.random.default_rng(config.rng_seed)
     m = basis.size
     seeds = []
@@ -452,12 +472,13 @@ def scalar_ground_state(
     if best is None:
         raise ConvergenceFailureError("no scalar seed converged to a positive-energy solution", diagnostics)
     e, z = best
-    return ScalarGroundState(
+    unit = ScalarGroundState(
         w=ScalarField(basis, z),
         energy=e,
         grad_norm=float(np.linalg.norm(prob.gradient(z))),
         b_value=prob.quadratic(z),
     )
+    return unit.scaled(params.mu(i) if mu is None else mu, params.p)
 
 
 def semitrivial_threshold(
@@ -469,11 +490,17 @@ def semitrivial_threshold(
     """The smaller of the two scalar ground-state energies, with their B values.
 
     Any critical point of the coupled system with energy strictly inside
-    (0, c0) must have both components nonzero.
+    (0, c0) must have both components nonzero.  The scalar state depends on
+    mu_i only through `ScalarGroundState.scaled`, so one unit-coefficient
+    search runs per distinct kappa.
     """
-    s1 = scalar_ground_state(params, 1, basis, grid, config)
-    s2 = scalar_ground_state(params, 2, basis, grid, config)
-    return ThresholdResult(c0=min(s1.energy, s2.energy), scalar_states=(s1, s2))
+    grid = grid if grid is not None else config.make_grid(basis)
+    units: dict[float, ScalarGroundState] = {}
+    for i in (1, 2):
+        if params.kappa(i) not in units:
+            units[params.kappa(i)] = scalar_ground_state(params, i, basis, grid, config, mu=1.0)
+    s1, s2 = (units[params.kappa(i)].scaled(params.mu(i), params.p) for i in (1, 2))
+    return ThresholdResult(c0=min(s1.energy, s2.energy), scalar_states=(s1, s2), scalar_solves=len(units))
 
 
 def classify(point: CriticalPoint, c0: float, params: SystemParams) -> str:
@@ -601,11 +628,7 @@ def multiplicity_search(
             break
         runs += 1
         try:
-            z_init = (
-                project_general(engine, z0, t_idx)
-                if not split.definite
-                else project_ray(engine, z0)
-            )
+            z_init = project_general(engine, z0, t_idx)
         except NoProjectionError:
             z_init = z0
         z = _deflated_root(engine, z_init, deflate, config)

@@ -24,7 +24,8 @@ def sphere_area(n_dim: int) -> float:
     return float(2.0 * np.pi ** (n_dim / 2.0) / gamma_fn(n_dim / 2.0))
 
 
-def _panel_rule(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+def panel_rule(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre rule of `order` nodes on each panel between consecutive edges."""
     xg, wg = leggauss(order)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
@@ -60,11 +61,11 @@ def radial_integral(
     exactly through the inversion r = scale/y.
     """
     if r_max is not None:
-        r, w = _panel_rule(graded_edges(scale, r_max), order)
+        r, w = panel_rule(graded_edges(scale, r_max), order)
         return sphere_area(n_dim) * float(np.sum(w * g(r) * r ** (n_dim - 1)))
-    r_in, w_in = _panel_rule(scale * np.array([0.0, 0.25, 0.5, 1.0]), order)
+    r_in, w_in = panel_rule(scale * np.array([0.0, 0.25, 0.5, 1.0]), order)
     inner = float(np.sum(w_in * g(r_in) * r_in ** (n_dim - 1)))
-    y, wy = _panel_rule(np.array([0.0, 0.25, 0.5, 1.0]), order)
+    y, wy = panel_rule(np.array([0.0, 0.25, 0.5, 1.0]), order)
     r_out = scale / y
     outer = float(np.sum(wy * g(r_out) * r_out ** (n_dim - 1) * scale / y**2))
     return sphere_area(n_dim) * (inner + outer)
@@ -83,7 +84,7 @@ def radial_tail_integral(
     """
     if r_min <= 0:
         raise ValueError("r_min must be positive")
-    y, wy = _panel_rule(np.array([0.0, 0.25, 0.5, 1.0]), order)
+    y, wy = panel_rule(np.array([0.0, 0.25, 0.5, 1.0]), order)
     r = r_min / y
     val = float(np.sum(wy * g(r) * r ** (n_dim - 1) * r_min / y**2))
     return sphere_area(n_dim) * val

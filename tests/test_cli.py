@@ -279,3 +279,17 @@ def test_thresholds_runs_one_diagonal_sup(tmp_path, monkeypatch):
     assert main(["thresholds", "--config", write_config(tmp_path, cfg)]) == 0
     assert calls == [1.0]
     assert json.loads((tmp_path / "th.json").read_text())["thresholds"]["lambda_bar"] > 0
+
+
+@pytest.mark.parametrize("subcommand, kappa2, solves", [
+    ("ground-state", 0.0, 1), ("ground-state", 5.0, 2), ("thresholds", 0.0, 1), ("thresholds", 5.0, 2),
+])
+def test_scalar_solves_counts_distinct_kappas(tmp_path, subcommand, kappa2, solves):
+    cfg = copy.deepcopy(BASE)
+    cfg["problem"]["kappa2"] = kappa2
+    cfg["solver"].update({"n_mode_seeds": 2, "n_random_seeds": 0})
+    cfg["task"] = {"m": 2} if subcommand == "thresholds" else {}
+    cfg["output"]["report"] = str(tmp_path / "rep.json")
+    assert main([subcommand, "--config", write_config(tmp_path, cfg)]) == 0
+    rep = json.loads((tmp_path / "rep.json").read_text())
+    assert rep["timing"]["counters"]["scalar_solves"] == solves

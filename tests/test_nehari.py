@@ -193,6 +193,45 @@ def test_scalar_threshold_monotone_in_mu(basis, grid, config):
     assert e[1] < e[0]
 
 
+@pytest.mark.parametrize("kappa2, searches", [(0.0, 1), (5.0, 2)])
+def test_semitrivial_threshold_one_search_per_kappa(basis, grid, monkeypatch, kappa2, searches):
+    from sinesolve import nehari
+
+    calls = []
+    original = nehari.scalar_ground_state
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(nehari, "scalar_ground_state", counting)
+    cfg = SolverConfig(n_mode_seeds=2, n_random_seeds=0)
+    th = semitrivial_threshold(params_with(kappa2=kappa2, mu2=2.0), basis, grid, cfg)
+    assert len(calls) == searches
+    assert th.scalar_solves == searches
+    assert th.c0 == min(s.energy for s in th.scalar_states)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    mu=st.floats(0.1, 10.0),
+    kappa=st.sampled_from([0.0, 5.0, 15.0, 45.0]),
+    i=st.sampled_from([1, 2]),
+    via_params=st.booleans(),
+)
+def test_scalar_ground_state_mu_scaling(basis, grid, mu, kappa, i, via_params):
+    # the state scaled from the unit-coefficient search is a critical point
+    # of the mu-problem, with the energy and quadratic form that problem gives
+    pr = params_with(**{f"kappa{i}": kappa, f"mu{i}": mu if via_params else 1.0})
+    cfg = SolverConfig(n_mode_seeds=2, n_random_seeds=0)
+    state = scalar_ground_state(pr, i, basis, grid, cfg, mu=None if via_params else mu)
+    prob = ScalarProblem(pr, i, basis, grid, mu=mu)
+    w = state.w.coeffs
+    assert np.linalg.norm(prob.gradient(w)) <= 1e-9
+    assert prob.energy(w) == pytest.approx(state.energy, rel=1e-12)
+    assert prob.quadratic(w) == pytest.approx(state.b_value, rel=1e-12)
+
+
 def test_classify_semitrivial(basis, grid, config):
     pr = params_with(lam=50.0)
     th = semitrivial_threshold(pr, basis, grid, config)
