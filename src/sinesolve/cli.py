@@ -526,7 +526,8 @@ def _run_verify_estimates(cfg: RunConfig, threads: int) -> tuple[dict, int]:
         })
     failed |= not fit.all_passed
 
-    for rep in calculus_inequalities():
+    inequalities = calculus_inequalities()
+    for rep in inequalities:
         results.append({
             "family": "inequality", "label": rep.label, "constant": rep.constant,
             "worst_slack": rep.worst_slack, "passed": rep.passed,
@@ -603,7 +604,7 @@ def _run_verify_estimates(cfg: RunConfig, threads: int) -> tuple[dict, int]:
     report["thresholds"] = thresholds
     if notes:
         report["thresholds"]["notes"] = notes
-    report["timing"]["counters"] = {"eps_points": len(eps_grid), "inequalities": 5}
+    report["timing"]["counters"] = {"eps_points": len(eps_grid), "inequalities": len(inequalities)}
     return report, (4 if failed else 0)
 
 

@@ -151,10 +151,7 @@ def sobolev_constant(n_dim: int, order: int = 48) -> float:
     """
     if n_dim < 3:
         raise PreconditionError("dim must be at least 3")
-    b = BubbleProfile(n_dim, 1.0)
-    ts = 2.0 * n_dim / (n_dim - 2.0)
-    grad2 = radial_integral(lambda r: b.radial_derivative(r) ** 2, n_dim, order=order)
-    mass = radial_integral(lambda r: b.value(r) ** ts, n_dim, order=order)
+    grad2, mass = bubble_norms(n_dim, 1.0, order=order)
     if abs(grad2 - mass) > 1e-8 * abs(grad2):
         raise InconsistencyError(
             f"bubble identity violated: ||grad U||^2 = {grad2!r} vs |U|_2*^2* = {mass!r}"

@@ -12,6 +12,7 @@ decaying integrand into a smooth one and removes truncation error entirely.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -24,9 +25,18 @@ def sphere_area(n_dim: int) -> float:
     return float(2.0 * np.pi ** (n_dim / 2.0) / gamma_fn(n_dim / 2.0))
 
 
+@lru_cache(maxsize=8)
+def _reference_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per order and read-only."""
+    xg, wg = leggauss(order)
+    xg.flags.writeable = False
+    wg.flags.writeable = False
+    return xg, wg
+
+
 def panel_rule(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre rule of `order` nodes on each panel between consecutive edges."""
-    xg, wg = leggauss(order)
+    xg, wg = _reference_rule(order)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
     nodes = mid[:, None] + half[:, None] * xg

@@ -9,6 +9,7 @@ import pytest
 
 from sinesolve.cli import main, parse_config
 from sinesolve.errors import ConfigError
+from sinesolve.radial import _reference_rule
 
 BASE = {
     "problem": {
@@ -293,3 +294,24 @@ def test_scalar_solves_counts_distinct_kappas(tmp_path, subcommand, kappa2, solv
     assert main([subcommand, "--config", write_config(tmp_path, cfg)]) == 0
     rep = json.loads((tmp_path / "rep.json").read_text())
     assert rep["timing"]["counters"]["scalar_solves"] == solves
+
+
+@pytest.mark.parametrize(
+    "dim, ab, lam, boundary",
+    [(4, 2.0, 1.0, False), (5, 5.0 / 3.0, 0.003, True)],
+    ids=["n4-interior", "n5-boundary"],
+)
+def test_limit_report_same_with_cold_and_warm_rule_cache(tmp_path, dim, ab, lam, boundary):
+    cfg = {
+        "problem": {"mu1": 1.0, "mu2": 1.0, "lambda": lam, "alpha": ab, "beta": ab, "dim": dim},
+        "task": {},
+        "output": {"report": str(tmp_path / "lim.json"), "formats": ["json"]},
+    }
+    path = write_config(tmp_path, cfg)
+    _reference_rule.cache_clear()
+    reports = []
+    for _ in ("cold", "warm"):
+        assert main(["limit", "--config", path]) == 0
+        reports.append((tmp_path / "lim.json").read_bytes())
+    assert json.loads(reports[0])["thresholds"]["boundary_infimum"] is boundary
+    assert reports[0] == reports[1]
