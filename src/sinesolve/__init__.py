@@ -7,7 +7,6 @@ from .domain import (
     ScalarField,
     SineBasis,
     eigenvalue,
-    evaluate_at,
     h1_inner,
     h1_norm,
     integrate,

@@ -146,7 +146,7 @@ _PROBLEM_KEYS = {
     "lengths", "cutoffs", "dim", "quadrature_oversample",
 }
 _SOLVER_KEYS = {
-    "tol", "max_newton_iter", "seed", "n_mode_seeds", "n_random_seeds",
+    "tol", "seed", "n_mode_seeds", "n_random_seeds",
     "seed_amplitude", "deflation_power", "deflation_shift", "budget",
     "triviality_floor", "plus_floor", "zero_tol",
 }
@@ -208,7 +208,6 @@ def parse_config(raw: dict, needs_box: bool) -> RunConfig:
         raise ConfigError("quadrature_oversample must be at least 1")
     solver = SolverConfig(
         tol=_positive(solver_raw.get("tol", 1e-10), "solver.tol"),
-        max_newton_iter=int(solver_raw.get("max_newton_iter", 120)),
         n_mode_seeds=int(solver_raw.get("n_mode_seeds", 6)),
         n_random_seeds=int(solver_raw.get("n_random_seeds", 8)),
         seed_amplitude=float(solver_raw.get("seed_amplitude", 1.0)),

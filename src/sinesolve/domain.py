@@ -265,12 +265,6 @@ def synthesize(field: ScalarField, grid: QuadratureGrid) -> np.ndarray:
     return _tensor_apply(coeff_tensor(field, tr.permutation), tr.synthesis)
 
 
-def evaluate_at(field: ScalarField, axis_points: Sequence[np.ndarray]) -> np.ndarray:
-    """Values of the field on an arbitrary tensor grid of points inside the box."""
-    mats = [field.basis.axis_matrix(i, np.asarray(p)) for i, p in enumerate(axis_points)]
-    return _tensor_apply(coeff_tensor(field, field.basis.tensor_permutation()), mats)
-
-
 def integrate(values: np.ndarray, grid: QuadratureGrid) -> float:
     """Tensor-product quadrature of grid values."""
     values = np.asarray(values)

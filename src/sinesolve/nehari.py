@@ -49,7 +49,6 @@ class SolverConfig:
     """Tolerances, budgets and seeding knobs shared by the searches."""
 
     tol: float = 1e-10
-    max_newton_iter: int = 120
     descent_max_iter: int = 400
     descent_switch_tol: float = 1e-3
     n_mode_seeds: int = 6
@@ -222,7 +221,8 @@ def project_general(
     if y[0] < 0:
         y = -y  # same slice; keep t > 0
     out = point(y)
-    resid = np.concatenate([[np.dot(engine.gradient(out), z)], engine.gradient(out)[tilde_idx]])
+    g = engine.gradient(out)
+    resid = np.concatenate([[np.dot(g, z)], g[tilde_idx]])
     if np.max(np.abs(resid)) > max(tol, 1e-9 * (1.0 + abs(engine.energy(out)))):
         raise NoProjectionError("ray-plus-tilde maximization did not reach stationarity")
     return out
@@ -234,16 +234,15 @@ def _embed(values: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def newton_polish(engine, z: np.ndarray, tol: float, max_iter: int = 120) -> tuple[np.ndarray, bool]:
-    """Drive the full gradient to zero with a dense Newton (Powell hybrid)."""
+def newton_polish(engine, z: np.ndarray, tol: float) -> tuple[np.ndarray, bool]:
+    """Drive the full gradient to zero with a dense Newton (Powell hybrid).
 
-    def fun(x):
-        return engine.gradient(x), engine.hessian(x)
-
-    sol = scipy.optimize.root(fun, z, jac=True, method="hybr", options={"xtol": 1e-13, "maxfev": 200 * (z.size + 1)})
-    out = sol.x
-    ok = bool(np.linalg.norm(engine.gradient(out)) <= tol) and np.all(np.isfinite(out))
-    return out, ok
+    MINPACK builds the Hessian only at the start and after its Broyden updates
+    stall, and returns the gradient at `sol.x` as `sol.fun`.
+    """
+    opts = {"xtol": 1e-13, "maxfev": 200 * (z.size + 1)}
+    sol = scipy.optimize.root(engine.gradient, z, jac=engine.hessian, method="hybr", options=opts)
+    return sol.x, bool(np.linalg.norm(sol.fun) <= tol) and np.all(np.isfinite(sol.x))
 
 
 def nehari_descent(engine, z: np.ndarray, config: SolverConfig) -> np.ndarray:
@@ -419,7 +418,7 @@ def _converge_seed(engine, split, z0, config: SolverConfig) -> np.ndarray | None
             z = project_general(engine, z0, t_idx)
     except NoProjectionError:
         z = z0  # let the full Newton try anyway
-    z, ok = newton_polish(engine, z, config.tol, config.max_newton_iter)
+    z, ok = newton_polish(engine, z, config.tol)
     return z if ok else None
 
 
@@ -563,30 +562,35 @@ def ground_state(
     return dataclasses.replace(best, below_threshold=bool(best.energy < threshold.c0))
 
 
+def _deflation_factor(z: np.ndarray, deflate: list[np.ndarray], power: float, shift: float):
+    """eta(z) = prod_i (d_i^-power + shift) over the orbit distances d_i, and its gradient."""
+    eta = 1.0
+    grad_eta = np.zeros_like(z)
+    for zi in deflate:
+        dists = [(np.linalg.norm(z - img), img) for img in sign_orbit(zi)]
+        d, img = min(dists, key=lambda t: t[0])
+        d = max(d, 1e-13)
+        m_i = d ** (-power) + shift
+        eta *= m_i
+        grad_eta += (-power * d ** (-power - 1.0) / m_i) * (z - img) / d
+    return eta, eta * grad_eta
+
+
 def _deflated_root(engine, z0: np.ndarray, deflate: list[np.ndarray], config: SolverConfig):
-    """Newton on the residual scaled by shifted inverse orbit distances."""
+    """Newton on the residual eta g, scaled by shifted inverse orbit distances."""
     pw = float(config.deflation_power)
     shift = config.deflation_shift
 
-    def fun(z):
-        g = engine.gradient(z)
-        h = engine.hessian(z)
-        eta = 1.0
-        grad_eta = np.zeros_like(z)
-        for zi in deflate:
-            dists = [(np.linalg.norm(z - img), img) for img in sign_orbit(zi)]
-            d, img = min(dists, key=lambda t: t[0])
-            d = max(d, 1e-13)
-            m_i = d ** (-pw) + shift
-            eta *= m_i
-            grad_eta += (-pw * d ** (-pw - 1.0) / m_i) * (z - img) / d
-        grad_eta *= eta
-        return eta * g, eta * h + np.outer(g, grad_eta)
+    def residual(z):
+        eta, _ = _deflation_factor(z, deflate, pw, shift)
+        return eta * engine.gradient(z)
 
-    sol = scipy.optimize.root(
-        fun, z0, jac=True, method="hybr", options={"xtol": 1e-13, "maxfev": 120 * (z0.size + 1)}
-    )
-    return sol.x
+    def jacobian(z):
+        eta, grad_eta = _deflation_factor(z, deflate, pw, shift)
+        return eta * engine.hessian(z) + np.outer(engine.gradient(z), grad_eta)
+
+    opts = {"xtol": 1e-13, "maxfev": 120 * (z0.size + 1)}
+    return scipy.optimize.root(residual, z0, jac=jacobian, method="hybr", options=opts).x
 
 
 def multiplicity_search(
@@ -632,7 +636,7 @@ def multiplicity_search(
         except NoProjectionError:
             z_init = z0
         z = _deflated_root(engine, z_init, deflate, config)
-        z, ok = newton_polish(engine, z, config.tol, config.max_newton_iter)
+        z, ok = newton_polish(engine, z, config.tol)
         if not ok:
             continue
         if np.linalg.norm(z) < 10 * config.plus_floor:

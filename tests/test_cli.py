@@ -47,6 +47,15 @@ def test_unknown_keys_rejected():
         parse_config(bad2, needs_box=True)
 
 
+def test_removed_max_newton_iter_key_exit_2(tmp_path):
+    # the Newton solve is bounded by its function-evaluation budget alone
+    bad = copy.deepcopy(BASE)
+    bad["solver"]["max_newton_iter"] = 120
+    bad["output"]["report"] = str(tmp_path / "never.json")
+    assert main(["ground-state", "--config", write_config(tmp_path, bad)]) == 2
+    assert not os.path.exists(tmp_path / "never.json")
+
+
 def test_invalid_values_rejected():
     for key, value in (("lambda", -5.0), ("mu1", 0.0), ("alpha", 1.0)):
         bad = copy.deepcopy(BASE)

@@ -39,7 +39,15 @@ from sinesolve.errors import (
     NoProjectionError,
     PreconditionError,
 )
-from sinesolve.nehari import evaluate_point, nehari_descent
+from sinesolve.nehari import (
+    _deflated_root,
+    _deflation_factor,
+    evaluate_point,
+    nehari_descent,
+    newton_polish,
+    orbit_distance,
+    project_general,
+)
 
 
 @pytest.fixture(scope="module")
@@ -446,7 +454,7 @@ def test_ground_state_convergence_failure(basis, grid):
     # an unreachable tolerance forces every seed to be rejected
     pr = params_with(lam=50.0)
     split = spectral_split(pr, basis)
-    cfg = SolverConfig(tol=1e-30, n_mode_seeds=1, n_random_seeds=1, max_newton_iter=2)
+    cfg = SolverConfig(tol=1e-30, n_mode_seeds=1, n_random_seeds=1)
     from sinesolve.errors import ConvergenceFailureError
     from sinesolve.nehari import ThresholdResult, ScalarGroundState
     from sinesolve import ScalarField
@@ -465,3 +473,44 @@ def test_residuals_vanish_at_converged_critical_point(basis, grid, config):
     gs = ground_state(pr, basis, split, config, grid)
     res = nehari_residuals(gs.u, pr, split, grid)
     assert res.max_abs < 1e-8
+
+
+def test_newton_builds_hessians_on_demand(box24, config):
+    # MINPACK asks for the Hessian at the start and after its Broyden updates
+    # stall, so a Newton solve builds far fewer Hessians than gradients
+    basis24, grid24 = box24
+    pr = params_with(kappa1=15.0, kappa2=15.0, lam=50.0)
+    engine = GalerkinSystem(pr, basis24, grid24)
+    t_idx = engine.tilde_indices(spectral_split(pr, basis24))
+    e1, e2 = (unit_mode(basis24, j).coeffs for j in (0, 1))
+    gradient, hessian, calls = engine.gradient, engine.hessian, {"gradient": 0, "hessian": 0}
+
+    def counting(name, fn):
+        def wrapped(z):
+            calls[name] += 1
+            return fn(z)
+
+        return wrapped
+
+    z0, w0 = (project_general(engine, np.concatenate([e, e]), t_idx) for e in (e1, e2))
+    engine.gradient, engine.hessian = counting("gradient", gradient), counting("hessian", hessian)
+    z, ok = newton_polish(engine, z0, config.tol)
+    w = _deflated_root(engine, w0, [np.zeros_like(z), z], config)
+    assert ok and ok == (np.linalg.norm(gradient(z)) <= config.tol)
+    assert np.linalg.norm(gradient(w)) <= config.tol and orbit_distance(w, z) > 0.1
+    assert calls["hessian"] < calls["gradient"] / 2
+
+
+def test_deflation_factor_gradient_matches_central_differences():
+    rng = np.random.default_rng(3)
+    z = rng.standard_normal(10)
+    deflate = [np.zeros(10), z + 0.5 * rng.standard_normal(10)]
+    eta, grad_eta = _deflation_factor(z, deflate, 2.0, 1.0)
+    h = 1e-6
+
+    def eta_at(x):
+        return _deflation_factor(x, deflate, 2.0, 1.0)[0]
+
+    fd = np.array([(eta_at(z + h * e) - eta_at(z - h * e)) / (2 * h) for e in np.eye(z.size)])
+    assert eta > 1.0
+    np.testing.assert_allclose(grad_eta, fd, rtol=1e-7, atol=1e-9 * np.abs(fd).max())
