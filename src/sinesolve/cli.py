@@ -9,9 +9,11 @@ limit             whole-space constants: S, the coupled constant, amplitudes
 synchronized      scalar profile, ratio roots, assembled synchronized pairs
 verify-estimates  bubble-integral orders, ray formula, linking bound, inequalities
 
-Configs are strict JSON (unknown keys rejected); reports are JSON with the
-top-level keys {schema, config, results, thresholds, timing} plus optional
-CSV tables.  All randomness comes from one seed, and the timing block holds
+Configs are strict JSON: `parse_config` checks every key against one schema
+(`SCHEMA` and each subcommand's `COMMANDS` entry) before any solver runs,
+and refuses unknown keys.  Reports are JSON with the top-level keys
+{schema, config, results, thresholds, timing} plus optional CSV tables.
+All randomness comes from one seed, and the timing block holds
 deterministic work counters so identical configs yield byte-identical
 reports.  Exit codes: 0 ok, 2 validation error, 3 solver failure, 4 a
 property check failed.
@@ -46,6 +48,7 @@ from .estimates import (
     CutoffSpec,
     calculus_inequalities,
     cutoff_bubble_integrals,
+    check_eps_grid,
     default_eps_grid,
     fit_orders,
     linking_sweep,
@@ -77,47 +80,133 @@ from .synchronized import find_roots, make_sync_root, synchronized_solution
 SCHEMA_TAG = "sinesolve-report/1"
 
 
-# -- strict config parsing -------------------------------------------------------
+# -- the config schema -----------------------------------------------------------
+
+REQUIRED = object()  # default of a key the config must give
+
+# Every config key: (type, default, range).  A type ending in "s" is a JSON
+# array of the singular type; integers accept 2 and 2.0 but not 2.7 or true,
+# numbers refuse booleans and strings, flags must be JSON booleans.  A range
+# names a predicate in _RANGES or is the tuple of allowed values.  A default
+# of None leaves the key absent unless a cross-field rule in parse_config
+# fills it in.
+SCHEMA = {
+    "problem": {
+        "kappa1": ("number", 0.0, "any"),
+        "kappa2": ("number", 0.0, "any"),
+        "mu1": ("number", REQUIRED, "> 0"),
+        "mu2": ("number", REQUIRED, "> 0"),
+        "lambda": ("number", REQUIRED, "> 0"),
+        "alpha": ("number", REQUIRED, "> 1"),
+        "beta": ("number", REQUIRED, "> 1"),
+        "lengths": ("numbers", None, "> 0"),
+        "cutoffs": ("integers", None, ">= 1"),
+        "dim": ("integer", None, ">= 1"),
+        "quadrature_oversample": ("number", 2.0, ">= 1"),
+    },
+    "solver": {
+        "tol": ("number", 1e-10, "> 0"),
+        "seed": ("integer", 0, ">= 0"),
+        "n_mode_seeds": ("integer", 6, ">= 0"),
+        "n_random_seeds": ("integer", 8, ">= 0"),
+        "seed_amplitude": ("number", 1.0, "> 0"),
+        "deflation_power": ("integer", 2, ">= 1"),
+        "deflation_shift": ("number", 1.0, ">= 0"),
+        "budget": ("integer", 60, ">= 1"),
+        "triviality_floor": ("number", 1e-10, "> 0"),
+        "plus_floor": ("number", 1e-6, "> 0"),
+        "zero_tol": ("number", None, "> 0"),
+    },
+    "output": {
+        "report": ("string", "report.json", "nonempty"),
+        "formats": ("strings", ("json",), ("json", "csv")),
+    },
+}
+
+_RANGES = {
+    "any": lambda x: True,
+    "nonempty": bool,
+    "> 0": lambda x: x > 0,
+    ">= 0": lambda x: x >= 0,
+    "> 1": lambda x: x > 1,
+    ">= 1": lambda x: x >= 1,
+}
+_TYPES = {"flag": bool, "string": str, "object": dict}
+_BLOCKS = {name: ("object", REQUIRED if name == "problem" else {}, "any")
+           for name in ("problem", "solver", "task", "output")}
 
 
-def _require_mapping(obj: Any, where: str) -> dict:
-    if not isinstance(obj, dict):
+@dataclass(frozen=True)
+class Command:
+    """What one subcommand asks of a config: its task keys and cross-field rules."""
+
+    task: dict
+    needs_box: bool = True  # problem.lengths and problem.cutoffs
+    limit: bool = False  # valid whole-space LimitParams
+    equal_kappas: bool = False
+
+
+COMMANDS = {
+    "ground-state": Command({}),
+    "multiplicity": Command({
+        "k": ("integer", REQUIRED, ">= 1"),
+        "dedup_tol": ("number", 1e-4, "> 0"),
+    }),
+    "thresholds": Command({
+        "m": ("integer", REQUIRED, ">= 1"),
+        "lambda_grid": ("numbers", tuple(np.geomspace(0.5, 500, 10)), "> 0"),
+        "lambda_lo": ("number", 1e-6, ">= 0"),
+        "lambda_hi": ("number", 1e8, "> 0"),
+    }),
+    "limit": Command({}, needs_box=False, limit=True),
+    "synchronized": Command({
+        "r_lo": ("number", 1e-8, "> 0"),
+        "r_hi": ("number", 1e8, "> 0"),
+    }, equal_kappas=True),
+    "verify-estimates": Command({
+        "eps_grid": ("numbers", default_eps_grid(), "> 0"),
+        "delta": ("number", 1.5, "> 0"),
+        "support_radius": ("number", None, "> 0"),
+        "linking_eps": ("numbers", (1e-2, 1e-3), "> 0"),
+        "sample_budget": ("integer", 40, ">= 0"),
+        "skip_linking": ("flag", False, "any"),
+    }, needs_box=False, limit=True),
+}
+
+
+def _typed(x: Any, kind: str, rng: Any, name: str) -> Any:
+    """x checked against one schema entry and converted to its Python type."""
+    if kind.endswith("s"):
+        if not isinstance(x, (list, tuple)):
+            raise ConfigError(f"{name} must be a list of {kind}, not {x!r}")
+        return tuple(_typed(v, kind[:-1], rng, name) for v in x)
+    if kind in ("number", "integer"):
+        if isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x) \
+                or kind == "integer" and x != int(x):
+            raise ConfigError(f"{name} must be a finite {kind}, not {x!r}")
+        x = int(x) if kind == "integer" else float(x)
+    elif not isinstance(x, _TYPES[kind]):
+        raise ConfigError(f"{name} must be a {kind}, not {x!r}")
+    if not (x in rng if isinstance(rng, tuple) else _RANGES[rng](x)):
+        want = " or ".join(rng) if isinstance(rng, tuple) else rng
+        raise ConfigError(f"{name} must be {want}, not {x!r}")
+    return x
+
+
+def _read(block: Any, schema: dict, where: str) -> dict:
+    """Typed values of one config block, defaults filled in."""
+    if not isinstance(block, dict):
         raise ConfigError(f"{where} must be an object")
-    return obj
-
-
-def _check_keys(d: dict, allowed: set[str], required: set[str], where: str) -> None:
-    unknown = set(d) - allowed
+    unknown = set(block) - set(schema)
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
-    missing = required - set(d)
-    if missing:
-        raise ConfigError(f"missing key(s) in {where}: {sorted(missing)}")
-
-
-def _finite_float(text: str) -> float:
-    """JSON number hook: rejects NaN, Infinity and literals that overflow."""
-    x = float(text)
-    if not math.isfinite(x):
-        raise ValueError(f"non-finite number {text} in the config")
-    return x
-
-
-def _float_sized_int(text: str) -> int:
-    """JSON integer hook: rejects integer literals too large for a float."""
-    x = int(text)
-    try:
-        float(x)
-    except OverflowError:
-        raise ValueError(f"integer literal of {len(text)} digits is too large for a float") from None
-    return x
-
-
-def _positive(x, name) -> float:
-    x = float(x)
-    if not x > 0 or not np.isfinite(x):
-        raise ConfigError(f"{name} must be a positive finite number")
-    return x
+    values = {}
+    for key, (kind, default, rng) in schema.items():
+        x = block.get(key, default)
+        if x is REQUIRED:
+            raise ConfigError(f"missing key {where}.{key}")
+        values[key] = None if x is None and default is None else _typed(x, kind, rng, f"{where}.{key}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -125,7 +214,8 @@ class RunConfig:
     """Validated run configuration (config echo keeps the raw dict)."""
 
     raw: dict
-    params: SystemParams | None
+    params: SystemParams
+    limit: LimitParams | None
     lengths: tuple[float, ...] | None
     cutoffs: tuple[int, ...] | None
     solver: SolverConfig
@@ -134,114 +224,63 @@ class RunConfig:
     task: dict
     report_path: str
     formats: tuple[str, ...]
+    threads: int = 1
 
     def basis(self) -> SineBasis:
-        if self.lengths is None or self.cutoffs is None:
-            raise ConfigError("this subcommand needs problem.lengths and problem.cutoffs")
         return SineBasis(BoxDomain(self.lengths), self.cutoffs)
 
 
-_PROBLEM_KEYS = {
-    "kappa1", "kappa2", "mu1", "mu2", "lambda", "alpha", "beta",
-    "lengths", "cutoffs", "dim", "quadrature_oversample",
-}
-_SOLVER_KEYS = {
-    "tol", "seed", "n_mode_seeds", "n_random_seeds",
-    "seed_amplitude", "deflation_power", "deflation_shift", "budget",
-    "triviality_floor", "plus_floor", "zero_tol",
-}
-_OUTPUT_KEYS = {"report", "formats"}
-
-
-def parse_config(raw: dict, needs_box: bool) -> RunConfig:
-    raw = _require_mapping(raw, "config")
-    _check_keys(raw, {"problem", "solver", "task", "output"}, {"problem"}, "config")
-    prob = _require_mapping(raw["problem"], "problem")
-    _check_keys(prob, _PROBLEM_KEYS, {"mu1", "mu2", "lambda", "alpha", "beta"}, "problem")
-
-    lengths = cutoffs = None
-    if "lengths" in prob:
-        lengths = tuple(_positive(x, "length") for x in prob["lengths"])
-    if "cutoffs" in prob:
-        cutoffs = tuple(int(k) for k in prob["cutoffs"])
-        if any(k < 1 for k in cutoffs):
-            raise ConfigError("cutoffs must be positive integers")
-    if needs_box and (lengths is None or cutoffs is None):
-        raise ConfigError("this subcommand requires problem.lengths and problem.cutoffs")
-    if lengths is not None and cutoffs is not None and len(lengths) != len(cutoffs):
-        raise ConfigError("lengths and cutoffs must have equal length")
-
-    dim = prob.get("dim")
-    if dim is not None:
-        dim = int(dim)
-        if lengths is not None and dim != len(lengths):
-            raise ConfigError("problem.dim contradicts len(problem.lengths)")
-    elif lengths is not None:
-        dim = len(lengths)
-    else:
-        raise ConfigError("problem needs either lengths or dim")
-
+def parse_config(raw: dict, command: Command) -> RunConfig:
+    """Check every block of raw against the schema and command's rules; no solver runs."""
     try:
-        params = SystemParams(
-            kappa1=float(prob.get("kappa1", 0.0)),
-            kappa2=float(prob.get("kappa2", 0.0)),
-            mu1=_positive(prob["mu1"], "mu1"),
-            mu2=_positive(prob["mu2"], "mu2"),
-            lam=_positive(prob["lambda"], "lambda"),
-            alpha=float(prob["alpha"]),
-            beta=float(prob["beta"]),
-            dim=dim,
-        )
-    except ValueError as exc:
+        blocks = _read(raw, _BLOCKS, "config")
+        prob = _read(blocks["problem"], SCHEMA["problem"], "problem")
+        sol = _read(blocks["solver"], SCHEMA["solver"], "solver")
+        out = _read(blocks["output"], SCHEMA["output"], "output")
+        task = _read(blocks["task"], command.task, "task")
+
+        lengths, cutoffs, dim = prob["lengths"], prob["cutoffs"], prob["dim"]
+        if command.needs_box and (lengths is None or cutoffs is None):
+            raise ConfigError("this subcommand requires problem.lengths and problem.cutoffs")
+        if lengths is not None and cutoffs is not None and len(lengths) != len(cutoffs):
+            raise ConfigError("lengths and cutoffs must have equal length")
+        if lengths is not None:
+            if dim not in (None, len(lengths)):
+                raise ConfigError("problem.dim contradicts len(problem.lengths)")
+            dim = len(lengths)
+        elif dim is None:
+            raise ConfigError("problem needs either lengths or dim")
+        params = SystemParams(kappa1=prob["kappa1"], kappa2=prob["kappa2"], mu1=prob["mu1"],
+                              mu2=prob["mu2"], lam=prob["lambda"], alpha=prob["alpha"],
+                              beta=prob["beta"], dim=dim)
+        limit = None
+        if command.limit:
+            limit = LimitParams(mu1=params.mu1, mu2=params.mu2, lam=params.lam,
+                                alpha=params.alpha, beta=params.beta, dim=dim)
+        if command.equal_kappas and params.kappa1 != params.kappa2:
+            raise ConfigError("synchronized runs need kappa1 == kappa2")
+        if not out["formats"]:
+            raise ConfigError("output.formats must name at least one format")
+
+        if "m" in task and task["m"] > math.prod(cutoffs):
+            raise ConfigError(f"task.m must lie in [1, {math.prod(cutoffs)}], the number of modes")
+        for lo, hi in (("lambda_lo", "lambda_hi"), ("r_lo", "r_hi")):
+            if lo in task and not task[lo] < task[hi]:
+                raise ConfigError(f"task.{lo} must be below task.{hi}")
+        if "delta" in task:
+            if task["support_radius"] is None:
+                task["support_radius"] = 2.0 * task["delta"]
+            CutoffSpec(task["delta"], task["support_radius"])
+        if "eps_grid" in task:
+            check_eps_grid(task["eps_grid"])
+    except (ValueError, OverflowError) as exc:  # also the data classes' checks and huge integers
         raise ConfigError(str(exc)) from exc
 
-    solver_raw = _require_mapping(raw.get("solver", {}), "solver")
-    _check_keys(solver_raw, _SOLVER_KEYS, set(), "solver")
-    budget = int(solver_raw.get("budget", 60))
-    if budget < 1:
-        raise ConfigError("solver.budget must be at least 1")
-    zero_tol = solver_raw.get("zero_tol")
-    if zero_tol is not None:
-        zero_tol = _positive(zero_tol, "solver.zero_tol")
-    oversample = float(prob.get("quadrature_oversample", 2.0))
-    if oversample < 1.0:
-        raise ConfigError("quadrature_oversample must be at least 1")
-    solver = SolverConfig(
-        tol=_positive(solver_raw.get("tol", 1e-10), "solver.tol"),
-        n_mode_seeds=int(solver_raw.get("n_mode_seeds", 6)),
-        n_random_seeds=int(solver_raw.get("n_random_seeds", 8)),
-        seed_amplitude=float(solver_raw.get("seed_amplitude", 1.0)),
-        rng_seed=int(solver_raw.get("seed", 0)),
-        triviality_floor=_positive(solver_raw.get("triviality_floor", 1e-10), "solver.triviality_floor"),
-        plus_floor=_positive(solver_raw.get("plus_floor", 1e-6), "solver.plus_floor"),
-        deflation_power=int(solver_raw.get("deflation_power", 2)),
-        deflation_shift=float(solver_raw.get("deflation_shift", 1.0)),
-        oversample=oversample,
-    )
-
-    out_raw = _require_mapping(raw.get("output", {}), "output")
-    _check_keys(out_raw, _OUTPUT_KEYS, set(), "output")
-    report_path = str(out_raw.get("report", "report.json"))
-    if not report_path:
-        raise ConfigError("output.report must be a nonempty path")
-    formats = tuple(out_raw.get("formats", ["json"]))
-    for f in formats:
-        if f not in ("json", "csv"):
-            raise ConfigError(f"unsupported output format {f!r}")
-
-    task = _require_mapping(raw.get("task", {}), "task")
-    return RunConfig(
-        raw=raw,
-        params=params,
-        lengths=lengths,
-        cutoffs=cutoffs,
-        solver=solver,
-        budget=budget,
-        zero_tol=zero_tol,
-        task=task,
-        report_path=report_path,
-        formats=formats,
-    )
+    budget, zero_tol, seed = sol.pop("budget"), sol.pop("zero_tol"), sol.pop("seed")
+    solver = SolverConfig(rng_seed=seed, oversample=prob["quadrature_oversample"], **sol)
+    return RunConfig(raw=raw, params=params, limit=limit, lengths=lengths, cutoffs=cutoffs,
+                     solver=solver, budget=budget, zero_tol=zero_tol, task=task,
+                     report_path=out["report"], formats=out["formats"])
 
 
 # -- serialization ---------------------------------------------------------------
@@ -314,14 +353,9 @@ def write_report(report: dict, path: str, formats: Sequence[str]) -> list[str]:
     return written
 
 
-def _report_skeleton(cfg: RunConfig) -> dict:
-    return {
-        "schema": SCHEMA_TAG,
-        "config": cfg.raw,
-        "results": [],
-        "thresholds": {},
-        "timing": {"counters": {}},
-    }
+def _report(cfg: RunConfig, results: list[dict], thresholds: dict, counters: dict) -> dict:
+    return {"schema": SCHEMA_TAG, "config": cfg.raw, "results": results,
+            "thresholds": thresholds, "timing": {"counters": counters}}
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -338,8 +372,7 @@ def _run_ground_state(cfg: RunConfig) -> tuple[dict, int]:
         classify(gs, th.c0, cfg.params)
     except ClassificationContradictionError:
         code = 4
-    report = _report_skeleton(cfg)
-    report["results"] = _sorted_records(
+    results = _sorted_records(
         [_point_record(gs, "system")]
         + [
             {
@@ -352,22 +385,18 @@ def _run_ground_state(cfg: RunConfig) -> tuple[dict, int]:
             for i, s in enumerate(th.scalar_states)
         ]
     )
-    report["thresholds"] = {"c0": float(th.c0), "min_scalar_b": float(th.min_b)}
-    report["timing"]["counters"] = {"scalar_solves": th.scalar_solves, "system_solves": 1}
-    return report, code
+    return _report(cfg, results, {"c0": float(th.c0), "min_scalar_b": float(th.min_b)},
+                   {"scalar_solves": th.scalar_solves, "system_solves": 1}), code
 
 
 def _run_multiplicity(cfg: RunConfig) -> tuple[dict, int]:
     basis = cfg.basis()
     grid = cfg.solver.make_grid(basis)
     split = spectral_split(cfg.params, basis, cfg.zero_tol)
-    task = dict(cfg.task)
-    _check_keys(task, {"k", "dedup_tol"}, {"k"}, "task")
-    k = int(task["k"])
-    dedup_tol = float(task.get("dedup_tol", 1e-4))
+    k = cfg.task["k"]
     th = semitrivial_threshold(cfg.params, basis, grid, cfg.solver)
     pts = multiplicity_search(
-        cfg.params, basis, k, cfg.budget, split, cfg.solver, grid, th, dedup_tol
+        cfg.params, basis, k, cfg.budget, split, cfg.solver, grid, th, cfg.task["dedup_tol"]
     )
     code = 0
     for pt in pts:
@@ -375,57 +404,38 @@ def _run_multiplicity(cfg: RunConfig) -> tuple[dict, int]:
             classify(pt, th.c0, cfg.params)
         except ClassificationContradictionError:
             code = 4
-    report = _report_skeleton(cfg)
-    report["results"] = _sorted_records([_point_record(p, "system") for p in pts])
-    report["thresholds"] = {"c0": float(th.c0), "min_scalar_b": float(th.min_b)}
-    report["timing"]["counters"] = {
-        "scalar_solves": th.scalar_solves,
-        "orbits_found": len(pts),
-        "target_k": k,
-    }
-    return report, code
+    return _report(cfg, _sorted_records([_point_record(p, "system") for p in pts]),
+                   {"c0": float(th.c0), "min_scalar_b": float(th.min_b)},
+                   {"scalar_solves": th.scalar_solves, "orbits_found": len(pts), "target_k": k}), code
 
 
 def _run_thresholds(cfg: RunConfig) -> tuple[dict, int]:
     basis = cfg.basis()
     grid = cfg.solver.make_grid(basis)
-    task = dict(cfg.task)
-    _check_keys(task, {"m", "lambda_grid", "lambda_lo", "lambda_hi"}, {"m"}, "task")
-    m = int(task["m"])
-    lam_grid = [float(x) for x in task.get("lambda_grid", np.geomspace(0.5, 500, 10))]
+    task = cfg.task
+    m, lam_grid = task["m"], task["lambda_grid"]
     th = semitrivial_threshold(cfg.params, basis, grid, cfg.solver)
     lam0 = cfg.params.lam
     sup0 = diagonal_sup(cfg.params, m, lam=lam0, basis=basis, grid=grid)
     sups = [rescale_diagonal_sup(cfg.params, sup0, lam0, lam) for lam in lam_grid]
     lam_bar = coupling_threshold(
         cfg.params, m, th.c0, basis, grid,
-        lam_lo=float(task.get("lambda_lo", 1e-6)),
-        lam_hi=float(task.get("lambda_hi", 1e8)),
+        lam_lo=task["lambda_lo"],
+        lam_hi=task["lambda_hi"],
         sup=sup0,
     )
-    report = _report_skeleton(cfg)
-    report["results"] = [
+    results = [
         {"family": "diagonal-sup", "lambda": lam, "value": float(v), "m": m}
         for lam, v in zip(lam_grid, sups)
     ]
-    report["thresholds"] = {"c0": float(th.c0), "lambda_bar": float(lam_bar), "m": m}
-    report["timing"]["counters"] = {"lambda_points": len(lam_grid), "scalar_solves": th.scalar_solves}
-    return report, 0
-
-
-def _limit_params(cfg: RunConfig) -> LimitParams:
-    pr = cfg.params
-    try:
-        return LimitParams(mu1=pr.mu1, mu2=pr.mu2, lam=pr.lam, alpha=pr.alpha, beta=pr.beta, dim=pr.dim)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _report(cfg, results, {"c0": float(th.c0), "lambda_bar": float(lam_bar), "m": m},
+                   {"lambda_points": len(lam_grid), "scalar_solves": th.scalar_solves}), 0
 
 
 def _run_limit(cfg: RunConfig) -> tuple[dict, int]:
-    lp = _limit_params(cfg)
+    lp = cfg.limit
     s_const = sobolev_constant(lp.dim)
     lam0 = interior_threshold(lp.mu1, lp.mu2, lp.alpha, lp.beta, lp.dim)
-    report = _report_skeleton(cfg)
     thresholds = {"sobolev_constant": float(s_const), "lambda0": float(lam0)}
     try:
         s_coupled, r_min = coupled_sobolev_constant(lp, s_const)
@@ -442,23 +452,16 @@ def _run_limit(cfg: RunConfig) -> tuple[dict, int]:
         )
     except BoundaryInfimumError:
         thresholds["boundary_infimum"] = True
-    report["thresholds"] = thresholds
-    report["timing"]["counters"] = {"quadratures": 4}
-    return report, 0
+    # sobolev_constant's two bubble norms; minimizer_amplitudes adds the two
+    # again and the mixed integral
+    quadratures = 2 if thresholds["boundary_infimum"] else 5
+    return _report(cfg, [], thresholds, {"quadratures": quadratures}), 0
 
 
 def _run_synchronized(cfg: RunConfig) -> tuple[dict, int]:
-    if cfg.params.kappa1 != cfg.params.kappa2:
-        raise ConfigError("synchronized runs need kappa1 == kappa2")
     basis = cfg.basis()
     grid = cfg.solver.make_grid(basis)
-    task = dict(cfg.task)
-    _check_keys(task, {"r_lo", "r_hi"}, set(), "task")
-    scan = find_roots(
-        cfg.params,
-        r_lo=float(task.get("r_lo", 1e-8)),
-        r_hi=float(task.get("r_hi", 1e8)),
-    )
+    scan = find_roots(cfg.params, r_lo=cfg.task["r_lo"], r_hi=cfg.task["r_hi"])
     # scalar profile of the unit-coefficient equation
     w_state = scalar_ground_state(cfg.params, 1, basis, grid, cfg.solver, mu=1.0)
     records = []
@@ -469,33 +472,19 @@ def _run_synchronized(cfg: RunConfig) -> tuple[dict, int]:
         rec.update({"ratio_root": float(r), "s": float(root.s), "t": float(root.t),
                     "scalar_residual": float(scalar_res)})
         records.append(rec)
-    report = _report_skeleton(cfg)
-    report["results"] = _sorted_records(records)
-    report["thresholds"] = {
+    thresholds = {
         "root_guaranteed": bool(scan.guaranteed),
         "n_roots": len(scan.roots),
         "scalar_energy": float(w_state.energy),
     }
-    report["timing"]["counters"] = {"roots": len(scan.roots), "scalar_solves": 1}
-    return report, 0
+    return _report(cfg, _sorted_records(records), thresholds,
+                   {"roots": len(scan.roots), "scalar_solves": 1}), 0
 
 
-def _run_verify_estimates(cfg: RunConfig, threads: int) -> tuple[dict, int]:
-    lp = _limit_params(cfg)
-    pr = cfg.params
-    task = dict(cfg.task)
-    _check_keys(
-        task,
-        {"eps_grid", "delta", "support_radius", "linking_eps", "sample_budget", "skip_linking"},
-        set(),
-        "task",
-    )
-    eps_grid = tuple(float(e) for e in task.get("eps_grid", default_eps_grid()))
-    delta = float(task.get("delta", 1.5))
-    support = float(task.get("support_radius", 2.0 * delta))
-    sweep_cutoff = CutoffSpec(delta=delta, support_radius=support)
-
-    report = _report_skeleton(cfg)
+def _run_verify_estimates(cfg: RunConfig) -> tuple[dict, int]:
+    lp, pr, task = cfg.limit, cfg.params, cfg.task
+    eps_grid = task["eps_grid"]
+    sweep_cutoff = CutoffSpec(delta=task["delta"], support_radius=task["support_radius"])
     results: list[dict] = []
     failed = False
 
@@ -506,7 +495,7 @@ def _run_verify_estimates(cfg: RunConfig, threads: int) -> tuple[dict, int]:
     eps_independent = abs(g2 - g1) <= 1e-8 * abs(g1)
     failed |= not eps_independent
 
-    with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
+    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
         sweeps = list(pool.map(
             lambda e: cutoff_bubble_integrals(e, sweep_cutoff, lp.dim), eps_grid
         ))
@@ -542,7 +531,7 @@ def _run_verify_estimates(cfg: RunConfig, threads: int) -> tuple[dict, int]:
 
     # linking bound on the box (needs positive shifts and a nonresonant kappa)
     notes = []
-    skip = bool(task.get("skip_linking", False))
+    skip = task["skip_linking"]
     if cfg.lengths is None or cfg.cutoffs is None:
         notes.append("no box given: linking bound skipped")
         skip = True
@@ -573,8 +562,7 @@ def _run_verify_estimates(cfg: RunConfig, threads: int) -> tuple[dict, int]:
             thresholds.update({"coupled_constant": float(s_coupled),
                                "s_amplitude": float(s_amp), "t_amplitude": float(t_amp)})
             box_cutoff = CutoffSpec.for_domain(BoxDomain(cfg.lengths))
-            linking_eps = tuple(float(e) for e in task.get("linking_eps", (1e-2, 1e-3)))
-            for eps in linking_eps:
+            for eps in task["linking_eps"]:
                 closed, direct = ray_maximum(
                     eps, box_cutoff, lp, pr.kappa1, pr.kappa2, s_amp, t_amp
                 )
@@ -585,8 +573,8 @@ def _run_verify_estimates(cfg: RunConfig, threads: int) -> tuple[dict, int]:
                 })
                 failed |= not agree
             records = linking_sweep(
-                linking_eps, lp, pr, basis, split, box_cutoff, s_amp, t_amp, s_coupled,
-                sample_budget=int(task.get("sample_budget", 40)),
+                task["linking_eps"], lp, pr, basis, split, box_cutoff, s_amp, t_amp, s_coupled,
+                sample_budget=task["sample_budget"],
                 rng_seed=cfg.solver.rng_seed,
             )
             for rec in records:
@@ -599,72 +587,68 @@ def _run_verify_estimates(cfg: RunConfig, threads: int) -> tuple[dict, int]:
                 })
                 failed |= not rec.passed
 
-    report["results"] = results
-    report["thresholds"] = thresholds
     if notes:
-        report["thresholds"]["notes"] = notes
-    report["timing"]["counters"] = {"eps_points": len(eps_grid), "inequalities": len(inequalities)}
-    return report, (4 if failed else 0)
+        thresholds["notes"] = notes
+    return _report(cfg, results, thresholds,
+                   {"eps_points": len(eps_grid), "inequalities": len(inequalities)}), (4 if failed else 0)
 
 
 # -- entry point -----------------------------------------------------------------
 
 
 SUBCOMMANDS = {
-    "ground-state": (True, lambda cfg, threads: _run_ground_state(cfg)),
-    "multiplicity": (True, lambda cfg, threads: _run_multiplicity(cfg)),
-    "thresholds": (True, lambda cfg, threads: _run_thresholds(cfg)),
-    "limit": (False, lambda cfg, threads: _run_limit(cfg)),
-    "synchronized": (True, lambda cfg, threads: _run_synchronized(cfg)),
-    "verify-estimates": (False, lambda cfg, threads: _run_verify_estimates(cfg, threads)),
+    "ground-state": (COMMANDS["ground-state"], _run_ground_state),
+    "multiplicity": (COMMANDS["multiplicity"], _run_multiplicity),
+    "thresholds": (COMMANDS["thresholds"], _run_thresholds),
+    "limit": (COMMANDS["limit"], _run_limit),
+    "synchronized": (COMMANDS["synchronized"], _run_synchronized),
+    "verify-estimates": (COMMANDS["verify-estimates"], _run_verify_estimates),
 }
+
+
+def _int_at_least(low: int):
+    """argparse type for an integer flag that refuses values below low."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, not {value}")
+        return value
+
+    return parse
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="sinesolve", description=__doc__)
     parser.add_argument("subcommand", choices=sorted(SUBCOMMANDS))
     parser.add_argument("--config", required=True, help="path to the JSON run configuration")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
+    parser.add_argument("--seed", type=_int_at_least(0), default=None, help="override the config seed")
     parser.add_argument("--out", default=None, help="directory for report files")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
+    parser.add_argument("--threads", type=_int_at_least(1), default=1, help="worker threads for sweeps")
     parser.add_argument("--format", choices=["json", "csv", "both"], default=None)
     args = parser.parse_args(argv)
 
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
-            raw = json.load(
-                fh, parse_constant=_finite_float, parse_float=_finite_float, parse_int=_float_sized_int
-            )
-    except (OSError, ValueError) as exc:
+            raw = json.load(fh)
+        if args.seed is not None and isinstance(raw, dict) and isinstance(raw.get("solver", {}), dict):
+            raw = {**raw, "solver": {**raw.get("solver", {}), "seed": args.seed}}
+        command, runner = SUBCOMMANDS[args.subcommand]
+        cfg = parse_config(raw, command)
+    except (OSError, ValueError) as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-
-    needs_box, runner = SUBCOMMANDS[args.subcommand]
-    try:
-        if args.seed is not None:
-            raw = dict(raw)
-            solver = dict(raw.get("solver", {}))
-            solver["seed"] = int(args.seed)
-            raw["solver"] = solver
-        cfg = parse_config(raw, needs_box)
-        if args.format is not None:
-            formats = ("json", "csv") if args.format == "both" else (args.format,)
-            cfg = dataclasses.replace(cfg, formats=formats)
-        if args.out is not None:
-            path = os.path.join(args.out, os.path.basename(cfg.report_path))
-            cfg = dataclasses.replace(cfg, report_path=path)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    changes: dict[str, Any] = {"threads": args.threads}
+    if args.format is not None:
+        changes["formats"] = ("json", "csv") if args.format == "both" else (args.format,)
+    if args.out is not None:
+        changes["report_path"] = os.path.join(args.out, os.path.basename(cfg.report_path))
+    cfg = dataclasses.replace(cfg, **changes)
 
     import time as _time
 
     t0 = _time.perf_counter()
     try:
-        report, code = runner(cfg, max(args.threads, 1))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        report, code = runner(cfg)
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3

@@ -195,13 +195,8 @@ def fit_orders(
     quantities with a logarithmic correction are fitted against
     log(eps^2 |ln eps|) instead of a pure power.
     """
-    if len(sweeps) < 6:
-        raise PreconditionError("need at least 6 sweep points")
     eps = np.array([s.eps for s in sweeps])
-    if np.any(np.diff(eps) >= 0):
-        raise PreconditionError("eps grid must be strictly decreasing")
-    if eps[0] / eps[-1] < 99.0:
-        raise PreconditionError("eps grid must span at least two decades")
+    check_eps_grid(eps)
 
     deficits = np.array([bubble_deficits(e, cutoff, n_dim, order=order) for e in eps])
     quantities = {
@@ -257,6 +252,16 @@ def fit_orders(
         fits=tuple(fits),
         square_prefactor=prefactor,
     )
+
+
+def check_eps_grid(eps: Sequence[float]) -> None:
+    """Raise PreconditionError unless `fit_orders` can fit a sweep over eps."""
+    if len(eps) < 6:
+        raise PreconditionError("need at least 6 sweep points")
+    if np.any(np.diff(eps) >= 0):
+        raise PreconditionError("eps grid must be strictly decreasing")
+    if eps[0] / eps[-1] < 99.0:
+        raise PreconditionError("eps grid must span at least two decades")
 
 
 def default_eps_grid(n_points: int = 7, lo: float = 1e-3, hi: float = 1e-1) -> tuple[float, ...]:

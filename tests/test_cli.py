@@ -7,7 +7,8 @@ import os
 import numpy as np
 import pytest
 
-from sinesolve.cli import main, parse_config
+from sinesolve import cli
+from sinesolve.cli import COMMANDS, main, parse_config
 from sinesolve.errors import ConfigError
 from sinesolve.radial import _reference_rule
 
@@ -30,7 +31,7 @@ def write_config(tmp_path, cfg, name="cfg.json"):
 
 
 def test_parse_config_roundtrip():
-    cfg = parse_config(copy.deepcopy(BASE), needs_box=True)
+    cfg = parse_config(copy.deepcopy(BASE), COMMANDS["ground-state"])
     assert cfg.params.lam == 50.0
     assert cfg.lengths == (1.0,)
     assert cfg.solver.rng_seed == 3
@@ -40,11 +41,11 @@ def test_unknown_keys_rejected():
     bad = copy.deepcopy(BASE)
     bad["problem"]["mystery"] = 1
     with pytest.raises(ConfigError):
-        parse_config(bad, needs_box=True)
+        parse_config(bad, COMMANDS["ground-state"])
     bad2 = copy.deepcopy(BASE)
     bad2["extra_top"] = {}
     with pytest.raises(ConfigError):
-        parse_config(bad2, needs_box=True)
+        parse_config(bad2, COMMANDS["ground-state"])
 
 
 def test_removed_max_newton_iter_key_exit_2(tmp_path):
@@ -61,7 +62,7 @@ def test_invalid_values_rejected():
         bad = copy.deepcopy(BASE)
         bad["problem"][key] = value
         with pytest.raises(ConfigError):
-            parse_config(bad, needs_box=True)
+            parse_config(bad, COMMANDS["ground-state"])
 
 
 def test_malformed_config_exit_2(tmp_path):
@@ -102,7 +103,7 @@ def test_ground_state_run_and_schema(tmp_path):
     assert set(rep) == {"schema", "config", "results", "thresholds", "timing"}
     assert rep["schema"] == "sinesolve-report/1"
     # config echo re-validates (schema round-trip)
-    parse_config(rep["config"], needs_box=True)
+    parse_config(rep["config"], COMMANDS["ground-state"])
     system = [r for r in rep["results"] if r["family"] == "system"]
     assert len(system) == 1
     assert system[0]["classification"] == "fully-nontrivial"
@@ -324,3 +325,136 @@ def test_limit_report_same_with_cold_and_warm_rule_cache(tmp_path, dim, ab, lam,
         reports.append((tmp_path / "lim.json").read_bytes())
     assert json.loads(reports[0])["thresholds"]["boundary_infimum"] is boundary
     assert reports[0] == reports[1]
+
+
+# -- the config schema ---------------------------------------------------------
+
+# a valid config per subcommand; each malformed case below changes one value
+VALID = {
+    "ground-state": BASE,
+    "multiplicity": {**BASE, "task": {"k": 2}},
+    "thresholds": {**BASE, "task": {"m": 2}},
+    "verify-estimates": {
+        "problem": {"mu1": 1.0, "mu2": 1.0, "lambda": 1.0, "alpha": 2.0, "beta": 2.0, "dim": 4},
+        "task": {},
+    },
+}
+
+# every solver entry point a runner reaches first
+SOLVER_ENTRY_POINTS = ("semitrivial_threshold", "diagonal_sup", "find_roots", "sobolev_constant",
+                       "bubble_norms", "cutoff_bubble_integrals")
+
+
+@pytest.mark.parametrize("subcommand", sorted(VALID))
+def test_valid_configs_parse(subcommand):
+    parse_config(copy.deepcopy(VALID[subcommand]), COMMANDS[subcommand])
+
+
+@pytest.mark.parametrize(
+    "subcommand, section, key, value",
+    [
+        ("multiplicity", "task", "k", 0),
+        ("multiplicity", "task", "k", "two"),
+        ("thresholds", "task", "m", 0),
+        ("thresholds", "task", "m", 99),
+        ("thresholds", "task", "lambda_grid", 3),
+        ("ground-state", "problem", "cutoffs", 6),
+        ("ground-state", "problem", "lengths", "ab"),
+        ("ground-state", "solver", "tol", "x"),
+        ("ground-state", "solver", "budget", [1]),
+        ("verify-estimates", "task", "eps_grid", [1e-1, 1e-3]),
+        ("verify-estimates", "task", "delta", -1),
+        ("multiplicity", "task", "k", 2.7),
+        ("ground-state", "problem", "cutoffs", [2.5]),
+        ("ground-state", "problem", "mu1", True),
+        ("verify-estimates", "task", "skip_linking", "no"),
+        ("ground-state", "solver", "n_mode_seeds", -1),
+        ("multiplicity", "task", "dedup_tol", -1),
+        ("ground-state", "output", "formats", []),
+    ],
+)
+def test_malformed_value_exits_2_before_any_solver(
+    tmp_path, monkeypatch, capsys, subcommand, section, key, value
+):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a solver ran on a malformed config")
+
+    for name in SOLVER_ENTRY_POINTS:
+        monkeypatch.setattr(cli, name, unreachable)
+    cfg = copy.deepcopy(VALID[subcommand])
+    cfg["output"] = {"report": str(tmp_path / "never.json")}
+    cfg.setdefault(section, {})[key] = value
+    assert main([subcommand, "--config", write_config(tmp_path, cfg)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "never.json")
+
+
+@pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--threads", "0"), ("--threads", "-2")])
+def test_refused_flag_exits_2_before_any_solver(tmp_path, monkeypatch, flag, value):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a solver ran with a refused flag")
+
+    for name in SOLVER_ENTRY_POINTS:
+        monkeypatch.setattr(cli, name, unreachable)
+    cfg = copy.deepcopy(BASE)
+    cfg["output"]["report"] = str(tmp_path / "never.json")
+    with pytest.raises(SystemExit) as exc:
+        main(["ground-state", "--config", write_config(tmp_path, cfg), flag, value])
+    assert exc.value.code == 2
+    assert not os.path.exists(tmp_path / "never.json")
+
+
+def test_typed_values_and_defaults():
+    cfg = copy.deepcopy(VALID["verify-estimates"])
+    cfg["problem"]["dim"] = 4.0
+    cfg["solver"] = {"budget": 7.0, "seed": 2}
+    cfg["task"] = {"delta": 0.5, "sample_budget": 3.0}
+    run = parse_config(cfg, COMMANDS["verify-estimates"])
+    assert run.params.dim == 4 and isinstance(run.params.dim, int)
+    assert run.budget == 7 and isinstance(run.budget, int)
+    assert run.solver.rng_seed == 2 and run.solver.tol == 1e-10
+    assert run.task["support_radius"] == 1.0  # twice delta
+    assert run.task["sample_budget"] == 3 and run.task["skip_linking"] is False
+    assert run.limit is not None and run.limit.dim == 4
+    assert run.raw is cfg  # the report echoes the config as given
+
+
+@pytest.mark.parametrize("lam, boundary", [(1.0, False), (0.2, True)], ids=["interior", "boundary"])
+def test_limit_quadratures_counts_radial_integrals(tmp_path, monkeypatch, lam, boundary):
+    from sinesolve import limit
+
+    calls = []
+    original = limit.radial_integral
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(limit, "radial_integral", counting)
+    cfg = {
+        "problem": {"mu1": 1.0, "mu2": 1.0, "lambda": lam, "alpha": 2.0, "beta": 2.0, "dim": 4},
+        "output": {"report": str(tmp_path / "lim.json")},
+    }
+    assert main(["limit", "--config", write_config(tmp_path, cfg)]) == 0
+    rep = json.loads((tmp_path / "lim.json").read_text())
+    assert rep["thresholds"]["boundary_infimum"] is boundary
+    assert rep["timing"]["counters"]["quadratures"] == len(calls) == (2 if boundary else 5)
+
+
+def test_readme_documents_every_config_key():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        rows = {}
+        for line in fh:
+            cells = [c.strip().strip("`") for c in line.strip().strip("|").split("|")]
+            if len(cells) == 5:
+                rows[cells[0], cells[1]] = (cells[2], cells[4])
+    tables = dict(cli.SCHEMA)
+    tables.update({f"task: {name}": command.task for name, command in cli.COMMANDS.items()})
+    expected = {
+        (block, key): (kind, " or ".join(rng) if isinstance(rng, tuple) else rng)
+        for block, schema in tables.items()
+        for key, (kind, _default, rng) in schema.items()
+    }
+    documented = {k: v for k, v in rows.items() if k[0] in tables}
+    assert documented == expected
