@@ -327,6 +327,28 @@ def test_limit_report_same_with_cold_and_warm_rule_cache(tmp_path, dim, ab, lam,
     assert reports[0] == reports[1]
 
 
+@pytest.mark.parametrize(
+    "dim, ab, mu2, lam",
+    [(4, 2.0, 2.0, 3.0), (5, 5.0 / 3.0, 0.5, 100.0)],
+    ids=["n4-mu2-lam3", "n5-mu0.5-lam100"],
+)
+def test_limit_report_same_with_full_pair_grid(tmp_path, monkeypatch, full_pair_grid, dim, ab, mu2, lam):
+    # grid_oracle from the diagonal reduction and from the whole 601 x 601 grid
+    cfg = {
+        "problem": {"mu1": 1.0, "mu2": mu2, "lambda": lam, "alpha": ab, "beta": ab, "dim": dim},
+        "task": {},
+        "output": {"report": str(tmp_path / "lim.json"), "formats": ["json"]},
+    }
+    path = write_config(tmp_path, cfg)
+    reports = []
+    for oracle in (cli.pair_grid_infimum, full_pair_grid):
+        monkeypatch.setattr(cli, "pair_grid_infimum", oracle)
+        assert main(["limit", "--config", path]) == 0
+        reports.append((tmp_path / "lim.json").read_bytes())
+    assert json.loads(reports[0])["thresholds"]["boundary_infimum"] is False
+    assert reports[0] == reports[1]
+
+
 # -- the config schema ---------------------------------------------------------
 
 # a valid config per subcommand; each malformed case below changes one value

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sinesolve import (
     BoxDomain,
@@ -156,6 +158,21 @@ def test_parseval_property():
         f = ScalarField(basis, c)
         quad = integrate(synthesize(f, grid) ** 2, grid)
         assert quad == pytest.approx(np.sum(c**2), rel=1e-8)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    lengths=st.lists(st.floats(0.5, 2.0), min_size=2, max_size=3),
+    cutoffs=st.lists(st.integers(1, 6), min_size=3, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_parseval_property_nd(lengths, cutoffs, seed):
+    # the tensor sine modes stay orthonormal on 2-D and 3-D boxes
+    basis = SineBasis(BoxDomain(tuple(lengths)), tuple(cutoffs[: len(lengths)]))
+    grid = QuadratureGrid.for_basis(basis)
+    c = np.random.default_rng(seed).standard_normal(basis.size)
+    quad = integrate(synthesize(ScalarField(basis, c), grid) ** 2, grid)
+    assert quad == pytest.approx(np.sum(c**2), rel=1e-8)
 
 
 def test_poincare_in_coefficients():

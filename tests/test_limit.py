@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gamma as gamma_fn
 
 from sinesolve import (
@@ -107,6 +109,48 @@ def test_coupled_constant_grid_oracle():
     assert val == pytest.approx(oracle, rel=1e-4)
     boundary = min(lp.mu1, lp.mu2) ** (-0.5) * s
     assert val < boundary
+
+
+def _critical(dim, mu2, lam, alpha=None, mu1=1.0):
+    ts = 2.0 * dim / (dim - 2.0)
+    a = ts / 2.0 if alpha is None else alpha
+    return LimitParams(mu1=mu1, mu2=mu2, lam=lam, alpha=a, beta=ts - a, dim=dim)
+
+
+# lam = 0.003 is below every interior threshold: the flat boundary branch,
+# where many ratio diagonals tie with the smallest one
+PAIR_GRID_CASES = [
+    _critical(dim, mu2, lam)
+    for dim in (3, 4, 5)
+    for mu2 in (0.5, 1.0, 2.0, 4.0)
+    for lam in (0.003, 0.1, 3.0, 100.0)
+] + [_critical(4, mu2, lam, alpha=1.7) for mu2 in (0.5, 2.0) for lam in (0.003, 0.3, 3.0, 100.0)] + [
+    # found by a random search: here the diagonal with the smallest
+    # representative does not hold the grid minimum, so the margin matters
+    _critical(6, 2.0, 0.0015073808889023283),
+    _critical(5, 1.0, 0.0008440743757177344, alpha=1.929641597439314, mu1=2.642113446046113),
+]
+
+
+@pytest.mark.parametrize("lp", PAIR_GRID_CASES, ids=lambda lp: f"n{lp.dim}-a{lp.alpha:g}-mu{lp.mu2:g}-lam{lp.lam:g}")
+def test_pair_grid_infimum_equals_full_grid(lp, full_pair_grid):
+    s = sobolev_constant(lp.dim)
+    assert pair_grid_infimum(lp, s) == full_pair_grid(lp, s)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    dim=st.sampled_from([3, 4, 5, 6, 8]),
+    split=st.floats(0.05, 0.95),
+    mu1=st.floats(0.2, 5.0),
+    mu2=st.floats(0.2, 5.0),
+    log_lam=st.floats(-3.0, 2.0),
+)
+def test_pair_grid_infimum_equals_full_grid_property(full_pair_grid, dim, split, mu1, mu2, log_lam):
+    # alpha anywhere in (1, 2* - 1), so alpha != beta in general
+    ts = 2.0 * dim / (dim - 2.0)
+    lp = _critical(dim, mu2, 10.0**log_lam, alpha=1.0 + split * (ts - 2.0), mu1=mu1)
+    assert pair_grid_infimum(lp, 1.0) == full_pair_grid(lp, 1.0)
 
 
 def test_coupled_constant_decreasing_in_lambda():

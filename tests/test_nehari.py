@@ -47,6 +47,7 @@ from sinesolve.nehari import (
     newton_polish,
     orbit_distance,
     project_general,
+    project_ray,
 )
 
 
@@ -152,6 +153,32 @@ def test_general_projection_with_tilde(basis, grid):
     proj = nehari_project(PairField.from_coeffs(basis, z), pr, split, grid)
     res = nehari_residuals(proj, pr, split, grid)
     assert res.max_abs < 1e-8
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    kappa1=st.floats(0.0, 9.0),
+    kappa2=st.floats(0.0, 9.0),
+    mu1=st.floats(0.1, 10.0),
+    mu2=st.floats(0.1, 10.0),
+    lam=st.floats(1e-3, 1e2),
+    alpha=st.floats(1.1, 3.0),
+    beta=st.floats(1.1, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+    c=st.floats(1e-2, 1e2),
+    h=st.floats(1e-3, 0.5),
+)
+def test_project_ray_property(basis, grid, kappa1, kappa2, mu1, mu2, lam, alpha, beta, seed, c, h):
+    # kappa below gamma_1 = pi^2: the box is definite and every ray meets the Nehari set once
+    pr = params_with(kappa1=kappa1, kappa2=kappa2, mu1=mu1, mu2=mu2, lam=lam, alpha=alpha, beta=beta)
+    eng = GalerkinSystem(pr, basis, grid)
+    z = np.random.default_rng(seed).standard_normal(2 * basis.size)
+    y = project_ray(eng, z)
+    assert eng.quadratic(y) == pytest.approx(eng.nehari_denominator(y), rel=1e-12)
+    np.testing.assert_allclose(project_ray(eng, c * z), y, rtol=1e-12, atol=1e-12 * np.abs(y).max())
+    e_star = eng.energy(y)
+    assert e_star >= eng.energy((1.0 + h) * y)
+    assert e_star >= eng.energy((1.0 - h) * y)
 
 
 # -- orbits ------------------------------------------------------------------------
