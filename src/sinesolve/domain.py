@@ -147,13 +147,20 @@ def composite_gauss_legendre(length: float, n_nodes: int, panel_order: int = PAN
     return panel_rule(np.linspace(0.0, length, n_panels + 1), panel_order)
 
 
+# one axis of `mode_mass_matrix`: contract the leading node axis against e_k e_l
+_MASS_AXIS = "q...,qk,ql->...kl"
+
+
 class SineTransform:
     """Sine tables of one basis on one grid, built once.
 
     `synthesis[i]` holds e_k on the nodes of axis i, `projection[i]` its
-    weighted transpose, and `permutation` the tensor position of each sorted
-    mode.  Obtained through `QuadratureGrid.transform`, which keeps one per
-    basis for as long as the grid lives.
+    weighted transpose, `permutation` the tensor position of each sorted
+    mode, and `mass_paths[i]` the contraction path of axis i in
+    `mode_mass_matrix`, planned once from the operand shapes as
+    `einsum(..., optimize=True)` would plan it on every call.  Obtained
+    through `QuadratureGrid.transform`, which keeps one per basis for as
+    long as the grid lives.
     """
 
     def __init__(self, basis: "SineBasis", grid: "QuadratureGrid"):
@@ -164,6 +171,13 @@ class SineTransform:
             (s * w[:, None]).T for s, w in zip(self.synthesis, grid.axis_weights)
         )
         self.permutation = basis.tensor_permutation()
+        paths, shape = [], grid.shape
+        for S in self.synthesis:
+            # the path depends on the shapes only, so a zero-stride stand-in serves
+            a = np.broadcast_to(0.0, shape)
+            paths.append(np.einsum_path(_MASS_AXIS, a, S, S, optimize=True)[0])
+            shape = shape[1:] + (S.shape[1], S.shape[1])
+        self.mass_paths = tuple(paths)
         for arr in (*self.synthesis, *self.projection, self.permutation):
             arr.setflags(write=False)
 
@@ -300,8 +314,8 @@ def mode_mass_matrix(weight_values: np.ndarray, basis: SineBasis, grid: Quadratu
     for i, w in enumerate(grid.axis_weights):
         a = a * w.reshape((-1,) + (1,) * (n - 1 - i))
     # running shape: (Q_i..Q_n, k_1,l_1, .., k_{i-1},l_{i-1})
-    for S in tr.synthesis:
-        a = np.einsum("q...,qk,ql->...kl", a, S, S, optimize=True)
+    for S, path in zip(tr.synthesis, tr.mass_paths):
+        a = np.einsum(_MASS_AXIS, a, S, S, optimize=path)
     # now shape (k_1,l_1,...,k_n,l_n) -> (k_1,...,k_n,l_1,...,l_n)
     a = np.transpose(a, axes=list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
     m = int(np.prod(basis.cutoffs))

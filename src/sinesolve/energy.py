@@ -133,14 +133,13 @@ def sign_orbit(z: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-def _odd_power(v: np.ndarray, q: float) -> np.ndarray:
-    """|v|^(q-2) v, with the continuous convention 0 at v = 0 (valid for q > 1)."""
-    return np.sign(v) * np.abs(v) ** (q - 1.0)
+def _odd_power(v: np.ndarray, a: np.ndarray, q: float) -> np.ndarray:
+    """|v|^(q-2) v from v and a = |v|, with the continuous convention 0 at v = 0 (valid for q > 1)."""
+    return np.sign(v) * a ** (q - 1.0)
 
 
-def _abs_power(v: np.ndarray, q: float) -> np.ndarray:
-    """|v|^q, evaluating to 0 at v = 0 even for negative exponents."""
-    a = np.abs(v)
+def _abs_power(a: np.ndarray, q: float) -> np.ndarray:
+    """a^q for a = |v| >= 0, evaluating to 0 at a = 0 even for negative exponents."""
     if q >= 0:
         return a**q
     out = np.zeros_like(a)
@@ -237,12 +236,81 @@ def bilinear_b(u: PairField, v: PairField, params: SystemParams) -> float:
     return bilinear_bi(1, u.u1, v.u1, params) + bilinear_bi(2, u.u2, v.u2, params)
 
 
-class GalerkinSystem:
+class _Point:
+    """Values computed at one coefficient vector, keyed by the method name.
+
+    Keeps a read-only copy of z: a caller such as MINPACK may reuse the
+    buffer it passed, so a stored reference could change under the state.
+    """
+
+    def __init__(self, z: np.ndarray):
+        self.z = np.array(z, dtype=float)
+        self.z.setflags(write=False)
+        self.key = self.z.tobytes()
+        self.values: dict = {}
+
+    def holds(self, z: np.ndarray) -> bool:
+        """Whether z has exactly this point's shape and bytes (not merely close values)."""
+        if z is self.z:  # the methods of one point pass its own copy on
+            return True
+        z = np.asarray(z, dtype=float)
+        return z.shape == self.z.shape and z.tobytes() == self.key
+
+
+def _per_point(compute):
+    """Turn compute(self, z) into a method that runs once per point state.
+
+    The result is stored in the state `self.at(z)` and handed out again for
+    every z with the same bytes; an array result is made read-only.  compute
+    sees the state's own copy of z.
+    """
+    name = compute.__name__
+
+    def method(self, z: np.ndarray):
+        point = self.at(z)
+        value = point.values.get(name)
+        if value is None:
+            value = compute(self, point.z)
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            point.values[name] = value
+        return value
+
+    method.__name__, method.__qualname__, method.__doc__ = name, compute.__qualname__, compute.__doc__
+    return method
+
+
+class _Engine:
+    """Keeps the state of the most recent point; see `at`."""
+
+    _point = None
+
+    def at(self, z: np.ndarray) -> _Point:
+        """The state at z: the last one if z has exactly its bytes, else a new one.
+
+        Only the newest state is kept, so none outlives the engine or passes
+        between engines.  Threads racing here may drop each other's state,
+        which costs a recomputation; each state's values come from its own z
+        alone, so two points' values never mix.
+        """
+        point = self._point
+        if point is None or not point.holds(z):
+            point = self._point = _Point(z)
+        return point
+
+
+class GalerkinSystem(_Engine):
     """Assembled coupled problem on one basis/grid pair.
 
     Works on stacked coefficient vectors z = (c_1, c_2); the module-level
-    functions wrap it for single calls.  Instances are immutable after
-    construction and safe to share across worker threads.
+    functions wrap it for single calls.  The problem data are immutable
+    after construction.  The state of the last point asked (`at`) caches the
+    synthesized fields, the powers |u_1|^alpha and |u_2|^beta and their odd
+    counterparts, and the energy, masses, Nehari denominator, gradient and
+    Hessian once computed.  It is reused only for a z with exactly the same
+    bytes, and the arrays it hands out are read-only.  Instances may be
+    shared across worker threads: a race can cost a cache hit, never a
+    wrong value.
     """
 
     def __init__(self, params: SystemParams, basis: SineBasis, grid: QuadratureGrid | None = None):
@@ -259,58 +327,79 @@ class GalerkinSystem:
         self.shift2 = gamma - params.kappa2
         self.shift = np.concatenate([self.shift1, self.shift2])
 
-    # -- pointwise synthesis ------------------------------------------------
+    # -- pointwise synthesis and shared powers -------------------------------
 
-    def _values(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        u1 = ScalarField(self.basis, z[: self.m])
-        u2 = ScalarField(self.basis, z[self.m :])
-        return synthesize(u1, self.grid), synthesize(u2, self.grid)
+    @_per_point
+    def _fields(self, z: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(u_1, u_2, |u_1|, |u_2|) at the grid nodes."""
+        v1 = synthesize(ScalarField(self.basis, z[: self.m]), self.grid)
+        v2 = synthesize(ScalarField(self.basis, z[self.m :]), self.grid)
+        return v1, v2, np.abs(v1), np.abs(v2)
 
-    # -- scalar-valued pieces -----------------------------------------------
+    @_per_point
+    def _coupling(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(|u_1|^alpha, |u_2|^beta)."""
+        _, _, a1, a2 = self._fields(z)
+        return a1**self.params.alpha, a2**self.params.beta
+
+    @_per_point
+    def _odd_coupling(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(|u_1|^(alpha-2) u_1, |u_2|^(beta-2) u_2)."""
+        v1, v2, a1, a2 = self._fields(z)
+        return _odd_power(v1, a1, self.params.alpha), _odd_power(v2, a2, self.params.beta)
+
+    # -- quantities; the quadratic form is exact coefficient arithmetic, not cached
 
     def quadratic(self, z: np.ndarray) -> float:
         c1, c2 = z[: self.m], z[self.m :]
         return float(np.sum(self.shift1 * c1 * c1) + np.sum(self.shift2 * c2 * c2))
 
+    @_per_point
     def power_masses(self, z: np.ndarray) -> tuple[float, float, float]:
         """(int |u_1|^p, int |u_2|^p, int |u_1|^alpha |u_2|^beta)."""
         p = self.params.p
-        v1, v2 = self._values(z)
-        a1 = np.abs(v1)
-        a2 = np.abs(v2)
+        _, _, a1, a2 = self._fields(z)
+        a1_alpha, a2_beta = self._coupling(z)
         m1 = integrate(a1**p, self.grid)
         m2 = integrate(a2**p, self.grid)
-        mix = integrate(a1**self.params.alpha * a2**self.params.beta, self.grid)
+        mix = integrate(a1_alpha * a2_beta, self.grid)
         return m1, m2, mix
 
+    @_per_point
     def energy(self, z: np.ndarray) -> float:
         pr = self.params
         m1, m2, mix = self.power_masses(z)
         return 0.5 * self.quadratic(z) - (pr.mu1 * m1 + pr.mu2 * m2) / pr.p - pr.lam * mix
 
+    @_per_point
     def gradient(self, z: np.ndarray) -> np.ndarray:
         pr = self.params
-        v1, v2 = self._values(z)
-        f1 = pr.mu1 * _odd_power(v1, pr.p) + pr.lam * pr.alpha * _odd_power(v1, pr.alpha) * np.abs(v2) ** pr.beta
-        f2 = pr.mu2 * _odd_power(v2, pr.p) + pr.lam * pr.beta * np.abs(v1) ** pr.alpha * _odd_power(v2, pr.beta)
+        v1, v2, a1, a2 = self._fields(z)
+        a1_alpha, a2_beta = self._coupling(z)
+        odd1, odd2 = self._odd_coupling(z)
+        f1 = pr.mu1 * _odd_power(v1, a1, pr.p) + pr.lam * pr.alpha * odd1 * a2_beta
+        f2 = pr.mu2 * _odd_power(v2, a2, pr.p) + pr.lam * pr.beta * a1_alpha * odd2
         g1 = self.shift1 * z[: self.m] - project(f1, self.basis, self.grid)
         g2 = self.shift2 * z[self.m :] - project(f2, self.basis, self.grid)
         return np.concatenate([g1, g2])
 
+    @_per_point
     def hessian(self, z: np.ndarray) -> np.ndarray:
         pr = self.params
-        v1, v2 = self._values(z)
-        a1, a2 = np.abs(v1), np.abs(v2)
-        w11 = pr.mu1 * (pr.p - 1.0) * _abs_power(v1, pr.p - 2.0)
-        w11 = w11 + pr.lam * pr.alpha * (pr.alpha - 1.0) * _abs_power(v1, pr.alpha - 2.0) * a2**pr.beta
-        w22 = pr.mu2 * (pr.p - 1.0) * _abs_power(v2, pr.p - 2.0)
-        w22 = w22 + pr.lam * pr.beta * (pr.beta - 1.0) * a1**pr.alpha * _abs_power(v2, pr.beta - 2.0)
-        w12 = pr.lam * pr.alpha * pr.beta * _odd_power(v1, pr.alpha) * _odd_power(v2, pr.beta)
+        _, _, a1, a2 = self._fields(z)
+        a1_alpha, a2_beta = self._coupling(z)
+        odd1, odd2 = self._odd_coupling(z)
+        w11 = pr.mu1 * (pr.p - 1.0) * _abs_power(a1, pr.p - 2.0)
+        w11 = w11 + pr.lam * pr.alpha * (pr.alpha - 1.0) * _abs_power(a1, pr.alpha - 2.0) * a2_beta
+        w22 = pr.mu2 * (pr.p - 1.0) * _abs_power(a2, pr.p - 2.0)
+        w22 = w22 + pr.lam * pr.beta * (pr.beta - 1.0) * a1_alpha * _abs_power(a2, pr.beta - 2.0)
+        w12 = pr.lam * pr.alpha * pr.beta * odd1 * odd2
         h11 = np.diag(self.shift1) - mode_mass_matrix(w11, self.basis, self.grid)
         h22 = np.diag(self.shift2) - mode_mass_matrix(w22, self.basis, self.grid)
         h12 = -mode_mass_matrix(w12, self.basis, self.grid)
         return np.block([[h11, h12], [h12.T, h22]])
 
+    @_per_point
     def nehari_denominator(self, z: np.ndarray) -> float:
         """int(mu_1 |u_1|^p + mu_2 |u_2|^p + p lam |u_1|^alpha |u_2|^beta)."""
         pr = self.params
@@ -322,8 +411,11 @@ class GalerkinSystem:
         return np.concatenate([split.tilde(1), self.m + split.tilde(2)]).astype(int)
 
 
-class ScalarProblem:
-    """Single-component functional J_i(w) = 1/2 B_i(w,w) - mu_i/p int |w|^p."""
+class ScalarProblem(_Engine):
+    """Single-component functional J_i(w) = 1/2 B_i(w,w) - mu_i/p int |w|^p.
+
+    Caches its last point as GalerkinSystem does.
+    """
 
     def __init__(
         self,
@@ -341,13 +433,20 @@ class ScalarProblem:
         self.shift = basis.eigenvalues - params.kappa(i)
         self.mu = params.mu(i) if mu is None else float(mu)
 
-    def mass(self, c: np.ndarray) -> float:
+    @_per_point
+    def _field(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(w, |w|) at the grid nodes."""
         v = synthesize(ScalarField(self.basis, c), self.grid)
-        return integrate(np.abs(v) ** self.params.p, self.grid)
+        return v, np.abs(v)
+
+    @_per_point
+    def mass(self, c: np.ndarray) -> float:
+        return integrate(self._field(c)[1] ** self.params.p, self.grid)
 
     def quadratic(self, c: np.ndarray) -> float:
         return float(np.sum(self.shift * c * c))
 
+    @_per_point
     def nehari_denominator(self, c: np.ndarray) -> float:
         """mu_i int |w|^p."""
         return self.mu * self.mass(c)
@@ -356,17 +455,18 @@ class ScalarProblem:
         """Indices of the nonpositive directions of component i."""
         return split.tilde(self.i).astype(int)
 
+    @_per_point
     def energy(self, c: np.ndarray) -> float:
         return float(0.5 * self.quadratic(c) - self.mu / self.params.p * self.mass(c))
 
+    @_per_point
     def gradient(self, c: np.ndarray) -> np.ndarray:
-        v = synthesize(ScalarField(self.basis, c), self.grid)
-        f = self.mu * _odd_power(v, self.params.p)
+        f = self.mu * _odd_power(*self._field(c), self.params.p)
         return self.shift * c - project(f, self.basis, self.grid)
 
+    @_per_point
     def hessian(self, c: np.ndarray) -> np.ndarray:
-        v = synthesize(ScalarField(self.basis, c), self.grid)
-        w = self.mu * (self.params.p - 1.0) * _abs_power(v, self.params.p - 2.0)
+        w = self.mu * (self.params.p - 1.0) * _abs_power(self._field(c)[1], self.params.p - 2.0)
         return np.diag(self.shift) - mode_mass_matrix(w, self.basis, self.grid)
 
 

@@ -242,6 +242,26 @@ def test_transforms_match_explicit_tables(lengths, cutoffs):
     np.testing.assert_array_equal(mode_mass_matrix(values, basis, grid), a)
 
 
+@pytest.mark.parametrize(
+    "lengths, cutoffs",
+    [((1.0,), (24,)), ((1.0, 0.7), (8, 3)), ((1.0, 2.5, 0.6), (4, 5, 2))],
+)
+def test_planned_mass_paths_match_fresh_einsum(lengths, cutoffs):
+    # each axis of mode_mass_matrix with its stored path gives the bits of an
+    # einsum that plans its own path (optimize=True), on real operands
+    basis = SineBasis(BoxDomain(lengths), cutoffs)
+    grid = QuadratureGrid.for_basis(basis, oversample=2.0)
+    tr = grid.transform(basis)
+    a = np.random.default_rng(11).standard_normal(grid.shape)
+    for S, path in zip(tr.synthesis, tr.mass_paths):
+        assert path == np.einsum_path("q...,qk,ql->...kl", a, S, S, optimize=True)[0]
+        planned = np.einsum("q...,qk,ql->...kl", a, S, S, optimize=path)
+        fresh = np.einsum("q...,qk,ql->...kl", a, S, S, optimize=True)
+        assert planned.tobytes() == fresh.tobytes()
+        a = fresh
+    assert a.shape == tuple(k for k in basis.cutoffs for _ in (0, 1))
+
+
 def test_transform_tables_built_once(monkeypatch):
     basis = SineBasis(BoxDomain((1.0, 0.5)), (6, 3))
     grid = QuadratureGrid.for_basis(basis)

@@ -9,6 +9,7 @@ from sinesolve import (
     PairField,
     QuadratureGrid,
     ScalarField,
+    ScalarProblem,
     SineBasis,
     SystemParams,
     bilinear_b,
@@ -221,3 +222,108 @@ def test_scalar_energy_and_gradient(basis, grid):
             - scalar_energy(ScalarField(basis, c - h * v), 2, pr, grid)
         ) / (2 * h)
         assert np.dot(g.coeffs, v) == pytest.approx(fd, rel=1e-5)
+
+
+# -- the point state -------------------------------------------------------------
+
+POINT_CASES = {
+    1: ((1.0,), (8,)),
+    2: ((1.0, 0.7), (4, 3)),
+    3: ((1.0, 1.3, 0.8), (3, 2, 2)),
+}
+
+
+def _point_engines(dim):
+    # alpha < 2 puts a negative exponent into the Hessian weights
+    lengths, cutoffs = POINT_CASES[dim]
+    basis = SineBasis(BoxDomain(lengths), cutoffs)
+    grid = QuadratureGrid.for_basis(basis, oversample=2.0)
+    gamma1 = float(basis.eigenvalues[0])
+    pr = params_with(kappa1=1.5 * gamma1, kappa2=0.5 * gamma1, mu2=2.0, lam=3.0, alpha=1.5, beta=2.5, dim=dim)
+    return {
+        "system": (lambda: GalerkinSystem(pr, basis, grid), 2 * basis.size, "power_masses"),
+        "scalar": (lambda: ScalarProblem(pr, 1, basis, grid), basis.size, "mass"),
+    }
+
+
+def _bits(value):
+    return np.asarray(value, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["system", "scalar"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_point_state_matches_fresh_engine(dim, kind):
+    # one engine asked over z_a, z_b, z_a in varying orders gives the bits of
+    # a fresh engine per call
+    make, n, masses = _point_engines(dim)[kind]
+    rng = np.random.default_rng(dim)
+    za, zb = rng.standard_normal(n), rng.standard_normal(n)
+    names = ["energy", "gradient", "hessian", masses, "nehari_denominator", "quadratic"]
+    engine = make()
+    for z, order in ((za, names), (zb, names[::-1]), (za, names[2:] + names[:2])):
+        for name in order:
+            got = getattr(engine, name)(z)
+            want = getattr(make(), name)(z)
+            assert _bits(got) == _bits(want), name
+
+
+@pytest.mark.parametrize("kind", ["system", "scalar"])
+def test_point_state_follows_caller_mutation(kind):
+    make, n, _ = _point_engines(2)[kind]
+    engine = make()
+    z = np.random.default_rng(4).standard_normal(n)
+    g_old = engine.gradient(z)
+    e_old = engine.energy(z)
+    z[1] += 0.25  # the caller reuses its buffer, as MINPACK does
+    assert _bits(engine.gradient(z)) == _bits(make().gradient(z))
+    assert _bits(engine.energy(z)) == _bits(make().energy(z))
+    assert engine.energy(z) != e_old and not np.array_equal(engine.gradient(z), g_old)
+    # a bitwise-different zero is a different point
+    z0 = np.zeros(n)
+    assert engine.at(z0) is engine.at(z0.copy())
+    assert engine.at(-z0) is not engine.at(z0)
+
+
+@pytest.mark.parametrize("kind", ["system", "scalar"])
+def test_point_state_arrays_are_read_only(kind):
+    make, n, _ = _point_engines(1)[kind]
+    engine = make()
+    z = np.random.default_rng(5).standard_normal(n)
+    for arr in (engine.gradient(z), engine.hessian(z), engine.at(z).z):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    assert engine.at(z).z is not z
+
+
+@pytest.mark.parametrize("kind", ["system", "scalar"])
+def test_point_state_shared_across_threads(kind):
+    # threads asking one engine for their own points get the serial values
+    import sys
+    import threading
+
+    make, n, _ = _point_engines(2)[kind]
+    engine = make()
+    points = [np.random.default_rng(10 + i).standard_normal(n) for i in range(8)]
+    names = ("energy", "gradient", "hessian", "nehari_denominator")
+    expected = [[_bits(getattr(make(), name)(z)) for name in names] for z in points]
+    mismatches = []
+
+    def work(i):
+        for _ in range(40):
+            for name, want in zip(names, expected[i]):
+                if _bits(getattr(engine, name)(points[i])) != want:
+                    mismatches.append((i, name))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert mismatches == []

@@ -1,6 +1,7 @@
 """Nehari projection, ground states, multiplicity, orbits, linking geometry."""
 
 import dataclasses
+import importlib
 
 import numpy as np
 import pytest
@@ -541,3 +542,70 @@ def test_deflation_factor_gradient_matches_central_differences():
     fd = np.array([(eta_at(z + h * e) - eta_at(z - h * e)) / (2 * h) for e in np.eye(z.size)])
     assert eta > 1.0
     np.testing.assert_allclose(grad_eta, fd, rtol=1e-7, atol=1e-9 * np.abs(fd).max())
+
+
+def _count_point_work(monkeypatch, engine):
+    """Count field syntheses, projections and Hessian blocks, and record the
+    points at which `engine` is asked for gradients and Hessians."""
+    energy_module = importlib.import_module("sinesolve.energy")
+    work = {"synthesize": 0, "project": 0, "mode_mass_matrix": 0}
+    asked = {"gradient": [], "hessian": []}
+    for name in work:
+
+        def counting(*args, _name=name, _original=getattr(energy_module, name)):
+            work[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(energy_module, name, counting)
+    for name in asked:
+
+        def recording(z, _name=name, _method=getattr(engine, name)):
+            asked[_name].append(z.tobytes())
+            return _method(z)
+
+        monkeypatch.setattr(engine, name, recording)
+    return work, asked
+
+
+@pytest.fixture(scope="module")
+def indefinite24(box24, config):
+    # a converged nontrivial point of the 1-D K=24 box with kappa = 15 > gamma_1
+    basis24, grid24 = box24
+    pr = params_with(kappa1=15.0, kappa2=15.0, lam=50.0)
+    engine = GalerkinSystem(pr, basis24, grid24)
+    e2 = unit_mode(basis24, 1).coeffs
+    w0 = project_general(engine, np.concatenate([e2, e2]), engine.tilde_indices(spectral_split(pr, basis24)))
+    z, ok = newton_polish(engine, _deflated_root(engine, w0, [np.zeros_like(w0)], config), config.tol)
+    assert ok and np.linalg.norm(z) > 0.1
+    return pr, w0, z
+
+
+def test_newton_evaluates_each_point_once(box24, config, indefinite24, monkeypatch):
+    # at a converged start SciPy's shape checks and MINPACK ask for the
+    # gradient and the Hessian more than once; the fields are built once
+    basis24, grid24 = box24
+    pr, _, z = indefinite24
+    engine = GalerkinSystem(pr, basis24, grid24)
+    work, asked = _count_point_work(monkeypatch, engine)
+    _, ok = newton_polish(engine, z, config.tol)
+    assert ok
+    assert asked["gradient"].count(z.tobytes()) >= 3 and asked["hessian"].count(z.tobytes()) >= 2
+    points = set(asked["gradient"]) | set(asked["hessian"])
+    assert work["synthesize"] == 2 * len(points)
+    assert work["project"] == 2 * len(set(asked["gradient"]))
+    assert work["mode_mass_matrix"] == 3 * len(set(asked["hessian"]))
+
+
+def test_deflated_jacobian_reuses_the_residual_gradient(box24, config, indefinite24, monkeypatch):
+    basis24, grid24 = box24
+    pr, w0, _ = indefinite24
+    engine = GalerkinSystem(pr, basis24, grid24)
+    work, asked = _count_point_work(monkeypatch, engine)
+    w = _deflated_root(engine, w0, [np.zeros_like(w0)], config)
+    assert np.linalg.norm(w) > 0.1 and asked["hessian"]
+    # every Jacobian is built where MINPACK has just taken the residual
+    assert set(asked["hessian"]) <= set(asked["gradient"])
+    points = set(asked["gradient"])
+    assert work["synthesize"] == 2 * len(points)
+    assert work["project"] == 2 * len(points)
+    assert work["mode_mass_matrix"] == 3 * len(set(asked["hessian"]))
