@@ -541,10 +541,7 @@ def _run_verify_estimates(cfg: RunConfig) -> tuple[dict, int]:
     if not skip:
         basis = cfg.basis()
         split = spectral_split(pr, basis, cfg.zero_tol)
-        tol = split.zero_tol
-        resonant = any(
-            np.any(np.abs(basis.eigenvalues - kappa) <= tol) for kappa in (pr.kappa1, pr.kappa2)
-        )
+        resonant = any(z.size for z in split.zero)
         if pr.dim == 4 and resonant:
             notes.append("resonant kappa: linking bound skipped (a shift matches a Dirichlet "
                          "eigenvalue; the dimension-4 bound requires nonresonance)")

@@ -141,10 +141,10 @@ def require_same_basis(f: ScalarField, g: ScalarField) -> None:
         raise BasisMismatchError("fields live on different bases")
 
 
-def composite_gauss_legendre(length: float, n_nodes: int, panel_order: int = PANEL_ORDER):
+def composite_gauss_legendre(length: float, n_nodes: int):
     """Composite Gauss-Legendre rule on (0, length) with at least n_nodes nodes."""
-    n_panels = max(1, int(np.ceil(n_nodes / panel_order)))
-    return panel_rule(np.linspace(0.0, length, n_panels + 1), panel_order)
+    n_panels = max(1, int(np.ceil(n_nodes / PANEL_ORDER)))
+    return panel_rule(np.linspace(0.0, length, n_panels + 1), PANEL_ORDER)
 
 
 # one axis of `mode_mass_matrix`: contract the leading node axis against e_k e_l
@@ -207,18 +207,10 @@ class QuadratureGrid:
         return tr
 
     @classmethod
-    def for_domain(
-        cls,
-        domain: BoxDomain,
-        nodes_per_axis: int | Sequence[int],
-        panel_order: int = PANEL_ORDER,
-    ) -> "QuadratureGrid":
+    def for_domain(cls, domain: BoxDomain, nodes_per_axis: int | Sequence[int]) -> "QuadratureGrid":
         if np.isscalar(nodes_per_axis):
             nodes_per_axis = [int(nodes_per_axis)] * domain.dim
-        rules = [
-            composite_gauss_legendre(L, q, panel_order)
-            for L, q in zip(domain.lengths, nodes_per_axis)
-        ]
+        rules = [composite_gauss_legendre(L, q) for L, q in zip(domain.lengths, nodes_per_axis)]
         return cls(
             lengths=domain.lengths,
             axis_nodes=tuple(r[0] for r in rules),

@@ -35,6 +35,8 @@ from .limit import BubbleProfile, LimitParams, _golden_min
 from .radial import graded_edges, panel_rule, radial_integral, radial_tail_integral
 
 SLOPE_TOL = 0.15
+#: Relative slack both grid-checked inequalities allow.
+_INEQUALITY_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -85,7 +87,6 @@ def cutoff_bubble_integrals(
     eps: float,
     cutoff: CutoffSpec,
     n_dim: int,
-    order: int = 48,
     enforce_regime: bool = True,
 ) -> BubbleIntegrals:
     """Radial quadrature of the seven integrals of the cutoff bubble.
@@ -106,7 +107,7 @@ def cutoff_bubble_integrals(
         return cutoff.derivative(r) * b.value(r) + cutoff.value(r) * b.radial_derivative(r)
 
     def integ(f):
-        return radial_integral(f, n_dim, r_max=rmax, scale=eps, order=order)
+        return radial_integral(f, n_dim, r_max=rmax, scale=eps)
 
     return BubbleIntegrals(
         eps=float(eps),
@@ -157,7 +158,7 @@ def _ls_slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return float(coef[0]), float(2.0 * np.sqrt(max(cov[0, 0], 0.0)))
 
 
-def bubble_deficits(eps: float, cutoff: CutoffSpec, n_dim: int, order: int = 48) -> tuple[float, float]:
+def bubble_deficits(eps: float, cutoff: CutoffSpec, n_dim: int) -> tuple[float, float]:
     """Whole-space-minus-cutoff deficits of the gradient and critical masses.
 
     Both vanish identically on the plateau, so they are evaluated as direct
@@ -176,18 +177,12 @@ def bubble_deficits(eps: float, cutoff: CutoffSpec, n_dim: int, order: int = 48)
     def crit_gap(r):
         return (1.0 - cutoff.value(r) ** ts) * b.value(r) ** ts
 
-    grad_def = radial_tail_integral(grad_gap, n_dim, cutoff.delta, order=order)
-    crit_def = radial_tail_integral(crit_gap, n_dim, cutoff.delta, order=order)
+    grad_def = radial_tail_integral(grad_gap, n_dim, cutoff.delta)
+    crit_def = radial_tail_integral(crit_gap, n_dim, cutoff.delta)
     return float(grad_def), float(crit_def)
 
 
-def fit_orders(
-    sweeps: Sequence[BubbleIntegrals],
-    n_dim: int,
-    cutoff: CutoffSpec,
-    slope_tol: float = SLOPE_TOL,
-    order: int = 48,
-) -> EstimateReport:
+def fit_orders(sweeps: Sequence[BubbleIntegrals], n_dim: int, cutoff: CutoffSpec) -> EstimateReport:
     """Fit log-log slopes of the sweep against the expected asymptotic orders.
 
     Deficits of the gradient and critical masses are measured against the
@@ -198,7 +193,7 @@ def fit_orders(
     eps = np.array([s.eps for s in sweeps])
     check_eps_grid(eps)
 
-    deficits = np.array([bubble_deficits(e, cutoff, n_dim, order=order) for e in eps])
+    deficits = np.array([bubble_deficits(e, cutoff, n_dim) for e in eps])
     quantities = {
         "grad_sq_deficit": np.abs(deficits[:, 0]),
         "crit_deficit": np.abs(deficits[:, 1]),
@@ -237,7 +232,7 @@ def fit_orders(
                 slope=slope,
                 half_width=hw,
                 expected=exp_slope,
-                passed=bool(abs(slope - exp_slope) <= slope_tol),
+                passed=bool(abs(slope - exp_slope) <= SLOPE_TOL),
                 model=model,
             )
         )
@@ -264,9 +259,9 @@ def check_eps_grid(eps: Sequence[float]) -> None:
         raise PreconditionError("eps grid must span at least two decades")
 
 
-def default_eps_grid(n_points: int = 7, lo: float = 1e-3, hi: float = 1e-1) -> tuple[float, ...]:
+def default_eps_grid() -> tuple[float, ...]:
     """Two-decade logarithmic sweep, decreasing."""
-    return tuple(float(e) for e in np.geomspace(hi, lo, n_points))
+    return tuple(float(e) for e in np.geomspace(1e-1, 1e-3, 7))
 
 
 # -- ray maximum and the linking bound -------------------------------------------
@@ -302,7 +297,6 @@ def ray_maximum(
     kappa2: float,
     s_amp: float,
     t_amp: float,
-    order: int = 48,
 ) -> tuple[float, float]:
     """(closed form, direct maximization) of the energy along the bubble ray.
 
@@ -315,7 +309,7 @@ def ray_maximum(
         raise PreconditionError("the ray formula is used with positive shifts")
     if not eps < cutoff.delta / 2.0:
         raise PreconditionError("eps must sit inside the plateau")
-    integ = cutoff_bubble_integrals(eps, cutoff, lp.dim, order=order, enforce_regime=False)
+    integ = cutoff_bubble_integrals(eps, cutoff, lp.dim, enforce_regime=False)
     quad, hom = _ray_coefficients(integ, lp, kappa1, kappa2, s_amp, t_amp)
     n = lp.dim
     ts = lp.two_star
@@ -345,7 +339,7 @@ class LinkingRecord:
     tilde_dim: int
 
 
-def _graded_box_grid(domain: BoxDomain, eps: float, order: int = 8) -> QuadratureGrid:
+def _graded_box_grid(domain: BoxDomain, eps: float) -> QuadratureGrid:
     """Tensor grid refined toward the box center down to the bubble scale.
 
     Kept deliberately coarse (8-node panels, ratio-3 grading): in dimension 3
@@ -357,7 +351,7 @@ def _graded_box_grid(domain: BoxDomain, eps: float, order: int = 8) -> Quadratur
         c = 0.5 * L
         inner = graded_edges(max(eps, 1e-8), c, ratio=3.0)
         edges = np.unique(np.concatenate([c - inner[::-1], c + inner]))
-        n, w = panel_rule(edges, order)
+        n, w = panel_rule(edges, 8)
         nodes.append(n)
         weights.append(w)
     return QuadratureGrid(lengths=domain.lengths, axis_nodes=tuple(nodes), axis_weights=tuple(weights))
@@ -375,7 +369,6 @@ def linking_sweep(
     s_coupled: float,
     sample_budget: int = 40,
     rng_seed: int = 0,
-    order: int = 48,
 ) -> list[LinkingRecord]:
     """Empirically maximize the energy over {t * bubble-pair + w} per eps.
 
@@ -398,11 +391,11 @@ def linking_sweep(
     records = []
     rng = np.random.default_rng(rng_seed)
     for eps in eps_grid:
-        integ = cutoff_bubble_integrals(eps, cutoff, n, order=order, enforce_regime=False)
+        integ = cutoff_bubble_integrals(eps, cutoff, n, enforce_regime=False)
         quad, hom = _ray_coefficients(integ, lp, params.kappa1, params.kappa2, s_amp, t_amp)
         ts = lp.two_star
         ray_r = (ts * quad / (2.0 * hom)) ** (1.0 / (ts - 2.0)) if quad > 0 else 0.0
-        closed, _ = ray_maximum(eps, cutoff, lp, params.kappa1, params.kappa2, s_amp, t_amp, order=order)
+        closed, _ = ray_maximum(eps, cutoff, lp, params.kappa1, params.kappa2, s_amp, t_amp)
         if not tilde_pairs:
             boundary_ok = ray_energy(2.0 * max(ray_r, 1.0), quad, hom, ts) <= 0.0
             best = closed
@@ -509,8 +502,6 @@ def mixed_norm_constant(
     split: SpectralSplit,
     omega: Sequence[tuple[float, float]],
     sample_budget: int = 64,
-    rng_seed: int = 0,
-    nodes_per_axis: int = 48,
 ) -> float:
     """Estimate of the best constant in int_omega |w1|^a |w2|^b >= C ||w1||^a ||w2||^b.
 
@@ -528,7 +519,7 @@ def mixed_norm_constant(
     for (a, b), L in zip(omega, basis.domain.lengths):
         if not 0.0 <= a < b <= L:
             raise PreconditionError("omega must be a subbox of the domain")
-        rules.append(panel_rule(np.array([a, b]), nodes_per_axis))
+        rules.append(panel_rule(np.array([a, b]), 48))
     # nodes on the subbox only; the domain's lengths keep the basis compatible
     grid = QuadratureGrid(
         lengths=basis.domain.lengths,
@@ -552,7 +543,7 @@ def mixed_norm_constant(
         v2 = tilde_synth(t2, b / nb)
         return integrate(np.abs(v1) ** params.alpha * np.abs(v2) ** params.beta, grid)
 
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(0)
     dim = t1.size + t2.size
     starts = [np.ones(dim)]
     for j in range(dim):
@@ -589,14 +580,14 @@ def sharp_single_constant(q: float) -> float:
     return q ** (-1.0 / (q - 1.0)) * (1.0 - 1.0 / q)
 
 
-def verify_single_power(q: float, r_grid: np.ndarray, n_s: int = 10000, rel_tol: float = 1e-9) -> InequalityReport:
+def verify_single_power(q: float, r_grid: np.ndarray) -> InequalityReport:
     """Check max_{s>0}(r s - s^q) <= C_q r^{q/(q-1)} on the grid with the sharp constant."""
     if q <= 1:
         raise PreconditionError("q must exceed 1")
     cq = sharp_single_constant(q)
     r = np.asarray(r_grid, dtype=float)
     s_hi = 2.0 * (np.max(r) / q) ** (1.0 / (q - 1.0)) + 1.0
-    s = np.linspace(0.0, s_hi, n_s)
+    s = np.linspace(0.0, s_hi, 10000)
     lhs = np.max(r[:, None] * s[None, :] - s[None, :] ** q, axis=1)
     lhs = np.maximum(lhs, 0.0)
     bound = cq * r ** (q / (q - 1.0))
@@ -607,19 +598,12 @@ def verify_single_power(q: float, r_grid: np.ndarray, n_s: int = 10000, rel_tol:
         label=f"single-power q={q:g}",
         constant=float(cq),
         worst_slack=worst,
-        passed=bool(np.all(slack >= -rel_tol * scale)),
+        passed=bool(np.all(slack >= -_INEQUALITY_REL_TOL * scale)),
     )
 
 
-def verify_product_powers(
-    alpha: float,
-    beta: float,
-    r_grid: np.ndarray,
-    box_radius: float = 1.0,
-    n_s: int = 300,
-    rel_tol: float = 1e-9,
-) -> InequalityReport:
-    """Check max_{0<=s1,s2<=R}(r s1 s2 - s1^a s2^b) <= C max(r^{a/(a-1)}, r^{b/(b-1)}).
+def verify_product_powers(alpha: float, beta: float, r_grid: np.ndarray) -> InequalityReport:
+    """Check max_{0<=s1,s2<=1}(r s1 s2 - s1^a s2^b) <= C max(r^{a/(a-1)}, r^{b/(b-1)}).
 
     The constant is fitted on the grid first and then the bound re-verified
     pointwise, so the report certifies the shape of the majorant.
@@ -627,7 +611,7 @@ def verify_product_powers(
     if alpha <= 1 or beta <= 1:
         raise PreconditionError("alpha and beta must exceed 1")
     r = np.asarray(r_grid, dtype=float)
-    s = np.linspace(0.0, box_radius, n_s)
+    s = np.linspace(0.0, 1.0, 300)
     s1 = s[:, None]
     s2 = s[None, :]
     prod = s1 * s2
@@ -641,22 +625,16 @@ def verify_product_powers(
     scale = np.maximum(bound, 1e-300)
     worst = float(np.min(slack / scale)) if len(r) else 0.0
     return InequalityReport(
-        label=f"product-powers a={alpha:g} b={beta:g} R={box_radius:g}",
+        label=f"product-powers a={alpha:g} b={beta:g} R=1",
         constant=c_fit,
         worst_slack=worst,
-        passed=bool(np.all(slack >= -rel_tol * scale)),
+        passed=bool(np.all(slack >= -_INEQUALITY_REL_TOL * scale)),
     )
 
 
-def calculus_inequalities(
-    q_values: Sequence[float] = (1.5, 2.0, 3.0),
-    ab_pairs: Sequence[tuple[float, float]] = ((2.0, 2.0), (1.5, 2.5)),
-    box_radius: float = 1.0,
-    r_grid: np.ndarray | None = None,
-) -> list[InequalityReport]:
-    """Run both inequality checks over their parameter lists."""
-    if r_grid is None:
-        r_grid = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 61)])
-    reports = [verify_single_power(q, r_grid) for q in q_values]
-    reports += [verify_product_powers(a, b, r_grid, box_radius) for a, b in ab_pairs]
+def calculus_inequalities() -> list[InequalityReport]:
+    """Both inequality checks over their fixed parameter lists."""
+    r_grid = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 61)])
+    reports = [verify_single_power(q, r_grid) for q in (1.5, 2.0, 3.0)]
+    reports += [verify_product_powers(a, b, r_grid) for a, b in ((2.0, 2.0), (1.5, 2.5))]
     return reports

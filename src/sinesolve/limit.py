@@ -26,6 +26,14 @@ from .radial import radial_integral
 
 _GOLDEN = 0.5 * (np.sqrt(5.0) - 1.0)
 
+#: Scan of f in log r: point count and r-window.
+_SCAN_POINTS, _SCAN_LO, _SCAN_HI = 2001, 1e-6, 1e6
+#: Pair-grid oracle: nodes per amplitude and the (s, t) window.
+_PAIR_POINTS, _PAIR_LO, _PAIR_HI = 601, 1e-3, 1e3
+#: interior_threshold: relative bisection width, and the margin by which the
+#: infimum must undercut the boundary bound.
+_LAMBDA0_REL_WIDTH, _LAMBDA0_MARGIN = 1e-6, 1e-12
+
 
 @dataclass(frozen=True)
 class LimitParams:
@@ -98,8 +106,8 @@ def f_lambda(r: float, lp: LimitParams) -> float:
     return float((r**2 + 1.0) / denom ** (2.0 / ts))
 
 
-def _f_on_log_grid(lp: LimitParams, n: int = 2001, lo: float = 1e-6, hi: float = 1e6):
-    x = np.linspace(np.log(lo), np.log(hi), n)
+def _f_on_log_grid(lp: LimitParams):
+    x = np.linspace(np.log(_SCAN_LO), np.log(_SCAN_HI), _SCAN_POINTS)
     r = np.exp(x)
     ts = lp.two_star
     denom = lp.mu1 * r**ts + lp.mu2 + ts * lp.lam * r**lp.alpha
@@ -142,7 +150,7 @@ def _infimum_f(lp: LimitParams) -> tuple[float, float, bool]:
     return f_lambda(r, lp), r, True
 
 
-def sobolev_constant(n_dim: int, order: int = 48) -> float:
+def sobolev_constant(n_dim: int) -> float:
     """Best constant of the scalar critical embedding, from bubble integrals.
 
     Computes ||grad U_1||^2 by radial quadrature and returns its (2/N)-th
@@ -151,7 +159,7 @@ def sobolev_constant(n_dim: int, order: int = 48) -> float:
     """
     if n_dim < 3:
         raise PreconditionError("dim must be at least 3")
-    grad2, mass = bubble_norms(n_dim, 1.0, order=order)
+    grad2, mass = bubble_norms(n_dim, 1.0)
     if abs(grad2 - mass) > 1e-8 * abs(grad2):
         raise InconsistencyError(
             f"bubble identity violated: ||grad U||^2 = {grad2!r} vs |U|_2*^2* = {mass!r}"
@@ -159,24 +167,16 @@ def sobolev_constant(n_dim: int, order: int = 48) -> float:
     return float(grad2 ** (2.0 / n_dim))
 
 
-def bubble_norms(n_dim: int, epsilon: float = 1.0, order: int = 48) -> tuple[float, float]:
+def bubble_norms(n_dim: int, epsilon: float = 1.0) -> tuple[float, float]:
     """(||grad U_eps||^2, int U_eps^{2*}) over the whole space, by quadrature."""
     b = BubbleProfile(n_dim, epsilon)
     ts = 2.0 * n_dim / (n_dim - 2.0)
-    grad2 = radial_integral(lambda r: b.radial_derivative(r) ** 2, n_dim, scale=epsilon, order=order)
-    mass = radial_integral(lambda r: b.value(r) ** ts, n_dim, scale=epsilon, order=order)
+    grad2 = radial_integral(lambda r: b.radial_derivative(r) ** 2, n_dim, scale=epsilon)
+    mass = radial_integral(lambda r: b.value(r) ** ts, n_dim, scale=epsilon)
     return grad2, mass
 
 
-def interior_threshold(
-    mu1: float,
-    mu2: float,
-    alpha: float,
-    beta: float,
-    dim: int,
-    rel_width: float = 1e-6,
-    margin: float = 1e-12,
-) -> float:
+def interior_threshold(mu1: float, mu2: float, alpha: float, beta: float, dim: int) -> float:
     """Smallest coupling for which inf_r f drops below both boundary values.
 
     Below the returned value the infimum of the quotient sits at r -> 0 or
@@ -187,7 +187,7 @@ def interior_threshold(
         lp = LimitParams(mu1=mu1, mu2=mu2, lam=lam, alpha=alpha, beta=beta, dim=dim)
         bound = _boundary_bound(lp)
         val, _, _ = _infimum_f(lp)
-        return val < bound - margin
+        return val < bound - _LAMBDA0_MARGIN
 
     lo, hi = 0.0, 1.0
     for _ in range(200):
@@ -197,7 +197,7 @@ def interior_threshold(
         hi *= 2.0
     else:
         raise InconsistencyError("no interior-minimum coupling found (unreachable for valid data)")
-    while (hi - lo) > rel_width * hi:
+    while (hi - lo) > _LAMBDA0_REL_WIDTH * hi:
         mid = 0.5 * (lo + hi)
         if below(mid):
             hi = mid
@@ -209,7 +209,7 @@ def interior_threshold(
 def coupled_sobolev_constant(lp: LimitParams, s_const: float | None = None) -> tuple[float, float]:
     """(S_coupled, r_min): the coupled best constant and the minimizing ratio.
 
-    Scans f on a 2001-point logarithmic grid over [1e-6, 1e6], refines by
+    Scans f on the `_SCAN_POINTS`-point logarithmic grid, refines by
     golden section, and returns f(r_min) * S.  Raises BoundaryInfimumError
     when the minimum is not interior (coupling at or below the threshold).
     """
@@ -224,8 +224,8 @@ def coupled_sobolev_constant(lp: LimitParams, s_const: float | None = None) -> t
     return float(val * s_const), float(r_min)
 
 
-def pair_grid_infimum(lp: LimitParams, s_const: float, n: int = 601, lo: float = 1e-3, hi: float = 1e3) -> float:
-    """Minimum of the two-amplitude quotient on an n x n (s,t) log grid, times S.
+def pair_grid_infimum(lp: LimitParams, s_const: float) -> float:
+    """Minimum of the two-amplitude quotient on the `_PAIR_POINTS`^2 (s,t) log grid, times S.
 
     Independent check of the one-variable reduction: the quotient is
     0-homogeneous, so this must match f(r_min) * S.  As s_i/t_j depends only
@@ -234,7 +234,8 @@ def pair_grid_infimum(lp: LimitParams, s_const: float, n: int = 601, lo: float =
     and their nodes are evaluated exactly as the full grid would be.
     """
     ts = lp.two_star
-    g = np.geomspace(lo, hi, n)
+    n = _PAIR_POINTS
+    g = np.geomspace(_PAIR_LO, _PAIR_HI, n)
     g2, p, a, b = g**2, g**ts, g**lp.alpha, g**lp.beta
 
     def quotient(i, j):
@@ -250,26 +251,21 @@ def pair_grid_infimum(lp: LimitParams, s_const: float, n: int = 601, lo: float =
     return float(quotient(i, j).min() * s_const)
 
 
-def minimizer_amplitudes(
-    lp: LimitParams,
-    s_const: float,
-    r_min: float,
-    order: int = 48,
-    identity_tol: float = 1e-6,
-) -> tuple[float, float]:
+def minimizer_amplitudes(lp: LimitParams, s_const: float, r_min: float) -> tuple[float, float]:
     """Amplitudes (s, t) making (s U_1, t U_1) solve the limit system.
 
     Nehari-scales the pair (r_min U_1, U_1) with all integrals computed by
     radial quadrature, then verifies that the limit energy of the scaled
-    pair equals (1/N) S_coupled^{N/2} with S_coupled from an independent
-    scan of the quotient; raises InconsistencyError beyond `identity_tol`
-    relative (in particular when r_min is not actually the minimizing ratio).
+    pair equals (1/N) S_coupled^{N/2}, with S_coupled from the same scan of
+    the quotient that `coupled_sobolev_constant` runs; raises
+    InconsistencyError beyond 1e-6 relative (in particular when r_min is
+    not the ratio that scan minimizes).
     """
     n = lp.dim
     ts = lp.two_star
-    grad2, mass = bubble_norms(n, 1.0, order=order)
+    grad2, mass = bubble_norms(n, 1.0)
     b = BubbleProfile(n, 1.0)
-    mix = radial_integral(lambda r: b.value(r) ** lp.alpha * b.value(r) ** lp.beta, n, order=order)
+    mix = radial_integral(lambda r: b.value(r) ** lp.alpha * b.value(r) ** lp.beta, n)
     norm_v = (r_min**2 + 1.0) * grad2
     denom = (lp.mu1 * r_min**ts + lp.mu2) * mass + ts * lp.lam * r_min**lp.alpha * mix
     t_lam = (norm_v / denom) ** (1.0 / (ts - 2.0))
@@ -283,7 +279,7 @@ def minimizer_amplitudes(
         - lp.lam * s_lam**lp.alpha * t_lam**lp.beta * mix
     )
     target = s_coupled ** (n / 2.0) / n
-    if abs(energy - target) > identity_tol * abs(target):
+    if abs(energy - target) > 1e-6 * abs(target):
         raise InconsistencyError(
             f"limit energy {energy!r} disagrees with (1/N) S^(N/2) = {target!r}"
         )

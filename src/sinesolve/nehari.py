@@ -43,14 +43,16 @@ SEMITRIVIAL_1 = "semitrivial-1"
 SEMITRIVIAL_2 = "semitrivial-2"
 FULLY_NONTRIVIAL = "fully-nontrivial"
 
+#: nehari_descent: step cap, and the gradient norm at which it hands over to Newton.
+DESCENT_MAX_ITER = 400
+DESCENT_SWITCH_TOL = 1e-3
+
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Tolerances, budgets and seeding knobs shared by the searches."""
 
     tol: float = 1e-10
-    descent_max_iter: int = 400
-    descent_switch_tol: float = 1e-3
     n_mode_seeds: int = 6
     n_random_seeds: int = 8
     seed_amplitude: float = 1.0
@@ -153,6 +155,15 @@ def _plus_h1_norm(engine, z: np.ndarray, tilde_idx: np.ndarray) -> float:
     return float(np.sqrt(np.sum(g * w * w)))
 
 
+def _has_positive_part(engine, z: np.ndarray, tilde_idx: np.ndarray) -> bool:
+    """Whether z reaches outside the nonpositive subspace, relative to its size.
+
+    A point without a positive part has no ray to the Nehari set: the
+    maximum of E(t z + v) is then 0, at t z + v = 0.
+    """
+    return _plus_h1_norm(engine, z, tilde_idx) >= 1e-12 * max(np.linalg.norm(z), 1e-300)
+
+
 def project_ray(engine, z: np.ndarray) -> np.ndarray:
     """Closed-form Nehari scaling t* z, valid when the quadratic form is positive."""
     b = engine.quadratic(z)
@@ -165,13 +176,7 @@ def project_ray(engine, z: np.ndarray) -> np.ndarray:
     return t * z
 
 
-def project_general(
-    engine,
-    z: np.ndarray,
-    tilde_idx: np.ndarray,
-    tol: float = 1e-11,
-    max_iter: int = 80,
-) -> np.ndarray:
+def project_general(engine, z: np.ndarray, tilde_idx: np.ndarray) -> np.ndarray:
     """Locally maximize E(t z + v) over t and the nonpositive directions v.
 
     Returns the maximizing point t z + v.  Used to seed the indefinite
@@ -213,7 +218,7 @@ def project_general(
         jac=neg_grad,
         hess=neg_hess,
         method="trust-exact",
-        options={"gtol": 1e-13, "maxiter": max_iter},
+        options={"gtol": 1e-13, "maxiter": 80},
     )
     y = res.x
     if abs(y[0]) * np.linalg.norm(z) < 1e-10:
@@ -223,7 +228,7 @@ def project_general(
     out = point(y)
     g = engine.gradient(out)
     resid = np.concatenate([[np.dot(g, z)], g[tilde_idx]])
-    if np.max(np.abs(resid)) > max(tol, 1e-9 * (1.0 + abs(engine.energy(out)))):
+    if np.max(np.abs(resid)) > max(1e-11, 1e-9 * (1.0 + abs(engine.energy(out)))):
         raise NoProjectionError("ray-plus-tilde maximization did not reach stationarity")
     return out
 
@@ -259,9 +264,9 @@ def nehari_descent(engine, z: np.ndarray, config: SolverConfig) -> np.ndarray:
     z = project_ray(engine, z)
     e0 = on_ray * engine.quadratic(z)
     step = 1.0
-    for _ in range(config.descent_max_iter):
+    for _ in range(DESCENT_MAX_ITER):
         g = engine.gradient(z)
-        if np.linalg.norm(g) < config.descent_switch_tol:
+        if np.linalg.norm(g) < DESCENT_SWITCH_TOL:
             break
         d = g / engine.shift
         gd = float(np.dot(g, d))
@@ -323,13 +328,12 @@ def nehari_residuals(
     params: SystemParams,
     split: SpectralSplit,
     grid: QuadratureGrid | None = None,
-    plus_floor: float = 1e-6,
 ) -> NehariResiduals:
     """Derivative of the energy along the ray through u and the tilde directions."""
     engine = GalerkinSystem(params, u.basis, grid)
     z = u.coeffs()
     t_idx = engine.tilde_indices(split)
-    if _plus_h1_norm(engine, z, t_idx) < plus_floor:
+    if _plus_h1_norm(engine, z, t_idx) < 1e-6:
         raise PreconditionError("point lies (numerically) inside the nonpositive subspace")
     g = engine.gradient(z)
     return NehariResiduals(ray=float(np.dot(g, z)), tilde=g[t_idx].copy())
@@ -345,7 +349,7 @@ def nehari_project(
     engine = GalerkinSystem(params, u.basis, grid)
     z = u.coeffs()
     t_idx = engine.tilde_indices(split)
-    if _plus_h1_norm(engine, z, t_idx) < 1e-12 * max(np.linalg.norm(z), 1e-300):
+    if not _has_positive_part(engine, z, t_idx):
         raise PreconditionError("the point has no positive part; no ray to project")
     return PairField.from_coeffs(u.basis, project_general(engine, z, t_idx))
 
@@ -409,8 +413,13 @@ def _system_seeds(
 
 
 def _converge_seed(engine, split, z0, config: SolverConfig) -> np.ndarray | None:
-    """Project a seed onto the Nehari set and drive the gradient to zero."""
+    """Project a seed onto the Nehari set and drive the gradient to zero.
+
+    None when the seed has no positive part or Newton does not converge.
+    """
     t_idx = engine.tilde_indices(split)
+    if not _has_positive_part(engine, z0, t_idx):
+        return None
     try:
         if t_idx.size == 0:
             z = nehari_descent(engine, z0, config)
@@ -631,6 +640,8 @@ def multiplicity_search(
         if runs >= budget or sum(1 for h in hits if 0.0 < h.energy < threshold.c0) >= k:
             break
         runs += 1
+        if not _has_positive_part(engine, z0, t_idx):
+            continue
         try:
             z_init = project_general(engine, z0, t_idx)
         except NoProjectionError:
@@ -667,8 +678,6 @@ def sphere_infimum(
     budget: int = 200,
     split: SpectralSplit | None = None,
     grid: QuadratureGrid | None = None,
-    rng_seed: int = 0,
-    descent_steps: int = 40,
 ) -> float:
     """Monte-Carlo running minimum of the energy over the rho-sphere in X+.
 
@@ -686,7 +695,7 @@ def sphere_infimum(
     idx = np.flatnonzero(mask)
     if idx.size == 0:
         raise PreconditionError("positive subspace is trivial at this kappa")
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(0)
 
     def on_sphere(y):
         return rho * y / np.linalg.norm(y)
@@ -705,7 +714,7 @@ def sphere_infimum(
     if best_y is not None:
         y = best_y
         step = 0.1 * rho
-        for _ in range(descent_steps):
+        for _ in range(40):
             z = _embed(y, idx, 2 * engine.m)
             g = engine.gradient(z)[idx]
             g_tan = g - (np.dot(g, y) / np.dot(y, y)) * y
@@ -758,13 +767,13 @@ def diagonal_sup(
     lam: float | None = None,
     basis: SineBasis | None = None,
     grid: QuadratureGrid | None = None,
-    n_starts: int = 4,
-    rng_seed: int = 0,
 ) -> float:
     """Supremum of the energy over the m-dimensional diagonal subspace.
 
-    Returns exactly 0 when gamma_m <= (kappa_1 + kappa_2)/2, where the
-    energy is nonpositive on the whole subspace and attains 0 at the origin.
+    BFGS runs from the Nehari point of each positive mode and from 4 random
+    starts drawn at seed 0, whatever the solver seed.  Returns exactly 0
+    when gamma_m <= (kappa_1 + kappa_2)/2, where the energy is nonpositive
+    on the whole subspace and attains 0 at the origin.
     """
     if basis is None:
         raise ValueError("a basis is required")
@@ -793,9 +802,9 @@ def diagonal_sup(
         e = np.zeros(basis.size)
         e[j] = 1.0
         starts.append(project_ray(prob, e)[:m])
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(0)
     scale = np.linalg.norm(starts[-1]) if starts else 1.0
-    for _ in range(n_starts):
+    for _ in range(4):
         starts.append(scale * rng.standard_normal(m))
     best = 0.0
     for c0 in starts:

@@ -24,6 +24,9 @@ from .energy import GalerkinSystem, ScalarProblem, SystemParams
 from .errors import PreconditionError
 from .nehari import CriticalPoint, SolverConfig, evaluate_point
 
+#: Largest |h(r)| that `amplitudes` accepts as a root.
+_H_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class SyncRoot:
@@ -76,20 +79,15 @@ def root_guaranteed(params: SystemParams) -> bool:
     return small and large
 
 
-def find_roots(
-    params: SystemParams,
-    r_lo: float = 1e-8,
-    r_hi: float = 1e8,
-    n_scan: int = 4001,
-) -> RootScan:
-    """All simple positive roots of h located by sign changes on a log grid.
+def find_roots(params: SystemParams, r_lo: float = 1e-8, r_hi: float = 1e8) -> RootScan:
+    """All simple positive roots of h located by sign changes on a 4001-point log grid.
 
     Each bracket is bisected and then Newton-polished to |h| <= 1e-13;
     tangential roots without a sign change are not searched for.
     """
     if r_lo <= 0 or r_hi <= r_lo:
         raise PreconditionError("need 0 < r_lo < r_hi")
-    grid = np.geomspace(r_lo, r_hi, n_scan)
+    grid = np.geomspace(r_lo, r_hi, 4001)
     vals = np.array([ratio_function(r, params) for r in grid])
     roots = []
     for a, b, fa, fb in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
@@ -127,15 +125,15 @@ def find_roots(
     return RootScan(roots=tuple(sorted(set(roots))), guaranteed=root_guaranteed(params))
 
 
-def amplitudes(r: float, params: SystemParams, h_tol: float = 1e-10) -> tuple[float, float]:
+def amplitudes(r: float, params: SystemParams) -> tuple[float, float]:
     """Amplitude pair (s, t) for a root r of h.
 
     Assumes the scalar profile solves the unit-coefficient equation; both
     component amplitude identities then evaluate to 1 within 1e-10.
     """
     h = ratio_function(r, params)
-    if abs(h) > h_tol:
-        raise PreconditionError(f"h({r}) = {h:g} is not a root within {h_tol:g}")
+    if abs(h) > _H_TOL:
+        raise PreconditionError(f"h({r}) = {h:g} is not a root within {_H_TOL:g}")
     pr = params
     t = (pr.mu2 + pr.lam * pr.beta * r**pr.alpha) ** (-1.0 / (pr.p - 2.0))
     return float(r * t), float(t)

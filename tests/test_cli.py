@@ -1,6 +1,7 @@
 """Config validation, report schema, determinism, and exit codes."""
 
 import copy
+import dataclasses
 import json
 import os
 
@@ -10,6 +11,7 @@ import pytest
 from sinesolve import cli
 from sinesolve.cli import COMMANDS, main, parse_config
 from sinesolve.errors import ConfigError
+from sinesolve.nehari import SolverConfig
 from sinesolve.radial import _reference_rule
 
 BASE = {
@@ -439,6 +441,14 @@ def test_typed_values_and_defaults():
     assert run.task["sample_budget"] == 3 and run.task["skip_linking"] is False
     assert run.limit is not None and run.limit.dim == 4
     assert run.raw is cfg  # the report echoes the config as given
+
+
+def test_every_solver_field_is_a_config_key():
+    # a field that no config key reaches is a setting only tests can change
+    renamed = {"rng_seed": ("solver", "seed"), "oversample": ("problem", "quadrature_oversample")}
+    for field in dataclasses.fields(SolverConfig):
+        block, key = renamed.get(field.name, ("solver", field.name))
+        assert key in cli.SCHEMA[block], field.name
 
 
 @pytest.mark.parametrize("lam, boundary", [(1.0, False), (0.2, True)], ids=["interior", "boundary"])

@@ -288,7 +288,7 @@ def test_single_power_zero_r():
 
 def test_product_powers_symmetric_quarter():
     # alpha = beta = 2, r = 1, R = 1: max(s1 s2 - s1^2 s2^2) = 1/4 at s1 s2 = 1/2
-    rep = verify_product_powers(2.0, 2.0, np.array([1.0]), box_radius=1.0)
+    rep = verify_product_powers(2.0, 2.0, np.array([1.0]))
     assert rep.constant == pytest.approx(0.25, abs=1e-3)
     assert rep.passed
 

@@ -41,6 +41,7 @@ from sinesolve.errors import (
     PreconditionError,
 )
 from sinesolve.nehari import (
+    DESCENT_SWITCH_TOL,
     _deflated_root,
     _deflation_factor,
     evaluate_point,
@@ -340,7 +341,7 @@ def test_descent_from_first_mode_is_short(box24, config, kind):
 
     engine.gradient = counting
     z = nehari_descent(engine, z0, config)
-    assert np.linalg.norm(gradient(z)) < config.descent_switch_tol
+    assert np.linalg.norm(gradient(z)) < DESCENT_SWITCH_TOL
     assert len(calls) <= 20
 
 
@@ -505,12 +506,14 @@ def test_residuals_vanish_at_converged_critical_point(basis, grid, config):
 
 def test_newton_builds_hessians_on_demand(box24, config):
     # MINPACK asks for the Hessian at the start and after its Broyden updates
-    # stall, so a Newton solve builds far fewer Hessians than gradients
+    # stall, so a Newton solve builds far fewer Hessians than gradients.  The
+    # first mode lies in the nonpositive subspace at kappa = 15 > gamma_1, and
+    # its projection is the trivial root, so start from the next two modes
     basis24, grid24 = box24
     pr = params_with(kappa1=15.0, kappa2=15.0, lam=50.0)
     engine = GalerkinSystem(pr, basis24, grid24)
     t_idx = engine.tilde_indices(spectral_split(pr, basis24))
-    e1, e2 = (unit_mode(basis24, j).coeffs for j in (0, 1))
+    e2, e3 = (unit_mode(basis24, j).coeffs for j in (1, 2))
     gradient, hessian, calls = engine.gradient, engine.hessian, {"gradient": 0, "hessian": 0}
 
     def counting(name, fn):
@@ -520,13 +523,36 @@ def test_newton_builds_hessians_on_demand(box24, config):
 
         return wrapped
 
-    z0, w0 = (project_general(engine, np.concatenate([e, e]), t_idx) for e in (e1, e2))
+    z0, w0 = (project_general(engine, np.concatenate([e, e]), t_idx) for e in (e2, e3))
     engine.gradient, engine.hessian = counting("gradient", gradient), counting("hessian", hessian)
     z, ok = newton_polish(engine, z0, config.tol)
     w = _deflated_root(engine, w0, [np.zeros_like(z), z], config)
     assert ok and ok == (np.linalg.norm(gradient(z)) <= config.tol)
     assert np.linalg.norm(gradient(w)) <= config.tol and orbit_distance(w, z) > 0.1
     assert calls["hessian"] < calls["gradient"] / 2
+
+
+def test_ground_state_skips_seeds_without_positive_part(box24, monkeypatch):
+    # at kappa = 15 > gamma_1 the seeds (e_1, +-e_1) lie in the nonpositive
+    # subspace, where the ray-plus-tilde maximum is the zero vector
+    from sinesolve import nehari
+
+    basis24, grid24 = box24
+    projected = []
+    original = nehari.project_general
+
+    def recording(engine, z, tilde_idx):
+        projected.append(z.copy())
+        return original(engine, z, tilde_idx)
+
+    monkeypatch.setattr(nehari, "project_general", recording)
+    cfg = SolverConfig(n_mode_seeds=2, n_random_seeds=0)
+    gs = ground_state(params_with(kappa1=15.0, kappa2=15.0, lam=50.0), basis24, config=cfg, grid=grid24)
+    e1 = unit_mode(basis24, 0).coeffs
+    inside = [np.concatenate([e1, s * e1]) for s in (1.0, -1.0)]
+    system = [z for z in projected if z.size == 2 * basis24.size]
+    assert system and not any(np.array_equal(z, w) for z in system for w in inside)
+    assert gs.energy > 0.0
 
 
 def test_deflation_factor_gradient_matches_central_differences():

@@ -32,7 +32,7 @@ def test_reference_rule_built_once_per_order(monkeypatch, cold_rule_cache):
         radial_integral(lambda r: np.exp(-r * r), 3, r_max=2.0, order=32)
         sobolev_constant(4)
         bubble_norms(5, 0.1)
-        bubble_norms(3, 1.0, order=8)
+        radial_integral(lambda r: np.exp(-r * r), 5, order=8)
     assert sorted(calls) == [8, 32, 48]
 
 
