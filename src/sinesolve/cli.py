@@ -83,6 +83,7 @@ SCHEMA_TAG = "sinesolve-report/1"
 # -- the config schema -----------------------------------------------------------
 
 REQUIRED = object()  # default of a key the config must give
+_SOLVER = SolverConfig()  # the solver keys take their defaults from it
 
 # Every config key: (type, default, range).  A type ending in "s" is a JSON
 # array of the singular type; integers accept 2 and 2.0 but not 2.7 or true,
@@ -102,19 +103,18 @@ SCHEMA = {
         "lengths": ("numbers", None, "> 0"),
         "cutoffs": ("integers", None, ">= 1"),
         "dim": ("integer", None, ">= 1"),
-        "quadrature_oversample": ("number", 2.0, ">= 1"),
     },
     "solver": {
-        "tol": ("number", 1e-10, "> 0"),
-        "seed": ("integer", 0, ">= 0"),
-        "n_mode_seeds": ("integer", 6, ">= 0"),
-        "n_random_seeds": ("integer", 8, ">= 0"),
-        "seed_amplitude": ("number", 1.0, "> 0"),
-        "deflation_power": ("integer", 2, ">= 1"),
-        "deflation_shift": ("number", 1.0, ">= 0"),
+        "tol": ("number", _SOLVER.tol, "> 0"),
+        "seed": ("integer", _SOLVER.rng_seed, ">= 0"),
+        "n_mode_seeds": ("integer", _SOLVER.n_mode_seeds, ">= 0"),
+        "n_random_seeds": ("integer", _SOLVER.n_random_seeds, ">= 0"),
+        "seed_amplitude": ("number", _SOLVER.seed_amplitude, "> 0"),
+        "deflation_power": ("integer", _SOLVER.deflation_power, ">= 1"),
+        "deflation_shift": ("number", _SOLVER.deflation_shift, ">= 0"),
         "budget": ("integer", 60, ">= 1"),
-        "triviality_floor": ("number", 1e-10, "> 0"),
-        "plus_floor": ("number", 1e-6, "> 0"),
+        "triviality_floor": ("number", _SOLVER.triviality_floor, "> 0"),
+        "plus_floor": ("number", _SOLVER.plus_floor, "> 0"),
         "zero_tol": ("number", None, "> 0"),
     },
     "output": {
@@ -277,7 +277,7 @@ def parse_config(raw: dict, command: Command) -> RunConfig:
         raise ConfigError(str(exc)) from exc
 
     budget, zero_tol, seed = sol.pop("budget"), sol.pop("zero_tol"), sol.pop("seed")
-    solver = SolverConfig(rng_seed=seed, oversample=prob["quadrature_oversample"], **sol)
+    solver = SolverConfig(rng_seed=seed, **sol)
     return RunConfig(raw=raw, params=params, limit=limit, lengths=lengths, cutoffs=cutoffs,
                      solver=solver, budget=budget, zero_tol=zero_tol, task=task,
                      report_path=out["report"], formats=out["formats"])
@@ -363,10 +363,9 @@ def _report(cfg: RunConfig, results: list[dict], thresholds: dict, counters: dic
 
 def _run_ground_state(cfg: RunConfig) -> tuple[dict, int]:
     basis = cfg.basis()
-    grid = cfg.solver.make_grid(basis)
     split = spectral_split(cfg.params, basis, cfg.zero_tol)
-    th = semitrivial_threshold(cfg.params, basis, grid, cfg.solver)
-    gs = ground_state(cfg.params, basis, split, cfg.solver, grid, th)
+    th = semitrivial_threshold(cfg.params, basis, cfg.solver)
+    gs = ground_state(cfg.params, basis, split, cfg.solver, th)
     code = 0
     try:
         classify(gs, th.c0, cfg.params)
@@ -391,12 +390,11 @@ def _run_ground_state(cfg: RunConfig) -> tuple[dict, int]:
 
 def _run_multiplicity(cfg: RunConfig) -> tuple[dict, int]:
     basis = cfg.basis()
-    grid = cfg.solver.make_grid(basis)
     split = spectral_split(cfg.params, basis, cfg.zero_tol)
     k = cfg.task["k"]
-    th = semitrivial_threshold(cfg.params, basis, grid, cfg.solver)
+    th = semitrivial_threshold(cfg.params, basis, cfg.solver)
     pts = multiplicity_search(
-        cfg.params, basis, k, cfg.budget, split, cfg.solver, grid, th, cfg.task["dedup_tol"]
+        cfg.params, basis, k, cfg.budget, split, cfg.solver, th, cfg.task["dedup_tol"]
     )
     code = 0
     for pt in pts:
@@ -411,15 +409,14 @@ def _run_multiplicity(cfg: RunConfig) -> tuple[dict, int]:
 
 def _run_thresholds(cfg: RunConfig) -> tuple[dict, int]:
     basis = cfg.basis()
-    grid = cfg.solver.make_grid(basis)
     task = cfg.task
     m, lam_grid = task["m"], task["lambda_grid"]
-    th = semitrivial_threshold(cfg.params, basis, grid, cfg.solver)
+    th = semitrivial_threshold(cfg.params, basis, cfg.solver)
     lam0 = cfg.params.lam
-    sup0 = diagonal_sup(cfg.params, m, lam=lam0, basis=basis, grid=grid)
+    sup0 = diagonal_sup(cfg.params, m, basis, lam=lam0)
     sups = [rescale_diagonal_sup(cfg.params, sup0, lam0, lam) for lam in lam_grid]
     lam_bar = coupling_threshold(
-        cfg.params, m, th.c0, basis, grid,
+        cfg.params, m, th.c0, basis,
         lam_lo=task["lambda_lo"],
         lam_hi=task["lambda_hi"],
         sup=sup0,
@@ -460,14 +457,13 @@ def _run_limit(cfg: RunConfig) -> tuple[dict, int]:
 
 def _run_synchronized(cfg: RunConfig) -> tuple[dict, int]:
     basis = cfg.basis()
-    grid = cfg.solver.make_grid(basis)
     scan = find_roots(cfg.params, r_lo=cfg.task["r_lo"], r_hi=cfg.task["r_hi"])
     # scalar profile of the unit-coefficient equation
-    w_state = scalar_ground_state(cfg.params, 1, basis, grid, cfg.solver, mu=1.0)
+    w_state = scalar_ground_state(cfg.params, 1, basis, cfg.solver, mu=1.0)
     records = []
     for r in scan.roots:
         root = make_sync_root(r, cfg.params)
-        pt, scalar_res = synchronized_solution(w_state.w, root, cfg.params, grid, cfg.solver)
+        pt, scalar_res = synchronized_solution(w_state.w, root, cfg.params, cfg.solver)
         rec = _point_record(pt, "synchronized")
         rec.update({"ratio_root": float(r), "s": float(root.s), "t": float(root.t),
                     "scalar_residual": float(scalar_res)})

@@ -14,6 +14,7 @@ every integral is a tensor-product composite Gauss-Legendre rule.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -21,9 +22,9 @@ import numpy as np
 from .errors import BasisMismatchError
 from .radial import panel_rule
 
-#: Gauss-Legendre order of one quadrature panel.  At the default node count
-#: (2K+8 per axis) this keeps the Gram matrix of the first ~64 modes within
-#: 2e-10 of the identity.
+#: Gauss-Legendre order of one quadrature panel.  At 2K+8 nodes per axis
+#: this keeps the Gram matrix of the first ~64 modes within 2e-10 of the
+#: identity.
 PANEL_ORDER = 32
 
 
@@ -92,6 +93,17 @@ class SineBasis:
     @property
     def size(self) -> int:
         return self.modes.shape[0]
+
+    @cached_property
+    def grid(self) -> "QuadratureGrid":
+        """The quadrature grid every engine on this basis integrates on, built once.
+
+        2 max(16, 2K+8) nodes per axis, rounded up to whole panels: twice the
+        count that resolves the quadratic mode products, so the quartic
+        nonlinear terms are alias-free (Orszag, J. Atmos. Sci. 28, 1971).
+        """
+        nodes = [2 * max(16, 2 * k + 8) for k in self.cutoffs]
+        return QuadratureGrid.for_domain(self.domain, nodes)
 
     def axis_matrix(self, axis: int, x: np.ndarray) -> np.ndarray:
         """1-D factor sqrt(2/L) sin(pi k x / L) evaluated at the points x, shape (len(x), K)."""
@@ -198,12 +210,16 @@ class QuadratureGrid:
     def transform(self, basis: "SineBasis") -> SineTransform:
         """The sine tables of `basis` on this grid, built on first use.
 
-        Equal bases share one entry; if two threads race on the first use,
-        setdefault keeps one of their identical table sets.
+        Equal bases share one entry, keyed by what makes them equal, so the
+        grid keeps no reference to a basis: a basis holds its own grid, and
+        a cycle would keep both alive until the cyclic garbage collector ran.
+        If two threads race on the first use, setdefault keeps one of their
+        identical table sets.
         """
-        tr = self._transforms.get(basis)
+        key = (basis.domain, basis.cutoffs)
+        tr = self._transforms.get(key)
         if tr is None:
-            tr = self._transforms.setdefault(basis, SineTransform(basis, self))
+            tr = self._transforms.setdefault(key, SineTransform(basis, self))
         return tr
 
     @classmethod
@@ -216,16 +232,6 @@ class QuadratureGrid:
             axis_nodes=tuple(r[0] for r in rules),
             axis_weights=tuple(r[1] for r in rules),
         )
-
-    @classmethod
-    def for_basis(cls, basis: SineBasis, oversample: float = 1.0) -> "QuadratureGrid":
-        """Default rule: max(16, 2K+8) nodes per axis, scaled by `oversample`.
-
-        The default resolves all quadratic mode products; pass oversample=2
-        when quartic nonlinear terms must be alias-free.
-        """
-        nodes = [int(np.ceil(oversample * max(16, 2 * k + 8))) for k in basis.cutoffs]
-        return cls.for_domain(basis.domain, nodes)
 
     @property
     def dim(self) -> int:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import (
-    QuadratureGrid,
     ScalarField,
     SineBasis,
     integrate,
@@ -281,46 +280,50 @@ def _per_point(compute):
 
 
 class _Engine:
-    """Keeps the state of the most recent point; see `at`."""
+    """Keeps the states of the two most recent points; see `at`."""
 
-    _point = None
+    _points = ()  # newest first
 
     def at(self, z: np.ndarray) -> _Point:
-        """The state at z: the last one if z has exactly its bytes, else a new one.
+        """The state at z: one of the last two if z has exactly its bytes, else a new one.
 
-        Only the newest state is kept, so none outlives the engine or passes
-        between engines.  Threads racing here may drop each other's state,
-        which costs a recomputation; each state's values come from its own z
-        alone, so two points' values never mix.
+        A search stepping back to its previous point finds it, and a new
+        state reuses the memory the third-newest frees; with one state, each
+        point freed its field arrays at the top of the heap, and on 32^3
+        grids the allocator returned them to the system and faulted them in
+        again.  Threads racing here may drop each other's state, which costs
+        a recomputation; each state's values come from its own z alone.
         """
-        point = self._point
-        if point is None or not point.holds(z):
-            point = self._point = _Point(z)
+        points = self._points
+        for point in points:
+            if point.holds(z):
+                return point
+        point = _Point(z)
+        self._points = (point,) + points[:1]
         return point
 
 
 class GalerkinSystem(_Engine):
-    """Assembled coupled problem on one basis/grid pair.
+    """Assembled coupled problem on one basis, integrated on its grid.
 
     Works on stacked coefficient vectors z = (c_1, c_2); the module-level
     functions wrap it for single calls.  The problem data are immutable
-    after construction.  The state of the last point asked (`at`) caches the
-    synthesized fields, the powers |u_1|^alpha and |u_2|^beta and their odd
-    counterparts, and the energy, masses, Nehari denominator, gradient and
-    Hessian once computed.  It is reused only for a z with exactly the same
-    bytes, and the arrays it hands out are read-only.  Instances may be
+    after construction.  The state of each of the last two points asked
+    (`at`) caches the synthesized fields, the powers |u_1|^alpha and
+    |u_2|^beta and their odd counterparts, and the energy, masses, Nehari
+    denominator, gradient and Hessian once computed.  A state is reused only
+    for a z with exactly the same bytes, and the arrays it hands out are
+    read-only.  Instances may be
     shared across worker threads: a race can cost a cache hit, never a
     wrong value.
     """
 
-    def __init__(self, params: SystemParams, basis: SineBasis, grid: QuadratureGrid | None = None):
+    def __init__(self, params: SystemParams, basis: SineBasis):
         if params.dim != basis.domain.dim:
             raise BasisMismatchError("params.dim does not match the domain dimension")
         self.params = params
         self.basis = basis
-        self.grid = grid if grid is not None else QuadratureGrid.for_basis(basis)
-        if not self.grid.compatible_with(basis):
-            raise BasisMismatchError("grid and basis live on different domains")
+        self.grid = basis.grid
         self.m = basis.size
         gamma = basis.eigenvalues
         self.shift1 = gamma - params.kappa1
@@ -414,21 +417,15 @@ class GalerkinSystem(_Engine):
 class ScalarProblem(_Engine):
     """Single-component functional J_i(w) = 1/2 B_i(w,w) - mu_i/p int |w|^p.
 
-    Caches its last point as GalerkinSystem does.
+    Integrates on the basis's grid and caches its last point as
+    GalerkinSystem does.
     """
 
-    def __init__(
-        self,
-        params: SystemParams,
-        i: int,
-        basis: SineBasis,
-        grid: QuadratureGrid | None = None,
-        mu: float | None = None,
-    ):
+    def __init__(self, params: SystemParams, i: int, basis: SineBasis, mu: float | None = None):
         self.params = params
         self.i = i
         self.basis = basis
-        self.grid = grid if grid is not None else QuadratureGrid.for_basis(basis)
+        self.grid = basis.grid
         self.m = basis.size
         self.shift = basis.eigenvalues - params.kappa(i)
         self.mu = params.mu(i) if mu is None else float(mu)
@@ -473,25 +470,21 @@ class ScalarProblem(_Engine):
 # -- spec-surface wrappers ----------------------------------------------------
 
 
-def energy(u: PairField, params: SystemParams, grid: QuadratureGrid | None = None) -> float:
+def energy(u: PairField, params: SystemParams) -> float:
     """Value of the coupled functional at u."""
-    return GalerkinSystem(params, u.basis, grid).energy(u.coeffs())
+    return GalerkinSystem(params, u.basis).energy(u.coeffs())
 
 
-def gradient(u: PairField, params: SystemParams, grid: QuadratureGrid | None = None) -> PairField:
+def gradient(u: PairField, params: SystemParams) -> PairField:
     """Galerkin gradient: component k holds the derivative against mode e_k."""
-    g = GalerkinSystem(params, u.basis, grid).gradient(u.coeffs())
+    g = GalerkinSystem(params, u.basis).gradient(u.coeffs())
     return PairField.from_coeffs(u.basis, g)
 
 
-def scalar_energy(
-    w: ScalarField, i: int, params: SystemParams, grid: QuadratureGrid | None = None
-) -> float:
-    return ScalarProblem(params, i, w.basis, grid).energy(w.coeffs)
+def scalar_energy(w: ScalarField, i: int, params: SystemParams) -> float:
+    return ScalarProblem(params, i, w.basis).energy(w.coeffs)
 
 
-def scalar_gradient(
-    w: ScalarField, i: int, params: SystemParams, grid: QuadratureGrid | None = None
-) -> ScalarField:
-    g = ScalarProblem(params, i, w.basis, grid).gradient(w.coeffs)
+def scalar_gradient(w: ScalarField, i: int, params: SystemParams) -> ScalarField:
+    g = ScalarProblem(params, i, w.basis).gradient(w.coeffs)
     return ScalarField(w.basis, g)

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 import scipy.optimize
 
-from .domain import QuadratureGrid, ScalarField, SineBasis
+from .domain import ScalarField, SineBasis
 from .energy import (
     GalerkinSystem,
     PairField,
@@ -61,10 +61,6 @@ class SolverConfig:
     plus_floor: float = 1e-6
     deflation_power: int = 2
     deflation_shift: float = 1.0
-    oversample: float = 2.0
-
-    def make_grid(self, basis: SineBasis) -> QuadratureGrid:
-        return QuadratureGrid.for_basis(basis, oversample=self.oversample)
 
 
 @dataclass(frozen=True)
@@ -323,14 +319,9 @@ def evaluate_point(engine, z: np.ndarray, config: SolverConfig, orbit_id: int = 
 # -- Nehari surface -------------------------------------------------------------
 
 
-def nehari_residuals(
-    u: PairField,
-    params: SystemParams,
-    split: SpectralSplit,
-    grid: QuadratureGrid | None = None,
-) -> NehariResiduals:
+def nehari_residuals(u: PairField, params: SystemParams, split: SpectralSplit) -> NehariResiduals:
     """Derivative of the energy along the ray through u and the tilde directions."""
-    engine = GalerkinSystem(params, u.basis, grid)
+    engine = GalerkinSystem(params, u.basis)
     z = u.coeffs()
     t_idx = engine.tilde_indices(split)
     if _plus_h1_norm(engine, z, t_idx) < 1e-6:
@@ -339,14 +330,9 @@ def nehari_residuals(
     return NehariResiduals(ray=float(np.dot(g, z)), tilde=g[t_idx].copy())
 
 
-def nehari_project(
-    u: PairField,
-    params: SystemParams,
-    split: SpectralSplit,
-    grid: QuadratureGrid | None = None,
-) -> PairField:
+def nehari_project(u: PairField, params: SystemParams, split: SpectralSplit) -> PairField:
     """Point of the Nehari set of the form t u + v, t > 0, v nonpositive-part."""
-    engine = GalerkinSystem(params, u.basis, grid)
+    engine = GalerkinSystem(params, u.basis)
     z = u.coeffs()
     t_idx = engine.tilde_indices(split)
     if not _has_positive_part(engine, z, t_idx):
@@ -362,12 +348,11 @@ def orbit_distance(z1: np.ndarray, z2: np.ndarray) -> float:
     return min(float(np.linalg.norm(z1 - img)) for img in sign_orbit(z2))
 
 
-def orbit_dedup(points: Sequence[PairField] | Sequence[np.ndarray], tol: float) -> list[int]:
-    """Assign orbit ids: two points share one iff their orbit distance is < tol."""
-    vecs = [p.coeffs() if isinstance(p, PairField) else np.asarray(p, dtype=float) for p in points]
+def orbit_dedup(points: Sequence[np.ndarray], tol: float) -> list[int]:
+    """Orbit ids of stacked coefficient vectors: two share one iff their orbit distance is < tol."""
     reps: list[np.ndarray] = []
     ids: list[int] = []
-    for z in vecs:
+    for z in points:
         for j, r in enumerate(reps):
             if orbit_distance(z, r) < tol:
                 ids.append(j)
@@ -438,7 +423,6 @@ def scalar_ground_state(
     params: SystemParams,
     i: int,
     basis: SineBasis,
-    grid: QuadratureGrid | None = None,
     config: SolverConfig = SolverConfig(),
     mu: float | None = None,
 ) -> ScalarGroundState:
@@ -448,7 +432,7 @@ def scalar_ground_state(
     state for mu follows from it by `ScalarGroundState.scaled`.
     """
     split = spectral_split(params, basis)
-    prob = ScalarProblem(params, i, basis, grid if grid is not None else config.make_grid(basis), mu=1.0)
+    prob = ScalarProblem(params, i, basis, mu=1.0)
     rng = np.random.default_rng(config.rng_seed)
     m = basis.size
     seeds = []
@@ -490,10 +474,7 @@ def scalar_ground_state(
 
 
 def semitrivial_threshold(
-    params: SystemParams,
-    basis: SineBasis,
-    grid: QuadratureGrid | None = None,
-    config: SolverConfig = SolverConfig(),
+    params: SystemParams, basis: SineBasis, config: SolverConfig = SolverConfig()
 ) -> ThresholdResult:
     """The smaller of the two scalar ground-state energies, with their B values.
 
@@ -502,11 +483,10 @@ def semitrivial_threshold(
     mu_i only through `ScalarGroundState.scaled`, so one unit-coefficient
     search runs per distinct kappa.
     """
-    grid = grid if grid is not None else config.make_grid(basis)
     units: dict[float, ScalarGroundState] = {}
     for i in (1, 2):
         if params.kappa(i) not in units:
-            units[params.kappa(i)] = scalar_ground_state(params, i, basis, grid, config, mu=1.0)
+            units[params.kappa(i)] = scalar_ground_state(params, i, basis, config, mu=1.0)
     s1, s2 = (units[params.kappa(i)].scaled(params.mu(i), params.p) for i in (1, 2))
     return ThresholdResult(c0=min(s1.energy, s2.energy), scalar_states=(s1, s2), scalar_solves=len(units))
 
@@ -534,7 +514,6 @@ def ground_state(
     basis: SineBasis,
     split: SpectralSplit | None = None,
     config: SolverConfig = SolverConfig(),
-    grid: QuadratureGrid | None = None,
     threshold: ThresholdResult | None = None,
 ) -> CriticalPoint:
     """Lowest-energy positive-energy critical point over a multistart search.
@@ -544,12 +523,11 @@ def ground_state(
     returned with `below_threshold` recording whether its energy sits under
     the semitrivial threshold.
     """
-    grid = grid if grid is not None else config.make_grid(basis)
     if split is None:
         split = spectral_split(params, basis)
     if threshold is None:
-        threshold = semitrivial_threshold(params, basis, grid, config)
-    engine = GalerkinSystem(params, basis, grid)
+        threshold = semitrivial_threshold(params, basis, config)
+    engine = GalerkinSystem(params, basis)
     rng = np.random.default_rng(config.rng_seed)
     t_idx = engine.tilde_indices(split)
     best: CriticalPoint | None = None
@@ -609,7 +587,6 @@ def multiplicity_search(
     budget: int = 60,
     split: SpectralSplit | None = None,
     config: SolverConfig = SolverConfig(),
-    grid: QuadratureGrid | None = None,
     threshold: ThresholdResult | None = None,
     dedup_tol: float = 1e-4,
 ) -> list[CriticalPoint]:
@@ -622,12 +599,11 @@ def multiplicity_search(
     """
     if k < 1:
         raise ValueError("target count k must be at least 1")
-    grid = grid if grid is not None else config.make_grid(basis)
     if split is None:
         split = spectral_split(params, basis)
     if threshold is None:
-        threshold = semitrivial_threshold(params, basis, grid, config)
-    engine = GalerkinSystem(params, basis, grid)
+        threshold = semitrivial_threshold(params, basis, config)
+    engine = GalerkinSystem(params, basis)
     rng = np.random.default_rng(config.rng_seed)
     t_idx = engine.tilde_indices(split)
 
@@ -664,7 +640,7 @@ def multiplicity_search(
         ):
             hits.append(dataclasses.replace(pt, below_threshold=True))
     hits.sort(key=lambda p: (p.energy, p.orbit_id))
-    ids = orbit_dedup([h.u for h in hits], dedup_tol)
+    ids = orbit_dedup([h.u.coeffs() for h in hits], dedup_tol)
     return [dataclasses.replace(h, orbit_id=i) for h, i in zip(hits, ids)]
 
 
@@ -677,7 +653,6 @@ def sphere_infimum(
     rho: float,
     budget: int = 200,
     split: SpectralSplit | None = None,
-    grid: QuadratureGrid | None = None,
 ) -> float:
     """Monte-Carlo running minimum of the energy over the rho-sphere in X+.
 
@@ -690,7 +665,7 @@ def sphere_infimum(
         raise PreconditionError("rho must be positive")
     if split is None:
         split = spectral_split(params, basis)
-    engine = GalerkinSystem(params, basis, grid)
+    engine = GalerkinSystem(params, basis)
     mask = split.plus_mask()
     idx = np.flatnonzero(mask)
     if idx.size == 0:
@@ -738,7 +713,7 @@ def _mu_eff(params: SystemParams, lam: float) -> float:
     return 0.5 * (params.mu1 + params.mu2 + params.p * lam)
 
 
-def _diag_problem(params: SystemParams, lam: float, basis: SineBasis, grid: QuadratureGrid | None):
+def _diag_problem(params: SystemParams, lam: float, basis: SineBasis):
     """Scalar problem equivalent to the energy restricted to the diagonal.
 
     For u = (w, w) the coupled energy equals 2 J(w) with J the scalar
@@ -746,7 +721,7 @@ def _diag_problem(params: SystemParams, lam: float, basis: SineBasis, grid: Quad
     """
     kbar = 0.5 * (params.kappa1 + params.kappa2)
     p_eff = dataclasses.replace(params, kappa1=kbar, kappa2=kbar, lam=lam)
-    return ScalarProblem(p_eff, 1, basis, grid, mu=_mu_eff(params, lam))
+    return ScalarProblem(p_eff, 1, basis, mu=_mu_eff(params, lam))
 
 
 def rescale_diagonal_sup(params: SystemParams, value: float, lam_from: float, lam_to: float) -> float:
@@ -761,13 +736,7 @@ def rescale_diagonal_sup(params: SystemParams, value: float, lam_from: float, la
     return float(value * ratio ** (2.0 / (params.p - 2.0)))
 
 
-def diagonal_sup(
-    params: SystemParams,
-    m: int,
-    lam: float | None = None,
-    basis: SineBasis | None = None,
-    grid: QuadratureGrid | None = None,
-) -> float:
+def diagonal_sup(params: SystemParams, m: int, basis: SineBasis, lam: float | None = None) -> float:
     """Supremum of the energy over the m-dimensional diagonal subspace.
 
     BFGS runs from the Nehari point of each positive mode and from 4 random
@@ -775,15 +744,13 @@ def diagonal_sup(
     when gamma_m <= (kappa_1 + kappa_2)/2, where the energy is nonpositive
     on the whole subspace and attains 0 at the origin.
     """
-    if basis is None:
-        raise ValueError("a basis is required")
     if not 1 <= m <= basis.size:
         raise PreconditionError(f"m must lie in [1, {basis.size}]")
     lam = params.lam if lam is None else float(lam)
     kbar = 0.5 * (params.kappa1 + params.kappa2)
     if basis.eigenvalues[m - 1] <= kbar:
         return 0.0
-    prob = _diag_problem(params, lam, basis, grid if grid is not None else QuadratureGrid.for_basis(basis, oversample=2.0))
+    prob = _diag_problem(params, lam, basis)
 
     def neg(c):
         full = np.zeros(basis.size)
@@ -818,7 +785,6 @@ def coupling_threshold(
     m: int,
     c0: float,
     basis: SineBasis,
-    grid: QuadratureGrid | None = None,
     lam_lo: float = 1e-6,
     lam_hi: float = 1e8,
     sup: float | None = None,
@@ -838,7 +804,7 @@ def coupling_threshold(
     if basis.eigenvalues[m - 1] <= kbar:
         return 0.0
     if sup is None:
-        sup = diagonal_sup(params, m, lam=params.lam, basis=basis, grid=grid)
+        sup = diagonal_sup(params, m, basis)
     mu_bar = _mu_eff(params, params.lam) * (sup / c0) ** ((params.p - 2.0) / 2.0)
     lam_bar = (2.0 * mu_bar - params.mu1 - params.mu2) / params.p
     if lam_bar <= lam_lo:

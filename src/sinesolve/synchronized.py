@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import QuadratureGrid, ScalarField
+from .domain import ScalarField
 from .energy import GalerkinSystem, ScalarProblem, SystemParams
 from .errors import PreconditionError
 from .nehari import CriticalPoint, SolverConfig, evaluate_point
@@ -161,7 +161,6 @@ def synchronized_solution(
     w: ScalarField,
     root: SyncRoot,
     params: SystemParams,
-    grid: QuadratureGrid | None = None,
     config: SolverConfig = SolverConfig(),
 ) -> tuple[CriticalPoint, float]:
     """Assemble u = (s w, t w) and report (point, scalar residual norm).
@@ -172,8 +171,8 @@ def synchronized_solution(
     """
     if params.kappa1 != params.kappa2:
         raise PreconditionError("synchronized solutions need kappa1 = kappa2")
-    engine = GalerkinSystem(params, w.basis, grid)
-    prob = ScalarProblem(params, 1, w.basis, engine.grid, mu=1.0)
+    engine = GalerkinSystem(params, w.basis)
+    prob = ScalarProblem(params, 1, w.basis, mu=1.0)
     scalar_res = float(np.linalg.norm(prob.gradient(w.coeffs)))
     z = np.concatenate([root.s * w.coeffs, root.t * w.coeffs])
     point = evaluate_point(engine, z, config)

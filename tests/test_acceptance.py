@@ -81,7 +81,7 @@ def test_criterion_01_eigenbasis_exactness():
     b2 = SineBasis(BoxDomain((1.0, 1.0)), (10, 10))
     analytic2 = np.pi**2 * np.sum(b2.modes.astype(float) ** 2, axis=1)
     checks.append(np.max(np.abs(b2.eigenvalues[:50] - analytic2[:50]) / analytic2[:50]) < 1e-12)
-    g2 = QuadratureGrid.for_basis(b2)
+    g2 = b2.grid
     gram2 = mode_mass_matrix(np.ones(g2.shape), b2, g2)
     checks.append(np.abs(gram2 - np.eye(b2.size)).max() < 1e-8)
     elapsed = time.perf_counter() - t0
@@ -95,7 +95,7 @@ def test_criterion_02_gradient_correctness():
     basis = SineBasis(BoxDomain((1.0,)), (16,))
     pr = SystemParams(kappa1=0.0, kappa2=0.0, mu1=1.0, mu2=1.0, lam=1.0,
                       alpha=2.0, beta=2.0, dim=1)
-    eng = GalerkinSystem(pr, basis, QuadratureGrid.for_basis(basis, oversample=2.0))
+    eng = GalerkinSystem(pr, basis)
     rng = np.random.default_rng(12)
     h = 1e-5
     worst = 0.0
@@ -119,10 +119,9 @@ def test_criterion_03_nehari_ray_formula():
     pr = SystemParams(kappa1=0.0, kappa2=0.0, mu1=1.0, mu2=1.0, lam=1.0,
                       alpha=2.0, beta=2.0, dim=1)
     split = spectral_split(pr, basis)
-    grid = QuadratureGrid.for_basis(basis, oversample=2.0)
     u = PairField(unit_mode(basis, 0), ScalarField(basis, np.zeros(16)))
-    proj = nehari_project(u, pr, split, grid)
-    eng = GalerkinSystem(pr, basis, grid)
+    proj = nehari_project(u, pr, split)
+    eng = GalerkinSystem(pr, basis)
     value = eng.energy(proj.coeffs())
     elapsed = time.perf_counter() - t0
     ok = abs(value - np.pi**4 / 6) < 1e-6 * np.pi**4 / 6 and elapsed < 1.0
@@ -200,26 +199,25 @@ def test_criterion_05_multiplicity(multiplicity_runs):
 def test_criterion_06_diagonal_sup_and_threshold():
     t0 = time.perf_counter()
     basis = SineBasis(BoxDomain((1.0,)), (20,))
-    grid = QuadratureGrid.for_basis(basis, oversample=2.0)
     pr = SystemParams(kappa1=0.0, kappa2=0.0, mu1=1.0, mu2=1.0, lam=1.0,
                       alpha=2.0, beta=2.0, dim=1)
     cfg = SolverConfig()
     checks = []
     # positive for small lambda (gamma_3 = 9 pi^2 > 0) and strictly decreasing
     grid_lam = np.geomspace(0.5, 500.0, 10)
-    sups = [diagonal_sup(pr, 3, lam=l, basis=basis, grid=grid) for l in grid_lam]
+    sups = [diagonal_sup(pr, 3, basis, lam=l) for l in grid_lam]
     checks.append(sups[0] > 0.0)
     checks.append(all(a > b for a, b in zip(sups, sups[1:])))
     # bisection bracket contract
-    th = semitrivial_threshold(pr, basis, grid, cfg)
-    lam_bar = coupling_threshold(pr, 3, th.c0, basis, grid)
-    hi = diagonal_sup(pr, 3, lam=1.01 * lam_bar, basis=basis, grid=grid)
-    lo = diagonal_sup(pr, 3, lam=0.99 * lam_bar, basis=basis, grid=grid)
+    th = semitrivial_threshold(pr, basis, cfg)
+    lam_bar = coupling_threshold(pr, 3, th.c0, basis)
+    hi = diagonal_sup(pr, 3, basis, lam=1.01 * lam_bar)
+    lo = diagonal_sup(pr, 3, basis, lam=0.99 * lam_bar)
     checks.append(hi < th.c0 <= lo)
     # resonant case returns exactly zero
     pr_res = SystemParams(kappa1=9 * np.pi**2, kappa2=9 * np.pi**2, mu1=1.0, mu2=1.0,
                           lam=1.0, alpha=2.0, beta=2.0, dim=1)
-    checks.append(diagonal_sup(pr_res, 3, lam=1.0, basis=basis, grid=grid) == 0.0)
+    checks.append(diagonal_sup(pr_res, 3, basis, lam=1.0) == 0.0)
     elapsed = time.perf_counter() - t0
     ok = all(checks) and elapsed < 300.0
     report_line(6, ok, 300, elapsed,
@@ -264,12 +262,11 @@ def test_criterion_08_synchronized_algebra():
     # assembly with a converged scalar profile
     basis = SineBasis(BoxDomain((1.0,)), (20,))
     cfg = SolverConfig()
-    grid = cfg.make_grid(basis)
     from sinesolve import scalar_ground_state
 
-    state = scalar_ground_state(pr, 1, basis, grid, cfg, mu=1.0)
+    state = scalar_ground_state(pr, 1, basis, cfg, mu=1.0)
     root = make_sync_root(scan.roots[0], pr)
-    pt, scalar_res = synchronized_solution(state.w, root, pr, grid, cfg)
+    pt, scalar_res = synchronized_solution(state.w, root, pr, cfg)
     # 1e-13 floor keeps the 10x comparison meaningful at machine-converged profiles
     checks.append(pt.grad_norm < 10.0 * max(scalar_res, 1e-13))
     checks.append(pt.classification == "fully-nontrivial")

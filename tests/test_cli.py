@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import inspect
 import json
 import os
 
@@ -11,8 +12,10 @@ import pytest
 from sinesolve import cli
 from sinesolve.cli import COMMANDS, main, parse_config
 from sinesolve.errors import ConfigError
-from sinesolve.nehari import SolverConfig
+from sinesolve.estimates import linking_sweep
+from sinesolve.nehari import SolverConfig, coupling_threshold, multiplicity_search
 from sinesolve.radial import _reference_rule
+from sinesolve.synchronized import find_roots
 
 BASE = {
     "problem": {
@@ -81,8 +84,6 @@ def test_malformed_config_exit_2(tmp_path):
     [
         ("ground-state", "problem", "kappa1", "NaN"),
         ("thresholds", "task", "lambda_grid", "[1.0, NaN]"),
-        ("ground-state", "problem", "quadrature_oversample", "NaN"),
-        ("ground-state", "problem", "quadrature_oversample", "1e400"),
     ],
 )
 def test_non_finite_config_exit_2(tmp_path, subcommand, section, key, literal):
@@ -198,20 +199,28 @@ def test_synchronized_requires_equal_kappas(tmp_path):
     assert main(["synchronized", "--config", write_config(tmp_path, cfg)]) == 2
 
 
-def test_thresholds_subcommand_with_threads(tmp_path):
+def test_thresholds_subcommand(tmp_path):
     cfg = copy.deepcopy(BASE)
     cfg["task"] = {"m": 2, "lambda_grid": [1.0, 5.0, 25.0, 125.0]}
     cfg["output"]["report"] = str(tmp_path / "th.json")
-    path = write_config(tmp_path, cfg)
-    assert main(["thresholds", "--config", path, "--out", str(tmp_path / "t1"), "--threads", "1"]) == 0
-    assert main(["thresholds", "--config", path, "--out", str(tmp_path / "t2"), "--threads", "3"]) == 0
-    a = (tmp_path / "t1" / "th.json").read_bytes()
-    b = (tmp_path / "t2" / "th.json").read_bytes()
-    assert a == b  # thread count must not affect the report
-    rep = json.loads(a)
+    assert main(["thresholds", "--config", write_config(tmp_path, cfg)]) == 0
+    rep = json.loads((tmp_path / "th.json").read_text())
     sups = [r["value"] for r in rep["results"] if r["family"] == "diagonal-sup"]
     assert sups == sorted(sups, reverse=True)
     assert rep["thresholds"]["lambda_bar"] > 0
+
+
+def test_verify_estimates_report_independent_of_threads(tmp_path):
+    # the eps sweep of verify-estimates is the one stage that runs on a pool
+    cfg = {
+        "problem": {"mu1": 1.0, "mu2": 1.0, "lambda": 1.0, "alpha": 3.0, "beta": 3.0, "dim": 3},
+        "output": {"report": "ve.json"},
+    }
+    path = write_config(tmp_path, cfg)
+    codes = [main(["verify-estimates", "--config", path, "--out", str(tmp_path / n), "--threads", n])
+             for n in ("1", "3")]
+    assert codes[0] == codes[1]
+    assert (tmp_path / "1" / "ve.json").read_bytes() == (tmp_path / "3" / "ve.json").read_bytes()
 
 
 def test_format_both_flag(tmp_path):
@@ -395,6 +404,8 @@ def test_valid_configs_parse(subcommand):
         ("ground-state", "solver", "n_mode_seeds", -1),
         ("multiplicity", "task", "dedup_tol", -1),
         ("ground-state", "output", "formats", []),
+        # removed: each basis carries one quadrature grid
+        ("ground-state", "problem", "quadrature_oversample", 2.0),
     ],
 )
 def test_malformed_value_exits_2_before_any_solver(
@@ -445,10 +456,24 @@ def test_typed_values_and_defaults():
 
 def test_every_solver_field_is_a_config_key():
     # a field that no config key reaches is a setting only tests can change
-    renamed = {"rng_seed": ("solver", "seed"), "oversample": ("problem", "quadrature_oversample")}
     for field in dataclasses.fields(SolverConfig):
-        block, key = renamed.get(field.name, ("solver", field.name))
-        assert key in cli.SCHEMA[block], field.name
+        key = "seed" if field.name == "rng_seed" else field.name
+        assert cli.SCHEMA["solver"][key][1] == field.default, field.name
+
+
+@pytest.mark.parametrize("function, keyword, block, key", [
+    (multiplicity_search, "budget", "solver", "budget"),
+    (multiplicity_search, "dedup_tol", "multiplicity", "dedup_tol"),
+    (coupling_threshold, "lam_lo", "thresholds", "lambda_lo"),
+    (coupling_threshold, "lam_hi", "thresholds", "lambda_hi"),
+    (find_roots, "r_lo", "synchronized", "r_lo"),
+    (find_roots, "r_hi", "synchronized", "r_hi"),
+    (linking_sweep, "sample_budget", "verify-estimates", "sample_budget"),
+], ids=lambda x: getattr(x, "__name__", x))
+def test_library_defaults_match_the_schema(function, keyword, block, key):
+    # a library call and a CLI run that leave the value unset use the same one
+    schema = cli.SCHEMA[block] if block in cli.SCHEMA else COMMANDS[block].task
+    assert inspect.signature(function).parameters[keyword].default == schema[key][1]
 
 
 @pytest.mark.parametrize("lam, boundary", [(1.0, False), (0.2, True)], ids=["interior", "boundary"])

@@ -28,7 +28,7 @@ def basis_1d():
 
 @pytest.fixture(scope="module")
 def grid_1d(basis_1d):
-    return QuadratureGrid.for_basis(basis_1d)
+    return basis_1d.grid
 
 
 def test_eigenvalue_analytic_1d(basis_1d):
@@ -142,6 +142,35 @@ def test_gram_identity(basis_1d, grid_1d):
     assert np.abs(gram - np.eye(basis_1d.size)).max() < 1e-10
 
 
+@pytest.mark.parametrize(
+    "cutoffs, shape",
+    [((4,), (32,)), ((16,), (96,)), ((24,), (128,)), ((8, 3), (64, 32)), ((4, 4, 4), (32, 32, 32))],
+)
+def test_basis_grid_follows_the_node_rule(cutoffs, shape):
+    # 2 max(16, 2K+8) nodes per axis, rounded up to 32-node panels, built once
+    basis = SineBasis(BoxDomain((1.0,) * len(cutoffs)), cutoffs)
+    assert basis.grid.shape == shape
+    assert basis.grid is basis.grid
+    assert basis.grid.lengths == basis.domain.lengths
+
+
+def test_basis_with_grid_is_freed_without_the_cycle_collector():
+    # the grid's tables are keyed by value, so basis -> grid -> tables holds
+    # no reference back to the basis
+    import gc
+    import weakref
+
+    basis = SineBasis(BoxDomain((1.0, 0.5)), (4, 3))
+    synthesize(unit_mode(basis, 0), basis.grid)
+    ref = weakref.ref(basis)
+    gc.disable()
+    try:
+        del basis
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_quadrature_weights_positive_and_sum(grid_1d):
     for w, L in zip(grid_1d.axis_weights, grid_1d.lengths):
         assert np.all(w > 0)
@@ -169,7 +198,7 @@ def test_parseval_property():
 def test_parseval_property_nd(lengths, cutoffs, seed):
     # the tensor sine modes stay orthonormal on 2-D and 3-D boxes
     basis = SineBasis(BoxDomain(tuple(lengths)), tuple(cutoffs[: len(lengths)]))
-    grid = QuadratureGrid.for_basis(basis)
+    grid = basis.grid
     c = np.random.default_rng(seed).standard_normal(basis.size)
     quad = integrate(synthesize(ScalarField(basis, c), grid) ** 2, grid)
     assert quad == pytest.approx(np.sum(c**2), rel=1e-8)
@@ -213,7 +242,7 @@ def _table_apply(tensor, mats):
 def test_transforms_match_explicit_tables(lengths, cutoffs):
     # the arithmetic of sine tables rebuilt from axis_matrix on every call
     basis = SineBasis(BoxDomain(lengths), cutoffs)
-    grid = QuadratureGrid.for_basis(basis, oversample=2.0)
+    grid = basis.grid
     rng = np.random.default_rng(7)
     tables = [basis.axis_matrix(i, grid.axis_nodes[i]) for i in range(grid.dim)]
     perm = np.ravel_multi_index((basis.modes - 1).T, basis.cutoffs)
@@ -250,7 +279,7 @@ def test_planned_mass_paths_match_fresh_einsum(lengths, cutoffs):
     # each axis of mode_mass_matrix with its stored path gives the bits of an
     # einsum that plans its own path (optimize=True), on real operands
     basis = SineBasis(BoxDomain(lengths), cutoffs)
-    grid = QuadratureGrid.for_basis(basis, oversample=2.0)
+    grid = basis.grid
     tr = grid.transform(basis)
     a = np.random.default_rng(11).standard_normal(grid.shape)
     for S, path in zip(tr.synthesis, tr.mass_paths):
@@ -264,7 +293,7 @@ def test_planned_mass_paths_match_fresh_einsum(lengths, cutoffs):
 
 def test_transform_tables_built_once(monkeypatch):
     basis = SineBasis(BoxDomain((1.0, 0.5)), (6, 3))
-    grid = QuadratureGrid.for_basis(basis)
+    grid = basis.grid
     calls = []
     original = SineBasis.axis_matrix
 

@@ -7,7 +7,6 @@ from sinesolve import (
     BoxDomain,
     GalerkinSystem,
     PairField,
-    QuadratureGrid,
     ScalarField,
     ScalarProblem,
     SineBasis,
@@ -27,11 +26,6 @@ from sinesolve import (
 @pytest.fixture(scope="module")
 def basis():
     return SineBasis(BoxDomain((1.0,)), (16,))
-
-
-@pytest.fixture(scope="module")
-def grid(basis):
-    return QuadratureGrid.for_basis(basis, oversample=2.0)
 
 
 def params_with(**kw):
@@ -73,38 +67,38 @@ def test_bilinear_symmetry(basis):
     assert bilinear_b(u, v, pr) == pytest.approx(bilinear_b(v, u, pr), rel=1e-15)
 
 
-def test_energy_zero(basis, grid):
-    assert energy(zero_pair(basis), params_with(), grid) == 0.0
+def test_energy_zero(basis):
+    assert energy(zero_pair(basis), params_with()) == 0.0
 
 
-def test_energy_single_component(basis, grid):
+def test_energy_single_component(basis):
     u = PairField(unit_mode(basis, 0), ScalarField(basis, np.zeros(basis.size)))
     expected = np.pi**2 / 2 - 1.5 / 4  # analytic: ||e1||^2/2 - (1/4) int e1^4
-    assert energy(u, params_with(), grid) == pytest.approx(expected, rel=1e-12)
+    assert energy(u, params_with()) == pytest.approx(expected, rel=1e-12)
 
 
-def test_energy_symmetric_pair(basis, grid):
+def test_energy_symmetric_pair(basis):
     u = PairField(unit_mode(basis, 0), unit_mode(basis, 0))
     expected = np.pi**2 - 2 * (1.5 / 4) - 1.5
-    assert energy(u, params_with(), grid) == pytest.approx(expected, rel=1e-12)
+    assert energy(u, params_with()) == pytest.approx(expected, rel=1e-12)
 
 
-def test_gradient_zero(basis, grid):
-    g = gradient(zero_pair(basis), params_with(), grid)
+def test_gradient_zero(basis):
+    g = gradient(zero_pair(basis), params_with())
     assert np.all(g.coeffs() == 0.0)
 
 
-def test_gradient_semitrivial_structure(basis, grid):
+def test_gradient_semitrivial_structure(basis):
     # with u2 = 0 and beta > 1 the second component of the gradient vanishes
     u = PairField(unit_mode(basis, 0), ScalarField(basis, np.zeros(basis.size)))
-    g = gradient(u, params_with(), grid)
+    g = gradient(u, params_with())
     assert np.linalg.norm(g.u2.coeffs) == 0.0
 
 
-def test_gradient_finite_differences(basis, grid):
+def test_gradient_finite_differences(basis):
     rng = np.random.default_rng(1)
     pr = params_with(kappa1=3.0, kappa2=-1.0, mu2=2.0, lam=1.5)
-    sys = GalerkinSystem(pr, basis, grid)
+    sys = GalerkinSystem(pr, basis)
     z = 0.3 * rng.standard_normal(2 * basis.size)
     g = sys.gradient(z)
     h = 1e-5
@@ -115,10 +109,10 @@ def test_gradient_finite_differences(basis, grid):
         assert np.dot(g, v) == pytest.approx(fd, rel=1e-5)
 
 
-def test_hessian_is_gradient_jacobian(basis, grid):
+def test_hessian_is_gradient_jacobian(basis):
     rng = np.random.default_rng(2)
     pr = params_with(kappa1=15.0, lam=2.0)
-    sys = GalerkinSystem(pr, basis, grid)
+    sys = GalerkinSystem(pr, basis)
     z = 0.4 * rng.standard_normal(2 * basis.size)
     H = sys.hessian(z)
     h = 1e-5
@@ -174,7 +168,13 @@ def test_b_positive_definite_on_plus(basis):
         assert bilinear_b(u, u, pr) >= floor * c2 - 1e-12
 
 
-def test_evenness(basis, grid):
+def test_engines_integrate_on_the_basis_grid(basis):
+    pr = params_with()
+    assert GalerkinSystem(pr, basis).grid is basis.grid
+    assert ScalarProblem(pr, 1, basis).grid is basis.grid
+
+
+def test_evenness(basis):
     rng = np.random.default_rng(7)
     pr = params_with(kappa1=2.0, mu2=3.0, lam=0.7)
     z = rng.standard_normal(2 * basis.size)
@@ -182,16 +182,16 @@ def test_evenness(basis, grid):
     m = basis.size
     flip2 = z.copy()
     flip2[m:] *= -1.0
-    e0 = energy(u, pr, grid)
-    assert energy(PairField.from_coeffs(basis, -z), pr, grid) == pytest.approx(e0, abs=1e-12 * max(abs(e0), 1))
-    assert energy(PairField.from_coeffs(basis, flip2), pr, grid) == pytest.approx(e0, abs=1e-12 * max(abs(e0), 1))
+    e0 = energy(u, pr)
+    assert energy(PairField.from_coeffs(basis, -z), pr) == pytest.approx(e0, abs=1e-12 * max(abs(e0), 1))
+    assert energy(PairField.from_coeffs(basis, flip2), pr) == pytest.approx(e0, abs=1e-12 * max(abs(e0), 1))
 
 
-def test_euler_identity(basis, grid):
+def test_euler_identity(basis):
     # E(u) = <g,u>/2 + (1/2 - 1/p) int(mu |u|^p) + lam (p/2 - 1) int |u1|^a |u2|^b
     rng = np.random.default_rng(8)
     pr = params_with(kappa1=12.0, mu2=2.0, lam=2.5)
-    sys = GalerkinSystem(pr, basis, grid)
+    sys = GalerkinSystem(pr, basis)
     for _ in range(10):
         z = rng.standard_normal(2 * basis.size)
         m1, m2, mix = sys.power_masses(z)
@@ -204,22 +204,22 @@ def test_euler_identity(basis, grid):
         assert lhs == pytest.approx(rhs, rel=1e-8)
 
 
-def test_scalar_energy_and_gradient(basis, grid):
+def test_scalar_energy_and_gradient(basis):
     pr = params_with()
     w = unit_mode(basis, 0)
-    assert scalar_energy(w, 1, pr, grid) == pytest.approx(np.pi**2 / 2 - 0.375, rel=1e-12)
-    assert scalar_energy(ScalarField(basis, np.zeros(basis.size)), 1, pr, grid) == 0.0
+    assert scalar_energy(w, 1, pr) == pytest.approx(np.pi**2 / 2 - 0.375, rel=1e-12)
+    assert scalar_energy(ScalarField(basis, np.zeros(basis.size)), 1, pr) == 0.0
     rng = np.random.default_rng(9)
     c = 0.5 * rng.standard_normal(basis.size)
     w = ScalarField(basis, c)
-    g = scalar_gradient(w, 2, pr, grid)
+    g = scalar_gradient(w, 2, pr)
     h = 1e-5
     for _ in range(5):
         v = rng.standard_normal(basis.size)
         v /= np.linalg.norm(v)
         fd = (
-            scalar_energy(ScalarField(basis, c + h * v), 2, pr, grid)
-            - scalar_energy(ScalarField(basis, c - h * v), 2, pr, grid)
+            scalar_energy(ScalarField(basis, c + h * v), 2, pr)
+            - scalar_energy(ScalarField(basis, c - h * v), 2, pr)
         ) / (2 * h)
         assert np.dot(g.coeffs, v) == pytest.approx(fd, rel=1e-5)
 
@@ -237,12 +237,11 @@ def _point_engines(dim):
     # alpha < 2 puts a negative exponent into the Hessian weights
     lengths, cutoffs = POINT_CASES[dim]
     basis = SineBasis(BoxDomain(lengths), cutoffs)
-    grid = QuadratureGrid.for_basis(basis, oversample=2.0)
     gamma1 = float(basis.eigenvalues[0])
     pr = params_with(kappa1=1.5 * gamma1, kappa2=0.5 * gamma1, mu2=2.0, lam=3.0, alpha=1.5, beta=2.5, dim=dim)
     return {
-        "system": (lambda: GalerkinSystem(pr, basis, grid), 2 * basis.size, "power_masses"),
-        "scalar": (lambda: ScalarProblem(pr, 1, basis, grid), basis.size, "mass"),
+        "system": (lambda: GalerkinSystem(pr, basis), 2 * basis.size, "power_masses"),
+        "scalar": (lambda: ScalarProblem(pr, 1, basis), basis.size, "mass"),
     }
 
 
@@ -282,6 +281,18 @@ def test_point_state_follows_caller_mutation(kind):
     z0 = np.zeros(n)
     assert engine.at(z0) is engine.at(z0.copy())
     assert engine.at(-z0) is not engine.at(z0)
+
+
+@pytest.mark.parametrize("kind", ["system", "scalar"])
+def test_point_state_keeps_the_last_two_points(kind):
+    make, n, _ = _point_engines(1)[kind]
+    engine = make()
+    za, zb, zc = np.random.default_rng(6).standard_normal((3, n))
+    a, b = engine.at(za), engine.at(zb)
+    assert engine.at(za) is a and engine.at(zb) is b
+    engine.at(zc)
+    assert engine.at(zb) is b
+    assert engine.at(za) is not a
 
 
 @pytest.mark.parametrize("kind", ["system", "scalar"])

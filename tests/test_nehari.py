@@ -63,11 +63,6 @@ def config():
     return SolverConfig()
 
 
-@pytest.fixture(scope="module")
-def grid(basis, config):
-    return config.make_grid(basis)
-
-
 def params_with(**kw):
     base = dict(kappa1=0.0, kappa2=0.0, mu1=1.0, mu2=1.0, lam=1.0, alpha=2.0, beta=2.0, dim=1)
     base.update(kw)
@@ -81,58 +76,58 @@ def e1_pair(basis):
 # -- residuals and projection -----------------------------------------------------
 
 
-def test_ray_residual_unscaled(basis, grid):
+def test_ray_residual_unscaled(basis):
     pr = params_with()
     split = spectral_split(pr, basis)
-    res = nehari_residuals(e1_pair(basis), pr, split, grid)
+    res = nehari_residuals(e1_pair(basis), pr, split)
     assert res.ray == pytest.approx(np.pi**2 - 1.5, rel=1e-10)
 
 
-def test_residuals_vanish_at_projection(basis, grid):
+def test_residuals_vanish_at_projection(basis):
     pr = params_with()
     split = spectral_split(pr, basis)
-    proj = nehari_project(e1_pair(basis), pr, split, grid)
-    res = nehari_residuals(proj, pr, split, grid)
+    proj = nehari_project(e1_pair(basis), pr, split)
+    res = nehari_residuals(proj, pr, split)
     assert abs(res.ray) < 1e-10
 
 
-def test_residuals_inside_tilde_rejected(basis, grid):
+def test_residuals_inside_tilde_rejected(basis):
     pr = params_with(kappa1=15.0, kappa2=15.0)
     split = spectral_split(pr, basis)
     u = e1_pair(basis)  # mode 1 is the negative direction at kappa = 15
     with pytest.raises(PreconditionError):
-        nehari_residuals(u, pr, split, grid)
+        nehari_residuals(u, pr, split)
 
 
-def test_projection_closed_form(basis, grid):
+def test_projection_closed_form(basis):
     pr = params_with()
     split = spectral_split(pr, basis)
-    proj = nehari_project(e1_pair(basis), pr, split, grid)
+    proj = nehari_project(e1_pair(basis), pr, split)
     t_star = np.sqrt(np.pi**2 / 1.5)
     assert proj.u1.coeffs[0] == pytest.approx(t_star, rel=1e-10)
-    eng = GalerkinSystem(pr, basis, grid)
+    eng = GalerkinSystem(pr, basis)
     assert eng.energy(proj.coeffs()) == pytest.approx(np.pi**4 / 6, rel=1e-10)
 
 
-def test_projection_scale_free(basis, grid):
+def test_projection_scale_free(basis):
     pr = params_with()
     split = spectral_split(pr, basis)
     rng = np.random.default_rng(0)
     z = rng.standard_normal(2 * basis.size)
     u = PairField.from_coeffs(basis, z)
     v = PairField.from_coeffs(basis, 3.7 * z)
-    p1 = nehari_project(u, pr, split, grid).coeffs()
-    p2 = nehari_project(v, pr, split, grid).coeffs()
+    p1 = nehari_project(u, pr, split).coeffs()
+    p2 = nehari_project(v, pr, split).coeffs()
     np.testing.assert_allclose(p1, p2, rtol=1e-12, atol=1e-12)
 
 
-def test_projection_rejects_point_without_plus_part(basis, grid):
+def test_projection_rejects_point_without_plus_part(basis):
     # e1 is the negative direction at kappa = 15, so the e1 pair has no
     # positive part and cannot be projected
     pr = params_with(kappa1=15.0, kappa2=15.0)
     split = spectral_split(pr, basis)
     with pytest.raises(PreconditionError):
-        nehari_project(e1_pair(basis), pr, split, grid)
+        nehari_project(e1_pair(basis), pr, split)
 
 
 def test_projection_noprojection_error():
@@ -145,15 +140,15 @@ def test_projection_noprojection_error():
         nehari_project(e1_pair(basis), pr, split)
 
 
-def test_general_projection_with_tilde(basis, grid):
+def test_general_projection_with_tilde(basis):
     pr = params_with(kappa1=15.0, kappa2=15.0, lam=5.0)
     split = spectral_split(pr, basis)
     rng = np.random.default_rng(1)
     z = np.zeros(2 * basis.size)
     z[:6] = rng.standard_normal(6)
     z[basis.size : basis.size + 6] = rng.standard_normal(6)
-    proj = nehari_project(PairField.from_coeffs(basis, z), pr, split, grid)
-    res = nehari_residuals(proj, pr, split, grid)
+    proj = nehari_project(PairField.from_coeffs(basis, z), pr, split)
+    res = nehari_residuals(proj, pr, split)
     assert res.max_abs < 1e-8
 
 
@@ -170,10 +165,10 @@ def test_general_projection_with_tilde(basis, grid):
     c=st.floats(1e-2, 1e2),
     h=st.floats(1e-3, 0.5),
 )
-def test_project_ray_property(basis, grid, kappa1, kappa2, mu1, mu2, lam, alpha, beta, seed, c, h):
+def test_project_ray_property(basis, kappa1, kappa2, mu1, mu2, lam, alpha, beta, seed, c, h):
     # kappa below gamma_1 = pi^2: the box is definite and every ray meets the Nehari set once
     pr = params_with(kappa1=kappa1, kappa2=kappa2, mu1=mu1, mu2=mu2, lam=lam, alpha=alpha, beta=beta)
-    eng = GalerkinSystem(pr, basis, grid)
+    eng = GalerkinSystem(pr, basis)
     z = np.random.default_rng(seed).standard_normal(2 * basis.size)
     y = project_ray(eng, z)
     assert eng.quadratic(y) == pytest.approx(eng.nehari_denominator(y), rel=1e-12)
@@ -197,12 +192,12 @@ def test_orbit_dedup_sign_images(basis):
     assert ids[2] != ids[0]
 
 
-def test_orbit_closure_of_critical_points(basis, grid, config):
+def test_orbit_closure_of_critical_points(basis, config):
     pr = params_with(lam=50.0)
     split = spectral_split(pr, basis)
-    th = semitrivial_threshold(pr, basis, grid, config)
-    gs = ground_state(pr, basis, split, config, grid, th)
-    eng = GalerkinSystem(pr, basis, grid)
+    th = semitrivial_threshold(pr, basis, config)
+    gs = ground_state(pr, basis, split, config, th)
+    eng = GalerkinSystem(pr, basis)
     z = gs.u.coeffs()
     for img in sign_orbit(z):
         pt = evaluate_point(eng, img, config)
@@ -214,24 +209,24 @@ def test_orbit_closure_of_critical_points(basis, grid, config):
 # -- scalar states and classification ----------------------------------------------
 
 
-def test_scalar_threshold_symmetric(basis, grid, config):
-    th = semitrivial_threshold(params_with(lam=50.0), basis, grid, config)
+def test_scalar_threshold_symmetric(basis, config):
+    th = semitrivial_threshold(params_with(lam=50.0), basis, config)
     s1, s2 = th.scalar_states
     assert s1.energy == pytest.approx(s2.energy, rel=1e-9)
     # the first-mode ray value is an upper bound for the scalar ground energy
     assert th.c0 <= np.pi**4 / 6 + 1e-9
 
 
-def test_scalar_threshold_monotone_in_mu(basis, grid, config):
+def test_scalar_threshold_monotone_in_mu(basis, config):
     e = []
     for mu in (1.0, 2.0):
-        s = scalar_ground_state(params_with(mu1=mu), 1, basis, grid, config)
+        s = scalar_ground_state(params_with(mu1=mu), 1, basis, config)
         e.append(s.energy)
     assert e[1] < e[0]
 
 
 @pytest.mark.parametrize("kappa2, searches", [(0.0, 1), (5.0, 2)])
-def test_semitrivial_threshold_one_search_per_kappa(basis, grid, monkeypatch, kappa2, searches):
+def test_semitrivial_threshold_one_search_per_kappa(basis, monkeypatch, kappa2, searches):
     from sinesolve import nehari
 
     calls = []
@@ -243,7 +238,7 @@ def test_semitrivial_threshold_one_search_per_kappa(basis, grid, monkeypatch, ka
 
     monkeypatch.setattr(nehari, "scalar_ground_state", counting)
     cfg = SolverConfig(n_mode_seeds=2, n_random_seeds=0)
-    th = semitrivial_threshold(params_with(kappa2=kappa2, mu2=2.0), basis, grid, cfg)
+    th = semitrivial_threshold(params_with(kappa2=kappa2, mu2=2.0), basis, cfg)
     assert len(calls) == searches
     assert th.scalar_solves == searches
     assert th.c0 == min(s.energy for s in th.scalar_states)
@@ -256,23 +251,23 @@ def test_semitrivial_threshold_one_search_per_kappa(basis, grid, monkeypatch, ka
     i=st.sampled_from([1, 2]),
     via_params=st.booleans(),
 )
-def test_scalar_ground_state_mu_scaling(basis, grid, mu, kappa, i, via_params):
+def test_scalar_ground_state_mu_scaling(basis, mu, kappa, i, via_params):
     # the state scaled from the unit-coefficient search is a critical point
     # of the mu-problem, with the energy and quadratic form that problem gives
     pr = params_with(**{f"kappa{i}": kappa, f"mu{i}": mu if via_params else 1.0})
     cfg = SolverConfig(n_mode_seeds=2, n_random_seeds=0)
-    state = scalar_ground_state(pr, i, basis, grid, cfg, mu=None if via_params else mu)
-    prob = ScalarProblem(pr, i, basis, grid, mu=mu)
+    state = scalar_ground_state(pr, i, basis, cfg, mu=None if via_params else mu)
+    prob = ScalarProblem(pr, i, basis, mu=mu)
     w = state.w.coeffs
     assert np.linalg.norm(prob.gradient(w)) <= 1e-9
     assert prob.energy(w) == pytest.approx(state.energy, rel=1e-12)
     assert prob.quadratic(w) == pytest.approx(state.b_value, rel=1e-12)
 
 
-def test_classify_semitrivial(basis, grid, config):
+def test_classify_semitrivial(basis, config):
     pr = params_with(lam=50.0)
-    th = semitrivial_threshold(pr, basis, grid, config)
-    eng = GalerkinSystem(pr, basis, grid)
+    th = semitrivial_threshold(pr, basis, config)
+    eng = GalerkinSystem(pr, basis)
     z = np.concatenate([th.scalar_states[0].w.coeffs, np.zeros(basis.size)])
     pt = evaluate_point(eng, z, config)
     assert pt.classification == "semitrivial-1"
@@ -280,16 +275,16 @@ def test_classify_semitrivial(basis, grid, config):
     assert classify(pt, th.c0, pr) == "semitrivial-1"
 
 
-def test_classify_trivial(basis, grid, config):
+def test_classify_trivial(basis, config):
     pr = params_with()
-    eng = GalerkinSystem(pr, basis, grid)
+    eng = GalerkinSystem(pr, basis)
     pt = evaluate_point(eng, np.zeros(2 * basis.size), config)
     assert pt.classification == "trivial"
 
 
-def test_classify_contradiction(basis, grid, config):
+def test_classify_contradiction(basis, config):
     pr = params_with(lam=50.0)
-    eng = GalerkinSystem(pr, basis, grid)
+    eng = GalerkinSystem(pr, basis)
     pt = evaluate_point(eng, np.zeros(2 * basis.size), config)
     fake = dataclasses.replace(pt, energy=1.0, grad_norm=0.0)
     with pytest.raises(ClassificationContradictionError):
@@ -299,11 +294,11 @@ def test_classify_contradiction(basis, grid, config):
 # -- ground state and multiplicity --------------------------------------------------
 
 
-def test_ground_state_definite(basis, grid, config):
+def test_ground_state_definite(basis, config):
     pr = params_with(lam=50.0)
     split = spectral_split(pr, basis)
-    th = semitrivial_threshold(pr, basis, grid, config)
-    gs = ground_state(pr, basis, split, config, grid, th)
+    th = semitrivial_threshold(pr, basis, config)
+    gs = ground_state(pr, basis, split, config, th)
     assert gs.grad_norm < 1e-8
     assert 0.0 < gs.energy < th.c0
     assert gs.classification == "fully-nontrivial"
@@ -311,28 +306,26 @@ def test_ground_state_definite(basis, grid, config):
     # energy identity at critical points
     assert gs.energy == pytest.approx((0.5 - 1.0 / pr.p) * gs.b_value, rel=1e-6)
     # positivity bound along the Nehari set
-    eng = GalerkinSystem(pr, basis, grid)
+    eng = GalerkinSystem(pr, basis)
     m1, m2, _ = eng.power_masses(gs.u.coeffs())
     assert gs.energy >= (0.5 - 1.0 / pr.p) * (pr.mu1 * m1 + pr.mu2 * m2) - 1e-9
 
 
 @pytest.fixture(scope="module")
-def box24():
-    basis24 = SineBasis(BoxDomain((1.0,)), (24,))
-    return basis24, SolverConfig().make_grid(basis24)
+def basis24():
+    return SineBasis(BoxDomain((1.0,)), (24,))
 
 
 @pytest.mark.parametrize("kind", ["system", "scalar"])
-def test_descent_from_first_mode_is_short(box24, config, kind):
+def test_descent_from_first_mode_is_short(basis24, config, kind):
     # Sobolev-preconditioned steps: a handful of gradients where plain
     # 1/gamma_max steps took hundreds (system) or hit the 400-step cap (scalar)
-    basis24, grid24 = box24
     pr = params_with(lam=50.0)
     e1 = unit_mode(basis24, 0).coeffs
     if kind == "system":
-        engine, z0 = GalerkinSystem(pr, basis24, grid24), np.concatenate([e1, e1])
+        engine, z0 = GalerkinSystem(pr, basis24), np.concatenate([e1, e1])
     else:
-        engine, z0 = ScalarProblem(pr, 1, basis24, grid24), e1
+        engine, z0 = ScalarProblem(pr, 1, basis24), e1
     gradient, calls = engine.gradient, []
 
     def counting(z):
@@ -345,30 +338,29 @@ def test_descent_from_first_mode_is_short(box24, config, kind):
     assert len(calls) <= 20
 
 
-def test_ground_state_definite_default_seeds(box24):
-    basis24, grid24 = box24
-    gs = ground_state(params_with(lam=50.0), basis24, config=SolverConfig(), grid=grid24)
+def test_ground_state_definite_default_seeds(basis24):
+    gs = ground_state(params_with(lam=50.0), basis24, config=SolverConfig())
     assert gs.energy == pytest.approx(0.312001188332069, abs=1e-12)
 
 
-def test_ground_state_indefinite(basis, grid, config):
+def test_ground_state_indefinite(basis, config):
     pr = params_with(kappa1=15.0, kappa2=15.0, lam=50.0)
     split = spectral_split(pr, basis)
-    th = semitrivial_threshold(pr, basis, grid, config)
-    gs = ground_state(pr, basis, split, config, grid, th)
+    th = semitrivial_threshold(pr, basis, config)
+    gs = ground_state(pr, basis, split, config, th)
     assert gs.grad_norm < 1e-8
     assert 0.0 < gs.energy < th.c0
     assert gs.classification == "fully-nontrivial"
     assert 0.0 < gs.b_value < th.min_b
 
 
-def test_multiplicity_orbits(basis, grid, config):
+def test_multiplicity_orbits(basis, config):
     pr = params_with(lam=200.0)
     split = spectral_split(pr, basis)
-    th = semitrivial_threshold(pr, basis, grid, config)
-    pts = multiplicity_search(pr, basis, k=2, budget=30, split=split, config=config, grid=grid, threshold=th)
+    th = semitrivial_threshold(pr, basis, config)
+    pts = multiplicity_search(pr, basis, k=2, budget=30, split=split, config=config, threshold=th)
     assert len(pts) >= 2
-    ids = orbit_dedup([p.u for p in pts], tol=1e-4)
+    ids = orbit_dedup([p.u.coeffs() for p in pts], tol=1e-4)
     assert len(set(ids)) == len(pts)
     for p in pts:
         assert 0.0 < p.energy < th.c0
@@ -376,12 +368,12 @@ def test_multiplicity_orbits(basis, grid, config):
         assert 0.0 < p.b_value < th.min_b
 
 
-def test_multiplicity_small_lambda_best_effort(basis, grid, config):
+def test_multiplicity_small_lambda_best_effort(basis, config):
     # with weak coupling no orbit may fall below the threshold; empty is legal
     pr = params_with(lam=1e-3)
     split = spectral_split(pr, basis)
-    th = semitrivial_threshold(pr, basis, grid, config)
-    pts = multiplicity_search(pr, basis, k=1, budget=6, split=split, config=config, grid=grid, threshold=th)
+    th = semitrivial_threshold(pr, basis, config)
+    pts = multiplicity_search(pr, basis, k=1, budget=6, split=split, config=config, threshold=th)
     for p in pts:
         assert 0.0 < p.energy < th.c0
 
@@ -389,76 +381,76 @@ def test_multiplicity_small_lambda_best_effort(basis, grid, config):
 # -- linking geometry ---------------------------------------------------------------
 
 
-def test_sphere_infimum_quadratic_coefficient(basis, grid):
+def test_sphere_infimum_quadratic_coefficient(basis):
     pr = params_with(kappa1=3.0, kappa2=5.0)
     rhos = np.array([1e-3, 2e-3, 4e-3, 8e-3])
-    vals = np.array([sphere_infimum(pr, basis, r, budget=150, grid=grid) for r in rhos])
+    vals = np.array([sphere_infimum(pr, basis, r, budget=150) for r in rhos])
     coef = np.polyfit(rhos**2, vals, 1)[0]
     expected = 0.5 * min(np.pi**2 - 3.0, np.pi**2 - 5.0)
     assert coef == pytest.approx(expected, rel=0.10)
     assert np.all(vals > 0.0)
 
 
-def test_sphere_infimum_running_minimum(basis, grid):
+def test_sphere_infimum_running_minimum(basis):
     pr = params_with(kappa1=3.0, kappa2=5.0)
-    v_small = sphere_infimum(pr, basis, 0.5, budget=40, grid=grid)
-    v_large = sphere_infimum(pr, basis, 0.5, budget=160, grid=grid)
+    v_small = sphere_infimum(pr, basis, 0.5, budget=40)
+    v_large = sphere_infimum(pr, basis, 0.5, budget=160)
     assert v_large <= v_small + 1e-12
 
 
-def test_diagonal_sup_ray_value(basis, grid):
-    val = diagonal_sup(params_with(), 1, lam=1.0, basis=basis, grid=grid)
+def test_diagonal_sup_ray_value(basis):
+    val = diagonal_sup(params_with(), 1, basis, lam=1.0)
     assert val == pytest.approx(np.pi**4 / 9, rel=1e-10)
 
 
-def test_diagonal_sup_resonant_zero(basis, grid):
+def test_diagonal_sup_resonant_zero(basis):
     pr = params_with(kappa1=9 * np.pi**2, kappa2=9 * np.pi**2)
-    assert diagonal_sup(pr, 3, lam=1.0, basis=basis, grid=grid) == 0.0
+    assert diagonal_sup(pr, 3, basis, lam=1.0) == 0.0
 
 
-def test_diagonal_sup_decreasing_in_lambda(basis, grid):
+def test_diagonal_sup_decreasing_in_lambda(basis):
     pr = params_with()
-    vals = [diagonal_sup(pr, 3, lam=l, basis=basis, grid=grid) for l in np.geomspace(0.5, 50.0, 6)]
+    vals = [diagonal_sup(pr, 3, basis, lam=l) for l in np.geomspace(0.5, 50.0, 6)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
-def test_coupling_threshold_contract(basis, grid, config):
+def test_coupling_threshold_contract(basis, config):
     pr = params_with()
-    th = semitrivial_threshold(pr, basis, grid, config)
-    lam_bar = coupling_threshold(pr, 3, th.c0, basis, grid)
-    hi = diagonal_sup(pr, 3, lam=1.01 * lam_bar, basis=basis, grid=grid)
-    lo = diagonal_sup(pr, 3, lam=0.99 * lam_bar, basis=basis, grid=grid)
+    th = semitrivial_threshold(pr, basis, config)
+    lam_bar = coupling_threshold(pr, 3, th.c0, basis)
+    hi = diagonal_sup(pr, 3, basis, lam=1.01 * lam_bar)
+    lo = diagonal_sup(pr, 3, basis, lam=0.99 * lam_bar)
     assert hi < th.c0 <= lo
 
 
-def test_coupling_threshold_resonant_zero(basis, grid):
+def test_coupling_threshold_resonant_zero(basis):
     pr = params_with(kappa1=9 * np.pi**2, kappa2=9 * np.pi**2)
-    assert coupling_threshold(pr, 3, 1.0, basis, grid) == 0.0
+    assert coupling_threshold(pr, 3, 1.0, basis) == 0.0
 
 
-def test_coupling_threshold_monotone_in_m(basis, grid, config):
+def test_coupling_threshold_monotone_in_m(basis, config):
     pr = params_with()
-    th = semitrivial_threshold(pr, basis, grid, config)
-    lams = [coupling_threshold(pr, m, th.c0, basis, grid) for m in (1, 2, 3)]
+    th = semitrivial_threshold(pr, basis, config)
+    lams = [coupling_threshold(pr, m, th.c0, basis) for m in (1, 2, 3)]
     assert lams[0] <= lams[1] * 1.01 and lams[1] <= lams[2] * 1.01
 
 
-def test_coupling_threshold_bracket_failure(basis, grid):
+def test_coupling_threshold_bracket_failure(basis):
     with pytest.raises(BracketFailureError):
-        coupling_threshold(params_with(), 1, 1e6, basis, grid, lam_lo=1e-6, lam_hi=10.0)
+        coupling_threshold(params_with(), 1, 1e6, basis, lam_lo=1e-6, lam_hi=10.0)
 
 
-def test_coupling_threshold_bracket_failure_above_lam_hi(basis, grid):
+def test_coupling_threshold_bracket_failure_above_lam_hi(basis):
     # c0 far under the supremum puts lambda-bar near 1.6e4, above lam_hi
     with pytest.raises(BracketFailureError):
-        coupling_threshold(params_with(), 1, 1e-3, basis, grid, lam_lo=1e-6, lam_hi=10.0)
+        coupling_threshold(params_with(), 1, 1e-3, basis, lam_lo=1e-6, lam_hi=10.0)
 
 
-def test_coupling_threshold_exact(basis, grid, config):
+def test_coupling_threshold_exact(basis, config):
     pr = params_with()
-    th = semitrivial_threshold(pr, basis, grid, config)
-    lam_bar = coupling_threshold(pr, 3, th.c0, basis, grid)
-    assert diagonal_sup(pr, 3, lam=lam_bar, basis=basis, grid=grid) == pytest.approx(th.c0, rel=1e-10)
+    th = semitrivial_threshold(pr, basis, config)
+    lam_bar = coupling_threshold(pr, 3, th.c0, basis)
+    assert diagonal_sup(pr, 3, basis, lam=lam_bar) == pytest.approx(th.c0, rel=1e-10)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -470,16 +462,16 @@ def test_coupling_threshold_exact(basis, grid, config):
     k2=st.floats(0.0, 0.95),
     m=st.integers(1, 4),
 )
-def test_diagonal_sup_lambda_law(basis, grid, lam, alpha, beta, k1, k2, m):
+def test_diagonal_sup_lambda_law(basis, lam, alpha, beta, k1, k2, m):
     # kappa_i below gamma_m, so the supremum is positive
     gamma_m = basis.eigenvalues[m - 1]
     pr = params_with(kappa1=k1 * gamma_m, kappa2=k2 * gamma_m, alpha=alpha, beta=beta)
-    sup1 = diagonal_sup(pr, m, lam=1.0, basis=basis, grid=grid)
-    direct = diagonal_sup(pr, m, lam=lam, basis=basis, grid=grid)
+    sup1 = diagonal_sup(pr, m, basis, lam=1.0)
+    direct = diagonal_sup(pr, m, basis, lam=lam)
     assert rescale_diagonal_sup(pr, sup1, 1.0, lam) == pytest.approx(direct, rel=1e-10)
 
 
-def test_ground_state_convergence_failure(basis, grid):
+def test_ground_state_convergence_failure(basis):
     # an unreachable tolerance forces every seed to be rejected
     pr = params_with(lam=50.0)
     split = spectral_split(pr, basis)
@@ -492,26 +484,25 @@ def test_ground_state_convergence_failure(basis, grid):
     )
     th = ThresholdResult(c0=1.0, scalar_states=(fake_scalar, fake_scalar))
     with pytest.raises(ConvergenceFailureError):
-        ground_state(pr, basis, split, cfg, grid, th)
+        ground_state(pr, basis, split, cfg, th)
 
 
-def test_residuals_vanish_at_converged_critical_point(basis, grid, config):
+def test_residuals_vanish_at_converged_critical_point(basis, config):
     # every exact Galerkin critical point lies on the generalized Nehari set
     pr = params_with(kappa1=15.0, kappa2=15.0, lam=50.0)
     split = spectral_split(pr, basis)
-    gs = ground_state(pr, basis, split, config, grid)
-    res = nehari_residuals(gs.u, pr, split, grid)
+    gs = ground_state(pr, basis, split, config)
+    res = nehari_residuals(gs.u, pr, split)
     assert res.max_abs < 1e-8
 
 
-def test_newton_builds_hessians_on_demand(box24, config):
+def test_newton_builds_hessians_on_demand(basis24, config):
     # MINPACK asks for the Hessian at the start and after its Broyden updates
     # stall, so a Newton solve builds far fewer Hessians than gradients.  The
     # first mode lies in the nonpositive subspace at kappa = 15 > gamma_1, and
     # its projection is the trivial root, so start from the next two modes
-    basis24, grid24 = box24
     pr = params_with(kappa1=15.0, kappa2=15.0, lam=50.0)
-    engine = GalerkinSystem(pr, basis24, grid24)
+    engine = GalerkinSystem(pr, basis24)
     t_idx = engine.tilde_indices(spectral_split(pr, basis24))
     e2, e3 = (unit_mode(basis24, j).coeffs for j in (1, 2))
     gradient, hessian, calls = engine.gradient, engine.hessian, {"gradient": 0, "hessian": 0}
@@ -532,12 +523,11 @@ def test_newton_builds_hessians_on_demand(box24, config):
     assert calls["hessian"] < calls["gradient"] / 2
 
 
-def test_ground_state_skips_seeds_without_positive_part(box24, monkeypatch):
+def test_ground_state_skips_seeds_without_positive_part(basis24, monkeypatch):
     # at kappa = 15 > gamma_1 the seeds (e_1, +-e_1) lie in the nonpositive
     # subspace, where the ray-plus-tilde maximum is the zero vector
     from sinesolve import nehari
 
-    basis24, grid24 = box24
     projected = []
     original = nehari.project_general
 
@@ -547,7 +537,7 @@ def test_ground_state_skips_seeds_without_positive_part(box24, monkeypatch):
 
     monkeypatch.setattr(nehari, "project_general", recording)
     cfg = SolverConfig(n_mode_seeds=2, n_random_seeds=0)
-    gs = ground_state(params_with(kappa1=15.0, kappa2=15.0, lam=50.0), basis24, config=cfg, grid=grid24)
+    gs = ground_state(params_with(kappa1=15.0, kappa2=15.0, lam=50.0), basis24, config=cfg)
     e1 = unit_mode(basis24, 0).coeffs
     inside = [np.concatenate([e1, s * e1]) for s in (1.0, -1.0)]
     system = [z for z in projected if z.size == 2 * basis24.size]
@@ -594,11 +584,10 @@ def _count_point_work(monkeypatch, engine):
 
 
 @pytest.fixture(scope="module")
-def indefinite24(box24, config):
+def indefinite24(basis24, config):
     # a converged nontrivial point of the 1-D K=24 box with kappa = 15 > gamma_1
-    basis24, grid24 = box24
     pr = params_with(kappa1=15.0, kappa2=15.0, lam=50.0)
-    engine = GalerkinSystem(pr, basis24, grid24)
+    engine = GalerkinSystem(pr, basis24)
     e2 = unit_mode(basis24, 1).coeffs
     w0 = project_general(engine, np.concatenate([e2, e2]), engine.tilde_indices(spectral_split(pr, basis24)))
     z, ok = newton_polish(engine, _deflated_root(engine, w0, [np.zeros_like(w0)], config), config.tol)
@@ -606,12 +595,11 @@ def indefinite24(box24, config):
     return pr, w0, z
 
 
-def test_newton_evaluates_each_point_once(box24, config, indefinite24, monkeypatch):
+def test_newton_evaluates_each_point_once(basis24, config, indefinite24, monkeypatch):
     # at a converged start SciPy's shape checks and MINPACK ask for the
     # gradient and the Hessian more than once; the fields are built once
-    basis24, grid24 = box24
     pr, _, z = indefinite24
-    engine = GalerkinSystem(pr, basis24, grid24)
+    engine = GalerkinSystem(pr, basis24)
     work, asked = _count_point_work(monkeypatch, engine)
     _, ok = newton_polish(engine, z, config.tol)
     assert ok
@@ -622,10 +610,9 @@ def test_newton_evaluates_each_point_once(box24, config, indefinite24, monkeypat
     assert work["mode_mass_matrix"] == 3 * len(set(asked["hessian"]))
 
 
-def test_deflated_jacobian_reuses_the_residual_gradient(box24, config, indefinite24, monkeypatch):
-    basis24, grid24 = box24
+def test_deflated_jacobian_reuses_the_residual_gradient(basis24, config, indefinite24, monkeypatch):
     pr, w0, _ = indefinite24
-    engine = GalerkinSystem(pr, basis24, grid24)
+    engine = GalerkinSystem(pr, basis24)
     work, asked = _count_point_work(monkeypatch, engine)
     w = _deflated_root(engine, w0, [np.zeros_like(w0)], config)
     assert np.linalg.norm(w) > 0.1 and asked["hessian"]

@@ -96,16 +96,15 @@ def test_amplitudes_rejects_nonroot():
 def solved_profile():
     basis = SineBasis(BoxDomain((1.0,)), (20,))
     cfg = SolverConfig()
-    grid = cfg.make_grid(basis)
     pr = params_with()
-    state = scalar_ground_state(pr, 1, basis, grid, cfg, mu=1.0)
-    return basis, grid, cfg, pr, state
+    state = scalar_ground_state(pr, 1, basis, cfg, mu=1.0)
+    return basis, cfg, pr, state
 
 
 def test_unit_coefficient_rescaling(solved_profile):
-    basis, grid, cfg, pr, state = solved_profile
+    basis, cfg, pr, state = solved_profile
     # solving with coefficient mu and rescaling reproduces the unit-coefficient profile
-    state_mu = scalar_ground_state(params_with(mu1=4.0), 1, basis, grid, cfg)
+    state_mu = scalar_ground_state(params_with(mu1=4.0), 1, basis, cfg)
     rescaled = unit_coefficient_profile(state_mu.w, 4.0, pr.p)
     d = min(
         np.linalg.norm(rescaled.coeffs - state.w.coeffs),
@@ -115,9 +114,9 @@ def test_unit_coefficient_rescaling(solved_profile):
 
 
 def test_synchronized_assembly(solved_profile):
-    basis, grid, cfg, pr, state = solved_profile
+    basis, cfg, pr, state = solved_profile
     root = make_sync_root(1.0, pr)
-    pt, scalar_res = synchronized_solution(state.w, root, pr, grid, cfg)
+    pt, scalar_res = synchronized_solution(state.w, root, pr, cfg)
     # rounding floor keeps the 10x bound meaningful at machine-converged profiles
     assert pt.grad_norm < 10.0 * max(scalar_res, 1e-13)
     assert pt.classification == "fully-nontrivial"
@@ -125,8 +124,8 @@ def test_synchronized_assembly(solved_profile):
 
 
 def test_synchronized_requires_equal_kappas(solved_profile):
-    basis, grid, cfg, pr, state = solved_profile
+    basis, cfg, pr, state = solved_profile
     bad = params_with(kappa1=1.0, kappa2=2.0)
     root = make_sync_root(1.0, params_with())
     with pytest.raises(PreconditionError):
-        synchronized_solution(state.w, root, bad, grid, cfg)
+        synchronized_solution(state.w, root, bad, cfg)
