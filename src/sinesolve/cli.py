@@ -109,13 +109,7 @@ SCHEMA = {
         "seed": ("integer", _SOLVER.rng_seed, ">= 0"),
         "n_mode_seeds": ("integer", _SOLVER.n_mode_seeds, ">= 0"),
         "n_random_seeds": ("integer", _SOLVER.n_random_seeds, ">= 0"),
-        "seed_amplitude": ("number", _SOLVER.seed_amplitude, "> 0"),
-        "deflation_power": ("integer", _SOLVER.deflation_power, ">= 1"),
-        "deflation_shift": ("number", _SOLVER.deflation_shift, ">= 0"),
         "budget": ("integer", 60, ">= 1"),
-        "triviality_floor": ("number", _SOLVER.triviality_floor, "> 0"),
-        "plus_floor": ("number", _SOLVER.plus_floor, "> 0"),
-        "zero_tol": ("number", None, "> 0"),
     },
     "output": {
         "report": ("string", "report.json", "nonempty"),
@@ -220,7 +214,6 @@ class RunConfig:
     cutoffs: tuple[int, ...] | None
     solver: SolverConfig
     budget: int
-    zero_tol: float | None
     task: dict
     report_path: str
     formats: tuple[str, ...]
@@ -276,10 +269,10 @@ def parse_config(raw: dict, command: Command) -> RunConfig:
     except (ValueError, OverflowError) as exc:  # also the data classes' checks and huge integers
         raise ConfigError(str(exc)) from exc
 
-    budget, zero_tol, seed = sol.pop("budget"), sol.pop("zero_tol"), sol.pop("seed")
+    budget, seed = sol.pop("budget"), sol.pop("seed")
     solver = SolverConfig(rng_seed=seed, **sol)
     return RunConfig(raw=raw, params=params, limit=limit, lengths=lengths, cutoffs=cutoffs,
-                     solver=solver, budget=budget, zero_tol=zero_tol, task=task,
+                     solver=solver, budget=budget, task=task,
                      report_path=out["report"], formats=out["formats"])
 
 
@@ -317,17 +310,20 @@ def _sorted_records(records: list[dict]) -> list[dict]:
     return sorted(records, key=key)
 
 
+def _write_atomically(path: str, text: str) -> None:
+    """Write text to a temporary file beside path, then rename it over path."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    with os.fdopen(fd, "w", newline="\n") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
+
+
 def write_report(report: dict, path: str, formats: Sequence[str]) -> list[str]:
     """Serialize the report atomically; returns the written paths."""
     written = []
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     if "json" in formats:
-        payload = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
+        _write_atomically(path, json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
         written.append(path)
     if "csv" in formats:
         csv_path = os.path.splitext(path)[0] + ".csv"
@@ -345,10 +341,7 @@ def write_report(report: dict, path: str, formats: Sequence[str]) -> list[str]:
         writer.writeheader()
         for row in rows:
             writer.writerow(row)
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write(buf.getvalue())
-        os.replace(tmp, csv_path)
+        _write_atomically(csv_path, buf.getvalue())
         written.append(csv_path)
     return written
 
@@ -363,12 +356,11 @@ def _report(cfg: RunConfig, results: list[dict], thresholds: dict, counters: dic
 
 def _run_ground_state(cfg: RunConfig) -> tuple[dict, int]:
     basis = cfg.basis()
-    split = spectral_split(cfg.params, basis, cfg.zero_tol)
     th = semitrivial_threshold(cfg.params, basis, cfg.solver)
-    gs = ground_state(cfg.params, basis, split, cfg.solver, th)
+    gs = ground_state(cfg.params, basis, cfg.solver, th)
     code = 0
     try:
-        classify(gs, th.c0, cfg.params)
+        classify(gs, th.c0)
     except ClassificationContradictionError:
         code = 4
     results = _sorted_records(
@@ -390,16 +382,15 @@ def _run_ground_state(cfg: RunConfig) -> tuple[dict, int]:
 
 def _run_multiplicity(cfg: RunConfig) -> tuple[dict, int]:
     basis = cfg.basis()
-    split = spectral_split(cfg.params, basis, cfg.zero_tol)
     k = cfg.task["k"]
     th = semitrivial_threshold(cfg.params, basis, cfg.solver)
     pts = multiplicity_search(
-        cfg.params, basis, k, cfg.budget, split, cfg.solver, th, cfg.task["dedup_tol"]
+        cfg.params, basis, k, cfg.budget, cfg.solver, th, cfg.task["dedup_tol"]
     )
     code = 0
     for pt in pts:
         try:
-            classify(pt, th.c0, cfg.params)
+            classify(pt, th.c0)
         except ClassificationContradictionError:
             code = 4
     return _report(cfg, _sorted_records([_point_record(p, "system") for p in pts]),
@@ -463,7 +454,7 @@ def _run_synchronized(cfg: RunConfig) -> tuple[dict, int]:
     records = []
     for r in scan.roots:
         root = make_sync_root(r, cfg.params)
-        pt, scalar_res = synchronized_solution(w_state.w, root, cfg.params, cfg.solver)
+        pt, scalar_res = synchronized_solution(w_state.w, root, cfg.params)
         rec = _point_record(pt, "synchronized")
         rec.update({"ratio_root": float(r), "s": float(root.s), "t": float(root.t),
                     "scalar_residual": float(scalar_res)})
@@ -536,8 +527,7 @@ def _run_verify_estimates(cfg: RunConfig) -> tuple[dict, int]:
         skip = True
     if not skip:
         basis = cfg.basis()
-        split = spectral_split(pr, basis, cfg.zero_tol)
-        resonant = any(z.size for z in split.zero)
+        resonant = any(z.size for z in spectral_split(pr, basis).zero)
         if pr.dim == 4 and resonant:
             notes.append("resonant kappa: linking bound skipped (a shift matches a Dirichlet "
                          "eigenvalue; the dimension-4 bound requires nonresonance)")
@@ -566,7 +556,7 @@ def _run_verify_estimates(cfg: RunConfig) -> tuple[dict, int]:
                 })
                 failed |= not agree
             records = linking_sweep(
-                task["linking_eps"], lp, pr, basis, split, box_cutoff, s_amp, t_amp, s_coupled,
+                task["linking_eps"], lp, pr, basis, box_cutoff, s_amp, t_amp, s_coupled,
                 sample_budget=task["sample_budget"],
                 rng_seed=cfg.solver.rng_seed,
             )

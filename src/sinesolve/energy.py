@@ -151,9 +151,6 @@ def _abs_power(a: np.ndarray, q: float) -> np.ndarray:
 class SpectralSplit:
     """Per-component partition of the modes by the sign of gamma_k - kappa_i."""
 
-    basis: SineBasis
-    kappas: tuple[float, float]
-    zero_tol: float
     plus: tuple[np.ndarray, np.ndarray]
     zero: tuple[np.ndarray, np.ndarray]
     minus: tuple[np.ndarray, np.ndarray]
@@ -189,39 +186,23 @@ class SpectralSplit:
             comps.append(ScalarField(u.basis, out))
         return PairField(*comps)
 
-    def plus_mask(self) -> np.ndarray:
-        """Boolean mask over the stacked vector selecting the positive part."""
-        m = self.basis.size
-        mask = np.zeros(2 * m, dtype=bool)
-        mask[self.plus[0]] = True
-        mask[m + self.plus[1]] = True
-        return mask
 
-
-def spectral_split(params: SystemParams, basis: SineBasis, tol: float | None = None) -> SpectralSplit:
+def spectral_split(params: SystemParams, basis: SineBasis) -> SpectralSplit:
     """Partition the modes of both shifted operators -Laplace - kappa_i.
 
-    tol defaults to 1e-9 * gamma_1, small enough to keep a kappa that matches
-    an eigenvalue exactly in the zero part without absorbing its neighbours.
+    A shift within 1e-9 * gamma_1 of zero counts as zero: small enough to
+    keep a kappa that matches an eigenvalue exactly in the zero part without
+    absorbing its neighbours.  This is the only rule that decides the
+    nonpositive subspace; every engine takes it from here.
     """
-    if tol is None:
-        tol = 1e-9 * float(basis.eigenvalues[0])
-    if tol <= 0:
-        raise ValueError("zero tolerance must be positive")
+    tol = 1e-9 * float(basis.eigenvalues[0])
     plus, zero, minus = [], [], []
     for kappa in (params.kappa1, params.kappa2):
         shifted = basis.eigenvalues - kappa
         zero.append(np.flatnonzero(np.abs(shifted) <= tol))
         plus.append(np.flatnonzero(shifted > tol))
         minus.append(np.flatnonzero(shifted < -tol))
-    return SpectralSplit(
-        basis=basis,
-        kappas=(params.kappa1, params.kappa2),
-        zero_tol=float(tol),
-        plus=tuple(plus),
-        zero=tuple(zero),
-        minus=tuple(minus),
-    )
+    return SpectralSplit(plus=tuple(plus), zero=tuple(zero), minus=tuple(minus))
 
 
 def bilinear_bi(i: int, f: ScalarField, g: ScalarField, params: SystemParams) -> float:
@@ -308,14 +289,15 @@ class GalerkinSystem(_Engine):
 
     Works on stacked coefficient vectors z = (c_1, c_2); the module-level
     functions wrap it for single calls.  The problem data are immutable
-    after construction.  The state of each of the last two points asked
+    after construction; they include `tilde`, the stacked indices of the
+    nonpositive subspace X~ = X^0 + X^- that `spectral_split` gives for
+    kappa_1 and kappa_2.  The state of each of the last two points asked
     (`at`) caches the synthesized fields, the powers |u_1|^alpha and
     |u_2|^beta and their odd counterparts, and the energy, masses, Nehari
     denominator, gradient and Hessian once computed.  A state is reused only
     for a z with exactly the same bytes, and the arrays it hands out are
-    read-only.  Instances may be
-    shared across worker threads: a race can cost a cache hit, never a
-    wrong value.
+    read-only.  Instances may be shared across worker threads: a race can
+    cost a cache hit, never a wrong value.
     """
 
     def __init__(self, params: SystemParams, basis: SineBasis):
@@ -329,6 +311,8 @@ class GalerkinSystem(_Engine):
         self.shift1 = gamma - params.kappa1
         self.shift2 = gamma - params.kappa2
         self.shift = np.concatenate([self.shift1, self.shift2])
+        split = spectral_split(params, basis)
+        self.tilde = np.concatenate([split.tilde(1), self.m + split.tilde(2)])
 
     # -- pointwise synthesis and shared powers -------------------------------
 
@@ -409,25 +393,22 @@ class GalerkinSystem(_Engine):
         m1, m2, mix = self.power_masses(z)
         return pr.mu1 * m1 + pr.mu2 * m2 + pr.p * pr.lam * mix
 
-    def tilde_indices(self, split: SpectralSplit) -> np.ndarray:
-        """Indices of the nonpositive directions inside the stacked vector."""
-        return np.concatenate([split.tilde(1), self.m + split.tilde(2)]).astype(int)
-
 
 class ScalarProblem(_Engine):
     """Single-component functional J_i(w) = 1/2 B_i(w,w) - mu_i/p int |w|^p.
 
-    Integrates on the basis's grid and caches its last point as
-    GalerkinSystem does.
+    Integrates on the basis's grid and keeps the states of its last two
+    points as GalerkinSystem does; `tilde` holds the indices of the
+    nonpositive modes of -Laplace - kappa_i, from `spectral_split`.
     """
 
     def __init__(self, params: SystemParams, i: int, basis: SineBasis, mu: float | None = None):
         self.params = params
-        self.i = i
         self.basis = basis
         self.grid = basis.grid
         self.m = basis.size
         self.shift = basis.eigenvalues - params.kappa(i)
+        self.tilde = spectral_split(params, basis).tilde(i)
         self.mu = params.mu(i) if mu is None else float(mu)
 
     @_per_point
@@ -447,10 +428,6 @@ class ScalarProblem(_Engine):
     def nehari_denominator(self, c: np.ndarray) -> float:
         """mu_i int |w|^p."""
         return self.mu * self.mass(c)
-
-    def tilde_indices(self, split: SpectralSplit) -> np.ndarray:
-        """Indices of the nonpositive directions of component i."""
-        return split.tilde(self.i).astype(int)
 
     @_per_point
     def energy(self, c: np.ndarray) -> float:

@@ -29,7 +29,7 @@ from .domain import (
     synthesize,
     unit_mode,
 )
-from .energy import SpectralSplit, SystemParams
+from .energy import SystemParams, spectral_split
 from .errors import PreconditionError
 from .limit import BubbleProfile, LimitParams, _golden_min
 from .radial import graded_edges, panel_rule, radial_integral, radial_tail_integral
@@ -362,7 +362,6 @@ def linking_sweep(
     lp: LimitParams,
     params: SystemParams,
     basis: SineBasis,
-    split: SpectralSplit,
     cutoff: CutoffSpec,
     s_amp: float,
     t_amp: float,
@@ -383,7 +382,7 @@ def linking_sweep(
         raise PreconditionError("the box must contain the cutoff support")
     n = lp.dim
     threshold = s_coupled ** (n / 2.0) / n
-    tilde_pairs = split.tilde_pairs()
+    tilde_pairs = spectral_split(params, basis).tilde_pairs()
     if tilde_pairs and n > 3:
         raise PreconditionError(
             "nontrivial nonpositive subspace needs full box quadrature; supported for dim <= 3"
@@ -401,7 +400,7 @@ def linking_sweep(
             best = closed
         else:
             best, boundary_ok = _tilde_ascent(
-                eps, lp, params, basis, split, cutoff, s_amp, t_amp, quad, hom,
+                eps, lp, params, basis, tilde_pairs, cutoff, s_amp, t_amp, quad, hom,
                 ray_r, sample_budget, rng,
             )
             best = max(best, closed)
@@ -420,9 +419,12 @@ def linking_sweep(
 
 
 def _tilde_ascent(
-    eps, lp, params, basis, split, cutoff, s_amp, t_amp, quad, hom, ray_r, budget, rng
+    eps, lp, params, basis, pairs, cutoff, s_amp, t_amp, quad, hom, ray_r, budget, rng
 ):
-    """Sampled-plus-ascended maximization of J(t u_eps + w) over the tilde block."""
+    """Sampled-plus-ascended maximization of J(t u_eps + w) over the tilde block.
+
+    `pairs` lists the (component, mode index) directions of the block.
+    """
     domain = basis.domain
     grid = _graded_box_grid(domain, eps)
     center = np.array([0.5 * L for L in domain.lengths])
@@ -435,7 +437,6 @@ def _tilde_ascent(
     # L^2 projections of the cutoff bubble on every mode -> exact B cross terms
     proj = project(ubar, basis, grid)
     gamma = basis.eigenvalues
-    pairs = split.tilde_pairs()
     n_tilde = len(pairs)
 
     # one synthesized grid per tilde direction, built once; synthesize returns
@@ -499,7 +500,6 @@ def _tilde_ascent(
 def mixed_norm_constant(
     params: SystemParams,
     basis: SineBasis,
-    split: SpectralSplit,
     omega: Sequence[tuple[float, float]],
     sample_budget: int = 64,
 ) -> float:
@@ -510,6 +510,7 @@ def mixed_norm_constant(
     found is an upper bound on the optimal constant and is positive since
     the restriction of the norm to the subspace is a norm.
     """
+    split = spectral_split(params, basis)
     t1, t2 = split.tilde(1), split.tilde(2)
     if t1.size == 0 or t2.size == 0:
         raise PreconditionError("both nonpositive subspaces must be nontrivial")

@@ -25,10 +25,8 @@ from .energy import (
     GalerkinSystem,
     PairField,
     ScalarProblem,
-    SpectralSplit,
     SystemParams,
     sign_orbit,
-    spectral_split,
 )
 from .errors import (
     BracketFailureError,
@@ -46,21 +44,29 @@ FULLY_NONTRIVIAL = "fully-nontrivial"
 #: nehari_descent: step cap, and the gradient norm at which it hands over to Newton.
 DESCENT_MAX_ITER = 400
 DESCENT_SWITCH_TOL = 1e-3
+#: Coefficient norm of the mode and random seeds.
+SEED_AMPLITUDE = 1.0
+#: Power mass, relative to max(1, total mass), under which a component counts as zero.
+TRIVIALITY_FLOOR = 1e-10
+#: Positive-part H^1 norm under which a point counts as inside the nonpositive subspace.
+PLUS_FLOOR = 1e-6
+#: Deflation factor prod_i (d_i^-DEFLATION_POWER + DEFLATION_SHIFT) over the orbit distances d_i.
+DEFLATION_POWER = 2
+DEFLATION_SHIFT = 1.0
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances, budgets and seeding knobs shared by the searches."""
+    """The Newton tolerance and the seeding of the multistart searches.
+
+    Each is a `solver` config key (`rng_seed` is `seed`); the other
+    numerical choices of the searches are the module constants above.
+    """
 
     tol: float = 1e-10
     n_mode_seeds: int = 6
     n_random_seeds: int = 8
-    seed_amplitude: float = 1.0
     rng_seed: int = 0
-    triviality_floor: float = 1e-10
-    plus_floor: float = 1e-6
-    deflation_power: int = 2
-    deflation_shift: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -139,7 +145,8 @@ class ThresholdResult:
 # -- generic search routines ---------------------------------------------------
 # GalerkinSystem (stacked pair vectors) and ScalarProblem (single vectors)
 # share one engine interface: params, basis, m, energy/gradient/hessian, the
-# quadratic form, the Nehari denominator and tilde_indices(split).  So one
+# quadratic form, the Nehari denominator and `tilde`, the indices of the
+# nonpositive directions fixed by kappa_i when the engine is built.  So one
 # set of search routines serves the system, the two scalar equations and the
 # diagonal functional.
 
@@ -246,7 +253,7 @@ def newton_polish(engine, z: np.ndarray, tol: float) -> tuple[np.ndarray, bool]:
     return sol.x, bool(np.linalg.norm(sol.fun) <= tol) and np.all(np.isfinite(sol.x))
 
 
-def nehari_descent(engine, z: np.ndarray, config: SolverConfig) -> np.ndarray:
+def nehari_descent(engine, z: np.ndarray) -> np.ndarray:
     """Project-after-step Sobolev gradient descent on the Nehari set (definite case).
 
     Steps along d = g / (gamma_k - kappa_i), the gradient in the inner product
@@ -283,13 +290,13 @@ def nehari_descent(engine, z: np.ndarray, config: SolverConfig) -> np.ndarray:
     return z
 
 
-def evaluate_point(engine, z: np.ndarray, config: SolverConfig, orbit_id: int = 0) -> CriticalPoint:
+def evaluate_point(engine, z: np.ndarray, orbit_id: int = 0) -> CriticalPoint:
     """Package a coefficient vector as a CriticalPoint record."""
     m = engine.m
     u = PairField.from_coeffs(engine.basis, z)
     m1, m2, _ = engine.power_masses(z)
     total = m1 + m2
-    floor = config.triviality_floor * max(1.0, total)
+    floor = TRIVIALITY_FLOOR * max(1.0, total)
     nz1, nz2 = m1 >= floor, m2 >= floor
     if nz1 and nz2:
         cls = FULLY_NONTRIVIAL
@@ -319,22 +326,22 @@ def evaluate_point(engine, z: np.ndarray, config: SolverConfig, orbit_id: int = 
 # -- Nehari surface -------------------------------------------------------------
 
 
-def nehari_residuals(u: PairField, params: SystemParams, split: SpectralSplit) -> NehariResiduals:
+def nehari_residuals(u: PairField, params: SystemParams) -> NehariResiduals:
     """Derivative of the energy along the ray through u and the tilde directions."""
     engine = GalerkinSystem(params, u.basis)
     z = u.coeffs()
-    t_idx = engine.tilde_indices(split)
-    if _plus_h1_norm(engine, z, t_idx) < 1e-6:
+    t_idx = engine.tilde
+    if _plus_h1_norm(engine, z, t_idx) < PLUS_FLOOR:
         raise PreconditionError("point lies (numerically) inside the nonpositive subspace")
     g = engine.gradient(z)
     return NehariResiduals(ray=float(np.dot(g, z)), tilde=g[t_idx].copy())
 
 
-def nehari_project(u: PairField, params: SystemParams, split: SpectralSplit) -> PairField:
+def nehari_project(u: PairField, params: SystemParams) -> PairField:
     """Point of the Nehari set of the form t u + v, t > 0, v nonpositive-part."""
     engine = GalerkinSystem(params, u.basis)
     z = u.coeffs()
-    t_idx = engine.tilde_indices(split)
+    t_idx = engine.tilde
     if not _has_positive_part(engine, z, t_idx):
         raise PreconditionError("the point has no positive part; no ray to project")
     return PairField.from_coeffs(u.basis, project_general(engine, z, t_idx))
@@ -368,7 +375,6 @@ def orbit_dedup(points: Sequence[np.ndarray], tol: float) -> list[int]:
 
 def _system_seeds(
     engine: GalerkinSystem,
-    split: SpectralSplit,
     config: SolverConfig,
     rng: np.random.Generator,
     scalar_states: tuple[ScalarGroundState, ScalarGroundState] | None,
@@ -376,7 +382,7 @@ def _system_seeds(
 ) -> Iterable[np.ndarray]:
     """Symmetric mode pairs, scalar-ground-state crosses, and low-mode noise."""
     m = engine.m
-    amp = config.seed_amplitude
+    amp = SEED_AMPLITUDE
     for j in range(min(config.n_mode_seeds, m)):
         e = np.zeros(m)
         e[j] = amp
@@ -397,17 +403,17 @@ def _system_seeds(
         yield amp * z / max(np.linalg.norm(z), 1e-12)
 
 
-def _converge_seed(engine, split, z0, config: SolverConfig) -> np.ndarray | None:
+def _converge_seed(engine, z0, config: SolverConfig) -> np.ndarray | None:
     """Project a seed onto the Nehari set and drive the gradient to zero.
 
     None when the seed has no positive part or Newton does not converge.
     """
-    t_idx = engine.tilde_indices(split)
+    t_idx = engine.tilde
     if not _has_positive_part(engine, z0, t_idx):
         return None
     try:
         if t_idx.size == 0:
-            z = nehari_descent(engine, z0, config)
+            z = nehari_descent(engine, z0)
         else:
             z = project_general(engine, z0, t_idx)
     except NoProjectionError:
@@ -431,33 +437,31 @@ def scalar_ground_state(
     mu defaults to mu_i.  The search runs at unit coefficient, and the
     state for mu follows from it by `ScalarGroundState.scaled`.
     """
-    split = spectral_split(params, basis)
     prob = ScalarProblem(params, i, basis, mu=1.0)
     rng = np.random.default_rng(config.rng_seed)
     m = basis.size
     seeds = []
     for j in range(min(max(config.n_mode_seeds, 4), m)):
         e = np.zeros(m)
-        e[j] = config.seed_amplitude
+        e[j] = SEED_AMPLITUDE
         seeds.append(e)
     for _ in range(config.n_random_seeds):
         z = np.zeros(m)
         low = min(m, 8)
         z[:low] = rng.standard_normal(low)
-        seeds.append(config.seed_amplitude * z / np.linalg.norm(z))
+        seeds.append(SEED_AMPLITUDE * z / np.linalg.norm(z))
     best = None
     diagnostics = []
-    t_idx = prob.tilde_indices(split)
     for z0 in seeds:
-        z = _converge_seed(prob, split, z0, config)
+        z = _converge_seed(prob, z0, config)
         if z is None:
             diagnostics.append("seed did not converge")
             continue
         e = prob.energy(z)
         mass = prob.mass(z)
-        if e <= 0.0 or mass < config.triviality_floor:
+        if e <= 0.0 or mass < TRIVIALITY_FLOOR:
             continue
-        if _plus_h1_norm(prob, z, t_idx) < config.plus_floor:
+        if _plus_h1_norm(prob, z, prob.tilde) < PLUS_FLOOR:
             continue
         if best is None or e < best[0] - 1e-12:
             best = (e, z)
@@ -491,7 +495,7 @@ def semitrivial_threshold(
     return ThresholdResult(c0=min(s1.energy, s2.energy), scalar_states=(s1, s2), scalar_solves=len(units))
 
 
-def classify(point: CriticalPoint, c0: float, params: SystemParams) -> str:
+def classify(point: CriticalPoint, c0: float) -> str:
     """Cross-check the energy-window criterion against the mass floors.
 
     Raises ClassificationContradictionError when a point with energy in
@@ -512,7 +516,6 @@ def classify(point: CriticalPoint, c0: float, params: SystemParams) -> str:
 def ground_state(
     params: SystemParams,
     basis: SineBasis,
-    split: SpectralSplit | None = None,
     config: SolverConfig = SolverConfig(),
     threshold: ThresholdResult | None = None,
 ) -> CriticalPoint:
@@ -523,25 +526,22 @@ def ground_state(
     returned with `below_threshold` recording whether its energy sits under
     the semitrivial threshold.
     """
-    if split is None:
-        split = spectral_split(params, basis)
     if threshold is None:
         threshold = semitrivial_threshold(params, basis, config)
     engine = GalerkinSystem(params, basis)
     rng = np.random.default_rng(config.rng_seed)
-    t_idx = engine.tilde_indices(split)
     best: CriticalPoint | None = None
     diagnostics: list[str] = []
-    for z0 in _system_seeds(engine, split, config, rng, threshold.scalar_states):
-        z = _converge_seed(engine, split, z0, config)
+    for z0 in _system_seeds(engine, config, rng, threshold.scalar_states):
+        z = _converge_seed(engine, z0, config)
         if z is None:
             diagnostics.append("seed failed to converge")
             continue
         if engine.energy(z) <= 0.0:
             continue
-        if _plus_h1_norm(engine, z, t_idx) < config.plus_floor:
+        if _plus_h1_norm(engine, z, engine.tilde) < PLUS_FLOOR:
             continue
-        pt = evaluate_point(engine, z, config)
+        pt = evaluate_point(engine, z)
         if best is None or pt.energy < best.energy - 1e-13:
             best = pt
     if best is None:
@@ -563,17 +563,15 @@ def _deflation_factor(z: np.ndarray, deflate: list[np.ndarray], power: float, sh
     return eta, eta * grad_eta
 
 
-def _deflated_root(engine, z0: np.ndarray, deflate: list[np.ndarray], config: SolverConfig):
+def _deflated_root(engine, z0: np.ndarray, deflate: list[np.ndarray]):
     """Newton on the residual eta g, scaled by shifted inverse orbit distances."""
-    pw = float(config.deflation_power)
-    shift = config.deflation_shift
 
     def residual(z):
-        eta, _ = _deflation_factor(z, deflate, pw, shift)
+        eta, _ = _deflation_factor(z, deflate, DEFLATION_POWER, DEFLATION_SHIFT)
         return eta * engine.gradient(z)
 
     def jacobian(z):
-        eta, grad_eta = _deflation_factor(z, deflate, pw, shift)
+        eta, grad_eta = _deflation_factor(z, deflate, DEFLATION_POWER, DEFLATION_SHIFT)
         return eta * engine.hessian(z) + np.outer(engine.gradient(z), grad_eta)
 
     opts = {"xtol": 1e-13, "maxfev": 120 * (z0.size + 1)}
@@ -585,7 +583,6 @@ def multiplicity_search(
     basis: SineBasis,
     k: int,
     budget: int = 60,
-    split: SpectralSplit | None = None,
     config: SolverConfig = SolverConfig(),
     threshold: ThresholdResult | None = None,
     dedup_tol: float = 1e-4,
@@ -599,19 +596,17 @@ def multiplicity_search(
     """
     if k < 1:
         raise ValueError("target count k must be at least 1")
-    if split is None:
-        split = spectral_split(params, basis)
     if threshold is None:
         threshold = semitrivial_threshold(params, basis, config)
     engine = GalerkinSystem(params, basis)
     rng = np.random.default_rng(config.rng_seed)
-    t_idx = engine.tilde_indices(split)
+    t_idx = engine.tilde
 
     deflate: list[np.ndarray] = [np.zeros(2 * engine.m)]  # never re-converge to 0
     found: list[np.ndarray] = []
     hits: list[CriticalPoint] = []
     runs = 0
-    seeds = _system_seeds(engine, split, config, rng, threshold.scalar_states, n_random=budget)
+    seeds = _system_seeds(engine, config, rng, threshold.scalar_states, n_random=budget)
     for z0 in seeds:
         if runs >= budget or sum(1 for h in hits if 0.0 < h.energy < threshold.c0) >= k:
             break
@@ -622,21 +617,21 @@ def multiplicity_search(
             z_init = project_general(engine, z0, t_idx)
         except NoProjectionError:
             z_init = z0
-        z = _deflated_root(engine, z_init, deflate, config)
+        z = _deflated_root(engine, z_init, deflate)
         z, ok = newton_polish(engine, z, config.tol)
         if not ok:
             continue
-        if np.linalg.norm(z) < 10 * config.plus_floor:
+        if np.linalg.norm(z) < 10 * PLUS_FLOOR:
             continue
         if any(orbit_distance(z, r) < dedup_tol for r in deflate):
             continue
         deflate.append(z.copy())
         found.append(z)
-        pt = evaluate_point(engine, z, config, orbit_id=len(found) - 1)
+        pt = evaluate_point(engine, z, orbit_id=len(found) - 1)
         if (
             pt.classification == FULLY_NONTRIVIAL
             and 0.0 < pt.energy < threshold.c0
-            and _plus_h1_norm(engine, z, t_idx) >= config.plus_floor
+            and _plus_h1_norm(engine, z, t_idx) >= PLUS_FLOOR
         ):
             hits.append(dataclasses.replace(pt, below_threshold=True))
     hits.sort(key=lambda p: (p.energy, p.orbit_id))
@@ -652,7 +647,6 @@ def sphere_infimum(
     basis: SineBasis,
     rho: float,
     budget: int = 200,
-    split: SpectralSplit | None = None,
 ) -> float:
     """Monte-Carlo running minimum of the energy over the rho-sphere in X+.
 
@@ -663,11 +657,8 @@ def sphere_infimum(
     """
     if rho <= 0:
         raise PreconditionError("rho must be positive")
-    if split is None:
-        split = spectral_split(params, basis)
     engine = GalerkinSystem(params, basis)
-    mask = split.plus_mask()
-    idx = np.flatnonzero(mask)
+    idx = np.setdiff1d(np.arange(2 * engine.m), engine.tilde)
     if idx.size == 0:
         raise PreconditionError("positive subspace is trivial at this kappa")
     rng = np.random.default_rng(0)

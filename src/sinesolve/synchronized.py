@@ -22,7 +22,7 @@ import numpy as np
 from .domain import ScalarField
 from .energy import GalerkinSystem, ScalarProblem, SystemParams
 from .errors import PreconditionError
-from .nehari import CriticalPoint, SolverConfig, evaluate_point
+from .nehari import CriticalPoint, evaluate_point
 
 #: Largest |h(r)| that `amplitudes` accepts as a root.
 _H_TOL = 1e-10
@@ -161,7 +161,6 @@ def synchronized_solution(
     w: ScalarField,
     root: SyncRoot,
     params: SystemParams,
-    config: SolverConfig = SolverConfig(),
 ) -> tuple[CriticalPoint, float]:
     """Assemble u = (s w, t w) and report (point, scalar residual norm).
 
@@ -175,5 +174,5 @@ def synchronized_solution(
     prob = ScalarProblem(params, 1, w.basis, mu=1.0)
     scalar_res = float(np.linalg.norm(prob.gradient(w.coeffs)))
     z = np.concatenate([root.s * w.coeffs, root.t * w.coeffs])
-    point = evaluate_point(engine, z, config)
+    point = evaluate_point(engine, z)
     return point, scalar_res

@@ -28,7 +28,6 @@ from sinesolve import (
     ray_maximum,
     semitrivial_threshold,
     sobolev_constant,
-    spectral_split,
     unit_mode,
 )
 from sinesolve.cli import main
@@ -118,9 +117,8 @@ def test_criterion_03_nehari_ray_formula():
     basis = SineBasis(BoxDomain((1.0,)), (16,))
     pr = SystemParams(kappa1=0.0, kappa2=0.0, mu1=1.0, mu2=1.0, lam=1.0,
                       alpha=2.0, beta=2.0, dim=1)
-    split = spectral_split(pr, basis)
     u = PairField(unit_mode(basis, 0), ScalarField(basis, np.zeros(16)))
-    proj = nehari_project(u, pr, split)
+    proj = nehari_project(u, pr)
     eng = GalerkinSystem(pr, basis)
     value = eng.energy(proj.coeffs())
     elapsed = time.perf_counter() - t0
@@ -266,7 +264,7 @@ def test_criterion_08_synchronized_algebra():
 
     state = scalar_ground_state(pr, 1, basis, cfg, mu=1.0)
     root = make_sync_root(scan.roots[0], pr)
-    pt, scalar_res = synchronized_solution(state.w, root, pr, cfg)
+    pt, scalar_res = synchronized_solution(state.w, root, pr)
     # 1e-13 floor keeps the 10x comparison meaningful at machine-converged profiles
     checks.append(pt.grad_norm < 10.0 * max(scalar_res, 1e-13))
     checks.append(pt.classification == "fully-nontrivial")
@@ -311,14 +309,13 @@ def test_criterion_10_critical_linking_bound():
     s_amp, t_amp = minimizer_amplitudes(lp, s_const, r_min)
     pr = SystemParams(kappa1=kappa, kappa2=kappa, mu1=1.0, mu2=1.0, lam=lam,
                       alpha=5.0 / 3.0, beta=5.0 / 3.0, dim=n)
-    split = spectral_split(pr, basis)
     cut = CutoffSpec.for_domain(dom)
     checks = []
     margins = []
     for eps in (1e-2, 1e-3):
         closed, direct = ray_maximum(eps, cut, lp, kappa, kappa, s_amp, t_amp)
         checks.append(abs(closed - direct) <= 1e-8 * abs(closed))
-    records = linking_sweep((1e-2, 1e-3), lp, pr, basis, split, cut, s_amp, t_amp, s_coupled)
+    records = linking_sweep((1e-2, 1e-3), lp, pr, basis, cut, s_amp, t_amp, s_coupled)
     for rec in records:
         checks.append(rec.passed and rec.best_value < rec.threshold)
         margins.append((rec.threshold - rec.best_value) / rec.threshold)

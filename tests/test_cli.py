@@ -406,6 +406,14 @@ def test_valid_configs_parse(subcommand):
         ("ground-state", "output", "formats", []),
         # removed: each basis carries one quadrature grid
         ("ground-state", "problem", "quadrature_oversample", 2.0),
+        # removed: spectral_split alone decides the nonpositive subspace
+        ("ground-state", "solver", "zero_tol", 1e-9),
+        # removed: nehari module constants, at the values these keys defaulted to
+        ("ground-state", "solver", "seed_amplitude", 1.0),
+        ("ground-state", "solver", "triviality_floor", 1e-10),
+        ("ground-state", "solver", "plus_floor", 1e-6),
+        ("multiplicity", "solver", "deflation_power", 2),
+        ("multiplicity", "solver", "deflation_shift", 1.0),
     ],
 )
 def test_malformed_value_exits_2_before_any_solver(

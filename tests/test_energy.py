@@ -129,13 +129,31 @@ def test_spectral_split_cases(basis):
     assert s.definite
     assert all(len(s.minus[i]) == 0 and len(s.zero[i]) == 0 for i in (0, 1))
     # resonant kappa lands in the zero part
-    s = spectral_split(params_with(kappa1=np.pi**2, kappa2=np.pi**2), basis, tol=1e-9)
+    s = spectral_split(params_with(kappa1=np.pi**2, kappa2=np.pi**2), basis)
     assert s.zero[0].tolist() == [0]
     assert len(s.minus[0]) == 0
     # one negative mode
     s = spectral_split(params_with(kappa1=15.0, kappa2=15.0), basis)
     assert s.minus[0].tolist() == [0]
     assert len(s.zero[0]) == 0
+
+
+@pytest.mark.parametrize("kappa1, kappa2, stacked", [
+    (5.0, 5.0, []),  # definite
+    (15.0, 15.0, [0, 16]),  # one negative mode
+    (np.pi**2, np.pi**2, [0, 16]),  # resonant: the zero part
+    (15.0, 45.0, [0, 16, 17]),  # kappa_1 != kappa_2
+], ids=["definite", "negative", "resonant", "unequal"])
+def test_engine_tilde_is_the_spectral_split(basis, kappa1, kappa2, stacked):
+    # each engine takes its nonpositive subspace from spectral_split, once
+    pr = params_with(kappa1=kappa1, kappa2=kappa2)
+    split = spectral_split(pr, basis)
+    m = basis.size
+    system = GalerkinSystem(pr, basis)
+    assert system.tilde.tolist() == stacked
+    np.testing.assert_array_equal(system.tilde, np.concatenate([split.tilde(1), m + split.tilde(2)]))
+    for i in (1, 2):
+        np.testing.assert_array_equal(ScalarProblem(pr, i, basis).tilde, split.tilde(i))
 
 
 def test_split_size_monotone_in_kappa(basis):

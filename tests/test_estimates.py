@@ -164,7 +164,7 @@ def test_linking_definite_reduces_to_ray(n5_setting):
     split = spectral_split(params, basis)
     assert split.definite
     cut = CutoffSpec.for_domain(dom)
-    recs = linking_sweep([1e-2, 1e-3], lp, params, basis, split, cut, s_amp, t_amp, s_coupled)
+    recs = linking_sweep([1e-2, 1e-3], lp, params, basis, cut, s_amp, t_amp, s_coupled)
     for rec in recs:
         closed, _ = ray_maximum(rec.eps, cut, lp, kappa, kappa, s_amp, t_amp)
         assert rec.best_value == pytest.approx(closed, rel=1e-12)
@@ -179,10 +179,9 @@ def test_linking_rejects_small_box(n5_setting):
     basis = SineBasis(tiny, (2,) * 5)
     params = SystemParams(kappa1=kappa, kappa2=kappa, mu1=1.0, mu2=1.0, lam=lp.lam,
                           alpha=lp.alpha, beta=lp.beta, dim=5)
-    split = spectral_split(params, basis)
     cut = CutoffSpec(delta=0.5, support_radius=1.0)
     with pytest.raises(PreconditionError):
-        linking_sweep([1e-2], lp, params, basis, split, cut, s_amp, t_amp, s_coupled)
+        linking_sweep([1e-2], lp, params, basis, cut, s_amp, t_amp, s_coupled)
 
 
 def test_linking_tilde_branch_dim3():
@@ -204,7 +203,7 @@ def test_linking_tilde_branch_dim3():
     split = spectral_split(params, basis)
     assert split.tilde_dim == 2
     cut = CutoffSpec.for_domain(dom)
-    recs = linking_sweep([2e-2], lp, params, basis, split, cut, s_amp, t_amp, s_coupled,
+    recs = linking_sweep([2e-2], lp, params, basis, cut, s_amp, t_amp, s_coupled,
                          sample_budget=6)
     rec = recs[0]
     closed, _ = ray_maximum(rec.eps, cut, lp, kappa, kappa, s_amp, t_amp)
@@ -224,7 +223,7 @@ def test_linking_tilde_rejected_above_dim3(n5_setting):
     assert not split.definite
     cut = CutoffSpec.for_domain(dom)
     with pytest.raises(PreconditionError):
-        linking_sweep([1e-2], lp, params, basis, split, cut, s_amp, t_amp, s_coupled)
+        linking_sweep([1e-2], lp, params, basis, cut, s_amp, t_amp, s_coupled)
 
 
 # -- mixed norm --------------------------------------------------------------------
@@ -234,8 +233,7 @@ def test_mixed_norm_positive_and_exact_1d():
     basis = SineBasis(BoxDomain((1.0,)), (12,))
     pr = SystemParams(kappa1=15.0, kappa2=15.0, mu1=1.0, mu2=1.0, lam=1.0,
                       alpha=2.0, beta=2.0, dim=1)
-    split = spectral_split(pr, basis)
-    c = mixed_norm_constant(pr, basis, split, [(0.55, 0.95)])
+    c = mixed_norm_constant(pr, basis, [(0.55, 0.95)])
     x = np.linspace(0.55, 0.95, 400001)
     oracle = np.trapezoid((np.sqrt(2.0) * np.sin(np.pi * x)) ** 4, x) / np.pi**4
     assert c == pytest.approx(oracle, rel=1e-6)
@@ -246,9 +244,8 @@ def test_mixed_norm_monotone_in_domain():
     basis = SineBasis(BoxDomain((1.0,)), (12,))
     pr = SystemParams(kappa1=15.0, kappa2=15.0, mu1=1.0, mu2=1.0, lam=1.0,
                       alpha=2.0, beta=2.0, dim=1)
-    split = spectral_split(pr, basis)
-    big = mixed_norm_constant(pr, basis, split, [(0.55, 0.95)])
-    small = mixed_norm_constant(pr, basis, split, [(0.6, 0.9)])
+    big = mixed_norm_constant(pr, basis, [(0.55, 0.95)])
+    small = mixed_norm_constant(pr, basis, [(0.6, 0.9)])
     assert small < big
 
 
@@ -256,9 +253,8 @@ def test_mixed_norm_requires_tilde():
     basis = SineBasis(BoxDomain((1.0,)), (12,))
     pr = SystemParams(kappa1=1.0, kappa2=1.0, mu1=1.0, mu2=1.0, lam=1.0,
                       alpha=2.0, beta=2.0, dim=1)
-    split = spectral_split(pr, basis)
     with pytest.raises(PreconditionError):
-        mixed_norm_constant(pr, basis, split, [(0.55, 0.95)])
+        mixed_norm_constant(pr, basis, [(0.55, 0.95)])
 
 
 def test_mixed_norm_multidim_tilde():
@@ -267,7 +263,7 @@ def test_mixed_norm_multidim_tilde():
                       alpha=2.0, beta=2.0, dim=1)
     split = spectral_split(pr, basis)
     assert len(split.tilde(1)) == 2
-    c = mixed_norm_constant(pr, basis, split, [(0.55, 0.95)], sample_budget=24)
+    c = mixed_norm_constant(pr, basis, [(0.55, 0.95)], sample_budget=24)
     assert c > 0.0
 
 
@@ -325,10 +321,9 @@ def test_linking_dim4_nonresonant_calibrated_cutoff():
     s_amp, t_amp = minimizer_amplitudes(lp, s_const, r_min)
     pr = SystemParams(kappa1=kappa, kappa2=kappa, mu1=1.0, mu2=1.0, lam=1.0,
                       alpha=2.0, beta=2.0, dim=n)
-    split = spectral_split(pr, basis)
     delta = dom.inscribed_radius / 4.0
     cut = CutoffSpec(delta=delta, support_radius=2.0 * delta)
-    recs = linking_sweep([1e-2, 1e-3], lp, pr, basis, split, cut, s_amp, t_amp, s_coupled)
+    recs = linking_sweep([1e-2, 1e-3], lp, pr, basis, cut, s_amp, t_amp, s_coupled)
     for rec in recs:
         assert rec.passed, rec
         assert rec.boundary_nonpositive

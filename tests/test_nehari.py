@@ -29,7 +29,6 @@ from sinesolve import (
     rescale_diagonal_sup,
     scalar_ground_state,
     semitrivial_threshold,
-    spectral_split,
     sphere_infimum,
     unit_mode,
 )
@@ -78,31 +77,27 @@ def e1_pair(basis):
 
 def test_ray_residual_unscaled(basis):
     pr = params_with()
-    split = spectral_split(pr, basis)
-    res = nehari_residuals(e1_pair(basis), pr, split)
+    res = nehari_residuals(e1_pair(basis), pr)
     assert res.ray == pytest.approx(np.pi**2 - 1.5, rel=1e-10)
 
 
 def test_residuals_vanish_at_projection(basis):
     pr = params_with()
-    split = spectral_split(pr, basis)
-    proj = nehari_project(e1_pair(basis), pr, split)
-    res = nehari_residuals(proj, pr, split)
+    proj = nehari_project(e1_pair(basis), pr)
+    res = nehari_residuals(proj, pr)
     assert abs(res.ray) < 1e-10
 
 
 def test_residuals_inside_tilde_rejected(basis):
     pr = params_with(kappa1=15.0, kappa2=15.0)
-    split = spectral_split(pr, basis)
     u = e1_pair(basis)  # mode 1 is the negative direction at kappa = 15
     with pytest.raises(PreconditionError):
-        nehari_residuals(u, pr, split)
+        nehari_residuals(u, pr)
 
 
 def test_projection_closed_form(basis):
     pr = params_with()
-    split = spectral_split(pr, basis)
-    proj = nehari_project(e1_pair(basis), pr, split)
+    proj = nehari_project(e1_pair(basis), pr)
     t_star = np.sqrt(np.pi**2 / 1.5)
     assert proj.u1.coeffs[0] == pytest.approx(t_star, rel=1e-10)
     eng = GalerkinSystem(pr, basis)
@@ -111,13 +106,12 @@ def test_projection_closed_form(basis):
 
 def test_projection_scale_free(basis):
     pr = params_with()
-    split = spectral_split(pr, basis)
     rng = np.random.default_rng(0)
     z = rng.standard_normal(2 * basis.size)
     u = PairField.from_coeffs(basis, z)
     v = PairField.from_coeffs(basis, 3.7 * z)
-    p1 = nehari_project(u, pr, split).coeffs()
-    p2 = nehari_project(v, pr, split).coeffs()
+    p1 = nehari_project(u, pr).coeffs()
+    p2 = nehari_project(v, pr).coeffs()
     np.testing.assert_allclose(p1, p2, rtol=1e-12, atol=1e-12)
 
 
@@ -125,30 +119,26 @@ def test_projection_rejects_point_without_plus_part(basis):
     # e1 is the negative direction at kappa = 15, so the e1 pair has no
     # positive part and cannot be projected
     pr = params_with(kappa1=15.0, kappa2=15.0)
-    split = spectral_split(pr, basis)
     with pytest.raises(PreconditionError):
-        nehari_project(e1_pair(basis), pr, split)
+        nehari_project(e1_pair(basis), pr)
 
 
 def test_projection_noprojection_error():
     # 1-D with kappa over every eigenvalue of a tiny truncation: B < 0 on all rays
     basis = SineBasis(BoxDomain((1.0,)), (2,))
-    pr = params_with(kappa1=60.0, kappa2=60.0)
-    # force the definite path by building a split that reports no tilde modes
-    split = spectral_split(params_with(kappa1=0.0, kappa2=0.0), basis)
+    engine = GalerkinSystem(params_with(kappa1=60.0, kappa2=60.0), basis)
     with pytest.raises(NoProjectionError):
-        nehari_project(e1_pair(basis), pr, split)
+        project_ray(engine, e1_pair(basis).coeffs())
 
 
 def test_general_projection_with_tilde(basis):
     pr = params_with(kappa1=15.0, kappa2=15.0, lam=5.0)
-    split = spectral_split(pr, basis)
     rng = np.random.default_rng(1)
     z = np.zeros(2 * basis.size)
     z[:6] = rng.standard_normal(6)
     z[basis.size : basis.size + 6] = rng.standard_normal(6)
-    proj = nehari_project(PairField.from_coeffs(basis, z), pr, split)
-    res = nehari_residuals(proj, pr, split)
+    proj = nehari_project(PairField.from_coeffs(basis, z), pr)
+    res = nehari_residuals(proj, pr)
     assert res.max_abs < 1e-8
 
 
@@ -194,13 +184,12 @@ def test_orbit_dedup_sign_images(basis):
 
 def test_orbit_closure_of_critical_points(basis, config):
     pr = params_with(lam=50.0)
-    split = spectral_split(pr, basis)
     th = semitrivial_threshold(pr, basis, config)
-    gs = ground_state(pr, basis, split, config, th)
+    gs = ground_state(pr, basis, config, th)
     eng = GalerkinSystem(pr, basis)
     z = gs.u.coeffs()
     for img in sign_orbit(z):
-        pt = evaluate_point(eng, img, config)
+        pt = evaluate_point(eng, img)
         assert pt.energy == pytest.approx(gs.energy, abs=1e-12 * max(abs(gs.energy), 1.0))
         assert pt.grad_norm == pytest.approx(gs.grad_norm, abs=1e-12)
         assert pt.classification == gs.classification
@@ -269,26 +258,26 @@ def test_classify_semitrivial(basis, config):
     th = semitrivial_threshold(pr, basis, config)
     eng = GalerkinSystem(pr, basis)
     z = np.concatenate([th.scalar_states[0].w.coeffs, np.zeros(basis.size)])
-    pt = evaluate_point(eng, z, config)
+    pt = evaluate_point(eng, z)
     assert pt.classification == "semitrivial-1"
     assert pt.energy >= th.c0 - 1e-9
-    assert classify(pt, th.c0, pr) == "semitrivial-1"
+    assert classify(pt, th.c0) == "semitrivial-1"
 
 
-def test_classify_trivial(basis, config):
+def test_classify_trivial(basis):
     pr = params_with()
     eng = GalerkinSystem(pr, basis)
-    pt = evaluate_point(eng, np.zeros(2 * basis.size), config)
+    pt = evaluate_point(eng, np.zeros(2 * basis.size))
     assert pt.classification == "trivial"
 
 
-def test_classify_contradiction(basis, config):
+def test_classify_contradiction(basis):
     pr = params_with(lam=50.0)
     eng = GalerkinSystem(pr, basis)
-    pt = evaluate_point(eng, np.zeros(2 * basis.size), config)
+    pt = evaluate_point(eng, np.zeros(2 * basis.size))
     fake = dataclasses.replace(pt, energy=1.0, grad_norm=0.0)
     with pytest.raises(ClassificationContradictionError):
-        classify(fake, 10.0, pr)
+        classify(fake, 10.0)
 
 
 # -- ground state and multiplicity --------------------------------------------------
@@ -296,9 +285,8 @@ def test_classify_contradiction(basis, config):
 
 def test_ground_state_definite(basis, config):
     pr = params_with(lam=50.0)
-    split = spectral_split(pr, basis)
     th = semitrivial_threshold(pr, basis, config)
-    gs = ground_state(pr, basis, split, config, th)
+    gs = ground_state(pr, basis, config, th)
     assert gs.grad_norm < 1e-8
     assert 0.0 < gs.energy < th.c0
     assert gs.classification == "fully-nontrivial"
@@ -317,7 +305,7 @@ def basis24():
 
 
 @pytest.mark.parametrize("kind", ["system", "scalar"])
-def test_descent_from_first_mode_is_short(basis24, config, kind):
+def test_descent_from_first_mode_is_short(basis24, kind):
     # Sobolev-preconditioned steps: a handful of gradients where plain
     # 1/gamma_max steps took hundreds (system) or hit the 400-step cap (scalar)
     pr = params_with(lam=50.0)
@@ -333,7 +321,7 @@ def test_descent_from_first_mode_is_short(basis24, config, kind):
         return gradient(z)
 
     engine.gradient = counting
-    z = nehari_descent(engine, z0, config)
+    z = nehari_descent(engine, z0)
     assert np.linalg.norm(gradient(z)) < DESCENT_SWITCH_TOL
     assert len(calls) <= 20
 
@@ -345,9 +333,8 @@ def test_ground_state_definite_default_seeds(basis24):
 
 def test_ground_state_indefinite(basis, config):
     pr = params_with(kappa1=15.0, kappa2=15.0, lam=50.0)
-    split = spectral_split(pr, basis)
     th = semitrivial_threshold(pr, basis, config)
-    gs = ground_state(pr, basis, split, config, th)
+    gs = ground_state(pr, basis, config, th)
     assert gs.grad_norm < 1e-8
     assert 0.0 < gs.energy < th.c0
     assert gs.classification == "fully-nontrivial"
@@ -356,9 +343,8 @@ def test_ground_state_indefinite(basis, config):
 
 def test_multiplicity_orbits(basis, config):
     pr = params_with(lam=200.0)
-    split = spectral_split(pr, basis)
     th = semitrivial_threshold(pr, basis, config)
-    pts = multiplicity_search(pr, basis, k=2, budget=30, split=split, config=config, threshold=th)
+    pts = multiplicity_search(pr, basis, k=2, budget=30, config=config, threshold=th)
     assert len(pts) >= 2
     ids = orbit_dedup([p.u.coeffs() for p in pts], tol=1e-4)
     assert len(set(ids)) == len(pts)
@@ -371,9 +357,8 @@ def test_multiplicity_orbits(basis, config):
 def test_multiplicity_small_lambda_best_effort(basis, config):
     # with weak coupling no orbit may fall below the threshold; empty is legal
     pr = params_with(lam=1e-3)
-    split = spectral_split(pr, basis)
     th = semitrivial_threshold(pr, basis, config)
-    pts = multiplicity_search(pr, basis, k=1, budget=6, split=split, config=config, threshold=th)
+    pts = multiplicity_search(pr, basis, k=1, budget=6, config=config, threshold=th)
     for p in pts:
         assert 0.0 < p.energy < th.c0
 
@@ -474,7 +459,6 @@ def test_diagonal_sup_lambda_law(basis, lam, alpha, beta, k1, k2, m):
 def test_ground_state_convergence_failure(basis):
     # an unreachable tolerance forces every seed to be rejected
     pr = params_with(lam=50.0)
-    split = spectral_split(pr, basis)
     cfg = SolverConfig(tol=1e-30, n_mode_seeds=1, n_random_seeds=1)
     from sinesolve.errors import ConvergenceFailureError
     from sinesolve.nehari import ThresholdResult, ScalarGroundState
@@ -484,15 +468,14 @@ def test_ground_state_convergence_failure(basis):
     )
     th = ThresholdResult(c0=1.0, scalar_states=(fake_scalar, fake_scalar))
     with pytest.raises(ConvergenceFailureError):
-        ground_state(pr, basis, split, cfg, th)
+        ground_state(pr, basis, cfg, th)
 
 
 def test_residuals_vanish_at_converged_critical_point(basis, config):
     # every exact Galerkin critical point lies on the generalized Nehari set
     pr = params_with(kappa1=15.0, kappa2=15.0, lam=50.0)
-    split = spectral_split(pr, basis)
-    gs = ground_state(pr, basis, split, config)
-    res = nehari_residuals(gs.u, pr, split)
+    gs = ground_state(pr, basis, config)
+    res = nehari_residuals(gs.u, pr)
     assert res.max_abs < 1e-8
 
 
@@ -503,7 +486,7 @@ def test_newton_builds_hessians_on_demand(basis24, config):
     # its projection is the trivial root, so start from the next two modes
     pr = params_with(kappa1=15.0, kappa2=15.0, lam=50.0)
     engine = GalerkinSystem(pr, basis24)
-    t_idx = engine.tilde_indices(spectral_split(pr, basis24))
+    t_idx = engine.tilde
     e2, e3 = (unit_mode(basis24, j).coeffs for j in (1, 2))
     gradient, hessian, calls = engine.gradient, engine.hessian, {"gradient": 0, "hessian": 0}
 
@@ -517,7 +500,7 @@ def test_newton_builds_hessians_on_demand(basis24, config):
     z0, w0 = (project_general(engine, np.concatenate([e, e]), t_idx) for e in (e2, e3))
     engine.gradient, engine.hessian = counting("gradient", gradient), counting("hessian", hessian)
     z, ok = newton_polish(engine, z0, config.tol)
-    w = _deflated_root(engine, w0, [np.zeros_like(z), z], config)
+    w = _deflated_root(engine, w0, [np.zeros_like(z), z])
     assert ok and ok == (np.linalg.norm(gradient(z)) <= config.tol)
     assert np.linalg.norm(gradient(w)) <= config.tol and orbit_distance(w, z) > 0.1
     assert calls["hessian"] < calls["gradient"] / 2
@@ -589,8 +572,8 @@ def indefinite24(basis24, config):
     pr = params_with(kappa1=15.0, kappa2=15.0, lam=50.0)
     engine = GalerkinSystem(pr, basis24)
     e2 = unit_mode(basis24, 1).coeffs
-    w0 = project_general(engine, np.concatenate([e2, e2]), engine.tilde_indices(spectral_split(pr, basis24)))
-    z, ok = newton_polish(engine, _deflated_root(engine, w0, [np.zeros_like(w0)], config), config.tol)
+    w0 = project_general(engine, np.concatenate([e2, e2]), engine.tilde)
+    z, ok = newton_polish(engine, _deflated_root(engine, w0, [np.zeros_like(w0)]), config.tol)
     assert ok and np.linalg.norm(z) > 0.1
     return pr, w0, z
 
@@ -610,11 +593,11 @@ def test_newton_evaluates_each_point_once(basis24, config, indefinite24, monkeyp
     assert work["mode_mass_matrix"] == 3 * len(set(asked["hessian"]))
 
 
-def test_deflated_jacobian_reuses_the_residual_gradient(basis24, config, indefinite24, monkeypatch):
+def test_deflated_jacobian_reuses_the_residual_gradient(basis24, indefinite24, monkeypatch):
     pr, w0, _ = indefinite24
     engine = GalerkinSystem(pr, basis24)
     work, asked = _count_point_work(monkeypatch, engine)
-    w = _deflated_root(engine, w0, [np.zeros_like(w0)], config)
+    w = _deflated_root(engine, w0, [np.zeros_like(w0)])
     assert np.linalg.norm(w) > 0.1 and asked["hessian"]
     # every Jacobian is built where MINPACK has just taken the residual
     assert set(asked["hessian"]) <= set(asked["gradient"])

@@ -116,7 +116,7 @@ def test_unit_coefficient_rescaling(solved_profile):
 def test_synchronized_assembly(solved_profile):
     basis, cfg, pr, state = solved_profile
     root = make_sync_root(1.0, pr)
-    pt, scalar_res = synchronized_solution(state.w, root, pr, cfg)
+    pt, scalar_res = synchronized_solution(state.w, root, pr)
     # rounding floor keeps the 10x bound meaningful at machine-converged profiles
     assert pt.grad_norm < 10.0 * max(scalar_res, 1e-13)
     assert pt.classification == "fully-nontrivial"
@@ -128,4 +128,4 @@ def test_synchronized_requires_equal_kappas(solved_profile):
     bad = params_with(kappa1=1.0, kappa2=2.0)
     root = make_sync_root(1.0, params_with())
     with pytest.raises(PreconditionError):
-        synchronized_solution(state.w, root, bad, cfg)
+        synchronized_solution(state.w, root, bad)
