@@ -7,8 +7,12 @@ eigenpairs
     gamma_k = pi^2 sum_i (k_i / L_i)^2,
 
 which are L^2-orthonormal.  Fields are stored as coefficient vectors over
-the modes sorted by nondecreasing eigenvalue (lexicographic tie-break), and
-every integral is a tensor-product composite Gauss-Legendre rule.
+the modes sorted by nondecreasing eigenvalue (lexicographic tie-break).  A
+box integral is a tensor product of the interior-node trapezoid (DST-I)
+rule: Q nodes jL/(Q+1) of weight L/(Q+1) per axis.  It integrates a product
+of an even number of sine factors exactly when their frequencies sum below
+2(Q+1), so the Gram matrix of the modes k <= Q is exact; a constant, which
+is no such product, gets Q/(Q+1) of its integral.
 """
 
 from __future__ import annotations
@@ -20,12 +24,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BasisMismatchError
-from .radial import panel_rule
-
-#: Gauss-Legendre order of one quadrature panel.  At 2K+8 nodes per axis
-#: this keeps the Gram matrix of the first ~64 modes within 2e-10 of the
-#: identity.
-PANEL_ORDER = 32
 
 
 @dataclass(frozen=True)
@@ -98,12 +96,14 @@ class SineBasis:
     def grid(self) -> "QuadratureGrid":
         """The quadrature grid every engine on this basis integrates on, built once.
 
-        2 max(16, 2K+8) nodes per axis, rounded up to whole panels: twice the
-        count that resolves the quadratic mode products, so the quartic
-        nonlinear terms are alias-free (Orszag, J. Atmos. Sci. 28, 1971).
+        3K interior nodes per axis.  For even integer p the integrands of the
+        energy, gradient and Hessian are products of p sine factors whose
+        frequencies sum to at most pK, exact once Q + 1 > pK/2 (Orszag, J.
+        Atmos. Sci. 28, 1971): Q = 3K covers every even p <= 6, so p = 4 in
+        any dimension and p = 2* = 6 in N = 3.  Other powers get the rule's
+        algebraic accuracy.
         """
-        nodes = [2 * max(16, 2 * k + 8) for k in self.cutoffs]
-        return QuadratureGrid.for_domain(self.domain, nodes)
+        return QuadratureGrid.for_domain(self.domain, [3 * k for k in self.cutoffs])
 
     def axis_matrix(self, axis: int, x: np.ndarray) -> np.ndarray:
         """1-D factor sqrt(2/L) sin(pi k x / L) evaluated at the points x, shape (len(x), K)."""
@@ -151,12 +151,6 @@ def unit_mode(basis: SineBasis, index: int) -> ScalarField:
 def require_same_basis(f: ScalarField, g: ScalarField) -> None:
     if f.basis != g.basis:
         raise BasisMismatchError("fields live on different bases")
-
-
-def composite_gauss_legendre(length: float, n_nodes: int):
-    """Composite Gauss-Legendre rule on (0, length) with at least n_nodes nodes."""
-    n_panels = max(1, int(np.ceil(n_nodes / PANEL_ORDER)))
-    return panel_rule(np.linspace(0.0, length, n_panels + 1), PANEL_ORDER)
 
 
 # one axis of `mode_mass_matrix`: contract the leading node axis against e_k e_l
@@ -224,13 +218,14 @@ class QuadratureGrid:
 
     @classmethod
     def for_domain(cls, domain: BoxDomain, nodes_per_axis: int | Sequence[int]) -> "QuadratureGrid":
+        """The interior-node trapezoid (DST-I) rule: x_j = jL/(Q+1), weights L/(Q+1)."""
         if np.isscalar(nodes_per_axis):
             nodes_per_axis = [int(nodes_per_axis)] * domain.dim
-        rules = [composite_gauss_legendre(L, q) for L, q in zip(domain.lengths, nodes_per_axis)]
+        h = [L / (q + 1) for L, q in zip(domain.lengths, nodes_per_axis)]
         return cls(
             lengths=domain.lengths,
-            axis_nodes=tuple(r[0] for r in rules),
-            axis_weights=tuple(r[1] for r in rules),
+            axis_nodes=tuple(hi * np.arange(1, q + 1) for hi, q in zip(h, nodes_per_axis)),
+            axis_weights=tuple(np.full(q, hi) for hi, q in zip(h, nodes_per_axis)),
         )
 
     @property

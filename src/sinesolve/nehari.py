@@ -549,17 +549,17 @@ def ground_state(
     return dataclasses.replace(best, below_threshold=bool(best.energy < threshold.c0))
 
 
-def _deflation_factor(z: np.ndarray, deflate: list[np.ndarray], power: float, shift: float):
-    """eta(z) = prod_i (d_i^-power + shift) over the orbit distances d_i, and its gradient."""
+def _deflation_factor(z: np.ndarray, deflate: list[np.ndarray]):
+    """eta(z), the deflation factor over the orbit distances to `deflate`, and its gradient."""
     eta = 1.0
     grad_eta = np.zeros_like(z)
     for zi in deflate:
         dists = [(np.linalg.norm(z - img), img) for img in sign_orbit(zi)]
         d, img = min(dists, key=lambda t: t[0])
         d = max(d, 1e-13)
-        m_i = d ** (-power) + shift
+        m_i = d ** (-DEFLATION_POWER) + DEFLATION_SHIFT
         eta *= m_i
-        grad_eta += (-power * d ** (-power - 1.0) / m_i) * (z - img) / d
+        grad_eta += (-DEFLATION_POWER * d ** (-DEFLATION_POWER - 1.0) / m_i) * (z - img) / d
     return eta, eta * grad_eta
 
 
@@ -567,11 +567,11 @@ def _deflated_root(engine, z0: np.ndarray, deflate: list[np.ndarray]):
     """Newton on the residual eta g, scaled by shifted inverse orbit distances."""
 
     def residual(z):
-        eta, _ = _deflation_factor(z, deflate, DEFLATION_POWER, DEFLATION_SHIFT)
+        eta, _ = _deflation_factor(z, deflate)
         return eta * engine.gradient(z)
 
     def jacobian(z):
-        eta, grad_eta = _deflation_factor(z, deflate, DEFLATION_POWER, DEFLATION_SHIFT)
+        eta, grad_eta = _deflation_factor(z, deflate)
         return eta * engine.hessian(z) + np.outer(engine.gradient(z), grad_eta)
 
     opts = {"xtol": 1e-13, "maxfev": 120 * (z0.size + 1)}
@@ -730,10 +730,11 @@ def rescale_diagonal_sup(params: SystemParams, value: float, lam_from: float, la
 def diagonal_sup(params: SystemParams, m: int, basis: SineBasis, lam: float | None = None) -> float:
     """Supremum of the energy over the m-dimensional diagonal subspace.
 
-    BFGS runs from the Nehari point of each positive mode and from 4 random
-    starts drawn at seed 0, whatever the solver seed.  Returns exactly 0
-    when gamma_m <= (kappa_1 + kappa_2)/2, where the energy is nonpositive
-    on the whole subspace and attains 0 at the origin.
+    Trust-exact, on the m x m block of the Hessian, runs from the Nehari
+    point of each positive mode and from 4 random starts drawn at seed 0,
+    whatever the solver seed.  Returns exactly 0 when gamma_m <= (kappa_1 +
+    kappa_2)/2, where the energy is nonpositive on the whole subspace and
+    attains 0 at the origin.
     """
     if not 1 <= m <= basis.size:
         raise PreconditionError(f"m must lie in [1, {basis.size}]")
@@ -743,15 +744,16 @@ def diagonal_sup(params: SystemParams, m: int, basis: SineBasis, lam: float | No
         return 0.0
     prob = _diag_problem(params, lam, basis)
 
+    head = np.arange(m)
+
     def neg(c):
-        full = np.zeros(basis.size)
-        full[:m] = c
-        return -2.0 * prob.energy(full)
+        return -2.0 * prob.energy(_embed(c, head, basis.size))
 
     def neg_grad(c):
-        full = np.zeros(basis.size)
-        full[:m] = c
-        return -2.0 * prob.gradient(full)[:m]
+        return -2.0 * prob.gradient(_embed(c, head, basis.size))[:m]
+
+    def neg_hess(c):
+        return -2.0 * prob.hessian(_embed(c, head, basis.size))[:m, :m]
 
     starts = []
     for j in range(m):
@@ -764,9 +766,9 @@ def diagonal_sup(params: SystemParams, m: int, basis: SineBasis, lam: float | No
     scale = np.linalg.norm(starts[-1]) if starts else 1.0
     for _ in range(4):
         starts.append(scale * rng.standard_normal(m))
-    best = 0.0
+    best, opts = 0.0, {"gtol": 1e-13, "maxiter": 500}
     for c0 in starts:
-        res = scipy.optimize.minimize(neg, c0, jac=neg_grad, method="BFGS", options={"gtol": 1e-13, "maxiter": 500})
+        res = scipy.optimize.minimize(neg, c0, jac=neg_grad, hess=neg_hess, method="trust-exact", options=opts)
         best = max(best, -res.fun)
     return float(best)
 

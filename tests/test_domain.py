@@ -91,9 +91,13 @@ def test_synthesize_domain_mismatch(basis_1d):
 
 
 def test_integrate_constant_unit_square():
+    # a constant is not in the sine space: the interior-node rule gives it
+    # Q/(Q+1) per axis, while a squared tensor mode integrates to 1
     dom = BoxDomain((1.0, 1.0))
     grid = QuadratureGrid.for_domain(dom, 24)
-    assert integrate(np.ones(grid.shape), grid) == pytest.approx(1.0, abs=1e-12)
+    assert integrate(np.ones(grid.shape), grid) == pytest.approx((24 / 25) ** 2, abs=1e-15)
+    mode = synthesize(unit_mode(SineBasis(dom, (24, 24)), 575), grid)
+    assert integrate(mode**2, grid) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_integrate_mode_square(basis_1d, grid_1d):
@@ -139,19 +143,38 @@ def test_h1_inner_basis_mismatch(basis_1d):
 
 def test_gram_identity(basis_1d, grid_1d):
     gram = mode_mass_matrix(np.ones(grid_1d.shape), basis_1d, grid_1d)
-    assert np.abs(gram - np.eye(basis_1d.size)).max() < 1e-10
+    assert np.abs(gram - np.eye(basis_1d.size)).max() < 1e-14
 
 
 @pytest.mark.parametrize(
     "cutoffs, shape",
-    [((4,), (32,)), ((16,), (96,)), ((24,), (128,)), ((8, 3), (64, 32)), ((4, 4, 4), (32, 32, 32))],
+    [((4,), (12,)), ((16,), (48,)), ((24,), (72,)), ((8, 3), (24, 9)), ((4, 4, 4), (12, 12, 12))],
 )
 def test_basis_grid_follows_the_node_rule(cutoffs, shape):
-    # 2 max(16, 2K+8) nodes per axis, rounded up to 32-node panels, built once
-    basis = SineBasis(BoxDomain((1.0,) * len(cutoffs)), cutoffs)
-    assert basis.grid.shape == shape
-    assert basis.grid is basis.grid
-    assert basis.grid.lengths == basis.domain.lengths
+    # 3K interior nodes x_j = jL/(Q+1) per axis with weights L/(Q+1), built
+    # once; the Gram matrix is exact, and so are the quartic and sextic
+    # integrals of random fields against a 4x finer grid of the same rule
+    lengths = (1.0, 0.7, 1.3)[: len(cutoffs)]
+    basis = SineBasis(BoxDomain(lengths), cutoffs)
+    grid = basis.grid
+    assert grid.shape == shape
+    assert grid is basis.grid
+    assert grid.lengths == basis.domain.lengths
+    for x, w, L, q in zip(grid.axis_nodes, grid.axis_weights, lengths, shape):
+        np.testing.assert_allclose(x, L * np.arange(1, q + 1) / (q + 1), rtol=1e-15, atol=0)
+        assert np.all(w == L / (q + 1))
+    gram = mode_mass_matrix(np.ones(grid.shape), basis, grid)
+    assert np.abs(gram - np.eye(basis.size)).max() < 1e-14
+
+    fine = QuadratureGrid.for_domain(basis.domain, [4 * q for q in shape])
+    rng = np.random.default_rng(5)
+    u1, u2 = (ScalarField(basis, rng.standard_normal(basis.size)) for _ in range(2))
+
+    def quartic_and_sextic(g):
+        v1, v2 = synthesize(u1, g), synthesize(u2, g)
+        return integrate(v1**4, g), integrate(v1**3 * v2**3, g)
+
+    assert quartic_and_sextic(grid) == pytest.approx(quartic_and_sextic(fine), rel=1e-13)
 
 
 def test_basis_with_grid_is_freed_without_the_cycle_collector():
@@ -172,9 +195,12 @@ def test_basis_with_grid_is_freed_without_the_cycle_collector():
 
 
 def test_quadrature_weights_positive_and_sum(grid_1d):
+    # equal weights L/(Q+1) on interior nodes, so they sum to L Q/(Q+1)
     for w, L in zip(grid_1d.axis_weights, grid_1d.lengths):
+        q = len(w)
         assert np.all(w > 0)
-        assert np.sum(w) == pytest.approx(L, rel=1e-12)
+        assert np.all(w == L / (q + 1))
+        assert np.sum(w) == pytest.approx(L * q / (q + 1), rel=1e-14)
 
 
 def test_parseval_property():

@@ -331,6 +331,20 @@ def test_ground_state_definite_default_seeds(basis24):
     assert gs.energy == pytest.approx(0.312001188332069, abs=1e-12)
 
 
+def test_critical_ground_state_in_four_dimensions():
+    # the paper's critical case p = alpha + beta = 2* = 4 in N = 4, with
+    # kappa = 25 no Dirichlet eigenvalue, on 2^4 modes: the energy is the one
+    # the padded 32^4 Gauss-Legendre grid gave, reached here on 6^4 nodes
+    pr = SystemParams(kappa1=25.0, kappa2=25.0, mu1=1.0, mu2=1.0, lam=5.0, alpha=2.0, beta=2.0, dim=4)
+    basis = SineBasis(BoxDomain((1.0,) * 4), (2,) * 4)
+    gs = ground_state(pr, basis, SolverConfig(n_mode_seeds=2, n_random_seeds=0))
+    assert pr.critical
+    assert basis.grid.shape == (6,) * 4
+    assert gs.classification == "fully-nontrivial"
+    assert gs.grad_norm < 1e-10
+    assert gs.energy == pytest.approx(1.8821510781249648, rel=1e-12)
+
+
 def test_ground_state_indefinite(basis, config):
     pr = params_with(kappa1=15.0, kappa2=15.0, lam=50.0)
     th = semitrivial_threshold(pr, basis, config)
@@ -532,11 +546,11 @@ def test_deflation_factor_gradient_matches_central_differences():
     rng = np.random.default_rng(3)
     z = rng.standard_normal(10)
     deflate = [np.zeros(10), z + 0.5 * rng.standard_normal(10)]
-    eta, grad_eta = _deflation_factor(z, deflate, 2.0, 1.0)
+    eta, grad_eta = _deflation_factor(z, deflate)
     h = 1e-6
 
     def eta_at(x):
-        return _deflation_factor(x, deflate, 2.0, 1.0)[0]
+        return _deflation_factor(x, deflate)[0]
 
     fd = np.array([(eta_at(z + h * e) - eta_at(z - h * e)) / (2 * h) for e in np.eye(z.size)])
     assert eta > 1.0
