@@ -30,9 +30,9 @@ _GOLDEN = 0.5 * (np.sqrt(5.0) - 1.0)
 _SCAN_POINTS, _SCAN_LO, _SCAN_HI = 2001, 1e-6, 1e6
 #: Pair-grid oracle: nodes per amplitude and the (s, t) window.
 _PAIR_POINTS, _PAIR_LO, _PAIR_HI = 601, 1e-3, 1e3
-#: interior_threshold: relative bisection width, and the margin by which the
-#: infimum must undercut the boundary bound.
-_LAMBDA0_REL_WIDTH, _LAMBDA0_MARGIN = 1e-6, 1e-12
+#: interior_threshold: relative bisection width, the margin by which the infimum
+#: must undercut the boundary bound, and the slack that decides a step unrefined.
+_LAMBDA0_REL_WIDTH, _LAMBDA0_MARGIN, _LAMBDA0_SLACK = 1e-6, 1e-12, 1e-12
 
 
 @dataclass(frozen=True)
@@ -106,12 +106,13 @@ def f_lambda(r: float, lp: LimitParams) -> float:
     return float((r**2 + 1.0) / denom ** (2.0 / ts))
 
 
-def _f_on_log_grid(lp: LimitParams):
+def _log_scan(lp: LimitParams):
+    """(x, lam -> f_lam(exp(x))) on the log grid; the parts free of lam are built once."""
     x = np.linspace(np.log(_SCAN_LO), np.log(_SCAN_HI), _SCAN_POINTS)
     r = np.exp(x)
     ts = lp.two_star
-    denom = lp.mu1 * r**ts + lp.mu2 + ts * lp.lam * r**lp.alpha
-    return x, (r**2 + 1.0) / denom ** (2.0 / ts)
+    num, base, ra, expo = r**2 + 1.0, lp.mu1 * r**ts + lp.mu2, r**lp.alpha, 2.0 / ts
+    return x, lambda lam: num / (base + ts * lam * ra) ** expo
 
 
 def _golden_min(fun, a: float, b: float, tol: float = 1e-10) -> float:
@@ -139,13 +140,16 @@ def _boundary_bound(lp: LimitParams) -> float:
 
 def _infimum_f(lp: LimitParams) -> tuple[float, float, bool]:
     """(inf value, argmin r, interior flag) of f over the scan window."""
-    x, vals = _f_on_log_grid(lp)
+    x, f_at = _log_scan(lp)
+    return _refine(x, f_at(lp.lam), lp)
+
+
+def _refine(x, vals, lp: LimitParams) -> tuple[float, float, bool]:
+    """`_infimum_f` from the scan values: golden section around an interior argmin."""
     j = int(np.argmin(vals))
-    interior = 0 < j < len(x) - 1
-    if not interior:
+    if not 0 < j < len(x) - 1:
         return float(vals[j]), float(np.exp(x[j])), False
-    xa, xb = x[j - 1], x[j + 1]
-    xm = _golden_min(lambda t: f_lambda(float(np.exp(t)), lp), xa, xb)
+    xm = _golden_min(lambda t: f_lambda(float(np.exp(t)), lp), x[j - 1], x[j + 1])
     r = float(np.exp(xm))
     return f_lambda(r, lp), r, True
 
@@ -181,13 +185,18 @@ def interior_threshold(mu1: float, mu2: float, alpha: float, beta: float, dim: i
 
     Below the returned value the infimum of the quotient sits at r -> 0 or
     r -> infinity (a semitrivial profile); above it an interior minimizer
-    exists.  Bisection is valid because f decreases pointwise in lam.
+    exists.  Bisection is valid because f decreases pointwise in lam.  Golden
+    section raises an interior scan minimum by ulps at most, so a step whose
+    scan minimum undercuts the cut by the relative slack is decided unrefined.
     """
+    lp = LimitParams(mu1=mu1, mu2=mu2, lam=1.0, alpha=alpha, beta=beta, dim=dim)
+    cut = _boundary_bound(lp) - _LAMBDA0_MARGIN
+    x, f_at = _log_scan(lp)
     def below(lam: float) -> bool:
-        lp = LimitParams(mu1=mu1, mu2=mu2, lam=lam, alpha=alpha, beta=beta, dim=dim)
-        bound = _boundary_bound(lp)
-        val, _, _ = _infimum_f(lp)
-        return val < bound - _LAMBDA0_MARGIN
+        vals = f_at(lam)
+        if vals.min() < cut - _LAMBDA0_SLACK * cut:
+            return True
+        return _refine(x, vals, LimitParams(mu1, mu2, lam, alpha, beta, dim))[0] < cut
 
     lo, hi = 0.0, 1.0
     for _ in range(200):

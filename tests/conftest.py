@@ -35,3 +35,39 @@ def _full_pair_grid(lp, s_const, n=601, lo=1e-3, hi=1e3):
 def full_pair_grid():
     """Brute-force oracle for `limit.pair_grid_infimum`."""
     return _full_pair_grid
+
+
+def _reference_interior_threshold(mu1, mu2, alpha, beta, dim, n=2001, lo=1e-6, hi=1e6):
+    # the bisection with a fresh scan and a golden refinement at every step;
+    # imported here, as test_harness.py copies this file where sinesolve is not
+    from sinesolve import limit
+
+    def below(lam):
+        lp = limit.LimitParams(mu1=mu1, mu2=mu2, lam=lam, alpha=alpha, beta=beta, dim=dim)
+        x = np.linspace(np.log(lo), np.log(hi), n)
+        r = np.exp(x)
+        ts = lp.two_star
+        vals = (r**2 + 1.0) / (lp.mu1 * r**ts + lp.mu2 + ts * lp.lam * r**lp.alpha) ** (2.0 / ts)
+        j = int(np.argmin(vals))
+        val = vals[j]
+        if 0 < j < n - 1:
+            xm = limit._golden_min(lambda t: limit.f_lambda(float(np.exp(t)), lp), x[j - 1], x[j + 1])
+            val = limit.f_lambda(float(np.exp(xm)), lp)
+        return val < limit._boundary_bound(lp) - 1e-12
+
+    lam_lo, lam_hi = 0.0, 1.0
+    while not below(lam_hi):
+        lam_lo, lam_hi = lam_hi, 2.0 * lam_hi
+    while (lam_hi - lam_lo) > 1e-6 * lam_hi:
+        mid = 0.5 * (lam_lo + lam_hi)
+        if below(mid):
+            lam_hi = mid
+        else:
+            lam_lo = mid
+    return float(lam_hi)
+
+
+@pytest.fixture(scope="session")
+def reference_interior_threshold():
+    """Per-step oracle for `limit.interior_threshold`: it refines every step."""
+    return _reference_interior_threshold

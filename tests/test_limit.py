@@ -16,6 +16,7 @@ from sinesolve import (
     minimizer_amplitudes,
     sobolev_constant,
 )
+from sinesolve import limit
 from sinesolve.errors import BoundaryInfimumError, PreconditionError
 from sinesolve.limit import bubble_norms, pair_grid_infimum
 
@@ -184,6 +185,85 @@ def test_interior_threshold_bisection_contract():
 
     assert inf_f(1.01 * lam0) < bound - 1e-12
     assert not inf_f(0.99 * lam0) < bound - 1e-12
+
+
+# (N, mu2) of the `constants` benchmark, mu1 = 1 and alpha = beta = 2*/2; in
+# N=5 with mu2 = 0.5 and 1 the interior scan minimum comes within ulps of the
+# cut at some steps (the ~1e-12-deep dip of the r-window)
+THRESHOLD_CASES = [(1.0, mu2, ab, ab, dim) for dim, ab in ((3, 3.0), (4, 2.0), (5, 5.0 / 3.0))
+                   for mu2 in (0.5, 1.0, 2.0, 4.0)]
+KNIFE_EDGE_CASES = [(1.0, 0.5, 5.0 / 3.0, 5.0 / 3.0, 5), (1.0, 1.0, 5.0 / 3.0, 5.0 / 3.0, 5)]
+
+
+@pytest.mark.parametrize("case", THRESHOLD_CASES, ids=lambda c: f"n{c[4]}-mu{c[1]:g}")
+def test_interior_threshold_equals_reference_bisection(case, reference_interior_threshold):
+    assert interior_threshold(*case) == reference_interior_threshold(*case)
+
+
+@pytest.mark.parametrize("case", KNIFE_EDGE_CASES, ids=lambda c: f"n{c[4]}-mu{c[1]:g}")
+def test_interior_threshold_knife_edge_needs_the_slack(case, reference_interior_threshold, monkeypatch):
+    # deciding every interior step from the scan alone flips a step here
+    expected = reference_interior_threshold(*case)
+    assert interior_threshold(*case) == expected
+    monkeypatch.setattr(limit, "_LAMBDA0_SLACK", 0.0)
+    assert interior_threshold(*case) != expected
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    dim=st.sampled_from([3, 4, 5, 6, 8]),
+    split=st.floats(0.05, 0.95).filter(lambda s: s != 0.5),
+    mu1=st.floats(0.2, 5.0).filter(lambda m: m != 1.0),
+    mu2=st.floats(0.2, 5.0),
+)
+def test_interior_threshold_equals_reference_bisection_property(reference_interior_threshold, dim, split, mu1, mu2):
+    ts = 2.0 * dim / (dim - 2.0)
+    alpha = 1.0 + split * (ts - 2.0)
+    case = (mu1, mu2, alpha, ts - alpha, dim)
+    assert interior_threshold(*case) == reference_interior_threshold(*case)
+
+
+@pytest.mark.parametrize("lp", PAIR_GRID_CASES[::5], ids=lambda lp: f"n{lp.dim}-a{lp.alpha:g}-mu{lp.mu2:g}-lam{lp.lam:g}")
+def test_log_scan_equals_the_quotient_on_the_grid(lp):
+    # the lam-free parts are hoisted without changing one bit of the scan
+    x, f_at = limit._log_scan(lp)
+    r = np.exp(np.linspace(np.log(1e-6), np.log(1e6), 2001))
+    ts = lp.two_star
+    vals = (r**2 + 1.0) / (lp.mu1 * r**ts + lp.mu2 + ts * lp.lam * r**lp.alpha) ** (2.0 / ts)
+    assert np.array_equal(np.exp(x), r)
+    assert np.array_equal(f_at(lp.lam), vals)
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5, 8])
+def test_golden_refinement_never_raises_an_interior_scan_minimum(dim):
+    # the invariant that lets interior_threshold skip the refinement
+    ts = 2.0 * dim / (dim - 2.0)
+    interior = 0
+    for mu2, alpha in ((1.0, ts / 2.0), (0.5, ts / 2.0), (2.0, 1.0 + 0.3 * (ts - 2.0))):
+        x, f_at = limit._log_scan(_critical(dim, mu2, 1.0, alpha=alpha))
+        for lam in np.geomspace(1e-3, 1e2, 41):
+            vals = f_at(lam)
+            j = int(np.argmin(vals))
+            if 0 < j < len(x) - 1:
+                interior += 1
+                refined, _, _ = limit._refine(x, vals, _critical(dim, mu2, lam, alpha=alpha))
+                assert refined <= vals[j] * (1.0 + 1e-14)
+    assert interior >= 40
+
+
+@pytest.mark.parametrize("case", [
+    (1.0, 1.0, 2.0, 2.5, 4),  # alpha + beta != 2*
+    (0.0, 1.0, 2.0, 2.0, 4),  # mu1 <= 0
+    (1.0, -1.0, 2.0, 2.0, 4),  # mu2 <= 0
+    (1.0, 1.0, 2.0, 2.0, 2),  # dim < 3
+], ids=["alpha-beta", "mu1", "mu2", "dim"])
+def test_interior_threshold_rejects_bad_input_before_any_scan(case, monkeypatch):
+    def no_scan(lp):
+        raise AssertionError("scanned before validating")
+
+    monkeypatch.setattr(limit, "_log_scan", no_scan)
+    with pytest.raises(ValueError):
+        interior_threshold(*case)
 
 
 def test_interior_threshold_nonincreasing_in_mu1_below_mu2():
