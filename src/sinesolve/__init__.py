@@ -18,15 +18,14 @@ from .energy import (
     GalerkinSystem,
     PairField,
     ScalarProblem,
-    SpectralSplit,
     SystemParams,
     bilinear_b,
     bilinear_bi,
     energy,
     gradient,
+    nonpositive_modes,
     scalar_energy,
     scalar_gradient,
-    spectral_split,
     zero_pair,
 )
 from .estimates import (

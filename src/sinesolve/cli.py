@@ -37,7 +37,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .domain import BoxDomain, SineBasis
-from .energy import SystemParams, spectral_split
+from .energy import SystemParams, nonpositive_modes
 from .errors import (
     BoundaryInfimumError,
     ClassificationContradictionError,
@@ -427,7 +427,7 @@ def _run_limit(cfg: RunConfig) -> tuple[dict, int]:
     thresholds = {"sobolev_constant": float(s_const), "lambda0": float(lam0)}
     try:
         s_coupled, r_min = coupled_sobolev_constant(lp, s_const)
-        s_amp, t_amp = minimizer_amplitudes(lp, s_const, r_min)
+        s_amp, t_amp = minimizer_amplitudes(lp, s_coupled, r_min)
         thresholds.update(
             {
                 "coupled_constant": float(s_coupled),
@@ -527,7 +527,7 @@ def _run_verify_estimates(cfg: RunConfig) -> tuple[dict, int]:
         skip = True
     if not skip:
         basis = cfg.basis()
-        resonant = any(z.size for z in spectral_split(pr, basis).zero)
+        resonant = any(nonpositive_modes(basis, k)[0].size for k in (pr.kappa1, pr.kappa2))
         if pr.dim == 4 and resonant:
             notes.append("resonant kappa: linking bound skipped (a shift matches a Dirichlet "
                          "eigenvalue; the dimension-4 bound requires nonresonance)")
@@ -541,7 +541,7 @@ def _run_verify_estimates(cfg: RunConfig) -> tuple[dict, int]:
             notes.append("coupling below the interior threshold: linking bound skipped")
             skip = True
         if not skip:
-            s_amp, t_amp = minimizer_amplitudes(lp, s_const, r_min)
+            s_amp, t_amp = minimizer_amplitudes(lp, s_coupled, r_min)
             thresholds.update({"coupled_constant": float(s_coupled),
                                "s_amplitude": float(s_amp), "t_amplitude": float(t_amp)})
             box_cutoff = CutoffSpec.for_domain(BoxDomain(cfg.lengths))

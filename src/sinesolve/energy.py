@@ -147,62 +147,19 @@ def _abs_power(a: np.ndarray, q: float) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class SpectralSplit:
-    """Per-component partition of the modes by the sign of gamma_k - kappa_i."""
+def nonpositive_modes(basis: SineBasis, kappa: float) -> tuple[np.ndarray, np.ndarray]:
+    """(zero, minus): the mode indices where gamma_k - kappa is zero or negative.
 
-    plus: tuple[np.ndarray, np.ndarray]
-    zero: tuple[np.ndarray, np.ndarray]
-    minus: tuple[np.ndarray, np.ndarray]
-
-    def tilde(self, i: int) -> np.ndarray:
-        """Mode indices of the nonpositive part (X_i^0 + X_i^-)."""
-        return np.concatenate([self.zero[i - 1], self.minus[i - 1]])
-
-    @property
-    def tilde_dim(self) -> int:
-        return sum(len(self.tilde(i)) for i in (1, 2))
-
-    @property
-    def definite(self) -> bool:
-        return self.tilde_dim == 0
-
-    def tilde_pairs(self) -> list[tuple[int, int]]:
-        """(component, mode index) pairs spanning the nonpositive subspace."""
-        return [(1, int(k)) for k in self.tilde(1)] + [(2, int(k)) for k in self.tilde(2)]
-
-    def project_plus(self, u: PairField) -> PairField:
-        return self._mask(u, self.plus)
-
-    def project_tilde(self, u: PairField) -> PairField:
-        masks = (self.tilde(1), self.tilde(2))
-        return self._mask(u, masks)
-
-    def _mask(self, u: PairField, index_sets) -> PairField:
-        comps = []
-        for c, idx in zip((u.u1.coeffs, u.u2.coeffs), index_sets):
-            out = np.zeros_like(c)
-            out[idx] = c[idx]
-            comps.append(ScalarField(u.basis, out))
-        return PairField(*comps)
-
-
-def spectral_split(params: SystemParams, basis: SineBasis) -> SpectralSplit:
-    """Partition the modes of both shifted operators -Laplace - kappa_i.
-
-    A shift within 1e-9 * gamma_1 of zero counts as zero: small enough to
-    keep a kappa that matches an eigenvalue exactly in the zero part without
-    absorbing its neighbours.  This is the only rule that decides the
-    nonpositive subspace; every engine takes it from here.
+    They span X^0 and X^-, whose sum X~ is the nonpositive subspace of
+    -Laplace - kappa.  A shift within 1e-9 * gamma_1 of zero counts as zero:
+    small enough to keep a kappa that matches an eigenvalue exactly in the
+    zero part without absorbing its neighbours.  This is the only rule that
+    decides the nonpositive subspace; each engine's `tilde` is zero followed
+    by minus.
     """
     tol = 1e-9 * float(basis.eigenvalues[0])
-    plus, zero, minus = [], [], []
-    for kappa in (params.kappa1, params.kappa2):
-        shifted = basis.eigenvalues - kappa
-        zero.append(np.flatnonzero(np.abs(shifted) <= tol))
-        plus.append(np.flatnonzero(shifted > tol))
-        minus.append(np.flatnonzero(shifted < -tol))
-    return SpectralSplit(plus=tuple(plus), zero=tuple(zero), minus=tuple(minus))
+    shifted = basis.eigenvalues - kappa
+    return np.flatnonzero(np.abs(shifted) <= tol), np.flatnonzero(shifted < -tol)
 
 
 def bilinear_bi(i: int, f: ScalarField, g: ScalarField, params: SystemParams) -> float:
@@ -265,6 +222,14 @@ class _Engine:
 
     _points = ()  # newest first
 
+    def _set_tilde(self, tilde: np.ndarray, gamma: np.ndarray) -> None:
+        """Fix `tilde`, the indices of X~ in z, and `plus_weights`: the
+        eigenvalue gamma_k of each entry of z, 0 on X~, so that
+        sum(plus_weights * z * z) is the squared H^1 norm of z's positive part."""
+        self.tilde = tilde
+        self.plus_weights = gamma.copy()
+        self.plus_weights[tilde] = 0.0
+
     def at(self, z: np.ndarray) -> _Point:
         """The state at z: one of the last two if z has exactly its bytes, else a new one.
 
@@ -289,14 +254,14 @@ class GalerkinSystem(_Engine):
 
     Works on stacked coefficient vectors z = (c_1, c_2); the module-level
     functions wrap it for single calls.  The problem data are immutable
-    after construction; they include `tilde`, the stacked indices of the
-    nonpositive subspace X~ = X^0 + X^- that `spectral_split` gives for
-    kappa_1 and kappa_2.  The state of each of the last two points asked
-    (`at`) caches the synthesized fields, the powers |u_1|^alpha and
-    |u_2|^beta and their odd counterparts, and the energy, masses, Nehari
-    denominator, gradient and Hessian once computed.  A state is reused only
-    for a z with exactly the same bytes, and the arrays it hands out are
-    read-only.  Instances may be shared across worker threads: a race can
+    after construction; they include `p` and `tilde`, the stacked indices
+    of the nonpositive subspace X~ = X^0 + X^- that `nonpositive_modes`
+    gives for kappa_1 and kappa_2.  The state of each of the last two
+    points asked (`at`) caches the synthesized fields, the powers
+    |u_1|^alpha and |u_2|^beta and their odd counterparts, and the energy,
+    masses, Nehari denominator, gradient and Hessian once computed.  A state
+    is reused only for a z with exactly the same bytes, and the arrays it
+    hands out are read-only.  Instances may be shared across worker threads: a race can
     cost a cache hit, never a wrong value.
     """
 
@@ -311,8 +276,9 @@ class GalerkinSystem(_Engine):
         self.shift1 = gamma - params.kappa1
         self.shift2 = gamma - params.kappa2
         self.shift = np.concatenate([self.shift1, self.shift2])
-        split = spectral_split(params, basis)
-        self.tilde = np.concatenate([split.tilde(1), self.m + split.tilde(2)])
+        self.p = params.p
+        t1, t2 = (np.concatenate(nonpositive_modes(basis, k)) for k in (params.kappa1, params.kappa2))
+        self._set_tilde(np.concatenate([t1, self.m + t2]), np.tile(gamma, 2))
 
     # -- pointwise synthesis and shared powers -------------------------------
 
@@ -344,7 +310,7 @@ class GalerkinSystem(_Engine):
     @_per_point
     def power_masses(self, z: np.ndarray) -> tuple[float, float, float]:
         """(int |u_1|^p, int |u_2|^p, int |u_1|^alpha |u_2|^beta)."""
-        p = self.params.p
+        p = self.p
         _, _, a1, a2 = self._fields(z)
         a1_alpha, a2_beta = self._coupling(z)
         m1 = integrate(a1**p, self.grid)
@@ -395,21 +361,21 @@ class GalerkinSystem(_Engine):
 
 
 class ScalarProblem(_Engine):
-    """Single-component functional J_i(w) = 1/2 B_i(w,w) - mu_i/p int |w|^p.
+    """Single-component functional J(w) = 1/2 int(|grad w|^2 - kappa w^2) - mu/p int |w|^p.
 
     Integrates on the basis's grid and keeps the states of its last two
     points as GalerkinSystem does; `tilde` holds the indices of the
-    nonpositive modes of -Laplace - kappa_i, from `spectral_split`.
+    nonpositive modes of -Laplace - kappa, from `nonpositive_modes`.
     """
 
-    def __init__(self, params: SystemParams, i: int, basis: SineBasis, mu: float | None = None):
-        self.params = params
+    def __init__(self, basis: SineBasis, kappa: float, mu: float, p: float):
         self.basis = basis
         self.grid = basis.grid
         self.m = basis.size
-        self.shift = basis.eigenvalues - params.kappa(i)
-        self.tilde = spectral_split(params, basis).tilde(i)
-        self.mu = params.mu(i) if mu is None else float(mu)
+        self.shift = basis.eigenvalues - kappa
+        self._set_tilde(np.concatenate(nonpositive_modes(basis, kappa)), basis.eigenvalues)
+        self.mu = float(mu)
+        self.p = p
 
     @_per_point
     def _field(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -419,7 +385,7 @@ class ScalarProblem(_Engine):
 
     @_per_point
     def mass(self, c: np.ndarray) -> float:
-        return integrate(self._field(c)[1] ** self.params.p, self.grid)
+        return integrate(self._field(c)[1] ** self.p, self.grid)
 
     def quadratic(self, c: np.ndarray) -> float:
         return float(np.sum(self.shift * c * c))
@@ -431,16 +397,16 @@ class ScalarProblem(_Engine):
 
     @_per_point
     def energy(self, c: np.ndarray) -> float:
-        return float(0.5 * self.quadratic(c) - self.mu / self.params.p * self.mass(c))
+        return float(0.5 * self.quadratic(c) - self.mu / self.p * self.mass(c))
 
     @_per_point
     def gradient(self, c: np.ndarray) -> np.ndarray:
-        f = self.mu * _odd_power(*self._field(c), self.params.p)
+        f = self.mu * _odd_power(*self._field(c), self.p)
         return self.shift * c - project(f, self.basis, self.grid)
 
     @_per_point
     def hessian(self, c: np.ndarray) -> np.ndarray:
-        w = self.mu * (self.params.p - 1.0) * _abs_power(self._field(c)[1], self.params.p - 2.0)
+        w = self.mu * (self.p - 1.0) * _abs_power(self._field(c)[1], self.p - 2.0)
         return np.diag(self.shift) - mode_mass_matrix(w, self.basis, self.grid)
 
 
@@ -459,9 +425,9 @@ def gradient(u: PairField, params: SystemParams) -> PairField:
 
 
 def scalar_energy(w: ScalarField, i: int, params: SystemParams) -> float:
-    return ScalarProblem(params, i, w.basis).energy(w.coeffs)
+    return ScalarProblem(w.basis, params.kappa(i), params.mu(i), params.p).energy(w.coeffs)
 
 
 def scalar_gradient(w: ScalarField, i: int, params: SystemParams) -> ScalarField:
-    g = ScalarProblem(params, i, w.basis).gradient(w.coeffs)
+    g = ScalarProblem(w.basis, params.kappa(i), params.mu(i), params.p).gradient(w.coeffs)
     return ScalarField(w.basis, g)

@@ -29,7 +29,7 @@ from .domain import (
     synthesize,
     unit_mode,
 )
-from .energy import SystemParams, spectral_split
+from .energy import SystemParams, nonpositive_modes
 from .errors import PreconditionError
 from .limit import BubbleProfile, LimitParams, _golden_min
 from .radial import graded_edges, panel_rule, radial_integral, radial_tail_integral
@@ -382,7 +382,8 @@ def linking_sweep(
         raise PreconditionError("the box must contain the cutoff support")
     n = lp.dim
     threshold = s_coupled ** (n / 2.0) / n
-    tilde_pairs = spectral_split(params, basis).tilde_pairs()
+    tilde_pairs = [(i, int(k)) for i, kappa in ((1, params.kappa1), (2, params.kappa2))
+                   for k in np.concatenate(nonpositive_modes(basis, kappa))]
     if tilde_pairs and n > 3:
         raise PreconditionError(
             "nontrivial nonpositive subspace needs full box quadrature; supported for dim <= 3"
@@ -510,8 +511,7 @@ def mixed_norm_constant(
     found is an upper bound on the optimal constant and is positive since
     the restriction of the norm to the subspace is a norm.
     """
-    split = spectral_split(params, basis)
-    t1, t2 = split.tilde(1), split.tilde(2)
+    t1, t2 = (np.concatenate(nonpositive_modes(basis, k)) for k in (params.kappa1, params.kappa2))
     if t1.size == 0 or t2.size == 0:
         raise PreconditionError("both nonpositive subspaces must be nontrivial")
     if len(omega) != basis.domain.dim:

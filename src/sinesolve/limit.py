@@ -260,15 +260,15 @@ def pair_grid_infimum(lp: LimitParams, s_const: float) -> float:
     return float(quotient(i, j).min() * s_const)
 
 
-def minimizer_amplitudes(lp: LimitParams, s_const: float, r_min: float) -> tuple[float, float]:
+def minimizer_amplitudes(lp: LimitParams, s_coupled: float, r_min: float) -> tuple[float, float]:
     """Amplitudes (s, t) making (s U_1, t U_1) solve the limit system.
 
     Nehari-scales the pair (r_min U_1, U_1) with all integrals computed by
     radial quadrature, then verifies that the limit energy of the scaled
-    pair equals (1/N) S_coupled^{N/2}, with S_coupled from the same scan of
-    the quotient that `coupled_sobolev_constant` runs; raises
-    InconsistencyError beyond 1e-6 relative (in particular when r_min is
-    not the ratio that scan minimizes).
+    pair equals (1/N) S_coupled^{N/2}, with (S_coupled, r_min) as
+    `coupled_sobolev_constant` returns them; raises InconsistencyError
+    beyond 1e-6 relative (in particular when r_min is not the ratio that
+    its scan minimizes).
     """
     n = lp.dim
     ts = lp.two_star
@@ -280,8 +280,6 @@ def minimizer_amplitudes(lp: LimitParams, s_const: float, r_min: float) -> tuple
     t_lam = (norm_v / denom) ** (1.0 / (ts - 2.0))
     s_lam = r_min * t_lam
 
-    inf_val, _, _ = _infimum_f(lp)
-    s_coupled = inf_val * s_const
     energy = (
         0.5 * (s_lam**2 + t_lam**2) * grad2
         - (lp.mu1 * s_lam**ts + lp.mu2 * t_lam**ts) / ts * mass

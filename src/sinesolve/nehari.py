@@ -53,6 +53,9 @@ PLUS_FLOOR = 1e-6
 #: Deflation factor prod_i (d_i^-DEFLATION_POWER + DEFLATION_SHIFT) over the orbit distances d_i.
 DEFLATION_POWER = 2
 DEFLATION_SHIFT = 1.0
+#: Why a search dropped a seed, as listed in ConvergenceFailureError.diagnostics.
+NO_POSITIVE_PART = "no positive part"
+NOT_CONVERGED = "did not converge"
 
 
 @dataclass(frozen=True)
@@ -143,28 +146,26 @@ class ThresholdResult:
 
 
 # -- generic search routines ---------------------------------------------------
-# GalerkinSystem (stacked pair vectors) and ScalarProblem (single vectors)
-# share one engine interface: params, basis, m, energy/gradient/hessian, the
-# quadratic form, the Nehari denominator and `tilde`, the indices of the
-# nonpositive directions fixed by kappa_i when the engine is built.  So one
-# set of search routines serves the system, the two scalar equations and the
-# diagonal functional.
+# GalerkinSystem (stacked pair vectors) and ScalarProblem(basis, kappa, mu,
+# p) (single vectors) share one engine interface: basis, m, p, shift,
+# energy/gradient/hessian, the quadratic form, the Nehari denominator,
+# `tilde`, the indices of the nonpositive directions that `nonpositive_modes`
+# gives for each kappa when the engine is built, and `plus_weights`, the H^1
+# weights of the other directions.  So one set of search routines serves the
+# system, the two scalar equations and the diagonal functional.
 
 
-def _plus_h1_norm(engine, z: np.ndarray, tilde_idx: np.ndarray) -> float:
-    g = np.tile(engine.basis.eigenvalues, z.size // engine.m)
-    w = z.copy()
-    w[tilde_idx] = 0.0
-    return float(np.sqrt(np.sum(g * w * w)))
+def _plus_h1_norm(engine, z: np.ndarray) -> float:
+    return float(np.sqrt(np.sum(engine.plus_weights * z * z)))
 
 
-def _has_positive_part(engine, z: np.ndarray, tilde_idx: np.ndarray) -> bool:
+def _has_positive_part(engine, z: np.ndarray) -> bool:
     """Whether z reaches outside the nonpositive subspace, relative to its size.
 
     A point without a positive part has no ray to the Nehari set: the
     maximum of E(t z + v) is then 0, at t z + v = 0.
     """
-    return _plus_h1_norm(engine, z, tilde_idx) >= 1e-12 * max(np.linalg.norm(z), 1e-300)
+    return _plus_h1_norm(engine, z) >= 1e-12 * max(np.linalg.norm(z), 1e-300)
 
 
 def project_ray(engine, z: np.ndarray) -> np.ndarray:
@@ -175,39 +176,40 @@ def project_ray(engine, z: np.ndarray) -> np.ndarray:
     d = engine.nehari_denominator(z)
     if d <= 0.0:
         raise NoProjectionError("vanishing nonlinear mass along the ray")
-    t = (b / d) ** (1.0 / (engine.params.p - 2.0))
+    t = (b / d) ** (1.0 / (engine.p - 2.0))
     return t * z
 
 
-def project_general(engine, z: np.ndarray, tilde_idx: np.ndarray) -> np.ndarray:
+def project_general(engine, z: np.ndarray) -> np.ndarray:
     """Locally maximize E(t z + v) over t and the nonpositive directions v.
 
     Returns the maximizing point t z + v.  Used to seed the indefinite
     searches and to realize the Nehari projection when the nonpositive
     subspace is nontrivial.
     """
-    if tilde_idx.size == 0:
+    tilde = engine.tilde
+    if tilde.size == 0:
         return project_ray(engine, z)
-    nt = tilde_idx.size
+    nt = tilde.size
 
     def point(y):
-        return y[0] * z + _embed(y[1:], tilde_idx, z.size)
+        return y[0] * z + _embed(y[1:], tilde, z.size)
 
     def neg_value(y):
         return -engine.energy(point(y))
 
     def neg_grad(y):
         g = engine.gradient(point(y))
-        return -np.concatenate([[np.dot(g, z)], g[tilde_idx]])
+        return -np.concatenate([[np.dot(g, z)], g[tilde]])
 
     def neg_hess(y):
         h = engine.hessian(point(y))
         hz = h @ z
         out = np.empty((1 + nt, 1 + nt))
         out[0, 0] = np.dot(z, hz)
-        out[0, 1:] = hz[tilde_idx]
-        out[1:, 0] = hz[tilde_idx]
-        out[1:, 1:] = h[np.ix_(tilde_idx, tilde_idx)]
+        out[0, 1:] = hz[tilde]
+        out[1:, 0] = hz[tilde]
+        out[1:, 1:] = h[np.ix_(tilde, tilde)]
         return -out
 
     y0 = np.zeros(1 + nt)
@@ -230,7 +232,7 @@ def project_general(engine, z: np.ndarray, tilde_idx: np.ndarray) -> np.ndarray:
         y = -y  # same slice; keep t > 0
     out = point(y)
     g = engine.gradient(out)
-    resid = np.concatenate([[np.dot(g, z)], g[tilde_idx]])
+    resid = np.concatenate([[np.dot(g, z)], g[tilde]])
     if np.max(np.abs(resid)) > max(1e-11, 1e-9 * (1.0 + abs(engine.energy(out)))):
         raise NoProjectionError("ray-plus-tilde maximization did not reach stationarity")
     return out
@@ -263,7 +265,7 @@ def nehari_descent(engine, z: np.ndarray) -> np.ndarray:
     Nehari ray the quadratic form equals the Nehari denominator, so the
     energy there is (1/2 - 1/p) times the quadratic form, with no quadrature.
     """
-    on_ray = 0.5 - 1.0 / engine.params.p
+    on_ray = 0.5 - 1.0 / engine.p
     z = project_ray(engine, z)
     e0 = on_ray * engine.quadratic(z)
     step = 1.0
@@ -290,8 +292,8 @@ def nehari_descent(engine, z: np.ndarray) -> np.ndarray:
     return z
 
 
-def evaluate_point(engine, z: np.ndarray, orbit_id: int = 0) -> CriticalPoint:
-    """Package a coefficient vector as a CriticalPoint record."""
+def evaluate_point(engine, z: np.ndarray) -> CriticalPoint:
+    """Package a coefficient vector as a CriticalPoint record (orbit_id 0)."""
     m = engine.m
     u = PairField.from_coeffs(engine.basis, z)
     m1, m2, _ = engine.power_masses(z)
@@ -319,7 +321,6 @@ def evaluate_point(engine, z: np.ndarray, orbit_id: int = 0) -> CriticalPoint:
         mass1=m1,
         mass2=m2,
         classification=cls,
-        orbit_id=orbit_id,
     )
 
 
@@ -330,21 +331,19 @@ def nehari_residuals(u: PairField, params: SystemParams) -> NehariResiduals:
     """Derivative of the energy along the ray through u and the tilde directions."""
     engine = GalerkinSystem(params, u.basis)
     z = u.coeffs()
-    t_idx = engine.tilde
-    if _plus_h1_norm(engine, z, t_idx) < PLUS_FLOOR:
+    if _plus_h1_norm(engine, z) < PLUS_FLOOR:
         raise PreconditionError("point lies (numerically) inside the nonpositive subspace")
     g = engine.gradient(z)
-    return NehariResiduals(ray=float(np.dot(g, z)), tilde=g[t_idx].copy())
+    return NehariResiduals(ray=float(np.dot(g, z)), tilde=g[engine.tilde].copy())
 
 
 def nehari_project(u: PairField, params: SystemParams) -> PairField:
     """Point of the Nehari set of the form t u + v, t > 0, v nonpositive-part."""
     engine = GalerkinSystem(params, u.basis)
     z = u.coeffs()
-    t_idx = engine.tilde
-    if not _has_positive_part(engine, z, t_idx):
+    if not _has_positive_part(engine, z):
         raise PreconditionError("the point has no positive part; no ray to project")
-    return PairField.from_coeffs(u.basis, project_general(engine, z, t_idx))
+    return PairField.from_coeffs(u.basis, project_general(engine, z))
 
 
 # -- orbit handling -------------------------------------------------------------
@@ -403,23 +402,23 @@ def _system_seeds(
         yield amp * z / max(np.linalg.norm(z), 1e-12)
 
 
-def _converge_seed(engine, z0, config: SolverConfig) -> np.ndarray | None:
+def _converge_seed(engine, z0, config: SolverConfig) -> tuple[np.ndarray | None, str]:
     """Project a seed onto the Nehari set and drive the gradient to zero.
 
-    None when the seed has no positive part or Newton does not converge.
+    Returns (z, "") for a converged seed, else (None, why it was dropped):
+    NO_POSITIVE_PART or NOT_CONVERGED.
     """
-    t_idx = engine.tilde
-    if not _has_positive_part(engine, z0, t_idx):
-        return None
+    if not _has_positive_part(engine, z0):
+        return None, NO_POSITIVE_PART
     try:
-        if t_idx.size == 0:
+        if engine.tilde.size == 0:
             z = nehari_descent(engine, z0)
         else:
-            z = project_general(engine, z0, t_idx)
+            z = project_general(engine, z0)
     except NoProjectionError:
         z = z0  # let the full Newton try anyway
     z, ok = newton_polish(engine, z, config.tol)
-    return z if ok else None
+    return (z, "") if ok else (None, NOT_CONVERGED)
 
 
 # -- scalar ground states and the semitrivial threshold --------------------------
@@ -437,7 +436,7 @@ def scalar_ground_state(
     mu defaults to mu_i.  The search runs at unit coefficient, and the
     state for mu follows from it by `ScalarGroundState.scaled`.
     """
-    prob = ScalarProblem(params, i, basis, mu=1.0)
+    prob = ScalarProblem(basis, params.kappa(i), 1.0, params.p)
     rng = np.random.default_rng(config.rng_seed)
     m = basis.size
     seeds = []
@@ -453,15 +452,15 @@ def scalar_ground_state(
     best = None
     diagnostics = []
     for z0 in seeds:
-        z = _converge_seed(prob, z0, config)
+        z, dropped = _converge_seed(prob, z0, config)
         if z is None:
-            diagnostics.append("seed did not converge")
+            diagnostics.append(dropped)
             continue
         e = prob.energy(z)
         mass = prob.mass(z)
         if e <= 0.0 or mass < TRIVIALITY_FLOOR:
             continue
-        if _plus_h1_norm(prob, z, prob.tilde) < PLUS_FLOOR:
+        if _plus_h1_norm(prob, z) < PLUS_FLOOR:
             continue
         if best is None or e < best[0] - 1e-12:
             best = (e, z)
@@ -533,13 +532,13 @@ def ground_state(
     best: CriticalPoint | None = None
     diagnostics: list[str] = []
     for z0 in _system_seeds(engine, config, rng, threshold.scalar_states):
-        z = _converge_seed(engine, z0, config)
+        z, dropped = _converge_seed(engine, z0, config)
         if z is None:
-            diagnostics.append("seed failed to converge")
+            diagnostics.append(dropped)
             continue
         if engine.energy(z) <= 0.0:
             continue
-        if _plus_h1_norm(engine, z, engine.tilde) < PLUS_FLOOR:
+        if _plus_h1_norm(engine, z) < PLUS_FLOOR:
             continue
         pt = evaluate_point(engine, z)
         if best is None or pt.energy < best.energy - 1e-13:
@@ -600,10 +599,8 @@ def multiplicity_search(
         threshold = semitrivial_threshold(params, basis, config)
     engine = GalerkinSystem(params, basis)
     rng = np.random.default_rng(config.rng_seed)
-    t_idx = engine.tilde
 
     deflate: list[np.ndarray] = [np.zeros(2 * engine.m)]  # never re-converge to 0
-    found: list[np.ndarray] = []
     hits: list[CriticalPoint] = []
     runs = 0
     seeds = _system_seeds(engine, config, rng, threshold.scalar_states, n_random=budget)
@@ -611,10 +608,10 @@ def multiplicity_search(
         if runs >= budget or sum(1 for h in hits if 0.0 < h.energy < threshold.c0) >= k:
             break
         runs += 1
-        if not _has_positive_part(engine, z0, t_idx):
+        if not _has_positive_part(engine, z0):
             continue
         try:
-            z_init = project_general(engine, z0, t_idx)
+            z_init = project_general(engine, z0)
         except NoProjectionError:
             z_init = z0
         z = _deflated_root(engine, z_init, deflate)
@@ -626,17 +623,17 @@ def multiplicity_search(
         if any(orbit_distance(z, r) < dedup_tol for r in deflate):
             continue
         deflate.append(z.copy())
-        found.append(z)
-        pt = evaluate_point(engine, z, orbit_id=len(found) - 1)
+        pt = evaluate_point(engine, z)
         if (
             pt.classification == FULLY_NONTRIVIAL
             and 0.0 < pt.energy < threshold.c0
-            and _plus_h1_norm(engine, z, t_idx) >= PLUS_FLOOR
+            and _plus_h1_norm(engine, z) >= PLUS_FLOOR
         ):
             hits.append(dataclasses.replace(pt, below_threshold=True))
-    hits.sort(key=lambda p: (p.energy, p.orbit_id))
-    ids = orbit_dedup([h.u.coeffs() for h in hits], dedup_tol)
-    return [dataclasses.replace(h, orbit_id=i) for h, i in zip(hits, ids)]
+    # each hit lies at least dedup_tol from every earlier one (all of them
+    # deflate), and orbit_distance is symmetric, so each is its own orbit
+    hits.sort(key=lambda p: p.energy)  # stable: equal energies keep the order found
+    return [dataclasses.replace(h, orbit_id=i) for i, h in enumerate(hits)]
 
 
 # -- linking geometry -------------------------------------------------------------
@@ -711,8 +708,7 @@ def _diag_problem(params: SystemParams, lam: float, basis: SineBasis):
     functional with shift (kappa_1+kappa_2)/2 and coefficient mu_eff(lam).
     """
     kbar = 0.5 * (params.kappa1 + params.kappa2)
-    p_eff = dataclasses.replace(params, kappa1=kbar, kappa2=kbar, lam=lam)
-    return ScalarProblem(p_eff, 1, basis, mu=_mu_eff(params, lam))
+    return ScalarProblem(basis, kbar, _mu_eff(params, lam), params.p)
 
 
 def rescale_diagonal_sup(params: SystemParams, value: float, lam_from: float, lam_to: float) -> float:
@@ -734,11 +730,13 @@ def diagonal_sup(params: SystemParams, m: int, basis: SineBasis, lam: float | No
     point of each positive mode and from 4 random starts drawn at seed 0,
     whatever the solver seed.  Returns exactly 0 when gamma_m <= (kappa_1 +
     kappa_2)/2, where the energy is nonpositive on the whole subspace and
-    attains 0 at the origin.
+    attains 0 at the origin.  Raises ValueError when lam <= 0.
     """
     if not 1 <= m <= basis.size:
         raise PreconditionError(f"m must lie in [1, {basis.size}]")
     lam = params.lam if lam is None else float(lam)
+    if lam <= 0:
+        raise ValueError("lam must be positive")
     kbar = 0.5 * (params.kappa1 + params.kappa2)
     if basis.eigenvalues[m - 1] <= kbar:
         return 0.0

@@ -171,7 +171,7 @@ def synchronized_solution(
     if params.kappa1 != params.kappa2:
         raise PreconditionError("synchronized solutions need kappa1 = kappa2")
     engine = GalerkinSystem(params, w.basis)
-    prob = ScalarProblem(params, 1, w.basis, mu=1.0)
+    prob = ScalarProblem(w.basis, params.kappa1, 1.0, params.p)
     scalar_res = float(np.linalg.norm(prob.gradient(w.coeffs)))
     z = np.concatenate([root.s * w.coeffs, root.t * w.coeffs])
     point = evaluate_point(engine, z)

@@ -306,7 +306,7 @@ def test_criterion_10_critical_linking_bound():
     lp = LimitParams(mu1=1.0, mu2=1.0, lam=lam, alpha=5.0 / 3.0, beta=5.0 / 3.0, dim=n)
     s_const = sobolev_constant(n)
     s_coupled, r_min = coupled_sobolev_constant(lp, s_const)
-    s_amp, t_amp = minimizer_amplitudes(lp, s_const, r_min)
+    s_amp, t_amp = minimizer_amplitudes(lp, s_coupled, r_min)
     pr = SystemParams(kappa1=kappa, kappa2=kappa, mu1=1.0, mu2=1.0, lam=lam,
                       alpha=5.0 / 3.0, beta=5.0 / 3.0, dim=n)
     cut = CutoffSpec.for_domain(dom)

@@ -406,7 +406,7 @@ def test_valid_configs_parse(subcommand):
         ("ground-state", "output", "formats", []),
         # removed: each basis carries one quadrature grid
         ("ground-state", "problem", "quadrature_oversample", 2.0),
-        # removed: spectral_split alone decides the nonpositive subspace
+        # removed: nonpositive_modes alone decides the nonpositive subspace
         ("ground-state", "solver", "zero_tol", 1e-9),
         # removed: nehari module constants, at the values these keys defaulted to
         ("ground-state", "solver", "seed_amplitude", 1.0),

@@ -15,9 +15,9 @@ from sinesolve import (
     bilinear_bi,
     energy,
     gradient,
+    nonpositive_modes,
     scalar_energy,
     scalar_gradient,
-    spectral_split,
     unit_mode,
     zero_pair,
 )
@@ -124,18 +124,20 @@ def test_hessian_is_gradient_jacobian(basis):
 
 
 def test_spectral_split_cases(basis):
+    # nonpositive_modes gives (zero, minus) for one kappa
+    gamma1, gamma2 = basis.eigenvalues[:2]
     # positive definite
-    s = spectral_split(params_with(kappa1=5.0, kappa2=5.0), basis)
-    assert s.definite
-    assert all(len(s.minus[i]) == 0 and len(s.zero[i]) == 0 for i in (0, 1))
+    assert [z.tolist() for z in nonpositive_modes(basis, 5.0)] == [[], []]
     # resonant kappa lands in the zero part
-    s = spectral_split(params_with(kappa1=np.pi**2, kappa2=np.pi**2), basis)
-    assert s.zero[0].tolist() == [0]
-    assert len(s.minus[0]) == 0
+    assert [z.tolist() for z in nonpositive_modes(basis, np.pi**2)] == [[0], []]
     # one negative mode
-    s = spectral_split(params_with(kappa1=15.0, kappa2=15.0), basis)
-    assert s.minus[0].tolist() == [0]
-    assert len(s.zero[0]) == 0
+    assert [z.tolist() for z in nonpositive_modes(basis, 15.0)] == [[], [0]]
+    # kappa = gamma_2 = 4 pi^2: mode 1 is the zero part, mode 0 the negative one
+    assert [z.tolist() for z in nonpositive_modes(basis, 4 * np.pi**2)] == [[1], [0]]
+    # the zero band is 1e-9 gamma_1 wide
+    assert nonpositive_modes(basis, gamma2 + 0.5e-9 * gamma1)[0].tolist() == [1]
+    assert nonpositive_modes(basis, gamma2 + 2e-9 * gamma1)[1].tolist() == [0, 1]
+    assert nonpositive_modes(basis, gamma2 - 2e-9 * gamma1)[1].tolist() == [0]
 
 
 @pytest.mark.parametrize("kappa1, kappa2, stacked", [
@@ -143,53 +145,47 @@ def test_spectral_split_cases(basis):
     (15.0, 15.0, [0, 16]),  # one negative mode
     (np.pi**2, np.pi**2, [0, 16]),  # resonant: the zero part
     (15.0, 45.0, [0, 16, 17]),  # kappa_1 != kappa_2
-], ids=["definite", "negative", "resonant", "unequal"])
+    (4 * np.pi**2, 15.0, [1, 0, 16]),  # kappa_1 = gamma_2: zero part first
+], ids=["definite", "negative", "resonant", "unequal", "resonant-second"])
 def test_engine_tilde_is_the_spectral_split(basis, kappa1, kappa2, stacked):
-    # each engine takes its nonpositive subspace from spectral_split, once
+    # each engine's tilde is zero followed by minus from nonpositive_modes, per kappa
     pr = params_with(kappa1=kappa1, kappa2=kappa2)
-    split = spectral_split(pr, basis)
     m = basis.size
+    tilde = [np.concatenate(nonpositive_modes(basis, k)) for k in (kappa1, kappa2)]
     system = GalerkinSystem(pr, basis)
     assert system.tilde.tolist() == stacked
-    np.testing.assert_array_equal(system.tilde, np.concatenate([split.tilde(1), m + split.tilde(2)]))
-    for i in (1, 2):
-        np.testing.assert_array_equal(ScalarProblem(pr, i, basis).tilde, split.tilde(i))
+    np.testing.assert_array_equal(system.tilde, np.concatenate([tilde[0], m + tilde[1]]))
+    # the H^1 weights of the positive part: gamma_k off X~, 0 on it
+    gamma = np.tile(basis.eigenvalues, 2)
+    np.testing.assert_array_equal(system.plus_weights, np.where(np.isin(np.arange(2 * m), stacked), 0.0, gamma))
+    for kappa, t in zip((kappa1, kappa2), tilde):
+        np.testing.assert_array_equal(ScalarProblem(basis, kappa, 1.0, pr.p).tilde, t)
 
 
 def test_split_size_monotone_in_kappa(basis):
     sizes = []
     for kappa in (1.0, 15.0, 45.0, 100.0):
-        s = spectral_split(params_with(kappa1=kappa, kappa2=kappa), basis)
-        sizes.append(len(s.tilde(1)))
+        sizes.append(sum(z.size for z in nonpositive_modes(basis, kappa)))
     assert sizes == sorted(sizes)
-
-
-def test_split_projections(basis):
-    rng = np.random.default_rng(5)
-    s = spectral_split(params_with(kappa1=15.0, kappa2=45.0), basis)
-    u = PairField.from_coeffs(basis, rng.standard_normal(2 * basis.size))
-    plus = s.project_plus(u)
-    tilde = s.project_tilde(u)
-    np.testing.assert_allclose(plus.coeffs() + tilde.coeffs(), u.coeffs(), atol=1e-15)
-    assert np.all(plus.u1.coeffs[s.tilde(1)] == 0.0)
-    assert np.all(tilde.u2.coeffs[s.plus[1]] == 0.0)
 
 
 def test_b_positive_definite_on_plus(basis):
     rng = np.random.default_rng(6)
     pr = params_with(kappa1=15.0, kappa2=15.0)
-    s = spectral_split(pr, basis)
-    floor = min((basis.eigenvalues - 15.0)[s.plus[0]])
+    n = 2 * basis.size
+    plus = np.ones(n, dtype=bool)
+    plus[GalerkinSystem(pr, basis).tilde] = False
+    floor = min(np.tile(basis.eigenvalues - 15.0, 2)[plus])
     for _ in range(20):
-        u = s.project_plus(PairField.from_coeffs(basis, rng.standard_normal(2 * basis.size)))
-        c2 = np.sum(u.coeffs() ** 2)
-        assert bilinear_b(u, u, pr) >= floor * c2 - 1e-12
+        z = np.where(plus, rng.standard_normal(n), 0.0)
+        u = PairField.from_coeffs(basis, z)
+        assert bilinear_b(u, u, pr) >= floor * np.sum(z**2) - 1e-12
 
 
 def test_engines_integrate_on_the_basis_grid(basis):
     pr = params_with()
     assert GalerkinSystem(pr, basis).grid is basis.grid
-    assert ScalarProblem(pr, 1, basis).grid is basis.grid
+    assert ScalarProblem(basis, pr.kappa1, pr.mu1, pr.p).grid is basis.grid
 
 
 def test_evenness(basis):
@@ -259,7 +255,7 @@ def _point_engines(dim):
     pr = params_with(kappa1=1.5 * gamma1, kappa2=0.5 * gamma1, mu2=2.0, lam=3.0, alpha=1.5, beta=2.5, dim=dim)
     return {
         "system": (lambda: GalerkinSystem(pr, basis), 2 * basis.size, "power_masses"),
-        "scalar": (lambda: ScalarProblem(pr, 1, basis), basis.size, "mass"),
+        "scalar": (lambda: ScalarProblem(basis, pr.kappa1, pr.mu1, pr.p), basis.size, "mass"),
     }
 
 

@@ -15,8 +15,8 @@ from sinesolve import (
     fit_orders,
     linking_sweep,
     mixed_norm_constant,
+    nonpositive_modes,
     ray_maximum,
-    spectral_split,
 )
 from sinesolve.errors import PreconditionError
 from sinesolve.estimates import (
@@ -132,7 +132,7 @@ def n5_setting():
     lp = LimitParams(mu1=1.0, mu2=1.0, lam=lam, alpha=5.0 / 3.0, beta=5.0 / 3.0, dim=n)
     s_const = sobolev_constant(n)
     s_coupled, r_min = coupled_sobolev_constant(lp, s_const)
-    s_amp, t_amp = minimizer_amplitudes(lp, s_const, r_min)
+    s_amp, t_amp = minimizer_amplitudes(lp, s_coupled, r_min)
     return dom, kappa, lp, s_coupled, s_amp, t_amp
 
 
@@ -161,8 +161,7 @@ def test_linking_definite_reduces_to_ray(n5_setting):
     basis = SineBasis(dom, (2,) * 5)
     params = SystemParams(kappa1=kappa, kappa2=kappa, mu1=1.0, mu2=1.0, lam=lp.lam,
                           alpha=lp.alpha, beta=lp.beta, dim=5)
-    split = spectral_split(params, basis)
-    assert split.definite
+    assert all(z.size == 0 for z in nonpositive_modes(basis, kappa))
     cut = CutoffSpec.for_domain(dom)
     recs = linking_sweep([1e-2, 1e-3], lp, params, basis, cut, s_amp, t_amp, s_coupled)
     for rec in recs:
@@ -197,11 +196,10 @@ def test_linking_tilde_branch_dim3():
     lp = LimitParams(mu1=1.0, mu2=1.0, lam=lam, alpha=3.0, beta=3.0, dim=n)
     s_const = sobolev_constant(n)
     s_coupled, r_min = coupled_sobolev_constant(lp, s_const)
-    s_amp, t_amp = minimizer_amplitudes(lp, s_const, r_min)
+    s_amp, t_amp = minimizer_amplitudes(lp, s_coupled, r_min)
     params = SystemParams(kappa1=kappa, kappa2=kappa, mu1=1.0, mu2=1.0, lam=lam,
                           alpha=3.0, beta=3.0, dim=n)
-    split = spectral_split(params, basis)
-    assert split.tilde_dim == 2
+    assert [z.tolist() for z in nonpositive_modes(basis, kappa)] == [[], [0]]
     cut = CutoffSpec.for_domain(dom)
     recs = linking_sweep([2e-2], lp, params, basis, cut, s_amp, t_amp, s_coupled,
                          sample_budget=6)
@@ -219,8 +217,7 @@ def test_linking_tilde_rejected_above_dim3(n5_setting):
     g1 = basis.eigenvalues[0]
     params = SystemParams(kappa1=1.5 * g1, kappa2=1.5 * g1, mu1=1.0, mu2=1.0, lam=lp.lam,
                           alpha=lp.alpha, beta=lp.beta, dim=5)
-    split = spectral_split(params, basis)
-    assert not split.definite
+    assert nonpositive_modes(basis, 1.5 * g1)[1].size > 0
     cut = CutoffSpec.for_domain(dom)
     with pytest.raises(PreconditionError):
         linking_sweep([1e-2], lp, params, basis, cut, s_amp, t_amp, s_coupled)
@@ -261,8 +258,7 @@ def test_mixed_norm_multidim_tilde():
     basis = SineBasis(BoxDomain((1.0,)), (12,))
     pr = SystemParams(kappa1=45.0, kappa2=45.0, mu1=1.0, mu2=1.0, lam=1.0,
                       alpha=2.0, beta=2.0, dim=1)
-    split = spectral_split(pr, basis)
-    assert len(split.tilde(1)) == 2
+    assert [z.tolist() for z in nonpositive_modes(basis, 45.0)] == [[], [0, 1]]
     c = mixed_norm_constant(pr, basis, [(0.55, 0.95)], sample_budget=24)
     assert c > 0.0
 
@@ -318,7 +314,7 @@ def test_linking_dim4_nonresonant_calibrated_cutoff():
     lp = LimitParams(mu1=1.0, mu2=1.0, lam=1.0, alpha=2.0, beta=2.0, dim=n)
     s_const = sobolev_constant(n)
     s_coupled, r_min = coupled_sobolev_constant(lp, s_const)
-    s_amp, t_amp = minimizer_amplitudes(lp, s_const, r_min)
+    s_amp, t_amp = minimizer_amplitudes(lp, s_coupled, r_min)
     pr = SystemParams(kappa1=kappa, kappa2=kappa, mu1=1.0, mu2=1.0, lam=1.0,
                       alpha=2.0, beta=2.0, dim=n)
     delta = dom.inscribed_radius / 4.0

@@ -280,7 +280,7 @@ def test_amplitudes_energy_identity_and_symmetry():
     lp = lp_with()
     s = sobolev_constant(4)
     val, r_min = coupled_sobolev_constant(lp, s)
-    s_amp, t_amp = minimizer_amplitudes(lp, s, r_min)
+    s_amp, t_amp = minimizer_amplitudes(lp, val, r_min)
     assert s_amp == pytest.approx(t_amp, rel=1e-6)
     # stationarity of the ray through the scaled pair
     grad2, mass = bubble_norms(4, 1.0)
@@ -296,7 +296,7 @@ def test_amplitudes_asymmetric_identity():
     s = sobolev_constant(4)
     val, r_min = coupled_sobolev_constant(lp, s)
     # minimizer_amplitudes verifies the (1/N) S^{N/2} identity internally
-    s_amp, t_amp = minimizer_amplitudes(lp, s, r_min)
+    s_amp, t_amp = minimizer_amplitudes(lp, val, r_min)
     assert s_amp > 0 and t_amp > 0
     assert s_amp / t_amp == pytest.approx(r_min, rel=1e-10)
 
@@ -305,6 +305,6 @@ def test_amplitudes_identity_violation_raises():
     from sinesolve.errors import InconsistencyError
 
     lp = lp_with()
-    s = sobolev_constant(4)
+    s_coupled, _ = coupled_sobolev_constant(lp, sobolev_constant(4))
     with pytest.raises(InconsistencyError):
-        minimizer_amplitudes(lp, s, 5.0)  # not the minimizing ratio
+        minimizer_amplitudes(lp, s_coupled, 5.0)  # not the minimizing ratio

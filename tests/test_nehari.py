@@ -246,7 +246,7 @@ def test_scalar_ground_state_mu_scaling(basis, mu, kappa, i, via_params):
     pr = params_with(**{f"kappa{i}": kappa, f"mu{i}": mu if via_params else 1.0})
     cfg = SolverConfig(n_mode_seeds=2, n_random_seeds=0)
     state = scalar_ground_state(pr, i, basis, cfg, mu=None if via_params else mu)
-    prob = ScalarProblem(pr, i, basis, mu=mu)
+    prob = ScalarProblem(basis, pr.kappa(i), mu, pr.p)
     w = state.w.coeffs
     assert np.linalg.norm(prob.gradient(w)) <= 1e-9
     assert prob.energy(w) == pytest.approx(state.energy, rel=1e-12)
@@ -313,7 +313,7 @@ def test_descent_from_first_mode_is_short(basis24, kind):
     if kind == "system":
         engine, z0 = GalerkinSystem(pr, basis24), np.concatenate([e1, e1])
     else:
-        engine, z0 = ScalarProblem(pr, 1, basis24), e1
+        engine, z0 = ScalarProblem(basis24, pr.kappa1, pr.mu1, pr.p), e1
     gradient, calls = engine.gradient, []
 
     def counting(z):
@@ -362,6 +362,7 @@ def test_multiplicity_orbits(basis, config):
     assert len(pts) >= 2
     ids = orbit_dedup([p.u.coeffs() for p in pts], tol=1e-4)
     assert len(set(ids)) == len(pts)
+    assert [p.orbit_id for p in pts] == list(range(len(pts)))
     for p in pts:
         assert 0.0 < p.energy < th.c0
         assert p.classification == "fully-nontrivial"
@@ -411,6 +412,12 @@ def test_diagonal_sup_decreasing_in_lambda(basis):
     pr = params_with()
     vals = [diagonal_sup(pr, 3, basis, lam=l) for l in np.geomspace(0.5, 50.0, 6)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0])
+def test_diagonal_sup_rejects_nonpositive_lambda(basis, lam):
+    with pytest.raises(ValueError):
+        diagonal_sup(params_with(), 3, basis, lam=lam)
 
 
 def test_coupling_threshold_contract(basis, config):
@@ -481,8 +488,26 @@ def test_ground_state_convergence_failure(basis):
         w=ScalarField(basis, np.zeros(basis.size)), energy=1.0, grad_norm=0.0, b_value=1.0
     )
     th = ThresholdResult(c0=1.0, scalar_states=(fake_scalar, fake_scalar))
-    with pytest.raises(ConvergenceFailureError):
+    with pytest.raises(ConvergenceFailureError) as failure:
         ground_state(pr, basis, cfg, th)
+    # the two mode seeds and the random one reach Newton; the four crosses
+    # of the zero scalar states have no positive part
+    diagnostics = failure.value.diagnostics
+    assert diagnostics.count("did not converge") == 3
+    assert diagnostics.count("no positive part") == 4
+    assert len(diagnostics) == 7
+
+
+def test_scalar_ground_state_records_seeds_without_positive_part(basis):
+    # above gamma_20 every mode is nonpositive, so no seed has a ray to the
+    # Nehari set; each is dropped for that reason, not as unconverged
+    pr = params_with(kappa1=1.01 * basis.eigenvalues[-1])
+    from sinesolve.errors import ConvergenceFailureError
+
+    with pytest.raises(ConvergenceFailureError) as failure:
+        scalar_ground_state(pr, 1, basis, SolverConfig(n_mode_seeds=2, n_random_seeds=2))
+    assert len(failure.value.diagnostics) == 6  # max(2, 4) mode seeds and 2 random ones
+    assert set(failure.value.diagnostics) == {"no positive part"}
 
 
 def test_residuals_vanish_at_converged_critical_point(basis, config):
@@ -500,7 +525,6 @@ def test_newton_builds_hessians_on_demand(basis24, config):
     # its projection is the trivial root, so start from the next two modes
     pr = params_with(kappa1=15.0, kappa2=15.0, lam=50.0)
     engine = GalerkinSystem(pr, basis24)
-    t_idx = engine.tilde
     e2, e3 = (unit_mode(basis24, j).coeffs for j in (1, 2))
     gradient, hessian, calls = engine.gradient, engine.hessian, {"gradient": 0, "hessian": 0}
 
@@ -511,7 +535,7 @@ def test_newton_builds_hessians_on_demand(basis24, config):
 
         return wrapped
 
-    z0, w0 = (project_general(engine, np.concatenate([e, e]), t_idx) for e in (e2, e3))
+    z0, w0 = (project_general(engine, np.concatenate([e, e])) for e in (e2, e3))
     engine.gradient, engine.hessian = counting("gradient", gradient), counting("hessian", hessian)
     z, ok = newton_polish(engine, z0, config.tol)
     w = _deflated_root(engine, w0, [np.zeros_like(z), z])
@@ -528,9 +552,9 @@ def test_ground_state_skips_seeds_without_positive_part(basis24, monkeypatch):
     projected = []
     original = nehari.project_general
 
-    def recording(engine, z, tilde_idx):
+    def recording(engine, z):
         projected.append(z.copy())
-        return original(engine, z, tilde_idx)
+        return original(engine, z)
 
     monkeypatch.setattr(nehari, "project_general", recording)
     cfg = SolverConfig(n_mode_seeds=2, n_random_seeds=0)
@@ -586,7 +610,7 @@ def indefinite24(basis24, config):
     pr = params_with(kappa1=15.0, kappa2=15.0, lam=50.0)
     engine = GalerkinSystem(pr, basis24)
     e2 = unit_mode(basis24, 1).coeffs
-    w0 = project_general(engine, np.concatenate([e2, e2]), engine.tilde)
+    w0 = project_general(engine, np.concatenate([e2, e2]))
     z, ok = newton_polish(engine, _deflated_root(engine, w0, [np.zeros_like(w0)]), config.tol)
     assert ok and np.linalg.norm(z) > 0.1
     return pr, w0, z
