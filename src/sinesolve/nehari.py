@@ -4,8 +4,9 @@ states, deflated multiplicity search, and the linking-geometry quantities.
 The generalized Nehari set collects the points u outside the nonpositive
 spectral subspace where the energy derivative vanishes both along the ray
 through u and along every nonpositive direction.  All nontrivial critical
-points lie on it, and on it the energy is positive, so ground states are
-found by projecting multistart seeds onto the set and descending.  In the
+points lie on it, and on it the energy is positive.  In the definite case
+ground states minimize the energy of each ray's Nehari point, a quotient of
+the quadratic form and the Nehari denominator, from multistart seeds.  In the
 indefinite case the set need not be a manifold; there the primary tool is
 full-space Newton (with deflation for multiplicity), and the projection is
 used for seeding and reporting only.
@@ -41,9 +42,8 @@ SEMITRIVIAL_1 = "semitrivial-1"
 SEMITRIVIAL_2 = "semitrivial-2"
 FULLY_NONTRIVIAL = "fully-nontrivial"
 
-#: nehari_descent: step cap, and the gradient norm at which it hands over to Newton.
-DESCENT_MAX_ITER = 400
-DESCENT_SWITCH_TOL = 1e-3
+#: nehari_descent: L-BFGS stops at this projected gradient of log Phi in y, or this step count.
+DESCENT_OPTIONS = {"gtol": 1e-6, "maxiter": 400}
 #: Coefficient norm of the mode and random seeds.
 SEED_AMPLITUDE = 1.0
 #: Power mass, relative to max(1, total mass), under which a component counts as zero.
@@ -256,40 +256,35 @@ def newton_polish(engine, z: np.ndarray, tol: float) -> tuple[np.ndarray, bool]:
 
 
 def nehari_descent(engine, z: np.ndarray) -> np.ndarray:
-    """Project-after-step Sobolev gradient descent on the Nehari set (definite case).
+    """L-BFGS on the Nehari quotient from the ray through z (definite case).
 
-    Steps along d = g / (gamma_k - kappa_i), the gradient in the inner product
-    of the quadratic form (a diagonal solve in the sine basis), so a unit step
-    suits every mode and the iteration count does not grow with the cutoff
-    (Neuberger, Sobolev Gradients and Differential Equations, 1997).  On the
-    Nehari ray the quadratic form equals the Nehari denominator, so the
-    energy there is (1/2 - 1/p) times the quadratic form, with no quadrature.
+    E peaks on the ray through z at Phi(z) = (1/2 - 1/p) Q^(p/(p-2)) /
+    N^(2/(p-2)), Q the quadratic form and N the Nehari denominator, and the
+    critical rays of Phi are those through critical points of E (Szulkin-Weth,
+    2010).  L-BFGS (Liu-Nocedal, 1989) minimizes log Phi in the Sobolev
+    variable y = sqrt(gamma_k - kappa_i) z (Neuberger, 1997), with grad N =
+    p (shift z - g) from the energy gradient g.  Returns the Nehari point of
+    the final iterate, or of the last one before a trial point with a
+    vanishing field; Newton polishes it.
     """
-    on_ray = 0.5 - 1.0 / engine.p
-    z = project_ray(engine, z)
-    e0 = on_ray * engine.quadratic(z)
-    step = 1.0
-    for _ in range(DESCENT_MAX_ITER):
-        g = engine.gradient(z)
-        if np.linalg.norm(g) < DESCENT_SWITCH_TOL:
-            break
-        d = g / engine.shift
-        gd = float(np.dot(g, d))
-        s = step
-        while True:
-            try:
-                trial = project_ray(engine, z - s * d)
-                e = on_ray * engine.quadratic(trial)
-            except NoProjectionError:
-                e = np.inf
-            if e <= e0 - 1e-4 * s * gd:
-                z, e0 = trial, e
-                step = min(2.0 * s, 1.0)
-                break
-            s *= 0.5
-            if s < 1e-16:
-                return z  # stalled; leave polishing to Newton
-    return z
+    p, root = engine.p, np.sqrt(engine.shift)
+    accepted = [root * project_ray(engine, z)]
+
+    def log_quotient(y):
+        z = y / root
+        q, n = engine.quadratic(z), engine.nehari_denominator(z)
+        if not (q > 0.0 and n > 0.0):
+            raise NoProjectionError("vanishing field at an L-BFGS trial point")
+        sz = engine.shift * z
+        grad = (2.0 * p / (p - 2.0)) * (sz / q - (sz - engine.gradient(z)) / n)
+        return (p * np.log(q) - 2.0 * np.log(n)) / (p - 2.0), grad / root
+
+    try:
+        y = scipy.optimize.minimize(log_quotient, accepted[0], jac=True, method="L-BFGS-B",
+                                    callback=lambda yk: accepted.append(yk.copy()), options=DESCENT_OPTIONS).x
+    except NoProjectionError:
+        y = accepted[-1]
+    return project_ray(engine, y / root)
 
 
 def evaluate_point(engine, z: np.ndarray) -> CriticalPoint:
@@ -520,10 +515,10 @@ def ground_state(
 ) -> CriticalPoint:
     """Lowest-energy positive-energy critical point over a multistart search.
 
-    Seeds are projected onto the Nehari set, descended (definite case) or
-    Newton-polished (indefinite case), and the best accepted point is
-    returned with `below_threshold` recording whether its energy sits under
-    the semitrivial threshold.
+    Seeds are carried to a minimum of the Nehari quotient (definite case)
+    or projected onto the Nehari set (indefinite case), then Newton-polished;
+    the best accepted point is returned with `below_threshold` recording
+    whether its energy sits under the semitrivial threshold.
     """
     if threshold is None:
         threshold = semitrivial_threshold(params, basis, config)

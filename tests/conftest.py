@@ -71,3 +71,45 @@ def _reference_interior_threshold(mu1, mu2, alpha, beta, dim, n=2001, lo=1e-6, h
 def reference_interior_threshold():
     """Per-step oracle for `limit.interior_threshold`: it refines every step."""
     return _reference_interior_threshold
+
+
+def _reference_nehari_descent(engine, z):
+    # the project-after-step Sobolev gradient descent that L-BFGS on the
+    # Nehari quotient replaced: steps along g / shift, Armijo backtracking,
+    # a ray projection after every step, at most 400 steps, handing over to
+    # Newton at gradient norm 1e-3; imported here, as test_harness.py copies
+    # this file where sinesolve is not
+    from sinesolve.errors import NoProjectionError
+    from sinesolve.nehari import project_ray
+
+    on_ray = 0.5 - 1.0 / engine.p
+    z = project_ray(engine, z)
+    e0 = on_ray * engine.quadratic(z)
+    step = 1.0
+    for _ in range(400):
+        g = engine.gradient(z)
+        if np.linalg.norm(g) < 1e-3:
+            break
+        d = g / engine.shift
+        gd = float(np.dot(g, d))
+        s = step
+        while True:
+            try:
+                trial = project_ray(engine, z - s * d)
+                e = on_ray * engine.quadratic(trial)
+            except NoProjectionError:
+                e = np.inf
+            if e <= e0 - 1e-4 * s * gd:
+                z, e0 = trial, e
+                step = min(2.0 * s, 1.0)
+                break
+            s *= 0.5
+            if s < 1e-16:
+                return z  # stalled; leave polishing to Newton
+    return z
+
+
+@pytest.fixture(scope="session")
+def reference_nehari_descent():
+    """The Sobolev descent that `nehari.nehari_descent` replaced, as an oracle."""
+    return _reference_nehari_descent

@@ -6,8 +6,6 @@ import pytest
 from sinesolve import (
     BoxDomain,
     CutoffSpec,
-    GalerkinSystem,
-    PairField,
     SineBasis,
     SystemParams,
     calculus_inequalities,

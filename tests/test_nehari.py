@@ -12,7 +12,6 @@ from sinesolve import (
     BoxDomain,
     GalerkinSystem,
     PairField,
-    QuadratureGrid,
     ScalarField,
     ScalarProblem,
     SineBasis,
@@ -40,9 +39,9 @@ from sinesolve.errors import (
     PreconditionError,
 )
 from sinesolve.nehari import (
-    DESCENT_SWITCH_TOL,
     _deflated_root,
     _deflation_factor,
+    _system_seeds,
     evaluate_point,
     nehari_descent,
     newton_polish,
@@ -304,16 +303,8 @@ def basis24():
     return SineBasis(BoxDomain((1.0,)), (24,))
 
 
-@pytest.mark.parametrize("kind", ["system", "scalar"])
-def test_descent_from_first_mode_is_short(basis24, kind):
-    # Sobolev-preconditioned steps: a handful of gradients where plain
-    # 1/gamma_max steps took hundreds (system) or hit the 400-step cap (scalar)
-    pr = params_with(lam=50.0)
-    e1 = unit_mode(basis24, 0).coeffs
-    if kind == "system":
-        engine, z0 = GalerkinSystem(pr, basis24), np.concatenate([e1, e1])
-    else:
-        engine, z0 = ScalarProblem(basis24, pr.kappa1, pr.mu1, pr.p), e1
+def _count_gradients(engine):
+    """Record each gradient the engine is asked for; returns the list it appends to."""
     gradient, calls = engine.gradient, []
 
     def counting(z):
@@ -321,9 +312,118 @@ def test_descent_from_first_mode_is_short(basis24, kind):
         return gradient(z)
 
     engine.gradient = counting
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["system", "scalar"])
+def test_descent_from_first_mode_is_short(basis24, kind):
+    # in the Sobolev variable the iteration count does not grow with the
+    # cutoff: a handful of gradients, where 1/gamma_max steps took hundreds
+    pr = params_with(lam=50.0)
+    e1 = unit_mode(basis24, 0).coeffs
+    if kind == "system":
+        engine, z0 = GalerkinSystem(pr, basis24), np.concatenate([e1, e1])
+    else:
+        engine, z0 = ScalarProblem(basis24, pr.kappa1, pr.mu1, pr.p), e1
+    calls = _count_gradients(engine)
     z = nehari_descent(engine, z0)
-    assert np.linalg.norm(gradient(z)) < DESCENT_SWITCH_TOL
     assert len(calls) <= 20
+    assert np.linalg.norm(engine.gradient(z)) < 1e-3
+
+
+@pytest.mark.parametrize("lam", [50.0, 200.0])
+def test_descent_from_cross_seed_is_short(lam):
+    # the (w1, 0.1 w2) seed mostly has to move along the slowly contracting
+    # u1/u2 balance mode: the Sobolev descent took 203 gradients at lam=50
+    # and hit its 400-step cap at lam=200
+    basis = SineBasis(BoxDomain((1.0,)), (16,))
+    pr = params_with(lam=lam)
+    th = semitrivial_threshold(pr, basis, SolverConfig(n_mode_seeds=2, n_random_seeds=0))
+    w1, w2 = (s.w.coeffs for s in th.scalar_states)
+    engine = GalerkinSystem(pr, basis)
+    calls = _count_gradients(engine)
+    z = nehari_descent(engine, np.concatenate([w1, 0.1 * w2]))
+    assert len(calls) <= 20
+    assert np.linalg.norm(engine.gradient(z)) < 1e-3
+
+
+def test_descent_stops_before_a_vanishing_field(basis24):
+    # a trial point with no Nehari denominator has no quotient to hand to
+    # L-BFGS: the descent ends at its last accepted iterate, on the ray
+    engine = GalerkinSystem(params_with(lam=50.0), basis24)
+    e1, e2 = unit_mode(basis24, 0).coeffs, unit_mode(basis24, 1).coeffs
+    z0 = np.concatenate([e1 + e2, 0.1 * e1])
+    denominator, calls = engine.nehari_denominator, []
+
+    def vanishing_once(z):
+        calls.append(1)
+        return 0.0 if len(calls) == 5 else denominator(z)
+
+    engine.nehari_denominator = vanishing_once
+    z = nehari_descent(engine, z0)
+    assert len(calls) == 6  # the seed, four trial points, the returned point
+    assert engine.quadratic(z) == pytest.approx(denominator(z), rel=1e-12)
+    assert engine.quadratic(z) < engine.quadratic(project_ray(engine, z0))
+
+
+@pytest.mark.parametrize("lam", [50.0, 200.0])
+def test_descent_polishes_to_the_reference_energy(lam, config, reference_nehari_descent):
+    # every system and scalar seed of the benchmark's K=16 definite box, at
+    # its ground-state (lam=50) and multiplicity (lam=200) coupling
+    basis = SineBasis(BoxDomain((1.0,)), (16,))
+    pr = params_with(lam=lam)
+    seeding = SolverConfig(n_mode_seeds=2, n_random_seeds=0)
+    th = semitrivial_threshold(pr, basis, seeding)
+
+    def energies(engine, z0):
+        out = []
+        for descent in (nehari_descent, reference_nehari_descent):
+            z, ok = newton_polish(engine, descent(engine, z0), config.tol)
+            assert ok
+            out.append(engine.energy(z))
+        return out
+
+    system = GalerkinSystem(pr, basis)
+    for z0 in _system_seeds(system, seeding, np.random.default_rng(0), th.scalar_states):
+        new, ref = energies(system, z0)
+        assert new == pytest.approx(ref, rel=1e-12)
+    scalar = ScalarProblem(basis, pr.kappa1, 1.0, pr.p)
+    seeds = [unit_mode(basis, j).coeffs for j in range(4)]
+    pairs = [energies(scalar, z0) for z0 in seeds]
+    for new, ref in pairs[:3]:
+        assert new == pytest.approx(ref, rel=1e-12)
+    # sin(4 pi x) lies in the span of the modes 4k, which the gradient maps
+    # into itself: L-BFGS stays there, on the four-node state, while the
+    # Sobolev descent left it by round-off and reached the ground state.
+    # The scalar ground state, the lowest of the four, is the same.
+    z = nehari_descent(scalar, seeds[3])
+    assert np.abs(np.delete(z, np.arange(3, basis.size, 4))).max() < 1e-8 * np.linalg.norm(z)
+    assert pairs[3][0] > pairs[3][1]
+    assert min(new for new, _ in pairs) == pytest.approx(min(ref for _, ref in pairs), rel=1e-12)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    kappa1=st.floats(-5.0, 9.0),
+    kappa2=st.floats(-5.0, 9.0),
+    mu2=st.floats(0.5, 2.0),
+    lam=st.floats(0.1, 100.0),
+    p=st.sampled_from([3.0, 4.0]),
+    share=st.floats(0.2, 0.8),
+    seed=st.integers(0, 2**16),
+)
+def test_descent_lowers_the_ray_energy_and_polishes(kappa1, kappa2, mu2, lam, p, share, seed):
+    # definite boxes (kappa < pi^2), alpha != beta allowed: the Nehari energy
+    # (1/2 - 1/p) Q never rises above its value at the seed's Nehari point,
+    # and Newton converges from where the descent stops
+    alpha = 1.0 + share * (p - 2.0)
+    pr = SystemParams(kappa1=kappa1, kappa2=kappa2, mu1=1.0, mu2=mu2, lam=lam, alpha=alpha, beta=p - alpha, dim=1)
+    basis = SineBasis(BoxDomain((1.0,)), (8,))
+    engine = GalerkinSystem(pr, basis)
+    z0 = np.random.default_rng(seed).standard_normal(2 * basis.size)
+    z = nehari_descent(engine, z0)
+    assert engine.quadratic(z) <= engine.quadratic(project_ray(engine, z0)) * (1.0 + 1e-12)
+    assert newton_polish(engine, z, SolverConfig().tol)[1]
 
 
 def test_ground_state_definite_default_seeds(basis24):
