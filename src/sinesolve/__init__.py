@@ -6,9 +6,6 @@ from .domain import (
     QuadratureGrid,
     ScalarField,
     SineBasis,
-    eigenvalue,
-    h1_inner,
-    h1_norm,
     integrate,
     project,
     synthesize,
@@ -19,14 +16,7 @@ from .energy import (
     PairField,
     ScalarProblem,
     SystemParams,
-    bilinear_b,
-    bilinear_bi,
-    energy,
-    gradient,
     nonpositive_modes,
-    scalar_energy,
-    scalar_gradient,
-    zero_pair,
 )
 from .estimates import (
     CutoffSpec,
@@ -35,13 +25,11 @@ from .estimates import (
     cutoff_bubble_integrals,
     fit_orders,
     linking_sweep,
-    mixed_norm_constant,
     ray_maximum,
 )
 from .limit import (
     BubbleProfile,
     LimitParams,
-    bubble_value,
     coupled_sobolev_constant,
     f_lambda,
     interior_threshold,
@@ -58,13 +46,11 @@ from .nehari import (
     diagonal_sup,
     ground_state,
     multiplicity_search,
-    nehari_project,
     nehari_residuals,
     orbit_dedup,
     rescale_diagonal_sup,
     scalar_ground_state,
     semitrivial_threshold,
-    sphere_infimum,
 )
 from .synchronized import (
     SyncRoot,
@@ -73,7 +59,6 @@ from .synchronized import (
     make_sync_root,
     ratio_function,
     synchronized_solution,
-    unit_coefficient_profile,
 )
 
 __version__ = "0.1.0"

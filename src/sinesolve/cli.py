@@ -319,9 +319,8 @@ def _write_atomically(path: str, text: str) -> None:
 
 
 def write_report(report: dict, path: str, formats: Sequence[str]) -> list[str]:
-    """Serialize the report atomically; returns the written paths."""
+    """Serialize the report atomically into path's existing directory; returns the written paths."""
     written = []
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     if "json" in formats:
         _write_atomically(path, json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
         written.append(path)
@@ -617,15 +616,17 @@ def main(argv: Sequence[str] | None = None) -> int:
             raw = {**raw, "solver": {**raw.get("solver", {}), "seed": args.seed}}
         command, runner = SUBCOMMANDS[args.subcommand]
         cfg = parse_config(raw, command)
+        changes: dict[str, Any] = {"threads": args.threads}
+        if args.format is not None:
+            changes["formats"] = ("json", "csv") if args.format == "both" else (args.format,)
+        if args.out is not None:
+            changes["report_path"] = os.path.join(args.out, os.path.basename(cfg.report_path))
+        cfg = dataclasses.replace(cfg, **changes)
+        # a report directory that cannot be made fails here, before any solver runs
+        os.makedirs(os.path.dirname(os.path.abspath(cfg.report_path)), exist_ok=True)
     except (OSError, ValueError) as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    changes: dict[str, Any] = {"threads": args.threads}
-    if args.format is not None:
-        changes["formats"] = ("json", "csv") if args.format == "both" else (args.format,)
-    if args.out is not None:
-        changes["report_path"] = os.path.join(args.out, os.path.basename(cfg.report_path))
-    cfg = dataclasses.replace(cfg, **changes)
 
     import time as _time
 

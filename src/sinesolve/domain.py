@@ -130,15 +130,8 @@ class ScalarField:
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
-    def __add__(self, other: "ScalarField") -> "ScalarField":
-        require_same_basis(self, other)
-        return ScalarField(self.basis, self.coeffs + other.coeffs)
-
     def __rmul__(self, scalar: float) -> "ScalarField":
         return ScalarField(self.basis, float(scalar) * self.coeffs)
-
-    def __neg__(self) -> "ScalarField":
-        return ScalarField(self.basis, -self.coeffs)
 
 
 def unit_mode(basis: SineBasis, index: int) -> ScalarField:
@@ -146,11 +139,6 @@ def unit_mode(basis: SineBasis, index: int) -> ScalarField:
     c = np.zeros(basis.size)
     c[index] = 1.0
     return ScalarField(basis, c)
-
-
-def require_same_basis(f: ScalarField, g: ScalarField) -> None:
-    if f.basis != g.basis:
-        raise BasisMismatchError("fields live on different bases")
 
 
 # one axis of `mode_mass_matrix`: contract the leading node axis against e_k e_l
@@ -240,13 +228,6 @@ class QuadratureGrid:
         return self.lengths == basis.domain.lengths
 
 
-def eigenvalue(basis: SineBasis, index: int) -> float:
-    """Eigenvalue gamma_k of -Laplace for the index-th stored mode."""
-    if not 0 <= index < basis.size:
-        raise IndexError(f"mode index {index} out of range [0, {basis.size})")
-    return float(basis.eigenvalues[index])
-
-
 def _tensor_apply(tensor: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
     """Contract axis i of `tensor` with mats[i] (rows index the new axis)."""
     out = tensor
@@ -314,13 +295,3 @@ def mode_mass_matrix(weight_values: np.ndarray, basis: SineBasis, grid: Quadratu
     m = int(np.prod(basis.cutoffs))
     a = a.reshape(m, m)
     return a[np.ix_(tr.permutation, tr.permutation)]
-
-
-def h1_inner(f: ScalarField, g: ScalarField) -> float:
-    """Gradient inner product integral(grad f . grad g) = sum_k gamma_k f_k g_k."""
-    require_same_basis(f, g)
-    return float(np.sum(f.basis.eigenvalues * f.coeffs * g.coeffs))
-
-
-def h1_norm(f: ScalarField) -> float:
-    return np.sqrt(max(h1_inner(f, f), 0.0))

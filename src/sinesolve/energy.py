@@ -25,7 +25,6 @@ from .domain import (
     integrate,
     mode_mass_matrix,
     project,
-    require_same_basis,
     synthesize,
 )
 from .errors import BasisMismatchError
@@ -35,9 +34,9 @@ from .errors import BasisMismatchError
 class SystemParams:
     """Scalar data of the coupled system.
 
-    p = alpha + beta is the common power; `critical` marks p = 2N/(N-2)
-    (requires dim >= 3).  Subcritical runs accept any p in (2, inf) and also
-    dim 1 and 2.
+    p = alpha + beta is the common power, at most the critical exponent
+    2N/(N-2) when dim >= 3.  Subcritical runs accept any p in (2, inf) and
+    also dim 1 and 2.
     """
 
     kappa1: float
@@ -70,10 +69,6 @@ class SystemParams:
         if self.dim < 3:
             return float("inf")
         return 2.0 * self.dim / (self.dim - 2.0)
-
-    @property
-    def critical(self) -> bool:
-        return self.dim >= 3 and abs(self.p - self.critical_exponent) <= 1e-12
 
     def kappa(self, i: int) -> float:
         if i not in (1, 2):
@@ -112,11 +107,6 @@ class PairField:
         if z.shape != (2 * m,):
             raise ValueError(f"expected stacked vector of length {2 * m}")
         return cls(ScalarField(basis, z[:m]), ScalarField(basis, z[m:]))
-
-
-def zero_pair(basis: SineBasis) -> PairField:
-    z = np.zeros(basis.size)
-    return PairField(ScalarField(basis, z), ScalarField(basis, z.copy()))
 
 
 def sign_orbit(z: np.ndarray) -> list[np.ndarray]:
@@ -160,17 +150,6 @@ def nonpositive_modes(basis: SineBasis, kappa: float) -> tuple[np.ndarray, np.nd
     tol = 1e-9 * float(basis.eigenvalues[0])
     shifted = basis.eigenvalues - kappa
     return np.flatnonzero(np.abs(shifted) <= tol), np.flatnonzero(shifted < -tol)
-
-
-def bilinear_bi(i: int, f: ScalarField, g: ScalarField, params: SystemParams) -> float:
-    """Shifted form B_i(f,g) = sum_k (gamma_k - kappa_i) f_k g_k."""
-    require_same_basis(f, g)
-    return float(np.sum((f.basis.eigenvalues - params.kappa(i)) * f.coeffs * g.coeffs))
-
-
-def bilinear_b(u: PairField, v: PairField, params: SystemParams) -> float:
-    """B(u,v) = B_1(u_1,v_1) + B_2(u_2,v_2)."""
-    return bilinear_bi(1, u.u1, v.u1, params) + bilinear_bi(2, u.u2, v.u2, params)
 
 
 class _Point:
@@ -252,9 +231,8 @@ class _Engine:
 class GalerkinSystem(_Engine):
     """Assembled coupled problem on one basis, integrated on its grid.
 
-    Works on stacked coefficient vectors z = (c_1, c_2); the module-level
-    functions wrap it for single calls.  The problem data are immutable
-    after construction; they include `p` and `tilde`, the stacked indices
+    Works on stacked coefficient vectors z = (c_1, c_2).  The problem data
+    are immutable after construction; they include `p` and `tilde`, the stacked indices
     of the nonpositive subspace X~ = X^0 + X^- that `nonpositive_modes`
     gives for kappa_1 and kappa_2.  The state of each of the last two
     points asked (`at`) caches the synthesized fields, the powers
@@ -409,25 +387,3 @@ class ScalarProblem(_Engine):
         w = self.mu * (self.p - 1.0) * _abs_power(self._field(c)[1], self.p - 2.0)
         return np.diag(self.shift) - mode_mass_matrix(w, self.basis, self.grid)
 
-
-# -- spec-surface wrappers ----------------------------------------------------
-
-
-def energy(u: PairField, params: SystemParams) -> float:
-    """Value of the coupled functional at u."""
-    return GalerkinSystem(params, u.basis).energy(u.coeffs())
-
-
-def gradient(u: PairField, params: SystemParams) -> PairField:
-    """Galerkin gradient: component k holds the derivative against mode e_k."""
-    g = GalerkinSystem(params, u.basis).gradient(u.coeffs())
-    return PairField.from_coeffs(u.basis, g)
-
-
-def scalar_energy(w: ScalarField, i: int, params: SystemParams) -> float:
-    return ScalarProblem(w.basis, params.kappa(i), params.mu(i), params.p).energy(w.coeffs)
-
-
-def scalar_gradient(w: ScalarField, i: int, params: SystemParams) -> ScalarField:
-    g = ScalarProblem(w.basis, params.kappa(i), params.mu(i), params.p).gradient(w.coeffs)
-    return ScalarField(w.basis, g)

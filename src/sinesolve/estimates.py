@@ -1,6 +1,6 @@
 """Verification harness for the cutoff-bubble integral orders, the ray-maximum
-formula, the linking upper bound, the mixed-norm constant, and the two
-elementary maximization inequalities.
+formula, the linking upper bound, and the two elementary maximization
+inequalities.
 
 The cutoff bubble is psi(|x|) U_eps(|x|) with psi a C^2 quintic bridge equal
 to 1 on [0, delta] and 0 beyond the support radius.  Its integrals follow
@@ -22,7 +22,6 @@ import scipy.optimize
 from .domain import (
     BoxDomain,
     QuadratureGrid,
-    ScalarField,
     SineBasis,
     integrate,
     project,
@@ -52,8 +51,8 @@ class CutoffSpec:
 
     @classmethod
     def for_domain(cls, domain: BoxDomain) -> "CutoffSpec":
-        # plateau at 1/8 of the inscribed radius keeps the complement of the
-        # support nonempty for the mixed-norm subbox
+        # plateau at 1/8 of the inscribed radius, support at 1/4: the box
+        # contains the support, as linking_sweep requires
         delta = domain.inscribed_radius / 8.0
         return cls(delta=delta, support_radius=2.0 * delta)
 
@@ -493,74 +492,6 @@ def _tilde_ascent(
         w *= 2.0 * r_w / np.linalg.norm(w)
         probes.append(energy_at(0.5 * max(ray_r, 1.0), w))
     return best, all(p <= 0.0 for p in probes)
-
-
-# -- mixed-norm constant ----------------------------------------------------------
-
-
-def mixed_norm_constant(
-    params: SystemParams,
-    basis: SineBasis,
-    omega: Sequence[tuple[float, float]],
-    sample_budget: int = 64,
-) -> float:
-    """Estimate of the best constant in int_omega |w1|^a |w2|^b >= C ||w1||^a ||w2||^b.
-
-    Minimizes the subbox integral over unit-gradient-norm pairs in the
-    nonpositive subspaces (finite-dimensional, multistart); the minimum
-    found is an upper bound on the optimal constant and is positive since
-    the restriction of the norm to the subspace is a norm.
-    """
-    t1, t2 = (np.concatenate(nonpositive_modes(basis, k)) for k in (params.kappa1, params.kappa2))
-    if t1.size == 0 or t2.size == 0:
-        raise PreconditionError("both nonpositive subspaces must be nontrivial")
-    if len(omega) != basis.domain.dim:
-        raise PreconditionError("omega needs one interval per axis")
-    rules = []
-    for (a, b), L in zip(omega, basis.domain.lengths):
-        if not 0.0 <= a < b <= L:
-            raise PreconditionError("omega must be a subbox of the domain")
-        rules.append(panel_rule(np.array([a, b]), 48))
-    # nodes on the subbox only; the domain's lengths keep the basis compatible
-    grid = QuadratureGrid(
-        lengths=basis.domain.lengths,
-        axis_nodes=tuple(r[0] for r in rules),
-        axis_weights=tuple(r[1] for r in rules),
-    )
-    gamma = basis.eigenvalues
-
-    def tilde_synth(idx, coeffs):
-        c = np.zeros(basis.size)
-        c[idx] = coeffs
-        return synthesize(ScalarField(basis, c), grid)
-
-    def objective(y):
-        a, b = y[: t1.size], y[t1.size :]
-        na = np.sqrt(np.sum(gamma[t1] * a * a))
-        nb = np.sqrt(np.sum(gamma[t2] * b * b))
-        if na < 1e-14 or nb < 1e-14:
-            return np.inf
-        v1 = tilde_synth(t1, a / na)
-        v2 = tilde_synth(t2, b / nb)
-        return integrate(np.abs(v1) ** params.alpha * np.abs(v2) ** params.beta, grid)
-
-    rng = np.random.default_rng(0)
-    dim = t1.size + t2.size
-    starts = [np.ones(dim)]
-    for j in range(dim):
-        e = np.ones(dim)
-        e[j] = -1.0
-        starts.append(e)
-    starts += [rng.standard_normal(dim) for _ in range(max(sample_budget - len(starts), 0))]
-    best = np.inf
-    for y0 in starts:
-        if t1.size == 1 and t2.size == 1:
-            best = min(best, objective(y0))
-            continue
-        res = scipy.optimize.minimize(objective, y0, method="Nelder-Mead",
-                                      options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000})
-        best = min(best, float(res.fun))
-    return float(best)
 
 
 # -- elementary maximization inequalities ----------------------------------------

@@ -90,13 +90,6 @@ class BubbleProfile:
         return -self.normalization * (n - 2.0) * e ** ((n - 2.0) / 2.0) * r * (e**2 + r**2) ** (-n / 2.0)
 
 
-def bubble_value(profile: BubbleProfile, radius: float) -> float:
-    """Radial value of the bubble; scalar in, scalar out."""
-    if radius < 0:
-        raise PreconditionError("radius must be nonnegative")
-    return float(profile.value(radius))
-
-
 def f_lambda(r: float, lp: LimitParams) -> float:
     """One-variable quotient (r^2+1)/(mu1 r^{2*} + mu2 + 2* lam r^alpha)^{2/2*}."""
     if r < 0:

@@ -332,15 +332,6 @@ def nehari_residuals(u: PairField, params: SystemParams) -> NehariResiduals:
     return NehariResiduals(ray=float(np.dot(g, z)), tilde=g[engine.tilde].copy())
 
 
-def nehari_project(u: PairField, params: SystemParams) -> PairField:
-    """Point of the Nehari set of the form t u + v, t > 0, v nonpositive-part."""
-    engine = GalerkinSystem(params, u.basis)
-    z = u.coeffs()
-    if not _has_positive_part(engine, z):
-        raise PreconditionError("the point has no positive part; no ray to project")
-    return PairField.from_coeffs(u.basis, project_general(engine, z))
-
-
 # -- orbit handling -------------------------------------------------------------
 
 
@@ -632,63 +623,6 @@ def multiplicity_search(
 
 
 # -- linking geometry -------------------------------------------------------------
-
-
-def sphere_infimum(
-    params: SystemParams,
-    basis: SineBasis,
-    rho: float,
-    budget: int = 200,
-) -> float:
-    """Monte-Carlo running minimum of the energy over the rho-sphere in X+.
-
-    The sphere is the coefficient (L^2) sphere restricted to the positive
-    modes of both components; a short tangential descent tightens the best
-    samples, so the returned value is an upper bound on the true infimum
-    that is nonincreasing in the budget.
-    """
-    if rho <= 0:
-        raise PreconditionError("rho must be positive")
-    engine = GalerkinSystem(params, basis)
-    idx = np.setdiff1d(np.arange(2 * engine.m), engine.tilde)
-    if idx.size == 0:
-        raise PreconditionError("positive subspace is trivial at this kappa")
-    rng = np.random.default_rng(0)
-
-    def on_sphere(y):
-        return rho * y / np.linalg.norm(y)
-
-    best_val = np.inf
-    best_y = None
-    # coordinate probes first: at small rho the minimizer concentrates on the
-    # smallest shifted eigenvalue, so these make the estimate sharp there
-    probes = [on_sphere(e) for e in np.eye(idx.size)]
-    for i in range(budget):
-        y = probes[i] if i < len(probes) else on_sphere(rng.standard_normal(idx.size))
-        val = engine.energy(_embed(y, idx, 2 * engine.m))
-        if val < best_val:
-            best_val, best_y = val, y
-    # tangential descent from the best sample
-    if best_y is not None:
-        y = best_y
-        step = 0.1 * rho
-        for _ in range(40):
-            z = _embed(y, idx, 2 * engine.m)
-            g = engine.gradient(z)[idx]
-            g_tan = g - (np.dot(g, y) / np.dot(y, y)) * y
-            gn = np.linalg.norm(g_tan)
-            if gn < 1e-12:
-                break
-            trial = on_sphere(y - step * g_tan / gn)
-            val = engine.energy(_embed(trial, idx, 2 * engine.m))
-            if val < best_val:
-                best_val, y = val, trial
-                step *= 1.5
-            else:
-                step *= 0.5
-                if step < 1e-12 * rho:
-                    break
-    return float(best_val)
 
 
 def _mu_eff(params: SystemParams, lam: float) -> float:

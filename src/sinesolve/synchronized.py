@@ -152,11 +152,6 @@ def make_sync_root(r: float, params: SystemParams) -> SyncRoot:
     return SyncRoot(r=float(r), s=s, t=t, h_residual=ratio_function(r, params))
 
 
-def unit_coefficient_profile(w: ScalarField, mu: float, p: float) -> ScalarField:
-    """Rescale a solution of the mu-coefficient scalar equation to unit coefficient."""
-    return ScalarField(w.basis, mu ** (1.0 / (p - 2.0)) * w.coeffs)
-
-
 def synchronized_solution(
     w: ScalarField,
     root: SyncRoot,

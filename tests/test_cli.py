@@ -447,6 +447,21 @@ def test_refused_flag_exits_2_before_any_solver(tmp_path, monkeypatch, flag, val
     assert not os.path.exists(tmp_path / "never.json")
 
 
+def test_out_that_is_a_file_exits_2_before_any_solver(tmp_path, monkeypatch, capsys):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a solver ran with an --out that cannot be a directory")
+
+    for name in SOLVER_ENTRY_POINTS:
+        monkeypatch.setattr(cli, name, unreachable)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory")
+    config = write_config(tmp_path, copy.deepcopy(BASE))
+    assert main(["ground-state", "--config", config, "--out", str(blocker)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert blocker.read_text() == "a file, not a directory"
+    assert sorted(os.listdir(tmp_path)) == ["blocker", "cfg.json"]
+
+
 def test_typed_values_and_defaults():
     cfg = copy.deepcopy(VALID["verify-estimates"])
     cfg["problem"]["dim"] = 4.0

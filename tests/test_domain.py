@@ -9,9 +9,8 @@ from sinesolve import (
     BoxDomain,
     QuadratureGrid,
     ScalarField,
+    ScalarProblem,
     SineBasis,
-    eigenvalue,
-    h1_inner,
     integrate,
     project,
     synthesize,
@@ -31,25 +30,25 @@ def grid_1d(basis_1d):
     return basis_1d.grid
 
 
+def h1_squared(f):
+    """Squared H^1 seminorm of f: the quadratic form of an engine at kappa = 0."""
+    return ScalarProblem(f.basis, 0.0, 1.0, 4.0).quadratic(f.coeffs)
+
+
 def test_eigenvalue_analytic_1d(basis_1d):
-    assert eigenvalue(basis_1d, 0) == pytest.approx(np.pi**2, rel=1e-14)
+    assert basis_1d.eigenvalues[0] == pytest.approx(np.pi**2, rel=1e-14)
 
 
 def test_eigenvalue_analytic_2d():
     b = SineBasis(BoxDomain((1.0, 1.0)), (4, 4))
     # lowest mode of the unit square
     assert b.modes[0].tolist() == [1, 1]
-    assert eigenvalue(b, 0) == pytest.approx(2 * np.pi**2, rel=1e-14)
+    assert b.eigenvalues[0] == pytest.approx(2 * np.pi**2, rel=1e-14)
 
 
 def test_eigenvalue_anisotropic_box():
     b = SineBasis(BoxDomain((1.0, 2.0)), (4, 4))
-    assert eigenvalue(b, 0) == pytest.approx(np.pi**2 * (1.0 + 0.25), rel=1e-14)
-
-
-def test_eigenvalue_range_check(basis_1d):
-    with pytest.raises(IndexError):
-        eigenvalue(basis_1d, basis_1d.size)
+    assert b.eigenvalues[0] == pytest.approx(np.pi**2 * (1.0 + 0.25), rel=1e-14)
 
 
 def test_mode_ordering_nondecreasing():
@@ -80,7 +79,7 @@ def test_synthesize_single_mode(basis_1d, grid_1d):
 def test_synthesize_linearity(basis_1d, grid_1d):
     f = unit_mode(basis_1d, 0)
     g = unit_mode(basis_1d, 1)
-    both = synthesize(f + g, grid_1d)
+    both = synthesize(ScalarField(basis_1d, f.coeffs + g.coeffs), grid_1d)
     np.testing.assert_allclose(both, synthesize(f, grid_1d) + synthesize(g, grid_1d), atol=1e-14)
 
 
@@ -120,25 +119,21 @@ def test_integrate_shape_mismatch(grid_1d):
 
 
 def test_h1_inner_first_mode(basis_1d):
-    e1 = unit_mode(basis_1d, 0)
-    assert h1_inner(e1, e1) == pytest.approx(np.pi**2, rel=1e-14)
+    assert h1_squared(unit_mode(basis_1d, 0)) == pytest.approx(np.pi**2, rel=1e-14)
 
 
 def test_h1_inner_orthogonal(basis_1d):
-    assert h1_inner(unit_mode(basis_1d, 0), unit_mode(basis_1d, 3)) == 0.0
+    # polarization: the cross term of e_1 and e_4 vanishes
+    f, g = unit_mode(basis_1d, 0), unit_mode(basis_1d, 3)
+    both = ScalarField(basis_1d, f.coeffs + g.coeffs)
+    assert h1_squared(both) == h1_squared(f) + h1_squared(g)
 
 
 def test_h1_inner_two_modes(basis_1d):
     c = np.zeros(basis_1d.size)
     c[:2] = 1.0
     f = ScalarField(basis_1d, c)
-    assert h1_inner(f, f) == pytest.approx(np.pi**2 + 4 * np.pi**2, rel=1e-14)
-
-
-def test_h1_inner_basis_mismatch(basis_1d):
-    other = SineBasis(BoxDomain((1.0,)), (8,))
-    with pytest.raises(BasisMismatchError):
-        h1_inner(unit_mode(basis_1d, 0), unit_mode(other, 0))
+    assert h1_squared(f) == pytest.approx(np.pi**2 + 4 * np.pi**2, rel=1e-14)
 
 
 def test_gram_identity(basis_1d, grid_1d):
@@ -236,13 +231,13 @@ def test_poincare_in_coefficients():
     for _ in range(20):
         c = rng.standard_normal(basis.size)
         f = ScalarField(basis, c)
-        assert h1_inner(f, f) >= basis.eigenvalues[0] * np.sum(c**2) - 1e-12
+        assert h1_squared(f) >= basis.eigenvalues[0] * np.sum(c**2) - 1e-12
 
 
 def test_eigenvalue_order_invariant():
     b = SineBasis(BoxDomain((1.0, 0.6)), (5, 7))
     for i in range(b.size - 1):
-        assert eigenvalue(b, i) <= eigenvalue(b, i + 1) + 1e-14
+        assert b.eigenvalues[i] <= b.eigenvalues[i + 1] + 1e-14
 
 
 def test_fields_immutable(basis_1d):

@@ -1,4 +1,4 @@
-"""Bilinear forms, coupled energy, Galerkin gradient, and spectral splitting."""
+"""Bilinear forms, coupled energy, Galerkin gradient, and nonpositive modes."""
 
 import numpy as np
 import pytest
@@ -11,15 +11,8 @@ from sinesolve import (
     ScalarProblem,
     SineBasis,
     SystemParams,
-    bilinear_b,
-    bilinear_bi,
-    energy,
-    gradient,
     nonpositive_modes,
-    scalar_energy,
-    scalar_gradient,
     unit_mode,
-    zero_pair,
 )
 
 
@@ -32,6 +25,10 @@ def params_with(**kw):
     base = dict(kappa1=0.0, kappa2=0.0, mu1=1.0, mu2=1.0, lam=1.0, alpha=2.0, beta=2.0, dim=1)
     base.update(kw)
     return SystemParams(**base)
+
+
+def e1_pair(basis):
+    return PairField(unit_mode(basis, 0), ScalarField(basis, np.zeros(basis.size)))
 
 
 def test_params_validation():
@@ -48,51 +45,53 @@ def test_params_validation():
 
 def test_params_critical_flag():
     p4 = params_with(dim=4)  # alpha + beta = 4 = 2*4/2
-    assert p4.critical
-    assert not params_with(dim=1, alpha=2.5, beta=2.5).critical
+    assert p4.p == p4.critical_exponent
+    assert params_with(dim=1, alpha=2.5, beta=2.5).critical_exponent == float("inf")
 
 
 def test_bilinear_examples(basis):
-    e1 = unit_mode(basis, 0)
-    assert bilinear_bi(1, e1, e1, params_with()) == pytest.approx(np.pi**2, rel=1e-14)
-    assert bilinear_bi(1, e1, e1, params_with(kappa1=np.pi**2)) == pytest.approx(0.0, abs=1e-14)
-    assert bilinear_bi(1, e1, e1, params_with(kappa1=15.0)) == pytest.approx(np.pi**2 - 15.0, rel=1e-12)
+    # B_1(e_1, e_1) is the quadratic form of the pair (e_1, 0)
+    z = e1_pair(basis).coeffs()
+    assert GalerkinSystem(params_with(), basis).quadratic(z) == pytest.approx(np.pi**2, rel=1e-14)
+    assert GalerkinSystem(params_with(kappa1=np.pi**2), basis).quadratic(z) == pytest.approx(0.0, abs=1e-14)
+    assert GalerkinSystem(params_with(kappa1=15.0), basis).quadratic(z) == pytest.approx(np.pi**2 - 15.0, rel=1e-12)
 
 
 def test_bilinear_symmetry(basis):
+    # B(u, v) = u . H(0) v, with H(0) the Hessian at the origin, where the
+    # nonlinear weights vanish; it agrees with the polarized quadratic form
     rng = np.random.default_rng(0)
-    pr = params_with(kappa1=5.0, kappa2=-2.0)
-    u = PairField.from_coeffs(basis, rng.standard_normal(2 * basis.size))
-    v = PairField.from_coeffs(basis, rng.standard_normal(2 * basis.size))
-    assert bilinear_b(u, v, pr) == pytest.approx(bilinear_b(v, u, pr), rel=1e-15)
+    sys = GalerkinSystem(params_with(kappa1=5.0, kappa2=-2.0), basis)
+    u, v = rng.standard_normal((2, 2 * basis.size))
+    h0 = sys.hessian(np.zeros(2 * basis.size))
+    assert u @ h0 @ v == pytest.approx(v @ h0 @ u, rel=1e-15)
+    assert u @ h0 @ v == pytest.approx((sys.quadratic(u + v) - sys.quadratic(u - v)) / 4, rel=1e-12)
 
 
 def test_energy_zero(basis):
-    assert energy(zero_pair(basis), params_with()) == 0.0
+    assert GalerkinSystem(params_with(), basis).energy(np.zeros(2 * basis.size)) == 0.0
 
 
 def test_energy_single_component(basis):
-    u = PairField(unit_mode(basis, 0), ScalarField(basis, np.zeros(basis.size)))
     expected = np.pi**2 / 2 - 1.5 / 4  # analytic: ||e1||^2/2 - (1/4) int e1^4
-    assert energy(u, params_with()) == pytest.approx(expected, rel=1e-12)
+    assert GalerkinSystem(params_with(), basis).energy(e1_pair(basis).coeffs()) == pytest.approx(expected, rel=1e-12)
 
 
 def test_energy_symmetric_pair(basis):
-    u = PairField(unit_mode(basis, 0), unit_mode(basis, 0))
+    z = PairField(unit_mode(basis, 0), unit_mode(basis, 0)).coeffs()
     expected = np.pi**2 - 2 * (1.5 / 4) - 1.5
-    assert energy(u, params_with()) == pytest.approx(expected, rel=1e-12)
+    assert GalerkinSystem(params_with(), basis).energy(z) == pytest.approx(expected, rel=1e-12)
 
 
 def test_gradient_zero(basis):
-    g = gradient(zero_pair(basis), params_with())
-    assert np.all(g.coeffs() == 0.0)
+    g = GalerkinSystem(params_with(), basis).gradient(np.zeros(2 * basis.size))
+    assert np.all(g == 0.0)
 
 
 def test_gradient_semitrivial_structure(basis):
     # with u2 = 0 and beta > 1 the second component of the gradient vanishes
-    u = PairField(unit_mode(basis, 0), ScalarField(basis, np.zeros(basis.size)))
-    g = gradient(u, params_with())
-    assert np.linalg.norm(g.u2.coeffs) == 0.0
+    g = GalerkinSystem(params_with(), basis).gradient(e1_pair(basis).coeffs())
+    assert np.linalg.norm(g[basis.size :]) == 0.0
 
 
 def test_gradient_finite_differences(basis):
@@ -176,10 +175,10 @@ def test_b_positive_definite_on_plus(basis):
     plus = np.ones(n, dtype=bool)
     plus[GalerkinSystem(pr, basis).tilde] = False
     floor = min(np.tile(basis.eigenvalues - 15.0, 2)[plus])
+    sys = GalerkinSystem(pr, basis)
     for _ in range(20):
         z = np.where(plus, rng.standard_normal(n), 0.0)
-        u = PairField.from_coeffs(basis, z)
-        assert bilinear_b(u, u, pr) >= floor * np.sum(z**2) - 1e-12
+        assert sys.quadratic(z) >= floor * np.sum(z**2) - 1e-12
 
 
 def test_engines_integrate_on_the_basis_grid(basis):
@@ -192,13 +191,13 @@ def test_evenness(basis):
     rng = np.random.default_rng(7)
     pr = params_with(kappa1=2.0, mu2=3.0, lam=0.7)
     z = rng.standard_normal(2 * basis.size)
-    u = PairField.from_coeffs(basis, z)
+    sys = GalerkinSystem(pr, basis)
     m = basis.size
     flip2 = z.copy()
     flip2[m:] *= -1.0
-    e0 = energy(u, pr)
-    assert energy(PairField.from_coeffs(basis, -z), pr) == pytest.approx(e0, abs=1e-12 * max(abs(e0), 1))
-    assert energy(PairField.from_coeffs(basis, flip2), pr) == pytest.approx(e0, abs=1e-12 * max(abs(e0), 1))
+    e0 = sys.energy(z)
+    assert sys.energy(-z) == pytest.approx(e0, abs=1e-12 * max(abs(e0), 1))
+    assert sys.energy(flip2) == pytest.approx(e0, abs=1e-12 * max(abs(e0), 1))
 
 
 def test_euler_identity(basis):
@@ -220,22 +219,19 @@ def test_euler_identity(basis):
 
 def test_scalar_energy_and_gradient(basis):
     pr = params_with()
-    w = unit_mode(basis, 0)
-    assert scalar_energy(w, 1, pr) == pytest.approx(np.pi**2 / 2 - 0.375, rel=1e-12)
-    assert scalar_energy(ScalarField(basis, np.zeros(basis.size)), 1, pr) == 0.0
+    prob1 = ScalarProblem(basis, pr.kappa1, pr.mu1, pr.p)
+    assert prob1.energy(unit_mode(basis, 0).coeffs) == pytest.approx(np.pi**2 / 2 - 0.375, rel=1e-12)
+    assert prob1.energy(np.zeros(basis.size)) == 0.0
     rng = np.random.default_rng(9)
     c = 0.5 * rng.standard_normal(basis.size)
-    w = ScalarField(basis, c)
-    g = scalar_gradient(w, 2, pr)
+    prob2 = ScalarProblem(basis, pr.kappa2, pr.mu2, pr.p)
+    g = prob2.gradient(c)
     h = 1e-5
     for _ in range(5):
         v = rng.standard_normal(basis.size)
         v /= np.linalg.norm(v)
-        fd = (
-            scalar_energy(ScalarField(basis, c + h * v), 2, pr)
-            - scalar_energy(ScalarField(basis, c - h * v), 2, pr)
-        ) / (2 * h)
-        assert np.dot(g.coeffs, v) == pytest.approx(fd, rel=1e-5)
+        fd = (prob2.energy(c + h * v) - prob2.energy(c - h * v)) / (2 * h)
+        assert np.dot(g, v) == pytest.approx(fd, rel=1e-5)
 
 
 # -- the point state -------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Cutoff-bubble orders, ray formula, linking harness, mixed norm, inequalities."""
+"""Cutoff-bubble orders, ray formula, linking harness, inequalities."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from sinesolve import (
     cutoff_bubble_integrals,
     fit_orders,
     linking_sweep,
-    mixed_norm_constant,
     nonpositive_modes,
     ray_maximum,
 )
@@ -219,46 +218,6 @@ def test_linking_tilde_rejected_above_dim3(n5_setting):
     cut = CutoffSpec.for_domain(dom)
     with pytest.raises(PreconditionError):
         linking_sweep([1e-2], lp, params, basis, cut, s_amp, t_amp, s_coupled)
-
-
-# -- mixed norm --------------------------------------------------------------------
-
-
-def test_mixed_norm_positive_and_exact_1d():
-    basis = SineBasis(BoxDomain((1.0,)), (12,))
-    pr = SystemParams(kappa1=15.0, kappa2=15.0, mu1=1.0, mu2=1.0, lam=1.0,
-                      alpha=2.0, beta=2.0, dim=1)
-    c = mixed_norm_constant(pr, basis, [(0.55, 0.95)])
-    x = np.linspace(0.55, 0.95, 400001)
-    oracle = np.trapezoid((np.sqrt(2.0) * np.sin(np.pi * x)) ** 4, x) / np.pi**4
-    assert c == pytest.approx(oracle, rel=1e-6)
-    assert c > 0.0
-
-
-def test_mixed_norm_monotone_in_domain():
-    basis = SineBasis(BoxDomain((1.0,)), (12,))
-    pr = SystemParams(kappa1=15.0, kappa2=15.0, mu1=1.0, mu2=1.0, lam=1.0,
-                      alpha=2.0, beta=2.0, dim=1)
-    big = mixed_norm_constant(pr, basis, [(0.55, 0.95)])
-    small = mixed_norm_constant(pr, basis, [(0.6, 0.9)])
-    assert small < big
-
-
-def test_mixed_norm_requires_tilde():
-    basis = SineBasis(BoxDomain((1.0,)), (12,))
-    pr = SystemParams(kappa1=1.0, kappa2=1.0, mu1=1.0, mu2=1.0, lam=1.0,
-                      alpha=2.0, beta=2.0, dim=1)
-    with pytest.raises(PreconditionError):
-        mixed_norm_constant(pr, basis, [(0.55, 0.95)])
-
-
-def test_mixed_norm_multidim_tilde():
-    basis = SineBasis(BoxDomain((1.0,)), (12,))
-    pr = SystemParams(kappa1=45.0, kappa2=45.0, mu1=1.0, mu2=1.0, lam=1.0,
-                      alpha=2.0, beta=2.0, dim=1)
-    assert [z.tolist() for z in nonpositive_modes(basis, 45.0)] == [[], [0, 1]]
-    c = mixed_norm_constant(pr, basis, [(0.55, 0.95)], sample_budget=24)
-    assert c > 0.0
 
 
 # -- elementary inequalities --------------------------------------------------------

@@ -1,5 +1,7 @@
-"""The test harness itself: the repo's pytest settings and tests/conftest.py."""
+"""The test harness itself: the repo's pytest settings, tests/conftest.py, and
+an import check over the sources and tests."""
 
+import ast
 import pathlib
 import shutil
 import subprocess
@@ -35,3 +37,33 @@ def test_failing_hypothesis_test_does_not_abort_the_run(tmp_path):
     )
     assert "INTERNALERROR" not in proc.stdout + proc.stderr
     assert "1 failed, 1 passed" in proc.stdout
+
+
+def _unused_imports(path: pathlib.Path) -> list[str]:
+    """Names a module imports but never reads.
+
+    An import marked `# noqa`, made for its side effect, is skipped.
+    """
+    source = path.read_text(encoding="utf-8")
+    lines, tree = source.splitlines(), ast.parse(source)
+    imported, used = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and "# noqa" in lines[node.lineno - 1]:
+            continue
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+    return [f"{path.relative_to(REPO)}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    # __init__.py imports to re-export, so it is the one module left out
+    modules = [p for p in sorted((REPO / "src" / "sinesolve").glob("*.py")) if p.name != "__init__.py"]
+    modules += sorted((REPO / "tests").glob("*.py"))
+    assert len(modules) > 10
+    assert [hit for path in modules for hit in _unused_imports(path)] == []

@@ -9,7 +9,6 @@ from scipy.special import gamma as gamma_fn
 from sinesolve import (
     BubbleProfile,
     LimitParams,
-    bubble_value,
     coupled_sobolev_constant,
     f_lambda,
     interior_threshold,
@@ -57,7 +56,7 @@ def test_quotient_negative_r_rejected():
 
 def test_bubble_values():
     b = BubbleProfile(4, 1.0)
-    assert bubble_value(b, 0.0) == pytest.approx(2.0 * np.sqrt(2.0), rel=1e-14)
+    assert b.value(0.0) == pytest.approx(2.0 * np.sqrt(2.0), rel=1e-14)
     radii = np.linspace(0.0, 10.0, 50)
     vals = b.value(radii)
     assert np.all(np.diff(vals) < 0.0)

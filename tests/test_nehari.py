@@ -22,13 +22,12 @@ from sinesolve import (
     diagonal_sup,
     ground_state,
     multiplicity_search,
-    nehari_project,
     nehari_residuals,
+    nonpositive_modes,
     orbit_dedup,
     rescale_diagonal_sup,
     scalar_ground_state,
     semitrivial_threshold,
-    sphere_infimum,
     unit_mode,
 )
 from sinesolve.energy import sign_orbit
@@ -39,6 +38,8 @@ from sinesolve.errors import (
     PreconditionError,
 )
 from sinesolve.nehari import (
+    NO_POSITIVE_PART,
+    _converge_seed,
     _deflated_root,
     _deflation_factor,
     _system_seeds,
@@ -82,8 +83,8 @@ def test_ray_residual_unscaled(basis):
 
 def test_residuals_vanish_at_projection(basis):
     pr = params_with()
-    proj = nehari_project(e1_pair(basis), pr)
-    res = nehari_residuals(proj, pr)
+    proj = project_general(GalerkinSystem(pr, basis), e1_pair(basis).coeffs())
+    res = nehari_residuals(PairField.from_coeffs(basis, proj), pr)
     assert abs(res.ray) < 1e-10
 
 
@@ -95,31 +96,27 @@ def test_residuals_inside_tilde_rejected(basis):
 
 
 def test_projection_closed_form(basis):
-    pr = params_with()
-    proj = nehari_project(e1_pair(basis), pr)
+    eng = GalerkinSystem(params_with(), basis)
+    proj = project_general(eng, e1_pair(basis).coeffs())
     t_star = np.sqrt(np.pi**2 / 1.5)
-    assert proj.u1.coeffs[0] == pytest.approx(t_star, rel=1e-10)
-    eng = GalerkinSystem(pr, basis)
-    assert eng.energy(proj.coeffs()) == pytest.approx(np.pi**4 / 6, rel=1e-10)
+    assert proj[0] == pytest.approx(t_star, rel=1e-10)
+    assert eng.energy(proj) == pytest.approx(np.pi**4 / 6, rel=1e-10)
 
 
 def test_projection_scale_free(basis):
-    pr = params_with()
+    eng = GalerkinSystem(params_with(), basis)
     rng = np.random.default_rng(0)
     z = rng.standard_normal(2 * basis.size)
-    u = PairField.from_coeffs(basis, z)
-    v = PairField.from_coeffs(basis, 3.7 * z)
-    p1 = nehari_project(u, pr).coeffs()
-    p2 = nehari_project(v, pr).coeffs()
+    p1 = project_general(eng, z)
+    p2 = project_general(eng, 3.7 * z)
     np.testing.assert_allclose(p1, p2, rtol=1e-12, atol=1e-12)
 
 
-def test_projection_rejects_point_without_plus_part(basis):
+def test_projection_rejects_point_without_plus_part(basis, config):
     # e1 is the negative direction at kappa = 15, so the e1 pair has no
-    # positive part and cannot be projected
-    pr = params_with(kappa1=15.0, kappa2=15.0)
-    with pytest.raises(PreconditionError):
-        nehari_project(e1_pair(basis), pr)
+    # positive part: a search drops it before projecting
+    eng = GalerkinSystem(params_with(kappa1=15.0, kappa2=15.0), basis)
+    assert _converge_seed(eng, e1_pair(basis).coeffs(), config) == (None, NO_POSITIVE_PART)
 
 
 def test_projection_noprojection_error():
@@ -136,8 +133,8 @@ def test_general_projection_with_tilde(basis):
     z = np.zeros(2 * basis.size)
     z[:6] = rng.standard_normal(6)
     z[basis.size : basis.size + 6] = rng.standard_normal(6)
-    proj = nehari_project(PairField.from_coeffs(basis, z), pr)
-    res = nehari_residuals(proj, pr)
+    proj = project_general(GalerkinSystem(pr, basis), z)
+    res = nehari_residuals(PairField.from_coeffs(basis, proj), pr)
     assert res.max_abs < 1e-8
 
 
@@ -438,7 +435,7 @@ def test_critical_ground_state_in_four_dimensions():
     pr = SystemParams(kappa1=25.0, kappa2=25.0, mu1=1.0, mu2=1.0, lam=5.0, alpha=2.0, beta=2.0, dim=4)
     basis = SineBasis(BoxDomain((1.0,) * 4), (2,) * 4)
     gs = ground_state(pr, basis, SolverConfig(n_mode_seeds=2, n_random_seeds=0))
-    assert pr.critical
+    assert pr.p == pr.critical_exponent
     assert basis.grid.shape == (6,) * 4
     assert gs.classification == "fully-nontrivial"
     assert gs.grad_norm < 1e-10
@@ -469,6 +466,23 @@ def test_multiplicity_orbits(basis, config):
         assert 0.0 < p.b_value < th.min_b
 
 
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("kappa", [0.0, 15.0])
+def test_multiplicity_reaches_the_coupling_threshold_count(config, kappa, m):
+    # the paper's multiplicity claim on both of the tool's routes to it: just
+    # above lambda_bar(m) from the diagonal supremum, the deflated search finds
+    # at least m - d orbits under c0, with d the nonpositive modes per component
+    basis = SineBasis(BoxDomain((1.0,)), (16,))
+    pr = params_with(kappa1=kappa, kappa2=kappa)
+    th = semitrivial_threshold(pr, basis, config)
+    lam_bar = coupling_threshold(pr, m, th.c0, basis)
+    d = sum(idx.size for idx in nonpositive_modes(basis, kappa))
+    pts = multiplicity_search(dataclasses.replace(pr, lam=1.01 * lam_bar), basis, k=m, budget=16,
+                              config=config, threshold=th)
+    assert len(pts) >= m - d
+    assert all(0.0 < p.energy < th.c0 and p.classification == "fully-nontrivial" for p in pts)
+
+
 def test_multiplicity_small_lambda_best_effort(basis, config):
     # with weak coupling no orbit may fall below the threshold; empty is legal
     pr = params_with(lam=1e-3)
@@ -479,23 +493,6 @@ def test_multiplicity_small_lambda_best_effort(basis, config):
 
 
 # -- linking geometry ---------------------------------------------------------------
-
-
-def test_sphere_infimum_quadratic_coefficient(basis):
-    pr = params_with(kappa1=3.0, kappa2=5.0)
-    rhos = np.array([1e-3, 2e-3, 4e-3, 8e-3])
-    vals = np.array([sphere_infimum(pr, basis, r, budget=150) for r in rhos])
-    coef = np.polyfit(rhos**2, vals, 1)[0]
-    expected = 0.5 * min(np.pi**2 - 3.0, np.pi**2 - 5.0)
-    assert coef == pytest.approx(expected, rel=0.10)
-    assert np.all(vals > 0.0)
-
-
-def test_sphere_infimum_running_minimum(basis):
-    pr = params_with(kappa1=3.0, kappa2=5.0)
-    v_small = sphere_infimum(pr, basis, 0.5, budget=40)
-    v_large = sphere_infimum(pr, basis, 0.5, budget=160)
-    assert v_large <= v_small + 1e-12
 
 
 def test_diagonal_sup_ray_value(basis):

@@ -5,6 +5,7 @@ import pytest
 
 from sinesolve import (
     BoxDomain,
+    ScalarProblem,
     SineBasis,
     SolverConfig,
     SystemParams,
@@ -14,7 +15,6 @@ from sinesolve import (
     ratio_function,
     scalar_ground_state,
     synchronized_solution,
-    unit_coefficient_profile,
 )
 from sinesolve.errors import PreconditionError
 from sinesolve.synchronized import amplitude_identities, root_guaranteed
@@ -103,14 +103,19 @@ def solved_profile():
 
 def test_unit_coefficient_rescaling(solved_profile):
     basis, cfg, pr, state = solved_profile
-    # solving with coefficient mu and rescaling reproduces the unit-coefficient profile
+    # the unit-coefficient state carried to mu = 4 reproduces the state solved at mu = 4
     state_mu = scalar_ground_state(params_with(mu1=4.0), 1, basis, cfg)
-    rescaled = unit_coefficient_profile(state_mu.w, 4.0, pr.p)
+    scaled = state.scaled(4.0, pr.p)
     d = min(
-        np.linalg.norm(rescaled.coeffs - state.w.coeffs),
-        np.linalg.norm(rescaled.coeffs + state.w.coeffs),
+        np.linalg.norm(scaled.w.coeffs - state_mu.w.coeffs),
+        np.linalg.norm(scaled.w.coeffs + state_mu.w.coeffs),
     )
-    assert d < 1e-7
+    assert d < 1e-7 * 4.0 ** (-1.0 / (pr.p - 2.0))
+    assert scaled.energy == pytest.approx(state_mu.energy, rel=1e-12)
+    # and solves the mu = 4 equation: the engine at mu = 4 finds it critical
+    prob = ScalarProblem(basis, pr.kappa1, 4.0, pr.p)
+    assert np.linalg.norm(prob.gradient(scaled.w.coeffs)) < 1e-9
+    assert prob.energy(scaled.w.coeffs) == pytest.approx(scaled.energy, rel=1e-12)
 
 
 def test_synchronized_assembly(solved_profile):
