@@ -4,16 +4,13 @@ possibly indefinite two-component elliptic systems on box domains."""
 from .domain import (
     BoxDomain,
     QuadratureGrid,
-    ScalarField,
     SineBasis,
     integrate,
     project,
     synthesize,
-    unit_mode,
 )
 from .energy import (
     GalerkinSystem,
-    PairField,
     ScalarProblem,
     SystemParams,
     nonpositive_modes,

@@ -47,8 +47,10 @@ from .errors import (
 from .estimates import (
     CutoffSpec,
     calculus_inequalities,
-    cutoff_bubble_integrals,
     check_eps_grid,
+    check_ray_eps,
+    check_sweep_eps,
+    cutoff_bubble_integrals,
     default_eps_grid,
     fit_orders,
     linking_sweep,
@@ -260,12 +262,17 @@ def parse_config(raw: dict, command: Command) -> RunConfig:
         for lo, hi in (("lambda_lo", "lambda_hi"), ("r_lo", "r_hi")):
             if lo in task and not task[lo] < task[hi]:
                 raise ConfigError(f"task.{lo} must be below task.{hi}")
-        if "delta" in task:
+        if "delta" in task:  # verify-estimates: each eps the run would refuse
             if task["support_radius"] is None:
                 task["support_radius"] = 2.0 * task["delta"]
-            CutoffSpec(task["delta"], task["support_radius"])
-        if "eps_grid" in task:
+            sweep_cutoff = CutoffSpec(task["delta"], task["support_radius"])
             check_eps_grid(task["eps_grid"])
+            for eps in task["eps_grid"]:
+                check_sweep_eps(eps, sweep_cutoff)
+            if lengths is not None and cutoffs is not None and not task["skip_linking"]:
+                box_cutoff = CutoffSpec.for_domain(BoxDomain(lengths))
+                for eps in task["linking_eps"]:
+                    check_ray_eps(eps, box_cutoff)
     except (ValueError, OverflowError) as exc:  # also the data classes' checks and huge integers
         raise ConfigError(str(exc)) from exc
 
@@ -293,8 +300,8 @@ def _point_record(pt: CriticalPoint, family: str) -> dict:
         "orbit_id": int(pt.orbit_id),
         "below_threshold": pt.below_threshold,
         "coefficients": {
-            "u1": [float(c) for c in pt.u.u1.coeffs],
-            "u2": [float(c) for c in pt.u.u2.coeffs],
+            "u1": [float(c) for c in pt.z[: pt.z.size // 2]],
+            "u2": [float(c) for c in pt.z[pt.z.size // 2 :]],
         },
     }
 
@@ -453,7 +460,7 @@ def _run_synchronized(cfg: RunConfig) -> tuple[dict, int]:
     records = []
     for r in scan.roots:
         root = make_sync_root(r, cfg.params)
-        pt, scalar_res = synchronized_solution(w_state.w, root, cfg.params)
+        pt, scalar_res = synchronized_solution(basis, w_state.w, root, cfg.params)
         rec = _point_record(pt, "synchronized")
         rec.update({"ratio_root": float(r), "s": float(root.s), "t": float(root.t),
                     "scalar_residual": float(scalar_res)})
@@ -526,10 +533,14 @@ def _run_verify_estimates(cfg: RunConfig) -> tuple[dict, int]:
         skip = True
     if not skip:
         basis = cfg.basis()
-        resonant = any(nonpositive_modes(basis, k)[0].size for k in (pr.kappa1, pr.kappa2))
-        if pr.dim == 4 and resonant:
+        split = [nonpositive_modes(basis, k) for k in (pr.kappa1, pr.kappa2)]
+        if pr.dim == 4 and any(zero.size for zero, _ in split):
             notes.append("resonant kappa: linking bound skipped (a shift matches a Dirichlet "
                          "eigenvalue; the dimension-4 bound requires nonresonance)")
+            skip = True
+        elif pr.dim > 3 and any(zero.size + minus.size for zero, minus in split):
+            # linking_sweep's ascent over X~ needs a full box quadrature
+            notes.append("nonpositive subspace in dimension > 3: linking bound skipped")
             skip = True
     if not skip:
         lam0 = interior_threshold(lp.mu1, lp.mu2, lp.alpha, lp.beta, lp.dim)

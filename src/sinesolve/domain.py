@@ -6,13 +6,14 @@ eigenpairs
     e_k(x) = prod_i sqrt(2/L_i) sin(pi k_i x_i / L_i),
     gamma_k = pi^2 sum_i (k_i / L_i)^2,
 
-which are L^2-orthonormal.  Fields are stored as coefficient vectors over
-the modes sorted by nondecreasing eigenvalue (lexicographic tie-break).  A
-box integral is a tensor product of the interior-node trapezoid (DST-I)
-rule: Q nodes jL/(Q+1) of weight L/(Q+1) per axis.  It integrates a product
-of an even number of sine factors exactly when their frequencies sum below
-2(Q+1), so the Gram matrix of the modes k <= Q is exact; a constant, which
-is no such product, gets Q/(Q+1) of its integral.
+which are L^2-orthonormal.  A field is a plain coefficient array over the
+modes sorted by nondecreasing eigenvalue (lexicographic tie-break); a
+`SineTransform` carries it to grid values and back.  A box integral is a
+tensor product of the interior-node trapezoid (DST-I) rule: Q nodes
+jL/(Q+1) of weight L/(Q+1) per axis.  It integrates a product of an even
+number of sine factors exactly when their frequencies sum below 2(Q+1), so
+the Gram matrix of the modes k <= Q is exact; a constant, which is no such
+product, gets Q/(Q+1) of its integral.
 """
 
 from __future__ import annotations
@@ -78,16 +79,6 @@ class SineBasis:
         object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "eigenvalues", gamma)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, SineBasis)
-            and self.domain == other.domain
-            and self.cutoffs == other.cutoffs
-        )
-
-    def __hash__(self):
-        return hash((self.domain, self.cutoffs))
-
     @property
     def size(self) -> int:
         return self.modes.shape[0]
@@ -105,6 +96,15 @@ class SineBasis:
         """
         return QuadratureGrid.for_domain(self.domain, [3 * k for k in self.cutoffs])
 
+    @cached_property
+    def transform(self) -> "SineTransform":
+        """The sine tables of this basis on its grid, built once.
+
+        Threads racing on the first use may each build the same tables;
+        one set is kept.
+        """
+        return SineTransform(self, self.grid)
+
     def axis_matrix(self, axis: int, x: np.ndarray) -> np.ndarray:
         """1-D factor sqrt(2/L) sin(pi k x / L) evaluated at the points x, shape (len(x), K)."""
         L = self.domain.lengths[axis]
@@ -116,31 +116,6 @@ class SineBasis:
         return np.ravel_multi_index((self.modes - 1).T, self.cutoffs)
 
 
-@dataclass(frozen=True, eq=False)
-class ScalarField:
-    """One scalar function as a coefficient vector over a sine basis."""
-
-    basis: SineBasis
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.array(self.coeffs, dtype=float)
-        if c.shape != (self.basis.size,):
-            raise ValueError(f"expected {self.basis.size} coefficients, got {c.shape}")
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-
-    def __rmul__(self, scalar: float) -> "ScalarField":
-        return ScalarField(self.basis, float(scalar) * self.coeffs)
-
-
-def unit_mode(basis: SineBasis, index: int) -> ScalarField:
-    """The index-th basis function (in sorted mode order) as a field."""
-    c = np.zeros(basis.size)
-    c[index] = 1.0
-    return ScalarField(basis, c)
-
-
 # one axis of `mode_mass_matrix`: contract the leading node axis against e_k e_l
 _MASS_AXIS = "q...,qk,ql->...kl"
 
@@ -150,16 +125,19 @@ class SineTransform:
 
     `synthesis[i]` holds e_k on the nodes of axis i, `projection[i]` its
     weighted transpose, `permutation` the tensor position of each sorted
-    mode, and `mass_paths[i]` the contraction path of axis i in
-    `mode_mass_matrix`, planned once from the operand shapes as
-    `einsum(..., optimize=True)` would plan it on every call.  Obtained
-    through `QuadratureGrid.transform`, which keeps one per basis for as
-    long as the grid lives.
+    mode in the dense `cutoffs` tensor, and `mass_paths[i]` the contraction
+    path of axis i in `mode_mass_matrix`, planned once from the operand
+    shapes as `einsum(..., optimize=True)` would plan it on every call.
+    `SineBasis.transform` holds the one for the basis grid; any other grid
+    builds its own.  The transform keeps the grid but not the basis, so a
+    basis holding its transform forms no reference cycle.
     """
 
     def __init__(self, basis: "SineBasis", grid: "QuadratureGrid"):
-        if not grid.compatible_with(basis):
+        if grid.lengths != basis.domain.lengths:
             raise BasisMismatchError("grid and basis live on different domains")
+        self.grid = grid
+        self.cutoffs = basis.cutoffs
         self.synthesis = tuple(basis.axis_matrix(i, grid.axis_nodes[i]) for i in range(grid.dim))
         self.projection = tuple(
             (s * w[:, None]).T for s, w in zip(self.synthesis, grid.axis_weights)
@@ -183,26 +161,10 @@ class QuadratureGrid:
     lengths: tuple[float, ...]
     axis_nodes: tuple[np.ndarray, ...]
     axis_weights: tuple[np.ndarray, ...]
-    _transforms: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         for arr in (*self.axis_nodes, *self.axis_weights):
             arr.setflags(write=False)
-
-    def transform(self, basis: "SineBasis") -> SineTransform:
-        """The sine tables of `basis` on this grid, built on first use.
-
-        Equal bases share one entry, keyed by what makes them equal, so the
-        grid keeps no reference to a basis: a basis holds its own grid, and
-        a cycle would keep both alive until the cyclic garbage collector ran.
-        If two threads race on the first use, setdefault keeps one of their
-        identical table sets.
-        """
-        key = (basis.domain, basis.cutoffs)
-        tr = self._transforms.get(key)
-        if tr is None:
-            tr = self._transforms.setdefault(key, SineTransform(basis, self))
-        return tr
 
     @classmethod
     def for_domain(cls, domain: BoxDomain, nodes_per_axis: int | Sequence[int]) -> "QuadratureGrid":
@@ -224,9 +186,6 @@ class QuadratureGrid:
     def shape(self) -> tuple[int, ...]:
         return tuple(len(n) for n in self.axis_nodes)
 
-    def compatible_with(self, basis: SineBasis) -> bool:
-        return self.lengths == basis.domain.lengths
-
 
 def _tensor_apply(tensor: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
     """Contract axis i of `tensor` with mats[i] (rows index the new axis)."""
@@ -236,21 +195,11 @@ def _tensor_apply(tensor: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def coeff_tensor(field: ScalarField, permutation: np.ndarray) -> np.ndarray:
-    """Coefficients scattered into the dense (K_1,...,K_N) tensor.
-
-    `permutation` is `field.basis.tensor_permutation()`, passed in so that
-    callers holding a SineTransform do not rebuild it.
-    """
-    t = np.zeros(field.basis.cutoffs)
-    t.ravel()[permutation] = field.coeffs
-    return t
-
-
-def synthesize(field: ScalarField, grid: QuadratureGrid) -> np.ndarray:
-    """Pointwise values sum_k c_k e_k(x) at all grid nodes."""
-    tr = grid.transform(field.basis)
-    return _tensor_apply(coeff_tensor(field, tr.permutation), tr.synthesis)
+def synthesize(coeffs: np.ndarray, tr: SineTransform) -> np.ndarray:
+    """Pointwise values sum_k c_k e_k(x) at all nodes of the transform's grid."""
+    t = np.zeros(tr.cutoffs)
+    t.ravel()[tr.permutation] = coeffs
+    return _tensor_apply(t, tr.synthesis)
 
 
 def integrate(values: np.ndarray, grid: QuadratureGrid) -> float:
@@ -264,23 +213,22 @@ def integrate(values: np.ndarray, grid: QuadratureGrid) -> float:
     return float(out)
 
 
-def project(values: np.ndarray, basis: SineBasis, grid: QuadratureGrid) -> np.ndarray:
+def project(values: np.ndarray, tr: SineTransform) -> np.ndarray:
     """Quadrature projections integral(values * e_k) for every mode, sorted order."""
-    tr = grid.transform(basis)
     values = np.asarray(values)
-    if values.shape != grid.shape:
-        raise ValueError(f"value shape {values.shape} does not match grid {grid.shape}")
+    if values.shape != tr.grid.shape:
+        raise ValueError(f"value shape {values.shape} does not match grid {tr.grid.shape}")
     tensor = _tensor_apply(values, tr.projection)
     return tensor.ravel()[tr.permutation]
 
 
-def mode_mass_matrix(weight_values: np.ndarray, basis: SineBasis, grid: QuadratureGrid) -> np.ndarray:
+def mode_mass_matrix(weight_values: np.ndarray, tr: SineTransform) -> np.ndarray:
     """Matrix integral(weight * e_j * e_k) over all mode pairs, sorted order.
 
     Assembled axis by axis through the tensor-product structure, so the cost
     is O(Q * M) per axis rather than O(Q * M^2).
     """
-    tr = grid.transform(basis)
+    grid = tr.grid
     a = np.asarray(weight_values)
     if a.shape != grid.shape:
         raise ValueError("weight values do not match the grid")
@@ -292,6 +240,6 @@ def mode_mass_matrix(weight_values: np.ndarray, basis: SineBasis, grid: Quadratu
         a = np.einsum(_MASS_AXIS, a, S, S, optimize=path)
     # now shape (k_1,l_1,...,k_n,l_n) -> (k_1,...,k_n,l_1,...,l_n)
     a = np.transpose(a, axes=list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
-    m = int(np.prod(basis.cutoffs))
+    m = int(np.prod(tr.cutoffs))
     a = a.reshape(m, m)
     return a[np.ix_(tr.permutation, tr.permutation)]

@@ -19,14 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import (
-    ScalarField,
-    SineBasis,
-    integrate,
-    mode_mass_matrix,
-    project,
-    synthesize,
-)
+from .domain import SineBasis, integrate, mode_mass_matrix, project, synthesize
 from .errors import BasisMismatchError
 
 
@@ -79,34 +72,6 @@ class SystemParams:
         if i not in (1, 2):
             raise ValueError("component index must be 1 or 2")
         return self.mu1 if i == 1 else self.mu2
-
-
-@dataclass(frozen=True, eq=False)
-class PairField:
-    """A candidate solution pair on one shared basis."""
-
-    u1: ScalarField
-    u2: ScalarField
-
-    def __post_init__(self):
-        if self.u1.basis != self.u2.basis:
-            raise BasisMismatchError("pair components live on different bases")
-
-    @property
-    def basis(self) -> SineBasis:
-        return self.u1.basis
-
-    def coeffs(self) -> np.ndarray:
-        """Stacked coefficient vector (c_1, c_2) of length 2M."""
-        return np.concatenate([self.u1.coeffs, self.u2.coeffs])
-
-    @classmethod
-    def from_coeffs(cls, basis: SineBasis, z: np.ndarray) -> "PairField":
-        m = basis.size
-        z = np.asarray(z, dtype=float)
-        if z.shape != (2 * m,):
-            raise ValueError(f"expected stacked vector of length {2 * m}")
-        return cls(ScalarField(basis, z[:m]), ScalarField(basis, z[m:]))
 
 
 def sign_orbit(z: np.ndarray) -> list[np.ndarray]:
@@ -231,8 +196,9 @@ class _Engine:
 class GalerkinSystem(_Engine):
     """Assembled coupled problem on one basis, integrated on its grid.
 
-    Works on stacked coefficient vectors z = (c_1, c_2).  The problem data
-    are immutable after construction; they include `p` and `tilde`, the stacked indices
+    Works on stacked coefficient vectors z = (c_1, c_2), carried to the grid
+    and back by the basis's one `transform`.  The problem data are immutable
+    after construction; they include `p` and `tilde`, the stacked indices
     of the nonpositive subspace X~ = X^0 + X^- that `nonpositive_modes`
     gives for kappa_1 and kappa_2.  The state of each of the last two
     points asked (`at`) caches the synthesized fields, the powers
@@ -249,6 +215,7 @@ class GalerkinSystem(_Engine):
         self.params = params
         self.basis = basis
         self.grid = basis.grid
+        self.transform = basis.transform
         self.m = basis.size
         gamma = basis.eigenvalues
         self.shift1 = gamma - params.kappa1
@@ -263,8 +230,8 @@ class GalerkinSystem(_Engine):
     @_per_point
     def _fields(self, z: np.ndarray) -> tuple[np.ndarray, ...]:
         """(u_1, u_2, |u_1|, |u_2|) at the grid nodes."""
-        v1 = synthesize(ScalarField(self.basis, z[: self.m]), self.grid)
-        v2 = synthesize(ScalarField(self.basis, z[self.m :]), self.grid)
+        v1 = synthesize(z[: self.m], self.transform)
+        v2 = synthesize(z[self.m :], self.transform)
         return v1, v2, np.abs(v1), np.abs(v2)
 
     @_per_point
@@ -310,8 +277,8 @@ class GalerkinSystem(_Engine):
         odd1, odd2 = self._odd_coupling(z)
         f1 = pr.mu1 * _odd_power(v1, a1, pr.p) + pr.lam * pr.alpha * odd1 * a2_beta
         f2 = pr.mu2 * _odd_power(v2, a2, pr.p) + pr.lam * pr.beta * a1_alpha * odd2
-        g1 = self.shift1 * z[: self.m] - project(f1, self.basis, self.grid)
-        g2 = self.shift2 * z[self.m :] - project(f2, self.basis, self.grid)
+        g1 = self.shift1 * z[: self.m] - project(f1, self.transform)
+        g2 = self.shift2 * z[self.m :] - project(f2, self.transform)
         return np.concatenate([g1, g2])
 
     @_per_point
@@ -325,9 +292,9 @@ class GalerkinSystem(_Engine):
         w22 = pr.mu2 * (pr.p - 1.0) * _abs_power(a2, pr.p - 2.0)
         w22 = w22 + pr.lam * pr.beta * (pr.beta - 1.0) * a1_alpha * _abs_power(a2, pr.beta - 2.0)
         w12 = pr.lam * pr.alpha * pr.beta * odd1 * odd2
-        h11 = np.diag(self.shift1) - mode_mass_matrix(w11, self.basis, self.grid)
-        h22 = np.diag(self.shift2) - mode_mass_matrix(w22, self.basis, self.grid)
-        h12 = -mode_mass_matrix(w12, self.basis, self.grid)
+        h11 = np.diag(self.shift1) - mode_mass_matrix(w11, self.transform)
+        h22 = np.diag(self.shift2) - mode_mass_matrix(w22, self.transform)
+        h12 = -mode_mass_matrix(w12, self.transform)
         return np.block([[h11, h12], [h12.T, h22]])
 
     @_per_point
@@ -349,6 +316,7 @@ class ScalarProblem(_Engine):
     def __init__(self, basis: SineBasis, kappa: float, mu: float, p: float):
         self.basis = basis
         self.grid = basis.grid
+        self.transform = basis.transform
         self.m = basis.size
         self.shift = basis.eigenvalues - kappa
         self._set_tilde(np.concatenate(nonpositive_modes(basis, kappa)), basis.eigenvalues)
@@ -358,7 +326,7 @@ class ScalarProblem(_Engine):
     @_per_point
     def _field(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(w, |w|) at the grid nodes."""
-        v = synthesize(ScalarField(self.basis, c), self.grid)
+        v = synthesize(c, self.transform)
         return v, np.abs(v)
 
     @_per_point
@@ -380,10 +348,10 @@ class ScalarProblem(_Engine):
     @_per_point
     def gradient(self, c: np.ndarray) -> np.ndarray:
         f = self.mu * _odd_power(*self._field(c), self.p)
-        return self.shift * c - project(f, self.basis, self.grid)
+        return self.shift * c - project(f, self.transform)
 
     @_per_point
     def hessian(self, c: np.ndarray) -> np.ndarray:
         w = self.mu * (self.p - 1.0) * _abs_power(self._field(c)[1], self.p - 2.0)
-        return np.diag(self.shift) - mode_mass_matrix(w, self.basis, self.grid)
+        return np.diag(self.shift) - mode_mass_matrix(w, self.transform)
 

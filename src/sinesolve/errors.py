@@ -2,7 +2,7 @@
 
 
 class BasisMismatchError(ValueError):
-    """Two fields (or a field and a grid) do not live on compatible discretizations."""
+    """A basis and a grid, or a basis and a problem, do not live on the same domain."""
 
 
 class PreconditionError(ValueError):

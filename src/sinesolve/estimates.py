@@ -19,15 +19,7 @@ from typing import Sequence
 import numpy as np
 import scipy.optimize
 
-from .domain import (
-    BoxDomain,
-    QuadratureGrid,
-    SineBasis,
-    integrate,
-    project,
-    synthesize,
-    unit_mode,
-)
+from .domain import BoxDomain, QuadratureGrid, SineBasis, SineTransform, integrate, project, synthesize
 from .energy import SystemParams, nonpositive_modes
 from .errors import PreconditionError
 from .limit import BubbleProfile, LimitParams, _golden_min
@@ -93,8 +85,8 @@ def cutoff_bubble_integrals(
     The gradient uses the product rule analytically: since both psi and the
     bubble decrease in radius, |grad(psi U)| = -(psi' U + psi U').
     """
-    if enforce_regime and not eps < cutoff.delta / 10.0:
-        raise PreconditionError("eps must sit well inside the plateau (eps < delta/10)")
+    if enforce_regime:
+        check_sweep_eps(eps, cutoff)
     b = BubbleProfile(n_dim, eps)
     ts = 2.0 * n_dim / (n_dim - 2.0)
     rmax = cutoff.support_radius
@@ -134,11 +126,8 @@ class SlopeFit:
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """Eps sweep of the bubble integrals with fitted orders and pass flags."""
+    """Fitted orders of an eps sweep of the bubble integrals, with pass flags."""
 
-    n_dim: int
-    eps_grid: tuple[float, ...]
-    quantities: dict[str, tuple[float, ...]]
     fits: tuple[SlopeFit, ...]
     square_prefactor: float  # fitted constant in front of the leading term of int (psi U)^2
 
@@ -239,13 +228,7 @@ def fit_orders(sweeps: Sequence[BubbleIntegrals], n_dim: int, cutoff: CutoffSpec
     sq = quantities["square"]
     lead = eps**2 * np.abs(np.log(eps)) if n_dim == 4 else eps**2
     prefactor = float(np.exp(np.mean(np.log(sq) - np.log(lead))))
-    return EstimateReport(
-        n_dim=n_dim,
-        eps_grid=tuple(float(e) for e in eps),
-        quantities={k: tuple(float(v) for v in vals) for k, vals in quantities.items()},
-        fits=tuple(fits),
-        square_prefactor=prefactor,
-    )
+    return EstimateReport(fits=tuple(fits), square_prefactor=prefactor)
 
 
 def check_eps_grid(eps: Sequence[float]) -> None:
@@ -256,6 +239,18 @@ def check_eps_grid(eps: Sequence[float]) -> None:
         raise PreconditionError("eps grid must be strictly decreasing")
     if eps[0] / eps[-1] < 99.0:
         raise PreconditionError("eps grid must span at least two decades")
+
+
+def check_sweep_eps(eps: float, cutoff: CutoffSpec) -> None:
+    """Raise PreconditionError unless a sweep's eps sits well inside the plateau of cutoff."""
+    if not eps < cutoff.delta / 10.0:
+        raise PreconditionError("eps must sit well inside the plateau (eps < delta/10)")
+
+
+def check_ray_eps(eps: float, cutoff: CutoffSpec) -> None:
+    """Raise PreconditionError unless `ray_maximum` can take eps with this cutoff."""
+    if not eps < cutoff.delta / 2.0:
+        raise PreconditionError("eps must sit inside the plateau (eps < delta/2)")
 
 
 def default_eps_grid() -> tuple[float, ...]:
@@ -306,8 +301,7 @@ def ray_maximum(
     """
     if kappa1 <= 0 or kappa2 <= 0:
         raise PreconditionError("the ray formula is used with positive shifts")
-    if not eps < cutoff.delta / 2.0:
-        raise PreconditionError("eps must sit inside the plateau")
+    check_ray_eps(eps, cutoff)
     integ = cutoff_bubble_integrals(eps, cutoff, lp.dim, enforce_regime=False)
     quad, hom = _ray_coefficients(integ, lp, kappa1, kappa2, s_amp, t_amp)
     n = lp.dim
@@ -435,13 +429,14 @@ def _tilde_ascent(
     ts = lp.two_star
 
     # L^2 projections of the cutoff bubble on every mode -> exact B cross terms
-    proj = project(ubar, basis, grid)
+    tr = SineTransform(basis, grid)
+    proj = project(ubar, tr)
     gamma = basis.eigenvalues
     n_tilde = len(pairs)
 
     # one synthesized grid per tilde direction, built once; synthesize returns
     # a transposed view in dim >= 2, and C order keeps the sums below fast
-    col_list = [np.ascontiguousarray(synthesize(unit_mode(basis, k), grid)) for _, k in pairs]
+    col_list = [np.ascontiguousarray(synthesize(np.eye(basis.size)[k], tr)) for _, k in pairs]
 
     def point_values(t, w):
         w1 = np.zeros(grid.shape)

@@ -21,14 +21,8 @@ from typing import Iterable, Sequence
 import numpy as np
 import scipy.optimize
 
-from .domain import ScalarField, SineBasis
-from .energy import (
-    GalerkinSystem,
-    PairField,
-    ScalarProblem,
-    SystemParams,
-    sign_orbit,
-)
+from .domain import SineBasis
+from .energy import GalerkinSystem, ScalarProblem, SystemParams, sign_orbit
 from .errors import (
     BracketFailureError,
     ClassificationContradictionError,
@@ -72,11 +66,18 @@ class SolverConfig:
     rng_seed: int = 0
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only float copy of a, for a record to store."""
+    a = np.array(a, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class CriticalPoint:
-    """A converged solution with its derived quantities."""
+    """A converged solution, z = (c_1, c_2) stacked, with its derived quantities."""
 
-    u: PairField
+    z: np.ndarray
     energy: float
     grad_norm: float
     b_value: float
@@ -87,6 +88,9 @@ class CriticalPoint:
     classification: str
     orbit_id: int = 0
     below_threshold: bool | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "z", _read_only(self.z))
 
 
 @dataclass(frozen=True)
@@ -104,12 +108,15 @@ class NehariResiduals:
 
 @dataclass(frozen=True)
 class ScalarGroundState:
-    """Least-energy nontrivial solution of one single-component equation."""
+    """Least-energy nontrivial solution of one single-component equation; w holds its coefficients."""
 
-    w: ScalarField
+    w: np.ndarray
     energy: float
     grad_norm: float
     b_value: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "w", _read_only(self.w))
 
     def scaled(self, mu: float, p: float) -> "ScalarGroundState":
         """This unit-coefficient state carried to coefficient mu.
@@ -290,7 +297,6 @@ def nehari_descent(engine, z: np.ndarray) -> np.ndarray:
 def evaluate_point(engine, z: np.ndarray) -> CriticalPoint:
     """Package a coefficient vector as a CriticalPoint record (orbit_id 0)."""
     m = engine.m
-    u = PairField.from_coeffs(engine.basis, z)
     m1, m2, _ = engine.power_masses(z)
     total = m1 + m2
     floor = TRIVIALITY_FLOOR * max(1.0, total)
@@ -307,7 +313,7 @@ def evaluate_point(engine, z: np.ndarray) -> CriticalPoint:
     b1 = float(np.sum(engine.shift1 * c1 * c1))
     b2 = float(np.sum(engine.shift2 * c2 * c2))
     return CriticalPoint(
-        u=u,
+        z=z,
         energy=engine.energy(z),
         grad_norm=float(np.linalg.norm(engine.gradient(z))),
         b_value=b1 + b2,
@@ -322,10 +328,8 @@ def evaluate_point(engine, z: np.ndarray) -> CriticalPoint:
 # -- Nehari surface -------------------------------------------------------------
 
 
-def nehari_residuals(u: PairField, params: SystemParams) -> NehariResiduals:
-    """Derivative of the energy along the ray through u and the tilde directions."""
-    engine = GalerkinSystem(params, u.basis)
-    z = u.coeffs()
+def nehari_residuals(engine, z: np.ndarray) -> NehariResiduals:
+    """Derivative of the energy along the ray through z and the tilde directions."""
     if _plus_h1_norm(engine, z) < PLUS_FLOOR:
         raise PreconditionError("point lies (numerically) inside the nonpositive subspace")
     g = engine.gradient(z)
@@ -374,8 +378,7 @@ def _system_seeds(
         for s in (1.0, -1.0):
             yield np.concatenate([e, s * e])
     if scalar_states is not None:
-        w1 = scalar_states[0].w.coeffs
-        w2 = scalar_states[1].w.coeffs
+        w1, w2 = (s.w for s in scalar_states)
         for delta in (0.1, 1.0):
             yield np.concatenate([w1, delta * w2])
             yield np.concatenate([delta * w1, w2])
@@ -454,7 +457,7 @@ def scalar_ground_state(
         raise ConvergenceFailureError("no scalar seed converged to a positive-energy solution", diagnostics)
     e, z = best
     unit = ScalarGroundState(
-        w=ScalarField(basis, z),
+        w=z,
         energy=e,
         grad_norm=float(np.linalg.norm(prob.gradient(z))),
         b_value=prob.quadratic(z),

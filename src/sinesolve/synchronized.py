@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import ScalarField
+from .domain import SineBasis
 from .energy import GalerkinSystem, ScalarProblem, SystemParams
 from .errors import PreconditionError
 from .nehari import CriticalPoint, evaluate_point
@@ -35,7 +35,6 @@ class SyncRoot:
     r: float
     s: float
     t: float
-    h_residual: float
 
 
 @dataclass(frozen=True)
@@ -149,25 +148,27 @@ def amplitude_identities(s: float, t: float, params: SystemParams) -> tuple[floa
 
 def make_sync_root(r: float, params: SystemParams) -> SyncRoot:
     s, t = amplitudes(r, params)
-    return SyncRoot(r=float(r), s=s, t=t, h_residual=ratio_function(r, params))
+    return SyncRoot(r=float(r), s=s, t=t)
 
 
 def synchronized_solution(
-    w: ScalarField,
+    basis: SineBasis,
+    w: np.ndarray,
     root: SyncRoot,
     params: SystemParams,
 ) -> tuple[CriticalPoint, float]:
     """Assemble u = (s w, t w) and report (point, scalar residual norm).
 
-    Requires kappa1 = kappa2 and w a converged Galerkin solution of the
-    unit-coefficient scalar equation; the coupled gradient norm at u is then
-    a bounded multiple of the scalar residual.
+    Requires kappa1 = kappa2 and w the coefficients on `basis` of a
+    converged Galerkin solution of the unit-coefficient scalar equation;
+    the coupled gradient norm at u is then a bounded multiple of the scalar
+    residual.
     """
     if params.kappa1 != params.kappa2:
         raise PreconditionError("synchronized solutions need kappa1 = kappa2")
-    engine = GalerkinSystem(params, w.basis)
-    prob = ScalarProblem(w.basis, params.kappa1, 1.0, params.p)
-    scalar_res = float(np.linalg.norm(prob.gradient(w.coeffs)))
-    z = np.concatenate([root.s * w.coeffs, root.t * w.coeffs])
+    engine = GalerkinSystem(params, basis)
+    prob = ScalarProblem(basis, params.kappa1, 1.0, params.p)
+    scalar_res = float(np.linalg.norm(prob.gradient(w)))
+    z = np.concatenate([root.s * w, root.t * w])
     point = evaluate_point(engine, z)
     return point, scalar_res

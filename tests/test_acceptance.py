@@ -14,9 +14,7 @@ from sinesolve import (
     BoxDomain,
     CutoffSpec,
     GalerkinSystem,
-    PairField,
     QuadratureGrid,
-    ScalarField,
     SineBasis,
     SolverConfig,
     SystemParams,
@@ -28,10 +26,9 @@ from sinesolve import (
     ray_maximum,
     semitrivial_threshold,
     sobolev_constant,
-    unit_mode,
 )
 from sinesolve.cli import main
-from sinesolve.domain import mode_mass_matrix
+from sinesolve.domain import SineTransform, mode_mass_matrix
 from sinesolve.estimates import cutoff_bubble_integrals, default_eps_grid, fit_orders, linking_sweep, verify_product_powers, verify_single_power
 from sinesolve.limit import LimitParams, bubble_norms, pair_grid_infimum
 from sinesolve.nehari import project_general
@@ -74,14 +71,14 @@ def test_criterion_01_eigenbasis_exactness():
     analytic = np.pi**2 * np.arange(1, 51) ** 2
     checks.append(np.max(np.abs(b1.eigenvalues - analytic) / analytic) < 1e-12)
     g1 = QuadratureGrid.for_domain(b1.domain, 2 * 50 + 8)
-    gram = mode_mass_matrix(np.ones(g1.shape), b1, g1)
+    gram = mode_mass_matrix(np.ones(g1.shape), SineTransform(b1, g1))
     checks.append(np.abs(gram - np.eye(50)).max() < 1e-8)
     # 2-D: first 50 modes on the unit square
     b2 = SineBasis(BoxDomain((1.0, 1.0)), (10, 10))
     analytic2 = np.pi**2 * np.sum(b2.modes.astype(float) ** 2, axis=1)
     checks.append(np.max(np.abs(b2.eigenvalues[:50] - analytic2[:50]) / analytic2[:50]) < 1e-12)
     g2 = b2.grid
-    gram2 = mode_mass_matrix(np.ones(g2.shape), b2, g2)
+    gram2 = mode_mass_matrix(np.ones(g2.shape), b2.transform)
     checks.append(np.abs(gram2 - np.eye(b2.size)).max() < 1e-8)
     elapsed = time.perf_counter() - t0
     ok = all(checks) and elapsed < 1.0
@@ -117,9 +114,10 @@ def test_criterion_03_nehari_ray_formula():
     basis = SineBasis(BoxDomain((1.0,)), (16,))
     pr = SystemParams(kappa1=0.0, kappa2=0.0, mu1=1.0, mu2=1.0, lam=1.0,
                       alpha=2.0, beta=2.0, dim=1)
-    u = PairField(unit_mode(basis, 0), ScalarField(basis, np.zeros(16)))
+    z = np.zeros(32)
+    z[0] = 1.0  # the pair (e_1, 0)
     eng = GalerkinSystem(pr, basis)
-    value = eng.energy(project_general(eng, u.coeffs()))
+    value = eng.energy(project_general(eng, z))
     elapsed = time.perf_counter() - t0
     ok = abs(value - np.pi**4 / 6) < 1e-6 * np.pi**4 / 6 and elapsed < 1.0
     report_line(3, ok, 1, elapsed, f"projected energy {value:.8f} vs pi^4/6")
@@ -263,7 +261,7 @@ def test_criterion_08_synchronized_algebra():
 
     state = scalar_ground_state(pr, 1, basis, cfg, mu=1.0)
     root = make_sync_root(scan.roots[0], pr)
-    pt, scalar_res = synchronized_solution(state.w, root, pr)
+    pt, scalar_res = synchronized_solution(basis, state.w, root, pr)
     # 1e-13 floor keeps the 10x comparison meaningful at machine-converged profiles
     checks.append(pt.grad_norm < 10.0 * max(scalar_res, 1e-13))
     checks.append(pt.classification == "fully-nontrivial")

@@ -250,6 +250,37 @@ def test_verify_estimates_resonant_skip(tmp_path):
     assert not any(r["family"] == "linking" for r in rep["results"])
 
 
+def _unit_4box(kappa):
+    return {"kappa1": kappa, "kappa2": kappa, "mu1": 1.0, "mu2": 1.0, "lambda": 1.0,
+            "alpha": 2.0, "beta": 2.0, "lengths": [1.0] * 4, "cutoffs": [2] * 4}
+
+
+def test_verify_estimates_linking_eps_outside_plateau_exit_2(tmp_path, monkeypatch, capsys):
+    # the unit 4-box's cutoff plateau is delta = 1/16, and the ray formula
+    # needs eps < delta/2: 0.05 is refused before the sweep runs
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a solver ran on a malformed config")
+
+    for name in SOLVER_ENTRY_POINTS:
+        monkeypatch.setattr(cli, name, unreachable)
+    cfg = {"problem": _unit_4box(19.74), "task": {"linking_eps": [0.05]},
+           "output": {"report": str(tmp_path / "never.json")}}
+    assert main(["verify-estimates", "--config", write_config(tmp_path, cfg)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "never.json")
+
+
+def test_verify_estimates_tilde_above_dim_3_skip(tmp_path):
+    # kappa = 49.35 lies between gamma_1 = 4 pi^2 and gamma_2 = 7 pi^2 of the
+    # unit 4-box, so X~ is nontrivial and the linking ascent is not run
+    cfg = {"problem": _unit_4box(49.35), "task": {},
+           "output": {"report": str(tmp_path / "tilde.json"), "formats": ["json"]}}
+    assert main(["verify-estimates", "--config", write_config(tmp_path, cfg)]) == 0
+    rep = json.loads((tmp_path / "tilde.json").read_text())
+    assert rep["thresholds"]["notes"] == ["nonpositive subspace in dimension > 3: linking bound skipped"]
+    assert not any(r["family"] in ("linking", "ray-max") for r in rep["results"])
+
+
 def test_verify_estimates_failing_bound_exit_4(tmp_path):
     # on the unit 5-box at eps=1e-2 the cutoff bridge beats the kappa gain and
     # the linking bound genuinely fails; the harness must report it via exit 4
@@ -414,6 +445,8 @@ def test_valid_configs_parse(subcommand):
         ("ground-state", "solver", "plus_floor", 1e-6),
         ("multiplicity", "solver", "deflation_power", 2),
         ("multiplicity", "solver", "deflation_shift", 1.0),
+        # the sweep's largest eps, 0.2, is not below delta/10 = 0.15
+        ("verify-estimates", "task", "eps_grid", list(np.geomspace(0.2, 2e-3, 7))),
     ],
 )
 def test_malformed_value_exits_2_before_any_solver(
@@ -466,12 +499,12 @@ def test_typed_values_and_defaults():
     cfg = copy.deepcopy(VALID["verify-estimates"])
     cfg["problem"]["dim"] = 4.0
     cfg["solver"] = {"budget": 7.0, "seed": 2}
-    cfg["task"] = {"delta": 0.5, "sample_budget": 3.0}
+    cfg["task"] = {"delta": 2.0, "sample_budget": 3.0}  # the default sweep needs eps < delta/10
     run = parse_config(cfg, COMMANDS["verify-estimates"])
     assert run.params.dim == 4 and isinstance(run.params.dim, int)
     assert run.budget == 7 and isinstance(run.budget, int)
     assert run.solver.rng_seed == 2 and run.solver.tol == 1e-10
-    assert run.task["support_radius"] == 1.0  # twice delta
+    assert run.task["support_radius"] == 4.0  # twice delta
     assert run.task["sample_budget"] == 3 and run.task["skip_linking"] is False
     assert run.limit is not None and run.limit.dim == 4
     assert run.raw is cfg  # the report echoes the config as given

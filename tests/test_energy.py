@@ -6,13 +6,10 @@ import pytest
 from sinesolve import (
     BoxDomain,
     GalerkinSystem,
-    PairField,
-    ScalarField,
     ScalarProblem,
     SineBasis,
     SystemParams,
     nonpositive_modes,
-    unit_mode,
 )
 
 
@@ -28,7 +25,10 @@ def params_with(**kw):
 
 
 def e1_pair(basis):
-    return PairField(unit_mode(basis, 0), ScalarField(basis, np.zeros(basis.size)))
+    """The stacked pair (e_1, 0)."""
+    z = np.zeros(2 * basis.size)
+    z[0] = 1.0
+    return z
 
 
 def test_params_validation():
@@ -51,7 +51,7 @@ def test_params_critical_flag():
 
 def test_bilinear_examples(basis):
     # B_1(e_1, e_1) is the quadratic form of the pair (e_1, 0)
-    z = e1_pair(basis).coeffs()
+    z = e1_pair(basis)
     assert GalerkinSystem(params_with(), basis).quadratic(z) == pytest.approx(np.pi**2, rel=1e-14)
     assert GalerkinSystem(params_with(kappa1=np.pi**2), basis).quadratic(z) == pytest.approx(0.0, abs=1e-14)
     assert GalerkinSystem(params_with(kappa1=15.0), basis).quadratic(z) == pytest.approx(np.pi**2 - 15.0, rel=1e-12)
@@ -74,11 +74,12 @@ def test_energy_zero(basis):
 
 def test_energy_single_component(basis):
     expected = np.pi**2 / 2 - 1.5 / 4  # analytic: ||e1||^2/2 - (1/4) int e1^4
-    assert GalerkinSystem(params_with(), basis).energy(e1_pair(basis).coeffs()) == pytest.approx(expected, rel=1e-12)
+    assert GalerkinSystem(params_with(), basis).energy(e1_pair(basis)) == pytest.approx(expected, rel=1e-12)
 
 
 def test_energy_symmetric_pair(basis):
-    z = PairField(unit_mode(basis, 0), unit_mode(basis, 0)).coeffs()
+    z = e1_pair(basis)
+    z[basis.size] = 1.0  # (e_1, e_1)
     expected = np.pi**2 - 2 * (1.5 / 4) - 1.5
     assert GalerkinSystem(params_with(), basis).energy(z) == pytest.approx(expected, rel=1e-12)
 
@@ -90,7 +91,7 @@ def test_gradient_zero(basis):
 
 def test_gradient_semitrivial_structure(basis):
     # with u2 = 0 and beta > 1 the second component of the gradient vanishes
-    g = GalerkinSystem(params_with(), basis).gradient(e1_pair(basis).coeffs())
+    g = GalerkinSystem(params_with(), basis).gradient(e1_pair(basis))
     assert np.linalg.norm(g[basis.size :]) == 0.0
 
 
@@ -220,7 +221,7 @@ def test_euler_identity(basis):
 def test_scalar_energy_and_gradient(basis):
     pr = params_with()
     prob1 = ScalarProblem(basis, pr.kappa1, pr.mu1, pr.p)
-    assert prob1.energy(unit_mode(basis, 0).coeffs) == pytest.approx(np.pi**2 / 2 - 0.375, rel=1e-12)
+    assert prob1.energy(e1_pair(basis)[: basis.size]) == pytest.approx(np.pi**2 / 2 - 0.375, rel=1e-12)
     assert prob1.energy(np.zeros(basis.size)) == 0.0
     rng = np.random.default_rng(9)
     c = 0.5 * rng.standard_normal(basis.size)

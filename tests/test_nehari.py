@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 from sinesolve import (
     BoxDomain,
     GalerkinSystem,
-    PairField,
-    ScalarField,
     ScalarProblem,
     SineBasis,
     SolverConfig,
@@ -28,7 +26,6 @@ from sinesolve import (
     rescale_diagonal_sup,
     scalar_ground_state,
     semitrivial_threshold,
-    unit_mode,
 )
 from sinesolve.energy import sign_orbit
 from sinesolve.errors import (
@@ -69,7 +66,10 @@ def params_with(**kw):
 
 
 def e1_pair(basis):
-    return PairField(unit_mode(basis, 0), ScalarField(basis, np.zeros(basis.size)))
+    """The stacked pair (e_1, 0)."""
+    z = np.zeros(2 * basis.size)
+    z[0] = 1.0
+    return z
 
 
 # -- residuals and projection -----------------------------------------------------
@@ -77,27 +77,27 @@ def e1_pair(basis):
 
 def test_ray_residual_unscaled(basis):
     pr = params_with()
-    res = nehari_residuals(e1_pair(basis), pr)
+    res = nehari_residuals(GalerkinSystem(pr, basis), e1_pair(basis))
     assert res.ray == pytest.approx(np.pi**2 - 1.5, rel=1e-10)
 
 
 def test_residuals_vanish_at_projection(basis):
     pr = params_with()
-    proj = project_general(GalerkinSystem(pr, basis), e1_pair(basis).coeffs())
-    res = nehari_residuals(PairField.from_coeffs(basis, proj), pr)
+    eng = GalerkinSystem(pr, basis)
+    res = nehari_residuals(eng, project_general(eng, e1_pair(basis)))
     assert abs(res.ray) < 1e-10
 
 
 def test_residuals_inside_tilde_rejected(basis):
     pr = params_with(kappa1=15.0, kappa2=15.0)
-    u = e1_pair(basis)  # mode 1 is the negative direction at kappa = 15
+    z = e1_pair(basis)  # mode 1 is the negative direction at kappa = 15
     with pytest.raises(PreconditionError):
-        nehari_residuals(u, pr)
+        nehari_residuals(GalerkinSystem(pr, basis), z)
 
 
 def test_projection_closed_form(basis):
     eng = GalerkinSystem(params_with(), basis)
-    proj = project_general(eng, e1_pair(basis).coeffs())
+    proj = project_general(eng, e1_pair(basis))
     t_star = np.sqrt(np.pi**2 / 1.5)
     assert proj[0] == pytest.approx(t_star, rel=1e-10)
     assert eng.energy(proj) == pytest.approx(np.pi**4 / 6, rel=1e-10)
@@ -116,7 +116,7 @@ def test_projection_rejects_point_without_plus_part(basis, config):
     # e1 is the negative direction at kappa = 15, so the e1 pair has no
     # positive part: a search drops it before projecting
     eng = GalerkinSystem(params_with(kappa1=15.0, kappa2=15.0), basis)
-    assert _converge_seed(eng, e1_pair(basis).coeffs(), config) == (None, NO_POSITIVE_PART)
+    assert _converge_seed(eng, e1_pair(basis), config) == (None, NO_POSITIVE_PART)
 
 
 def test_projection_noprojection_error():
@@ -124,7 +124,7 @@ def test_projection_noprojection_error():
     basis = SineBasis(BoxDomain((1.0,)), (2,))
     engine = GalerkinSystem(params_with(kappa1=60.0, kappa2=60.0), basis)
     with pytest.raises(NoProjectionError):
-        project_ray(engine, e1_pair(basis).coeffs())
+        project_ray(engine, e1_pair(basis))
 
 
 def test_general_projection_with_tilde(basis):
@@ -133,8 +133,8 @@ def test_general_projection_with_tilde(basis):
     z = np.zeros(2 * basis.size)
     z[:6] = rng.standard_normal(6)
     z[basis.size : basis.size + 6] = rng.standard_normal(6)
-    proj = project_general(GalerkinSystem(pr, basis), z)
-    res = nehari_residuals(PairField.from_coeffs(basis, proj), pr)
+    eng = GalerkinSystem(pr, basis)
+    res = nehari_residuals(eng, project_general(eng, z))
     assert res.max_abs < 1e-8
 
 
@@ -183,7 +183,7 @@ def test_orbit_closure_of_critical_points(basis, config):
     th = semitrivial_threshold(pr, basis, config)
     gs = ground_state(pr, basis, config, th)
     eng = GalerkinSystem(pr, basis)
-    z = gs.u.coeffs()
+    z = gs.z
     for img in sign_orbit(z):
         pt = evaluate_point(eng, img)
         assert pt.energy == pytest.approx(gs.energy, abs=1e-12 * max(abs(gs.energy), 1.0))
@@ -243,7 +243,7 @@ def test_scalar_ground_state_mu_scaling(basis, mu, kappa, i, via_params):
     cfg = SolverConfig(n_mode_seeds=2, n_random_seeds=0)
     state = scalar_ground_state(pr, i, basis, cfg, mu=None if via_params else mu)
     prob = ScalarProblem(basis, pr.kappa(i), mu, pr.p)
-    w = state.w.coeffs
+    w = state.w
     assert np.linalg.norm(prob.gradient(w)) <= 1e-9
     assert prob.energy(w) == pytest.approx(state.energy, rel=1e-12)
     assert prob.quadratic(w) == pytest.approx(state.b_value, rel=1e-12)
@@ -253,7 +253,7 @@ def test_classify_semitrivial(basis, config):
     pr = params_with(lam=50.0)
     th = semitrivial_threshold(pr, basis, config)
     eng = GalerkinSystem(pr, basis)
-    z = np.concatenate([th.scalar_states[0].w.coeffs, np.zeros(basis.size)])
+    z = np.concatenate([th.scalar_states[0].w, np.zeros(basis.size)])
     pt = evaluate_point(eng, z)
     assert pt.classification == "semitrivial-1"
     assert pt.energy >= th.c0 - 1e-9
@@ -291,7 +291,7 @@ def test_ground_state_definite(basis, config):
     assert gs.energy == pytest.approx((0.5 - 1.0 / pr.p) * gs.b_value, rel=1e-6)
     # positivity bound along the Nehari set
     eng = GalerkinSystem(pr, basis)
-    m1, m2, _ = eng.power_masses(gs.u.coeffs())
+    m1, m2, _ = eng.power_masses(gs.z)
     assert gs.energy >= (0.5 - 1.0 / pr.p) * (pr.mu1 * m1 + pr.mu2 * m2) - 1e-9
 
 
@@ -317,7 +317,7 @@ def test_descent_from_first_mode_is_short(basis24, kind):
     # in the Sobolev variable the iteration count does not grow with the
     # cutoff: a handful of gradients, where 1/gamma_max steps took hundreds
     pr = params_with(lam=50.0)
-    e1 = unit_mode(basis24, 0).coeffs
+    e1 = np.eye(basis24.size)[0]
     if kind == "system":
         engine, z0 = GalerkinSystem(pr, basis24), np.concatenate([e1, e1])
     else:
@@ -336,7 +336,7 @@ def test_descent_from_cross_seed_is_short(lam):
     basis = SineBasis(BoxDomain((1.0,)), (16,))
     pr = params_with(lam=lam)
     th = semitrivial_threshold(pr, basis, SolverConfig(n_mode_seeds=2, n_random_seeds=0))
-    w1, w2 = (s.w.coeffs for s in th.scalar_states)
+    w1, w2 = (s.w for s in th.scalar_states)
     engine = GalerkinSystem(pr, basis)
     calls = _count_gradients(engine)
     z = nehari_descent(engine, np.concatenate([w1, 0.1 * w2]))
@@ -348,7 +348,7 @@ def test_descent_stops_before_a_vanishing_field(basis24):
     # a trial point with no Nehari denominator has no quotient to hand to
     # L-BFGS: the descent ends at its last accepted iterate, on the ray
     engine = GalerkinSystem(params_with(lam=50.0), basis24)
-    e1, e2 = unit_mode(basis24, 0).coeffs, unit_mode(basis24, 1).coeffs
+    e1, e2 = np.eye(basis24.size)[:2]
     z0 = np.concatenate([e1 + e2, 0.1 * e1])
     denominator, calls = engine.nehari_denominator, []
 
@@ -385,7 +385,7 @@ def test_descent_polishes_to_the_reference_energy(lam, config, reference_nehari_
         new, ref = energies(system, z0)
         assert new == pytest.approx(ref, rel=1e-12)
     scalar = ScalarProblem(basis, pr.kappa1, 1.0, pr.p)
-    seeds = [unit_mode(basis, j).coeffs for j in range(4)]
+    seeds = list(np.eye(basis.size)[:4])
     pairs = [energies(scalar, z0) for z0 in seeds]
     for new, ref in pairs[:3]:
         assert new == pytest.approx(ref, rel=1e-12)
@@ -457,7 +457,7 @@ def test_multiplicity_orbits(basis, config):
     th = semitrivial_threshold(pr, basis, config)
     pts = multiplicity_search(pr, basis, k=2, budget=30, config=config, threshold=th)
     assert len(pts) >= 2
-    ids = orbit_dedup([p.u.coeffs() for p in pts], tol=1e-4)
+    ids = orbit_dedup([p.z for p in pts], tol=1e-4)
     assert len(set(ids)) == len(pts)
     assert [p.orbit_id for p in pts] == list(range(len(pts)))
     for p in pts:
@@ -580,10 +580,7 @@ def test_ground_state_convergence_failure(basis):
     cfg = SolverConfig(tol=1e-30, n_mode_seeds=1, n_random_seeds=1)
     from sinesolve.errors import ConvergenceFailureError
     from sinesolve.nehari import ThresholdResult, ScalarGroundState
-    from sinesolve import ScalarField
-    fake_scalar = ScalarGroundState(
-        w=ScalarField(basis, np.zeros(basis.size)), energy=1.0, grad_norm=0.0, b_value=1.0
-    )
+    fake_scalar = ScalarGroundState(w=np.zeros(basis.size), energy=1.0, grad_norm=0.0, b_value=1.0)
     th = ThresholdResult(c0=1.0, scalar_states=(fake_scalar, fake_scalar))
     with pytest.raises(ConvergenceFailureError) as failure:
         ground_state(pr, basis, cfg, th)
@@ -611,7 +608,7 @@ def test_residuals_vanish_at_converged_critical_point(basis, config):
     # every exact Galerkin critical point lies on the generalized Nehari set
     pr = params_with(kappa1=15.0, kappa2=15.0, lam=50.0)
     gs = ground_state(pr, basis, config)
-    res = nehari_residuals(gs.u, pr)
+    res = nehari_residuals(GalerkinSystem(pr, basis), gs.z)
     assert res.max_abs < 1e-8
 
 
@@ -622,7 +619,7 @@ def test_newton_builds_hessians_on_demand(basis24, config):
     # its projection is the trivial root, so start from the next two modes
     pr = params_with(kappa1=15.0, kappa2=15.0, lam=50.0)
     engine = GalerkinSystem(pr, basis24)
-    e2, e3 = (unit_mode(basis24, j).coeffs for j in (1, 2))
+    e2, e3 = (np.eye(basis24.size)[j] for j in (1, 2))
     gradient, hessian, calls = engine.gradient, engine.hessian, {"gradient": 0, "hessian": 0}
 
     def counting(name, fn):
@@ -656,7 +653,7 @@ def test_ground_state_skips_seeds_without_positive_part(basis24, monkeypatch):
     monkeypatch.setattr(nehari, "project_general", recording)
     cfg = SolverConfig(n_mode_seeds=2, n_random_seeds=0)
     gs = ground_state(params_with(kappa1=15.0, kappa2=15.0, lam=50.0), basis24, config=cfg)
-    e1 = unit_mode(basis24, 0).coeffs
+    e1 = np.eye(basis24.size)[0]
     inside = [np.concatenate([e1, s * e1]) for s in (1.0, -1.0)]
     system = [z for z in projected if z.size == 2 * basis24.size]
     assert system and not any(np.array_equal(z, w) for z in system for w in inside)
@@ -706,7 +703,7 @@ def indefinite24(basis24, config):
     # a converged nontrivial point of the 1-D K=24 box with kappa = 15 > gamma_1
     pr = params_with(kappa1=15.0, kappa2=15.0, lam=50.0)
     engine = GalerkinSystem(pr, basis24)
-    e2 = unit_mode(basis24, 1).coeffs
+    e2 = np.eye(basis24.size)[1]
     w0 = project_general(engine, np.concatenate([e2, e2]))
     z, ok = newton_polish(engine, _deflated_root(engine, w0, [np.zeros_like(w0)]), config.tol)
     assert ok and np.linalg.norm(z) > 0.1

@@ -107,21 +107,21 @@ def test_unit_coefficient_rescaling(solved_profile):
     state_mu = scalar_ground_state(params_with(mu1=4.0), 1, basis, cfg)
     scaled = state.scaled(4.0, pr.p)
     d = min(
-        np.linalg.norm(scaled.w.coeffs - state_mu.w.coeffs),
-        np.linalg.norm(scaled.w.coeffs + state_mu.w.coeffs),
+        np.linalg.norm(scaled.w - state_mu.w),
+        np.linalg.norm(scaled.w + state_mu.w),
     )
     assert d < 1e-7 * 4.0 ** (-1.0 / (pr.p - 2.0))
     assert scaled.energy == pytest.approx(state_mu.energy, rel=1e-12)
     # and solves the mu = 4 equation: the engine at mu = 4 finds it critical
     prob = ScalarProblem(basis, pr.kappa1, 4.0, pr.p)
-    assert np.linalg.norm(prob.gradient(scaled.w.coeffs)) < 1e-9
-    assert prob.energy(scaled.w.coeffs) == pytest.approx(scaled.energy, rel=1e-12)
+    assert np.linalg.norm(prob.gradient(scaled.w)) < 1e-9
+    assert prob.energy(scaled.w) == pytest.approx(scaled.energy, rel=1e-12)
 
 
 def test_synchronized_assembly(solved_profile):
     basis, cfg, pr, state = solved_profile
     root = make_sync_root(1.0, pr)
-    pt, scalar_res = synchronized_solution(state.w, root, pr)
+    pt, scalar_res = synchronized_solution(basis, state.w, root, pr)
     # rounding floor keeps the 10x bound meaningful at machine-converged profiles
     assert pt.grad_norm < 10.0 * max(scalar_res, 1e-13)
     assert pt.classification == "fully-nontrivial"
@@ -133,4 +133,4 @@ def test_synchronized_requires_equal_kappas(solved_profile):
     bad = params_with(kappa1=1.0, kappa2=2.0)
     root = make_sync_root(1.0, params_with())
     with pytest.raises(PreconditionError):
-        synchronized_solution(state.w, root, bad)
+        synchronized_solution(basis, state.w, root, bad)
