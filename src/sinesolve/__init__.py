@@ -50,10 +50,8 @@ from .nehari import (
     semitrivial_threshold,
 )
 from .synchronized import (
-    SyncRoot,
     amplitudes,
     find_roots,
-    make_sync_root,
     ratio_function,
     synchronized_solution,
 )

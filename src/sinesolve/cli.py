@@ -77,7 +77,7 @@ from .nehari import (
     scalar_ground_state,
     semitrivial_threshold,
 )
-from .synchronized import find_roots, make_sync_root, synchronized_solution
+from .synchronized import amplitudes, find_roots, synchronized_solution
 
 SCHEMA_TAG = "sinesolve-report/1"
 
@@ -144,28 +144,18 @@ class Command:
 
 COMMANDS = {
     "ground-state": Command({}),
-    "multiplicity": Command({
-        "k": ("integer", REQUIRED, ">= 1"),
-        "dedup_tol": ("number", 1e-4, "> 0"),
-    }),
+    "multiplicity": Command({"k": ("integer", REQUIRED, ">= 1")}),
     "thresholds": Command({
         "m": ("integer", REQUIRED, ">= 1"),
         "lambda_grid": ("numbers", tuple(np.geomspace(0.5, 500, 10)), "> 0"),
-        "lambda_lo": ("number", 1e-6, ">= 0"),
-        "lambda_hi": ("number", 1e8, "> 0"),
     }),
     "limit": Command({}, needs_box=False, limit=True),
-    "synchronized": Command({
-        "r_lo": ("number", 1e-8, "> 0"),
-        "r_hi": ("number", 1e8, "> 0"),
-    }, equal_kappas=True),
+    "synchronized": Command({}, equal_kappas=True),
     "verify-estimates": Command({
         "eps_grid": ("numbers", default_eps_grid(), "> 0"),
         "delta": ("number", 1.5, "> 0"),
         "support_radius": ("number", None, "> 0"),
         "linking_eps": ("numbers", (1e-2, 1e-3), "> 0"),
-        "sample_budget": ("integer", 40, ">= 0"),
-        "skip_linking": ("flag", False, "any"),
     }, needs_box=False, limit=True),
 }
 
@@ -259,9 +249,6 @@ def parse_config(raw: dict, command: Command) -> RunConfig:
 
         if "m" in task and task["m"] > math.prod(cutoffs):
             raise ConfigError(f"task.m must lie in [1, {math.prod(cutoffs)}], the number of modes")
-        for lo, hi in (("lambda_lo", "lambda_hi"), ("r_lo", "r_hi")):
-            if lo in task and not task[lo] < task[hi]:
-                raise ConfigError(f"task.{lo} must be below task.{hi}")
         if "delta" in task:  # verify-estimates: each eps the run would refuse
             if task["support_radius"] is None:
                 task["support_radius"] = 2.0 * task["delta"]
@@ -269,7 +256,7 @@ def parse_config(raw: dict, command: Command) -> RunConfig:
             check_eps_grid(task["eps_grid"])
             for eps in task["eps_grid"]:
                 check_sweep_eps(eps, sweep_cutoff)
-            if lengths is not None and cutoffs is not None and not task["skip_linking"]:
+            if lengths is not None and cutoffs is not None:
                 box_cutoff = CutoffSpec.for_domain(BoxDomain(lengths))
                 for eps in task["linking_eps"]:
                     check_ray_eps(eps, box_cutoff)
@@ -325,6 +312,11 @@ def _write_atomically(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _csv_path(path: str) -> str:
+    """Where the CSV table of a report at path goes."""
+    return os.path.splitext(path)[0] + ".csv"
+
+
 def write_report(report: dict, path: str, formats: Sequence[str]) -> list[str]:
     """Serialize the report atomically into path's existing directory; returns the written paths."""
     written = []
@@ -332,7 +324,7 @@ def write_report(report: dict, path: str, formats: Sequence[str]) -> list[str]:
         _write_atomically(path, json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
         written.append(path)
     if "csv" in formats:
-        csv_path = os.path.splitext(path)[0] + ".csv"
+        csv_path = _csv_path(path)
         rows = [
             {k: v for k, v in rec.items() if not isinstance(v, (dict, list))}
             for rec in report["results"]
@@ -390,9 +382,7 @@ def _run_multiplicity(cfg: RunConfig) -> tuple[dict, int]:
     basis = cfg.basis()
     k = cfg.task["k"]
     th = semitrivial_threshold(cfg.params, basis, cfg.solver)
-    pts = multiplicity_search(
-        cfg.params, basis, k, cfg.budget, cfg.solver, th, cfg.task["dedup_tol"]
-    )
+    pts = multiplicity_search(cfg.params, basis, k, cfg.budget, cfg.solver, th)
     code = 0
     for pt in pts:
         try:
@@ -406,18 +396,12 @@ def _run_multiplicity(cfg: RunConfig) -> tuple[dict, int]:
 
 def _run_thresholds(cfg: RunConfig) -> tuple[dict, int]:
     basis = cfg.basis()
-    task = cfg.task
-    m, lam_grid = task["m"], task["lambda_grid"]
+    m, lam_grid = cfg.task["m"], cfg.task["lambda_grid"]
     th = semitrivial_threshold(cfg.params, basis, cfg.solver)
     lam0 = cfg.params.lam
     sup0 = diagonal_sup(cfg.params, m, basis, lam=lam0)
     sups = [rescale_diagonal_sup(cfg.params, sup0, lam0, lam) for lam in lam_grid]
-    lam_bar = coupling_threshold(
-        cfg.params, m, th.c0, basis,
-        lam_lo=task["lambda_lo"],
-        lam_hi=task["lambda_hi"],
-        sup=sup0,
-    )
+    lam_bar = coupling_threshold(cfg.params, m, th.c0, basis, sup0)
     results = [
         {"family": "diagonal-sup", "lambda": lam, "value": float(v), "m": m}
         for lam, v in zip(lam_grid, sups)
@@ -454,15 +438,15 @@ def _run_limit(cfg: RunConfig) -> tuple[dict, int]:
 
 def _run_synchronized(cfg: RunConfig) -> tuple[dict, int]:
     basis = cfg.basis()
-    scan = find_roots(cfg.params, r_lo=cfg.task["r_lo"], r_hi=cfg.task["r_hi"])
+    scan = find_roots(cfg.params)
     # scalar profile of the unit-coefficient equation
-    w_state = scalar_ground_state(cfg.params, 1, basis, cfg.solver, mu=1.0)
+    w_state = scalar_ground_state(basis, cfg.params.kappa1, cfg.params.p, cfg.solver)
     records = []
     for r in scan.roots:
-        root = make_sync_root(r, cfg.params)
-        pt, scalar_res = synchronized_solution(basis, w_state.w, root, cfg.params)
+        s, t = amplitudes(r, cfg.params)
+        pt, scalar_res = synchronized_solution(basis, w_state.w, s, t, cfg.params)
         rec = _point_record(pt, "synchronized")
-        rec.update({"ratio_root": float(r), "s": float(root.s), "t": float(root.t),
+        rec.update({"ratio_root": float(r), "s": s, "t": t,
                     "scalar_residual": float(scalar_res)})
         records.append(rec)
     thresholds = {
@@ -524,10 +508,9 @@ def _run_verify_estimates(cfg: RunConfig) -> tuple[dict, int]:
 
     # linking bound on the box (needs positive shifts and a nonresonant kappa)
     notes = []
-    skip = task["skip_linking"]
-    if cfg.lengths is None or cfg.cutoffs is None:
+    skip = cfg.lengths is None or cfg.cutoffs is None
+    if skip:
         notes.append("no box given: linking bound skipped")
-        skip = True
     if not skip and (pr.kappa1 <= 0 or pr.kappa2 <= 0):
         notes.append("nonpositive kappa: linking bound skipped")
         skip = True
@@ -567,7 +550,6 @@ def _run_verify_estimates(cfg: RunConfig) -> tuple[dict, int]:
                 failed |= not agree
             records = linking_sweep(
                 task["linking_eps"], lp, pr, basis, box_cutoff, s_amp, t_amp, s_coupled,
-                sample_budget=task["sample_budget"],
                 rng_seed=cfg.solver.rng_seed,
             )
             for rec in records:
@@ -633,6 +615,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.out is not None:
             changes["report_path"] = os.path.join(args.out, os.path.basename(cfg.report_path))
         cfg = dataclasses.replace(cfg, **changes)
+        if {"json", "csv"} <= set(cfg.formats) and _csv_path(cfg.report_path) == cfg.report_path:
+            raise ConfigError(f"the CSV table would overwrite the JSON report {cfg.report_path}")
         # a report directory that cannot be made fails here, before any solver runs
         os.makedirs(os.path.dirname(os.path.abspath(cfg.report_path)), exist_ok=True)
     except (OSError, ValueError) as exc:  # ConfigError included

@@ -177,12 +177,10 @@ class _Engine:
     def at(self, z: np.ndarray) -> _Point:
         """The state at z: one of the last two if z has exactly its bytes, else a new one.
 
-        A search stepping back to its previous point finds it, and a new
-        state reuses the memory the third-newest frees; with one state, each
-        point freed its field arrays at the top of the heap, and on 32^3
-        grids the allocator returned them to the system and faulted them in
-        again.  Threads racing here may drop each other's state, which costs
-        a recomputation; each state's values come from its own z alone.
+        Two are kept so that a search stepping back to its previous point
+        finds it instead of computing it again.  Threads racing here may
+        drop each other's state, which costs a recomputation; each state's
+        values come from its own z alone.
         """
         points = self._points
         for point in points:

@@ -208,15 +208,14 @@ def interior_threshold(mu1: float, mu2: float, alpha: float, beta: float, dim: i
     return float(hi)
 
 
-def coupled_sobolev_constant(lp: LimitParams, s_const: float | None = None) -> tuple[float, float]:
+def coupled_sobolev_constant(lp: LimitParams, s_const: float) -> tuple[float, float]:
     """(S_coupled, r_min): the coupled best constant and the minimizing ratio.
 
     Scans f on the `_SCAN_POINTS`-point logarithmic grid, refines by
-    golden section, and returns f(r_min) * S.  Raises BoundaryInfimumError
-    when the minimum is not interior (coupling at or below the threshold).
+    golden section, and returns f(r_min) * S, S = `s_const` the value of
+    `sobolev_constant(lp.dim)`.  Raises BoundaryInfimumError when the
+    minimum is not interior (coupling at or below the threshold).
     """
-    if s_const is None:
-        s_const = sobolev_constant(lp.dim)
     val, r_min, interior = _infimum_f(lp)
     boundary = _boundary_bound(lp)
     if not interior or val >= boundary - 1e-13:

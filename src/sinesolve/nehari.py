@@ -47,6 +47,10 @@ PLUS_FLOOR = 1e-6
 #: Deflation factor prod_i (d_i^-DEFLATION_POWER + DEFLATION_SHIFT) over the orbit distances d_i.
 DEFLATION_POWER = 2
 DEFLATION_SHIFT = 1.0
+#: multiplicity_search: orbit distance under which a converged point repeats a known orbit.
+DEDUP_TOL = 1e-4
+#: coupling_threshold refuses a crossing lam_bar outside (lo, hi].
+LAMBDA_BAR_RANGE = (1e-6, 1e8)
 #: Why a search dropped a seed, as listed in ConvergenceFailureError.diagnostics.
 NO_POSITIVE_PART = "no positive part"
 NOT_CONVERGED = "did not converge"
@@ -410,22 +414,41 @@ def _converge_seed(engine, z0, config: SolverConfig) -> tuple[np.ndarray | None,
     return (z, "") if ok else (None, NOT_CONVERGED)
 
 
+def _least_energy(engine, seeds: Iterable[np.ndarray], config: SolverConfig) -> np.ndarray:
+    """The converged seed of least positive energy outside the nonpositive subspace.
+
+    A later seed replaces the best only when its energy is lower by more
+    than 1e-13.  Raises ConvergenceFailureError, with one reason per
+    dropped seed, when no seed qualifies.
+    """
+    best, best_energy = None, 0.0
+    diagnostics: list[str] = []
+    for z0 in seeds:
+        z, dropped = _converge_seed(engine, z0, config)
+        if z is None:
+            diagnostics.append(dropped)
+            continue
+        e = engine.energy(z)
+        if e <= 0.0 or _plus_h1_norm(engine, z) < PLUS_FLOOR:
+            continue
+        if best is None or e < best_energy - 1e-13:
+            best, best_energy = z, e
+    if best is None:
+        raise ConvergenceFailureError("no seed converged to a positive-energy solution", diagnostics)
+    return best
+
+
 # -- scalar ground states and the semitrivial threshold --------------------------
 
 
-def scalar_ground_state(
-    params: SystemParams,
-    i: int,
-    basis: SineBasis,
-    config: SolverConfig = SolverConfig(),
-    mu: float | None = None,
-) -> ScalarGroundState:
-    """Least-energy nontrivial solution of -Lap w - kappa_i w = mu |w|^{p-2} w.
+def scalar_ground_state(basis: SineBasis, kappa: float, p: float, config: SolverConfig) -> ScalarGroundState:
+    """Least-energy nontrivial solution of -Lap w - kappa w = |w|^{p-2} w.
 
-    mu defaults to mu_i.  The search runs at unit coefficient, and the
-    state for mu follows from it by `ScalarGroundState.scaled`.
+    The state for a coefficient mu follows from it by
+    `ScalarGroundState.scaled`.  Seeds: the first max(n_mode_seeds, 4)
+    modes, then n_random_seeds random mixtures of the first 8.
     """
-    prob = ScalarProblem(basis, params.kappa(i), 1.0, params.p)
+    prob = ScalarProblem(basis, kappa, 1.0, p)
     rng = np.random.default_rng(config.rng_seed)
     m = basis.size
     seeds = []
@@ -438,36 +461,16 @@ def scalar_ground_state(
         low = min(m, 8)
         z[:low] = rng.standard_normal(low)
         seeds.append(SEED_AMPLITUDE * z / np.linalg.norm(z))
-    best = None
-    diagnostics = []
-    for z0 in seeds:
-        z, dropped = _converge_seed(prob, z0, config)
-        if z is None:
-            diagnostics.append(dropped)
-            continue
-        e = prob.energy(z)
-        mass = prob.mass(z)
-        if e <= 0.0 or mass < TRIVIALITY_FLOOR:
-            continue
-        if _plus_h1_norm(prob, z) < PLUS_FLOOR:
-            continue
-        if best is None or e < best[0] - 1e-12:
-            best = (e, z)
-    if best is None:
-        raise ConvergenceFailureError("no scalar seed converged to a positive-energy solution", diagnostics)
-    e, z = best
-    unit = ScalarGroundState(
+    z = _least_energy(prob, seeds, config)
+    return ScalarGroundState(
         w=z,
-        energy=e,
+        energy=prob.energy(z),
         grad_norm=float(np.linalg.norm(prob.gradient(z))),
         b_value=prob.quadratic(z),
     )
-    return unit.scaled(params.mu(i) if mu is None else mu, params.p)
 
 
-def semitrivial_threshold(
-    params: SystemParams, basis: SineBasis, config: SolverConfig = SolverConfig()
-) -> ThresholdResult:
+def semitrivial_threshold(params: SystemParams, basis: SineBasis, config: SolverConfig) -> ThresholdResult:
     """The smaller of the two scalar ground-state energies, with their B values.
 
     Any critical point of the coupled system with energy strictly inside
@@ -478,7 +481,7 @@ def semitrivial_threshold(
     units: dict[float, ScalarGroundState] = {}
     for i in (1, 2):
         if params.kappa(i) not in units:
-            units[params.kappa(i)] = scalar_ground_state(params, i, basis, config, mu=1.0)
+            units[params.kappa(i)] = scalar_ground_state(basis, params.kappa(i), params.p, config)
     s1, s2 = (units[params.kappa(i)].scaled(params.mu(i), params.p) for i in (1, 2))
     return ThresholdResult(c0=min(s1.energy, s2.energy), scalar_states=(s1, s2), scalar_solves=len(units))
 
@@ -502,10 +505,7 @@ def classify(point: CriticalPoint, c0: float) -> str:
 
 
 def ground_state(
-    params: SystemParams,
-    basis: SineBasis,
-    config: SolverConfig = SolverConfig(),
-    threshold: ThresholdResult | None = None,
+    params: SystemParams, basis: SineBasis, config: SolverConfig, threshold: ThresholdResult
 ) -> CriticalPoint:
     """Lowest-energy positive-energy critical point over a multistart search.
 
@@ -514,26 +514,10 @@ def ground_state(
     the best accepted point is returned with `below_threshold` recording
     whether its energy sits under the semitrivial threshold.
     """
-    if threshold is None:
-        threshold = semitrivial_threshold(params, basis, config)
     engine = GalerkinSystem(params, basis)
     rng = np.random.default_rng(config.rng_seed)
-    best: CriticalPoint | None = None
-    diagnostics: list[str] = []
-    for z0 in _system_seeds(engine, config, rng, threshold.scalar_states):
-        z, dropped = _converge_seed(engine, z0, config)
-        if z is None:
-            diagnostics.append(dropped)
-            continue
-        if engine.energy(z) <= 0.0:
-            continue
-        if _plus_h1_norm(engine, z) < PLUS_FLOOR:
-            continue
-        pt = evaluate_point(engine, z)
-        if best is None or pt.energy < best.energy - 1e-13:
-            best = pt
-    if best is None:
-        raise ConvergenceFailureError("no ground-state seed converged", diagnostics)
+    seeds = _system_seeds(engine, config, rng, threshold.scalar_states)
+    best = evaluate_point(engine, _least_energy(engine, seeds, config))
     return dataclasses.replace(best, below_threshold=bool(best.energy < threshold.c0))
 
 
@@ -570,22 +554,20 @@ def multiplicity_search(
     params: SystemParams,
     basis: SineBasis,
     k: int,
-    budget: int = 60,
-    config: SolverConfig = SolverConfig(),
-    threshold: ThresholdResult | None = None,
-    dedup_tol: float = 1e-4,
+    budget: int,
+    config: SolverConfig,
+    threshold: ThresholdResult,
 ) -> list[CriticalPoint]:
     """Distinct sign orbits of fully nontrivial solutions under the threshold.
 
-    Deflated multistart Newton: each found orbit (of any classification,
-    including the trivial solution) deflates the residual, so later runs are
-    pushed toward new orbits.  Returns fully nontrivial points with energy
-    in (0, c0), deduplicated and sorted by energy; may return fewer than k.
+    Deflated multistart Newton from at most `budget` seeds: each found orbit
+    (of any classification, including the trivial solution) deflates the
+    residual, so later runs are pushed toward new orbits; a point within
+    DEDUP_TOL of a known orbit is dropped.  Returns fully nontrivial points
+    with energy in (0, c0), sorted by energy; may return fewer than k.
     """
     if k < 1:
         raise ValueError("target count k must be at least 1")
-    if threshold is None:
-        threshold = semitrivial_threshold(params, basis, config)
     engine = GalerkinSystem(params, basis)
     rng = np.random.default_rng(config.rng_seed)
 
@@ -609,7 +591,7 @@ def multiplicity_search(
             continue
         if np.linalg.norm(z) < 10 * PLUS_FLOOR:
             continue
-        if any(orbit_distance(z, r) < dedup_tol for r in deflate):
+        if any(orbit_distance(z, r) < DEDUP_TOL for r in deflate):
             continue
         deflate.append(z.copy())
         pt = evaluate_point(engine, z)
@@ -619,7 +601,7 @@ def multiplicity_search(
             and _plus_h1_norm(engine, z) >= PLUS_FLOOR
         ):
             hits.append(dataclasses.replace(pt, below_threshold=True))
-    # each hit lies at least dedup_tol from every earlier one (all of them
+    # each hit lies at least DEDUP_TOL from every earlier one (all of them
     # deflate), and orbit_distance is symmetric, so each is its own orbit
     hits.sort(key=lambda p: p.energy)  # stable: equal energies keep the order found
     return [dataclasses.replace(h, orbit_id=i) for i, h in enumerate(hits)]
@@ -703,35 +685,26 @@ def diagonal_sup(params: SystemParams, m: int, basis: SineBasis, lam: float | No
     return float(best)
 
 
-def coupling_threshold(
-    params: SystemParams,
-    m: int,
-    c0: float,
-    basis: SineBasis,
-    lam_lo: float = 1e-6,
-    lam_hi: float = 1e8,
-    sup: float | None = None,
-) -> float:
+def coupling_threshold(params: SystemParams, m: int, c0: float, basis: SineBasis, sup: float) -> float:
     """Smallest coupling beyond which the diagonal supremum drops under c0.
 
-    Closed form from one diagonal_sup call at params.lam, skipped when the
-    caller passes that supremum as `sup`: the supremum is decreasing in lam,
-    and inverting the exact law of rescale_diagonal_sup gives
-    mu_eff(lam_bar) = mu_eff(lam) (sup(lam) / c0)^((p-2)/2).  Returns 0
-    exactly when gamma_m <= (kappa_1 + kappa_2)/2; raises
-    BracketFailureError when lam_bar <= lam_lo or lam_bar > lam_hi.
+    Closed form from `sup`, the diagonal_sup value at params.lam: the
+    supremum is decreasing in lam, and inverting the exact law of
+    rescale_diagonal_sup gives mu_eff(lam_bar) = mu_eff(lam) (sup /
+    c0)^((p-2)/2).  Returns 0 exactly when gamma_m <= (kappa_1 + kappa_2)/2;
+    raises BracketFailureError when lam_bar lies outside LAMBDA_BAR_RANGE =
+    (lo, hi], that is lam_bar <= lo or lam_bar > hi.
     """
     if c0 <= 0:
         raise PreconditionError("c0 must be positive")
     kbar = 0.5 * (params.kappa1 + params.kappa2)
     if basis.eigenvalues[m - 1] <= kbar:
         return 0.0
-    if sup is None:
-        sup = diagonal_sup(params, m, basis)
     mu_bar = _mu_eff(params, params.lam) * (sup / c0) ** ((params.p - 2.0) / 2.0)
     lam_bar = (2.0 * mu_bar - params.mu1 - params.mu2) / params.p
-    if lam_bar <= lam_lo:
-        raise BracketFailureError(f"supremum already below threshold at lam={lam_lo} (lam_bar={lam_bar:.6g})")
-    if lam_bar > lam_hi:
-        raise BracketFailureError(f"crossing lam_bar={lam_bar:.6g} lies above lam={lam_hi}")
+    lo, hi = LAMBDA_BAR_RANGE
+    if lam_bar <= lo:
+        raise BracketFailureError(f"supremum already below threshold at lam={lo} (lam_bar={lam_bar:.6g})")
+    if lam_bar > hi:
+        raise BracketFailureError(f"crossing lam_bar={lam_bar:.6g} lies above lam={hi}")
     return float(lam_bar)

@@ -26,15 +26,8 @@ from .nehari import CriticalPoint, evaluate_point
 
 #: Largest |h(r)| that `amplitudes` accepts as a root.
 _H_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class SyncRoot:
-    """A validated root of h with its amplitude pair."""
-
-    r: float
-    s: float
-    t: float
+#: find_roots scans h over this r-window.
+R_WINDOW = (1e-8, 1e8)
 
 
 @dataclass(frozen=True)
@@ -78,15 +71,13 @@ def root_guaranteed(params: SystemParams) -> bool:
     return small and large
 
 
-def find_roots(params: SystemParams, r_lo: float = 1e-8, r_hi: float = 1e8) -> RootScan:
-    """All simple positive roots of h located by sign changes on a 4001-point log grid.
+def find_roots(params: SystemParams) -> RootScan:
+    """All simple roots of h in R_WINDOW located by sign changes on a 4001-point log grid.
 
     Each bracket is bisected and then Newton-polished to |h| <= 1e-13;
     tangential roots without a sign change are not searched for.
     """
-    if r_lo <= 0 or r_hi <= r_lo:
-        raise PreconditionError("need 0 < r_lo < r_hi")
-    grid = np.geomspace(r_lo, r_hi, 4001)
+    grid = np.geomspace(*R_WINDOW, 4001)
     vals = np.array([ratio_function(r, params) for r in grid])
     roots = []
     for a, b, fa, fb in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
@@ -146,29 +137,21 @@ def amplitude_identities(s: float, t: float, params: SystemParams) -> tuple[floa
     return float(id1), float(id2)
 
 
-def make_sync_root(r: float, params: SystemParams) -> SyncRoot:
-    s, t = amplitudes(r, params)
-    return SyncRoot(r=float(r), s=s, t=t)
-
-
 def synchronized_solution(
-    basis: SineBasis,
-    w: np.ndarray,
-    root: SyncRoot,
-    params: SystemParams,
+    basis: SineBasis, w: np.ndarray, s: float, t: float, params: SystemParams
 ) -> tuple[CriticalPoint, float]:
     """Assemble u = (s w, t w) and report (point, scalar residual norm).
 
-    Requires kappa1 = kappa2 and w the coefficients on `basis` of a
-    converged Galerkin solution of the unit-coefficient scalar equation;
-    the coupled gradient norm at u is then a bounded multiple of the scalar
-    residual.
+    Requires kappa1 = kappa2, (s, t) = `amplitudes(r, params)` for a root r
+    of h, and w the coefficients on `basis` of a converged Galerkin solution
+    of the unit-coefficient scalar equation; the coupled gradient norm at u
+    is then a bounded multiple of the scalar residual.
     """
     if params.kappa1 != params.kappa2:
         raise PreconditionError("synchronized solutions need kappa1 = kappa2")
     engine = GalerkinSystem(params, basis)
     prob = ScalarProblem(basis, params.kappa1, 1.0, params.p)
     scalar_res = float(np.linalg.norm(prob.gradient(w)))
-    z = np.concatenate([root.s * w, root.t * w])
+    z = np.concatenate([s * w, t * w])
     point = evaluate_point(engine, z)
     return point, scalar_res

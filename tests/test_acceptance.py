@@ -32,7 +32,7 @@ from sinesolve.domain import SineTransform, mode_mass_matrix
 from sinesolve.estimates import cutoff_bubble_integrals, default_eps_grid, fit_orders, linking_sweep, verify_product_powers, verify_single_power
 from sinesolve.limit import LimitParams, bubble_norms, pair_grid_infimum
 from sinesolve.nehari import project_general
-from sinesolve.synchronized import amplitude_identities, amplitudes, find_roots, make_sync_root, synchronized_solution
+from sinesolve.synchronized import amplitude_identities, amplitudes, find_roots, synchronized_solution
 
 
 def report_line(number: int, ok: bool, budget_s: float, elapsed: float, detail: str) -> None:
@@ -158,7 +158,7 @@ def multiplicity_runs(tmp_path_factory):
             "lengths": [1.0], "cutoffs": [24],
         },
         "solver": {"seed": 5, "budget": 40},
-        "task": {"k": 2, "dedup_tol": 1e-4},
+        "task": {"k": 2},
         "output": {"report": str(tmp / "mult_report.json"), "formats": ["json"]},
     }
     path = tmp / "mult.json"
@@ -205,7 +205,7 @@ def test_criterion_06_diagonal_sup_and_threshold():
     checks.append(all(a > b for a, b in zip(sups, sups[1:])))
     # bisection bracket contract
     th = semitrivial_threshold(pr, basis, cfg)
-    lam_bar = coupling_threshold(pr, 3, th.c0, basis)
+    lam_bar = coupling_threshold(pr, 3, th.c0, basis, diagonal_sup(pr, 3, basis))
     hi = diagonal_sup(pr, 3, basis, lam=1.01 * lam_bar)
     lo = diagonal_sup(pr, 3, basis, lam=0.99 * lam_bar)
     checks.append(hi < th.c0 <= lo)
@@ -259,9 +259,8 @@ def test_criterion_08_synchronized_algebra():
     cfg = SolverConfig()
     from sinesolve import scalar_ground_state
 
-    state = scalar_ground_state(pr, 1, basis, cfg, mu=1.0)
-    root = make_sync_root(scan.roots[0], pr)
-    pt, scalar_res = synchronized_solution(basis, state.w, root, pr)
+    state = scalar_ground_state(basis, pr.kappa1, pr.p, cfg)
+    pt, scalar_res = synchronized_solution(basis, state.w, s, t, pr)
     # 1e-13 floor keeps the 10x comparison meaningful at machine-converged profiles
     checks.append(pt.grad_norm < 10.0 * max(scalar_res, 1e-13))
     checks.append(pt.classification == "fully-nontrivial")

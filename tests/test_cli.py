@@ -2,7 +2,6 @@
 
 import copy
 import dataclasses
-import inspect
 import json
 import os
 
@@ -12,10 +11,8 @@ import pytest
 from sinesolve import cli
 from sinesolve.cli import COMMANDS, main, parse_config
 from sinesolve.errors import ConfigError
-from sinesolve.estimates import linking_sweep
-from sinesolve.nehari import SolverConfig, coupling_threshold, multiplicity_search
+from sinesolve.nehari import SolverConfig
 from sinesolve.radial import _reference_rule
-from sinesolve.synchronized import find_roots
 
 BASE = {
     "problem": {
@@ -398,6 +395,7 @@ VALID = {
     "ground-state": BASE,
     "multiplicity": {**BASE, "task": {"k": 2}},
     "thresholds": {**BASE, "task": {"m": 2}},
+    "synchronized": BASE,
     "verify-estimates": {
         "problem": {"mu1": 1.0, "mu2": 1.0, "lambda": 1.0, "alpha": 2.0, "beta": 2.0, "dim": 4},
         "task": {},
@@ -447,6 +445,15 @@ def test_valid_configs_parse(subcommand):
         ("multiplicity", "solver", "deflation_shift", 1.0),
         # the sweep's largest eps, 0.2, is not below delta/10 = 0.15
         ("verify-estimates", "task", "eps_grid", list(np.geomspace(0.2, 2e-3, 7))),
+        # removed: fixed numerical choices, at the values these keys defaulted to
+        ("multiplicity", "task", "dedup_tol", 1e-4),  # nehari.DEDUP_TOL
+        ("thresholds", "task", "lambda_lo", 1e-6),  # nehari.LAMBDA_BAR_RANGE
+        ("thresholds", "task", "lambda_hi", 1e8),
+        ("synchronized", "task", "r_lo", 1e-8),  # synchronized.R_WINDOW
+        ("synchronized", "task", "r_hi", 1e8),
+        ("verify-estimates", "task", "sample_budget", 40),  # linking_sweep's default
+        # removed: a config without lengths and cutoffs skips the linking harness
+        ("verify-estimates", "task", "skip_linking", False),
     ],
 )
 def test_malformed_value_exits_2_before_any_solver(
@@ -480,6 +487,22 @@ def test_refused_flag_exits_2_before_any_solver(tmp_path, monkeypatch, flag, val
     assert not os.path.exists(tmp_path / "never.json")
 
 
+@pytest.mark.parametrize("formats, flag", [(["json", "csv"], []), (["json"], ["--format", "both"])])
+def test_csv_report_path_with_both_formats_exits_2_before_any_solver(tmp_path, monkeypatch, capsys,
+                                                                     formats, flag):
+    # the CSV table would land on the JSON report's path and replace it
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a solver ran although the two reports share one path")
+
+    for name in SOLVER_ENTRY_POINTS:
+        monkeypatch.setattr(cli, name, unreachable)
+    cfg = copy.deepcopy(BASE)
+    cfg["output"] = {"report": str(tmp_path / "out.csv"), "formats": formats}
+    assert main(["ground-state", "--config", write_config(tmp_path, cfg), *flag]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+
 def test_out_that_is_a_file_exits_2_before_any_solver(tmp_path, monkeypatch, capsys):
     def unreachable(*args, **kwargs):
         raise AssertionError("a solver ran with an --out that cannot be a directory")
@@ -499,13 +522,12 @@ def test_typed_values_and_defaults():
     cfg = copy.deepcopy(VALID["verify-estimates"])
     cfg["problem"]["dim"] = 4.0
     cfg["solver"] = {"budget": 7.0, "seed": 2}
-    cfg["task"] = {"delta": 2.0, "sample_budget": 3.0}  # the default sweep needs eps < delta/10
+    cfg["task"] = {"delta": 2.0}  # the default sweep needs eps < delta/10
     run = parse_config(cfg, COMMANDS["verify-estimates"])
     assert run.params.dim == 4 and isinstance(run.params.dim, int)
     assert run.budget == 7 and isinstance(run.budget, int)
     assert run.solver.rng_seed == 2 and run.solver.tol == 1e-10
     assert run.task["support_radius"] == 4.0  # twice delta
-    assert run.task["sample_budget"] == 3 and run.task["skip_linking"] is False
     assert run.limit is not None and run.limit.dim == 4
     assert run.raw is cfg  # the report echoes the config as given
 
@@ -515,21 +537,6 @@ def test_every_solver_field_is_a_config_key():
     for field in dataclasses.fields(SolverConfig):
         key = "seed" if field.name == "rng_seed" else field.name
         assert cli.SCHEMA["solver"][key][1] == field.default, field.name
-
-
-@pytest.mark.parametrize("function, keyword, block, key", [
-    (multiplicity_search, "budget", "solver", "budget"),
-    (multiplicity_search, "dedup_tol", "multiplicity", "dedup_tol"),
-    (coupling_threshold, "lam_lo", "thresholds", "lambda_lo"),
-    (coupling_threshold, "lam_hi", "thresholds", "lambda_hi"),
-    (find_roots, "r_lo", "synchronized", "r_lo"),
-    (find_roots, "r_hi", "synchronized", "r_hi"),
-    (linking_sweep, "sample_budget", "verify-estimates", "sample_budget"),
-], ids=lambda x: getattr(x, "__name__", x))
-def test_library_defaults_match_the_schema(function, keyword, block, key):
-    # a library call and a CLI run that leave the value unset use the same one
-    schema = cli.SCHEMA[block] if block in cli.SCHEMA else COMMANDS[block].task
-    assert inspect.signature(function).parameters[keyword].default == schema[key][1]
 
 
 @pytest.mark.parametrize("lam, boundary", [(1.0, False), (0.2, True)], ids=["interior", "boundary"])

@@ -256,7 +256,7 @@ def test_fields_immutable(basis_1d):
     point = evaluate_point(GalerkinSystem(pr, basis_1d), z)
     z[0] = 2.0
     assert point.z[0] == 1.0
-    state = scalar_ground_state(pr, 1, basis_1d, SolverConfig(n_mode_seeds=1, n_random_seeds=0))
+    state = scalar_ground_state(basis_1d, pr.kappa1, pr.p, SolverConfig(n_mode_seeds=1, n_random_seeds=0))
     for arr in (point.z, state.w, state.scaled(4.0, pr.p).w):
         with pytest.raises(ValueError):
             arr[0] = 2.0

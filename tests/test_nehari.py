@@ -203,10 +203,9 @@ def test_scalar_threshold_symmetric(basis, config):
 
 
 def test_scalar_threshold_monotone_in_mu(basis, config):
-    e = []
-    for mu in (1.0, 2.0):
-        s = scalar_ground_state(params_with(mu1=mu), 1, basis, config)
-        e.append(s.energy)
+    p = params_with().p
+    unit = scalar_ground_state(basis, 0.0, p, config)
+    e = [unit.scaled(mu, p).energy for mu in (1.0, 2.0)]
     assert e[1] < e[0]
 
 
@@ -230,19 +229,14 @@ def test_semitrivial_threshold_one_search_per_kappa(basis, monkeypatch, kappa2, 
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
-@given(
-    mu=st.floats(0.1, 10.0),
-    kappa=st.sampled_from([0.0, 5.0, 15.0, 45.0]),
-    i=st.sampled_from([1, 2]),
-    via_params=st.booleans(),
-)
-def test_scalar_ground_state_mu_scaling(basis, mu, kappa, i, via_params):
+@given(mu=st.floats(0.1, 10.0), kappa=st.sampled_from([0.0, 5.0, 15.0, 45.0]))
+def test_scalar_ground_state_mu_scaling(basis, mu, kappa):
     # the state scaled from the unit-coefficient search is a critical point
     # of the mu-problem, with the energy and quadratic form that problem gives
-    pr = params_with(**{f"kappa{i}": kappa, f"mu{i}": mu if via_params else 1.0})
+    p = params_with().p
     cfg = SolverConfig(n_mode_seeds=2, n_random_seeds=0)
-    state = scalar_ground_state(pr, i, basis, cfg, mu=None if via_params else mu)
-    prob = ScalarProblem(basis, pr.kappa(i), mu, pr.p)
+    state = scalar_ground_state(basis, kappa, p, cfg).scaled(mu, p)
+    prob = ScalarProblem(basis, kappa, mu, p)
     w = state.w
     assert np.linalg.norm(prob.gradient(w)) <= 1e-9
     assert prob.energy(w) == pytest.approx(state.energy, rel=1e-12)
@@ -424,7 +418,8 @@ def test_descent_lowers_the_ray_energy_and_polishes(kappa1, kappa2, mu2, lam, p,
 
 
 def test_ground_state_definite_default_seeds(basis24):
-    gs = ground_state(params_with(lam=50.0), basis24, config=SolverConfig())
+    pr, cfg = params_with(lam=50.0), SolverConfig()
+    gs = ground_state(pr, basis24, cfg, semitrivial_threshold(pr, basis24, cfg))
     assert gs.energy == pytest.approx(0.312001188332069, abs=1e-12)
 
 
@@ -434,7 +429,8 @@ def test_critical_ground_state_in_four_dimensions():
     # the padded 32^4 Gauss-Legendre grid gave, reached here on 6^4 nodes
     pr = SystemParams(kappa1=25.0, kappa2=25.0, mu1=1.0, mu2=1.0, lam=5.0, alpha=2.0, beta=2.0, dim=4)
     basis = SineBasis(BoxDomain((1.0,) * 4), (2,) * 4)
-    gs = ground_state(pr, basis, SolverConfig(n_mode_seeds=2, n_random_seeds=0))
+    cfg = SolverConfig(n_mode_seeds=2, n_random_seeds=0)
+    gs = ground_state(pr, basis, cfg, semitrivial_threshold(pr, basis, cfg))
     assert pr.p == pr.critical_exponent
     assert basis.grid.shape == (6,) * 4
     assert gs.classification == "fully-nontrivial"
@@ -455,7 +451,7 @@ def test_ground_state_indefinite(basis, config):
 def test_multiplicity_orbits(basis, config):
     pr = params_with(lam=200.0)
     th = semitrivial_threshold(pr, basis, config)
-    pts = multiplicity_search(pr, basis, k=2, budget=30, config=config, threshold=th)
+    pts = multiplicity_search(pr, basis, 2, 30, config, th)
     assert len(pts) >= 2
     ids = orbit_dedup([p.z for p in pts], tol=1e-4)
     assert len(set(ids)) == len(pts)
@@ -475,10 +471,9 @@ def test_multiplicity_reaches_the_coupling_threshold_count(config, kappa, m):
     basis = SineBasis(BoxDomain((1.0,)), (16,))
     pr = params_with(kappa1=kappa, kappa2=kappa)
     th = semitrivial_threshold(pr, basis, config)
-    lam_bar = coupling_threshold(pr, m, th.c0, basis)
+    lam_bar = coupling_threshold(pr, m, th.c0, basis, diagonal_sup(pr, m, basis))
     d = sum(idx.size for idx in nonpositive_modes(basis, kappa))
-    pts = multiplicity_search(dataclasses.replace(pr, lam=1.01 * lam_bar), basis, k=m, budget=16,
-                              config=config, threshold=th)
+    pts = multiplicity_search(dataclasses.replace(pr, lam=1.01 * lam_bar), basis, m, 16, config, th)
     assert len(pts) >= m - d
     assert all(0.0 < p.energy < th.c0 and p.classification == "fully-nontrivial" for p in pts)
 
@@ -487,7 +482,7 @@ def test_multiplicity_small_lambda_best_effort(basis, config):
     # with weak coupling no orbit may fall below the threshold; empty is legal
     pr = params_with(lam=1e-3)
     th = semitrivial_threshold(pr, basis, config)
-    pts = multiplicity_search(pr, basis, k=1, budget=6, config=config, threshold=th)
+    pts = multiplicity_search(pr, basis, 1, 6, config, th)
     for p in pts:
         assert 0.0 < p.energy < th.c0
 
@@ -520,7 +515,7 @@ def test_diagonal_sup_rejects_nonpositive_lambda(basis, lam):
 def test_coupling_threshold_contract(basis, config):
     pr = params_with()
     th = semitrivial_threshold(pr, basis, config)
-    lam_bar = coupling_threshold(pr, 3, th.c0, basis)
+    lam_bar = coupling_threshold(pr, 3, th.c0, basis, diagonal_sup(pr, 3, basis))
     hi = diagonal_sup(pr, 3, basis, lam=1.01 * lam_bar)
     lo = diagonal_sup(pr, 3, basis, lam=0.99 * lam_bar)
     assert hi < th.c0 <= lo
@@ -528,31 +523,39 @@ def test_coupling_threshold_contract(basis, config):
 
 def test_coupling_threshold_resonant_zero(basis):
     pr = params_with(kappa1=9 * np.pi**2, kappa2=9 * np.pi**2)
-    assert coupling_threshold(pr, 3, 1.0, basis) == 0.0
+    assert coupling_threshold(pr, 3, 1.0, basis, diagonal_sup(pr, 3, basis)) == 0.0
 
 
 def test_coupling_threshold_monotone_in_m(basis, config):
     pr = params_with()
     th = semitrivial_threshold(pr, basis, config)
-    lams = [coupling_threshold(pr, m, th.c0, basis) for m in (1, 2, 3)]
+    lams = [coupling_threshold(pr, m, th.c0, basis, diagonal_sup(pr, m, basis)) for m in (1, 2, 3)]
     assert lams[0] <= lams[1] * 1.01 and lams[1] <= lams[2] * 1.01
 
 
-def test_coupling_threshold_bracket_failure(basis):
-    with pytest.raises(BracketFailureError):
-        coupling_threshold(params_with(), 1, 1e6, basis, lam_lo=1e-6, lam_hi=10.0)
+def test_coupling_threshold_bracket_failure(basis, monkeypatch):
+    from sinesolve import nehari
+
+    monkeypatch.setattr(nehari, "LAMBDA_BAR_RANGE", (1e-6, 10.0))
+    pr = params_with()
+    with pytest.raises(BracketFailureError, match="already below"):
+        coupling_threshold(pr, 1, 1e6, basis, diagonal_sup(pr, 1, basis))
 
 
-def test_coupling_threshold_bracket_failure_above_lam_hi(basis):
-    # c0 far under the supremum puts lambda-bar near 1.6e4, above lam_hi
-    with pytest.raises(BracketFailureError):
-        coupling_threshold(params_with(), 1, 1e-3, basis, lam_lo=1e-6, lam_hi=10.0)
+def test_coupling_threshold_bracket_failure_above_lam_hi(basis, monkeypatch):
+    from sinesolve import nehari
+
+    # c0 far under the supremum puts lambda-bar near 1.6e4, above the range
+    monkeypatch.setattr(nehari, "LAMBDA_BAR_RANGE", (1e-6, 10.0))
+    pr = params_with()
+    with pytest.raises(BracketFailureError, match="lies above"):
+        coupling_threshold(pr, 1, 1e-3, basis, diagonal_sup(pr, 1, basis))
 
 
 def test_coupling_threshold_exact(basis, config):
     pr = params_with()
     th = semitrivial_threshold(pr, basis, config)
-    lam_bar = coupling_threshold(pr, 3, th.c0, basis)
+    lam_bar = coupling_threshold(pr, 3, th.c0, basis, diagonal_sup(pr, 3, basis))
     assert diagonal_sup(pr, 3, basis, lam=lam_bar) == pytest.approx(th.c0, rel=1e-10)
 
 
@@ -599,7 +602,7 @@ def test_scalar_ground_state_records_seeds_without_positive_part(basis):
     from sinesolve.errors import ConvergenceFailureError
 
     with pytest.raises(ConvergenceFailureError) as failure:
-        scalar_ground_state(pr, 1, basis, SolverConfig(n_mode_seeds=2, n_random_seeds=2))
+        scalar_ground_state(basis, pr.kappa1, pr.p, SolverConfig(n_mode_seeds=2, n_random_seeds=2))
     assert len(failure.value.diagnostics) == 6  # max(2, 4) mode seeds and 2 random ones
     assert set(failure.value.diagnostics) == {"no positive part"}
 
@@ -607,7 +610,7 @@ def test_scalar_ground_state_records_seeds_without_positive_part(basis):
 def test_residuals_vanish_at_converged_critical_point(basis, config):
     # every exact Galerkin critical point lies on the generalized Nehari set
     pr = params_with(kappa1=15.0, kappa2=15.0, lam=50.0)
-    gs = ground_state(pr, basis, config)
+    gs = ground_state(pr, basis, config, semitrivial_threshold(pr, basis, config))
     res = nehari_residuals(GalerkinSystem(pr, basis), gs.z)
     assert res.max_abs < 1e-8
 
@@ -652,7 +655,8 @@ def test_ground_state_skips_seeds_without_positive_part(basis24, monkeypatch):
 
     monkeypatch.setattr(nehari, "project_general", recording)
     cfg = SolverConfig(n_mode_seeds=2, n_random_seeds=0)
-    gs = ground_state(params_with(kappa1=15.0, kappa2=15.0, lam=50.0), basis24, config=cfg)
+    pr = params_with(kappa1=15.0, kappa2=15.0, lam=50.0)
+    gs = ground_state(pr, basis24, cfg, semitrivial_threshold(pr, basis24, cfg))
     e1 = np.eye(basis24.size)[0]
     inside = [np.concatenate([e1, s * e1]) for s in (1.0, -1.0)]
     system = [z for z in projected if z.size == 2 * basis24.size]

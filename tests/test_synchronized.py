@@ -11,12 +11,12 @@ from sinesolve import (
     SystemParams,
     amplitudes,
     find_roots,
-    make_sync_root,
     ratio_function,
     scalar_ground_state,
     synchronized_solution,
 )
 from sinesolve.errors import PreconditionError
+from sinesolve.nehari import _least_energy
 from sinesolve.synchronized import amplitude_identities, root_guaranteed
 
 
@@ -97,31 +97,29 @@ def solved_profile():
     basis = SineBasis(BoxDomain((1.0,)), (20,))
     cfg = SolverConfig()
     pr = params_with()
-    state = scalar_ground_state(pr, 1, basis, cfg, mu=1.0)
+    state = scalar_ground_state(basis, pr.kappa1, pr.p, cfg)
     return basis, cfg, pr, state
 
 
 def test_unit_coefficient_rescaling(solved_profile):
     basis, cfg, pr, state = solved_profile
-    # the unit-coefficient state carried to mu = 4 reproduces the state solved at mu = 4
-    state_mu = scalar_ground_state(params_with(mu1=4.0), 1, basis, cfg)
-    scaled = state.scaled(4.0, pr.p)
-    d = min(
-        np.linalg.norm(scaled.w - state_mu.w),
-        np.linalg.norm(scaled.w + state_mu.w),
-    )
-    assert d < 1e-7 * 4.0 ** (-1.0 / (pr.p - 2.0))
-    assert scaled.energy == pytest.approx(state_mu.energy, rel=1e-12)
-    # and solves the mu = 4 equation: the engine at mu = 4 finds it critical
+    # the unit-coefficient state carried to mu = 4 reproduces the least-energy
+    # state that a search run on the mu = 4 equation itself finds
     prob = ScalarProblem(basis, pr.kappa1, 4.0, pr.p)
+    direct = _least_energy(prob, np.eye(basis.size)[:4], cfg)
+    scaled = state.scaled(4.0, pr.p)
+    d = min(np.linalg.norm(scaled.w - direct), np.linalg.norm(scaled.w + direct))
+    assert d < 1e-7 * 4.0 ** (-1.0 / (pr.p - 2.0))
+    assert scaled.energy == pytest.approx(prob.energy(direct), rel=1e-12)
+    # and solves the mu = 4 equation: the engine at mu = 4 finds it critical
     assert np.linalg.norm(prob.gradient(scaled.w)) < 1e-9
     assert prob.energy(scaled.w) == pytest.approx(scaled.energy, rel=1e-12)
 
 
 def test_synchronized_assembly(solved_profile):
     basis, cfg, pr, state = solved_profile
-    root = make_sync_root(1.0, pr)
-    pt, scalar_res = synchronized_solution(basis, state.w, root, pr)
+    s, t = amplitudes(1.0, pr)
+    pt, scalar_res = synchronized_solution(basis, state.w, s, t, pr)
     # rounding floor keeps the 10x bound meaningful at machine-converged profiles
     assert pt.grad_norm < 10.0 * max(scalar_res, 1e-13)
     assert pt.classification == "fully-nontrivial"
@@ -131,6 +129,6 @@ def test_synchronized_assembly(solved_profile):
 def test_synchronized_requires_equal_kappas(solved_profile):
     basis, cfg, pr, state = solved_profile
     bad = params_with(kappa1=1.0, kappa2=2.0)
-    root = make_sync_root(1.0, params_with())
+    s, t = amplitudes(1.0, params_with())
     with pytest.raises(PreconditionError):
-        synchronized_solution(basis, state.w, root, bad)
+        synchronized_solution(basis, state.w, s, t, bad)
