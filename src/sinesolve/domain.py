@@ -123,11 +123,17 @@ _MASS_AXIS = "q...,qk,ql->...kl"
 class SineTransform:
     """Sine tables of one basis on one grid, built once.
 
-    `synthesis[i]` holds e_k on the nodes of axis i, `projection[i]` its
-    weighted transpose, `permutation` the tensor position of each sorted
-    mode in the dense `cutoffs` tensor, and `mass_paths[i]` the contraction
-    path of axis i in `mode_mass_matrix`, planned once from the operand
-    shapes as `einsum(..., optimize=True)` would plan it on every call.
+    `synthesis[i]` holds e_k on the nodes of axis i and `projection[i]` its
+    weighted transpose; `synthesize` and `project` apply them as one matrix
+    product per axis (`_tensor_apply`).  `permutation` is the tensor position
+    of each sorted mode in the dense `cutoffs` tensor, and `gather` its
+    inverse, the sorted mode at each tensor position: `project` reads its
+    output through the first, `synthesize` builds its input through the
+    second.  `mass_paths[i]` is the contraction path of axis i in
+    `mode_mass_matrix`, planned once from the operand shapes as
+    `einsum(..., optimize=True)` would plan it on every call; that planner
+    picks weight-first, table-first or one three-operand contraction by
+    shape, and any one fixed order of products changes the Hessian's bits.
     `SineBasis.transform` holds the one for the basis grid; any other grid
     builds its own.  The transform keeps the grid but not the basis, so a
     basis holding its transform forms no reference cycle.
@@ -143,6 +149,7 @@ class SineTransform:
             (s * w[:, None]).T for s, w in zip(self.synthesis, grid.axis_weights)
         )
         self.permutation = basis.tensor_permutation()
+        self.gather = np.argsort(self.permutation)
         paths, shape = [], grid.shape
         for S in self.synthesis:
             # the path depends on the shapes only, so a zero-stride stand-in serves
@@ -150,7 +157,7 @@ class SineTransform:
             paths.append(np.einsum_path(_MASS_AXIS, a, S, S, optimize=True)[0])
             shape = shape[1:] + (S.shape[1], S.shape[1])
         self.mass_paths = tuple(paths)
-        for arr in (*self.synthesis, *self.projection, self.permutation):
+        for arr in (*self.synthesis, *self.projection, self.permutation, self.gather):
             arr.setflags(write=False)
 
 
@@ -188,18 +195,27 @@ class QuadratureGrid:
 
 
 def _tensor_apply(tensor: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
-    """Contract axis i of `tensor` with mats[i] (rows index the new axis)."""
+    """Contract axis i of `tensor` with mats[i] (rows index the new axis).
+
+    Each step is one matrix product on the leading axis,
+    np.dot(m, out.reshape(K, -1)), whose new axis then moves to the back, so
+    after the last step the axes are in order again.  `np.dot` is the product
+    `np.tensordot` on axis i calls: each output entry is the same dot product
+    of a row of m with a fibre of the tensor, and the result has tensordot's
+    memory layout, so the values and every sum over them keep their bits.
+    (`m @ ...` gives the same bits but costs about a microsecond more per
+    call on these small shapes.)
+    """
     out = tensor
-    for ax, m in enumerate(mats):
-        out = np.moveaxis(np.tensordot(m, out, axes=(1, ax)), 0, ax)
+    for m in mats:
+        rest = out.shape[1:]
+        out = np.dot(m, out.reshape(out.shape[0], -1)).T.reshape(rest + (m.shape[0],))
     return out
 
 
 def synthesize(coeffs: np.ndarray, tr: SineTransform) -> np.ndarray:
     """Pointwise values sum_k c_k e_k(x) at all nodes of the transform's grid."""
-    t = np.zeros(tr.cutoffs)
-    t.ravel()[tr.permutation] = coeffs
-    return _tensor_apply(t, tr.synthesis)
+    return _tensor_apply(coeffs[tr.gather].reshape(tr.cutoffs), tr.synthesis)
 
 
 def integrate(values: np.ndarray, grid: QuadratureGrid) -> float:

@@ -521,29 +521,38 @@ def ground_state(
     return dataclasses.replace(best, below_threshold=bool(best.energy < threshold.c0))
 
 
-def _deflation_factor(z: np.ndarray, deflate: list[np.ndarray]):
-    """eta(z), the deflation factor over the orbit distances to `deflate`, and its gradient."""
+def _deflation_factor(z: np.ndarray, images: np.ndarray):
+    """eta(z), the deflation factor over the orbit distances to the deflated points, and its gradient.
+
+    `images` stacks the four sign images of each deflated point, in
+    `sign_orbit` order; the orbit distance to a point is the least of its four
+    image distances, the first one on a tie.
+    """
     eta = 1.0
     grad_eta = np.zeros_like(z)
-    for zi in deflate:
-        dists = [(np.linalg.norm(z - img), img) for img in sign_orbit(zi)]
-        d, img = min(dists, key=lambda t: t[0])
+    for orbit in (z - images).reshape(-1, 4, z.size):
+        # sqrt(r . r) is the arithmetic of np.linalg.norm(r)
+        d, r = min(((np.sqrt(np.dot(row, row)), row) for row in orbit), key=lambda t: t[0])
         d = max(d, 1e-13)
         m_i = d ** (-DEFLATION_POWER) + DEFLATION_SHIFT
         eta *= m_i
-        grad_eta += (-DEFLATION_POWER * d ** (-DEFLATION_POWER - 1.0) / m_i) * (z - img) / d
+        grad_eta += (-DEFLATION_POWER * d ** (-DEFLATION_POWER - 1.0) / m_i) * r / d
     return eta, eta * grad_eta
 
 
 def _deflated_root(engine, z0: np.ndarray, deflate: list[np.ndarray]):
-    """Newton on the residual eta g, scaled by shifted inverse orbit distances."""
+    """Newton on the residual eta g, scaled by shifted inverse orbit distances.
+
+    The sign images of the deflated points are stacked once per run.
+    """
+    images = np.array([img for zi in deflate for img in sign_orbit(zi)])
 
     def residual(z):
-        eta, _ = _deflation_factor(z, deflate)
+        eta, _ = _deflation_factor(z, images)
         return eta * engine.gradient(z)
 
     def jacobian(z):
-        eta, grad_eta = _deflation_factor(z, deflate)
+        eta, grad_eta = _deflation_factor(z, images)
         return eta * engine.hessian(z) + np.outer(engine.gradient(z), grad_eta)
 
     opts = {"xtol": 1e-13, "maxfev": 120 * (z0.size + 1)}

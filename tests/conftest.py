@@ -113,3 +113,28 @@ def _reference_nehari_descent(engine, z):
 def reference_nehari_descent():
     """The Sobolev descent that `nehari.nehari_descent` replaced, as an oracle."""
     return _reference_nehari_descent
+
+
+def _reference_deflation_factor(z, deflate):
+    # the per-point deflation factor that stacking the sign images replaced:
+    # four fresh sign images and one np.linalg.norm per image at every call;
+    # imported here, as test_harness.py copies this file where sinesolve is not
+    from sinesolve.energy import sign_orbit
+    from sinesolve.nehari import DEFLATION_POWER, DEFLATION_SHIFT
+
+    eta = 1.0
+    grad_eta = np.zeros_like(z)
+    for zi in deflate:
+        dists = [(np.linalg.norm(z - img), img) for img in sign_orbit(zi)]
+        d, img = min(dists, key=lambda t: t[0])
+        d = max(d, 1e-13)
+        m_i = d ** (-DEFLATION_POWER) + DEFLATION_SHIFT
+        eta *= m_i
+        grad_eta += (-DEFLATION_POWER * d ** (-DEFLATION_POWER - 1.0) / m_i) * (z - img) / d
+    return eta, eta * grad_eta
+
+
+@pytest.fixture(scope="session")
+def reference_deflation_factor():
+    """The per-point `nehari._deflation_factor` before the images were stacked, as an oracle."""
+    return _reference_deflation_factor

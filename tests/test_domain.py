@@ -274,36 +274,52 @@ def _table_apply(tensor, mats):
 
 @pytest.mark.parametrize(
     "lengths, cutoffs",
-    [((1.0,), (12,)), ((1.0, 0.7), (5, 4)), ((1.0, 1.3, 0.8), (3, 4, 2))],
+    [
+        ((1.0,), (12,)),
+        ((1.0, 0.7), (5, 4)),
+        ((1.0, 1.3, 0.8), (3, 4, 2)),
+        ((1.0,), (16,)),
+        ((1.0,), (24,)),
+        ((1.0, 1.0), (8, 8)),
+        ((1.0, 1.0, 1.0), (4, 4, 4)),
+        ((1.0,) * 4, (2,) * 4),
+    ],
 )
 def test_transforms_match_explicit_tables(lengths, cutoffs):
-    # the arithmetic of sine tables rebuilt from axis_matrix on every call
+    # the arithmetic of sine tables rebuilt from axis_matrix on every call, on
+    # the basis grid and, as `estimates` builds, on a grid of its own
     basis = SineBasis(BoxDomain(lengths), cutoffs)
-    grid = basis.grid
-    rng = np.random.default_rng(7)
-    tables = [basis.axis_matrix(i, grid.axis_nodes[i]) for i in range(grid.dim)]
-    perm = np.ravel_multi_index((basis.modes - 1).T, basis.cutoffs)
+    other = QuadratureGrid.for_domain(basis.domain, 32)
+    for grid, tr in ((basis.grid, basis.transform), (other, SineTransform(basis, other))):
+        rng = np.random.default_rng(7)
+        tables = [basis.axis_matrix(i, grid.axis_nodes[i]) for i in range(grid.dim)]
+        perm = np.ravel_multi_index((basis.modes - 1).T, basis.cutoffs)
 
-    c = rng.standard_normal(basis.size)
-    t = np.zeros(basis.cutoffs)
-    t.ravel()[perm] = c
-    np.testing.assert_array_equal(synthesize(c, basis.transform), _table_apply(t, tables))
+        c = rng.standard_normal(basis.size)
+        t = np.zeros(basis.cutoffs)
+        t.ravel()[perm] = c
+        expected = _table_apply(t, tables)
+        got = synthesize(c, tr)
+        assert got.shape == expected.shape and np.all(got == expected)
+        # the same memory layout, so sums over the values keep their order too
+        assert got.strides == expected.strides
 
-    values = rng.standard_normal(grid.shape)
-    weighted = [(s * w[:, None]).T for s, w in zip(tables, grid.axis_weights)]
-    np.testing.assert_array_equal(
-        project(values, basis.transform), _table_apply(values, weighted).ravel()[perm]
-    )
+        values = rng.standard_normal(grid.shape)
+        weighted = [(s * w[:, None]).T for s, w in zip(tables, grid.axis_weights)]
+        assert np.all(project(values, tr) == _table_apply(values, weighted).ravel()[perm])
+        # a transposed view, not C-contiguous once dim >= 2
+        view = rng.standard_normal(grid.shape[::-1]).T
+        assert np.all(project(view, tr) == _table_apply(view, weighted).ravel()[perm])
 
-    n = grid.dim
-    a = values
-    for i, w in enumerate(grid.axis_weights):
-        a = a * w.reshape((-1,) + (1,) * (n - 1 - i))
-    for s in tables:
-        a = np.einsum("q...,qk,ql->...kl", a, s, s, optimize=True)
-    a = np.transpose(a, axes=list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
-    a = a.reshape(basis.size, basis.size)[np.ix_(perm, perm)]
-    np.testing.assert_array_equal(mode_mass_matrix(values, basis.transform), a)
+        n = grid.dim
+        a = values
+        for i, w in enumerate(grid.axis_weights):
+            a = a * w.reshape((-1,) + (1,) * (n - 1 - i))
+        for s in tables:
+            a = np.einsum("q...,qk,ql->...kl", a, s, s, optimize=True)
+        a = np.transpose(a, axes=list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
+        a = a.reshape(basis.size, basis.size)[np.ix_(perm, perm)]
+        assert np.all(mode_mass_matrix(values, tr) == a)
 
 
 @pytest.mark.parametrize(

@@ -664,19 +664,55 @@ def test_ground_state_skips_seeds_without_positive_part(basis24, monkeypatch):
     assert gs.energy > 0.0
 
 
+def _sign_images(deflate):
+    # the stack `_deflated_root` builds once per run: four rows per point
+    return np.array([img for zi in deflate for img in sign_orbit(zi)])
+
+
 def test_deflation_factor_gradient_matches_central_differences():
     rng = np.random.default_rng(3)
     z = rng.standard_normal(10)
-    deflate = [np.zeros(10), z + 0.5 * rng.standard_normal(10)]
-    eta, grad_eta = _deflation_factor(z, deflate)
+    images = _sign_images([np.zeros(10), z + 0.5 * rng.standard_normal(10)])
+    eta, grad_eta = _deflation_factor(z, images)
     h = 1e-6
 
     def eta_at(x):
-        return _deflation_factor(x, deflate)[0]
+        return _deflation_factor(x, images)[0]
 
     fd = np.array([(eta_at(z + h * e) - eta_at(z - h * e)) / (2 * h) for e in np.eye(z.size)])
     assert eta > 1.0
     np.testing.assert_allclose(grad_eta, fd, rtol=1e-7, atol=1e-9 * np.abs(fd).max())
+
+
+def _deflation_cases():
+    rng = np.random.default_rng(29)
+    for n in (10, 48):
+        for i in range(5):
+            z = rng.standard_normal(n)
+            deflate = [np.zeros(n), *(z + s * rng.standard_normal(n) for s in (0.3, 1.0, 3.0))]
+            yield pytest.param(z, deflate, id=f"random-{n}-{i}")
+    m = 12
+    z = rng.standard_normal(2 * m)
+    w = rng.standard_normal(2 * m)
+    w[m:] = 0.0  # a point with zero second component: its images tie in pairs
+    yield pytest.param(z, [np.zeros(2 * m), w], id="tied-images")
+    # z with zero second component ties the distances to (u1, +-u2)
+    yield pytest.param(np.concatenate([z[:m], np.zeros(m)]), [np.zeros(2 * m), z], id="tied-distances")
+    # within the 1e-13 distance floor of a deflated point and of its mirror image
+    near = z + 1e-14 * rng.standard_normal(2 * m)
+    mirror = np.concatenate([-z[:m], z[m:]])
+    yield pytest.param(near, [np.zeros(2 * m), w, z], id="floor")
+    yield pytest.param(near, [np.zeros(2 * m), mirror], id="floor-mirror")
+
+
+@pytest.mark.parametrize("z, deflate", list(_deflation_cases()))
+def test_deflation_factor_matches_per_point_oracle(z, deflate, reference_deflation_factor):
+    # the stacked images give the per-point factor's bits: the same z - img,
+    # the same sqrt(r . r), and the first of tied images
+    eta, grad_eta = _deflation_factor(z, _sign_images(deflate))
+    want_eta, want_grad = reference_deflation_factor(z, deflate)
+    assert np.float64(eta).tobytes() == np.float64(want_eta).tobytes()
+    assert grad_eta.tobytes() == want_grad.tobytes()
 
 
 def _count_point_work(monkeypatch, engine):
