@@ -416,7 +416,7 @@ def _run_limit(cfg: RunConfig) -> tuple[dict, int]:
     lam0 = interior_threshold(lp.mu1, lp.mu2, lp.alpha, lp.beta, lp.dim)
     thresholds = {"sobolev_constant": float(s_const), "lambda0": float(lam0)}
     try:
-        s_coupled, r_min = coupled_sobolev_constant(lp, s_const)
+        s_coupled, r_min = coupled_sobolev_constant(lp)
         s_amp, t_amp = minimizer_amplitudes(lp, s_coupled, r_min)
         thresholds.update(
             {
@@ -424,16 +424,13 @@ def _run_limit(cfg: RunConfig) -> tuple[dict, int]:
                 "r_min": float(r_min),
                 "s_amplitude": float(s_amp),
                 "t_amplitude": float(t_amp),
-                "grid_oracle": float(pair_grid_infimum(lp, s_const)),
+                "grid_oracle": float(pair_grid_infimum(lp)),
                 "boundary_infimum": False,
             }
         )
     except BoundaryInfimumError:
         thresholds["boundary_infimum"] = True
-    # sobolev_constant's two bubble norms; minimizer_amplitudes adds the two
-    # again and the mixed integral
-    quadratures = 2 if thresholds["boundary_infimum"] else 5
-    return _report(cfg, [], thresholds, {"quadratures": quadratures}), 0
+    return _report(cfg, [], thresholds, {}), 0
 
 
 def _run_synchronized(cfg: RunConfig) -> tuple[dict, int]:
@@ -466,7 +463,7 @@ def _run_verify_estimates(cfg: RunConfig) -> tuple[dict, int]:
     failed = False
 
     # bubble-identity and eps-independence of the whole-space norms
-    g1, m1 = bubble_norms(lp.dim, 1.0)
+    g1, _ = bubble_norms(lp.dim, 1.0)
     g2, _ = bubble_norms(lp.dim, 0.5)
     s_const = sobolev_constant(lp.dim)
     eps_independent = abs(g2 - g1) <= 1e-8 * abs(g1)
@@ -529,7 +526,7 @@ def _run_verify_estimates(cfg: RunConfig) -> tuple[dict, int]:
         lam0 = interior_threshold(lp.mu1, lp.mu2, lp.alpha, lp.beta, lp.dim)
         thresholds["lambda0"] = float(lam0)
         try:
-            s_coupled, r_min = coupled_sobolev_constant(lp, s_const)
+            s_coupled, r_min = coupled_sobolev_constant(lp)
         except BoundaryInfimumError:
             notes.append("coupling below the interior threshold: linking bound skipped")
             skip = True

@@ -12,11 +12,14 @@ on r = s/t through
     f_lam(r) = (r^2 + 1) / (mu_1 r^{2*} + mu_2 + 2* lam r^alpha)^{2/2*},
 
 and the coupled best constant equals inf_r f_lam(r) times the scalar best
-constant S once the coupling exceeds a finite threshold.
+constant S once the coupling exceeds a finite threshold.  S and the
+amplitudes come from formulas; only `bubble_norms` integrates, to check
+||grad U_1||^2 = int U_1^{2*} = int U_1^alpha U_1^beta = S^{N/2}.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,28 +151,23 @@ def _refine(x, vals, lp: LimitParams) -> tuple[float, float, bool]:
 
 
 def sobolev_constant(n_dim: int) -> float:
-    """Best constant of the scalar critical embedding, from bubble integrals.
-
-    Computes ||grad U_1||^2 by radial quadrature and returns its (2/N)-th
-    power; cross-checks against int U_1^{2*}, which must agree to 1e-8
-    since both equal S^{N/2}.
-    """
+    """Scalar best Sobolev constant S = pi N (N-2) (Gamma(N/2)/Gamma(N))^(2/N) (Aubin, Talenti 1976)."""
     if n_dim < 3:
         raise PreconditionError("dim must be at least 3")
-    grad2, mass = bubble_norms(n_dim, 1.0)
-    if abs(grad2 - mass) > 1e-8 * abs(grad2):
-        raise InconsistencyError(
-            f"bubble identity violated: ||grad U||^2 = {grad2!r} vs |U|_2*^2* = {mass!r}"
-        )
-    return float(grad2 ** (2.0 / n_dim))
+    gamma_ratio = math.gamma(n_dim / 2.0) / math.gamma(n_dim)
+    return math.pi * n_dim * (n_dim - 2.0) * gamma_ratio ** (2.0 / n_dim)
 
 
 def bubble_norms(n_dim: int, epsilon: float = 1.0) -> tuple[float, float]:
-    """(||grad U_eps||^2, int U_eps^{2*}) over the whole space, by quadrature."""
+    """(||grad U_eps||^2, int U_eps^{2*}) by quadrature; both are S^{N/2}, checked to 1e-8."""
     b = BubbleProfile(n_dim, epsilon)
     ts = 2.0 * n_dim / (n_dim - 2.0)
     grad2 = radial_integral(lambda r: b.radial_derivative(r) ** 2, n_dim, scale=epsilon)
     mass = radial_integral(lambda r: b.value(r) ** ts, n_dim, scale=epsilon)
+    if abs(grad2 - mass) > 1e-8 * abs(grad2):
+        raise InconsistencyError(
+            f"bubble identity violated: ||grad U||^2 = {grad2!r} vs |U|_2*^2* = {mass!r}"
+        )
     return grad2, mass
 
 
@@ -208,13 +206,12 @@ def interior_threshold(mu1: float, mu2: float, alpha: float, beta: float, dim: i
     return float(hi)
 
 
-def coupled_sobolev_constant(lp: LimitParams, s_const: float) -> tuple[float, float]:
+def coupled_sobolev_constant(lp: LimitParams) -> tuple[float, float]:
     """(S_coupled, r_min): the coupled best constant and the minimizing ratio.
 
     Scans f on the `_SCAN_POINTS`-point logarithmic grid, refines by
-    golden section, and returns f(r_min) * S, S = `s_const` the value of
-    `sobolev_constant(lp.dim)`.  Raises BoundaryInfimumError when the
-    minimum is not interior (coupling at or below the threshold).
+    golden section, and returns f(r_min) * S.  Raises BoundaryInfimumError
+    when the minimum is not interior (coupling at or below the threshold).
     """
     val, r_min, interior = _infimum_f(lp)
     boundary = _boundary_bound(lp)
@@ -222,10 +219,10 @@ def coupled_sobolev_constant(lp: LimitParams, s_const: float) -> tuple[float, fl
         raise BoundaryInfimumError(
             "the quotient infimum is attained at the boundary; coupling below the interior threshold"
         )
-    return float(val * s_const), float(r_min)
+    return float(val * sobolev_constant(lp.dim)), float(r_min)
 
 
-def pair_grid_infimum(lp: LimitParams, s_const: float) -> float:
+def pair_grid_infimum(lp: LimitParams) -> float:
     """Minimum of the two-amplitude quotient on the `_PAIR_POINTS`^2 (s,t) log grid, times S.
 
     Independent check of the one-variable reduction: the quotient is
@@ -249,33 +246,30 @@ def pair_grid_infimum(lp: LimitParams, s_const: float) -> float:
     kept = k[rep <= rep.min() * (1.0 + 1e-12)]
     i = np.concatenate([np.arange(max(d, 0), n + min(d, 0)) for d in kept])
     j = i - np.repeat(kept, n - np.abs(kept))
-    return float(quotient(i, j).min() * s_const)
+    return float(quotient(i, j).min() * sobolev_constant(lp.dim))
 
 
 def minimizer_amplitudes(lp: LimitParams, s_coupled: float, r_min: float) -> tuple[float, float]:
     """Amplitudes (s, t) making (s U_1, t U_1) solve the limit system.
 
-    Nehari-scales the pair (r_min U_1, U_1) with all integrals computed by
-    radial quadrature, then verifies that the limit energy of the scaled
-    pair equals (1/N) S_coupled^{N/2}, with (S_coupled, r_min) as
+    Nehari-scales the pair (r U_1, U_1), r = r_min.  Every bubble integral
+    is S^{N/2}, so S cancels: t = ((r^2+1)/(mu1 r^{2*} + mu2 + 2* lam
+    r^alpha))^{1/(2*-2)} and s = r t.  Verifies that the limit energy of the
+    scaled pair equals (1/N) S_coupled^{N/2}, with (S_coupled, r_min) as
     `coupled_sobolev_constant` returns them; raises InconsistencyError
     beyond 1e-6 relative (in particular when r_min is not the ratio that
     its scan minimizes).
     """
     n = lp.dim
     ts = lp.two_star
-    grad2, mass = bubble_norms(n, 1.0)
-    b = BubbleProfile(n, 1.0)
-    mix = radial_integral(lambda r: b.value(r) ** lp.alpha * b.value(r) ** lp.beta, n)
-    norm_v = (r_min**2 + 1.0) * grad2
-    denom = (lp.mu1 * r_min**ts + lp.mu2) * mass + ts * lp.lam * r_min**lp.alpha * mix
-    t_lam = (norm_v / denom) ** (1.0 / (ts - 2.0))
+    denom = lp.mu1 * r_min**ts + lp.mu2 + ts * lp.lam * r_min**lp.alpha
+    t_lam = ((r_min**2 + 1.0) / denom) ** (1.0 / (ts - 2.0))
     s_lam = r_min * t_lam
 
-    energy = (
-        0.5 * (s_lam**2 + t_lam**2) * grad2
-        - (lp.mu1 * s_lam**ts + lp.mu2 * t_lam**ts) / ts * mass
-        - lp.lam * s_lam**lp.alpha * t_lam**lp.beta * mix
+    energy = sobolev_constant(n) ** (n / 2.0) * (
+        0.5 * (s_lam**2 + t_lam**2)
+        - (lp.mu1 * s_lam**ts + lp.mu2 * t_lam**ts) / ts
+        - lp.lam * s_lam**lp.alpha * t_lam**lp.beta
     )
     target = s_coupled ** (n / 2.0) / n
     if abs(energy - target) > 1e-6 * abs(target):

@@ -12,17 +12,17 @@ decaying integrand into a smooth one and removes truncation error entirely.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import gamma as gamma_fn
 
 
 def sphere_area(n_dim: int) -> float:
     """Surface area of the unit sphere in R^n."""
-    return float(2.0 * np.pi ** (n_dim / 2.0) / gamma_fn(n_dim / 2.0))
+    return 2.0 * math.pi ** (n_dim / 2.0) / math.gamma(n_dim / 2.0)
 
 
 @lru_cache(maxsize=8)

@@ -21,14 +21,17 @@ with warnings.catch_warnings():
         pass
 
 
-def _full_pair_grid(lp, s_const, n=601, lo=1e-3, hi=1e3):
-    # the whole n x n (s, t) grid, broadcast at once
+def _full_pair_grid(lp, n=601, lo=1e-3, hi=1e3):
+    # the whole n x n (s, t) grid, broadcast at once; imported here, as
+    # test_harness.py copies this file where sinesolve is not
+    from sinesolve.limit import sobolev_constant
+
     ts = lp.two_star
     s = np.geomspace(lo, hi, n)[:, None]
     t = np.geomspace(lo, hi, n)[None, :]
     denom = lp.mu1 * s**ts + lp.mu2 * t**ts + ts * lp.lam * s**lp.alpha * t**lp.beta
     q = (s**2 + t**2) / denom ** (2.0 / ts)
-    return float(q.min() * s_const)
+    return float(q.min() * sobolev_constant(lp.dim))
 
 
 @pytest.fixture(scope="session")
@@ -71,6 +74,30 @@ def _reference_interior_threshold(mu1, mu2, alpha, beta, dim, n=2001, lo=1e-6, h
 def reference_interior_threshold():
     """Per-step oracle for `limit.interior_threshold`: it refines every step."""
     return _reference_interior_threshold
+
+
+def _reference_minimizer_amplitudes(lp, r_min):
+    # the Nehari scaling of (r_min U_1, U_1) with the bubble integrals taken
+    # by radial quadrature, as `limit.minimizer_amplitudes` did before it used
+    # their common value S^{N/2}; imported here, as test_harness.py copies
+    # this file where sinesolve is not
+    from sinesolve.limit import BubbleProfile, bubble_norms
+    from sinesolve.radial import radial_integral
+
+    n, ts = lp.dim, lp.two_star
+    grad2, mass = bubble_norms(n, 1.0)
+    b = BubbleProfile(n, 1.0)
+    mix = radial_integral(lambda r: b.value(r) ** lp.alpha * b.value(r) ** lp.beta, n)
+    norm_v = (r_min**2 + 1.0) * grad2
+    denom = (lp.mu1 * r_min**ts + lp.mu2) * mass + ts * lp.lam * r_min**lp.alpha * mix
+    t_lam = (norm_v / denom) ** (1.0 / (ts - 2.0))
+    return float(r_min * t_lam), float(t_lam)
+
+
+@pytest.fixture(scope="session")
+def reference_minimizer_amplitudes():
+    """The quadrature `limit.minimizer_amplitudes` that the closed form replaced, as an oracle."""
+    return _reference_minimizer_amplitudes
 
 
 def _reference_nehari_descent(engine, z):

@@ -227,11 +227,11 @@ def test_criterion_07_limit_constant():
     s_const = sobolev_constant(4)
     grad2, mass = bubble_norms(4, 1.0)
     checks.append(abs(grad2 - mass) < 1e-8 * grad2)
-    value, r_min = coupled_sobolev_constant(lp, s_const)
+    value, r_min = coupled_sobolev_constant(lp)
     expected = 2.0 / np.sqrt(6.0) * s_const
     checks.append(abs(r_min - 1.0) < 1e-6)
     checks.append(abs(value - expected) < 1e-6 * expected)
-    oracle = pair_grid_infimum(lp, s_const)
+    oracle = pair_grid_infimum(lp)
     checks.append(abs(value - oracle) < 1e-4 * value)
     checks.append(value <= 2.0 * s_const / np.sqrt(2.0 + 4.0 * lp.lam) + 1e-12)
     lam0 = interior_threshold(1.0, 1.0, 2.0, 2.0, 4)
@@ -300,8 +300,7 @@ def test_criterion_10_critical_linking_bound():
     kappa = 0.5 * float(basis.eigenvalues[0])
     lam = 2.0 * interior_threshold(1.0, 1.0, 5.0 / 3.0, 5.0 / 3.0, n)
     lp = LimitParams(mu1=1.0, mu2=1.0, lam=lam, alpha=5.0 / 3.0, beta=5.0 / 3.0, dim=n)
-    s_const = sobolev_constant(n)
-    s_coupled, r_min = coupled_sobolev_constant(lp, s_const)
+    s_coupled, r_min = coupled_sobolev_constant(lp)
     s_amp, t_amp = minimizer_amplitudes(lp, s_coupled, r_min)
     pr = SystemParams(kappa1=kappa, kappa2=kappa, mu1=1.0, mu2=1.0, lam=lam,
                       alpha=5.0 / 3.0, beta=5.0 / 3.0, dim=n)

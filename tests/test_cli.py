@@ -540,17 +540,14 @@ def test_every_solver_field_is_a_config_key():
 
 
 @pytest.mark.parametrize("lam, boundary", [(1.0, False), (0.2, True)], ids=["interior", "boundary"])
-def test_limit_quadratures_counts_radial_integrals(tmp_path, monkeypatch, lam, boundary):
+def test_limit_runs_no_radial_quadrature(tmp_path, monkeypatch, lam, boundary):
+    # every whole-space constant of a limit run comes from its formula
     from sinesolve import limit
 
-    calls = []
-    original = limit.radial_integral
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("limit ran a radial quadrature")
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(limit, "radial_integral", counting)
+    monkeypatch.setattr(limit, "radial_integral", no_quadrature)
     cfg = {
         "problem": {"mu1": 1.0, "mu2": 1.0, "lambda": lam, "alpha": 2.0, "beta": 2.0, "dim": 4},
         "output": {"report": str(tmp_path / "lim.json")},
@@ -558,7 +555,27 @@ def test_limit_quadratures_counts_radial_integrals(tmp_path, monkeypatch, lam, b
     assert main(["limit", "--config", write_config(tmp_path, cfg)]) == 0
     rep = json.loads((tmp_path / "lim.json").read_text())
     assert rep["thresholds"]["boundary_infimum"] is boundary
-    assert rep["timing"]["counters"]["quadratures"] == len(calls) == (2 if boundary else 5)
+    assert rep["timing"]["counters"] == {}
+
+
+def test_verify_estimates_broken_bubble_identity_exit_3(tmp_path, monkeypatch, capsys):
+    # ||grad U||^2 and int U^{2*} must agree; a quadrature that breaks the
+    # identity fails the run before any report is written
+    from sinesolve import limit
+
+    original = limit.radial_integral
+    calls = []
+
+    def skewed(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs) * (1.0 + 1e-6 * (len(calls) % 2))
+
+    monkeypatch.setattr(limit, "radial_integral", skewed)
+    cfg = copy.deepcopy(VALID["verify-estimates"])
+    cfg["output"] = {"report": str(tmp_path / "never.json")}
+    assert main(["verify-estimates", "--config", write_config(tmp_path, cfg)]) == 3
+    assert "bubble identity violated" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "never.json")
 
 
 def test_readme_documents_every_config_key():

@@ -30,7 +30,6 @@ from sinesolve.limit import (
     coupled_sobolev_constant,
     interior_threshold,
     minimizer_amplitudes,
-    sobolev_constant,
 )
 from sinesolve.radial import radial_integral
 
@@ -127,8 +126,7 @@ def n5_setting():
     kappa = 0.5 * (n * np.pi**2 / 64.0)
     lam = 2.0 * interior_threshold(1.0, 1.0, 5.0 / 3.0, 5.0 / 3.0, n)
     lp = LimitParams(mu1=1.0, mu2=1.0, lam=lam, alpha=5.0 / 3.0, beta=5.0 / 3.0, dim=n)
-    s_const = sobolev_constant(n)
-    s_coupled, r_min = coupled_sobolev_constant(lp, s_const)
+    s_coupled, r_min = coupled_sobolev_constant(lp)
     s_amp, t_amp = minimizer_amplitudes(lp, s_coupled, r_min)
     return dom, kappa, lp, s_coupled, s_amp, t_amp
 
@@ -191,8 +189,7 @@ def test_linking_tilde_branch_dim3():
     kappa = 0.5 * (g[0] + g[1])
     lam = 4.0 * interior_threshold(1.0, 1.0, 3.0, 3.0, n)
     lp = LimitParams(mu1=1.0, mu2=1.0, lam=lam, alpha=3.0, beta=3.0, dim=n)
-    s_const = sobolev_constant(n)
-    s_coupled, r_min = coupled_sobolev_constant(lp, s_const)
+    s_coupled, r_min = coupled_sobolev_constant(lp)
     s_amp, t_amp = minimizer_amplitudes(lp, s_coupled, r_min)
     params = SystemParams(kappa1=kappa, kappa2=kappa, mu1=1.0, mu2=1.0, lam=lam,
                           alpha=3.0, beta=3.0, dim=n)
@@ -269,8 +266,7 @@ def test_linking_dim4_nonresonant_calibrated_cutoff():
     basis = SineBasis(dom, (2,) * n)
     kappa = 0.5 * float(basis.eigenvalues[0])
     lp = LimitParams(mu1=1.0, mu2=1.0, lam=1.0, alpha=2.0, beta=2.0, dim=n)
-    s_const = sobolev_constant(n)
-    s_coupled, r_min = coupled_sobolev_constant(lp, s_const)
+    s_coupled, r_min = coupled_sobolev_constant(lp)
     s_amp, t_amp = minimizer_amplitudes(lp, s_coupled, r_min)
     pr = SystemParams(kappa1=kappa, kappa2=kappa, mu1=1.0, mu2=1.0, lam=1.0,
                       alpha=2.0, beta=2.0, dim=n)

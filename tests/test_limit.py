@@ -93,7 +93,7 @@ def test_bubble_norm_eps_independent():
 def test_coupled_constant_symmetric_case():
     lp = lp_with()
     s = sobolev_constant(4)
-    val, r_min = coupled_sobolev_constant(lp, s)
+    val, r_min = coupled_sobolev_constant(lp)
     assert r_min == pytest.approx(1.0, abs=1e-6)
     assert val == pytest.approx(2.0 / np.sqrt(6.0) * s, rel=1e-10)
     # upper bound from the equal-amplitude pair
@@ -104,8 +104,8 @@ def test_coupled_constant_symmetric_case():
 def test_coupled_constant_grid_oracle():
     lp = lp_with(mu2=2.0, alpha=1.7, beta=2.3, lam=3.0)
     s = sobolev_constant(4)
-    val, r_min = coupled_sobolev_constant(lp, s)
-    oracle = pair_grid_infimum(lp, s)
+    val, r_min = coupled_sobolev_constant(lp)
+    oracle = pair_grid_infimum(lp)
     assert val == pytest.approx(oracle, rel=1e-4)
     boundary = min(lp.mu1, lp.mu2) ** (-0.5) * s
     assert val < boundary
@@ -134,8 +134,7 @@ PAIR_GRID_CASES = [
 
 @pytest.mark.parametrize("lp", PAIR_GRID_CASES, ids=lambda lp: f"n{lp.dim}-a{lp.alpha:g}-mu{lp.mu2:g}-lam{lp.lam:g}")
 def test_pair_grid_infimum_equals_full_grid(lp, full_pair_grid):
-    s = sobolev_constant(lp.dim)
-    assert pair_grid_infimum(lp, s) == full_pair_grid(lp, s)
+    assert pair_grid_infimum(lp) == full_pair_grid(lp)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -150,19 +149,17 @@ def test_pair_grid_infimum_equals_full_grid_property(full_pair_grid, dim, split,
     # alpha anywhere in (1, 2* - 1), so alpha != beta in general
     ts = 2.0 * dim / (dim - 2.0)
     lp = _critical(dim, mu2, 10.0**log_lam, alpha=1.0 + split * (ts - 2.0), mu1=mu1)
-    assert pair_grid_infimum(lp, 1.0) == full_pair_grid(lp, 1.0)
+    assert pair_grid_infimum(lp) == full_pair_grid(lp)
 
 
 def test_coupled_constant_decreasing_in_lambda():
-    s = sobolev_constant(4)
-    vals = [coupled_sobolev_constant(lp_with(lam=l), s)[0] for l in (0.6, 1.0, 2.0, 5.0)]
+    vals = [coupled_sobolev_constant(lp_with(lam=l))[0] for l in (0.6, 1.0, 2.0, 5.0)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
 def test_boundary_infimum_error_below_threshold():
-    s = sobolev_constant(4)
     with pytest.raises(BoundaryInfimumError):
-        coupled_sobolev_constant(lp_with(lam=0.25), s)
+        coupled_sobolev_constant(lp_with(lam=0.25))
 
 
 def test_interior_threshold_symmetric_closed_form():
@@ -277,8 +274,7 @@ def test_interior_threshold_nonincreasing_in_mu1_below_mu2():
 
 def test_amplitudes_energy_identity_and_symmetry():
     lp = lp_with()
-    s = sobolev_constant(4)
-    val, r_min = coupled_sobolev_constant(lp, s)
+    val, r_min = coupled_sobolev_constant(lp)
     s_amp, t_amp = minimizer_amplitudes(lp, val, r_min)
     assert s_amp == pytest.approx(t_amp, rel=1e-6)
     # stationarity of the ray through the scaled pair
@@ -292,18 +288,29 @@ def test_amplitudes_energy_identity_and_symmetry():
 
 def test_amplitudes_asymmetric_identity():
     lp = lp_with(mu2=2.5, lam=2.0)
-    s = sobolev_constant(4)
-    val, r_min = coupled_sobolev_constant(lp, s)
+    val, r_min = coupled_sobolev_constant(lp)
     # minimizer_amplitudes verifies the (1/N) S^{N/2} identity internally
     s_amp, t_amp = minimizer_amplitudes(lp, val, r_min)
     assert s_amp > 0 and t_amp > 0
     assert s_amp / t_amp == pytest.approx(r_min, rel=1e-10)
 
 
+@pytest.mark.parametrize("dim", [3, 4, 5])
+def test_amplitudes_closed_form_equals_quadrature(dim, reference_minimizer_amplitudes):
+    ab = 2.0 * dim / (dim - 2.0) / 2.0
+    for mu2 in (0.5, 1.0, 2.0, 4.0):
+        lam0 = interior_threshold(1.0, mu2, ab, ab, dim)
+        for lam in (1.5 * lam0, 4.0 * lam0, 50.0 * lam0):
+            lp = _critical(dim, mu2, lam)
+            s_coupled, r_min = coupled_sobolev_constant(lp)
+            expected = reference_minimizer_amplitudes(lp, r_min)
+            np.testing.assert_allclose(minimizer_amplitudes(lp, s_coupled, r_min), expected, rtol=1e-14)
+
+
 def test_amplitudes_identity_violation_raises():
     from sinesolve.errors import InconsistencyError
 
     lp = lp_with()
-    s_coupled, _ = coupled_sobolev_constant(lp, sobolev_constant(4))
+    s_coupled, _ = coupled_sobolev_constant(lp)
     with pytest.raises(InconsistencyError):
         minimizer_amplitudes(lp, s_coupled, 5.0)  # not the minimizing ratio
