@@ -165,3 +165,38 @@ def _reference_deflation_factor(z, deflate):
 def reference_deflation_factor():
     """The per-point `nehari._deflation_factor` before the images were stacked, as an oracle."""
     return _reference_deflation_factor
+
+
+def _grid_single_power_max(q, r_grid):
+    # max_s (r s - s^q) searched on a 1e4-point s-grid for each r, as
+    # `estimates.verify_single_power` did before it took the exact maximizer
+    r = np.asarray(r_grid, dtype=float)
+    s_hi = 2.0 * (np.max(r) / q) ** (1.0 / (q - 1.0)) + 1.0
+    s = np.linspace(0.0, s_hi, 10000)
+    return np.maximum(np.max(r[:, None] * s[None, :] - s[None, :] ** q, axis=1), 0.0)
+
+
+@pytest.fixture(scope="session")
+def grid_single_power_max():
+    """Brute-force oracle for the left side of `estimates.verify_single_power`."""
+    return _grid_single_power_max
+
+
+def _grid_product_powers(alpha, beta, r_grid):
+    # max over [0,1]^2 of r s1 s2 - s1^a s2^b on a 300 x 300 grid for each r,
+    # and the constant fitted as the largest ratio to the majorant, as
+    # `estimates.verify_product_powers` did before it took the sharp constant
+    r = np.asarray(r_grid, dtype=float)
+    s = np.linspace(0.0, 1.0, 300)
+    prod = s[:, None] * s[None, :]
+    power = s[:, None] ** alpha * s[None, :] ** beta
+    lhs = np.array([max(np.max(rr * prod - power), 0.0) for rr in r])
+    majorant = np.maximum(r ** (alpha / (alpha - 1.0)), r ** (beta / (beta - 1.0)))
+    pos = majorant > 0
+    return lhs, float(np.max(lhs[pos] / majorant[pos]))
+
+
+@pytest.fixture(scope="session")
+def grid_product_powers():
+    """Brute-force oracle for `estimates.verify_product_powers`: grid maxima and fitted constant."""
+    return _grid_product_powers

@@ -334,7 +334,7 @@ def test_criterion_11_calculus_inequalities():
     elapsed = time.perf_counter() - t0
     ok = all(checks) and elapsed < 10.0
     report_line(11, ok, 10, elapsed,
-                "sharp single-power constants on 1e4-point grids; product bound on 300x300, slack >= -1e-9")
+                "single-power and product bounds at their exact maximizers, sharp constants, slack >= -1e-9")
     assert ok
 
 

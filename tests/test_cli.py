@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from sinesolve import cli
+from sinesolve import cli, estimates
 from sinesolve.cli import COMMANDS, main, parse_config
 from sinesolve.errors import ConfigError
 from sinesolve.nehari import SolverConfig
@@ -265,6 +265,26 @@ def test_verify_estimates_linking_eps_outside_plateau_exit_2(tmp_path, monkeypat
     assert main(["verify-estimates", "--config", write_config(tmp_path, cfg)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "never.json")
+
+
+def test_verify_estimates_bubble_integrals_once_per_eps(tmp_path, monkeypatch):
+    # seven for the sweep, then one for the ray maximum and one for the
+    # linking sweep at each linking eps
+    calls = []
+    counted = estimates.cutoff_bubble_integrals
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return counted(*args, **kwargs)
+
+    monkeypatch.setattr(estimates, "cutoff_bubble_integrals", counting)
+    monkeypatch.setattr(cli, "cutoff_bubble_integrals", counting)
+    cfg = {"problem": _unit_4box(2.0 * np.pi**2), "task": {"linking_eps": [1e-2, 1e-3]},
+           "output": {"report": str(tmp_path / "count.json"), "formats": ["json"]}}
+    main(["verify-estimates", "--config", write_config(tmp_path, cfg)])
+    rep = json.loads((tmp_path / "count.json").read_text())
+    assert sum(r["family"] == "linking" for r in rep["results"]) == 2
+    assert len(calls) == 7 + 2 * 2
 
 
 def test_verify_estimates_tilde_above_dim_3_skip(tmp_path):

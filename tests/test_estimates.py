@@ -1,5 +1,7 @@
 """Cutoff-bubble orders, ray formula, linking harness, inequalities."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,8 @@ from sinesolve import (
     nonpositive_modes,
     ray_maximum,
 )
+from sinesolve import estimates
+from sinesolve.cli import main
 from sinesolve.errors import PreconditionError
 from sinesolve.estimates import (
     bubble_deficits,
@@ -178,6 +182,17 @@ def test_linking_rejects_small_box(n5_setting):
         linking_sweep([1e-2], lp, params, basis, cut, s_amp, t_amp, s_coupled)
 
 
+def test_linking_rejects_nonpositive_kappa_and_wide_eps(n5_setting):
+    dom, kappa, lp, s_coupled, s_amp, t_amp = n5_setting
+    basis = SineBasis(dom, (2,) * 5)
+    cut = CutoffSpec.for_domain(dom)
+    for kappa1, eps in ((0.0, 1e-2), (kappa, cut.delta / 2.0)):
+        params = SystemParams(kappa1=kappa1, kappa2=kappa, mu1=1.0, mu2=1.0, lam=lp.lam,
+                              alpha=lp.alpha, beta=lp.beta, dim=5)
+        with pytest.raises(PreconditionError):
+            linking_sweep([eps], lp, params, basis, cut, s_amp, t_amp, s_coupled)
+
+
 def test_linking_tilde_branch_dim3():
     # internal-consistency run of the sampled tilde ascent in dimension 3:
     # the best value must dominate the pure-ray value, and the large-(t,w)
@@ -235,7 +250,7 @@ def test_single_power_zero_r():
 def test_product_powers_symmetric_quarter():
     # alpha = beta = 2, r = 1, R = 1: max(s1 s2 - s1^2 s2^2) = 1/4 at s1 s2 = 1/2
     rep = verify_product_powers(2.0, 2.0, np.array([1.0]))
-    assert rep.constant == pytest.approx(0.25, abs=1e-3)
+    assert rep.constant == 0.25
     assert rep.passed
 
 
@@ -243,6 +258,46 @@ def test_calculus_inequalities_default_suite():
     for rep in calculus_inequalities():
         assert rep.passed, rep
         assert rep.worst_slack >= -1e-9
+
+
+# the r-grid of calculus_inequalities
+R_GRID = np.geomspace(1e-3, 1e3, 61)
+
+
+@pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
+def test_single_power_bounds_grid_oracle(q, grid_single_power_max):
+    rep = verify_single_power(q, R_GRID)
+    assert rep.passed
+    bound = rep.constant * R_GRID ** (q / (q - 1.0))
+    assert np.all(grid_single_power_max(q, R_GRID) <= bound * (1.0 + 1e-9))
+
+
+@pytest.mark.parametrize("a, b", [(2.0, 2.0), (1.5, 2.5), (2.5, 1.5)])
+def test_product_powers_bounds_grid_oracle(a, b, grid_product_powers):
+    # (2.5, 1.5) takes the swapped branch, the maximizer (s*, 1)
+    rep = verify_product_powers(a, b, R_GRID)
+    assert rep.passed
+    assert rep.constant == sharp_single_constant(max(a, b))
+    lhs, c_fit = grid_product_powers(a, b, R_GRID)
+    majorant = np.maximum(R_GRID ** (a / (a - 1.0)), R_GRID ** (b / (b - 1.0)))
+    assert np.all(lhs <= rep.constant * majorant * (1.0 + 1e-9))
+    assert rep.constant * (1.0 - 1e-7) <= c_fit <= rep.constant
+
+
+@pytest.mark.parametrize("factor", [1.0 + 1e-6, 1.0 - 1e-6])
+def test_perturbed_constant_fails_every_check(factor, monkeypatch, tmp_path):
+    # a constant too large leaves the bound unattained and one too small
+    # breaks it; either must fail every check and make verify-estimates exit 4
+    cfg = {"problem": {"mu1": 1.0, "mu2": 1.0, "lambda": 1.0, "alpha": 5.0 / 3.0,
+                       "beta": 5.0 / 3.0, "dim": 5},
+           "output": {"report": str(tmp_path / "ve.json"), "formats": ["json"]}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["verify-estimates", "--config", str(path)]) == 0
+    sharp = estimates.sharp_single_constant
+    monkeypatch.setattr(estimates, "sharp_single_constant", lambda q: factor * sharp(q))
+    assert not any(rep.passed for rep in calculus_inequalities())
+    assert main(["verify-estimates", "--config", str(path)]) == 4
 
 
 def test_fit_orders_degenerate_rejected(sweep_cutoff):
