@@ -30,14 +30,13 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
 
 from .domain import BoxDomain, SineBasis
-from .energy import SystemParams, nonpositive_modes
+from .energy import GalerkinSystem, SystemParams, nonpositive_modes
 from .errors import (
     BoundaryInfimumError,
     ClassificationContradictionError,
@@ -54,7 +53,6 @@ from .estimates import (
     default_eps_grid,
     fit_orders,
     linking_sweep,
-    ray_maximum,
 )
 from .limit import (
     LimitParams,
@@ -209,7 +207,6 @@ class RunConfig:
     task: dict
     report_path: str
     formats: tuple[str, ...]
-    threads: int = 1
 
     def basis(self) -> SineBasis:
         return SineBasis(BoxDomain(self.lengths), self.cutoffs)
@@ -255,11 +252,11 @@ def parse_config(raw: dict, command: Command) -> RunConfig:
             sweep_cutoff = CutoffSpec(task["delta"], task["support_radius"])
             check_eps_grid(task["eps_grid"])
             for eps in task["eps_grid"]:
-                check_sweep_eps(eps, sweep_cutoff)
+                check_sweep_eps(eps, sweep_cutoff, dim)
             if lengths is not None and cutoffs is not None:
                 box_cutoff = CutoffSpec.for_domain(BoxDomain(lengths))
                 for eps in task["linking_eps"]:
-                    check_ray_eps(eps, box_cutoff)
+                    check_ray_eps(eps, box_cutoff, dim)
     except (ValueError, OverflowError) as exc:  # also the data classes' checks and huge integers
         raise ConfigError(str(exc)) from exc
 
@@ -438,13 +435,13 @@ def _run_synchronized(cfg: RunConfig) -> tuple[dict, int]:
     scan = find_roots(cfg.params)
     # scalar profile of the unit-coefficient equation
     w_state = scalar_ground_state(basis, cfg.params.kappa1, cfg.params.p, cfg.solver)
+    engine = GalerkinSystem(cfg.params, basis)
     records = []
     for r in scan.roots:
         s, t = amplitudes(r, cfg.params)
-        pt, scalar_res = synchronized_solution(basis, w_state.w, s, t, cfg.params)
-        rec = _point_record(pt, "synchronized")
+        rec = _point_record(synchronized_solution(engine, w_state.w, s, t), "synchronized")
         rec.update({"ratio_root": float(r), "s": s, "t": t,
-                    "scalar_residual": float(scalar_res)})
+                    "scalar_residual": float(w_state.grad_norm)})
         records.append(rec)
     thresholds = {
         "root_guaranteed": bool(scan.guaranteed),
@@ -469,10 +466,7 @@ def _run_verify_estimates(cfg: RunConfig) -> tuple[dict, int]:
     eps_independent = abs(g2 - g1) <= 1e-8 * abs(g1)
     failed |= not eps_independent
 
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        sweeps = list(pool.map(
-            lambda e: cutoff_bubble_integrals(e, sweep_cutoff, lp.dim), eps_grid
-        ))
+    sweeps = [cutoff_bubble_integrals(e, sweep_cutoff, lp.dim) for e in eps_grid]
     fit = fit_orders(sweeps, lp.dim, sweep_cutoff)
     for s in sweeps:
         results.append({
@@ -535,21 +529,18 @@ def _run_verify_estimates(cfg: RunConfig) -> tuple[dict, int]:
             thresholds.update({"coupled_constant": float(s_coupled),
                                "s_amplitude": float(s_amp), "t_amplitude": float(t_amp)})
             box_cutoff = CutoffSpec.for_domain(BoxDomain(cfg.lengths))
-            for eps in task["linking_eps"]:
-                closed, direct = ray_maximum(
-                    eps, box_cutoff, lp, pr.kappa1, pr.kappa2, s_amp, t_amp
-                )
-                agree = abs(closed - direct) <= 1e-8 * max(abs(closed), 1e-300)
-                results.append({
-                    "family": "ray-max", "eps": eps, "closed": closed,
-                    "direct": direct, "consistent": bool(agree),
-                })
-                failed |= not agree
             records = linking_sweep(
                 task["linking_eps"], lp, pr, basis, box_cutoff, s_amp, t_amp, s_coupled,
                 rng_seed=cfg.solver.rng_seed,
             )
-            for rec in records:
+            for rec, (closed, direct) in records:
+                agree = abs(closed - direct) <= 1e-8 * max(abs(closed), 1e-300)
+                results.append({
+                    "family": "ray-max", "eps": rec.eps, "closed": closed,
+                    "direct": direct, "consistent": bool(agree),
+                })
+                failed |= not agree
+            for rec, _ in records:
                 results.append({
                     "family": "linking", "eps": rec.eps, "best_value": rec.best_value,
                     "threshold": rec.threshold, "passed": rec.passed,
@@ -578,24 +569,22 @@ SUBCOMMANDS = {
 }
 
 
-def _int_at_least(low: int):
-    """argparse type for an integer flag that refuses values below low."""
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, not {value}")
-        return value
-
-    return parse
+def _seed(text: str) -> int:
+    """argparse type of --seed: an integer, at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, not {value}")
+    return value
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="sinesolve", description=__doc__)
     parser.add_argument("subcommand", choices=sorted(SUBCOMMANDS))
     parser.add_argument("--config", required=True, help="path to the JSON run configuration")
-    parser.add_argument("--seed", type=_int_at_least(0), default=None, help="override the config seed")
+    parser.add_argument("--seed", type=_seed, default=None, help="override the config seed")
     parser.add_argument("--out", default=None, help="directory for report files")
-    parser.add_argument("--threads", type=_int_at_least(1), default=1, help="worker threads for sweeps")
+    # every run is single-threaded; the flag stays for command lines that pass 1
+    parser.add_argument("--threads", type=int, choices=[1], default=1, help="must be 1")
     parser.add_argument("--format", choices=["json", "csv", "both"], default=None)
     args = parser.parse_args(argv)
 
@@ -606,7 +595,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             raw = {**raw, "solver": {**raw.get("solver", {}), "seed": args.seed}}
         command, runner = SUBCOMMANDS[args.subcommand]
         cfg = parse_config(raw, command)
-        changes: dict[str, Any] = {"threads": args.threads}
+        changes: dict[str, Any] = {}
         if args.format is not None:
             changes["formats"] = ("json", "csv") if args.format == "both" else (args.format,)
         if args.out is not None:

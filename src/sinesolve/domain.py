@@ -98,11 +98,7 @@ class SineBasis:
 
     @cached_property
     def transform(self) -> "SineTransform":
-        """The sine tables of this basis on its grid, built once.
-
-        Threads racing on the first use may each build the same tables;
-        one set is kept.
-        """
+        """The sine tables of this basis on its grid, built once."""
         return SineTransform(self, self.grid)
 
     def axis_matrix(self, axis: int, x: np.ndarray) -> np.ndarray:

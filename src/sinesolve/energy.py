@@ -178,9 +178,8 @@ class _Engine:
         """The state at z: one of the last two if z has exactly its bytes, else a new one.
 
         Two are kept so that a search stepping back to its previous point
-        finds it instead of computing it again.  Threads racing here may
-        drop each other's state, which costs a recomputation; each state's
-        values come from its own z alone.
+        finds it instead of computing it again.  Each state's values come
+        from its own z alone.
         """
         points = self._points
         for point in points:
@@ -203,8 +202,7 @@ class GalerkinSystem(_Engine):
     |u_1|^alpha and |u_2|^beta and their odd counterparts, and the energy,
     masses, Nehari denominator, gradient and Hessian once computed.  A state
     is reused only for a z with exactly the same bytes, and the arrays it
-    hands out are read-only.  Instances may be shared across worker threads: a race can
-    cost a cache hit, never a wrong value.
+    hands out are read-only.
     """
 
     def __init__(self, params: SystemParams, basis: SineBasis):

@@ -5,6 +5,7 @@ inequalities.
 The cutoff bubble is psi(|x|) U_eps(|x|) with psi a C^2 quintic bridge equal
 to 1 on [0, delta] and 0 beyond the support radius.  Its integrals follow
 known orders in eps, verified here by log-log slope fits over an eps sweep.
+Every eps must lie above `eps_floor`, below which the integrands overflow.
 The linking harness maximizes the coupled energy over a ray through the
 scaled bubble pair (plus, when present, the nonpositive spectral subspace)
 and checks the result stays below (1/N) S_coupled^{N/2}; this is a
@@ -16,6 +17,8 @@ attained at some r, so a constant too small or too large fails.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,7 +28,7 @@ import scipy.optimize
 from .domain import BoxDomain, QuadratureGrid, SineBasis, SineTransform, integrate, project, synthesize
 from .energy import SystemParams, nonpositive_modes
 from .errors import PreconditionError
-from .limit import BubbleProfile, LimitParams, _golden_min
+from .limit import BubbleProfile, LimitParams
 from .radial import graded_edges, panel_rule, radial_integral, radial_tail_integral
 
 SLOPE_TOL = 0.15
@@ -89,7 +92,7 @@ def cutoff_bubble_integrals(
     bubble decrease in radius, |grad(psi U)| = -(psi' U + psi U').
     """
     if enforce_regime:
-        check_sweep_eps(eps, cutoff)
+        check_sweep_eps(eps, cutoff, n_dim)
     b = BubbleProfile(n_dim, eps)
     ts = 2.0 * n_dim / (n_dim - 2.0)
     rmax = cutoff.support_radius
@@ -244,16 +247,36 @@ def check_eps_grid(eps: Sequence[float]) -> None:
         raise PreconditionError("eps grid must span at least two decades")
 
 
-def check_sweep_eps(eps: float, cutoff: CutoffSpec) -> None:
-    """Raise PreconditionError unless a sweep's eps sits well inside the plateau of cutoff."""
+def eps_floor(n_dim: int) -> float:
+    """Smallest eps whose bubble integrands stay finite doubles.
+
+    The largest of them is the critical integrand at the center,
+    U_eps(0)^{2*} = (N(N-2)/eps^2)^{N/2}; the floor is where that reaches the
+    largest double, sqrt(N(N-2)) * max_double^{-1/N}, computed in logs so
+    the check itself cannot overflow.
+    """
+    return math.exp(0.5 * math.log(n_dim * (n_dim - 2.0)) - math.log(sys.float_info.max) / n_dim)
+
+
+def _check_above_floor(eps: float, n_dim: int) -> None:
+    floor = eps_floor(n_dim)
+    if not eps > floor:
+        raise PreconditionError(f"eps = {eps:g} lies below the dimension-{n_dim} floor {floor:.3g}, "
+                                "where the bubble integrands overflow")
+
+
+def check_sweep_eps(eps: float, cutoff: CutoffSpec, n_dim: int) -> None:
+    """Raise PreconditionError unless a sweep's eps sits well inside the plateau of cutoff and above the floor."""
     if not eps < cutoff.delta / 10.0:
         raise PreconditionError("eps must sit well inside the plateau (eps < delta/10)")
+    _check_above_floor(eps, n_dim)
 
 
-def check_ray_eps(eps: float, cutoff: CutoffSpec) -> None:
-    """Raise PreconditionError unless `ray_maximum` can take eps with this cutoff."""
+def check_ray_eps(eps: float, cutoff: CutoffSpec, n_dim: int) -> None:
+    """Raise PreconditionError unless a linking ray can take eps with this cutoff and dimension."""
     if not eps < cutoff.delta / 2.0:
         raise PreconditionError("eps must sit inside the plateau (eps < delta/2)")
+    _check_above_floor(eps, n_dim)
 
 
 def default_eps_grid() -> tuple[float, ...]:
@@ -270,7 +293,7 @@ def _ray_coefficients(
     """Quadratic and p-homogeneous coefficients of the ray energy through the bubble pair at eps."""
     if kappa1 <= 0 or kappa2 <= 0:
         raise PreconditionError("the ray formula is used with positive shifts")
-    check_ray_eps(eps, cutoff)
+    check_ray_eps(eps, cutoff, lp.dim)
     integrals = cutoff_bubble_integrals(eps, cutoff, lp.dim, enforce_regime=False)
     ts = lp.two_star
     quad = (s_amp**2 + t_amp**2) * integrals.grad_sq - (
@@ -280,44 +303,25 @@ def _ray_coefficients(
     return float(quad), float(hom)
 
 
-def _ray_closed_form(quad: float, hom: float, lp: LimitParams) -> float:
-    """(1/N)(quad / hom^{2/2*})^{N/2}, the maximum of the ray energy; 0 when quad <= 0."""
-    return float((quad / hom ** (2.0 / lp.two_star)) ** (lp.dim / 2.0) / lp.dim) if quad > 0.0 else 0.0
-
-
 def ray_energy(t: float, quad: float, hom: float, two_star: float) -> float:
     """Energy along the ray: quad t^2 / 2 - hom t^{2*} / 2*."""
     return 0.5 * quad * t**2 - hom * t**two_star / two_star
 
 
-def ray_maximum(
-    eps: float,
-    cutoff: CutoffSpec,
-    lp: LimitParams,
-    kappa1: float,
-    kappa2: float,
-    s_amp: float,
-    t_amp: float,
-) -> tuple[float, float]:
-    """(closed form, direct maximization) of the energy along the bubble ray.
+def ray_maximum(quad: float, hom: float, lp: LimitParams) -> tuple[float, float]:
+    """(closed form, direct value) of the maximum of `ray_energy` over t > 0.
 
-    The direct value maximizes the same one-variable energy numerically, and
-    the two must agree to rounding.  Both are 0 when the quadratic
-    coefficient is nonpositive (the ray energy is then nonpositive for every
-    t > 0).
+    The closed form is (1/N)(quad / hom^{2/2*})^{N/2}; the direct value is
+    the ray energy at its one stationary point t* = (quad/hom)^{1/(2*-2)},
+    and the two must agree to rounding.  Both are 0 when quad <= 0 (the ray
+    energy is then nonpositive for every t > 0).
     """
-    quad, hom = _ray_coefficients(eps, cutoff, lp, kappa1, kappa2, s_amp, t_amp)
     if quad <= 0.0:
         return 0.0, 0.0
     ts = lp.two_star
-    t_star = (quad / hom) ** (1.0 / (ts - 2.0))
-    ts_grid = np.linspace(0.0, 2.0 * t_star, 4001)
-    vals = ray_energy(ts_grid, quad, hom, ts)
-    j = int(np.argmax(vals))
-    lo, hi = ts_grid[max(j - 1, 0)], ts_grid[min(j + 1, len(ts_grid) - 1)]
-    t_max = _golden_min(lambda t: -ray_energy(t, quad, hom, ts), lo, hi, tol=1e-14 * max(t_star, 1.0))
-    direct = ray_energy(t_max, quad, hom, ts)
-    return _ray_closed_form(quad, hom, lp), float(direct)
+    closed = (quad / hom ** (2.0 / ts)) ** (lp.dim / 2.0) / lp.dim
+    direct = ray_energy((quad / hom) ** (1.0 / (ts - 2.0)), quad, hom, ts)
+    return float(closed), float(direct)
 
 
 @dataclass(frozen=True)
@@ -362,7 +366,7 @@ def linking_sweep(
     s_coupled: float,
     sample_budget: int = 40,
     rng_seed: int = 0,
-) -> list[LinkingRecord]:
+) -> list[tuple[LinkingRecord, tuple[float, float]]]:
     """Empirically maximize the energy over {t * bubble-pair + w} per eps.
 
     With a trivial nonpositive subspace the set degenerates to the ray and
@@ -370,6 +374,8 @@ def linking_sweep(
     nonpositive subspace and locally ascended; this needs a full tensor
     quadrature over the box and is supported for dim <= 3.  The reported
     flag says whether the best value stays below (1/N) S_coupled^{N/2}.
+    Each eps's record comes with the `ray_maximum` pair of its ray, which
+    is built once.
     """
     domain = basis.domain
     if cutoff.support_radius > domain.inscribed_radius:
@@ -388,7 +394,7 @@ def linking_sweep(
         quad, hom = _ray_coefficients(eps, cutoff, lp, params.kappa1, params.kappa2, s_amp, t_amp)
         ts = lp.two_star
         ray_r = (ts * quad / (2.0 * hom)) ** (1.0 / (ts - 2.0)) if quad > 0 else 0.0
-        closed = _ray_closed_form(quad, hom, lp)
+        closed, direct = ray_maximum(quad, hom, lp)
         if not tilde_pairs:
             boundary_ok = ray_energy(2.0 * max(ray_r, 1.0), quad, hom, ts) <= 0.0
             best = closed
@@ -398,17 +404,16 @@ def linking_sweep(
                 ray_r, sample_budget, rng,
             )
             best = max(best, closed)
-        records.append(
-            LinkingRecord(
-                eps=float(eps),
-                best_value=float(best),
-                threshold=float(threshold),
-                passed=bool(best < threshold),
-                ray_radius=float(ray_r),
-                boundary_nonpositive=bool(boundary_ok),
-                tilde_dim=len(tilde_pairs),
-            )
+        record = LinkingRecord(
+            eps=float(eps),
+            best_value=float(best),
+            threshold=float(threshold),
+            passed=bool(best < threshold),
+            ray_radius=float(ray_r),
+            boundary_nonpositive=bool(boundary_ok),
+            tilde_dim=len(tilde_pairs),
         )
+        records.append((record, (closed, direct)))
     return records
 
 

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import SineBasis
-from .energy import GalerkinSystem, ScalarProblem, SystemParams
+from .energy import GalerkinSystem, SystemParams
 from .errors import PreconditionError
 from .nehari import CriticalPoint, evaluate_point
 
@@ -137,21 +136,15 @@ def amplitude_identities(s: float, t: float, params: SystemParams) -> tuple[floa
     return float(id1), float(id2)
 
 
-def synchronized_solution(
-    basis: SineBasis, w: np.ndarray, s: float, t: float, params: SystemParams
-) -> tuple[CriticalPoint, float]:
-    """Assemble u = (s w, t w) and report (point, scalar residual norm).
+def synchronized_solution(engine: GalerkinSystem, w: np.ndarray, s: float, t: float) -> CriticalPoint:
+    """Assemble u = (s w, t w) and evaluate it on the coupled engine.
 
-    Requires kappa1 = kappa2, (s, t) = `amplitudes(r, params)` for a root r
-    of h, and w the coefficients on `basis` of a converged Galerkin solution
-    of the unit-coefficient scalar equation; the coupled gradient norm at u
-    is then a bounded multiple of the scalar residual.
+    Requires kappa1 = kappa2, (s, t) = `amplitudes(r, engine.params)` for a
+    root r of h, and w the coefficients on the engine's basis of a converged
+    Galerkin solution of the unit-coefficient scalar equation; the coupled
+    gradient norm at u is then a bounded multiple of the scalar residual,
+    the `grad_norm` of that `ScalarGroundState`.
     """
-    if params.kappa1 != params.kappa2:
+    if engine.params.kappa1 != engine.params.kappa2:
         raise PreconditionError("synchronized solutions need kappa1 = kappa2")
-    engine = GalerkinSystem(params, basis)
-    prob = ScalarProblem(basis, params.kappa1, 1.0, params.p)
-    scalar_res = float(np.linalg.norm(prob.gradient(w)))
-    z = np.concatenate([s * w, t * w])
-    point = evaluate_point(engine, z)
-    return point, scalar_res
+    return evaluate_point(engine, np.concatenate([s * w, t * w]))

@@ -200,3 +200,25 @@ def _grid_product_powers(alpha, beta, r_grid):
 def grid_product_powers():
     """Brute-force oracle for `estimates.verify_product_powers`: grid maxima and fitted constant."""
     return _grid_product_powers
+
+
+def _grid_ray_maximum(quad, hom, two_star):
+    # max_t of quad t^2/2 - hom t^{2*}/2* by a 4001-point grid on [0, 2 t*] and
+    # a golden section between the neighbours of its best node, as
+    # `estimates.ray_maximum` did before it took the stationary point;
+    # imported here, as test_harness.py copies this file where sinesolve is not
+    from sinesolve.estimates import ray_energy
+    from sinesolve.limit import _golden_min
+
+    t_star = (quad / hom) ** (1.0 / (two_star - 2.0))
+    ts_grid = np.linspace(0.0, 2.0 * t_star, 4001)
+    j = int(np.argmax(ray_energy(ts_grid, quad, hom, two_star)))
+    lo, hi = ts_grid[max(j - 1, 0)], ts_grid[min(j + 1, len(ts_grid) - 1)]
+    t_max = _golden_min(lambda t: -ray_energy(t, quad, hom, two_star), lo, hi, tol=1e-14 * max(t_star, 1.0))
+    return float(ray_energy(t_max, quad, hom, two_star))
+
+
+@pytest.fixture(scope="session")
+def grid_ray_maximum():
+    """Grid-plus-golden oracle for the direct value of `estimates.ray_maximum`."""
+    return _grid_ray_maximum

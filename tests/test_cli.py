@@ -207,17 +207,20 @@ def test_thresholds_subcommand(tmp_path):
     assert rep["thresholds"]["lambda_bar"] > 0
 
 
-def test_verify_estimates_report_independent_of_threads(tmp_path):
-    # the eps sweep of verify-estimates is the one stage that runs on a pool
+def test_verify_estimates_sweep_rows_are_the_bubble_integrals(tmp_path):
+    # the report's sweep rows are cutoff_bubble_integrals at each eps, in order
     cfg = {
         "problem": {"mu1": 1.0, "mu2": 1.0, "lambda": 1.0, "alpha": 3.0, "beta": 3.0, "dim": 3},
-        "output": {"report": "ve.json"},
+        "output": {"report": str(tmp_path / "ve.json")},
     }
-    path = write_config(tmp_path, cfg)
-    codes = [main(["verify-estimates", "--config", path, "--out", str(tmp_path / n), "--threads", n])
-             for n in ("1", "3")]
-    assert codes[0] == codes[1]
-    assert (tmp_path / "1" / "ve.json").read_bytes() == (tmp_path / "3" / "ve.json").read_bytes()
+    main(["verify-estimates", "--config", write_config(tmp_path, cfg)])
+    rows = [{k: v for k, v in r.items() if k != "family"}
+            for r in json.loads((tmp_path / "ve.json").read_text())["results"]
+            if r["family"] == "bubble-integrals"]
+    cutoff = estimates.CutoffSpec(delta=1.5, support_radius=3.0)
+    want = [dataclasses.asdict(estimates.cutoff_bubble_integrals(e, cutoff, 3))
+            for e in estimates.default_eps_grid()]
+    assert rows == want
 
 
 def test_format_both_flag(tmp_path):
@@ -268,8 +271,8 @@ def test_verify_estimates_linking_eps_outside_plateau_exit_2(tmp_path, monkeypat
 
 
 def test_verify_estimates_bubble_integrals_once_per_eps(tmp_path, monkeypatch):
-    # seven for the sweep, then one for the ray maximum and one for the
-    # linking sweep at each linking eps
+    # seven for the sweep, then one per linking eps for its ray, which gives
+    # both its ray-max and its linking row
     calls = []
     counted = estimates.cutoff_bubble_integrals
 
@@ -284,7 +287,49 @@ def test_verify_estimates_bubble_integrals_once_per_eps(tmp_path, monkeypatch):
     main(["verify-estimates", "--config", write_config(tmp_path, cfg)])
     rep = json.loads((tmp_path / "count.json").read_text())
     assert sum(r["family"] == "linking" for r in rep["results"]) == 2
-    assert len(calls) == 7 + 2 * 2
+    assert sum(r["family"] == "ray-max" for r in rep["results"]) == 2
+    assert len(calls) == 7 + 2
+
+
+# each dimension's eps floor, 1e-102.51 (N=3), 1e-76.61 (N=4), 1e-61.06 (N=5),
+# lies between a grid that runs and one that would overflow
+_CRITICAL_AB = {3: 3.0, 5: 5.0 / 3.0}
+
+
+def _eps_floor_case(where, dim, eps):
+    if where == "linking_eps":
+        return {"problem": _unit_4box(2.0 * np.pi**2), "task": {"linking_eps": [eps]}}
+    ab = _CRITICAL_AB[dim]
+    return {"problem": {"mu1": 1.0, "mu2": 1.0, "lambda": 1.0, "alpha": ab, "beta": ab, "dim": dim},
+            "task": {"eps_grid": list(np.geomspace(100.0 * eps, eps, 7))}}
+
+
+@pytest.mark.parametrize("where, dim, eps", [
+    ("eps_grid", 3, 1e-102), ("eps_grid", 5, 1e-61), ("linking_eps", 4, 1e-76),
+])
+def test_eps_just_above_the_floor_runs(tmp_path, where, dim, eps):
+    cfg = {**_eps_floor_case(where, dim, eps), "output": {"report": str(tmp_path / "ok.json")}}
+    assert estimates.eps_floor(dim) < eps
+    assert main(["verify-estimates", "--config", write_config(tmp_path, cfg)]) in (0, 4)
+    rep = json.loads((tmp_path / "ok.json").read_text())
+    if where == "linking_eps":
+        assert [r["eps"] for r in rep["results"] if r["family"] == "ray-max"] == [eps]
+
+
+@pytest.mark.parametrize("where, dim, eps", [
+    ("eps_grid", 3, 1e-103), ("eps_grid", 5, 1e-62), ("linking_eps", 4, 1e-77),
+])
+def test_eps_below_the_floor_exits_2_before_any_solver(tmp_path, monkeypatch, capsys, where, dim, eps):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a solver ran below the eps floor")
+
+    for name in SOLVER_ENTRY_POINTS:
+        monkeypatch.setattr(cli, name, unreachable)
+    cfg = {**_eps_floor_case(where, dim, eps), "output": {"report": str(tmp_path / "never.json")}}
+    assert estimates.eps_floor(dim) > eps
+    assert main(["verify-estimates", "--config", write_config(tmp_path, cfg)]) == 2
+    assert "floor" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "never.json")
 
 
 def test_verify_estimates_tilde_above_dim_3_skip(tmp_path):
@@ -492,7 +537,8 @@ def test_malformed_value_exits_2_before_any_solver(
     assert not os.path.exists(tmp_path / "never.json")
 
 
-@pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--threads", "0"), ("--threads", "-2")])
+@pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--threads", "0"), ("--threads", "-2"),
+                                         ("--threads", "2")])
 def test_refused_flag_exits_2_before_any_solver(tmp_path, monkeypatch, flag, value):
     def unreachable(*args, **kwargs):
         raise AssertionError("a solver ran with a refused flag")

@@ -391,37 +391,3 @@ def test_transform_domain_mismatch(basis_1d):
         SineTransform(basis_1d, other)
     with pytest.raises(BasisMismatchError):
         SineTransform(SineBasis(BoxDomain((1.0, 2.0)), (4, 4)), other)
-
-
-def test_transform_shared_across_threads():
-    # many threads racing on the first use of each basis's transform: every
-    # synthesis equals the serial one
-    import sys
-    import threading
-
-    def bases():
-        return [SineBasis(BoxDomain((1.0, 0.8)), (k, 3)) for k in (2, 4, 6)]
-
-    coeffs = [np.linspace(1.0, 2.0, b.size) for b in bases()]
-    expected = [synthesize(c, b.transform) for c, b in zip(coeffs, bases())]
-    shared = bases()
-    mismatches = []
-
-    def work():
-        for _ in range(20):
-            for b, c, want in zip(shared, coeffs, expected):
-                if not np.array_equal(synthesize(c, b.transform), want):
-                    mismatches.append(b.cutoffs)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-        assert not any(t.is_alive() for t in threads)
-    finally:
-        sys.setswitchinterval(interval)
-    assert mismatches == []

@@ -316,36 +316,3 @@ def test_point_state_arrays_are_read_only(kind):
         with pytest.raises(ValueError):
             arr[0] = 1.0
     assert engine.at(z).z is not z
-
-
-@pytest.mark.parametrize("kind", ["system", "scalar"])
-def test_point_state_shared_across_threads(kind):
-    # threads asking one engine for their own points get the serial values
-    import sys
-    import threading
-
-    make, n, _ = _point_engines(2)[kind]
-    engine = make()
-    points = [np.random.default_rng(10 + i).standard_normal(n) for i in range(8)]
-    names = ("energy", "gradient", "hessian", "nehari_denominator")
-    expected = [[_bits(getattr(make(), name)(z)) for name in names] for z in points]
-    mismatches = []
-
-    def work(i):
-        for _ in range(40):
-            for name, want in zip(names, expected[i]):
-                if _bits(getattr(engine, name)(points[i])) != want:
-                    mismatches.append((i, name))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-        assert not any(t.is_alive() for t in threads)
-    finally:
-        sys.setswitchinterval(interval)
-    assert mismatches == []

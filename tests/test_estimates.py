@@ -135,13 +135,22 @@ def n5_setting():
     return dom, kappa, lp, s_coupled, s_amp, t_amp
 
 
-def test_ray_maximum_consistency_sweep(n5_setting):
+def test_ray_maximum_consistency_sweep(n5_setting, grid_ray_maximum):
     dom, kappa, lp, s_coupled, s_amp, t_amp = n5_setting
     cut = CutoffSpec.for_domain(dom)
     for eps in (2e-2, 1e-2, 5e-3, 1e-3):
         for kscale in (0.5, 1.0):
-            closed, direct = ray_maximum(eps, cut, lp, kscale * kappa, kappa, s_amp, t_amp)
+            quad, hom = estimates._ray_coefficients(eps, cut, lp, kscale * kappa, kappa, s_amp, t_amp)
+            closed, direct = ray_maximum(quad, hom, lp)
             assert closed == pytest.approx(direct, rel=1e-8)
+            # the stationary point is the maximizer a grid-plus-golden search finds
+            assert direct == pytest.approx(grid_ray_maximum(quad, hom, lp.two_star), rel=1e-14)
+
+
+def test_ray_maximum_zero_without_positive_quadratic_part():
+    lp = LimitParams(mu1=1.0, mu2=1.0, lam=1.0, alpha=2.0, beta=2.0, dim=4)
+    assert ray_maximum(0.0, 1.0, lp) == (0.0, 0.0)
+    assert ray_maximum(-2.5, 1.0, lp) == (0.0, 0.0)
 
 
 def test_ray_maximum_gap_shrinks_as_kappa_vanishes(n5_setting):
@@ -150,7 +159,8 @@ def test_ray_maximum_gap_shrinks_as_kappa_vanishes(n5_setting):
     target = s_coupled ** (lp.dim / 2.0) / lp.dim
     gaps = []
     for scale in (1.0, 0.5, 0.25, 0.125):
-        closed, _ = ray_maximum(1e-3, cut, lp, scale * kappa, scale * kappa, s_amp, t_amp)
+        quad, hom = estimates._ray_coefficients(1e-3, cut, lp, scale * kappa, scale * kappa, s_amp, t_amp)
+        closed, _ = ray_maximum(quad, hom, lp)
         gaps.append(target - closed)
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
@@ -163,9 +173,10 @@ def test_linking_definite_reduces_to_ray(n5_setting):
     assert all(z.size == 0 for z in nonpositive_modes(basis, kappa))
     cut = CutoffSpec.for_domain(dom)
     recs = linking_sweep([1e-2, 1e-3], lp, params, basis, cut, s_amp, t_amp, s_coupled)
-    for rec in recs:
-        closed, _ = ray_maximum(rec.eps, cut, lp, kappa, kappa, s_amp, t_amp)
-        assert rec.best_value == pytest.approx(closed, rel=1e-12)
+    for rec, ray_pair in recs:
+        quad, hom = estimates._ray_coefficients(rec.eps, cut, lp, kappa, kappa, s_amp, t_amp)
+        assert ray_pair == ray_maximum(quad, hom, lp)
+        assert rec.best_value == ray_pair[0]
         assert rec.passed
         assert rec.boundary_nonpositive
         assert rec.tilde_dim == 0
@@ -210,10 +221,8 @@ def test_linking_tilde_branch_dim3():
                           alpha=3.0, beta=3.0, dim=n)
     assert [z.tolist() for z in nonpositive_modes(basis, kappa)] == [[], [0]]
     cut = CutoffSpec.for_domain(dom)
-    recs = linking_sweep([2e-2], lp, params, basis, cut, s_amp, t_amp, s_coupled,
-                         sample_budget=6)
-    rec = recs[0]
-    closed, _ = ray_maximum(rec.eps, cut, lp, kappa, kappa, s_amp, t_amp)
+    [(rec, (closed, _))] = linking_sweep([2e-2], lp, params, basis, cut, s_amp, t_amp, s_coupled,
+                                         sample_budget=6)
     assert rec.best_value >= closed - 1e-10
     assert rec.boundary_nonpositive
     assert rec.tilde_dim == 2
@@ -328,6 +337,6 @@ def test_linking_dim4_nonresonant_calibrated_cutoff():
     delta = dom.inscribed_radius / 4.0
     cut = CutoffSpec(delta=delta, support_radius=2.0 * delta)
     recs = linking_sweep([1e-2, 1e-3], lp, pr, basis, cut, s_amp, t_amp, s_coupled)
-    for rec in recs:
+    for rec, _ in recs:
         assert rec.passed, rec
         assert rec.boundary_nonpositive

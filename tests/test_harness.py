@@ -1,11 +1,16 @@
-"""The test harness itself: the repo's pytest settings, tests/conftest.py, and
-an import check over the sources and tests."""
+"""The test harness itself: the repo's pytest settings, tests/conftest.py, an
+import check over the sources and tests, and the names the benchmark reaches
+in the sources."""
 
 import ast
+import importlib.util
+import json
 import pathlib
 import shutil
 import subprocess
 import sys
+
+from sinesolve import cli
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
@@ -67,3 +72,48 @@ def test_no_unused_imports():
     modules += sorted((REPO / "tests").glob("*.py"))
     assert len(modules) > 10
     assert [hit for path in modules for hit in _unused_imports(path)] == []
+
+
+def _bench_table(script: str, name: str):
+    """The literal value of `name = ...` in a bench/ script, read without importing it."""
+    tree = ast.parse((REPO / "bench" / script).read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == [name]:
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"bench/{script} has no table {name}")
+
+
+def test_traced_names_resolve_under_src():
+    # the benchmark's tracer wraps each of these by name and refuses a run
+    # when one is missing, so renaming one breaks the benchmark
+    spans = _bench_table("tracer.py", "SPANS")
+    assert len(spans) > 30
+    missing = []
+    for span, (module, path) in spans.items():
+        target = importlib.import_module(f"sinesolve.{module}")
+        for part in path.split("."):
+            target = getattr(target, part, None)
+        if not callable(target):
+            missing.append(span)
+    assert missing == []
+
+
+def test_bench_setup_parses_every_workload_config(tmp_path):
+    # bench/worker.py's setup mode unpacks each cli.SUBCOMMANDS entry into
+    # (command, runner) and parses every workload config with the command
+    spec = importlib.util.spec_from_file_location("bench_workloads", REPO / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    jobs = []
+    for workload in workloads.WORKLOADS:
+        for i, job in enumerate(workloads.jobs_for(workload)):
+            path = tmp_path / f"{workload}-{i}.json"
+            path.write_text(json.dumps(job["config"]))
+            jobs.append({"name": job["name"], "subcommand": job["subcommand"], "config": str(path)})
+    assert {job["subcommand"] for job in jobs} == set(cli.SUBCOMMANDS)
+    (tmp_path / "spec.json").write_text(json.dumps(
+        {"src": str(REPO / "src"), "seed": 0, "out": str(tmp_path), "jobs": jobs}))
+    proc = subprocess.run([sys.executable, str(REPO / "bench" / "worker.py"), "setup", "spec.json"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert "versions" in json.loads(proc.stdout.splitlines()[-1])

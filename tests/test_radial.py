@@ -1,8 +1,5 @@
 """Gauss-Legendre panels: one shared reference rule per order."""
 
-import sys
-import threading
-
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
@@ -67,35 +64,3 @@ def test_panel_rule_matches_direct_build(order, edges, cold_rule_cache):
         assert np.array_equal(nodes, want_nodes)
         assert np.array_equal(weights, want_weights)
         assert nodes.flags.writeable and weights.flags.writeable
-
-
-def test_radial_integral_shared_across_threads(cold_rule_cache):
-    # threads racing on the first build of each order all get the serial values
-    cases = [(3, None, 48), (4, 2.0, 32), (5, 1.0, 8)]
-
-    def run(case):
-        n_dim, r_max, order = case
-        return radial_integral(lambda r: (1.0 + r * r) ** -4, n_dim, r_max=r_max, order=order)
-
-    expected = [run(c) for c in cases]
-    _reference_rule.cache_clear()
-    mismatches = []
-
-    def work():
-        for _ in range(20):
-            for case, want in zip(cases, expected):
-                if run(case) != want:
-                    mismatches.append(case)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-        assert not any(t.is_alive() for t in threads)
-    finally:
-        sys.setswitchinterval(interval)
-    assert mismatches == []

@@ -5,6 +5,7 @@ import pytest
 
 from sinesolve import (
     BoxDomain,
+    GalerkinSystem,
     ScalarProblem,
     SineBasis,
     SolverConfig,
@@ -119,11 +120,19 @@ def test_unit_coefficient_rescaling(solved_profile):
 def test_synchronized_assembly(solved_profile):
     basis, cfg, pr, state = solved_profile
     s, t = amplitudes(1.0, pr)
-    pt, scalar_res = synchronized_solution(basis, state.w, s, t, pr)
+    pt = synchronized_solution(GalerkinSystem(pr, basis), state.w, s, t)
     # rounding floor keeps the 10x bound meaningful at machine-converged profiles
-    assert pt.grad_norm < 10.0 * max(scalar_res, 1e-13)
+    assert pt.grad_norm < 10.0 * max(state.grad_norm, 1e-13)
     assert pt.classification == "fully-nontrivial"
     assert pt.energy == pytest.approx((0.5 - 1.0 / pr.p) * pt.b_value, rel=1e-6)
+
+
+def test_scalar_residual_is_the_states_grad_norm(solved_profile):
+    # the synchronized report reads its scalar residual from the state; it has
+    # the bits of the residual recomputed on a fresh unit-coefficient problem
+    basis, cfg, pr, state = solved_profile
+    prob = ScalarProblem(basis, pr.kappa1, 1.0, pr.p)
+    assert state.grad_norm == float(np.linalg.norm(prob.gradient(state.w)))
 
 
 def test_synchronized_requires_equal_kappas(solved_profile):
@@ -131,4 +140,4 @@ def test_synchronized_requires_equal_kappas(solved_profile):
     bad = params_with(kappa1=1.0, kappa2=2.0)
     s, t = amplitudes(1.0, params_with())
     with pytest.raises(PreconditionError):
-        synchronized_solution(basis, state.w, s, t, bad)
+        synchronized_solution(GalerkinSystem(bad, basis), state.w, s, t)
