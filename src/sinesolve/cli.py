@@ -75,7 +75,7 @@ from .nehari import (
     scalar_ground_state,
     semitrivial_threshold,
 )
-from .synchronized import amplitudes, find_roots, synchronized_solution
+from .synchronized import amplitudes, find_roots, root_guaranteed, synchronized_solution
 
 SCHEMA_TAG = "sinesolve-report/1"
 
@@ -87,10 +87,9 @@ _SOLVER = SolverConfig()  # the solver keys take their defaults from it
 
 # Every config key: (type, default, range).  A type ending in "s" is a JSON
 # array of the singular type; integers accept 2 and 2.0 but not 2.7 or true,
-# numbers refuse booleans and strings, flags must be JSON booleans.  A range
-# names a predicate in _RANGES or is the tuple of allowed values.  A default
-# of None leaves the key absent unless a cross-field rule in parse_config
-# fills it in.
+# and numbers refuse booleans and strings.  A range names a predicate in
+# _RANGES or is the tuple of allowed values.  A default of None leaves the
+# key absent unless a cross-field rule in parse_config fills it in.
 SCHEMA = {
     "problem": {
         "kappa1": ("number", 0.0, "any"),
@@ -109,7 +108,7 @@ SCHEMA = {
         "seed": ("integer", _SOLVER.rng_seed, ">= 0"),
         "n_mode_seeds": ("integer", _SOLVER.n_mode_seeds, ">= 0"),
         "n_random_seeds": ("integer", _SOLVER.n_random_seeds, ">= 0"),
-        "budget": ("integer", 60, ">= 1"),
+        "budget": ("integer", _SOLVER.budget, ">= 1"),
     },
     "output": {
         "report": ("string", "report.json", "nonempty"),
@@ -125,7 +124,7 @@ _RANGES = {
     "> 1": lambda x: x > 1,
     ">= 1": lambda x: x >= 1,
 }
-_TYPES = {"flag": bool, "string": str, "object": dict}
+_TYPES = {"string": str, "object": dict}
 _BLOCKS = {name: ("object", REQUIRED if name == "problem" else {}, "any")
            for name in ("problem", "solver", "task", "output")}
 
@@ -203,7 +202,6 @@ class RunConfig:
     lengths: tuple[float, ...] | None
     cutoffs: tuple[int, ...] | None
     solver: SolverConfig
-    budget: int
     task: dict
     report_path: str
     formats: tuple[str, ...]
@@ -260,10 +258,9 @@ def parse_config(raw: dict, command: Command) -> RunConfig:
     except (ValueError, OverflowError) as exc:  # also the data classes' checks and huge integers
         raise ConfigError(str(exc)) from exc
 
-    budget, seed = sol.pop("budget"), sol.pop("seed")
-    solver = SolverConfig(rng_seed=seed, **sol)
+    solver = SolverConfig(rng_seed=sol.pop("seed"), **sol)
     return RunConfig(raw=raw, params=params, limit=limit, lengths=lengths, cutoffs=cutoffs,
-                     solver=solver, budget=budget, task=task,
+                     solver=solver, task=task,
                      report_path=out["report"], formats=out["formats"])
 
 
@@ -379,7 +376,7 @@ def _run_multiplicity(cfg: RunConfig) -> tuple[dict, int]:
     basis = cfg.basis()
     k = cfg.task["k"]
     th = semitrivial_threshold(cfg.params, basis, cfg.solver)
-    pts = multiplicity_search(cfg.params, basis, k, cfg.budget, cfg.solver, th)
+    pts = multiplicity_search(cfg.params, basis, k, cfg.solver, th)
     code = 0
     for pt in pts:
         try:
@@ -395,10 +392,9 @@ def _run_thresholds(cfg: RunConfig) -> tuple[dict, int]:
     basis = cfg.basis()
     m, lam_grid = cfg.task["m"], cfg.task["lambda_grid"]
     th = semitrivial_threshold(cfg.params, basis, cfg.solver)
-    lam0 = cfg.params.lam
-    sup0 = diagonal_sup(cfg.params, m, basis, lam=lam0)
-    sups = [rescale_diagonal_sup(cfg.params, sup0, lam0, lam) for lam in lam_grid]
-    lam_bar = coupling_threshold(cfg.params, m, th.c0, basis, sup0)
+    sup0 = diagonal_sup(cfg.params, m, basis)
+    sups = [rescale_diagonal_sup(cfg.params, sup0, lam) for lam in lam_grid]
+    lam_bar = coupling_threshold(cfg.params, th.c0, sup0)
     results = [
         {"family": "diagonal-sup", "lambda": lam, "value": float(v), "m": m}
         for lam, v in zip(lam_grid, sups)
@@ -432,24 +428,24 @@ def _run_limit(cfg: RunConfig) -> tuple[dict, int]:
 
 def _run_synchronized(cfg: RunConfig) -> tuple[dict, int]:
     basis = cfg.basis()
-    scan = find_roots(cfg.params)
+    roots = find_roots(cfg.params)
     # scalar profile of the unit-coefficient equation
     w_state = scalar_ground_state(basis, cfg.params.kappa1, cfg.params.p, cfg.solver)
     engine = GalerkinSystem(cfg.params, basis)
     records = []
-    for r in scan.roots:
+    for r in roots:
         s, t = amplitudes(r, cfg.params)
         rec = _point_record(synchronized_solution(engine, w_state.w, s, t), "synchronized")
         rec.update({"ratio_root": float(r), "s": s, "t": t,
                     "scalar_residual": float(w_state.grad_norm)})
         records.append(rec)
     thresholds = {
-        "root_guaranteed": bool(scan.guaranteed),
-        "n_roots": len(scan.roots),
+        "root_guaranteed": root_guaranteed(cfg.params),
+        "n_roots": len(roots),
         "scalar_energy": float(w_state.energy),
     }
     return _report(cfg, _sorted_records(records), thresholds,
-                   {"roots": len(scan.roots), "scalar_solves": 1}), 0
+                   {"roots": len(roots), "scalar_solves": 1}), 0
 
 
 def _run_verify_estimates(cfg: RunConfig) -> tuple[dict, int]:

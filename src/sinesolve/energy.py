@@ -63,16 +63,6 @@ class SystemParams:
             return float("inf")
         return 2.0 * self.dim / (self.dim - 2.0)
 
-    def kappa(self, i: int) -> float:
-        if i not in (1, 2):
-            raise ValueError("component index must be 1 or 2")
-        return self.kappa1 if i == 1 else self.kappa2
-
-    def mu(self, i: int) -> float:
-        if i not in (1, 2):
-            raise ValueError("component index must be 1 or 2")
-        return self.mu1 if i == 1 else self.mu2
-
 
 def sign_orbit(z: np.ndarray) -> list[np.ndarray]:
     """The four sign images (+-u_1, +-u_2) of a stacked coefficient vector."""

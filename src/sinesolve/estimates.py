@@ -32,6 +32,8 @@ from .limit import BubbleProfile, LimitParams
 from .radial import graded_edges, panel_rule, radial_integral, radial_tail_integral
 
 SLOPE_TOL = 0.15
+#: linking_sweep: random (t, w) samples before the local ascent over the nonpositive subspace.
+SAMPLE_BUDGET = 40
 #: Relative gap between each inequality's maximum and its sharp bound.
 _INEQUALITY_REL_TOL = 1e-9
 
@@ -80,19 +82,14 @@ class BubbleIntegrals:
     square: float         # int (psi U)^2
 
 
-def cutoff_bubble_integrals(
-    eps: float,
-    cutoff: CutoffSpec,
-    n_dim: int,
-    enforce_regime: bool = True,
-) -> BubbleIntegrals:
+def cutoff_bubble_integrals(eps: float, cutoff: CutoffSpec, n_dim: int) -> BubbleIntegrals:
     """Radial quadrature of the seven integrals of the cutoff bubble.
 
     The gradient uses the product rule analytically: since both psi and the
-    bubble decrease in radius, |grad(psi U)| = -(psi' U + psi U').
+    bubble decrease in radius, |grad(psi U)| = -(psi' U + psi U').  Raises
+    PreconditionError for eps at or below `eps_floor(n_dim)`.
     """
-    if enforce_regime:
-        check_sweep_eps(eps, cutoff, n_dim)
+    _check_above_floor(eps, n_dim)
     b = BubbleProfile(n_dim, eps)
     ts = 2.0 * n_dim / (n_dim - 2.0)
     rmax = cutoff.support_radius
@@ -182,10 +179,14 @@ def fit_orders(sweeps: Sequence[BubbleIntegrals], n_dim: int, cutoff: CutoffSpec
     Deficits of the gradient and critical masses are measured against the
     whole-space bubble values (eps-independent).  In dimension 4 the two
     quantities with a logarithmic correction are fitted against
-    log(eps^2 |ln eps|) instead of a pure power.
+    log(eps^2 |ln eps|) instead of a pure power.  The orders are
+    asymptotic, so every eps must sit well inside the plateau
+    (`check_sweep_eps`); PreconditionError otherwise.
     """
     eps = np.array([s.eps for s in sweeps])
     check_eps_grid(eps)
+    for e in eps:
+        check_sweep_eps(e, cutoff, n_dim)
 
     deficits = np.array([bubble_deficits(e, cutoff, n_dim) for e in eps])
     quantities = {
@@ -294,7 +295,7 @@ def _ray_coefficients(
     if kappa1 <= 0 or kappa2 <= 0:
         raise PreconditionError("the ray formula is used with positive shifts")
     check_ray_eps(eps, cutoff, lp.dim)
-    integrals = cutoff_bubble_integrals(eps, cutoff, lp.dim, enforce_regime=False)
+    integrals = cutoff_bubble_integrals(eps, cutoff, lp.dim)
     ts = lp.two_star
     quad = (s_amp**2 + t_amp**2) * integrals.grad_sq - (
         kappa1 * s_amp**2 + kappa2 * t_amp**2
@@ -364,18 +365,17 @@ def linking_sweep(
     s_amp: float,
     t_amp: float,
     s_coupled: float,
-    sample_budget: int = 40,
-    rng_seed: int = 0,
+    rng_seed: int,
 ) -> list[tuple[LinkingRecord, tuple[float, float]]]:
     """Empirically maximize the energy over {t * bubble-pair + w} per eps.
 
     With a trivial nonpositive subspace the set degenerates to the ray and
     the best value is the ray maximum.  Otherwise w is sampled in the
-    nonpositive subspace and locally ascended; this needs a full tensor
-    quadrature over the box and is supported for dim <= 3.  The reported
-    flag says whether the best value stays below (1/N) S_coupled^{N/2}.
-    Each eps's record comes with the `ray_maximum` pair of its ray, which
-    is built once.
+    nonpositive subspace SAMPLE_BUDGET times, from rng_seed, and locally
+    ascended; this needs a full tensor quadrature over the box and is
+    supported for dim <= 3.  The reported flag says whether the best value
+    stays below (1/N) S_coupled^{N/2}.  Each eps's record comes with the
+    `ray_maximum` pair of its ray, which is built once.
     """
     domain = basis.domain
     if cutoff.support_radius > domain.inscribed_radius:
@@ -401,7 +401,7 @@ def linking_sweep(
         else:
             best, boundary_ok = _tilde_ascent(
                 eps, lp, params, basis, tilde_pairs, cutoff, s_amp, t_amp, quad, hom,
-                ray_r, sample_budget, rng,
+                ray_r, rng,
             )
             best = max(best, closed)
         record = LinkingRecord(
@@ -418,7 +418,7 @@ def linking_sweep(
 
 
 def _tilde_ascent(
-    eps, lp, params, basis, pairs, cutoff, s_amp, t_amp, quad, hom, ray_r, budget, rng
+    eps, lp, params, basis, pairs, cutoff, s_amp, t_amp, quad, hom, ray_r, rng
 ):
     """Sampled-plus-ascended maximization of J(t u_eps + w) over the tilde block.
 
@@ -474,7 +474,7 @@ def _tilde_ascent(
     best = -np.inf
     best_y = None
     t_samples = np.linspace(0.1, 1.5, 8) * max(ray_r, 1.0)
-    for i in range(budget):
+    for i in range(SAMPLE_BUDGET):
         w = r_w * rng.standard_normal(n_tilde) * 0.3 if i else np.zeros(n_tilde)
         t = float(rng.choice(t_samples)) if i else max(ray_r, 1e-2)
         val = energy_at(t, w)

@@ -158,7 +158,7 @@ def sobolev_constant(n_dim: int) -> float:
     return math.pi * n_dim * (n_dim - 2.0) * gamma_ratio ** (2.0 / n_dim)
 
 
-def bubble_norms(n_dim: int, epsilon: float = 1.0) -> tuple[float, float]:
+def bubble_norms(n_dim: int, epsilon: float) -> tuple[float, float]:
     """(||grad U_eps||^2, int U_eps^{2*}) by quadrature; both are S^{N/2}, checked to 1e-8."""
     b = BubbleProfile(n_dim, epsilon)
     ts = 2.0 * n_dim / (n_dim - 2.0)

@@ -8,8 +8,8 @@ points lie on it, and on it the energy is positive.  In the definite case
 ground states minimize the energy of each ray's Nehari point, a quotient of
 the quadratic form and the Nehari denominator, from multistart seeds.  In the
 indefinite case the set need not be a manifold; there the primary tool is
-full-space Newton (with deflation for multiplicity), and the projection is
-used for seeding and reporting only.
+full-space Newton (with deflation for multiplicity), and the projection only
+supplies its starting points.
 """
 
 from __future__ import annotations
@@ -58,7 +58,8 @@ NOT_CONVERGED = "did not converge"
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """The Newton tolerance and the seeding of the multistart searches.
+    """The Newton tolerance, the seeding of the multistart searches, and the
+    multiplicity search's run budget.
 
     Each is a `solver` config key (`rng_seed` is `seed`); the other
     numerical choices of the searches are the module constants above.
@@ -68,6 +69,7 @@ class SolverConfig:
     n_mode_seeds: int = 6
     n_random_seeds: int = 8
     rng_seed: int = 0
+    budget: int = 60
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -141,15 +143,19 @@ class ScalarGroundState:
 
 @dataclass(frozen=True)
 class ThresholdResult:
-    """Semitrivial energy threshold: min of the two scalar ground energies.
+    """Semitrivial energy threshold from the two scalar ground states.
 
     `scalar_solves` counts the scalar searches run to build it (0 for a
     result built by hand).
     """
 
-    c0: float
     scalar_states: tuple[ScalarGroundState, ScalarGroundState]
-    scalar_solves: int = 0
+    scalar_solves: int
+
+    @property
+    def c0(self) -> float:
+        """The threshold: the smaller of the two scalar ground energies."""
+        return min(s.energy for s in self.scalar_states)
 
     @property
     def min_b(self) -> float:
@@ -370,10 +376,10 @@ def _system_seeds(
     engine: GalerkinSystem,
     config: SolverConfig,
     rng: np.random.Generator,
-    scalar_states: tuple[ScalarGroundState, ScalarGroundState] | None,
-    n_random: int | None = None,
+    scalar_states: tuple[ScalarGroundState, ScalarGroundState],
+    n_random: int,
 ) -> Iterable[np.ndarray]:
-    """Symmetric mode pairs, scalar-ground-state crosses, and low-mode noise."""
+    """Symmetric mode pairs, scalar-ground-state crosses, and n_random low-mode noise seeds."""
     m = engine.m
     amp = SEED_AMPLITUDE
     for j in range(min(config.n_mode_seeds, m)):
@@ -381,14 +387,12 @@ def _system_seeds(
         e[j] = amp
         for s in (1.0, -1.0):
             yield np.concatenate([e, s * e])
-    if scalar_states is not None:
-        w1, w2 = (s.w for s in scalar_states)
-        for delta in (0.1, 1.0):
-            yield np.concatenate([w1, delta * w2])
-            yield np.concatenate([delta * w1, w2])
+    w1, w2 = (s.w for s in scalar_states)
+    for delta in (0.1, 1.0):
+        yield np.concatenate([w1, delta * w2])
+        yield np.concatenate([delta * w1, w2])
     low = min(m, max(8, config.n_mode_seeds))
-    count = config.n_random_seeds if n_random is None else n_random
-    for _ in range(count):
+    for _ in range(n_random):
         z = np.zeros(2 * m)
         z[:low] = rng.standard_normal(low)
         z[m : m + low] = rng.standard_normal(low)
@@ -479,11 +483,12 @@ def semitrivial_threshold(params: SystemParams, basis: SineBasis, config: Solver
     search runs per distinct kappa.
     """
     units: dict[float, ScalarGroundState] = {}
-    for i in (1, 2):
-        if params.kappa(i) not in units:
-            units[params.kappa(i)] = scalar_ground_state(basis, params.kappa(i), params.p, config)
-    s1, s2 = (units[params.kappa(i)].scaled(params.mu(i), params.p) for i in (1, 2))
-    return ThresholdResult(c0=min(s1.energy, s2.energy), scalar_states=(s1, s2), scalar_solves=len(units))
+    for kappa in (params.kappa1, params.kappa2):
+        if kappa not in units:
+            units[kappa] = scalar_ground_state(basis, kappa, params.p, config)
+    s1 = units[params.kappa1].scaled(params.mu1, params.p)
+    s2 = units[params.kappa2].scaled(params.mu2, params.p)
+    return ThresholdResult(scalar_states=(s1, s2), scalar_solves=len(units))
 
 
 def classify(point: CriticalPoint, c0: float) -> str:
@@ -516,7 +521,7 @@ def ground_state(
     """
     engine = GalerkinSystem(params, basis)
     rng = np.random.default_rng(config.rng_seed)
-    seeds = _system_seeds(engine, config, rng, threshold.scalar_states)
+    seeds = _system_seeds(engine, config, rng, threshold.scalar_states, config.n_random_seeds)
     best = evaluate_point(engine, _least_energy(engine, seeds, config))
     return dataclasses.replace(best, below_threshold=bool(best.energy < threshold.c0))
 
@@ -563,13 +568,12 @@ def multiplicity_search(
     params: SystemParams,
     basis: SineBasis,
     k: int,
-    budget: int,
     config: SolverConfig,
     threshold: ThresholdResult,
 ) -> list[CriticalPoint]:
     """Distinct sign orbits of fully nontrivial solutions under the threshold.
 
-    Deflated multistart Newton from at most `budget` seeds: each found orbit
+    Deflated multistart Newton from at most `config.budget` seeds: each found orbit
     (of any classification, including the trivial solution) deflates the
     residual, so later runs are pushed toward new orbits; a point within
     DEDUP_TOL of a known orbit is dropped.  Returns fully nontrivial points
@@ -583,9 +587,9 @@ def multiplicity_search(
     deflate: list[np.ndarray] = [np.zeros(2 * engine.m)]  # never re-converge to 0
     hits: list[CriticalPoint] = []
     runs = 0
-    seeds = _system_seeds(engine, config, rng, threshold.scalar_states, n_random=budget)
+    seeds = _system_seeds(engine, config, rng, threshold.scalar_states, config.budget)
     for z0 in seeds:
-        if runs >= budget or sum(1 for h in hits if 0.0 < h.energy < threshold.c0) >= k:
+        if runs >= config.budget or sum(1 for h in hits if 0.0 < h.energy < threshold.c0) >= k:
             break
         runs += 1
         if not _has_positive_part(engine, z0):
@@ -634,36 +638,35 @@ def _diag_problem(params: SystemParams, lam: float, basis: SineBasis):
     return ScalarProblem(basis, kbar, _mu_eff(params, lam), params.p)
 
 
-def rescale_diagonal_sup(params: SystemParams, value: float, lam_from: float, lam_to: float) -> float:
-    """Diagonal supremum at coupling lam_to, given its value at lam_from.
+def rescale_diagonal_sup(params: SystemParams, value: float, lam: float) -> float:
+    """Diagonal supremum at coupling lam, given its value at params.lam.
 
     The coupling enters the diagonal functional only through mu_eff, and
     J_mu(s w) = s^2 J_1(w) for s^(p-2) = 1/mu, so over any linear subspace
     sup J_mu = mu^(-2/(p-2)) sup J_1.  The law is exact:
-    sup(lam_to) = sup(lam_from) (mu_eff(lam_from) / mu_eff(lam_to))^(2/(p-2)).
+    sup(lam) = sup(params.lam) (mu_eff(params.lam) / mu_eff(lam))^(2/(p-2)).
     """
-    ratio = _mu_eff(params, lam_from) / _mu_eff(params, lam_to)
+    ratio = _mu_eff(params, params.lam) / _mu_eff(params, lam)
     return float(value * ratio ** (2.0 / (params.p - 2.0)))
 
 
-def diagonal_sup(params: SystemParams, m: int, basis: SineBasis, lam: float | None = None) -> float:
-    """Supremum of the energy over the m-dimensional diagonal subspace.
+def diagonal_sup(params: SystemParams, m: int, basis: SineBasis) -> float:
+    """Supremum of the energy over the m-dimensional diagonal subspace, at params.lam.
 
     Trust-exact, on the m x m block of the Hessian, runs from the Nehari
     point of each positive mode and from 4 random starts drawn at seed 0,
     whatever the solver seed.  Returns exactly 0 when gamma_m <= (kappa_1 +
     kappa_2)/2, where the energy is nonpositive on the whole subspace and
-    attains 0 at the origin.  Raises ValueError when lam <= 0.
+    attains 0 at the origin.  Otherwise the mode-m start has positive
+    energy and trust-exact never ends below its start, so the result is
+    positive: 0 marks exactly the resonant case.
     """
     if not 1 <= m <= basis.size:
         raise PreconditionError(f"m must lie in [1, {basis.size}]")
-    lam = params.lam if lam is None else float(lam)
-    if lam <= 0:
-        raise ValueError("lam must be positive")
     kbar = 0.5 * (params.kappa1 + params.kappa2)
     if basis.eigenvalues[m - 1] <= kbar:
         return 0.0
-    prob = _diag_problem(params, lam, basis)
+    prob = _diag_problem(params, params.lam, basis)
 
     head = np.arange(m)
 
@@ -694,20 +697,20 @@ def diagonal_sup(params: SystemParams, m: int, basis: SineBasis, lam: float | No
     return float(best)
 
 
-def coupling_threshold(params: SystemParams, m: int, c0: float, basis: SineBasis, sup: float) -> float:
+def coupling_threshold(params: SystemParams, c0: float, sup: float) -> float:
     """Smallest coupling beyond which the diagonal supremum drops under c0.
 
     Closed form from `sup`, the diagonal_sup value at params.lam: the
     supremum is decreasing in lam, and inverting the exact law of
     rescale_diagonal_sup gives mu_eff(lam_bar) = mu_eff(lam) (sup /
-    c0)^((p-2)/2).  Returns 0 exactly when gamma_m <= (kappa_1 + kappa_2)/2;
-    raises BracketFailureError when lam_bar lies outside LAMBDA_BAR_RANGE =
-    (lo, hi], that is lam_bar <= lo or lam_bar > hi.
+    c0)^((p-2)/2).  Returns 0 exactly when sup == 0, which diagonal_sup
+    returns exactly when gamma_m <= (kappa_1 + kappa_2)/2; raises
+    BracketFailureError when lam_bar lies outside LAMBDA_BAR_RANGE = (lo,
+    hi], that is lam_bar <= lo or lam_bar > hi.
     """
     if c0 <= 0:
         raise PreconditionError("c0 must be positive")
-    kbar = 0.5 * (params.kappa1 + params.kappa2)
-    if basis.eigenvalues[m - 1] <= kbar:
+    if sup == 0.0:
         return 0.0
     mu_bar = _mu_eff(params, params.lam) * (sup / c0) ** ((params.p - 2.0) / 2.0)
     lam_bar = (2.0 * mu_bar - params.mu1 - params.mu2) / params.p

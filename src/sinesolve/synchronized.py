@@ -15,8 +15,6 @@ in which case t = (mu_2 + lam beta r^alpha)^(-1/(p-2)) and s = r t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .energy import GalerkinSystem, SystemParams
@@ -27,14 +25,6 @@ from .nehari import CriticalPoint, evaluate_point
 _H_TOL = 1e-10
 #: find_roots scans h over this r-window.
 R_WINDOW = (1e-8, 1e8)
-
-
-@dataclass(frozen=True)
-class RootScan:
-    """Roots found by the sign-change scan, plus the sufficient-condition flag."""
-
-    roots: tuple[float, ...]
-    guaranteed: bool
 
 
 def ratio_function(r: float, params: SystemParams) -> float:
@@ -70,11 +60,12 @@ def root_guaranteed(params: SystemParams) -> bool:
     return small and large
 
 
-def find_roots(params: SystemParams) -> RootScan:
-    """All simple roots of h in R_WINDOW located by sign changes on a 4001-point log grid.
+def find_roots(params: SystemParams) -> tuple[float, ...]:
+    """All simple roots of h in R_WINDOW, ascending, located by sign changes on a 4001-point log grid.
 
     Each bracket is bisected and then Newton-polished to |h| <= 1e-13;
     tangential roots without a sign change are not searched for.
+    `root_guaranteed` says whether a root must exist.
     """
     grid = np.geomspace(*R_WINDOW, 4001)
     vals = np.array([ratio_function(r, params) for r in grid])
@@ -111,7 +102,7 @@ def find_roots(params: SystemParams) -> RootScan:
             roots.append(float(r))
     if vals[-1] == 0.0:
         roots.append(float(grid[-1]))
-    return RootScan(roots=tuple(sorted(set(roots))), guaranteed=root_guaranteed(params))
+    return tuple(sorted(set(roots)))
 
 
 def amplitudes(r: float, params: SystemParams) -> tuple[float, float]:

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; every tolerance is pinned here, nothing is deferred to calibration.
 """
 
+import dataclasses
 import json
 import time
 
@@ -199,19 +200,19 @@ def test_criterion_06_diagonal_sup_and_threshold():
     checks = []
     # positive for small lambda (gamma_3 = 9 pi^2 > 0) and strictly decreasing
     grid_lam = np.geomspace(0.5, 500.0, 10)
-    sups = [diagonal_sup(pr, 3, basis, lam=l) for l in grid_lam]
+    sups = [diagonal_sup(dataclasses.replace(pr, lam=l), 3, basis) for l in grid_lam]
     checks.append(sups[0] > 0.0)
     checks.append(all(a > b for a, b in zip(sups, sups[1:])))
     # bisection bracket contract
     th = semitrivial_threshold(pr, basis, cfg)
-    lam_bar = coupling_threshold(pr, 3, th.c0, basis, diagonal_sup(pr, 3, basis))
-    hi = diagonal_sup(pr, 3, basis, lam=1.01 * lam_bar)
-    lo = diagonal_sup(pr, 3, basis, lam=0.99 * lam_bar)
+    lam_bar = coupling_threshold(pr, th.c0, diagonal_sup(pr, 3, basis))
+    hi = diagonal_sup(dataclasses.replace(pr, lam=1.01 * lam_bar), 3, basis)
+    lo = diagonal_sup(dataclasses.replace(pr, lam=0.99 * lam_bar), 3, basis)
     checks.append(hi < th.c0 <= lo)
     # resonant case returns exactly zero
     pr_res = SystemParams(kappa1=9 * np.pi**2, kappa2=9 * np.pi**2, mu1=1.0, mu2=1.0,
                           lam=1.0, alpha=2.0, beta=2.0, dim=1)
-    checks.append(diagonal_sup(pr_res, 3, basis, lam=1.0) == 0.0)
+    checks.append(diagonal_sup(pr_res, 3, basis) == 0.0)
     elapsed = time.perf_counter() - t0
     ok = all(checks) and elapsed < 300.0
     report_line(6, ok, 300, elapsed,
@@ -247,10 +248,10 @@ def test_criterion_08_synchronized_algebra():
     pr = SystemParams(kappa1=0.0, kappa2=0.0, mu1=1.0, mu2=2.0, lam=2.0,
                       alpha=2.0, beta=2.0, dim=1)
     checks = []
-    scan = find_roots(pr)
-    checks.append(len(scan.roots) == 1)
-    checks.append(abs(scan.roots[0] - np.sqrt(2.0 / 3.0)) < 1e-10)
-    s, t = amplitudes(scan.roots[0], pr)
+    roots = find_roots(pr)
+    checks.append(len(roots) == 1)
+    checks.append(abs(roots[0] - np.sqrt(2.0 / 3.0)) < 1e-10)
+    s, t = amplitudes(roots[0], pr)
     id1, id2 = amplitude_identities(s, t, pr)
     checks.append(abs(id1 - 1.0) < 1e-10 and abs(id2 - 1.0) < 1e-10)
     # assembly with a converged scalar profile
@@ -267,7 +268,7 @@ def test_criterion_08_synchronized_algebra():
     elapsed = time.perf_counter() - t0
     ok = all(checks) and elapsed < 60.0
     report_line(8, ok, 60, elapsed,
-                f"root {scan.roots[0]:.10f}, identities at 1e-10, grad {pt.grad_norm:.2e} "
+                f"root {roots[0]:.10f}, identities at 1e-10, grad {pt.grad_norm:.2e} "
                 f"vs scalar residual {scalar_res:.2e}")
     assert ok
 
@@ -307,7 +308,7 @@ def test_criterion_10_critical_linking_bound():
     cut = CutoffSpec.for_domain(dom)
     checks = []
     margins = []
-    records = linking_sweep((1e-2, 1e-3), lp, pr, basis, cut, s_amp, t_amp, s_coupled)
+    records = linking_sweep((1e-2, 1e-3), lp, pr, basis, cut, s_amp, t_amp, s_coupled, rng_seed=0)
     for rec, (closed, direct) in records:
         checks.append(abs(closed - direct) <= 1e-8 * abs(closed))
         checks.append(rec.passed and rec.best_value < rec.threshold)

@@ -381,9 +381,9 @@ def test_thresholds_runs_one_diagonal_sup(tmp_path, monkeypatch):
     calls = []
     original = nehari.diagonal_sup
 
-    def counting(*args, **kwargs):
-        calls.append(kwargs.get("lam"))
-        return original(*args, **kwargs)
+    def counting(params, *args):
+        calls.append(params.lam)
+        return original(params, *args)
 
     monkeypatch.setattr(cli, "diagonal_sup", counting)
     monkeypatch.setattr(nehari, "diagonal_sup", counting)
@@ -591,7 +591,7 @@ def test_typed_values_and_defaults():
     cfg["task"] = {"delta": 2.0}  # the default sweep needs eps < delta/10
     run = parse_config(cfg, COMMANDS["verify-estimates"])
     assert run.params.dim == 4 and isinstance(run.params.dim, int)
-    assert run.budget == 7 and isinstance(run.budget, int)
+    assert run.solver.budget == 7 and isinstance(run.solver.budget, int)
     assert run.solver.rng_seed == 2 and run.solver.tol == 1e-10
     assert run.task["support_radius"] == 4.0  # twice delta
     assert run.limit is not None and run.limit.dim == 4
@@ -599,10 +599,12 @@ def test_typed_values_and_defaults():
 
 
 def test_every_solver_field_is_a_config_key():
-    # a field that no config key reaches is a setting only tests can change
-    for field in dataclasses.fields(SolverConfig):
-        key = "seed" if field.name == "rng_seed" else field.name
-        assert cli.SCHEMA["solver"][key][1] == field.default, field.name
+    # a field that no config key reaches is a setting only tests can change,
+    # and a solver key outside SolverConfig is a setting passed around beside it
+    fields = {"seed" if f.name == "rng_seed" else f.name: f.default for f in dataclasses.fields(SolverConfig)}
+    for key, default in fields.items():
+        assert cli.SCHEMA["solver"][key][1] == default, key
+    assert set(cli.SCHEMA["solver"]) == set(fields)
 
 
 @pytest.mark.parametrize("lam, boundary", [(1.0, False), (0.2, True)], ids=["interior", "boundary"])

@@ -83,6 +83,39 @@ def _bench_table(script: str, name: str):
     raise AssertionError(f"bench/{script} has no table {name}")
 
 
+def _bench_module(script: str):
+    """A bench/ script loaded as a module, without putting bench/ on sys.path."""
+    spec = importlib.util.spec_from_file_location(f"bench_{script[:-3]}", REPO / "bench" / script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_workload_job_matches_the_reference(tmp_path):
+    # each benchmark job at the reference seed, checked as bench/check.py
+    # checks it: exit code, flags and counts exactly, floats to tolerance
+    workloads, check = _bench_module("workloads.py"), _bench_module("check.py")
+    reference = check.load_reference()
+    ran, problems = [], {}
+    for workload in workloads.WORKLOADS:
+        out = tmp_path / workload
+        out.mkdir()
+        for job in workloads.jobs_for(workload):
+            config = out / f"{job['name']}.config.json"
+            config.write_text(json.dumps({**job["config"], "output": {"report": f"{job['name']}.json"}}))
+            code = cli.main([job["subcommand"], "--config", str(config), "--seed", str(check.REFERENCE_SEED),
+                             "--threads", "1", "--out", str(out)])
+            report_path = out / f"{job['name']}.json"
+            report = json.loads(report_path.read_text()) if report_path.exists() else None
+            key = f"{workload}/{job['name']}"
+            ran.append(key)
+            found = check.check(reference[key], job["subcommand"], code, report)
+            if found:
+                problems[key] = found
+    assert sorted(ran) == sorted(reference)
+    assert problems == {}
+
+
 def test_traced_names_resolve_under_src():
     # the benchmark's tracer wraps each of these by name and refuses a run
     # when one is missing, so renaming one breaks the benchmark
@@ -101,9 +134,7 @@ def test_traced_names_resolve_under_src():
 def test_bench_setup_parses_every_workload_config(tmp_path):
     # bench/worker.py's setup mode unpacks each cli.SUBCOMMANDS entry into
     # (command, runner) and parses every workload config with the command
-    spec = importlib.util.spec_from_file_location("bench_workloads", REPO / "bench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = _bench_module("workloads.py")
     jobs = []
     for workload in workloads.WORKLOADS:
         for i, job in enumerate(workloads.jobs_for(workload)):

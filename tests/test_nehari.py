@@ -375,7 +375,7 @@ def test_descent_polishes_to_the_reference_energy(lam, config, reference_nehari_
         return out
 
     system = GalerkinSystem(pr, basis)
-    for z0 in _system_seeds(system, seeding, np.random.default_rng(0), th.scalar_states):
+    for z0 in _system_seeds(system, seeding, np.random.default_rng(0), th.scalar_states, seeding.n_random_seeds):
         new, ref = energies(system, z0)
         assert new == pytest.approx(ref, rel=1e-12)
     scalar = ScalarProblem(basis, pr.kappa1, 1.0, pr.p)
@@ -451,7 +451,7 @@ def test_ground_state_indefinite(basis, config):
 def test_multiplicity_orbits(basis, config):
     pr = params_with(lam=200.0)
     th = semitrivial_threshold(pr, basis, config)
-    pts = multiplicity_search(pr, basis, 2, 30, config, th)
+    pts = multiplicity_search(pr, basis, 2, dataclasses.replace(config, budget=30), th)
     assert len(pts) >= 2
     ids = orbit_dedup([p.z for p in pts], tol=1e-4)
     assert len(set(ids)) == len(pts)
@@ -471,9 +471,10 @@ def test_multiplicity_reaches_the_coupling_threshold_count(config, kappa, m):
     basis = SineBasis(BoxDomain((1.0,)), (16,))
     pr = params_with(kappa1=kappa, kappa2=kappa)
     th = semitrivial_threshold(pr, basis, config)
-    lam_bar = coupling_threshold(pr, m, th.c0, basis, diagonal_sup(pr, m, basis))
+    lam_bar = coupling_threshold(pr, th.c0, diagonal_sup(pr, m, basis))
     d = sum(idx.size for idx in nonpositive_modes(basis, kappa))
-    pts = multiplicity_search(dataclasses.replace(pr, lam=1.01 * lam_bar), basis, m, 16, config, th)
+    pts = multiplicity_search(dataclasses.replace(pr, lam=1.01 * lam_bar), basis, m,
+                              dataclasses.replace(config, budget=16), th)
     assert len(pts) >= m - d
     assert all(0.0 < p.energy < th.c0 and p.classification == "fully-nontrivial" for p in pts)
 
@@ -482,7 +483,7 @@ def test_multiplicity_small_lambda_best_effort(basis, config):
     # with weak coupling no orbit may fall below the threshold; empty is legal
     pr = params_with(lam=1e-3)
     th = semitrivial_threshold(pr, basis, config)
-    pts = multiplicity_search(pr, basis, 1, 6, config, th)
+    pts = multiplicity_search(pr, basis, 1, dataclasses.replace(config, budget=6), th)
     for p in pts:
         assert 0.0 < p.energy < th.c0
 
@@ -490,46 +491,69 @@ def test_multiplicity_small_lambda_best_effort(basis, config):
 # -- linking geometry ---------------------------------------------------------------
 
 
+def sup_at(pr, m, basis, lam):
+    """diagonal_sup of pr with its coupling set to lam."""
+    return diagonal_sup(dataclasses.replace(pr, lam=lam), m, basis)
+
+
 def test_diagonal_sup_ray_value(basis):
-    val = diagonal_sup(params_with(), 1, basis, lam=1.0)
+    val = diagonal_sup(params_with(), 1, basis)
     assert val == pytest.approx(np.pi**4 / 9, rel=1e-10)
 
 
-def test_diagonal_sup_resonant_zero(basis):
-    pr = params_with(kappa1=9 * np.pi**2, kappa2=9 * np.pi**2)
-    assert diagonal_sup(pr, 3, basis, lam=1.0) == 0.0
+# kbar = (kappa_1 + kappa_2)/2 against gamma_3 = 9 pi^2, all three above gamma_1
+RESONANCE_CASES = {
+    "below": lambda g3: g3 * (1.0 - 1e-6),
+    "equal": lambda g3: g3,
+    "above": lambda g3: 10.0 * np.pi**2,
+}
+
+
+@pytest.mark.parametrize("case", sorted(RESONANCE_CASES))
+def test_diagonal_sup_resonant_zero(basis, case):
+    # the supremum is 0 exactly when gamma_m <= kbar, and positive otherwise
+    g = basis.eigenvalues
+    kbar = RESONANCE_CASES[case](float(g[2]))
+    assert g[0] <= kbar < g[3]
+    sup = diagonal_sup(params_with(kappa1=kbar, kappa2=kbar), 3, basis)
+    if case == "below":
+        assert sup > 0.0
+    else:
+        assert sup == 0.0
 
 
 def test_diagonal_sup_decreasing_in_lambda(basis):
     pr = params_with()
-    vals = [diagonal_sup(pr, 3, basis, lam=l) for l in np.geomspace(0.5, 50.0, 6)]
+    vals = [sup_at(pr, 3, basis, l) for l in np.geomspace(0.5, 50.0, 6)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
-
-
-@pytest.mark.parametrize("lam", [0.0, -1.0])
-def test_diagonal_sup_rejects_nonpositive_lambda(basis, lam):
-    with pytest.raises(ValueError):
-        diagonal_sup(params_with(), 3, basis, lam=lam)
 
 
 def test_coupling_threshold_contract(basis, config):
     pr = params_with()
     th = semitrivial_threshold(pr, basis, config)
-    lam_bar = coupling_threshold(pr, 3, th.c0, basis, diagonal_sup(pr, 3, basis))
-    hi = diagonal_sup(pr, 3, basis, lam=1.01 * lam_bar)
-    lo = diagonal_sup(pr, 3, basis, lam=0.99 * lam_bar)
+    lam_bar = coupling_threshold(pr, th.c0, diagonal_sup(pr, 3, basis))
+    hi = sup_at(pr, 3, basis, 1.01 * lam_bar)
+    lo = sup_at(pr, 3, basis, 0.99 * lam_bar)
     assert hi < th.c0 <= lo
 
 
-def test_coupling_threshold_resonant_zero(basis):
-    pr = params_with(kappa1=9 * np.pi**2, kappa2=9 * np.pi**2)
-    assert coupling_threshold(pr, 3, 1.0, basis, diagonal_sup(pr, 3, basis)) == 0.0
+@pytest.mark.parametrize("case", sorted(RESONANCE_CASES))
+def test_coupling_threshold_resonant_zero(basis, case):
+    # lambda_bar is 0 exactly in the resonant cases; below resonance a c0
+    # under the supremum puts it above the current coupling
+    kbar = RESONANCE_CASES[case](float(basis.eigenvalues[2]))
+    pr = params_with(kappa1=kbar, kappa2=kbar)
+    sup = diagonal_sup(pr, 3, basis)
+    if case == "below":
+        assert coupling_threshold(pr, 0.25 * sup, sup) > pr.lam
+    else:
+        assert coupling_threshold(pr, 1.0, sup) == 0.0
 
 
 def test_coupling_threshold_monotone_in_m(basis, config):
     pr = params_with()
     th = semitrivial_threshold(pr, basis, config)
-    lams = [coupling_threshold(pr, m, th.c0, basis, diagonal_sup(pr, m, basis)) for m in (1, 2, 3)]
+    lams = [coupling_threshold(pr, th.c0, diagonal_sup(pr, m, basis)) for m in (1, 2, 3)]
     assert lams[0] <= lams[1] * 1.01 and lams[1] <= lams[2] * 1.01
 
 
@@ -539,7 +563,7 @@ def test_coupling_threshold_bracket_failure(basis, monkeypatch):
     monkeypatch.setattr(nehari, "LAMBDA_BAR_RANGE", (1e-6, 10.0))
     pr = params_with()
     with pytest.raises(BracketFailureError, match="already below"):
-        coupling_threshold(pr, 1, 1e6, basis, diagonal_sup(pr, 1, basis))
+        coupling_threshold(pr, 1e6, diagonal_sup(pr, 1, basis))
 
 
 def test_coupling_threshold_bracket_failure_above_lam_hi(basis, monkeypatch):
@@ -549,14 +573,14 @@ def test_coupling_threshold_bracket_failure_above_lam_hi(basis, monkeypatch):
     monkeypatch.setattr(nehari, "LAMBDA_BAR_RANGE", (1e-6, 10.0))
     pr = params_with()
     with pytest.raises(BracketFailureError, match="lies above"):
-        coupling_threshold(pr, 1, 1e-3, basis, diagonal_sup(pr, 1, basis))
+        coupling_threshold(pr, 1e-3, diagonal_sup(pr, 1, basis))
 
 
 def test_coupling_threshold_exact(basis, config):
     pr = params_with()
     th = semitrivial_threshold(pr, basis, config)
-    lam_bar = coupling_threshold(pr, 3, th.c0, basis, diagonal_sup(pr, 3, basis))
-    assert diagonal_sup(pr, 3, basis, lam=lam_bar) == pytest.approx(th.c0, rel=1e-10)
+    lam_bar = coupling_threshold(pr, th.c0, diagonal_sup(pr, 3, basis))
+    assert sup_at(pr, 3, basis, lam_bar) == pytest.approx(th.c0, rel=1e-10)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -572,9 +596,9 @@ def test_diagonal_sup_lambda_law(basis, lam, alpha, beta, k1, k2, m):
     # kappa_i below gamma_m, so the supremum is positive
     gamma_m = basis.eigenvalues[m - 1]
     pr = params_with(kappa1=k1 * gamma_m, kappa2=k2 * gamma_m, alpha=alpha, beta=beta)
-    sup1 = diagonal_sup(pr, m, basis, lam=1.0)
-    direct = diagonal_sup(pr, m, basis, lam=lam)
-    assert rescale_diagonal_sup(pr, sup1, 1.0, lam) == pytest.approx(direct, rel=1e-10)
+    sup1 = diagonal_sup(pr, m, basis)  # at pr.lam = 1
+    direct = sup_at(pr, m, basis, lam)
+    assert rescale_diagonal_sup(pr, sup1, lam) == pytest.approx(direct, rel=1e-10)
 
 
 def test_ground_state_convergence_failure(basis):
@@ -584,7 +608,7 @@ def test_ground_state_convergence_failure(basis):
     from sinesolve.errors import ConvergenceFailureError
     from sinesolve.nehari import ThresholdResult, ScalarGroundState
     fake_scalar = ScalarGroundState(w=np.zeros(basis.size), energy=1.0, grad_norm=0.0, b_value=1.0)
-    th = ThresholdResult(c0=1.0, scalar_states=(fake_scalar, fake_scalar))
+    th = ThresholdResult(scalar_states=(fake_scalar, fake_scalar), scalar_solves=0)
     with pytest.raises(ConvergenceFailureError) as failure:
         ground_state(pr, basis, cfg, th)
     # the two mode seeds and the random one reach Newton; the four crosses

@@ -39,29 +39,26 @@ def test_ratio_quadratic_closed_form():
 
 
 def test_roots_quadratic_case():
-    scan = find_roots(params_with(mu1=1.0, mu2=2.0, lam=2.0))
-    assert len(scan.roots) == 1
-    assert scan.roots[0] == pytest.approx(np.sqrt(2.0 / 3.0), abs=1e-10)
-    assert abs(ratio_function(scan.roots[0], params_with(mu1=1.0, mu2=2.0, lam=2.0))) < 1e-12
+    roots = find_roots(params_with(mu1=1.0, mu2=2.0, lam=2.0))
+    assert len(roots) == 1
+    assert roots[0] == pytest.approx(np.sqrt(2.0 / 3.0), abs=1e-10)
+    assert abs(ratio_function(roots[0], params_with(mu1=1.0, mu2=2.0, lam=2.0))) < 1e-12
 
 
 def test_roots_absent_case():
     # h(r) = r^2 + 1 > 0 everywhere
-    scan = find_roots(params_with(mu1=3.0, mu2=1.0, lam=1.0))
-    assert scan.roots == ()
+    assert find_roots(params_with(mu1=3.0, mu2=1.0, lam=1.0)) == ()
 
 
 def test_roots_symmetric_contains_one():
-    scan = find_roots(params_with())
-    assert any(abs(r - 1.0) < 1e-10 for r in scan.roots)
+    assert any(abs(r - 1.0) < 1e-10 for r in find_roots(params_with()))
 
 
 def test_guaranteed_flag_and_probes():
     # alpha, beta < 2 guarantee sign changes at both ends
     pr = params_with(alpha=1.5, beta=1.5, mu2=2.0, lam=0.7)
-    scan = find_roots(pr)
-    assert scan.guaranteed
-    assert len(scan.roots) >= 1
+    assert root_guaranteed(pr)
+    assert len(find_roots(pr)) >= 1
     assert ratio_function(1e-8, pr) > 0.0
     assert ratio_function(1e8, pr) < 0.0
     # alpha = 2 requires lam > mu2/2 for the small-r sign
@@ -81,7 +78,7 @@ def test_amplitudes_identities_everywhere():
         params_with(alpha=1.5, beta=1.5, mu2=2.0, lam=0.7),
         params_with(alpha=1.75, beta=2.25, mu1=0.8, mu2=1.3, lam=1.1),
     ):
-        for r in find_roots(pr).roots:
+        for r in find_roots(pr):
             s, t = amplitudes(r, pr)
             id1, id2 = amplitude_identities(s, t, pr)
             assert id1 == pytest.approx(1.0, abs=1e-10)
