@@ -493,7 +493,7 @@ def _run_verify_estimates(cfg: RunConfig) -> tuple[dict, int]:
         "square_prefactor": float(fit.square_prefactor),
     }
 
-    # linking bound on the box (needs positive shifts and a nonresonant kappa)
+    # linking bound on the box (needs positive shifts and a trivial nonpositive subspace)
     notes = []
     skip = cfg.lengths is None or cfg.cutoffs is None
     if skip:
@@ -508,9 +508,8 @@ def _run_verify_estimates(cfg: RunConfig) -> tuple[dict, int]:
             notes.append("resonant kappa: linking bound skipped (a shift matches a Dirichlet "
                          "eigenvalue; the dimension-4 bound requires nonresonance)")
             skip = True
-        elif pr.dim > 3 and any(zero.size + minus.size for zero, minus in split):
-            # linking_sweep's ascent over X~ needs a full box quadrature
-            notes.append("nonpositive subspace in dimension > 3: linking bound skipped")
+        elif any(zero.size + minus.size for zero, minus in split):
+            notes.append("nonpositive subspace: linking bound skipped")
             skip = True
     if not skip:
         lam0 = interior_threshold(lp.mu1, lp.mu2, lp.alpha, lp.beta, lp.dim)
@@ -525,10 +524,7 @@ def _run_verify_estimates(cfg: RunConfig) -> tuple[dict, int]:
             thresholds.update({"coupled_constant": float(s_coupled),
                                "s_amplitude": float(s_amp), "t_amplitude": float(t_amp)})
             box_cutoff = CutoffSpec.for_domain(BoxDomain(cfg.lengths))
-            records = linking_sweep(
-                task["linking_eps"], lp, pr, basis, box_cutoff, s_amp, t_amp, s_coupled,
-                rng_seed=cfg.solver.rng_seed,
-            )
+            records = linking_sweep(task["linking_eps"], lp, pr, basis, box_cutoff, s_amp, t_amp, s_coupled)
             for rec, (closed, direct) in records:
                 agree = abs(closed - direct) <= 1e-8 * max(abs(closed), 1e-300)
                 results.append({
@@ -542,7 +538,6 @@ def _run_verify_estimates(cfg: RunConfig) -> tuple[dict, int]:
                     "threshold": rec.threshold, "passed": rec.passed,
                     "ray_radius": rec.ray_radius,
                     "boundary_nonpositive": rec.boundary_nonpositive,
-                    "tilde_dim": rec.tilde_dim,
                 })
                 failed |= not rec.passed
 

@@ -6,13 +6,14 @@ The cutoff bubble is psi(|x|) U_eps(|x|) with psi a C^2 quintic bridge equal
 to 1 on [0, delta] and 0 beyond the support radius.  Its integrals follow
 known orders in eps, verified here by log-log slope fits over an eps sweep.
 Every eps must lie above `eps_floor`, below which the integrands overflow.
-The linking harness maximizes the coupled energy over a ray through the
-scaled bubble pair (plus, when present, the nonpositive spectral subspace)
-and checks the result stays below (1/N) S_coupled^{N/2}; this is a
-falsification test of an upper-bound claim, not a certified bound.  The two
-inequality checks evaluate the left side at its exact maximizer and compare it
-with the sharp bound on both sides: the bound must hold at every r and be
-attained at some r, so a constant too small or too large fails.
+The linking harness maximizes the coupled energy over the ray through the
+scaled bubble pair, in closed form, and checks the result stays below (1/N)
+S_coupled^{N/2}; it takes only a trivial nonpositive spectral subspace, where
+the ray is the whole linking set.  This is a falsification test of an
+upper-bound claim, not a certified bound.  The two inequality checks
+evaluate the left side at its exact maximizer and compare it with the sharp
+bound on both sides: the bound must hold at every r and be attained at some
+r, so a constant too small or too large fails.
 """
 
 from __future__ import annotations
@@ -23,17 +24,14 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.optimize
 
-from .domain import BoxDomain, QuadratureGrid, SineBasis, SineTransform, integrate, project, synthesize
+from .domain import BoxDomain, SineBasis
 from .energy import SystemParams, nonpositive_modes
 from .errors import PreconditionError
 from .limit import BubbleProfile, LimitParams
-from .radial import graded_edges, panel_rule, radial_integral, radial_tail_integral
+from .radial import radial_integral, radial_tail_integral
 
 SLOPE_TOL = 0.15
-#: linking_sweep: random (t, w) samples before the local ascent over the nonpositive subspace.
-SAMPLE_BUDGET = 40
 #: Relative gap between each inequality's maximum and its sharp bound.
 _INEQUALITY_REL_TOL = 1e-9
 
@@ -82,6 +80,11 @@ class BubbleIntegrals:
     square: float         # int (psi U)^2
 
 
+def _cutoff_bubble_gradient(cutoff: CutoffSpec, b: BubbleProfile, r: np.ndarray) -> np.ndarray:
+    """Radial derivative of psi U by the product rule: psi' U + psi U'."""
+    return cutoff.derivative(r) * b.value(r) + cutoff.value(r) * b.radial_derivative(r)
+
+
 def cutoff_bubble_integrals(eps: float, cutoff: CutoffSpec, n_dim: int) -> BubbleIntegrals:
     """Radial quadrature of the seven integrals of the cutoff bubble.
 
@@ -97,19 +100,16 @@ def cutoff_bubble_integrals(eps: float, cutoff: CutoffSpec, n_dim: int) -> Bubbl
     def ubar(r):
         return cutoff.value(r) * b.value(r)
 
-    def grad_ubar(r):
-        return cutoff.derivative(r) * b.value(r) + cutoff.value(r) * b.radial_derivative(r)
-
     def integ(f):
         return radial_integral(f, n_dim, r_max=rmax, scale=eps)
 
     return BubbleIntegrals(
         eps=float(eps),
-        grad_sq=integ(lambda r: grad_ubar(r) ** 2),
+        grad_sq=integ(lambda r: _cutoff_bubble_gradient(cutoff, b, r) ** 2),
         crit=integ(lambda r: ubar(r) ** ts),
         crit_minus_one=integ(lambda r: ubar(r) ** (ts - 1.0)),
         linear=integ(ubar),
-        grad_abs=integ(lambda r: np.abs(grad_ubar(r))),
+        grad_abs=integ(lambda r: np.abs(_cutoff_bubble_gradient(cutoff, b, r))),
         crit_minus_two=integ(lambda r: ubar(r) ** (ts - 2.0)),
         square=integ(lambda r: ubar(r) ** 2),
     )
@@ -162,7 +162,7 @@ def bubble_deficits(eps: float, cutoff: CutoffSpec, n_dim: int) -> tuple[float, 
 
     def grad_gap(r):
         full = b.radial_derivative(r) ** 2
-        cut = (cutoff.derivative(r) * b.value(r) + cutoff.value(r) * b.radial_derivative(r)) ** 2
+        cut = _cutoff_bubble_gradient(cutoff, b, r) ** 2
         return full - cut
 
     def crit_gap(r):
@@ -327,7 +327,7 @@ def ray_maximum(quad: float, hom: float, lp: LimitParams) -> tuple[float, float]
 
 @dataclass(frozen=True)
 class LinkingRecord:
-    """Best energy found over the ray-plus-tilde set at one eps."""
+    """Maximum of the energy over the ray through the bubble pair at one eps."""
 
     eps: float
     best_value: float
@@ -335,25 +335,6 @@ class LinkingRecord:
     passed: bool
     ray_radius: float
     boundary_nonpositive: bool
-    tilde_dim: int
-
-
-def _graded_box_grid(domain: BoxDomain, eps: float) -> QuadratureGrid:
-    """Tensor grid refined toward the box center down to the bubble scale.
-
-    Kept deliberately coarse (8-node panels, ratio-3 grading): in dimension 3
-    the grid must stay around 1e6 points for the sampled ascent to be
-    affordable, and the harness only needs a few digits.
-    """
-    nodes, weights = [], []
-    for L in domain.lengths:
-        c = 0.5 * L
-        inner = graded_edges(max(eps, 1e-8), c, ratio=3.0)
-        edges = np.unique(np.concatenate([c - inner[::-1], c + inner]))
-        n, w = panel_rule(edges, 8)
-        nodes.append(n)
-        weights.append(w)
-    return QuadratureGrid(lengths=domain.lengths, axis_nodes=tuple(nodes), axis_weights=tuple(weights))
 
 
 def linking_sweep(
@@ -365,133 +346,38 @@ def linking_sweep(
     s_amp: float,
     t_amp: float,
     s_coupled: float,
-    rng_seed: int,
 ) -> list[tuple[LinkingRecord, tuple[float, float]]]:
-    """Empirically maximize the energy over {t * bubble-pair + w} per eps.
+    """Maximize the energy over the ray {t * bubble pair : t > 0} per eps.
 
-    With a trivial nonpositive subspace the set degenerates to the ray and
-    the best value is the ray maximum.  Otherwise w is sampled in the
-    nonpositive subspace SAMPLE_BUDGET times, from rng_seed, and locally
-    ascended; this needs a full tensor quadrature over the box and is
-    supported for dim <= 3.  The reported flag says whether the best value
-    stays below (1/N) S_coupled^{N/2}.  Each eps's record comes with the
-    `ray_maximum` pair of its ray, which is built once.
+    The best value is the closed-form ray maximum, and the reported flag
+    says whether it stays below (1/N) S_coupled^{N/2}.  The ray is the whole
+    linking set only when the nonpositive subspace is trivial, so a nonzero
+    X~ (some kappa_i at or above gamma_1) raises PreconditionError in every
+    dimension.  Each eps's record comes with the `ray_maximum` pair of its
+    ray, which is built once.
     """
-    domain = basis.domain
-    if cutoff.support_radius > domain.inscribed_radius:
+    if cutoff.support_radius > basis.domain.inscribed_radius:
         raise PreconditionError("the box must contain the cutoff support")
+    if any(part.size for kappa in (params.kappa1, params.kappa2) for part in nonpositive_modes(basis, kappa)):
+        raise PreconditionError("the linking bound covers only a trivial nonpositive subspace")
     n = lp.dim
     threshold = s_coupled ** (n / 2.0) / n
-    tilde_pairs = [(i, int(k)) for i, kappa in ((1, params.kappa1), (2, params.kappa2))
-                   for k in np.concatenate(nonpositive_modes(basis, kappa))]
-    if tilde_pairs and n > 3:
-        raise PreconditionError(
-            "nontrivial nonpositive subspace needs full box quadrature; supported for dim <= 3"
-        )
     records = []
-    rng = np.random.default_rng(rng_seed)
     for eps in eps_grid:
         quad, hom = _ray_coefficients(eps, cutoff, lp, params.kappa1, params.kappa2, s_amp, t_amp)
         ts = lp.two_star
         ray_r = (ts * quad / (2.0 * hom)) ** (1.0 / (ts - 2.0)) if quad > 0 else 0.0
         closed, direct = ray_maximum(quad, hom, lp)
-        if not tilde_pairs:
-            boundary_ok = ray_energy(2.0 * max(ray_r, 1.0), quad, hom, ts) <= 0.0
-            best = closed
-        else:
-            best, boundary_ok = _tilde_ascent(
-                eps, lp, params, basis, tilde_pairs, cutoff, s_amp, t_amp, quad, hom,
-                ray_r, rng,
-            )
-            best = max(best, closed)
         record = LinkingRecord(
             eps=float(eps),
-            best_value=float(best),
+            best_value=float(closed),
             threshold=float(threshold),
-            passed=bool(best < threshold),
+            passed=bool(closed < threshold),
             ray_radius=float(ray_r),
-            boundary_nonpositive=bool(boundary_ok),
-            tilde_dim=len(tilde_pairs),
+            boundary_nonpositive=bool(ray_energy(2.0 * max(ray_r, 1.0), quad, hom, ts) <= 0.0),
         )
         records.append((record, (closed, direct)))
     return records
-
-
-def _tilde_ascent(
-    eps, lp, params, basis, pairs, cutoff, s_amp, t_amp, quad, hom, ray_r, rng
-):
-    """Sampled-plus-ascended maximization of J(t u_eps + w) over the tilde block.
-
-    `pairs` lists the (component, mode index) directions of the block.
-    """
-    domain = basis.domain
-    grid = _graded_box_grid(domain, eps)
-    center = np.array([0.5 * L for L in domain.lengths])
-    mesh = np.meshgrid(*grid.axis_nodes, indexing="ij")
-    radius = np.sqrt(sum((m - c) ** 2 for m, c in zip(mesh, center)))
-    b = BubbleProfile(lp.dim, eps)
-    ubar = cutoff.value(radius) * b.value(radius)
-    ts = lp.two_star
-
-    # L^2 projections of the cutoff bubble on every mode -> exact B cross terms
-    tr = SineTransform(basis, grid)
-    proj = project(ubar, tr)
-    gamma = basis.eigenvalues
-    n_tilde = len(pairs)
-
-    # one synthesized grid per tilde direction, built once; synthesize returns
-    # a transposed view in dim >= 2, and C order keeps the sums below fast
-    col_list = [np.ascontiguousarray(synthesize(np.eye(basis.size)[k], tr)) for _, k in pairs]
-
-    def point_values(t, w):
-        w1 = np.zeros(grid.shape)
-        w2 = np.zeros(grid.shape)
-        for (ci, _), c, col in zip(pairs, w, col_list):
-            if ci == 1:
-                w1 = w1 + c * col
-            else:
-                w2 = w2 + c * col
-        return t * s_amp * ubar + w1, t * t_amp * ubar + w2
-
-    def energy_at(t, w):
-        v1, v2 = point_values(t, w)
-        quad_part = 0.5 * quad * t**2
-        cross = 0.0
-        wb = 0.0
-        for (ci, k), c in zip(pairs, w):
-            shift = gamma[k] - (params.kappa1 if ci == 1 else params.kappa2)
-            amp = s_amp if ci == 1 else t_amp
-            cross += t * amp * shift * proj[k] * c
-            wb += 0.5 * shift * c * c
-        nonlin = (
-            params.mu1 / ts * integrate(np.abs(v1) ** ts, grid)
-            + params.mu2 / ts * integrate(np.abs(v2) ** ts, grid)
-            + params.lam * integrate(np.abs(v1) ** lp.alpha * np.abs(v2) ** lp.beta, grid)
-        )
-        return quad_part + cross + wb - nonlin
-
-    r_w = max(ray_r, 1.0)
-    best = -np.inf
-    best_y = None
-    t_samples = np.linspace(0.1, 1.5, 8) * max(ray_r, 1.0)
-    for i in range(SAMPLE_BUDGET):
-        w = r_w * rng.standard_normal(n_tilde) * 0.3 if i else np.zeros(n_tilde)
-        t = float(rng.choice(t_samples)) if i else max(ray_r, 1e-2)
-        val = energy_at(t, w)
-        if val > best:
-            best, best_y = val, np.concatenate([[t], w])
-    res = scipy.optimize.minimize(
-        lambda y: -energy_at(y[0], y[1:]), best_y, method="Nelder-Mead",
-        options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 200},
-    )
-    best = max(best, -res.fun)
-    # boundary probes: large t or large w must give nonpositive energy
-    probes = [energy_at(2.0 * max(ray_r, 1.0), np.zeros(n_tilde))]
-    for _ in range(4):
-        w = rng.standard_normal(n_tilde)
-        w *= 2.0 * r_w / np.linalg.norm(w)
-        probes.append(energy_at(0.5 * max(ray_r, 1.0), w))
-    return best, all(p <= 0.0 for p in probes)
 
 
 # -- elementary maximization inequalities ----------------------------------------

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.optimize
 
 from .domain import SineBasis
-from .energy import GalerkinSystem, ScalarProblem, SystemParams, sign_orbit
+from .energy import GalerkinSystem, ScalarProblem, SystemParams, nonpositive_modes, sign_orbit
 from .errors import (
     BracketFailureError,
     ClassificationContradictionError,
@@ -655,16 +655,19 @@ def diagonal_sup(params: SystemParams, m: int, basis: SineBasis) -> float:
 
     Trust-exact, on the m x m block of the Hessian, runs from the Nehari
     point of each positive mode and from 4 random starts drawn at seed 0,
-    whatever the solver seed.  Returns exactly 0 when gamma_m <= (kappa_1 +
-    kappa_2)/2, where the energy is nonpositive on the whole subspace and
-    attains 0 at the origin.  Otherwise the mode-m start has positive
-    energy and trust-exact never ends below its start, so the result is
-    positive: 0 marks exactly the resonant case.
+    whatever the solver seed.  Returns exactly 0 when `nonpositive_modes`
+    puts mode m in the nonpositive subspace for kbar = (kappa_1 + kappa_2)/2;
+    the modes are sorted by eigenvalue, so that is m <= its dimension.  Then
+    gamma_m <= kbar up to that rule's tolerance, so the quadratic part is
+    nonpositive on the whole subspace up to it, and the supremum is the 0
+    attained at the origin.  Otherwise the mode-m start has positive energy
+    and trust-exact never ends below its start, so the result is positive:
+    0 marks exactly the resonant case.
     """
     if not 1 <= m <= basis.size:
         raise PreconditionError(f"m must lie in [1, {basis.size}]")
-    kbar = 0.5 * (params.kappa1 + params.kappa2)
-    if basis.eigenvalues[m - 1] <= kbar:
+    zero, minus = nonpositive_modes(basis, 0.5 * (params.kappa1 + params.kappa2))
+    if m <= zero.size + minus.size:
         return 0.0
     prob = _diag_problem(params, params.lam, basis)
 
@@ -704,7 +707,8 @@ def coupling_threshold(params: SystemParams, c0: float, sup: float) -> float:
     supremum is decreasing in lam, and inverting the exact law of
     rescale_diagonal_sup gives mu_eff(lam_bar) = mu_eff(lam) (sup /
     c0)^((p-2)/2).  Returns 0 exactly when sup == 0, which diagonal_sup
-    returns exactly when gamma_m <= (kappa_1 + kappa_2)/2; raises
+    returns exactly when `nonpositive_modes` puts mode m in the nonpositive
+    subspace for (kappa_1 + kappa_2)/2; raises
     BracketFailureError when lam_bar lies outside LAMBDA_BAR_RANGE = (lo,
     hi], that is lam_bar <= lo or lam_bar > hi.
     """

@@ -44,15 +44,15 @@ def panel_rule(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes.ravel(), weights.ravel()
 
 
-def graded_edges(scale: float, r_max: float, ratio: float = 2.0) -> np.ndarray:
-    """Panel edges [0, scale/4, scale/2, scale, scale*ratio, ..., r_max]."""
+def graded_edges(scale: float, r_max: float) -> np.ndarray:
+    """Panel edges [0, scale/4, scale/2, scale, 2 scale, 4 scale, ..., r_max]."""
     edges = [0.0]
     if scale < r_max:
         edges += [0.25 * scale, 0.5 * scale]
         r = scale
         while r < r_max:
             edges.append(r)
-            r *= ratio
+            r *= 2.0
     edges.append(r_max)
     return np.unique(np.asarray(edges))
 
@@ -75,10 +75,7 @@ def radial_integral(
         return sphere_area(n_dim) * float(np.sum(w * g(r) * r ** (n_dim - 1)))
     r_in, w_in = panel_rule(scale * np.array([0.0, 0.25, 0.5, 1.0]), order)
     inner = float(np.sum(w_in * g(r_in) * r_in ** (n_dim - 1)))
-    y, wy = panel_rule(np.array([0.0, 0.25, 0.5, 1.0]), order)
-    r_out = scale / y
-    outer = float(np.sum(wy * g(r_out) * r_out ** (n_dim - 1) * scale / y**2))
-    return sphere_area(n_dim) * (inner + outer)
+    return sphere_area(n_dim) * (inner + _inverted_tail(g, n_dim, scale, order))
 
 
 def radial_tail_integral(
@@ -94,7 +91,11 @@ def radial_tail_integral(
     """
     if r_min <= 0:
         raise ValueError("r_min must be positive")
+    return sphere_area(n_dim) * _inverted_tail(g, n_dim, r_min, order)
+
+
+def _inverted_tail(g: Callable[[np.ndarray], np.ndarray], n_dim: int, r0: float, order: int) -> float:
+    """int_{r0}^infinity g(r) r^{N-1} dr, mapped onto y in (0, 1] by r = r0/y."""
     y, wy = panel_rule(np.array([0.0, 0.25, 0.5, 1.0]), order)
-    r = r_min / y
-    val = float(np.sum(wy * g(r) * r ** (n_dim - 1) * r_min / y**2))
-    return sphere_area(n_dim) * val
+    r = r0 / y
+    return float(np.sum(wy * g(r) * r ** (n_dim - 1) * r0 / y**2))

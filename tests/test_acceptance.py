@@ -308,7 +308,7 @@ def test_criterion_10_critical_linking_bound():
     cut = CutoffSpec.for_domain(dom)
     checks = []
     margins = []
-    records = linking_sweep((1e-2, 1e-3), lp, pr, basis, cut, s_amp, t_amp, s_coupled, rng_seed=0)
+    records = linking_sweep((1e-2, 1e-3), lp, pr, basis, cut, s_amp, t_amp, s_coupled)
     for rec, (closed, direct) in records:
         checks.append(abs(closed - direct) <= 1e-8 * abs(closed))
         checks.append(rec.passed and rec.best_value < rec.threshold)

@@ -334,13 +334,31 @@ def test_eps_below_the_floor_exits_2_before_any_solver(tmp_path, monkeypatch, ca
 
 def test_verify_estimates_tilde_above_dim_3_skip(tmp_path):
     # kappa = 49.35 lies between gamma_1 = 4 pi^2 and gamma_2 = 7 pi^2 of the
-    # unit 4-box, so X~ is nontrivial and the linking ascent is not run
+    # unit 4-box, so X~ is nontrivial and the linking bound is not run
     cfg = {"problem": _unit_4box(49.35), "task": {},
            "output": {"report": str(tmp_path / "tilde.json"), "formats": ["json"]}}
     assert main(["verify-estimates", "--config", write_config(tmp_path, cfg)]) == 0
     rep = json.loads((tmp_path / "tilde.json").read_text())
-    assert rep["thresholds"]["notes"] == ["nonpositive subspace in dimension > 3: linking bound skipped"]
+    assert rep["thresholds"]["notes"] == ["nonpositive subspace: linking bound skipped"]
     assert not any(r["family"] in ("linking", "ray-max") for r in rep["results"])
+
+
+def test_verify_estimates_tilde_dim_3_skip(tmp_path):
+    # kappa = 40 lies between gamma_1 = 3 pi^2 and gamma_2 = 6 pi^2 of the
+    # unit 3-box: the same skip as in every other dimension.  The only
+    # failing rows allowed are the two dimension-3 order fits that expect
+    # eps^2 where the integrals are O(eps); the exit code follows them
+    problem = {"kappa1": 40.0, "kappa2": 40.0, "mu1": 1.0, "mu2": 1.0, "lambda": 1.0,
+               "alpha": 3.0, "beta": 3.0, "lengths": [1.0] * 3, "cutoffs": [2] * 3}
+    cfg = {"problem": problem, "task": {},
+           "output": {"report": str(tmp_path / "tilde.json"), "formats": ["json"]}}
+    code = main(["verify-estimates", "--config", write_config(tmp_path, cfg)])
+    rep = json.loads((tmp_path / "tilde.json").read_text())
+    assert rep["thresholds"]["notes"] == ["nonpositive subspace: linking bound skipped"]
+    assert not any(r["family"] in ("linking", "ray-max") for r in rep["results"])
+    failed = [r for r in rep["results"] if r.get("passed") is False]
+    assert {(r["family"], r["name"]) for r in failed} <= {("order-fit", "crit_minus_two"), ("order-fit", "square")}
+    assert code == (4 if failed else 0)
 
 
 def test_verify_estimates_failing_bound_exit_4(tmp_path):
@@ -516,7 +534,8 @@ def test_valid_configs_parse(subcommand):
         ("thresholds", "task", "lambda_hi", 1e8),
         ("synchronized", "task", "r_lo", 1e-8),  # synchronized.R_WINDOW
         ("synchronized", "task", "r_hi", 1e8),
-        ("verify-estimates", "task", "sample_budget", 40),  # linking_sweep's default
+        # removed: the linking harness checks the ray alone and samples nothing
+        ("verify-estimates", "task", "sample_budget", 40),
         # removed: a config without lengths and cutoffs skips the linking harness
         ("verify-estimates", "task", "skip_linking", False),
     ],

@@ -177,14 +177,13 @@ def test_linking_definite_reduces_to_ray(n5_setting):
                           alpha=lp.alpha, beta=lp.beta, dim=5)
     assert all(z.size == 0 for z in nonpositive_modes(basis, kappa))
     cut = CutoffSpec.for_domain(dom)
-    recs = linking_sweep([1e-2, 1e-3], lp, params, basis, cut, s_amp, t_amp, s_coupled, rng_seed=0)
+    recs = linking_sweep([1e-2, 1e-3], lp, params, basis, cut, s_amp, t_amp, s_coupled)
     for rec, ray_pair in recs:
         quad, hom = estimates._ray_coefficients(rec.eps, cut, lp, kappa, kappa, s_amp, t_amp)
         assert ray_pair == ray_maximum(quad, hom, lp)
         assert rec.best_value == ray_pair[0]
         assert rec.passed
         assert rec.boundary_nonpositive
-        assert rec.tilde_dim == 0
 
 
 def test_linking_rejects_small_box(n5_setting):
@@ -195,7 +194,7 @@ def test_linking_rejects_small_box(n5_setting):
                           alpha=lp.alpha, beta=lp.beta, dim=5)
     cut = CutoffSpec(delta=0.5, support_radius=1.0)
     with pytest.raises(PreconditionError):
-        linking_sweep([1e-2], lp, params, basis, cut, s_amp, t_amp, s_coupled, rng_seed=0)
+        linking_sweep([1e-2], lp, params, basis, cut, s_amp, t_amp, s_coupled)
 
 
 def test_linking_rejects_nonpositive_kappa_and_wide_eps(n5_setting):
@@ -206,44 +205,34 @@ def test_linking_rejects_nonpositive_kappa_and_wide_eps(n5_setting):
         params = SystemParams(kappa1=kappa1, kappa2=kappa, mu1=1.0, mu2=1.0, lam=lp.lam,
                               alpha=lp.alpha, beta=lp.beta, dim=5)
         with pytest.raises(PreconditionError):
-            linking_sweep([eps], lp, params, basis, cut, s_amp, t_amp, s_coupled, rng_seed=0)
+            linking_sweep([eps], lp, params, basis, cut, s_amp, t_amp, s_coupled)
 
 
-def test_linking_tilde_branch_dim3(monkeypatch):
-    # internal-consistency run of the sampled tilde ascent in dimension 3:
-    # the best value must dominate the pure-ray value, and the large-(t,w)
-    # boundary probes must be nonpositive; 6 samples keep the test short
-    monkeypatch.setattr(estimates, "SAMPLE_BUDGET", 6)
-    n = 3
-    dom = BoxDomain((2.0,) * n)
+@pytest.mark.parametrize("n", [3, 5])
+def test_linking_rejects_nontrivial_tilde(n):
+    # the ray is the whole linking set only when X~ = {0}: the same sweep
+    # runs with kappa below gamma_1 and is refused between gamma_1 and gamma_2
+    dom = BoxDomain((1.0,) * n)
     basis = SineBasis(dom, (2,) * n)
     g = basis.eigenvalues
-    kappa = 0.5 * (g[0] + g[1])
-    lam = 4.0 * interior_threshold(1.0, 1.0, 3.0, 3.0, n)
-    lp = LimitParams(mu1=1.0, mu2=1.0, lam=lam, alpha=3.0, beta=3.0, dim=n)
+    ab = n / (n - 2.0)
+    lam = 4.0 * interior_threshold(1.0, 1.0, ab, ab, n)
+    lp = LimitParams(mu1=1.0, mu2=1.0, lam=lam, alpha=ab, beta=ab, dim=n)
     s_coupled, r_min = coupled_sobolev_constant(lp)
     s_amp, t_amp = minimizer_amplitudes(lp, s_coupled, r_min)
-    params = SystemParams(kappa1=kappa, kappa2=kappa, mu1=1.0, mu2=1.0, lam=lam,
-                          alpha=3.0, beta=3.0, dim=n)
-    assert [z.tolist() for z in nonpositive_modes(basis, kappa)] == [[], [0]]
     cut = CutoffSpec.for_domain(dom)
-    [(rec, (closed, _))] = linking_sweep([2e-2], lp, params, basis, cut, s_amp, t_amp, s_coupled, rng_seed=0)
-    assert rec.best_value >= closed - 1e-10
-    assert rec.boundary_nonpositive
-    assert rec.tilde_dim == 2
 
+    def sweep(kappa):
+        params = SystemParams(kappa1=kappa, kappa2=kappa, mu1=1.0, mu2=1.0, lam=lam,
+                              alpha=ab, beta=ab, dim=n)
+        return linking_sweep([1e-2], lp, params, basis, cut, s_amp, t_amp, s_coupled)
 
-def test_linking_tilde_rejected_above_dim3(n5_setting):
-    dom, kappa, lp, s_coupled, s_amp, t_amp = n5_setting
-    basis = SineBasis(dom, (2,) * 5)
-    # kappa above gamma_1 forces a nontrivial tilde block in dimension 5
-    g1 = basis.eigenvalues[0]
-    params = SystemParams(kappa1=1.5 * g1, kappa2=1.5 * g1, mu1=1.0, mu2=1.0, lam=lp.lam,
-                          alpha=lp.alpha, beta=lp.beta, dim=5)
-    assert nonpositive_modes(basis, 1.5 * g1)[1].size > 0
-    cut = CutoffSpec.for_domain(dom)
-    with pytest.raises(PreconditionError):
-        linking_sweep([1e-2], lp, params, basis, cut, s_amp, t_amp, s_coupled, rng_seed=0)
+    below, between = 0.5 * g[0], 0.5 * (g[0] + g[1])
+    assert [z.tolist() for z in nonpositive_modes(basis, below)] == [[], []]
+    assert len(sweep(below)) == 1
+    assert [z.tolist() for z in nonpositive_modes(basis, between)] == [[], [0]]
+    with pytest.raises(PreconditionError, match="nonpositive subspace"):
+        sweep(between)
 
 
 # -- elementary inequalities --------------------------------------------------------
@@ -341,7 +330,7 @@ def test_linking_dim4_nonresonant_calibrated_cutoff():
                       alpha=2.0, beta=2.0, dim=n)
     delta = dom.inscribed_radius / 4.0
     cut = CutoffSpec(delta=delta, support_radius=2.0 * delta)
-    recs = linking_sweep([1e-2, 1e-3], lp, pr, basis, cut, s_amp, t_amp, s_coupled, rng_seed=0)
+    recs = linking_sweep([1e-2, 1e-3], lp, pr, basis, cut, s_amp, t_amp, s_coupled)
     for rec, _ in recs:
         assert rec.passed, rec
         assert rec.boundary_nonpositive

@@ -74,6 +74,25 @@ def test_no_unused_imports():
     assert [hit for path in modules for hit in _unused_imports(path)] == []
 
 
+def _imported_packages(path: pathlib.Path) -> set[str]:
+    """Top-level packages a module imports by absolute name."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_only_nehari_imports_scipy():
+    # the SciPy call sites left to replace with in-repo solvers all sit in
+    # nehari; a new import elsewhere adds one
+    modules = sorted((REPO / "src" / "sinesolve").glob("*.py"))
+    assert len(modules) > 5
+    assert [p.stem for p in modules if "scipy" in _imported_packages(p)] == ["nehari"]
+
+
 def _bench_table(script: str, name: str):
     """The literal value of `name = ...` in a bench/ script, read without importing it."""
     tree = ast.parse((REPO / "bench" / script).read_text(encoding="utf-8"))

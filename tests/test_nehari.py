@@ -504,6 +504,7 @@ def test_diagonal_sup_ray_value(basis):
 # kbar = (kappa_1 + kappa_2)/2 against gamma_3 = 9 pi^2, all three above gamma_1
 RESONANCE_CASES = {
     "below": lambda g3: g3 * (1.0 - 1e-6),
+    "within": lambda g3: g3 * (1.0 - 1e-12),  # inside nonpositive_modes' zero tolerance
     "equal": lambda g3: g3,
     "above": lambda g3: 10.0 * np.pi**2,
 }
@@ -511,7 +512,7 @@ RESONANCE_CASES = {
 
 @pytest.mark.parametrize("case", sorted(RESONANCE_CASES))
 def test_diagonal_sup_resonant_zero(basis, case):
-    # the supremum is 0 exactly when gamma_m <= kbar, and positive otherwise
+    # the supremum is 0 exactly when mode m is a nonpositive mode for kbar, and positive otherwise
     g = basis.eigenvalues
     kbar = RESONANCE_CASES[case](float(g[2]))
     assert g[0] <= kbar < g[3]

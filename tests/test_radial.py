@@ -49,7 +49,7 @@ def test_reference_rule_is_read_only(cold_rule_cache):
         np.array([0.0, 1.0]),
         np.array([0.0, 0.25, 0.5, 1.0]),
         np.linspace(0.0, 1.3, 5),
-        graded_edges(1e-3, 0.5, ratio=3.0),
+        graded_edges(1e-3, 0.5),
     ],
     ids=["unit", "quarters", "uniform", "graded"],
 )
