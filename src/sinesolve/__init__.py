@@ -44,7 +44,6 @@ from .nehari import (
     ground_state,
     multiplicity_search,
     nehari_residuals,
-    orbit_dedup,
     rescale_diagonal_sup,
     scalar_ground_state,
     semitrivial_threshold,

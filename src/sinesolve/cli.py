@@ -44,6 +44,7 @@ from .errors import (
     SolverError,
 )
 from .estimates import (
+    SWEEP_CUTOFF,
     CutoffSpec,
     calculus_inequalities,
     check_eps_grid,
@@ -88,8 +89,8 @@ _SOLVER = SolverConfig()  # the solver keys take their defaults from it
 # Every config key: (type, default, range).  A type ending in "s" is a JSON
 # array of the singular type; integers accept 2 and 2.0 but not 2.7 or true,
 # and numbers refuse booleans and strings.  A range names a predicate in
-# _RANGES or is the tuple of allowed values.  A default of None leaves the
-# key absent unless a cross-field rule in parse_config fills it in.
+# _RANGES or is the tuple of allowed values.  A key whose default is None
+# reads as None when the config leaves it out.
 SCHEMA = {
     "problem": {
         "kappa1": ("number", 0.0, "any"),
@@ -104,7 +105,6 @@ SCHEMA = {
         "dim": ("integer", None, ">= 1"),
     },
     "solver": {
-        "tol": ("number", _SOLVER.tol, "> 0"),
         "seed": ("integer", _SOLVER.rng_seed, ">= 0"),
         "n_mode_seeds": ("integer", _SOLVER.n_mode_seeds, ">= 0"),
         "n_random_seeds": ("integer", _SOLVER.n_random_seeds, ">= 0"),
@@ -150,8 +150,6 @@ COMMANDS = {
     "synchronized": Command({}, equal_kappas=True),
     "verify-estimates": Command({
         "eps_grid": ("numbers", default_eps_grid(), "> 0"),
-        "delta": ("number", 1.5, "> 0"),
-        "support_radius": ("number", None, "> 0"),
         "linking_eps": ("numbers", (1e-2, 1e-3), "> 0"),
     }, needs_box=False, limit=True),
 }
@@ -244,13 +242,10 @@ def parse_config(raw: dict, command: Command) -> RunConfig:
 
         if "m" in task and task["m"] > math.prod(cutoffs):
             raise ConfigError(f"task.m must lie in [1, {math.prod(cutoffs)}], the number of modes")
-        if "delta" in task:  # verify-estimates: each eps the run would refuse
-            if task["support_radius"] is None:
-                task["support_radius"] = 2.0 * task["delta"]
-            sweep_cutoff = CutoffSpec(task["delta"], task["support_radius"])
+        if "eps_grid" in task:  # verify-estimates: each eps the run would refuse
             check_eps_grid(task["eps_grid"])
             for eps in task["eps_grid"]:
-                check_sweep_eps(eps, sweep_cutoff, dim)
+                check_sweep_eps(eps, SWEEP_CUTOFF, dim)
             if lengths is not None and cutoffs is not None:
                 box_cutoff = CutoffSpec.for_domain(BoxDomain(lengths))
                 for eps in task["linking_eps"]:
@@ -451,7 +446,6 @@ def _run_synchronized(cfg: RunConfig) -> tuple[dict, int]:
 def _run_verify_estimates(cfg: RunConfig) -> tuple[dict, int]:
     lp, pr, task = cfg.limit, cfg.params, cfg.task
     eps_grid = task["eps_grid"]
-    sweep_cutoff = CutoffSpec(delta=task["delta"], support_radius=task["support_radius"])
     results: list[dict] = []
     failed = False
 
@@ -462,8 +456,8 @@ def _run_verify_estimates(cfg: RunConfig) -> tuple[dict, int]:
     eps_independent = abs(g2 - g1) <= 1e-8 * abs(g1)
     failed |= not eps_independent
 
-    sweeps = [cutoff_bubble_integrals(e, sweep_cutoff, lp.dim) for e in eps_grid]
-    fit = fit_orders(sweeps, lp.dim, sweep_cutoff)
+    sweeps = [cutoff_bubble_integrals(e, SWEEP_CUTOFF, lp.dim) for e in eps_grid]
+    fit = fit_orders(sweeps, lp.dim, SWEEP_CUTOFF)
     for s in sweeps:
         results.append({
             "family": "bubble-integrals", "eps": s.eps, "grad_sq": s.grad_sq,
@@ -576,7 +570,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--out", default=None, help="directory for report files")
     # every run is single-threaded; the flag stays for command lines that pass 1
     parser.add_argument("--threads", type=int, choices=[1], default=1, help="must be 1")
-    parser.add_argument("--format", choices=["json", "csv", "both"], default=None)
     args = parser.parse_args(argv)
 
     try:
@@ -586,12 +579,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             raw = {**raw, "solver": {**raw.get("solver", {}), "seed": args.seed}}
         command, runner = SUBCOMMANDS[args.subcommand]
         cfg = parse_config(raw, command)
-        changes: dict[str, Any] = {}
-        if args.format is not None:
-            changes["formats"] = ("json", "csv") if args.format == "both" else (args.format,)
         if args.out is not None:
-            changes["report_path"] = os.path.join(args.out, os.path.basename(cfg.report_path))
-        cfg = dataclasses.replace(cfg, **changes)
+            report_path = os.path.join(args.out, os.path.basename(cfg.report_path))
+            cfg = dataclasses.replace(cfg, report_path=report_path)
         if {"json", "csv"} <= set(cfg.formats) and _csv_path(cfg.report_path) == cfg.report_path:
             raise ConfigError(f"the CSV table would overwrite the JSON report {cfg.report_path}")
         # a report directory that cannot be made fails here, before any solver runs

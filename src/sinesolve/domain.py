@@ -49,12 +49,13 @@ class BoxDomain:
         return 0.5 * min(self.lengths)
 
 
-def _sorted_modes(lengths: Sequence[float], cutoffs: Sequence[int]) -> np.ndarray:
+def _sorted_modes(lengths: Sequence[float], cutoffs: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The mode index tuples sorted by eigenvalue, then lexicographically, and their eigenvalues."""
     grids = np.meshgrid(*[np.arange(1, k + 1) for k in cutoffs], indexing="ij")
     modes = np.stack([g.ravel() for g in grids], axis=1)  # (M, dim)
     gamma = np.pi**2 * np.sum((modes / np.asarray(lengths)) ** 2, axis=1)
     order = np.lexsort(tuple(modes[:, i] for i in reversed(range(modes.shape[1]))) + (gamma,))
-    return modes[order]
+    return modes[order], gamma[order]
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,8 +73,7 @@ class SineBasis:
             raise ValueError("one cutoff per axis required")
         if any(k < 1 for k in self.cutoffs):
             raise ValueError("cutoffs must be positive")
-        modes = _sorted_modes(self.domain.lengths, self.cutoffs)
-        gamma = np.pi**2 * np.sum((modes / np.asarray(self.domain.lengths)) ** 2, axis=1)
+        modes, gamma = _sorted_modes(self.domain.lengths, self.cutoffs)
         modes.setflags(write=False)
         gamma.setflags(write=False)
         object.__setattr__(self, "modes", modes)

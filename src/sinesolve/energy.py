@@ -48,8 +48,6 @@ class SystemParams:
             raise ValueError("alpha and beta must exceed 1")
         if self.dim < 1:
             raise ValueError("dim must be at least 1")
-        if self.p <= 2:
-            raise ValueError("p = alpha + beta must exceed 2")
         if self.dim >= 3 and self.p > self.critical_exponent + 1e-12:
             raise ValueError("p exceeds the critical exponent 2N/(N-2)")
 

@@ -3,7 +3,7 @@ formula, the linking upper bound, and the two elementary maximization
 inequalities.
 
 The cutoff bubble is psi(|x|) U_eps(|x|) with psi a C^2 quintic bridge equal
-to 1 on [0, delta] and 0 beyond the support radius.  Its integrals follow
+to 1 on [0, delta] and 0 beyond 2 delta.  Its integrals follow
 known orders in eps, verified here by log-log slope fits over an eps sweep.
 Every eps must lie above `eps_floor`, below which the integrands overflow.
 The linking harness maximizes the coupled energy over the ray through the
@@ -38,32 +38,38 @@ _INEQUALITY_REL_TOL = 1e-9
 
 @dataclass(frozen=True)
 class CutoffSpec:
-    """Radial plateau-and-bridge cutoff: 1 on [0, delta], 0 beyond the support."""
+    """Radial plateau-and-bridge cutoff: 1 on [0, delta], 0 beyond the support 2 delta.
+
+    This is the Brezis-Nirenberg test-function cutoff (CPAM 36, 1983):
+    psi = 1 on B_delta, supported in B_{2 delta}.
+    """
 
     delta: float
-    support_radius: float
 
     def __post_init__(self):
-        if self.delta <= 0 or self.support_radius <= self.delta:
-            raise ValueError("need 0 < delta < support_radius")
+        if not self.delta > 0:
+            raise ValueError("need delta > 0")
+
+    @property
+    def support_radius(self) -> float:
+        return 2.0 * self.delta
 
     @classmethod
     def for_domain(cls, domain: BoxDomain) -> "CutoffSpec":
         # plateau at 1/8 of the inscribed radius, support at 1/4: the box
         # contains the support, as linking_sweep requires
-        delta = domain.inscribed_radius / 8.0
-        return cls(delta=delta, support_radius=2.0 * delta)
+        return cls(domain.inscribed_radius / 8.0)
 
     def value(self, radius) -> np.ndarray:
+        # the bridge [delta, 2 delta] has width delta (2 delta - delta is exact)
         r = np.asarray(radius, dtype=float)
-        tau = np.clip((r - self.delta) / (self.support_radius - self.delta), 0.0, 1.0)
+        tau = np.clip((r - self.delta) / self.delta, 0.0, 1.0)
         return 1.0 - tau**3 * (10.0 - 15.0 * tau + 6.0 * tau**2)
 
     def derivative(self, radius) -> np.ndarray:
         r = np.asarray(radius, dtype=float)
-        width = self.support_radius - self.delta
-        tau = np.clip((r - self.delta) / width, 0.0, 1.0)
-        return -30.0 * tau**2 * (1.0 - tau) ** 2 / width
+        tau = np.clip((r - self.delta) / self.delta, 0.0, 1.0)
+        return -30.0 * tau**2 * (1.0 - tau) ** 2 / self.delta
 
 
 @dataclass(frozen=True)
@@ -278,6 +284,10 @@ def check_ray_eps(eps: float, cutoff: CutoffSpec, n_dim: int) -> None:
     if not eps < cutoff.delta / 2.0:
         raise PreconditionError("eps must sit inside the plateau (eps < delta/2)")
     _check_above_floor(eps, n_dim)
+
+
+#: The cutoff of the order-fit sweep (`verify-estimates`' bubble-integrals rows).
+SWEEP_CUTOFF = CutoffSpec(1.5)
 
 
 def default_eps_grid() -> tuple[float, ...]:

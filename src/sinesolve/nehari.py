@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 import scipy.optimize
@@ -49,6 +49,8 @@ DEFLATION_POWER = 2
 DEFLATION_SHIFT = 1.0
 #: multiplicity_search: orbit distance under which a converged point repeats a known orbit.
 DEDUP_TOL = 1e-4
+#: newton_polish: gradient norm at which Newton counts as converged.
+NEWTON_TOL = 1e-10
 #: coupling_threshold refuses a crossing lam_bar outside (lo, hi].
 LAMBDA_BAR_RANGE = (1e-6, 1e8)
 #: Why a search dropped a seed, as listed in ConvergenceFailureError.diagnostics.
@@ -58,14 +60,13 @@ NOT_CONVERGED = "did not converge"
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """The Newton tolerance, the seeding of the multistart searches, and the
-    multiplicity search's run budget.
+    """The seeding of the multistart searches and the multiplicity search's run budget.
 
     Each is a `solver` config key (`rng_seed` is `seed`); the other
-    numerical choices of the searches are the module constants above.
+    numerical choices of the searches, the Newton tolerance NEWTON_TOL
+    among them, are the module constants above.
     """
 
-    tol: float = 1e-10
     n_mode_seeds: int = 6
     n_random_seeds: int = 8
     rng_seed: int = 0
@@ -261,15 +262,16 @@ def _embed(values: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def newton_polish(engine, z: np.ndarray, tol: float) -> tuple[np.ndarray, bool]:
+def newton_polish(engine, z: np.ndarray) -> tuple[np.ndarray, bool]:
     """Drive the full gradient to zero with a dense Newton (Powell hybrid).
 
-    MINPACK builds the Hessian only at the start and after its Broyden updates
-    stall, and returns the gradient at `sol.x` as `sol.fun`.
+    Converged means a gradient norm of at most NEWTON_TOL.  MINPACK builds
+    the Hessian only at the start and after its Broyden updates stall, and
+    returns the gradient at `sol.x` as `sol.fun`.
     """
     opts = {"xtol": 1e-13, "maxfev": 200 * (z.size + 1)}
     sol = scipy.optimize.root(engine.gradient, z, jac=engine.hessian, method="hybr", options=opts)
-    return sol.x, bool(np.linalg.norm(sol.fun) <= tol) and np.all(np.isfinite(sol.x))
+    return sol.x, bool(np.linalg.norm(sol.fun) <= NEWTON_TOL) and np.all(np.isfinite(sol.x))
 
 
 def nehari_descent(engine, z: np.ndarray) -> np.ndarray:
@@ -354,21 +356,6 @@ def orbit_distance(z1: np.ndarray, z2: np.ndarray) -> float:
     return min(float(np.linalg.norm(z1 - img)) for img in sign_orbit(z2))
 
 
-def orbit_dedup(points: Sequence[np.ndarray], tol: float) -> list[int]:
-    """Orbit ids of stacked coefficient vectors: two share one iff their orbit distance is < tol."""
-    reps: list[np.ndarray] = []
-    ids: list[int] = []
-    for z in points:
-        for j, r in enumerate(reps):
-            if orbit_distance(z, r) < tol:
-                ids.append(j)
-                break
-        else:
-            reps.append(z)
-            ids.append(len(reps) - 1)
-    return ids
-
-
 # -- seeding --------------------------------------------------------------------
 
 
@@ -399,7 +386,7 @@ def _system_seeds(
         yield amp * z / max(np.linalg.norm(z), 1e-12)
 
 
-def _converge_seed(engine, z0, config: SolverConfig) -> tuple[np.ndarray | None, str]:
+def _converge_seed(engine, z0) -> tuple[np.ndarray | None, str]:
     """Project a seed onto the Nehari set and drive the gradient to zero.
 
     Returns (z, "") for a converged seed, else (None, why it was dropped):
@@ -414,11 +401,11 @@ def _converge_seed(engine, z0, config: SolverConfig) -> tuple[np.ndarray | None,
             z = project_general(engine, z0)
     except NoProjectionError:
         z = z0  # let the full Newton try anyway
-    z, ok = newton_polish(engine, z, config.tol)
+    z, ok = newton_polish(engine, z)
     return (z, "") if ok else (None, NOT_CONVERGED)
 
 
-def _least_energy(engine, seeds: Iterable[np.ndarray], config: SolverConfig) -> np.ndarray:
+def _least_energy(engine, seeds: Iterable[np.ndarray]) -> np.ndarray:
     """The converged seed of least positive energy outside the nonpositive subspace.
 
     A later seed replaces the best only when its energy is lower by more
@@ -428,7 +415,7 @@ def _least_energy(engine, seeds: Iterable[np.ndarray], config: SolverConfig) -> 
     best, best_energy = None, 0.0
     diagnostics: list[str] = []
     for z0 in seeds:
-        z, dropped = _converge_seed(engine, z0, config)
+        z, dropped = _converge_seed(engine, z0)
         if z is None:
             diagnostics.append(dropped)
             continue
@@ -465,7 +452,7 @@ def scalar_ground_state(basis: SineBasis, kappa: float, p: float, config: Solver
         low = min(m, 8)
         z[:low] = rng.standard_normal(low)
         seeds.append(SEED_AMPLITUDE * z / np.linalg.norm(z))
-    z = _least_energy(prob, seeds, config)
+    z = _least_energy(prob, seeds)
     return ScalarGroundState(
         w=z,
         energy=prob.energy(z),
@@ -522,7 +509,7 @@ def ground_state(
     engine = GalerkinSystem(params, basis)
     rng = np.random.default_rng(config.rng_seed)
     seeds = _system_seeds(engine, config, rng, threshold.scalar_states, config.n_random_seeds)
-    best = evaluate_point(engine, _least_energy(engine, seeds, config))
+    best = evaluate_point(engine, _least_energy(engine, seeds))
     return dataclasses.replace(best, below_threshold=bool(best.energy < threshold.c0))
 
 
@@ -584,7 +571,9 @@ def multiplicity_search(
     engine = GalerkinSystem(params, basis)
     rng = np.random.default_rng(config.rng_seed)
 
-    deflate: list[np.ndarray] = [np.zeros(2 * engine.m)]  # never re-converge to 0
+    # never re-converge to 0: the orbit distance from 0 is the norm, so the
+    # dedup check also drops every converged point of norm under DEDUP_TOL
+    deflate: list[np.ndarray] = [np.zeros(2 * engine.m)]
     hits: list[CriticalPoint] = []
     runs = 0
     seeds = _system_seeds(engine, config, rng, threshold.scalar_states, config.budget)
@@ -599,10 +588,8 @@ def multiplicity_search(
         except NoProjectionError:
             z_init = z0
         z = _deflated_root(engine, z_init, deflate)
-        z, ok = newton_polish(engine, z, config.tol)
+        z, ok = newton_polish(engine, z)
         if not ok:
-            continue
-        if np.linalg.norm(z) < 10 * PLUS_FLOOR:
             continue
         if any(orbit_distance(z, r) < DEDUP_TOL for r in deflate):
             continue

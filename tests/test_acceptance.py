@@ -275,7 +275,7 @@ def test_criterion_08_synchronized_algebra():
 
 def test_criterion_09_bubble_integral_orders():
     t0 = time.perf_counter()
-    cut = CutoffSpec(delta=1.5, support_radius=3.0)
+    cut = CutoffSpec(1.5)
     checks = []
     details = []
     for n in (4, 5):

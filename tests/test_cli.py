@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -217,20 +218,10 @@ def test_verify_estimates_sweep_rows_are_the_bubble_integrals(tmp_path):
     rows = [{k: v for k, v in r.items() if k != "family"}
             for r in json.loads((tmp_path / "ve.json").read_text())["results"]
             if r["family"] == "bubble-integrals"]
-    cutoff = estimates.CutoffSpec(delta=1.5, support_radius=3.0)
+    cutoff = estimates.CutoffSpec(1.5)
     want = [dataclasses.asdict(estimates.cutoff_bubble_integrals(e, cutoff, 3))
             for e in estimates.default_eps_grid()]
     assert rows == want
-
-
-def test_format_both_flag(tmp_path):
-    cfg = copy.deepcopy(BASE)
-    cfg["output"]["report"] = str(tmp_path / "fmt.json")
-    cfg["output"]["formats"] = ["json"]
-    path = write_config(tmp_path, cfg)
-    assert main(["ground-state", "--config", path, "--format", "both"]) == 0
-    assert (tmp_path / "fmt.json").exists()
-    assert (tmp_path / "fmt.csv").exists()
 
 
 def test_verify_estimates_resonant_skip(tmp_path):
@@ -505,10 +496,10 @@ def test_valid_configs_parse(subcommand):
         ("thresholds", "task", "lambda_grid", 3),
         ("ground-state", "problem", "cutoffs", 6),
         ("ground-state", "problem", "lengths", "ab"),
-        ("ground-state", "solver", "tol", "x"),
+        ("ground-state", "solver", "tol", 1e-10),  # removed: nehari.NEWTON_TOL
         ("ground-state", "solver", "budget", [1]),
         ("verify-estimates", "task", "eps_grid", [1e-1, 1e-3]),
-        ("verify-estimates", "task", "delta", -1),
+        ("verify-estimates", "task", "delta", 1.5),  # removed: estimates.SWEEP_CUTOFF
         ("multiplicity", "task", "k", 2.7),
         ("ground-state", "problem", "cutoffs", [2.5]),
         ("ground-state", "problem", "mu1", True),
@@ -538,6 +529,7 @@ def test_valid_configs_parse(subcommand):
         ("verify-estimates", "task", "sample_budget", 40),
         # removed: a config without lengths and cutoffs skips the linking harness
         ("verify-estimates", "task", "skip_linking", False),
+        ("verify-estimates", "task", "support_radius", 3.0),  # removed: always 2 delta
     ],
 )
 def test_malformed_value_exits_2_before_any_solver(
@@ -557,7 +549,7 @@ def test_malformed_value_exits_2_before_any_solver(
 
 
 @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--threads", "0"), ("--threads", "-2"),
-                                         ("--threads", "2")])
+                                         ("--threads", "2"), ("--format", "both")])
 def test_refused_flag_exits_2_before_any_solver(tmp_path, monkeypatch, flag, value):
     def unreachable(*args, **kwargs):
         raise AssertionError("a solver ran with a refused flag")
@@ -572,9 +564,7 @@ def test_refused_flag_exits_2_before_any_solver(tmp_path, monkeypatch, flag, val
     assert not os.path.exists(tmp_path / "never.json")
 
 
-@pytest.mark.parametrize("formats, flag", [(["json", "csv"], []), (["json"], ["--format", "both"])])
-def test_csv_report_path_with_both_formats_exits_2_before_any_solver(tmp_path, monkeypatch, capsys,
-                                                                     formats, flag):
+def test_csv_report_path_with_both_formats_exits_2_before_any_solver(tmp_path, monkeypatch, capsys):
     # the CSV table would land on the JSON report's path and replace it
     def unreachable(*args, **kwargs):
         raise AssertionError("a solver ran although the two reports share one path")
@@ -582,8 +572,8 @@ def test_csv_report_path_with_both_formats_exits_2_before_any_solver(tmp_path, m
     for name in SOLVER_ENTRY_POINTS:
         monkeypatch.setattr(cli, name, unreachable)
     cfg = copy.deepcopy(BASE)
-    cfg["output"] = {"report": str(tmp_path / "out.csv"), "formats": formats}
-    assert main(["ground-state", "--config", write_config(tmp_path, cfg), *flag]) == 2
+    cfg["output"] = {"report": str(tmp_path / "out.csv"), "formats": ["json", "csv"]}
+    assert main(["ground-state", "--config", write_config(tmp_path, cfg)]) == 2
     assert "config error" in capsys.readouterr().err
     assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
@@ -607,12 +597,11 @@ def test_typed_values_and_defaults():
     cfg = copy.deepcopy(VALID["verify-estimates"])
     cfg["problem"]["dim"] = 4.0
     cfg["solver"] = {"budget": 7.0, "seed": 2}
-    cfg["task"] = {"delta": 2.0}  # the default sweep needs eps < delta/10
     run = parse_config(cfg, COMMANDS["verify-estimates"])
     assert run.params.dim == 4 and isinstance(run.params.dim, int)
     assert run.solver.budget == 7 and isinstance(run.solver.budget, int)
-    assert run.solver.rng_seed == 2 and run.solver.tol == 1e-10
-    assert run.task["support_radius"] == 4.0  # twice delta
+    assert run.solver.rng_seed == 2
+    assert run.task == {"eps_grid": estimates.default_eps_grid(), "linking_eps": (1e-2, 1e-3)}
     assert run.limit is not None and run.limit.dim == 4
     assert run.raw is cfg  # the report echoes the config as given
 
@@ -682,3 +671,16 @@ def test_readme_documents_every_config_key():
     }
     documented = {k: v for k, v in rows.items() if k[0] in tables}
     assert documented == expected
+
+
+def test_readme_synopsis_names_every_flag(capsys):
+    # the usage line of --help names each flag of main once
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        synopsis = [line for line in fh if line.startswith("sinesolve <subcommand> ")]
+    assert len(synopsis) == 1
+    flags = re.compile(r"--[a-z][a-z-]*")
+    assert set(flags.findall(synopsis[0])) == set(flags.findall(usage)) != set()

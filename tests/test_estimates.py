@@ -40,7 +40,7 @@ from sinesolve.radial import radial_integral
 
 @pytest.fixture(scope="module")
 def sweep_cutoff():
-    return CutoffSpec(delta=1.5, support_radius=3.0)
+    return CutoffSpec(1.5)
 
 
 def test_cutoff_shape(sweep_cutoff):
@@ -58,8 +58,10 @@ def test_cutoff_shape(sweep_cutoff):
 
 
 def test_cutoff_validation():
-    with pytest.raises(ValueError):
-        CutoffSpec(delta=1.0, support_radius=0.5)
+    for delta in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            CutoffSpec(delta)
+    assert CutoffSpec(1.5).support_radius == 3.0
 
 
 def test_bn_regime_precondition(sweep_cutoff):
@@ -192,7 +194,7 @@ def test_linking_rejects_small_box(n5_setting):
     basis = SineBasis(tiny, (2,) * 5)
     params = SystemParams(kappa1=kappa, kappa2=kappa, mu1=1.0, mu2=1.0, lam=lp.lam,
                           alpha=lp.alpha, beta=lp.beta, dim=5)
-    cut = CutoffSpec(delta=0.5, support_radius=1.0)
+    cut = CutoffSpec(0.5)
     with pytest.raises(PreconditionError):
         linking_sweep([1e-2], lp, params, basis, cut, s_amp, t_amp, s_coupled)
 
@@ -328,8 +330,7 @@ def test_linking_dim4_nonresonant_calibrated_cutoff():
     s_amp, t_amp = minimizer_amplitudes(lp, s_coupled, r_min)
     pr = SystemParams(kappa1=kappa, kappa2=kappa, mu1=1.0, mu2=1.0, lam=1.0,
                       alpha=2.0, beta=2.0, dim=n)
-    delta = dom.inscribed_radius / 4.0
-    cut = CutoffSpec(delta=delta, support_radius=2.0 * delta)
+    cut = CutoffSpec(dom.inscribed_radius / 4.0)
     recs = linking_sweep([1e-2, 1e-3], lp, pr, basis, cut, s_amp, t_amp, s_coupled)
     for rec, _ in recs:
         assert rec.passed, rec

@@ -22,7 +22,6 @@ from sinesolve import (
     multiplicity_search,
     nehari_residuals,
     nonpositive_modes,
-    orbit_dedup,
     rescale_diagonal_sup,
     scalar_ground_state,
     semitrivial_threshold,
@@ -34,7 +33,10 @@ from sinesolve.errors import (
     NoProjectionError,
     PreconditionError,
 )
+from sinesolve import nehari
 from sinesolve.nehari import (
+    DEDUP_TOL,
+    NEWTON_TOL,
     NO_POSITIVE_PART,
     _converge_seed,
     _deflated_root,
@@ -112,11 +114,11 @@ def test_projection_scale_free(basis):
     np.testing.assert_allclose(p1, p2, rtol=1e-12, atol=1e-12)
 
 
-def test_projection_rejects_point_without_plus_part(basis, config):
+def test_projection_rejects_point_without_plus_part(basis):
     # e1 is the negative direction at kappa = 15, so the e1 pair has no
     # positive part: a search drops it before projecting
     eng = GalerkinSystem(params_with(kappa1=15.0, kappa2=15.0), basis)
-    assert _converge_seed(eng, e1_pair(basis), config) == (None, NO_POSITIVE_PART)
+    assert _converge_seed(eng, e1_pair(basis)) == (None, NO_POSITIVE_PART)
 
 
 def test_projection_noprojection_error():
@@ -173,9 +175,8 @@ def test_orbit_dedup_sign_images(basis):
     m = basis.size
     flipped = z.copy()
     flipped[:m] *= -1.0
-    ids = orbit_dedup([z, flipped, 1.1 * z, z.copy()], tol=1e-4)
-    assert ids[0] == ids[1] == ids[3]
-    assert ids[2] != ids[0]
+    assert orbit_distance(flipped, z) < DEDUP_TOL and orbit_distance(z.copy(), z) < DEDUP_TOL
+    assert orbit_distance(1.1 * z, z) >= DEDUP_TOL
 
 
 def test_orbit_closure_of_critical_points(basis, config):
@@ -358,7 +359,7 @@ def test_descent_stops_before_a_vanishing_field(basis24):
 
 
 @pytest.mark.parametrize("lam", [50.0, 200.0])
-def test_descent_polishes_to_the_reference_energy(lam, config, reference_nehari_descent):
+def test_descent_polishes_to_the_reference_energy(lam, reference_nehari_descent):
     # every system and scalar seed of the benchmark's K=16 definite box, at
     # its ground-state (lam=50) and multiplicity (lam=200) coupling
     basis = SineBasis(BoxDomain((1.0,)), (16,))
@@ -369,7 +370,7 @@ def test_descent_polishes_to_the_reference_energy(lam, config, reference_nehari_
     def energies(engine, z0):
         out = []
         for descent in (nehari_descent, reference_nehari_descent):
-            z, ok = newton_polish(engine, descent(engine, z0), config.tol)
+            z, ok = newton_polish(engine, descent(engine, z0))
             assert ok
             out.append(engine.energy(z))
         return out
@@ -414,7 +415,7 @@ def test_descent_lowers_the_ray_energy_and_polishes(kappa1, kappa2, mu2, lam, p,
     z0 = np.random.default_rng(seed).standard_normal(2 * basis.size)
     z = nehari_descent(engine, z0)
     assert engine.quadratic(z) <= engine.quadratic(project_ray(engine, z0)) * (1.0 + 1e-12)
-    assert newton_polish(engine, z, SolverConfig().tol)[1]
+    assert newton_polish(engine, z)[1]
 
 
 def test_ground_state_definite_default_seeds(basis24):
@@ -453,8 +454,8 @@ def test_multiplicity_orbits(basis, config):
     th = semitrivial_threshold(pr, basis, config)
     pts = multiplicity_search(pr, basis, 2, dataclasses.replace(config, budget=30), th)
     assert len(pts) >= 2
-    ids = orbit_dedup([p.z for p in pts], tol=1e-4)
-    assert len(set(ids)) == len(pts)
+    # each point lies at least DEDUP_TOL from every earlier one
+    assert all(orbit_distance(b.z, a.z) >= DEDUP_TOL for i, a in enumerate(pts) for b in pts[i + 1 :])
     assert [p.orbit_id for p in pts] == list(range(len(pts)))
     for p in pts:
         assert 0.0 < p.energy < th.c0
@@ -486,6 +487,24 @@ def test_multiplicity_small_lambda_best_effort(basis, config):
     pts = multiplicity_search(pr, basis, 1, dataclasses.replace(config, budget=6), th)
     for p in pts:
         assert 0.0 < p.energy < th.c0
+
+
+def test_multiplicity_drops_a_converged_point_near_zero(basis, config, monkeypatch):
+    # a converged point of norm 1e-6 lies within DEDUP_TOL of the deflated
+    # zero vector: it is no orbit and deflates nothing
+    pr = params_with(lam=200.0)
+    th = semitrivial_threshold(pr, basis, config)
+    tiny = np.full(2 * basis.size, 1e-6 / np.sqrt(2 * basis.size))
+    deflated = []
+
+    def recording_root(engine, z0, deflate):
+        deflated.append(len(deflate))
+        return z0
+
+    monkeypatch.setattr(nehari, "_deflated_root", recording_root)
+    monkeypatch.setattr(nehari, "newton_polish", lambda engine, z: (tiny.copy(), True))
+    assert multiplicity_search(pr, basis, 1, dataclasses.replace(config, budget=6), th) == []
+    assert deflated == [1] * 6
 
 
 # -- linking geometry ---------------------------------------------------------------
@@ -602,10 +621,11 @@ def test_diagonal_sup_lambda_law(basis, lam, alpha, beta, k1, k2, m):
     assert rescale_diagonal_sup(pr, sup1, lam) == pytest.approx(direct, rel=1e-10)
 
 
-def test_ground_state_convergence_failure(basis):
+def test_ground_state_convergence_failure(basis, monkeypatch):
     # an unreachable tolerance forces every seed to be rejected
+    monkeypatch.setattr(nehari, "NEWTON_TOL", 1e-30)
     pr = params_with(lam=50.0)
-    cfg = SolverConfig(tol=1e-30, n_mode_seeds=1, n_random_seeds=1)
+    cfg = SolverConfig(n_mode_seeds=1, n_random_seeds=1)
     from sinesolve.errors import ConvergenceFailureError
     from sinesolve.nehari import ThresholdResult, ScalarGroundState
     fake_scalar = ScalarGroundState(w=np.zeros(basis.size), energy=1.0, grad_norm=0.0, b_value=1.0)
@@ -640,7 +660,7 @@ def test_residuals_vanish_at_converged_critical_point(basis, config):
     assert res.max_abs < 1e-8
 
 
-def test_newton_builds_hessians_on_demand(basis24, config):
+def test_newton_builds_hessians_on_demand(basis24):
     # MINPACK asks for the Hessian at the start and after its Broyden updates
     # stall, so a Newton solve builds far fewer Hessians than gradients.  The
     # first mode lies in the nonpositive subspace at kappa = 15 > gamma_1, and
@@ -659,10 +679,10 @@ def test_newton_builds_hessians_on_demand(basis24, config):
 
     z0, w0 = (project_general(engine, np.concatenate([e, e])) for e in (e2, e3))
     engine.gradient, engine.hessian = counting("gradient", gradient), counting("hessian", hessian)
-    z, ok = newton_polish(engine, z0, config.tol)
+    z, ok = newton_polish(engine, z0)
     w = _deflated_root(engine, w0, [np.zeros_like(z), z])
-    assert ok and ok == (np.linalg.norm(gradient(z)) <= config.tol)
-    assert np.linalg.norm(gradient(w)) <= config.tol and orbit_distance(w, z) > 0.1
+    assert ok and ok == (np.linalg.norm(gradient(z)) <= NEWTON_TOL)
+    assert np.linalg.norm(gradient(w)) <= NEWTON_TOL and orbit_distance(w, z) > 0.1
     assert calls["hessian"] < calls["gradient"] / 2
 
 
@@ -764,24 +784,24 @@ def _count_point_work(monkeypatch, engine):
 
 
 @pytest.fixture(scope="module")
-def indefinite24(basis24, config):
+def indefinite24(basis24):
     # a converged nontrivial point of the 1-D K=24 box with kappa = 15 > gamma_1
     pr = params_with(kappa1=15.0, kappa2=15.0, lam=50.0)
     engine = GalerkinSystem(pr, basis24)
     e2 = np.eye(basis24.size)[1]
     w0 = project_general(engine, np.concatenate([e2, e2]))
-    z, ok = newton_polish(engine, _deflated_root(engine, w0, [np.zeros_like(w0)]), config.tol)
+    z, ok = newton_polish(engine, _deflated_root(engine, w0, [np.zeros_like(w0)]))
     assert ok and np.linalg.norm(z) > 0.1
     return pr, w0, z
 
 
-def test_newton_evaluates_each_point_once(basis24, config, indefinite24, monkeypatch):
+def test_newton_evaluates_each_point_once(basis24, indefinite24, monkeypatch):
     # at a converged start SciPy's shape checks and MINPACK ask for the
     # gradient and the Hessian more than once; the fields are built once
     pr, _, z = indefinite24
     engine = GalerkinSystem(pr, basis24)
     work, asked = _count_point_work(monkeypatch, engine)
-    _, ok = newton_polish(engine, z, config.tol)
+    _, ok = newton_polish(engine, z)
     assert ok
     assert asked["gradient"].count(z.tobytes()) >= 3 and asked["hessian"].count(z.tobytes()) >= 2
     points = set(asked["gradient"]) | set(asked["hessian"])

@@ -104,7 +104,7 @@ def test_unit_coefficient_rescaling(solved_profile):
     # the unit-coefficient state carried to mu = 4 reproduces the least-energy
     # state that a search run on the mu = 4 equation itself finds
     prob = ScalarProblem(basis, pr.kappa1, 4.0, pr.p)
-    direct = _least_energy(prob, np.eye(basis.size)[:4], cfg)
+    direct = _least_energy(prob, np.eye(basis.size)[:4])
     scaled = state.scaled(4.0, pr.p)
     d = min(np.linalg.norm(scaled.w - direct), np.linalg.norm(scaled.w + direct))
     assert d < 1e-7 * 4.0 ** (-1.0 / (pr.p - 2.0))
