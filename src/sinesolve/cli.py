@@ -563,7 +563,8 @@ def _seed(text: str) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(prog="sinesolve", description=__doc__)
+    parser = argparse.ArgumentParser(prog="sinesolve", description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("subcommand", choices=sorted(SUBCOMMANDS))
     parser.add_argument("--config", required=True, help="path to the JSON run configuration")
     parser.add_argument("--seed", type=_seed, default=None, help="override the config seed")

@@ -108,8 +108,8 @@ def nonpositive_modes(basis: SineBasis, kappa: float) -> tuple[np.ndarray, np.nd
 class _Point:
     """Values computed at one coefficient vector, keyed by the method name.
 
-    Keeps a read-only copy of z: a caller such as MINPACK may reuse the
-    buffer it passed, so a stored reference could change under the state.
+    Keeps a read-only copy of z: a caller may reuse the buffer it passed,
+    so a stored reference could change under the state.
     """
 
     def __init__(self, z: np.ndarray):

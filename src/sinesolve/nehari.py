@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-import scipy.optimize
 
 from .domain import SineBasis
 from .energy import GalerkinSystem, ScalarProblem, SystemParams, nonpositive_modes, sign_orbit
@@ -30,14 +29,18 @@ from .errors import (
     NoProjectionError,
     PreconditionError,
 )
+from .solve import lbfgs_min, newton_root, trust_region_min
 
 TRIVIAL = "trivial"
 SEMITRIVIAL_1 = "semitrivial-1"
 SEMITRIVIAL_2 = "semitrivial-2"
 FULLY_NONTRIVIAL = "fully-nontrivial"
 
-#: nehari_descent: L-BFGS stops at this projected gradient of log Phi in y, or this step count.
-DESCENT_OPTIONS = {"gtol": 1e-6, "maxiter": 400}
+#: nehari_descent: L-BFGS stops at this largest gradient entry of log Phi in y, this relative
+#: decrease of log Phi in a step (1e7 ulp, as L-BFGS-B by default), or this step count.
+DESCENT_OPTIONS = {"gtol": 1e-6, "ftol": 1e7 * np.finfo(float).eps, "maxiter": 400}
+#: project_general and diagonal_sup: the trust region stops at this gradient norm or this trial count.
+TRUST_OPTIONS = {"gtol": 1e-13, "max_steps": 80}
 #: Coefficient norm of the mode and random seeds.
 SEED_AMPLITUDE = 1.0
 #: Power mass, relative to max(1, total mass), under which a component counts as zero.
@@ -51,6 +54,11 @@ DEFLATION_SHIFT = 1.0
 DEDUP_TOL = 1e-4
 #: newton_polish: gradient norm at which Newton counts as converged.
 NEWTON_TOL = 1e-10
+#: Newton step cap, and the damping under which backtracking gives up: deep when polishing,
+#: shallow in the deflated search, where a stalled run is cheaper to drop than to crawl.
+NEWTON_STEPS = 100
+POLISH_DAMPING = 1e-10
+DEFLATED_DAMPING = 1e-3
 #: coupling_threshold refuses a crossing lam_bar outside (lo, hi].
 LAMBDA_BAR_RANGE = (1e-6, 1e8)
 #: Why a search dropped a seed, as listed in ConvergenceFailureError.diagnostics.
@@ -235,15 +243,7 @@ def project_general(engine, z: np.ndarray) -> np.ndarray:
         y0[0] = np.linalg.norm(project_ray(engine, z)) / max(np.linalg.norm(z), 1e-300)
     except NoProjectionError:
         y0[0] = 1.0
-    res = scipy.optimize.minimize(
-        neg_value,
-        y0,
-        jac=neg_grad,
-        hess=neg_hess,
-        method="trust-exact",
-        options={"gtol": 1e-13, "maxiter": 80},
-    )
-    y = res.x
+    y, _ = trust_region_min(neg_value, neg_grad, neg_hess, y0, **TRUST_OPTIONS)
     if abs(y[0]) * np.linalg.norm(z) < 1e-10:
         raise NoProjectionError("local maximum sits inside the nonpositive subspace")
     if y[0] < 0:
@@ -263,15 +263,12 @@ def _embed(values: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
 
 
 def newton_polish(engine, z: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Drive the full gradient to zero with a dense Newton (Powell hybrid).
+    """Drive the full gradient to zero with a damped dense Newton.
 
-    Converged means a gradient norm of at most NEWTON_TOL.  MINPACK builds
-    the Hessian only at the start and after its Broyden updates stall, and
-    returns the gradient at `sol.x` as `sol.fun`.
+    Converged means a gradient norm of at most NEWTON_TOL.  A converged
+    start costs one gradient; each step builds one Hessian.
     """
-    opts = {"xtol": 1e-13, "maxfev": 200 * (z.size + 1)}
-    sol = scipy.optimize.root(engine.gradient, z, jac=engine.hessian, method="hybr", options=opts)
-    return sol.x, bool(np.linalg.norm(sol.fun) <= NEWTON_TOL) and np.all(np.isfinite(sol.x))
+    return newton_root(engine.gradient, engine.hessian, z, NEWTON_TOL, NEWTON_STEPS, POLISH_DAMPING)
 
 
 def nehari_descent(engine, z: np.ndarray) -> np.ndarray:
@@ -299,8 +296,7 @@ def nehari_descent(engine, z: np.ndarray) -> np.ndarray:
         return (p * np.log(q) - 2.0 * np.log(n)) / (p - 2.0), grad / root
 
     try:
-        y = scipy.optimize.minimize(log_quotient, accepted[0], jac=True, method="L-BFGS-B",
-                                    callback=lambda yk: accepted.append(yk.copy()), options=DESCENT_OPTIONS).x
+        y = lbfgs_min(log_quotient, accepted[0], callback=accepted.append, **DESCENT_OPTIONS)
     except NoProjectionError:
         y = accepted[-1]
     return project_ray(engine, y / root)
@@ -533,22 +529,26 @@ def _deflation_factor(z: np.ndarray, images: np.ndarray):
 
 
 def _deflated_root(engine, z0: np.ndarray, deflate: list[np.ndarray]):
-    """Newton on the residual eta g, scaled by shifted inverse orbit distances.
+    """Damped Newton on the residual eta g, scaled by shifted inverse orbit distances.
 
     The sign images of the deflated points are stacked once per run.
+    `newton_root` asks for the Jacobian only at its latest residual's point,
+    so the Jacobian reuses that residual's deflation factor and gradient, and
+    each point costs one gradient.
     """
     images = np.array([img for zi in deflate for img in sign_orbit(zi)])
+    last = {}
 
     def residual(z):
-        eta, _ = _deflation_factor(z, images)
-        return eta * engine.gradient(z)
+        eta, grad_eta = _deflation_factor(z, images)
+        g = engine.gradient(z)
+        last.update(eta=eta, grad_eta=grad_eta, g=g)
+        return eta * g
 
     def jacobian(z):
-        eta, grad_eta = _deflation_factor(z, images)
-        return eta * engine.hessian(z) + np.outer(engine.gradient(z), grad_eta)
+        return last["eta"] * engine.hessian(z) + np.outer(last["g"], last["grad_eta"])
 
-    opts = {"xtol": 1e-13, "maxfev": 120 * (z0.size + 1)}
-    return scipy.optimize.root(residual, z0, jac=jacobian, method="hybr", options=opts).x
+    return newton_root(residual, jacobian, z0, NEWTON_TOL, NEWTON_STEPS, DEFLATED_DAMPING)[0]
 
 
 def multiplicity_search(
@@ -640,15 +640,16 @@ def rescale_diagonal_sup(params: SystemParams, value: float, lam: float) -> floa
 def diagonal_sup(params: SystemParams, m: int, basis: SineBasis) -> float:
     """Supremum of the energy over the m-dimensional diagonal subspace, at params.lam.
 
-    Trust-exact, on the m x m block of the Hessian, runs from the Nehari
-    point of each positive mode and from 4 random starts drawn at seed 0,
-    whatever the solver seed.  Returns exactly 0 when `nonpositive_modes`
-    puts mode m in the nonpositive subspace for kbar = (kappa_1 + kappa_2)/2;
-    the modes are sorted by eigenvalue, so that is m <= its dimension.  Then
+    Trust-region Newton (`trust_region_min`), on the m x m block of the
+    Hessian, runs from the Nehari point of each positive mode and from 4
+    random starts drawn at seed 0, whatever the solver seed.  Returns
+    exactly 0 when `nonpositive_modes` puts mode m in the nonpositive
+    subspace for kbar = (kappa_1 + kappa_2)/2; the modes are sorted by
+    eigenvalue, so that is m <= its dimension.  Then
     gamma_m <= kbar up to that rule's tolerance, so the quadratic part is
     nonpositive on the whole subspace up to it, and the supremum is the 0
     attained at the origin.  Otherwise the mode-m start has positive energy
-    and trust-exact never ends below its start, so the result is positive:
+    and the trust region never ends below its start, so the result is positive:
     0 marks exactly the resonant case.
     """
     if not 1 <= m <= basis.size:
@@ -680,10 +681,9 @@ def diagonal_sup(params: SystemParams, m: int, basis: SineBasis) -> float:
     scale = np.linalg.norm(starts[-1]) if starts else 1.0
     for _ in range(4):
         starts.append(scale * rng.standard_normal(m))
-    best, opts = 0.0, {"gtol": 1e-13, "maxiter": 500}
+    best = 0.0
     for c0 in starts:
-        res = scipy.optimize.minimize(neg, c0, jac=neg_grad, hess=neg_hess, method="trust-exact", options=opts)
-        best = max(best, -res.fun)
+        best = max(best, -trust_region_min(neg, neg_grad, neg_hess, c0, **TRUST_OPTIONS)[1])
     return float(best)
 
 

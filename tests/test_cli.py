@@ -684,3 +684,12 @@ def test_readme_synopsis_names_every_flag(capsys):
     assert len(synopsis) == 1
     flags = re.compile(r"--[a-z][a-z-]*")
     assert set(flags.findall(synopsis[0])) == set(flags.findall(usage)) != set()
+
+
+def test_help_gives_each_subcommand_its_own_line(capsys):
+    # argparse keeps the module docstring's subcommand table as written
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    lines = capsys.readouterr().out.splitlines()
+    for name in cli.SUBCOMMANDS:
+        assert sum(line.startswith(name + " ") for line in lines) == 1, name

@@ -284,7 +284,7 @@ def test_point_state_follows_caller_mutation(kind):
     z = np.random.default_rng(4).standard_normal(n)
     g_old = engine.gradient(z)
     e_old = engine.energy(z)
-    z[1] += 0.25  # the caller reuses its buffer, as MINPACK does
+    z[1] += 0.25  # the caller reuses its buffer
     assert _bits(engine.gradient(z)) == _bits(make().gradient(z))
     assert _bits(engine.energy(z)) == _bits(make().energy(z))
     assert engine.energy(z) != e_old and not np.array_equal(engine.gradient(z), g_old)

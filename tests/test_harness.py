@@ -5,6 +5,7 @@ in the sources."""
 import ast
 import importlib.util
 import json
+import os
 import pathlib
 import shutil
 import subprocess
@@ -85,12 +86,21 @@ def _imported_packages(path: pathlib.Path) -> set[str]:
     return found
 
 
-def test_only_nehari_imports_scipy():
-    # the SciPy call sites left to replace with in-repo solvers all sit in
-    # nehari; a new import elsewhere adds one
+def test_no_module_imports_scipy():
+    # the searches run on the in-repo solvers of sinesolve.solve; an import
+    # anywhere in a module, a lazy one inside a function too, brings SciPy's
+    # start-up cost back into every run
     modules = sorted((REPO / "src" / "sinesolve").glob("*.py"))
     assert len(modules) > 5
-    assert [p.stem for p in modules if "scipy" in _imported_packages(p)] == ["nehari"]
+    assert [p.stem for p in modules if "scipy" in _imported_packages(p)] == []
+
+
+def test_cli_import_loads_no_scipy():
+    # a fresh interpreter: another test may have loaded SciPy into this one
+    probe = "import sys, sinesolve.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def _bench_table(script: str, name: str):

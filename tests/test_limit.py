@@ -1,10 +1,11 @@
 """Whole-space constants: the one-variable quotient, bubbles, and amplitudes."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gamma as gamma_fn
 
 from sinesolve import (
     BubbleProfile,
@@ -77,7 +78,7 @@ def test_sobolev_constant_identity_and_pin():
     assert s4 == pytest.approx(S4_PINNED, abs=1e-10)
     for n in (3, 4, 5):
         sn = sobolev_constant(n)
-        closed = np.pi * n * (n - 2.0) * (gamma_fn(n / 2.0) / gamma_fn(float(n))) ** (2.0 / n)
+        closed = np.pi * n * (n - 2.0) * (math.gamma(n / 2.0) / math.gamma(float(n))) ** (2.0 / n)
         assert sn == pytest.approx(closed, rel=1e-12)
         grad2, mass = bubble_norms(n, 1.0)
         assert grad2 == pytest.approx(mass, rel=1e-8)

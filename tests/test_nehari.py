@@ -621,6 +621,61 @@ def test_diagonal_sup_lambda_law(basis, lam, alpha, beta, k1, k2, m):
     assert rescale_diagonal_sup(pr, sup1, lam) == pytest.approx(direct, rel=1e-10)
 
 
+def _diagonal_ray_values(pr, basis, thetas):
+    """2 J at the ray maximum through each direction (cos t, sin t) of the first two modes."""
+    prob = nehari._diag_problem(pr, pr.lam, basis)
+    out = []
+    for t in thetas:
+        c = np.zeros(basis.size)
+        c[:2] = np.cos(t), np.sin(t)
+        out.append(2.0 * prob.energy(project_ray(prob, c)))
+    return np.array(out)
+
+
+def test_diagonal_sup_near_p2_takes_few_steps_per_start(basis, monkeypatch):
+    # at p = 2.2 the maximizers lie at norms near 1e8: a trust radius that
+    # starts at each start's norm reaches them in at most 22 Hessians here,
+    # where a unit radius spent a 500-step budget on every random start
+    hessians = []
+    original = nehari.trust_region_min
+
+    def counting(fun, grad, hess, x0, **options):
+        hessians.append(0)
+
+        def counted(c):
+            hessians[-1] += 1
+            return hess(c)
+
+        return original(fun, grad, counted, x0, **options)
+
+    monkeypatch.setattr(nehari, "trust_region_min", counting)
+    for m in (2, 4):
+        hessians.clear()
+        pr = params_with(alpha=1.1, beta=1.1)
+        sup = diagonal_sup(pr, m, basis)
+        assert len(hessians) == m + 4  # the m mode starts and 4 random ones
+        assert max(hessians) <= 30
+        # each start converges: the exact coupling law holds to 1e-10
+        doubled = dataclasses.replace(pr, lam=2.0)
+        assert rescale_diagonal_sup(doubled, diagonal_sup(doubled, m, basis), 1.0) == pytest.approx(sup, rel=1e-10)
+
+
+def test_diagonal_sup_from_a_zero_gradient_start(basis):
+    # the Nehari point of mode 2 is a critical point of the diagonal
+    # functional on span(e_1, e_2) (by the x -> 1 - x symmetry), and here
+    # its maximizer; starting there ends with no error, and the supremum is
+    # the largest ray maximum over the directions of that plane
+    pr = params_with(alpha=1.25, beta=1.25, lam=1.25)
+    prob = nehari._diag_problem(pr, pr.lam, basis)
+    start = project_ray(prob, np.eye(basis.size)[1])
+    assert np.linalg.norm(prob.gradient(start)[:2]) < 1e-10 * np.linalg.norm(start)
+    sup = diagonal_sup(pr, 2, basis)
+    assert 2.0 * prob.energy(start) == pytest.approx(sup, rel=1e-12)
+    best = _diagonal_ray_values(pr, basis, np.linspace(0.0, np.pi, 20001)).max()
+    assert best <= sup * (1.0 + 1e-12)
+    assert sup == pytest.approx(best, rel=1e-6)
+
+
 def test_ground_state_convergence_failure(basis, monkeypatch):
     # an unreachable tolerance forces every seed to be rejected
     monkeypatch.setattr(nehari, "NEWTON_TOL", 1e-30)
@@ -660,30 +715,29 @@ def test_residuals_vanish_at_converged_critical_point(basis, config):
     assert res.max_abs < 1e-8
 
 
-def test_newton_builds_hessians_on_demand(basis24):
-    # MINPACK asks for the Hessian at the start and after its Broyden updates
-    # stall, so a Newton solve builds far fewer Hessians than gradients.  The
+def test_newton_builds_one_hessian_per_step(basis24, monkeypatch):
+    # plain damped Newton: each step builds one Hessian (or deflated
+    # Jacobian) at an accepted point whose gradient it already has, each
+    # point's gradient is asked once, and the converged end builds none.  The
     # first mode lies in the nonpositive subspace at kappa = 15 > gamma_1, and
     # its projection is the trivial root, so start from the next two modes
     pr = params_with(kappa1=15.0, kappa2=15.0, lam=50.0)
     engine = GalerkinSystem(pr, basis24)
     e2, e3 = (np.eye(basis24.size)[j] for j in (1, 2))
-    gradient, hessian, calls = engine.gradient, engine.hessian, {"gradient": 0, "hessian": 0}
-
-    def counting(name, fn):
-        def wrapped(z):
-            calls[name] += 1
-            return fn(z)
-
-        return wrapped
-
     z0, w0 = (project_general(engine, np.concatenate([e, e])) for e in (e2, e3))
-    engine.gradient, engine.hessian = counting("gradient", gradient), counting("hessian", hessian)
+    gradient = engine.gradient
+    _, asked = _count_point_work(monkeypatch, engine)
     z, ok = newton_polish(engine, z0)
+    polish = {name: list(points) for name, points in asked.items()}
     w = _deflated_root(engine, w0, [np.zeros_like(z), z])
+    deflated = {name: points[len(polish[name]):] for name, points in asked.items()}
     assert ok and ok == (np.linalg.norm(gradient(z)) <= NEWTON_TOL)
     assert np.linalg.norm(gradient(w)) <= NEWTON_TOL and orbit_distance(w, z) > 0.1
-    assert calls["hessian"] < calls["gradient"] / 2
+    for run, end in ((polish, z), (deflated, w)):
+        steps, points = run["hessian"], run["gradient"]
+        assert steps and len(set(steps)) == len(steps)
+        assert len(set(points)) == len(points) and set(steps) <= set(points)
+        assert points[-1] == end.tobytes() and end.tobytes() not in steps
 
 
 def test_ground_state_skips_seeds_without_positive_part(basis24, monkeypatch):
@@ -796,14 +850,20 @@ def indefinite24(basis24):
 
 
 def test_newton_evaluates_each_point_once(basis24, indefinite24, monkeypatch):
-    # at a converged start SciPy's shape checks and MINPACK ask for the
-    # gradient and the Hessian more than once; the fields are built once
-    pr, _, z = indefinite24
+    # a converged start costs one gradient and no Hessian; from the projected
+    # start the fields of each point are built once, for its gradient and,
+    # at each step, its Hessian
+    pr, w0, z = indefinite24
     engine = GalerkinSystem(pr, basis24)
     work, asked = _count_point_work(monkeypatch, engine)
     _, ok = newton_polish(engine, z)
     assert ok
-    assert asked["gradient"].count(z.tobytes()) >= 3 and asked["hessian"].count(z.tobytes()) >= 2
+    assert asked == {"gradient": [z.tobytes()], "hessian": []}
+    assert work == {"synthesize": 2, "project": 2, "mode_mass_matrix": 0}
+    engine = GalerkinSystem(pr, basis24)
+    work, asked = _count_point_work(monkeypatch, engine)
+    _, ok = newton_polish(engine, w0)
+    assert ok and asked["hessian"]
     points = set(asked["gradient"]) | set(asked["hessian"])
     assert work["synthesize"] == 2 * len(points)
     assert work["project"] == 2 * len(set(asked["gradient"]))
@@ -816,9 +876,10 @@ def test_deflated_jacobian_reuses_the_residual_gradient(basis24, indefinite24, m
     work, asked = _count_point_work(monkeypatch, engine)
     w = _deflated_root(engine, w0, [np.zeros_like(w0)])
     assert np.linalg.norm(w) > 0.1 and asked["hessian"]
-    # every Jacobian is built where MINPACK has just taken the residual
+    # every Jacobian is built where the residual was just taken, from its gradient
     assert set(asked["hessian"]) <= set(asked["gradient"])
     points = set(asked["gradient"])
+    assert len(points) == len(asked["gradient"])
     assert work["synthesize"] == 2 * len(points)
     assert work["project"] == 2 * len(points)
     assert work["mode_mass_matrix"] == 3 * len(set(asked["hessian"]))
