@@ -116,6 +116,40 @@ class SineBasis:
 _MASS_AXIS = "q...,qk,ql->...kl"
 
 
+def _mass_step(S: np.ndarray, path: list):
+    """One axis of `mode_mass_matrix` as a fixed step: the contraction that
+    `einsum(_MASS_AXIS, a, S, S, optimize=path)` runs, replayed with the same
+    products in the same order, so the bits are its bits without its per-call
+    planning.  The planner picks one of three forms by shape:
+
+    - weight first, (0,1),(0,1): the products a_q e_k(q) laid out (..., k, q),
+      then one matrix product with S over q (1-D, and the last axis when all
+      earlier cutoffs are 1);
+    - table first, (1,2),(0,1): the pair table e_k e_l on the nodes, built
+      once here, times a with its node axis leading (most n-D axes);
+    - three operands, (0,1,2): one unoptimized einsum on (S, S, a), the call
+      the planner makes (e.g. cutoffs (8, 3), axis 0).
+    """
+    order = tuple(path[1:])
+    if order == ((0, 1), (0, 1)):
+        St = S.T
+        return lambda a: np.matmul(np.moveaxis(a, 0, -1)[..., None, :] * St, S)
+    if order == ((1, 2), (0, 1)):
+        K = S.shape[1]
+        pair = np.einsum("ql,qk->klq", S, S, optimize=["einsum_path", (0, 1)]).reshape(K * K, -1)
+        pair.setflags(write=False)
+
+        def table_first(a):
+            rest = a.shape[1:]
+            out = np.matmul(pair, a.reshape(a.shape[0], -1)).reshape((K, K) + rest)
+            return out.transpose(tuple(range(2, 2 + len(rest))) + (0, 1))
+
+        return table_first
+    if order == ((0, 1, 2),):
+        return lambda a: np.einsum("ql,qk,q...->...kl", S, S, a)
+    raise ValueError(f"no mass-matrix step for contraction path {path}")
+
+
 class SineTransform:
     """Sine tables of one basis on one grid, built once.
 
@@ -127,12 +161,16 @@ class SineTransform:
     output through the first, `synthesize` builds its input through the
     second.  `mass_paths[i]` is the contraction path of axis i in
     `mode_mass_matrix`, planned once from the operand shapes as
-    `einsum(..., optimize=True)` would plan it on every call; that planner
+    `einsum(..., optimize=True)` would plan it on every call.  The planner
     picks weight-first, table-first or one three-operand contraction by
-    shape, and any one fixed order of products changes the Hessian's bits.
-    `SineBasis.transform` holds the one for the basis grid; any other grid
-    builds its own.  The transform keeps the grid but not the basis, so a
-    basis holding its transform forms no reference cycle.
+    shape, and any one fixed order of products changes the Hessian's bits,
+    so the path chooses which of three precomputed steps `mass_steps[i]`
+    runs (`_mass_step`); no einsum is planned after construction.
+    `mass_gather` is the flat index that reads the sorted-mode matrix out of
+    the last step's (k_1,l_1,...,k_n,l_n) tensor.  `SineBasis.transform`
+    holds the one for the basis grid; any other grid builds its own.  The
+    transform keeps the grid but not the basis, so a basis holding its
+    transform forms no reference cycle.
     """
 
     def __init__(self, basis: "SineBasis", grid: "QuadratureGrid"):
@@ -153,7 +191,13 @@ class SineTransform:
             paths.append(np.einsum_path(_MASS_AXIS, a, S, S, optimize=True)[0])
             shape = shape[1:] + (S.shape[1], S.shape[1])
         self.mass_paths = tuple(paths)
-        for arr in (*self.synthesis, *self.projection, self.permutation, self.gather):
+        self.mass_steps = tuple(_mass_step(S, path) for S, path in zip(self.synthesis, paths))
+        # (k_1,l_1,...,k_n,l_n) -> (k_1..k_n, l_1..l_n) -> rows and columns in sorted order
+        n, m = grid.dim, basis.size
+        flat = np.arange(m * m).reshape(shape)
+        flat = flat.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))).reshape(m, m)
+        self.mass_gather = flat[np.ix_(self.permutation, self.permutation)]
+        for arr in (*self.synthesis, *self.projection, self.permutation, self.gather, self.mass_gather):
             arr.setflags(write=False)
 
 
@@ -248,10 +292,6 @@ def mode_mass_matrix(weight_values: np.ndarray, tr: SineTransform) -> np.ndarray
     for i, w in enumerate(grid.axis_weights):
         a = a * w.reshape((-1,) + (1,) * (n - 1 - i))
     # running shape: (Q_i..Q_n, k_1,l_1, .., k_{i-1},l_{i-1})
-    for S, path in zip(tr.synthesis, tr.mass_paths):
-        a = np.einsum(_MASS_AXIS, a, S, S, optimize=path)
-    # now shape (k_1,l_1,...,k_n,l_n) -> (k_1,...,k_n,l_1,...,l_n)
-    a = np.transpose(a, axes=list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
-    m = int(np.prod(tr.cutoffs))
-    a = a.reshape(m, m)
-    return a[np.ix_(tr.permutation, tr.permutation)]
+    for step in tr.mass_steps:
+        a = step(a)
+    return a.take(tr.mass_gather)

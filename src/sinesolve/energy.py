@@ -150,9 +150,9 @@ def _per_point(compute):
 
 
 class _Engine:
-    """Keeps the states of the two most recent points; see `at`."""
+    """Keeps the state of the most recent point; see `at`."""
 
-    _points = ()  # newest first
+    _point = None
 
     def _set_tilde(self, tilde: np.ndarray, gamma: np.ndarray) -> None:
         """Fix `tilde`, the indices of X~ in z, and `plus_weights`: the
@@ -163,18 +163,15 @@ class _Engine:
         self.plus_weights[tilde] = 0.0
 
     def at(self, z: np.ndarray) -> _Point:
-        """The state at z: one of the last two if z has exactly its bytes, else a new one.
+        """The state at z: the last one if z has exactly its bytes, else a new one.
 
-        Two are kept so that a search stepping back to its previous point
-        finds it instead of computing it again.  Each state's values come
-        from its own z alone.
+        A new state replaces the last, and its values come from its own z
+        alone.  One is enough: the searches ask for a point's quantities
+        together and rarely step back to an earlier point.
         """
-        points = self._points
-        for point in points:
-            if point.holds(z):
-                return point
-        point = _Point(z)
-        self._points = (point,) + points[:1]
+        point = self._point
+        if point is None or not point.holds(z):
+            point = self._point = _Point(z)
         return point
 
 
@@ -185,12 +182,12 @@ class GalerkinSystem(_Engine):
     and back by the basis's one `transform`.  The problem data are immutable
     after construction; they include `p` and `tilde`, the stacked indices
     of the nonpositive subspace X~ = X^0 + X^- that `nonpositive_modes`
-    gives for kappa_1 and kappa_2.  The state of each of the last two
-    points asked (`at`) caches the synthesized fields, the powers
-    |u_1|^alpha and |u_2|^beta and their odd counterparts, and the energy,
-    masses, Nehari denominator, gradient and Hessian once computed.  A state
-    is reused only for a z with exactly the same bytes, and the arrays it
-    hands out are read-only.
+    gives for kappa_1 and kappa_2.  The state of the last point asked
+    (`at`) caches the synthesized fields, the powers |u_1|^alpha and
+    |u_2|^beta and their odd counterparts, and the energy, masses, Nehari
+    denominator, gradient and Hessian once computed.  A state is reused only
+    for a z with exactly the same bytes, and the arrays it hands out are
+    read-only.
     """
 
     def __init__(self, params: SystemParams, basis: SineBasis):
@@ -276,10 +273,13 @@ class GalerkinSystem(_Engine):
         w22 = pr.mu2 * (pr.p - 1.0) * _abs_power(a2, pr.p - 2.0)
         w22 = w22 + pr.lam * pr.beta * (pr.beta - 1.0) * a1_alpha * _abs_power(a2, pr.beta - 2.0)
         w12 = pr.lam * pr.alpha * pr.beta * odd1 * odd2
-        h11 = np.diag(self.shift1) - mode_mass_matrix(w11, self.transform)
-        h22 = np.diag(self.shift2) - mode_mass_matrix(w22, self.transform)
-        h12 = -mode_mass_matrix(w12, self.transform)
-        return np.block([[h11, h12], [h12.T, h22]])
+        m = self.m
+        h = np.empty((2 * m, 2 * m))
+        h[:m, :m] = np.diag(self.shift1) - mode_mass_matrix(w11, self.transform)
+        h[m:, m:] = np.diag(self.shift2) - mode_mass_matrix(w22, self.transform)
+        h[:m, m:] = -mode_mass_matrix(w12, self.transform)
+        h[m:, :m] = h[:m, m:].T
+        return h
 
     @_per_point
     def nehari_denominator(self, z: np.ndarray) -> float:
@@ -292,8 +292,8 @@ class GalerkinSystem(_Engine):
 class ScalarProblem(_Engine):
     """Single-component functional J(w) = 1/2 int(|grad w|^2 - kappa w^2) - mu/p int |w|^p.
 
-    Integrates on the basis's grid and keeps the states of its last two
-    points as GalerkinSystem does; `tilde` holds the indices of the
+    Integrates on the basis's grid and keeps the state of its last point
+    as GalerkinSystem does; `tilde` holds the indices of the
     nonpositive modes of -Laplace - kappa, from `nonpositive_modes`.
     """
 

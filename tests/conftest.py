@@ -40,6 +40,29 @@ def full_pair_grid():
     return _full_pair_grid
 
 
+def _reference_mode_mass_matrix(values, basis, grid):
+    # the assembly `domain.mode_mass_matrix` replays: sine tables from
+    # axis_matrix, the per-axis weights, one einsum per axis that plans its
+    # own path (optimize=True) on every call, the (k.., l..) transpose and an
+    # np.ix_ gather into sorted mode order
+    n = grid.dim
+    a = values
+    for i, w in enumerate(grid.axis_weights):
+        a = a * w.reshape((-1,) + (1,) * (n - 1 - i))
+    for i in range(n):
+        s = basis.axis_matrix(i, grid.axis_nodes[i])
+        a = np.einsum("q...,qk,ql->...kl", a, s, s, optimize=True)
+    a = np.transpose(a, axes=list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
+    perm = np.ravel_multi_index((basis.modes - 1).T, basis.cutoffs)
+    return a.reshape(basis.size, basis.size)[np.ix_(perm, perm)]
+
+
+@pytest.fixture(scope="session")
+def reference_mode_mass_matrix():
+    """The per-call einsum assembly that `domain.mode_mass_matrix` replays, as an oracle."""
+    return _reference_mode_mass_matrix
+
+
 def _reference_interior_threshold(mu1, mu2, alpha, beta, dim, n=2001, lo=1e-6, hi=1e6):
     # the bisection with a fresh scan and a golden refinement at every step;
     # imported here, as test_harness.py copies this file where sinesolve is not

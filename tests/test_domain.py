@@ -1,5 +1,7 @@
 """Eigenbasis, quadrature, and transform checks for the box sine basis."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from sinesolve import (
     project,
     synthesize,
 )
-from sinesolve.domain import SineTransform, mode_mass_matrix
+from sinesolve.domain import SineTransform, _mass_step, mode_mass_matrix
 from sinesolve.errors import BasisMismatchError
 
 
@@ -285,7 +287,7 @@ def _table_apply(tensor, mats):
         ((1.0,) * 4, (2,) * 4),
     ],
 )
-def test_transforms_match_explicit_tables(lengths, cutoffs):
+def test_transforms_match_explicit_tables(lengths, cutoffs, reference_mode_mass_matrix):
     # the arithmetic of sine tables rebuilt from axis_matrix on every call, on
     # the basis grid and, as `estimates` builds, on a grid of its own
     basis = SineBasis(BoxDomain(lengths), cutoffs)
@@ -311,15 +313,7 @@ def test_transforms_match_explicit_tables(lengths, cutoffs):
         view = rng.standard_normal(grid.shape[::-1]).T
         assert np.all(project(view, tr) == _table_apply(view, weighted).ravel()[perm])
 
-        n = grid.dim
-        a = values
-        for i, w in enumerate(grid.axis_weights):
-            a = a * w.reshape((-1,) + (1,) * (n - 1 - i))
-        for s in tables:
-            a = np.einsum("q...,qk,ql->...kl", a, s, s, optimize=True)
-        a = np.transpose(a, axes=list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
-        a = a.reshape(basis.size, basis.size)[np.ix_(perm, perm)]
-        assert np.all(mode_mass_matrix(values, tr) == a)
+        assert np.all(mode_mass_matrix(values, tr) == reference_mode_mass_matrix(values, basis, grid))
 
 
 @pytest.mark.parametrize(
@@ -340,6 +334,80 @@ def test_planned_mass_paths_match_fresh_einsum(lengths, cutoffs):
         assert planned.tobytes() == fresh.tobytes()
         a = fresh
     assert a.shape == tuple(k for k in basis.cutoffs for _ in (0, 1))
+
+
+# mixed cutoffs in dims 1-3 on non-cubic boxes, plus (2,)*4, (2,)*5 and (3,)*4
+MASS_SWEEP = (
+    [(k,) for k in (1, 2, 3, 5, 8, 16, 24, 40)]
+    + [(k1, k2) for k1 in (1, 2, 3, 5, 8) for k2 in (1, 2, 3, 5, 8)]
+    + [(k1, k2, k3) for k1 in (1, 2, 4) for k2 in (1, 3, 4) for k3 in (1, 2, 4)]
+    + [(2,) * 4, (2,) * 5, (3,) * 4]
+)
+WEIGHT_FIRST, TABLE_FIRST, THREE_OPERANDS = ((0, 1), (0, 1)), ((1, 2), (0, 1)), ((0, 1, 2),)
+
+
+def _sweep_basis(cutoffs):
+    lengths = (1.0, 0.7, 1.3, 0.9, 1.1)[: len(cutoffs)]
+    return SineBasis(BoxDomain(lengths), cutoffs)
+
+
+@pytest.mark.parametrize("cutoffs", MASS_SWEEP, ids=str)
+def test_mode_mass_matrix_equals_einsum_oracle(cutoffs, reference_mode_mass_matrix):
+    # the planned steps give the bits of the per-call einsum, on the basis grid
+    # and on a coarser grid of its own
+    basis = _sweep_basis(cutoffs)
+    other = QuadratureGrid.for_domain(basis.domain, 7)
+    rng = np.random.default_rng(sum(cutoffs))
+    for grid, tr in ((basis.grid, basis.transform), (other, SineTransform(basis, other))):
+        values = rng.standard_normal(grid.shape)
+        for weights in (values, np.abs(values) ** 0.7):
+            got = mode_mass_matrix(weights, tr)
+            assert got.tobytes() == reference_mode_mass_matrix(weights, basis, grid).tobytes()
+
+
+def test_mass_sweep_covers_every_step_form():
+    # (24,) is weight-first, (4, 4, 4) table-first, (8, 3) axis 0 three-operand,
+    # and (1, 1, 2) axis 2 weight-first on an n-D axis
+    def orders(cutoffs):
+        return [tuple(path[1:]) for path in _sweep_basis(cutoffs).transform.mass_paths]
+
+    assert orders((24,)) == [WEIGHT_FIRST]
+    assert orders((4, 4, 4)) == [TABLE_FIRST] * 3
+    assert orders((8, 3))[0] == THREE_OPERANDS
+    assert orders((1, 1, 2))[2] == WEIGHT_FIRST
+    assert {(24,), (4, 4, 4), (8, 3), (1, 1, 2)} <= set(MASS_SWEEP)
+
+
+def test_unplanned_mass_path_is_refused():
+    S = SineBasis(BoxDomain((1.0,)), (4,)).transform.synthesis[0]
+    with pytest.raises(ValueError, match="contraction path"):
+        _mass_step(S, ["einsum_path", (0, 2), (0, 1)])
+
+
+@pytest.mark.parametrize("cutoffs", [(24,), (8, 3), (4, 4, 4), (1, 1, 2)], ids=str)
+def test_hessians_plan_no_einsum_after_construction(cutoffs, monkeypatch):
+    # the contraction paths are planned when the transform is built; a Hessian
+    # only replays them, so it never reaches numpy's einsum planner
+    from sinesolve import GalerkinSystem, SystemParams
+
+    basis = _sweep_basis(cutoffs)
+    tr = basis.transform
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("einsum_path reached after the transform was built")
+
+    monkeypatch.setattr(np, "einsum_path", refuse)
+    # np.einsum calls the planner of its own module, not the numpy attribute
+    monkeypatch.setattr(sys.modules[np.einsum.__wrapped__.__module__], "einsum_path", refuse)
+    with pytest.raises(AssertionError, match="einsum_path reached"):
+        np.einsum("ij,jk,kl->il", *[np.ones((2, 2))] * 3, optimize=True)
+
+    values = np.random.default_rng(3).standard_normal(tr.grid.shape)
+    mode_mass_matrix(values, tr)
+    pr = SystemParams(kappa1=0.0, kappa2=0.0, mu1=1.0, mu2=1.0, lam=1.0, alpha=2.0, beta=2.0, dim=len(cutoffs))
+    z = np.linspace(0.5, 1.5, 2 * basis.size)
+    GalerkinSystem(pr, basis).hessian(z)
+    ScalarProblem(basis, 0.0, 1.0, 4.0).hessian(z[: basis.size])
 
 
 def test_transform_tables_built_once(monkeypatch):

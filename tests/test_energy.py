@@ -295,15 +295,18 @@ def test_point_state_follows_caller_mutation(kind):
 
 
 @pytest.mark.parametrize("kind", ["system", "scalar"])
-def test_point_state_keeps_the_last_two_points(kind):
+def test_point_state_keeps_the_last_point_only(kind):
     make, n, _ = _point_engines(1)[kind]
     engine = make()
-    za, zb, zc = np.random.default_rng(6).standard_normal((3, n))
-    a, b = engine.at(za), engine.at(zb)
-    assert engine.at(za) is a and engine.at(zb) is b
-    engine.at(zc)
-    assert engine.at(zb) is b
-    assert engine.at(za) is not a
+    za, zb = np.random.default_rng(6).standard_normal((2, n))
+    a = engine.at(za)
+    assert engine.at(za.copy()) is a
+    b = engine.at(zb)
+    assert b is not a and engine.at(zb) is b
+    # the new point evicted the old one: asking for za again builds a fresh state
+    a2 = engine.at(za)
+    assert a2 is not a and a2.values == {}
+    assert engine.at(zb) is not b
 
 
 @pytest.mark.parametrize("kind", ["system", "scalar"])
