@@ -10,7 +10,7 @@ synchronized      scalar profile, ratio roots, assembled synchronized pairs
 verify-estimates  bubble-integral orders, ray formula, linking bound, inequalities
 
 Configs are strict JSON: `parse_config` checks every key against one schema
-(`SCHEMA` and each subcommand's `COMMANDS` entry) before any solver runs,
+(`SCHEMA` and each subcommand's `SUBCOMMANDS` entry) before any solver runs,
 and refuses unknown keys.  Reports are JSON with the top-level keys
 {schema, config, results, thresholds, timing} plus optional CSV tables.
 All randomness comes from one seed, and the timing block holds
@@ -30,17 +30,19 @@ import math
 import os
 import sys
 import tempfile
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
 
 from .domain import BoxDomain, SineBasis
-from .energy import GalerkinSystem, SystemParams, nonpositive_modes
+from .energy import GalerkinSystem, SystemParams
 from .errors import (
     BoundaryInfimumError,
     ClassificationContradictionError,
     ConfigError,
+    ConvergenceFailureError,
     SolverError,
 )
 from .estimates import (
@@ -53,6 +55,7 @@ from .estimates import (
     cutoff_bubble_integrals,
     default_eps_grid,
     fit_orders,
+    linking_scope,
     linking_sweep,
 )
 from .limit import (
@@ -137,22 +140,6 @@ class Command:
     needs_box: bool = True  # problem.lengths and problem.cutoffs
     limit: bool = False  # valid whole-space LimitParams
     equal_kappas: bool = False
-
-
-COMMANDS = {
-    "ground-state": Command({}),
-    "multiplicity": Command({"k": ("integer", REQUIRED, ">= 1")}),
-    "thresholds": Command({
-        "m": ("integer", REQUIRED, ">= 1"),
-        "lambda_grid": ("numbers", tuple(np.geomspace(0.5, 500, 10)), "> 0"),
-    }),
-    "limit": Command({}, needs_box=False, limit=True),
-    "synchronized": Command({}, equal_kappas=True),
-    "verify-estimates": Command({
-        "eps_grid": ("numbers", default_eps_grid(), "> 0"),
-        "linking_eps": ("numbers", (1e-2, 1e-3), "> 0"),
-    }, needs_box=False, limit=True),
-}
 
 
 def _typed(x: Any, kind: str, rng: Any, name: str) -> Any:
@@ -262,24 +249,15 @@ def parse_config(raw: dict, command: Command) -> RunConfig:
 # -- serialization ---------------------------------------------------------------
 
 
+def _fields(record: Any) -> dict:
+    """The record's fields in declaration order, array fields left out."""
+    values = {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+    return {k: v for k, v in values.items() if not isinstance(v, np.ndarray)}
+
+
 def _point_record(pt: CriticalPoint, family: str) -> dict:
-    return {
-        "family": family,
-        "energy": float(pt.energy),
-        "grad_norm": float(pt.grad_norm),
-        "b_value": float(pt.b_value),
-        "b1": float(pt.b1),
-        "b2": float(pt.b2),
-        "mass1": float(pt.mass1),
-        "mass2": float(pt.mass2),
-        "classification": pt.classification,
-        "orbit_id": int(pt.orbit_id),
-        "below_threshold": pt.below_threshold,
-        "coefficients": {
-            "u1": [float(c) for c in pt.z[: pt.z.size // 2]],
-            "u2": [float(c) for c in pt.z[pt.z.size // 2 :]],
-        },
-    }
+    u1, u2 = np.split(pt.z, 2)
+    return {"family": family, **_fields(pt), "coefficients": {"u1": u1.tolist(), "u2": u2.tolist()}}
 
 
 def _sorted_records(records: list[dict]) -> list[dict]:
@@ -318,11 +296,7 @@ def write_report(report: dict, path: str, formats: Sequence[str]) -> list[str]:
             {k: v for k, v in rec.items() if not isinstance(v, (dict, list))}
             for rec in report["results"]
         ]
-        headers: list[str] = []
-        for row in rows:
-            for k in row:
-                if k not in headers:
-                    headers.append(k)
+        headers = list(dict.fromkeys(k for row in rows for k in row))  # in order of first use
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=headers, lineterminator="\n")
         writer.writeheader()
@@ -352,16 +326,7 @@ def _run_ground_state(cfg: RunConfig) -> tuple[dict, int]:
         code = 4
     results = _sorted_records(
         [_point_record(gs, "system")]
-        + [
-            {
-                "family": "scalar",
-                "component": i + 1,
-                "energy": float(s.energy),
-                "grad_norm": float(s.grad_norm),
-                "b_value": float(s.b_value),
-            }
-            for i, s in enumerate(th.scalar_states)
-        ]
+        + [{"family": "scalar", "component": i + 1, **_fields(s)} for i, s in enumerate(th.scalar_states)]
     )
     return _report(cfg, results, {"c0": float(th.c0), "min_scalar_b": float(th.min_b)},
                    {"scalar_solves": th.scalar_solves, "system_solves": 1}), code
@@ -371,16 +336,11 @@ def _run_multiplicity(cfg: RunConfig) -> tuple[dict, int]:
     basis = cfg.basis()
     k = cfg.task["k"]
     th = semitrivial_threshold(cfg.params, basis, cfg.solver)
+    # every point kept is fully nontrivial with energy in (0, c0): classify cannot object
     pts = multiplicity_search(cfg.params, basis, k, cfg.solver, th)
-    code = 0
-    for pt in pts:
-        try:
-            classify(pt, th.c0)
-        except ClassificationContradictionError:
-            code = 4
     return _report(cfg, _sorted_records([_point_record(p, "system") for p in pts]),
                    {"c0": float(th.c0), "min_scalar_b": float(th.min_b)},
-                   {"scalar_solves": th.scalar_solves, "orbits_found": len(pts), "target_k": k}), code
+                   {"scalar_solves": th.scalar_solves, "orbits_found": len(pts), "target_k": k}), 0
 
 
 def _run_thresholds(cfg: RunConfig) -> tuple[dict, int]:
@@ -443,100 +403,66 @@ def _run_synchronized(cfg: RunConfig) -> tuple[dict, int]:
                    {"roots": len(roots), "scalar_solves": 1}), 0
 
 
+def _linking_rows(cfg: RunConfig, thresholds: dict) -> tuple[list[dict], str | None]:
+    """verify-estimates' ray-max and linking rows, or the note saying why the bound was skipped."""
+    lp, pr = cfg.limit, cfg.params
+    if cfg.lengths is None or cfg.cutoffs is None:
+        return [], "no box given: linking bound skipped"
+    basis = cfg.basis()
+    note = linking_scope(pr, basis)
+    if note is not None:
+        return [], note
+    thresholds["lambda0"] = float(interior_threshold(lp.mu1, lp.mu2, lp.alpha, lp.beta, lp.dim))
+    try:
+        s_coupled, r_min = coupled_sobolev_constant(lp)
+    except BoundaryInfimumError:
+        return [], "coupling below the interior threshold: linking bound skipped"
+    s_amp, t_amp = minimizer_amplitudes(lp, s_coupled, r_min)
+    thresholds.update({"coupled_constant": float(s_coupled),
+                       "s_amplitude": float(s_amp), "t_amplitude": float(t_amp)})
+    box_cutoff = CutoffSpec.for_domain(BoxDomain(cfg.lengths))
+    records = linking_sweep(cfg.task["linking_eps"], lp, pr, basis, box_cutoff, s_amp, t_amp, s_coupled)
+    rows = []
+    for rec, (closed, direct) in records:
+        agree = abs(closed - direct) <= 1e-8 * max(abs(closed), 1e-300)
+        rows.append({"family": "ray-max", "eps": rec.eps, "closed": closed,
+                     "direct": direct, "consistent": bool(agree)})
+    rows += [{"family": "linking", **_fields(rec)} for rec, _ in records]
+    return rows, None
+
+
 def _run_verify_estimates(cfg: RunConfig) -> tuple[dict, int]:
-    lp, pr, task = cfg.limit, cfg.params, cfg.task
-    eps_grid = task["eps_grid"]
-    results: list[dict] = []
-    failed = False
+    """Bubble-integral orders and the two inequalities, then the linking bound on the box.
+
+    `linking_scope` alone says whether the linking bound applies; where it
+    or the run's coupling does not, the report carries the note instead of
+    the ray-max and linking rows.
+    """
+    lp, eps_grid = cfg.limit, cfg.task["eps_grid"]
 
     # bubble-identity and eps-independence of the whole-space norms
     g1, _ = bubble_norms(lp.dim, 1.0)
     g2, _ = bubble_norms(lp.dim, 0.5)
     s_const = sobolev_constant(lp.dim)
     eps_independent = abs(g2 - g1) <= 1e-8 * abs(g1)
-    failed |= not eps_independent
 
     sweeps = [cutoff_bubble_integrals(e, SWEEP_CUTOFF, lp.dim) for e in eps_grid]
     fit = fit_orders(sweeps, lp.dim, SWEEP_CUTOFF)
-    for s in sweeps:
-        results.append({
-            "family": "bubble-integrals", "eps": s.eps, "grad_sq": s.grad_sq,
-            "crit": s.crit, "crit_minus_one": s.crit_minus_one, "linear": s.linear,
-            "grad_abs": s.grad_abs, "crit_minus_two": s.crit_minus_two, "square": s.square,
-        })
-    for f in fit.fits:
-        results.append({
-            "family": "order-fit", "name": f.name, "slope": f.slope,
-            "half_width": f.half_width, "expected": f.expected,
-            "model": f.model, "passed": f.passed,
-        })
-    failed |= not fit.all_passed
-
     inequalities = calculus_inequalities()
-    for rep in inequalities:
-        results.append({
-            "family": "inequality", "label": rep.label, "constant": rep.constant,
-            "worst_slack": rep.worst_slack, "passed": rep.passed,
-        })
-        failed |= not rep.passed
-
+    results = ([{"family": "bubble-integrals", **_fields(s)} for s in sweeps]
+               + [{"family": "order-fit", **_fields(f)} for f in fit.fits]
+               + [{"family": "inequality", **_fields(rep)} for rep in inequalities])
     thresholds: dict[str, Any] = {
         "sobolev_constant": float(s_const),
         "bubble_norm_sq": float(g1),
         "eps_independent": bool(eps_independent),
         "square_prefactor": float(fit.square_prefactor),
     }
-
-    # linking bound on the box (needs positive shifts and a trivial nonpositive subspace)
-    notes = []
-    skip = cfg.lengths is None or cfg.cutoffs is None
-    if skip:
-        notes.append("no box given: linking bound skipped")
-    if not skip and (pr.kappa1 <= 0 or pr.kappa2 <= 0):
-        notes.append("nonpositive kappa: linking bound skipped")
-        skip = True
-    if not skip:
-        basis = cfg.basis()
-        split = [nonpositive_modes(basis, k) for k in (pr.kappa1, pr.kappa2)]
-        if pr.dim == 4 and any(zero.size for zero, _ in split):
-            notes.append("resonant kappa: linking bound skipped (a shift matches a Dirichlet "
-                         "eigenvalue; the dimension-4 bound requires nonresonance)")
-            skip = True
-        elif any(zero.size + minus.size for zero, minus in split):
-            notes.append("nonpositive subspace: linking bound skipped")
-            skip = True
-    if not skip:
-        lam0 = interior_threshold(lp.mu1, lp.mu2, lp.alpha, lp.beta, lp.dim)
-        thresholds["lambda0"] = float(lam0)
-        try:
-            s_coupled, r_min = coupled_sobolev_constant(lp)
-        except BoundaryInfimumError:
-            notes.append("coupling below the interior threshold: linking bound skipped")
-            skip = True
-        if not skip:
-            s_amp, t_amp = minimizer_amplitudes(lp, s_coupled, r_min)
-            thresholds.update({"coupled_constant": float(s_coupled),
-                               "s_amplitude": float(s_amp), "t_amplitude": float(t_amp)})
-            box_cutoff = CutoffSpec.for_domain(BoxDomain(cfg.lengths))
-            records = linking_sweep(task["linking_eps"], lp, pr, basis, box_cutoff, s_amp, t_amp, s_coupled)
-            for rec, (closed, direct) in records:
-                agree = abs(closed - direct) <= 1e-8 * max(abs(closed), 1e-300)
-                results.append({
-                    "family": "ray-max", "eps": rec.eps, "closed": closed,
-                    "direct": direct, "consistent": bool(agree),
-                })
-                failed |= not agree
-            for rec, _ in records:
-                results.append({
-                    "family": "linking", "eps": rec.eps, "best_value": rec.best_value,
-                    "threshold": rec.threshold, "passed": rec.passed,
-                    "ray_radius": rec.ray_radius,
-                    "boundary_nonpositive": rec.boundary_nonpositive,
-                })
-                failed |= not rec.passed
-
-    if notes:
-        thresholds["notes"] = notes
+    rows, note = _linking_rows(cfg, thresholds)
+    results += rows
+    if note is not None:
+        thresholds["notes"] = [note]
+    failed = not eps_independent or not all(r.get(k, True) for r in results for k in ("passed", "consistent"))
     return _report(cfg, results, thresholds,
                    {"eps_points": len(eps_grid), "inequalities": len(inequalities)}), (4 if failed else 0)
 
@@ -544,13 +470,20 @@ def _run_verify_estimates(cfg: RunConfig) -> tuple[dict, int]:
 # -- entry point -----------------------------------------------------------------
 
 
+# Each subcommand's (Command, runner) pair.
 SUBCOMMANDS = {
-    "ground-state": (COMMANDS["ground-state"], _run_ground_state),
-    "multiplicity": (COMMANDS["multiplicity"], _run_multiplicity),
-    "thresholds": (COMMANDS["thresholds"], _run_thresholds),
-    "limit": (COMMANDS["limit"], _run_limit),
-    "synchronized": (COMMANDS["synchronized"], _run_synchronized),
-    "verify-estimates": (COMMANDS["verify-estimates"], _run_verify_estimates),
+    "ground-state": (Command({}), _run_ground_state),
+    "multiplicity": (Command({"k": ("integer", REQUIRED, ">= 1")}), _run_multiplicity),
+    "thresholds": (Command({
+        "m": ("integer", REQUIRED, ">= 1"),
+        "lambda_grid": ("numbers", tuple(np.geomspace(0.5, 500, 10)), "> 0"),
+    }), _run_thresholds),
+    "limit": (Command({}, needs_box=False, limit=True), _run_limit),
+    "synchronized": (Command({}, equal_kappas=True), _run_synchronized),
+    "verify-estimates": (Command({
+        "eps_grid": ("numbers", default_eps_grid(), "> 0"),
+        "linking_eps": ("numbers", (1e-2, 1e-3), "> 0"),
+    }, needs_box=False, limit=True), _run_verify_estimates),
 }
 
 
@@ -597,7 +530,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         report, code = runner(cfg)
     except SolverError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
+        why = ""
+        if isinstance(exc, ConvergenceFailureError) and exc.diagnostics:
+            counts = sorted(Counter(exc.diagnostics).items())
+            why = " (" + ", ".join(f"{n} {reason}" for reason, n in counts) + ")"
+        print(f"solver failure: {exc}{why}", file=sys.stderr)
         return 3
     elapsed = _time.perf_counter() - t0
 

@@ -8,7 +8,8 @@ known orders in eps, verified here by log-log slope fits over an eps sweep.
 Every eps must lie above `eps_floor`, below which the integrands overflow.
 The linking harness maximizes the coupled energy over the ray through the
 scaled bubble pair, in closed form, and checks the result stays below (1/N)
-S_coupled^{N/2}; it takes only a trivial nonpositive spectral subspace, where
+S_coupled^{N/2}; `linking_scope` is the one rule for where that applies,
+and it asks among others for a trivial nonpositive spectral subspace, where
 the ray is the whole linking set.  This is a falsification test of an
 upper-bound claim, not a certified bound.  The two inequality checks
 evaluate the left side at its exact maximizer and compare it with the sharp
@@ -129,8 +130,8 @@ class SlopeFit:
     slope: float
     half_width: float
     expected: float
-    passed: bool
     model: str  # "eps" or "eps^2|ln eps|"
+    passed: bool
 
 
 @dataclass(frozen=True)
@@ -233,8 +234,8 @@ def fit_orders(sweeps: Sequence[BubbleIntegrals], n_dim: int, cutoff: CutoffSpec
                 slope=slope,
                 half_width=hw,
                 expected=exp_slope,
-                passed=bool(abs(slope - exp_slope) <= SLOPE_TOL),
                 model=model,
+                passed=bool(abs(slope - exp_slope) <= SLOPE_TOL),
             )
         )
     # prefactor of the leading term of int (psi U)^2
@@ -302,8 +303,6 @@ def _ray_coefficients(
     eps: float, cutoff: CutoffSpec, lp: LimitParams, kappa1: float, kappa2: float, s_amp: float, t_amp: float
 ) -> tuple[float, float]:
     """Quadratic and p-homogeneous coefficients of the ray energy through the bubble pair at eps."""
-    if kappa1 <= 0 or kappa2 <= 0:
-        raise PreconditionError("the ray formula is used with positive shifts")
     check_ray_eps(eps, cutoff, lp.dim)
     integrals = cutoff_bubble_integrals(eps, cutoff, lp.dim)
     ts = lp.two_star
@@ -347,6 +346,27 @@ class LinkingRecord:
     boundary_nonpositive: bool
 
 
+def linking_scope(params: SystemParams, basis: SineBasis) -> str | None:
+    """Why the ray check does not apply to params on basis, or None where it does.
+
+    This is the one rule for where `linking_sweep` runs, checked in this
+    order: both shifts kappa_i > 0; in dimension 4, neither kappa_i a
+    Dirichlet eigenvalue (the critical-dimension bound needs nonresonance);
+    and a trivial nonpositive subspace X~ = {0}, where the ray is the whole
+    linking set.  The note says which condition fails first.
+    """
+    kappas = (params.kappa1, params.kappa2)
+    if any(kappa <= 0 for kappa in kappas):
+        return "nonpositive kappa: linking bound skipped"
+    split = [nonpositive_modes(basis, kappa) for kappa in kappas]
+    if params.dim == 4 and any(zero.size for zero, _ in split):
+        return ("resonant kappa: linking bound skipped (a shift matches a Dirichlet "
+                "eigenvalue; the dimension-4 bound requires nonresonance)")
+    if any(zero.size + minus.size for zero, minus in split):
+        return "nonpositive subspace: linking bound skipped"
+    return None
+
+
 def linking_sweep(
     eps_grid: Sequence[float],
     lp: LimitParams,
@@ -360,16 +380,15 @@ def linking_sweep(
     """Maximize the energy over the ray {t * bubble pair : t > 0} per eps.
 
     The best value is the closed-form ray maximum, and the reported flag
-    says whether it stays below (1/N) S_coupled^{N/2}.  The ray is the whole
-    linking set only when the nonpositive subspace is trivial, so a nonzero
-    X~ (some kappa_i at or above gamma_1) raises PreconditionError in every
-    dimension.  Each eps's record comes with the `ray_maximum` pair of its
-    ray, which is built once.
+    says whether it stays below (1/N) S_coupled^{N/2}.  Where `linking_scope`
+    gives a note, the sweep raises PreconditionError with it.  Each eps's
+    record comes with the `ray_maximum` pair of its ray, which is built once.
     """
     if cutoff.support_radius > basis.domain.inscribed_radius:
         raise PreconditionError("the box must contain the cutoff support")
-    if any(part.size for kappa in (params.kappa1, params.kappa2) for part in nonpositive_modes(basis, kappa)):
-        raise PreconditionError("the linking bound covers only a trivial nonpositive subspace")
+    note = linking_scope(params, basis)
+    if note is not None:
+        raise PreconditionError(note)
     n = lp.dim
     threshold = s_coupled ** (n / 2.0) / n
     records = []

@@ -27,17 +27,22 @@ _H_TOL = 1e-10
 R_WINDOW = (1e-8, 1e8)
 
 
-def ratio_function(r: float, params: SystemParams) -> float:
-    """h(r) = mu1 r^{p-2} + lam alpha r^{alpha-2} - lam beta r^alpha - mu2."""
-    if r <= 0:
+def ratio_function(r, params: SystemParams):
+    """h(r) = mu1 r^{p-2} + lam alpha r^{alpha-2} - lam beta r^alpha - mu2.
+
+    r is one positive number, giving a float, or an array of them, giving
+    an array.
+    """
+    if np.any(np.asarray(r) <= 0):
         raise PreconditionError("r must be positive")
     pr = params
-    return float(
+    h = (
         pr.mu1 * r ** (pr.p - 2.0)
         + pr.lam * pr.alpha * r ** (pr.alpha - 2.0)
         - pr.lam * pr.beta * r**pr.alpha
         - pr.mu2
     )
+    return h if isinstance(h, np.ndarray) else float(h)
 
 
 def _ratio_derivative(r: float, params: SystemParams) -> float:
@@ -68,7 +73,7 @@ def find_roots(params: SystemParams) -> tuple[float, ...]:
     `root_guaranteed` says whether a root must exist.
     """
     grid = np.geomspace(*R_WINDOW, 4001)
-    vals = np.array([ratio_function(r, params) for r in grid])
+    vals = ratio_function(grid, params)
     roots = []
     for a, b, fa, fb in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
         if fa == 0.0:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from sinesolve import cli, estimates
-from sinesolve.cli import COMMANDS, main, parse_config
+from sinesolve.cli import SUBCOMMANDS, main, parse_config
 from sinesolve.errors import ConfigError
 from sinesolve.nehari import SolverConfig
 from sinesolve.radial import _reference_rule
@@ -34,7 +34,7 @@ def write_config(tmp_path, cfg, name="cfg.json"):
 
 
 def test_parse_config_roundtrip():
-    cfg = parse_config(copy.deepcopy(BASE), COMMANDS["ground-state"])
+    cfg = parse_config(copy.deepcopy(BASE), SUBCOMMANDS["ground-state"][0])
     assert cfg.params.lam == 50.0
     assert cfg.lengths == (1.0,)
     assert cfg.solver.rng_seed == 3
@@ -44,11 +44,11 @@ def test_unknown_keys_rejected():
     bad = copy.deepcopy(BASE)
     bad["problem"]["mystery"] = 1
     with pytest.raises(ConfigError):
-        parse_config(bad, COMMANDS["ground-state"])
+        parse_config(bad, SUBCOMMANDS["ground-state"][0])
     bad2 = copy.deepcopy(BASE)
     bad2["extra_top"] = {}
     with pytest.raises(ConfigError):
-        parse_config(bad2, COMMANDS["ground-state"])
+        parse_config(bad2, SUBCOMMANDS["ground-state"][0])
 
 
 def test_removed_max_newton_iter_key_exit_2(tmp_path):
@@ -65,7 +65,7 @@ def test_invalid_values_rejected():
         bad = copy.deepcopy(BASE)
         bad["problem"][key] = value
         with pytest.raises(ConfigError):
-            parse_config(bad, COMMANDS["ground-state"])
+            parse_config(bad, SUBCOMMANDS["ground-state"][0])
 
 
 def test_malformed_config_exit_2(tmp_path):
@@ -104,7 +104,7 @@ def test_ground_state_run_and_schema(tmp_path):
     assert set(rep) == {"schema", "config", "results", "thresholds", "timing"}
     assert rep["schema"] == "sinesolve-report/1"
     # config echo re-validates (schema round-trip)
-    parse_config(rep["config"], COMMANDS["ground-state"])
+    parse_config(rep["config"], SUBCOMMANDS["ground-state"][0])
     system = [r for r in rep["results"] if r["family"] == "system"]
     assert len(system) == 1
     assert system[0]["classification"] == "fully-nontrivial"
@@ -280,6 +280,74 @@ def test_verify_estimates_bubble_integrals_once_per_eps(tmp_path, monkeypatch):
     assert sum(r["family"] == "linking" for r in rep["results"]) == 2
     assert sum(r["family"] == "ray-max" for r in rep["results"]) == 2
     assert len(calls) == 7 + 2
+
+
+# every report row family and its keys; the CSV headers list them in row order
+_POINT_KEYS = {"family", "energy", "grad_norm", "b_value", "b1", "b2", "mass1", "mass2",
+               "classification", "orbit_id", "below_threshold", "coefficients"}
+ROW_KEYS = {
+    "system": _POINT_KEYS,
+    "scalar": {"family", "component", "energy", "grad_norm", "b_value"},
+    "synchronized": _POINT_KEYS | {"ratio_root", "s", "t", "scalar_residual"},
+    "diagonal-sup": {"family", "lambda", "value", "m"},
+    "bubble-integrals": {"family", "eps", "grad_sq", "crit", "crit_minus_one", "linear", "grad_abs",
+                         "crit_minus_two", "square"},
+    "order-fit": {"family", "name", "slope", "half_width", "expected", "model", "passed"},
+    "inequality": {"family", "label", "constant", "worst_slack", "passed"},
+    "ray-max": {"family", "eps", "closed", "direct", "consistent"},
+    "linking": {"family", "eps", "best_value", "threshold", "passed", "ray_radius", "boundary_nonpositive"},
+}
+CSV_HEADERS = {
+    "ground-state": "family,component,energy,grad_norm,b_value,b1,b2,mass1,mass2,classification,"
+                    "orbit_id,below_threshold",
+    "verify-estimates": "family,eps,grad_sq,crit,crit_minus_one,linear,grad_abs,crit_minus_two,square,"
+                        "name,slope,half_width,expected,model,passed,label,constant,worst_slack,"
+                        "closed,direct,consistent,best_value,threshold,ray_radius,boundary_nonpositive",
+}
+
+
+def test_report_row_keys_and_csv_headers_are_pinned(tmp_path):
+    # a renamed or reordered record field must not change a report unnoticed
+    runs = {
+        "ground-state": copy.deepcopy(BASE),
+        "synchronized": copy.deepcopy(BASE),
+        "thresholds": {**copy.deepcopy(BASE), "task": {"m": 2, "lambda_grid": [1.0, 5.0]}},
+        "verify-estimates": {"problem": _unit_4box(2.0 * np.pi**2), "task": {"linking_eps": [1e-2]}},
+    }
+    runs["synchronized"]["problem"].update({"mu2": 2.0, "lambda": 2.0})
+    keys = {}
+    for name, cfg in runs.items():
+        cfg["output"] = {"report": str(tmp_path / f"{name}.json"), "formats": ["json", "csv"]}
+        # 4 is a failed property check, which still writes the whole report
+        assert main([name, "--config", write_config(tmp_path, cfg, f"{name}.config.json")]) in (0, 4)
+        for row in json.loads((tmp_path / f"{name}.json").read_text())["results"]:
+            assert keys.setdefault(row["family"], set(row)) == set(row), row["family"]
+        if name in CSV_HEADERS:
+            assert (tmp_path / f"{name}.csv").read_text().splitlines()[0] == CSV_HEADERS[name]
+    assert keys == ROW_KEYS
+
+
+@pytest.mark.parametrize("cause", ["unreachable tolerance", "no positive part"])
+def test_convergence_failure_exit_3_counts_the_seed_diagnostics(tmp_path, monkeypatch, capsys, cause):
+    from sinesolve import nehari
+    from sinesolve.errors import ConvergenceFailureError
+
+    cfg = copy.deepcopy(BASE)
+    cfg["output"]["report"] = str(tmp_path / "never.json")
+    if cause == "unreachable tolerance":
+        monkeypatch.setattr(nehari, "NEWTON_TOL", 1e-30)
+    else:  # above gamma_16 every mode is nonpositive, so no seed has a ray to the Nehari set
+        cfg["problem"]["kappa1"] = 1.01 * 16**2 * np.pi**2
+    command, runner = SUBCOMMANDS["ground-state"]
+    with pytest.raises(ConvergenceFailureError) as failure:
+        runner(parse_config(copy.deepcopy(cfg), command))
+    diagnostics = failure.value.diagnostics
+    assert diagnostics
+    assert main(["ground-state", "--config", write_config(tmp_path, cfg)]) == 3
+    err = capsys.readouterr().err
+    counts = ", ".join(f"{diagnostics.count(r)} {r}" for r in sorted(set(diagnostics)))
+    assert err == f"solver failure: {failure.value} ({counts})\n"
+    assert not os.path.exists(tmp_path / "never.json")
 
 
 # each dimension's eps floor, 1e-102.51 (N=3), 1e-76.61 (N=4), 1e-61.06 (N=5),
@@ -483,7 +551,7 @@ SOLVER_ENTRY_POINTS = ("semitrivial_threshold", "diagonal_sup", "find_roots", "s
 
 @pytest.mark.parametrize("subcommand", sorted(VALID))
 def test_valid_configs_parse(subcommand):
-    parse_config(copy.deepcopy(VALID[subcommand]), COMMANDS[subcommand])
+    parse_config(copy.deepcopy(VALID[subcommand]), SUBCOMMANDS[subcommand][0])
 
 
 @pytest.mark.parametrize(
@@ -597,7 +665,7 @@ def test_typed_values_and_defaults():
     cfg = copy.deepcopy(VALID["verify-estimates"])
     cfg["problem"]["dim"] = 4.0
     cfg["solver"] = {"budget": 7.0, "seed": 2}
-    run = parse_config(cfg, COMMANDS["verify-estimates"])
+    run = parse_config(cfg, SUBCOMMANDS["verify-estimates"][0])
     assert run.params.dim == 4 and isinstance(run.params.dim, int)
     assert run.solver.budget == 7 and isinstance(run.solver.budget, int)
     assert run.solver.rng_seed == 2
@@ -663,7 +731,7 @@ def test_readme_documents_every_config_key():
             if len(cells) == 5:
                 rows[cells[0], cells[1]] = (cells[2], cells[4])
     tables = dict(cli.SCHEMA)
-    tables.update({f"task: {name}": command.task for name, command in cli.COMMANDS.items()})
+    tables.update({f"task: {name}": command.task for name, (command, _) in cli.SUBCOMMANDS.items()})
     expected = {
         (block, key): (kind, " or ".join(rng) if isinstance(rng, tuple) else rng)
         for block, schema in tables.items()

@@ -23,6 +23,7 @@ from sinesolve.errors import PreconditionError
 from sinesolve.estimates import (
     bubble_deficits,
     default_eps_grid,
+    linking_scope,
     sharp_single_constant,
     verify_product_powers,
     verify_single_power,
@@ -235,6 +236,52 @@ def test_linking_rejects_nontrivial_tilde(n):
     assert [z.tolist() for z in nonpositive_modes(basis, between)] == [[], [0]]
     with pytest.raises(PreconditionError, match="nonpositive subspace"):
         sweep(between)
+
+
+_SCOPE_NOTES = {
+    "nonpositive": "nonpositive kappa: linking bound skipped",
+    "resonant": ("resonant kappa: linking bound skipped (a shift matches a Dirichlet "
+                 "eigenvalue; the dimension-4 bound requires nonresonance)"),
+    "tilde": "nonpositive subspace: linking bound skipped",
+}
+
+
+@pytest.mark.parametrize("n, kappas, note", [
+    (5, ("zero", "below"), "nonpositive"),
+    (3, ("below", "negative"), "nonpositive"),
+    (4, ("gamma1", "negative"), "nonpositive"),  # the sign is checked first
+    (4, ("gamma1", "below"), "resonant"),
+    (4, ("below", "gamma1"), "resonant"),
+    (3, ("gamma1", "below"), "tilde"),  # resonance is a dimension-4 note only
+    (3, ("between", "between"), "tilde"),
+    (4, ("between", "below"), "tilde"),
+    (5, ("between", "between"), "tilde"),
+    (3, ("below", "below"), None),
+    (4, ("below", "below"), None),
+    (5, ("below", "below"), None),
+])
+def test_linking_scope_note_is_the_sweep_refusal(n, kappas, note):
+    # one rule says where the ray check applies; the sweep refuses with its note
+    basis = SineBasis(BoxDomain((1.0,) * n), (2,) * n)
+    g = basis.eigenvalues
+    at = {"zero": 0.0, "negative": -1.0, "below": 0.5 * g[0], "gamma1": g[0],
+          "between": 0.5 * (g[0] + g[1])}
+    ab = n / (n - 2.0)
+    lam = 4.0 * interior_threshold(1.0, 1.0, ab, ab, n)
+    lp = LimitParams(mu1=1.0, mu2=1.0, lam=lam, alpha=ab, beta=ab, dim=n)
+    s_coupled, r_min = coupled_sobolev_constant(lp)
+    s_amp, t_amp = minimizer_amplitudes(lp, s_coupled, r_min)
+    params = SystemParams(kappa1=at[kappas[0]], kappa2=at[kappas[1]], mu1=1.0, mu2=1.0, lam=lam,
+                          alpha=ab, beta=ab, dim=n)
+    cut = CutoffSpec.for_domain(basis.domain)
+    want = _SCOPE_NOTES.get(note)
+    assert linking_scope(params, basis) == want
+    if want is None:
+        assert len(linking_sweep([1e-2], lp, params, basis, cut, s_amp, t_amp, s_coupled)) == 1
+    else:
+        with pytest.raises(PreconditionError) as refusal:
+            linking_sweep([1e-2], lp, params, basis, cut, s_amp, t_amp, s_coupled)
+        assert str(refusal.value) == want
 
 
 # -- elementary inequalities --------------------------------------------------------
