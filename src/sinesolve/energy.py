@@ -150,17 +150,35 @@ def _per_point(compute):
 
 
 class _Engine:
-    """Keeps the state of the most recent point; see `at`."""
+    """What the searches rely on in both engines, `GalerkinSystem` (stacked
+    pair vectors) and `ScalarProblem` (single vectors).
+
+    Each holds `basis`, its `grid` and `transform`, the mode count `m`, the
+    exponent `p` and `shift`, gamma_k - kappa per block, one block per kappa;
+    `tilde`, the indices in z of X~ = X^0 + X^- that `nonpositive_modes`
+    gives for each kappa (per block zero, then minus); and `plus_weights`,
+    the eigenvalue gamma_k of each entry of z, 0 on X~, so that
+    sum(plus_weights * z * z) is the squared H^1 norm of z's positive part.
+    Both add energy/gradient/hessian, the quadratic form and the Nehari
+    denominator, and keep the state of the most recent point (`at`).  So one
+    set of search routines serves the system, the two scalar equations and
+    the diagonal functional.
+    """
 
     _point = None
 
-    def _set_tilde(self, tilde: np.ndarray, gamma: np.ndarray) -> None:
-        """Fix `tilde`, the indices of X~ in z, and `plus_weights`: the
-        eigenvalue gamma_k of each entry of z, 0 on X~, so that
-        sum(plus_weights * z * z) is the squared H^1 norm of z's positive part."""
-        self.tilde = tilde
-        self.plus_weights = gamma.copy()
-        self.plus_weights[tilde] = 0.0
+    def __init__(self, basis: SineBasis, kappas: tuple[float, ...], p: float):
+        self.basis = basis
+        self.grid = basis.grid
+        self.transform = basis.transform
+        self.m = m = basis.size
+        self.p = p
+        gamma = basis.eigenvalues
+        self.shift = np.concatenate([gamma - kappa for kappa in kappas])
+        self.tilde = np.concatenate([i * m + np.concatenate(nonpositive_modes(basis, kappa))
+                                     for i, kappa in enumerate(kappas)])
+        self.plus_weights = np.tile(gamma, len(kappas))
+        self.plus_weights[self.tilde] = 0.0
 
     def at(self, z: np.ndarray) -> _Point:
         """The state at z: the last one if z has exactly its bytes, else a new one.
@@ -180,11 +198,10 @@ class GalerkinSystem(_Engine):
 
     Works on stacked coefficient vectors z = (c_1, c_2), carried to the grid
     and back by the basis's one `transform`.  The problem data are immutable
-    after construction; they include `p` and `tilde`, the stacked indices
-    of the nonpositive subspace X~ = X^0 + X^- that `nonpositive_modes`
-    gives for kappa_1 and kappa_2.  The state of the last point asked
-    (`at`) caches the synthesized fields, the powers |u_1|^alpha and
-    |u_2|^beta and their odd counterparts, and the energy, masses, Nehari
+    after construction; `shift1` and `shift2` are the two blocks of `shift`,
+    and `tilde` stacks X~ for kappa_1 and kappa_2.  The state of the last
+    point asked (`at`) caches the synthesized fields, the powers |u_1|^alpha
+    and |u_2|^beta and their odd counterparts, and the energy, masses, Nehari
     denominator, gradient and Hessian once computed.  A state is reused only
     for a z with exactly the same bytes, and the arrays it hands out are
     read-only.
@@ -194,17 +211,8 @@ class GalerkinSystem(_Engine):
         if params.dim != basis.domain.dim:
             raise BasisMismatchError("params.dim does not match the domain dimension")
         self.params = params
-        self.basis = basis
-        self.grid = basis.grid
-        self.transform = basis.transform
-        self.m = basis.size
-        gamma = basis.eigenvalues
-        self.shift1 = gamma - params.kappa1
-        self.shift2 = gamma - params.kappa2
-        self.shift = np.concatenate([self.shift1, self.shift2])
-        self.p = params.p
-        t1, t2 = (np.concatenate(nonpositive_modes(basis, k)) for k in (params.kappa1, params.kappa2))
-        self._set_tilde(np.concatenate([t1, self.m + t2]), np.tile(gamma, 2))
+        super().__init__(basis, (params.kappa1, params.kappa2), params.p)
+        self.shift1, self.shift2 = self.shift[: self.m], self.shift[self.m :]
 
     # -- pointwise synthesis and shared powers -------------------------------
 
@@ -293,19 +301,13 @@ class ScalarProblem(_Engine):
     """Single-component functional J(w) = 1/2 int(|grad w|^2 - kappa w^2) - mu/p int |w|^p.
 
     Integrates on the basis's grid and keeps the state of its last point
-    as GalerkinSystem does; `tilde` holds the indices of the
-    nonpositive modes of -Laplace - kappa, from `nonpositive_modes`.
+    as GalerkinSystem does; `tilde` holds the nonpositive modes of
+    -Laplace - kappa.
     """
 
     def __init__(self, basis: SineBasis, kappa: float, mu: float, p: float):
-        self.basis = basis
-        self.grid = basis.grid
-        self.transform = basis.transform
-        self.m = basis.size
-        self.shift = basis.eigenvalues - kappa
-        self._set_tilde(np.concatenate(nonpositive_modes(basis, kappa)), basis.eigenvalues)
+        super().__init__(basis, (kappa,), p)
         self.mu = float(mu)
-        self.p = p
 
     @_per_point
     def _field(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

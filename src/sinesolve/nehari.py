@@ -15,13 +15,14 @@ supplies its starting points.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .domain import SineBasis
-from .energy import GalerkinSystem, ScalarProblem, SystemParams, nonpositive_modes, sign_orbit
+from .energy import GalerkinSystem, ScalarProblem, SystemParams, sign_orbit
 from .errors import (
     BracketFailureError,
     ClassificationContradictionError,
@@ -171,14 +172,7 @@ class ThresholdResult:
         return min(s.b_value for s in self.scalar_states)
 
 
-# -- generic search routines ---------------------------------------------------
-# GalerkinSystem (stacked pair vectors) and ScalarProblem(basis, kappa, mu,
-# p) (single vectors) share one engine interface: basis, m, p, shift,
-# energy/gradient/hessian, the quadratic form, the Nehari denominator,
-# `tilde`, the indices of the nonpositive directions that `nonpositive_modes`
-# gives for each kappa when the engine is built, and `plus_weights`, the H^1
-# weights of the other directions.  So one set of search routines serves the
-# system, the two scalar equations and the diagonal functional.
+# -- generic search routines on either engine (energy._Engine) -----------------
 
 
 def _plus_h1_norm(engine, z: np.ndarray) -> float:
@@ -575,12 +569,10 @@ def multiplicity_search(
     # dedup check also drops every converged point of norm under DEDUP_TOL
     deflate: list[np.ndarray] = [np.zeros(2 * engine.m)]
     hits: list[CriticalPoint] = []
-    runs = 0
     seeds = _system_seeds(engine, config, rng, threshold.scalar_states, config.budget)
-    for z0 in seeds:
-        if runs >= config.budget or sum(1 for h in hits if 0.0 < h.energy < threshold.c0) >= k:
+    for z0 in itertools.islice(seeds, config.budget):
+        if len(hits) >= k:
             break
-        runs += 1
         if not _has_positive_part(engine, z0):
             continue
         try:
@@ -642,22 +634,21 @@ def diagonal_sup(params: SystemParams, m: int, basis: SineBasis) -> float:
 
     Trust-region Newton (`trust_region_min`), on the m x m block of the
     Hessian, runs from the Nehari point of each positive mode and from 4
-    random starts drawn at seed 0, whatever the solver seed.  Returns
-    exactly 0 when `nonpositive_modes` puts mode m in the nonpositive
-    subspace for kbar = (kappa_1 + kappa_2)/2; the modes are sorted by
-    eigenvalue, so that is m <= its dimension.  Then
-    gamma_m <= kbar up to that rule's tolerance, so the quadratic part is
-    nonpositive on the whole subspace up to it, and the supremum is the 0
-    attained at the origin.  Otherwise the mode-m start has positive energy
-    and the trust region never ends below its start, so the result is positive:
-    0 marks exactly the resonant case.
+    random starts drawn at seed 0, whatever the solver seed; the positive
+    modes are those outside the diagonal engine's `tilde`.  Returns exactly
+    0 when that `tilde`, the nonpositive subspace for kbar = (kappa_1 +
+    kappa_2)/2, holds mode m; the modes are sorted by eigenvalue, so that is
+    m <= its dimension.  Then gamma_m <= kbar up to the 1e-9 gamma_1 zero
+    tolerance, so the quadratic part is nonpositive on the whole subspace up
+    to it, and the supremum is the 0 attained at the origin.  Otherwise the
+    mode-m start has positive energy and the trust region never ends below
+    its start, so the result is positive: 0 marks exactly the resonant case.
     """
     if not 1 <= m <= basis.size:
         raise PreconditionError(f"m must lie in [1, {basis.size}]")
-    zero, minus = nonpositive_modes(basis, 0.5 * (params.kappa1 + params.kappa2))
-    if m <= zero.size + minus.size:
-        return 0.0
     prob = _diag_problem(params, params.lam, basis)
+    if m <= prob.tilde.size:
+        return 0.0
 
     head = np.arange(m)
 
@@ -672,7 +663,7 @@ def diagonal_sup(params: SystemParams, m: int, basis: SineBasis) -> float:
 
     starts = []
     for j in range(m):
-        if prob.shift[j] <= 0:
+        if prob.plus_weights[j] == 0.0:
             continue
         e = np.zeros(basis.size)
         e[j] = 1.0
@@ -694,8 +685,8 @@ def coupling_threshold(params: SystemParams, c0: float, sup: float) -> float:
     supremum is decreasing in lam, and inverting the exact law of
     rescale_diagonal_sup gives mu_eff(lam_bar) = mu_eff(lam) (sup /
     c0)^((p-2)/2).  Returns 0 exactly when sup == 0, which diagonal_sup
-    returns exactly when `nonpositive_modes` puts mode m in the nonpositive
-    subspace for (kappa_1 + kappa_2)/2; raises
+    returns exactly when mode m lies in the nonpositive subspace for
+    (kappa_1 + kappa_2)/2; raises
     BracketFailureError when lam_bar lies outside LAMBDA_BAR_RANGE = (lo,
     hi], that is lam_bar <= lo or lam_bar > hi.
     """

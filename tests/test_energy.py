@@ -159,7 +159,9 @@ def test_engine_tilde_is_the_spectral_split(basis, kappa1, kappa2, stacked):
     gamma = np.tile(basis.eigenvalues, 2)
     np.testing.assert_array_equal(system.plus_weights, np.where(np.isin(np.arange(2 * m), stacked), 0.0, gamma))
     for kappa, t in zip((kappa1, kappa2), tilde):
-        np.testing.assert_array_equal(ScalarProblem(basis, kappa, 1.0, pr.p).tilde, t)
+        scalar = ScalarProblem(basis, kappa, 1.0, pr.p)
+        np.testing.assert_array_equal(scalar.tilde, t)
+        np.testing.assert_array_equal(scalar.plus_weights, np.where(np.isin(np.arange(m), t), 0.0, basis.eigenvalues))
 
 
 def test_split_size_monotone_in_kappa(basis):

@@ -95,6 +95,17 @@ def test_no_module_imports_scipy():
     assert [p.stem for p in modules if "scipy" in _imported_packages(p)] == []
 
 
+def test_only_the_engines_and_the_linking_rule_read_nonpositive_modes():
+    # each engine takes its X~ from nonpositive_modes once, when it is built,
+    # and the searches read it from the engine; estimates.linking_scope is
+    # the one other reader (__init__ only re-exports the name)
+    modules = sorted((REPO / "src" / "sinesolve").glob("*.py"))
+    readers = [p.stem for p in modules
+               if any(isinstance(node, ast.Name) and node.id == "nonpositive_modes"
+                      for node in ast.walk(ast.parse(p.read_text(encoding="utf-8"))))]
+    assert readers == ["energy", "estimates"]
+
+
 def test_cli_import_loads_no_scipy():
     # a fresh interpreter: another test may have loaded SciPy into this one
     probe = "import sys, sinesolve.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"

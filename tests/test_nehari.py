@@ -542,6 +542,23 @@ def test_diagonal_sup_resonant_zero(basis, case):
         assert sup == 0.0
 
 
+def test_diagonal_sup_starts_from_the_modes_outside_tilde(basis, monkeypatch):
+    # kbar = gamma_2 (1 - 1e-12) leaves mode 2 a positive shift, but inside
+    # the zero tolerance it is a zero mode of X~, so no start comes from it:
+    # the m - |X~| = 1 mode start and the 4 random ones run
+    runs = []
+    original = nehari.trust_region_min
+
+    def counting(*args, **options):
+        runs.append(1)
+        return original(*args, **options)
+
+    monkeypatch.setattr(nehari, "trust_region_min", counting)
+    kbar = float(basis.eigenvalues[1]) * (1.0 - 1e-12)
+    assert diagonal_sup(params_with(kappa1=kbar, kappa2=kbar), 3, basis) > 0.0
+    assert len(runs) == (3 - 2) + 4
+
+
 def test_diagonal_sup_decreasing_in_lambda(basis):
     pr = params_with()
     vals = [sup_at(pr, 3, basis, l) for l in np.geomspace(0.5, 50.0, 6)]
@@ -883,3 +900,22 @@ def test_deflated_jacobian_reuses_the_residual_gradient(basis24, indefinite24, m
     assert work["synthesize"] == 2 * len(points)
     assert work["project"] == 2 * len(points)
     assert work["mode_mass_matrix"] == 3 * len(set(asked["hessian"]))
+
+
+@pytest.mark.parametrize("lengths, cutoffs, kappa", [((1.0,), (24,), 15.0), ((1.0, 1.0), (8, 8), 25.0)],
+                         ids=["1d-k24", "2d-8x8"])
+def test_mirror_mode_seeds_converge_to_the_exact_sign_image(lengths, cutoffs, kappa):
+    # the energy is even in u_2 and every step of the projection and Newton
+    # commutes with flipping it, so the seed (e_j, -e_j) ends at the sign
+    # image of where (e_j, e_j) ends, byte for byte; e_1 spans X^- on both
+    # boxes, so that pair is dropped both times
+    basis = SineBasis(BoxDomain(lengths), cutoffs)
+    engine = GalerkinSystem(params_with(kappa1=kappa, kappa2=kappa, lam=50.0, dim=len(lengths)), basis)
+    m = basis.size
+    for j in range(3):
+        e = np.eye(m)[j]
+        z, dropped = _converge_seed(engine, np.concatenate([e, e]))
+        mirror, mirror_dropped = _converge_seed(engine, np.concatenate([e, -e]))
+        assert mirror_dropped == dropped and (z is None) == (j == 0)
+        if z is not None:
+            assert np.concatenate([z[:m], -z[m:]]).tobytes() == mirror.tobytes()
