@@ -274,9 +274,13 @@ def _sorted_records(records: list[dict]) -> list[dict]:
 def _write_atomically(path: str, text: str) -> None:
     """Write text to a temporary file beside path, then rename it over path."""
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
-    with os.fdopen(fd, "w", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with os.fdopen(fd, "w", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:  # a failed write or rename leaves no temporary file behind
+        os.unlink(tmp)
+        raise
 
 
 def _csv_path(path: str) -> str:
@@ -518,6 +522,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             cfg = dataclasses.replace(cfg, report_path=report_path)
         if {"json", "csv"} <= set(cfg.formats) and _csv_path(cfg.report_path) == cfg.report_path:
             raise ConfigError(f"the CSV table would overwrite the JSON report {cfg.report_path}")
+        targets = {"json": cfg.report_path, "csv": _csv_path(cfg.report_path)}
+        for fmt in cfg.formats:
+            if os.path.isdir(targets[fmt]):
+                raise ConfigError(f"the {fmt.upper()} report path {targets[fmt]} is a directory")
         # a report directory that cannot be made fails here, before any solver runs
         os.makedirs(os.path.dirname(os.path.abspath(cfg.report_path)), exist_ok=True)
     except (OSError, ValueError) as exc:  # ConfigError included

@@ -112,44 +112,6 @@ class SineBasis:
         return np.ravel_multi_index((self.modes - 1).T, self.cutoffs)
 
 
-# one axis of `mode_mass_matrix`: contract the leading node axis against e_k e_l
-_MASS_AXIS = "q...,qk,ql->...kl"
-
-
-def _mass_step(S: np.ndarray, path: list):
-    """One axis of `mode_mass_matrix` as a fixed step: the contraction that
-    `einsum(_MASS_AXIS, a, S, S, optimize=path)` runs, replayed with the same
-    products in the same order, so the bits are its bits without its per-call
-    planning.  The planner picks one of three forms by shape:
-
-    - weight first, (0,1),(0,1): the products a_q e_k(q) laid out (..., k, q),
-      then one matrix product with S over q (1-D, and the last axis when all
-      earlier cutoffs are 1);
-    - table first, (1,2),(0,1): the pair table e_k e_l on the nodes, built
-      once here, times a with its node axis leading (most n-D axes);
-    - three operands, (0,1,2): one unoptimized einsum on (S, S, a), the call
-      the planner makes (e.g. cutoffs (8, 3), axis 0).
-    """
-    order = tuple(path[1:])
-    if order == ((0, 1), (0, 1)):
-        St = S.T
-        return lambda a: np.matmul(np.moveaxis(a, 0, -1)[..., None, :] * St, S)
-    if order == ((1, 2), (0, 1)):
-        K = S.shape[1]
-        pair = np.einsum("ql,qk->klq", S, S, optimize=["einsum_path", (0, 1)]).reshape(K * K, -1)
-        pair.setflags(write=False)
-
-        def table_first(a):
-            rest = a.shape[1:]
-            out = np.matmul(pair, a.reshape(a.shape[0], -1)).reshape((K, K) + rest)
-            return out.transpose(tuple(range(2, 2 + len(rest))) + (0, 1))
-
-        return table_first
-    if order == ((0, 1, 2),):
-        return lambda a: np.einsum("ql,qk,q...->...kl", S, S, a)
-    raise ValueError(f"no mass-matrix step for contraction path {path}")
-
-
 class SineTransform:
     """Sine tables of one basis on one grid, built once.
 
@@ -159,13 +121,9 @@ class SineTransform:
     of each sorted mode in the dense `cutoffs` tensor, and `gather` its
     inverse, the sorted mode at each tensor position: `project` reads its
     output through the first, `synthesize` builds its input through the
-    second.  `mass_paths[i]` is the contraction path of axis i in
-    `mode_mass_matrix`, planned once from the operand shapes as
-    `einsum(..., optimize=True)` would plan it on every call.  The planner
-    picks weight-first, table-first or one three-operand contraction by
-    shape, and any one fixed order of products changes the Hessian's bits,
-    so the path chooses which of three precomputed steps `mass_steps[i]`
-    runs (`_mass_step`); no einsum is planned after construction.
+    second.  `mass_pairs[i]` is the pair table e_k e_l of axis i on its
+    nodes, rows (k, l) flattened, which `mode_mass_matrix` applies on every
+    axis in n-D; in 1-D it weights the table itself and builds none.
     `mass_gather` is the flat index that reads the sorted-mode matrix out of
     the last step's (k_1,l_1,...,k_n,l_n) tensor.  `SineBasis.transform`
     holds the one for the basis grid; any other grid builds its own.  The
@@ -184,20 +142,17 @@ class SineTransform:
         )
         self.permutation = basis.tensor_permutation()
         self.gather = np.argsort(self.permutation)
-        paths, shape = [], grid.shape
-        for S in self.synthesis:
-            # the path depends on the shapes only, so a zero-stride stand-in serves
-            a = np.broadcast_to(0.0, shape)
-            paths.append(np.einsum_path(_MASS_AXIS, a, S, S, optimize=True)[0])
-            shape = shape[1:] + (S.shape[1], S.shape[1])
-        self.mass_paths = tuple(paths)
-        self.mass_steps = tuple(_mass_step(S, path) for S, path in zip(self.synthesis, paths))
+        self.mass_pairs = ()
+        if grid.dim > 1:
+            self.mass_pairs = tuple((S.T[:, None, :] * S.T[None, :, :]).reshape(S.shape[1] ** 2, -1)
+                                    for S in self.synthesis)
         # (k_1,l_1,...,k_n,l_n) -> (k_1..k_n, l_1..l_n) -> rows and columns in sorted order
         n, m = grid.dim, basis.size
-        flat = np.arange(m * m).reshape(shape)
+        flat = np.arange(m * m).reshape([k for k in basis.cutoffs for _ in (0, 1)])
         flat = flat.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))).reshape(m, m)
         self.mass_gather = flat[np.ix_(self.permutation, self.permutation)]
-        for arr in (*self.synthesis, *self.projection, self.permutation, self.gather, self.mass_gather):
+        for arr in (*self.synthesis, *self.projection, *self.mass_pairs, self.permutation,
+                    self.gather, self.mass_gather):
             arr.setflags(write=False)
 
 
@@ -282,7 +237,11 @@ def mode_mass_matrix(weight_values: np.ndarray, tr: SineTransform) -> np.ndarray
     """Matrix integral(weight * e_j * e_k) over all mode pairs, sorted order.
 
     Assembled axis by axis through the tensor-product structure, so the cost
-    is O(Q * M) per axis rather than O(Q * M^2).
+    is O(Q * M) per axis rather than O(Q * M^2).  One fixed contraction per
+    dimension: in 1-D weight first, the products a_q e_k(q) times the table,
+    (a * S.T) @ S; in n-D table first on every axis, each pair table
+    `mass_pairs[i]` times the weights with that axis's nodes leading
+    (`_tensor_apply`), which leaves the (k_1 l_1, ..., k_n l_n) tensor.
     """
     grid = tr.grid
     a = np.asarray(weight_values)
@@ -291,7 +250,7 @@ def mode_mass_matrix(weight_values: np.ndarray, tr: SineTransform) -> np.ndarray
     n = grid.dim
     for i, w in enumerate(grid.axis_weights):
         a = a * w.reshape((-1,) + (1,) * (n - 1 - i))
-    # running shape: (Q_i..Q_n, k_1,l_1, .., k_{i-1},l_{i-1})
-    for step in tr.mass_steps:
-        a = step(a)
-    return a.take(tr.mass_gather)
+    if n == 1:
+        S = tr.synthesis[0]
+        return ((a * S.T) @ S).take(tr.mass_gather)
+    return _tensor_apply(a, tr.mass_pairs).take(tr.mass_gather)

@@ -60,6 +60,10 @@ NEWTON_TOL = 1e-10
 NEWTON_STEPS = 100
 POLISH_DAMPING = 1e-10
 DEFLATED_DAMPING = 1e-3
+#: below_c0: relative margin under c0.  c0 and a system energy come from two engines that
+#: round differently, so the semitrivial point (0, w) reads a few ulps either side of c0
+#: (up to 8e-16 relative seen); the least physical gap seen was 1.9e-4 relative.
+C0_MARGIN = 1e-12
 #: coupling_threshold refuses a crossing lam_bar outside (lo, hi].
 LAMBDA_BAR_RANGE = (1e-6, 1e8)
 #: Why a search dropped a seed, as listed in ConvergenceFailureError.diagnostics.
@@ -468,13 +472,19 @@ def semitrivial_threshold(params: SystemParams, basis: SineBasis, config: Solver
     return ThresholdResult(scalar_states=(s1, s2), scalar_solves=len(units))
 
 
+def below_c0(energy: float, c0: float) -> bool:
+    """Whether energy lies under the semitrivial threshold c0 by more than rounding."""
+    return bool(energy < c0 - C0_MARGIN * abs(c0))
+
+
 def classify(point: CriticalPoint, c0: float) -> str:
     """Cross-check the energy-window criterion against the mass floors.
 
-    Raises ClassificationContradictionError when a point with energy in
-    (0, c0) fails the componentwise mass floor; that would falsify the run.
+    Raises ClassificationContradictionError when a point with positive
+    energy `below_c0` fails the componentwise mass floor; that would falsify
+    the run.
     """
-    if 0.0 < point.energy < c0 and point.grad_norm <= 1e-6:
+    if 0.0 < point.energy and below_c0(point.energy, c0) and point.grad_norm <= 1e-6:
         if point.classification != FULLY_NONTRIVIAL:
             raise ClassificationContradictionError(
                 f"energy {point.energy:.6g} lies in (0, {c0:.6g}) but masses "
@@ -500,7 +510,7 @@ def ground_state(
     rng = np.random.default_rng(config.rng_seed)
     seeds = _system_seeds(engine, config, rng, threshold.scalar_states, config.n_random_seeds)
     best = evaluate_point(engine, _least_energy(engine, seeds))
-    return dataclasses.replace(best, below_threshold=bool(best.energy < threshold.c0))
+    return dataclasses.replace(best, below_threshold=below_c0(best.energy, threshold.c0))
 
 
 def _deflation_factor(z: np.ndarray, images: np.ndarray):
@@ -589,7 +599,8 @@ def multiplicity_search(
         pt = evaluate_point(engine, z)
         if (
             pt.classification == FULLY_NONTRIVIAL
-            and 0.0 < pt.energy < threshold.c0
+            and 0.0 < pt.energy
+            and below_c0(pt.energy, threshold.c0)
             and _plus_h1_norm(engine, z) >= PLUS_FLOOR
         ):
             hits.append(dataclasses.replace(pt, below_threshold=True))

@@ -41,10 +41,12 @@ def full_pair_grid():
 
 
 def _reference_mode_mass_matrix(values, basis, grid):
-    # the assembly `domain.mode_mass_matrix` replays: sine tables from
-    # axis_matrix, the per-axis weights, one einsum per axis that plans its
-    # own path (optimize=True) on every call, the (k.., l..) transpose and an
-    # np.ix_ gather into sorted mode order
+    # sine tables from axis_matrix, the per-axis weights, one einsum per axis
+    # that plans its own path (optimize=True) on every call, the (k.., l..)
+    # transpose and an np.ix_ gather into sorted mode order.
+    # `domain.mode_mass_matrix` contracts in one fixed order instead, weight
+    # first in 1-D and table first on every axis in n-D, so the bits agree
+    # where the planner picks that order too
     n = grid.dim
     a = values
     for i, w in enumerate(grid.axis_weights):
@@ -59,7 +61,7 @@ def _reference_mode_mass_matrix(values, basis, grid):
 
 @pytest.fixture(scope="session")
 def reference_mode_mass_matrix():
-    """The per-call einsum assembly that `domain.mode_mass_matrix` replays, as an oracle."""
+    """Oracle for `domain.mode_mass_matrix`: one planned einsum per axis, on every call."""
     return _reference_mode_mass_matrix
 
 

@@ -661,6 +661,52 @@ def test_out_that_is_a_file_exits_2_before_any_solver(tmp_path, monkeypatch, cap
     assert sorted(os.listdir(tmp_path)) == ["blocker", "cfg.json"]
 
 
+@pytest.mark.parametrize("formats, blocked", [(["json"], "out.json"), (["json", "csv"], "out.csv")])
+def test_report_path_that_is_a_directory_exits_2_before_any_solver(
+    tmp_path, monkeypatch, capsys, formats, blocked
+):
+    # the run would end in a rename onto the directory, after the solver
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a solver ran although a report path is a directory")
+
+    for name in SOLVER_ENTRY_POINTS:
+        monkeypatch.setattr(cli, name, unreachable)
+    (tmp_path / blocked).mkdir()
+    cfg = copy.deepcopy(BASE)
+    cfg["output"] = {"report": str(tmp_path / "out.json"), "formats": formats}
+    assert main(["ground-state", "--config", write_config(tmp_path, cfg)]) == 2
+    assert "is a directory" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == sorted(["cfg.json", blocked])
+    assert os.listdir(tmp_path / blocked) == []
+
+
+@pytest.mark.parametrize("text", ["{}\n", 5], ids=["rename", "write"])
+def test_failed_report_write_leaves_no_temporary_file(tmp_path, text):
+    # a rename onto a directory fails, and so does writing a non-string
+    target = tmp_path / "report.json"
+    target.mkdir()
+    with pytest.raises((IsADirectoryError, TypeError)):
+        cli._write_atomically(str(target), text)
+    assert os.listdir(tmp_path) == ["report.json"]
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.8])
+def test_semitrivial_ground_state_at_c0_exits_0(tmp_path, lam):
+    # below the cubic transition 2 lam = max(mu) the ground state is (0, w_2),
+    # whose system energy reads a few ulps under c0: rounding, not a state
+    # below the threshold, so classify does not object
+    cfg = {"problem": {"kappa1": 15.0, "kappa2": 15.0, "mu1": 1.0, "mu2": 2.0, "lambda": lam,
+                       "alpha": 2.0, "beta": 2.0, "lengths": [1.0], "cutoffs": [24]},
+           "solver": {"n_mode_seeds": 2, "n_random_seeds": 0},
+           "output": {"report": str(tmp_path / "gs.json")}}
+    assert main(["ground-state", "--config", write_config(tmp_path, cfg)]) == 0
+    rep = json.loads((tmp_path / "gs.json").read_text())
+    [system] = [r for r in rep["results"] if r["family"] == "system"]
+    assert system["classification"] == "semitrivial-2"
+    assert system["below_threshold"] is False
+    assert system["energy"] == pytest.approx(rep["thresholds"]["c0"], rel=1e-14)
+
+
 def test_typed_values_and_defaults():
     cfg = copy.deepcopy(VALID["verify-estimates"])
     cfg["problem"]["dim"] = 4.0

@@ -95,6 +95,21 @@ def test_no_module_imports_scipy():
     assert [p.stem for p in modules if "scipy" in _imported_packages(p)] == []
 
 
+def test_no_module_calls_einsum():
+    # mode_mass_matrix contracts in one fixed order per dimension; an einsum,
+    # called or imported under any name, would tie the Hessian's bits to
+    # numpy's contraction planner again
+    banned = {"einsum", "einsum_path"}
+
+    def names(node):
+        return {getattr(node, "attr", None), getattr(node, "id", None), getattr(node, "name", None)}
+
+    modules = sorted((REPO / "src" / "sinesolve").glob("*.py"))
+    assert len(modules) > 5
+    assert [p.stem for p in modules
+            if any(names(node) & banned for node in ast.walk(ast.parse(p.read_text(encoding="utf-8"))))] == []
+
+
 def test_only_the_engines_and_the_linking_rule_read_nonpositive_modes():
     # each engine takes its X~ from nonpositive_modes once, when it is built,
     # and the searches read it from the engine; estimates.linking_scope is

@@ -42,6 +42,7 @@ from sinesolve.nehari import (
     _deflated_root,
     _deflation_factor,
     _system_seeds,
+    below_c0,
     evaluate_point,
     nehari_descent,
     newton_polish,
@@ -245,14 +246,19 @@ def test_scalar_ground_state_mu_scaling(basis, mu, kappa):
 
 
 def test_classify_semitrivial(basis, config):
-    pr = params_with(lam=50.0)
-    th = semitrivial_threshold(pr, basis, config)
-    eng = GalerkinSystem(pr, basis)
-    z = np.concatenate([th.scalar_states[0].w, np.zeros(basis.size)])
-    pt = evaluate_point(eng, z)
-    assert pt.classification == "semitrivial-1"
-    assert pt.energy >= th.c0 - 1e-9
-    assert classify(pt, th.c0) == "semitrivial-1"
+    # (w, 0) or (0, w) from the scalar state that sets c0; at mu = (1, 2) the
+    # system engine reads its energy a few ulps under c0, which is rounding
+    for mu2 in (1.0, 2.0):
+        pr = params_with(lam=50.0, mu2=mu2)
+        th = semitrivial_threshold(pr, basis, config)
+        i = int(np.argmin([s.energy for s in th.scalar_states]))
+        blocks = [np.zeros(basis.size), np.zeros(basis.size)]
+        blocks[i] = th.scalar_states[i].w
+        pt = evaluate_point(GalerkinSystem(pr, basis), np.concatenate(blocks))
+        assert pt.classification == f"semitrivial-{i + 1}"
+        assert pt.energy >= th.c0 - 1e-9
+        assert not below_c0(pt.energy, th.c0)
+        assert classify(pt, th.c0) == f"semitrivial-{i + 1}"
 
 
 def test_classify_trivial(basis):
