@@ -1,5 +1,7 @@
 """Eigenbasis, quadrature, and transform checks for the box sine basis."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -369,6 +371,32 @@ def test_mode_mass_matrix_equals_einsum_oracle(cutoffs, reference_mode_mass_matr
         for weights in (values, np.abs(values) ** 0.7):
             expected = reference_mode_mass_matrix(weights, basis, grid)
             _assert_matches_oracle(mode_mass_matrix(weights, tr), expected, basis, grid)
+
+
+@pytest.mark.parametrize("cutoffs", [(24,), (8, 3), (4, 4, 4), (1, 1, 2)], ids=str)
+def test_hessians_plan_no_einsum_after_construction(cutoffs, monkeypatch):
+    # mode_mass_matrix contracts in one fixed order per dimension; neither it
+    # nor a Hessian built on it ever reaches numpy's einsum planner
+    from sinesolve import GalerkinSystem, SystemParams
+
+    basis = _sweep_basis(cutoffs)
+    tr = basis.transform
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("einsum_path reached after the transform was built")
+
+    monkeypatch.setattr(np, "einsum_path", refuse)
+    # np.einsum calls the planner of its own module, not the numpy attribute
+    monkeypatch.setattr(sys.modules[np.einsum.__wrapped__.__module__], "einsum_path", refuse)
+    with pytest.raises(AssertionError, match="einsum_path reached"):
+        np.einsum("ij,jk,kl->il", *[np.ones((2, 2))] * 3, optimize=True)
+
+    values = np.random.default_rng(3).standard_normal(tr.grid.shape)
+    mode_mass_matrix(values, tr)
+    pr = SystemParams(kappa1=0.0, kappa2=0.0, mu1=1.0, mu2=1.0, lam=1.0, alpha=2.0, beta=2.0, dim=len(cutoffs))
+    z = np.linspace(0.5, 1.5, 2 * basis.size)
+    GalerkinSystem(pr, basis).hessian(z)
+    ScalarProblem(basis, 0.0, 1.0, 4.0).hessian(z[: basis.size])
 
 
 def test_transform_tables_built_once(monkeypatch):
