@@ -79,7 +79,7 @@ from .nehari import (
     scalar_ground_state,
     semitrivial_threshold,
 )
-from .synchronized import amplitudes, find_roots, root_guaranteed, synchronized_solution
+from .synchronized import R_WINDOW, amplitudes, find_roots, root_guaranteed, synchronized_solution
 
 SCHEMA_TAG = "sinesolve-report/1"
 
@@ -403,8 +403,12 @@ def _run_synchronized(cfg: RunConfig) -> tuple[dict, int]:
         "n_roots": len(roots),
         "scalar_energy": float(w_state.energy),
     }
+    missed = thresholds["root_guaranteed"] and not roots
+    if missed:
+        lo, hi = R_WINDOW
+        thresholds["notes"] = [f"a root is guaranteed but none lies in the scan window [{lo:g}, {hi:g}]"]
     return _report(cfg, _sorted_records(records), thresholds,
-                   {"roots": len(roots), "scalar_solves": 1}), 0
+                   {"roots": len(roots), "scalar_solves": 1}), (4 if missed else 0)
 
 
 def _linking_rows(cfg: RunConfig, thresholds: dict) -> tuple[list[dict], str | None]:

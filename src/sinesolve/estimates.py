@@ -343,7 +343,6 @@ class LinkingRecord:
     threshold: float
     passed: bool
     ray_radius: float
-    boundary_nonpositive: bool
 
 
 def linking_scope(params: SystemParams, basis: SineBasis) -> str | None:
@@ -403,7 +402,6 @@ def linking_sweep(
             threshold=float(threshold),
             passed=bool(closed < threshold),
             ray_radius=float(ray_r),
-            boundary_nonpositive=bool(ray_energy(2.0 * max(ray_r, 1.0), quad, hom, ts) <= 0.0),
         )
         records.append((record, (closed, direct)))
     return records

@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import BoundaryInfimumError, InconsistencyError, PreconditionError
 from .radial import radial_integral
+from .solve import bisect
 
 _GOLDEN = 0.5 * (np.sqrt(5.0) - 1.0)
 
@@ -197,13 +198,7 @@ def interior_threshold(mu1: float, mu2: float, alpha: float, beta: float, dim: i
         hi *= 2.0
     else:
         raise InconsistencyError("no interior-minimum coupling found (unreachable for valid data)")
-    while (hi - lo) > _LAMBDA0_REL_WIDTH * hi:
-        mid = 0.5 * (lo + hi)
-        if below(mid):
-            hi = mid
-        else:
-            lo = mid
-    return float(hi)
+    return float(bisect(below, lo, hi, _LAMBDA0_REL_WIDTH)[1])
 
 
 def coupled_sobolev_constant(lp: LimitParams) -> tuple[float, float]:

