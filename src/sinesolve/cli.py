@@ -30,8 +30,10 @@ import math
 import os
 import sys
 import tempfile
+import time
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from typing import Any, Sequence
 
 import numpy as np
@@ -503,7 +505,9 @@ def _seed(text: str) -> int:
     return value
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """`main`'s argument parser, built on the first call and reused by every later one."""
     parser = argparse.ArgumentParser(prog="sinesolve", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("subcommand", choices=sorted(SUBCOMMANDS))
@@ -512,7 +516,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--out", default=None, help="directory for report files")
     # every run is single-threaded; the flag stays for command lines that pass 1
     parser.add_argument("--threads", type=int, choices=[1], default=1, help="must be 1")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -536,9 +544,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    import time as _time
-
-    t0 = _time.perf_counter()
+    t0 = time.perf_counter()
     try:
         report, code = runner(cfg)
     except SolverError as exc:
@@ -548,7 +554,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             why = " (" + ", ".join(f"{n} {reason}" for reason, n in counts) + ")"
         print(f"solver failure: {exc}{why}", file=sys.stderr)
         return 3
-    elapsed = _time.perf_counter() - t0
+    elapsed = time.perf_counter() - t0
 
     written = write_report(report, cfg.report_path, cfg.formats)
     # wall time goes to stderr only; the report stays byte-reproducible

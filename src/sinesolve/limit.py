@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,6 +38,8 @@ _PAIR_POINTS, _PAIR_LO, _PAIR_HI = 601, 1e-3, 1e3
 #: interior_threshold: relative bisection width, the margin by which the infimum
 #: must undercut the boundary bound, and the slack that decides a step unrefined.
 _LAMBDA0_REL_WIDTH, _LAMBDA0_MARGIN, _LAMBDA0_SLACK = 1e-6, 1e-12, 1e-12
+#: interior_threshold keeps the thresholds of this many argument tuples per process.
+_LAMBDA0_MEMO_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -172,6 +175,7 @@ def bubble_norms(n_dim: int, epsilon: float) -> tuple[float, float]:
     return grad2, mass
 
 
+@lru_cache(maxsize=_LAMBDA0_MEMO_SIZE)
 def interior_threshold(mu1: float, mu2: float, alpha: float, beta: float, dim: int) -> float:
     """Smallest coupling for which inf_r f drops below both boundary values.
 
@@ -180,6 +184,8 @@ def interior_threshold(mu1: float, mu2: float, alpha: float, beta: float, dim: i
     exists.  Bisection is valid because f decreases pointwise in lam.  Golden
     section raises an interior scan minimum by ulps at most, so a step whose
     scan minimum undercuts the cut by the relative slack is decided unrefined.
+    The threshold does not depend on lam, so a lam-sweep computes it once per
+    process; invalid input is not kept and raises ValueError on every call.
     """
     lp = LimitParams(mu1=mu1, mu2=mu2, lam=1.0, alpha=alpha, beta=beta, dim=dim)
     cut = _boundary_bound(lp) - _LAMBDA0_MARGIN

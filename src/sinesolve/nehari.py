@@ -65,6 +65,8 @@ DEFLATED_DAMPING = 1e-3
 #: round differently, so the semitrivial point (0, w) reads a few ulps either side of c0
 #: (up to 8e-16 relative seen); the least physical gap seen was 1.9e-4 relative.
 C0_MARGIN = 1e-12
+#: scalar_ground_state keeps the unit-coefficient states of this many searches per process.
+SCALAR_MEMO_SIZE = 16
 #: coupling_threshold refuses a crossing lam_bar outside (lo, hi].
 LAMBDA_BAR_RANGE = (1e-6, 1e8)
 #: Why a search dropped a seed, as listed in ConvergenceFailureError.diagnostics.
@@ -162,8 +164,9 @@ class ScalarGroundState:
 class ThresholdResult:
     """Semitrivial energy threshold from the two scalar ground states.
 
-    `scalar_solves` counts the scalar searches run to build it (0 for a
-    result built by hand).
+    `scalar_solves` counts the distinct kappa whose unit-coefficient state
+    it needs (0 for a result built by hand), whether or not
+    `scalar_ground_state` found that state in its memo.
     """
 
     scalar_states: tuple[ScalarGroundState, ScalarGroundState]
@@ -430,14 +433,34 @@ def _least_energy(engine, seeds: Iterable[np.ndarray]) -> np.ndarray:
 
 # -- scalar ground states and the semitrivial threshold --------------------------
 
+# scalar_ground_state's memo: (lengths, cutoffs, kappa, p, n_mode_seeds,
+# n_random_seeds, rng_seed) -> unit-coefficient state, least recently used first
+_scalar_memo: dict[tuple, ScalarGroundState] = {}
+
 
 def scalar_ground_state(basis: SineBasis, kappa: float, p: float, config: SolverConfig) -> ScalarGroundState:
     """Least-energy nontrivial solution of -Lap w - kappa w = |w|^{p-2} w.
 
     The state for a coefficient mu follows from it by
     `ScalarGroundState.scaled`.  Seeds: the first max(n_mode_seeds, 4)
-    modes, then n_random_seeds random mixtures of the first 8.
+    modes, then n_random_seeds random mixtures of the first 8.  The search
+    reads the box, kappa, p and the seeding only, so its state is kept by
+    those values (the SCALAR_MEMO_SIZE latest) and shared by every mu,
+    lambda and budget of the process; a failed search is not kept.
     """
+    key = (basis.domain.lengths, basis.cutoffs, kappa, p,
+           config.n_mode_seeds, config.n_random_seeds, config.rng_seed)
+    state = _scalar_memo.pop(key, None)
+    if state is None:
+        state = _scalar_search(basis, kappa, p, config)
+        if len(_scalar_memo) >= SCALAR_MEMO_SIZE:
+            del _scalar_memo[next(iter(_scalar_memo))]  # the least recently used
+    _scalar_memo[key] = state
+    return state
+
+
+def _scalar_search(basis: SineBasis, kappa: float, p: float, config: SolverConfig) -> ScalarGroundState:
+    """`scalar_ground_state` without the memo: the multistart search itself."""
     prob = ScalarProblem(basis, kappa, 1.0, p)
     rng = np.random.default_rng(config.rng_seed)
     m = basis.size
@@ -466,7 +489,7 @@ def semitrivial_threshold(params: SystemParams, basis: SineBasis, config: Solver
     Any critical point of the coupled system with energy strictly inside
     (0, c0) must have both components nonzero.  The scalar state depends on
     mu_i only through `ScalarGroundState.scaled`, so one unit-coefficient
-    search runs per distinct kappa.
+    state is asked for per distinct kappa.
     """
     units: dict[float, ScalarGroundState] = {}
     for kappa in (params.kappa1, params.kappa2):

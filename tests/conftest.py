@@ -1,5 +1,6 @@
 """Shared test helpers."""
 
+import sys
 import warnings
 
 import numpy as np
@@ -19,6 +20,45 @@ with warnings.catch_warnings():
         import hypothesis.extra._patching  # noqa: F401
     except ImportError:  # no libcst: the plugin skips the explanation itself
         pass
+
+
+def _clear_memos():
+    # a module not yet imported holds no memo; test_harness.py copies this
+    # file where sinesolve is not importable at all
+    limit = sys.modules.get("sinesolve.limit")
+    if limit is not None:
+        limit.interior_threshold.cache_clear()
+    nehari = sys.modules.get("sinesolve.nehari")
+    if nehari is not None:
+        nehari._scalar_memo.clear()
+
+
+@pytest.fixture(autouse=True)
+def fresh_memos():
+    """Empty the per-process memos of lambda0 and the unit scalar states before each test.
+
+    A memo filled by an earlier test would hide a constant or a function the
+    next test monkeypatches (`_LAMBDA0_SLACK`, `NEWTON_TOL`, `_converge_seed`).
+    A test that needs them empty again calls the function this returns.
+    """
+    _clear_memos()
+    return _clear_memos
+
+
+@pytest.fixture
+def scalar_searches(monkeypatch):
+    """The (kappa, p) of every scalar search that runs past the memo of `scalar_ground_state`."""
+    from sinesolve import nehari
+
+    searches = []
+    original = nehari._scalar_search
+
+    def counting(*args):
+        searches.append(args[1:3])
+        return original(*args)
+
+    monkeypatch.setattr(nehari, "_scalar_search", counting)
+    return searches
 
 
 def _full_pair_grid(lp, n=601, lo=1e-3, hi=1e3):

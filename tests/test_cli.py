@@ -495,14 +495,67 @@ def test_thresholds_runs_one_diagonal_sup(tmp_path, monkeypatch):
     ("ground-state", 0.0, 1), ("ground-state", 5.0, 2), ("thresholds", 0.0, 1), ("thresholds", 5.0, 2),
 ])
 def test_scalar_solves_counts_distinct_kappas(tmp_path, subcommand, kappa2, solves):
+    # the counter does not depend on what ran before: after the first job on
+    # the box every scalar state comes from the memo, and the count stays
     cfg = copy.deepcopy(BASE)
     cfg["problem"]["kappa2"] = kappa2
     cfg["solver"].update({"n_mode_seeds": 2, "n_random_seeds": 0})
     cfg["task"] = {"m": 2} if subcommand == "thresholds" else {}
     cfg["output"]["report"] = str(tmp_path / "rep.json")
-    assert main([subcommand, "--config", write_config(tmp_path, cfg)]) == 0
-    rep = json.loads((tmp_path / "rep.json").read_text())
-    assert rep["timing"]["counters"]["scalar_solves"] == solves
+    for lam in (50.0, 20.0):  # cold, then warm
+        cfg["problem"]["lambda"] = lam
+        assert main([subcommand, "--config", write_config(tmp_path, cfg)]) == 0
+        rep = json.loads((tmp_path / "rep.json").read_text())
+        assert rep["timing"]["counters"]["scalar_solves"] == solves
+
+
+def _memo_jobs(tmp_path) -> list[tuple[str, str, str]]:
+    """(subcommand, config path, report stem) of a limit lam-sweep and the box1d-definite jobs."""
+    specs = [("limit", f"limit-{lam:g}", {"mu1": 1.0, "mu2": 2.0, "lambda": lam, "alpha": 2.0,
+                                         "beta": 2.0, "dim": 4}, {})
+             for lam in (0.003, 0.3, 3.0, 30.0)]
+    box = BASE["problem"]  # the 1-D K=16 box at lambda = 50
+    specs += [
+        ("ground-state", "ground-state", box, {}),
+        ("multiplicity", "multiplicity", {**box, "lambda": 200.0}, {"k": 2}),
+        ("thresholds", "thresholds", {**box, "lambda": 1.0}, {"m": 3}),
+        ("synchronized", "synchronized", {**box, "mu2": 2.0, "lambda": 2.0}, {}),
+    ]
+    jobs = []
+    for subcommand, stem, problem, task in specs:
+        cfg = {"problem": problem, "task": task,
+               "solver": {"n_mode_seeds": 2, "n_random_seeds": 0, "budget": 8},
+               "output": {"report": f"{stem}.json", "formats": ["json", "csv"]}}
+        jobs.append((subcommand, write_config(tmp_path, cfg, f"{stem}.config.json"), stem))
+    return jobs
+
+
+def test_warm_memos_leave_every_report_byte_identical(tmp_path, fresh_memos, scalar_searches):
+    from sinesolve.limit import interior_threshold
+
+    jobs = _memo_jobs(tmp_path)
+
+    def run(order, out, cold):
+        reports = {}
+        for subcommand, path, stem in order:
+            if cold:
+                fresh_memos()
+            assert main([subcommand, "--config", path, "--out", str(out)]) == 0
+            reports[stem] = [(out / f"{stem}.{ext}").read_bytes() for ext in ("json", "csv")]
+        return reports
+
+    cold = run(jobs, tmp_path / "cold", cold=True)
+    assert len(scalar_searches) == 4  # one per box job
+    fresh_memos()
+    del scalar_searches[:]
+    # in order: the sweep scans for lambda0 once, the box jobs search once
+    assert run(jobs, tmp_path / "forward", cold=False) == cold
+    assert interior_threshold.cache_info()[:2] == (3, 1)  # hits, misses
+    assert scalar_searches == [(0.0, 4.0)]
+    # reversed, with both memos warm: no scan and no search at all
+    assert run(jobs[::-1], tmp_path / "reverse", cold=False) == cold
+    assert interior_threshold.cache_info()[:2] == (7, 1)
+    assert len(scalar_searches) == 1
 
 
 @pytest.mark.parametrize(

@@ -203,6 +203,7 @@ def test_interior_threshold_knife_edge_needs_the_slack(case, reference_interior_
     expected = reference_interior_threshold(*case)
     assert interior_threshold(*case) == expected
     monkeypatch.setattr(limit, "_LAMBDA0_SLACK", 0.0)
+    interior_threshold.cache_clear()  # the memo holds the value found with the slack
     assert interior_threshold(*case) != expected
 
 

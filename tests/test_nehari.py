@@ -234,6 +234,61 @@ def test_semitrivial_threshold_one_search_per_kappa(basis, monkeypatch, kappa2, 
     assert th.c0 == min(s.energy for s in th.scalar_states)
 
 
+def test_scalar_memo_keys_on_the_box_kappa_p_and_seeding(scalar_searches):
+    def box(length=1.0, cutoff=8):
+        return SineBasis(BoxDomain((length,)), (cutoff,))
+
+    cfg = SolverConfig(n_mode_seeds=1, n_random_seeds=0)
+    first = scalar_ground_state(box(), 0.0, 4.0, cfg)
+    with pytest.raises(ValueError):
+        first.w[0] = 1.0
+    # a new basis object with the same box is a hit; mu, lambda and the
+    # budget do not enter the search
+    for params, budget in ((params_with(mu1=2.0, mu2=3.0), 1), (params_with(lam=50.0), 60)):
+        th = semitrivial_threshold(params, box(), dataclasses.replace(cfg, budget=budget))
+        assert th.scalar_solves == 1
+        assert th.scalar_states[0].energy == first.scaled(params.mu1, 4.0).energy
+    assert scalar_ground_state(box(), 0.0, 4.0, cfg) is first
+    assert scalar_searches == [(0.0, 4.0)]
+    misses = [
+        (box(), 5.0, 4.0, cfg),
+        (box(), 0.0, 3.0, cfg),
+        (box(length=1.5), 0.0, 4.0, cfg),
+        (box(cutoff=10), 0.0, 4.0, cfg),
+        (box(), 0.0, 4.0, dataclasses.replace(cfg, n_mode_seeds=5)),
+        (box(), 0.0, 4.0, dataclasses.replace(cfg, n_random_seeds=1)),
+        (box(), 0.0, 4.0, dataclasses.replace(cfg, rng_seed=1)),
+    ]
+    for n, args in enumerate(misses, start=2):
+        state = scalar_ground_state(*args)
+        assert len(scalar_searches) == n
+        assert state is not first
+        assert not state.w.flags.writeable
+    assert scalar_ground_state(box(), 0.0, 4.0, cfg) is first
+    assert len(scalar_searches) == 1 + len(misses)
+
+
+def test_scalar_memo_is_bounded_and_drops_the_least_recently_used(basis, monkeypatch, scalar_searches):
+    monkeypatch.setattr(nehari, "SCALAR_MEMO_SIZE", 2)
+    cfg = SolverConfig(n_mode_seeds=1, n_random_seeds=0)
+    for kappa in (0.0, 5.0, 0.0, 15.0):  # the second 0.0 is a hit and makes 5.0 the oldest
+        scalar_ground_state(basis, kappa, 4.0, cfg)
+    assert len(nehari._scalar_memo) == 2
+    assert scalar_searches == [(0.0, 4.0), (5.0, 4.0), (15.0, 4.0)]
+    scalar_ground_state(basis, 0.0, 4.0, cfg)
+    scalar_ground_state(basis, 5.0, 4.0, cfg)
+    assert scalar_searches[3:] == [(5.0, 4.0)]
+
+
+def test_failed_scalar_search_is_not_kept(basis, scalar_searches):
+    kappa = 1.01 * basis.eigenvalues[-1]  # no seed has a positive part
+    for _ in range(2):
+        with pytest.raises(ConvergenceFailureError):
+            scalar_ground_state(basis, kappa, 4.0, SolverConfig(n_mode_seeds=1, n_random_seeds=0))
+    assert len(scalar_searches) == 2
+    assert not nehari._scalar_memo
+
+
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(mu=st.floats(0.1, 10.0), kappa=st.sampled_from([0.0, 5.0, 15.0, 45.0]))
 def test_scalar_ground_state_mu_scaling(basis, mu, kappa):
