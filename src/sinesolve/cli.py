@@ -263,14 +263,8 @@ def _point_record(pt: CriticalPoint, family: str) -> dict:
 
 
 def _sorted_records(records: list[dict]) -> list[dict]:
-    def key(rec):
-        return (
-            rec.get("family", ""),
-            rec.get("energy", rec.get("eps", rec.get("lambda", 0.0))) or 0.0,
-            rec.get("orbit_id", 0),
-        )
-
-    return sorted(records, key=key)
+    """Solution rows by family, energy and orbit (a scalar row has no orbit)."""
+    return sorted(records, key=lambda rec: (rec["family"], rec["energy"], rec.get("orbit_id", 0)))
 
 
 def _write_atomically(path: str, text: str) -> None:

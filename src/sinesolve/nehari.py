@@ -42,13 +42,9 @@ FULLY_NONTRIVIAL = "fully-nontrivial"
 DESCENT_OPTIONS = {"gtol": 1e-6, "ftol": 1e7 * np.finfo(float).eps, "maxiter": 400}
 #: project_general and diagonal_sup: the trust region stops at this gradient norm or this trial count.
 TRUST_OPTIONS = {"gtol": 1e-13, "max_steps": 80}
-#: Coefficient norm of the mode and random seeds.
-SEED_AMPLITUDE = 1.0
 #: A component counts as nonzero when its power mass exceeds this share of the total mass;
 #: a relative floor, so that scaling (mu1, mu2, lam) cannot make a state trivial.
 TRIVIALITY_FLOOR = 1e-10
-#: Positive-part H^1 norm under which a point counts as inside the nonpositive subspace.
-PLUS_FLOOR = 1e-6
 #: Deflation factor prod_i (d_i^-DEFLATION_POWER + DEFLATION_SHIFT) over the orbit distances d_i.
 DEFLATION_POWER = 2
 DEFLATION_SHIFT = 1.0
@@ -61,10 +57,11 @@ NEWTON_TOL = 1e-10
 NEWTON_STEPS = 100
 POLISH_DAMPING = 1e-10
 DEFLATED_DAMPING = 1e-3
-#: below_c0: relative margin under c0.  c0 and a system energy come from two engines that
-#: round differently, so the semitrivial point (0, w) reads a few ulps either side of c0
-#: (up to 8e-16 relative seen); the least physical gap seen was 1.9e-4 relative.
-C0_MARGIN = 1e-12
+#: below: relative margin under an energy level (c0, or the best seed's energy).  c0 and a
+#: system energy come from two engines that round differently, so the semitrivial point
+#: (0, w) reads a few ulps either side of c0 (up to 8e-16 relative seen); the least physical
+#: gap seen was 1.9e-4 relative.
+BELOW_MARGIN = 1e-12
 #: scalar_ground_state keeps the unit-coefficient states of this many searches per process.
 SCALAR_MEMO_SIZE = 16
 #: coupling_threshold refuses a crossing lam_bar outside (lo, hi].
@@ -73,7 +70,6 @@ LAMBDA_BAR_RANGE = (1e-6, 1e8)
 NO_POSITIVE_PART = "no positive part"
 NOT_CONVERGED = "did not converge"
 NONPOSITIVE_ENERGY = "converged at energy <= 0"
-UNDER_PLUS_FLOOR = "converged with positive part under PLUS_FLOOR"
 
 
 @dataclass(frozen=True)
@@ -185,17 +181,17 @@ class ThresholdResult:
 # -- generic search routines on either engine (energy._Engine) -----------------
 
 
-def _plus_h1_norm(engine, z: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(engine.plus_weights * z * z)))
-
-
 def _has_positive_part(engine, z: np.ndarray) -> bool:
-    """Whether z reaches outside the nonpositive subspace, relative to its size.
+    """Whether z lies outside the nonpositive subspace, relative to its size.
 
-    A point without a positive part has no ray to the Nehari set: the
-    maximum of E(t z + v) is then 0, at t z + v = 0.
+    The one test of "outside" in this module: the H^1 norm of z's positive
+    part is at least 1e-12 |z|.  Scaling (mu1, mu2, lam) scales every
+    solution, so a relative test gives the same answer at every scale.  A
+    point without a positive part has no ray to the Nehari set: the maximum
+    of E(t z + v) is then 0, at t z + v = 0.
     """
-    return _plus_h1_norm(engine, z) >= 1e-12 * max(np.linalg.norm(z), 1e-300)
+    plus = float(np.sqrt(np.sum(engine.plus_weights * z * z)))
+    return plus >= 1e-12 * max(np.linalg.norm(z), 1e-300)
 
 
 def project_ray(engine, z: np.ndarray) -> np.ndarray:
@@ -248,11 +244,11 @@ def project_general(engine, z: np.ndarray) -> np.ndarray:
     except NoProjectionError:
         y0[0] = 1.0
     y, _ = trust_region_min(neg_value, neg_grad, neg_hess, y0, **TRUST_OPTIONS)
-    if abs(y[0]) * np.linalg.norm(z) < 1e-10:
-        raise NoProjectionError("local maximum sits inside the nonpositive subspace")
     if y[0] < 0:
         y = -y  # same slice; keep t > 0
     out = point(y)
+    if not _has_positive_part(engine, out):
+        raise NoProjectionError("local maximum sits inside the nonpositive subspace")
     g = engine.gradient(out)
     resid = np.concatenate([[np.dot(g, z)], g[tilde]])
     if np.max(np.abs(resid)) > max(1e-11, 1e-9 * (1.0 + abs(engine.energy(out)))):
@@ -341,7 +337,7 @@ def evaluate_point(engine, z: np.ndarray) -> CriticalPoint:
 
 def nehari_residuals(engine, z: np.ndarray) -> NehariResiduals:
     """Derivative of the energy along the ray through z and the tilde directions."""
-    if _plus_h1_norm(engine, z) < PLUS_FLOOR:
+    if not _has_positive_part(engine, z):
         raise PreconditionError("point lies (numerically) inside the nonpositive subspace")
     g = engine.gradient(z)
     return NehariResiduals(ray=float(np.dot(g, z)), tilde=g[engine.tilde].copy())
@@ -367,10 +363,9 @@ def _system_seeds(
 ) -> Iterable[np.ndarray]:
     """Symmetric mode pairs, scalar-ground-state crosses, and n_random low-mode noise seeds."""
     m = engine.m
-    amp = SEED_AMPLITUDE
     for j in range(min(config.n_mode_seeds, m)):
         e = np.zeros(m)
-        e[j] = amp
+        e[j] = 1.0
         for s in (1.0, -1.0):
             yield np.concatenate([e, s * e])
     w1, w2 = (s.w for s in scalar_states)
@@ -382,7 +377,7 @@ def _system_seeds(
         z = np.zeros(2 * m)
         z[:low] = rng.standard_normal(low)
         z[m : m + low] = rng.standard_normal(low)
-        yield amp * z / max(np.linalg.norm(z), 1e-12)
+        yield z / max(np.linalg.norm(z), 1e-12)
 
 
 def _converge_seed(engine, z0) -> tuple[np.ndarray | None, str]:
@@ -407,9 +402,9 @@ def _converge_seed(engine, z0) -> tuple[np.ndarray | None, str]:
 def _least_energy(engine, seeds: Iterable[np.ndarray]) -> np.ndarray:
     """The converged seed of least positive energy outside the nonpositive subspace.
 
-    A later seed replaces the best only when its energy is lower by more
-    than 1e-13.  Raises ConvergenceFailureError, with one reason per
-    dropped seed, when no seed qualifies.
+    A later seed replaces the best only when its energy lies `below` the
+    best's.  Raises ConvergenceFailureError, with one reason per dropped
+    seed, when no seed qualifies.
     """
     best, best_energy = None, 0.0
     diagnostics: list[str] = []
@@ -419,11 +414,11 @@ def _least_energy(engine, seeds: Iterable[np.ndarray]) -> np.ndarray:
             e = engine.energy(z)
             if e <= 0.0:
                 z, dropped = None, NONPOSITIVE_ENERGY
-            elif _plus_h1_norm(engine, z) < PLUS_FLOOR:
-                z, dropped = None, UNDER_PLUS_FLOOR
+            elif not _has_positive_part(engine, z):
+                z, dropped = None, NO_POSITIVE_PART
         if z is None:
             diagnostics.append(dropped)
-        elif best is None or e < best_energy - 1e-13:
+        elif best is None or below(e, best_energy):
             best, best_energy = z, e
     if best is None:
         raise ConvergenceFailureError(
@@ -433,8 +428,8 @@ def _least_energy(engine, seeds: Iterable[np.ndarray]) -> np.ndarray:
 
 # -- scalar ground states and the semitrivial threshold --------------------------
 
-# scalar_ground_state's memo: (lengths, cutoffs, kappa, p, n_mode_seeds,
-# n_random_seeds, rng_seed) -> unit-coefficient state, least recently used first
+# scalar_ground_state's memo: (lengths, cutoffs, kappa, p, n_mode_seeds, n_random_seeds,
+# rng_seed or None without random seeds) -> unit-coefficient state, least recently used first
 _scalar_memo: dict[tuple, ScalarGroundState] = {}
 
 
@@ -444,12 +439,13 @@ def scalar_ground_state(basis: SineBasis, kappa: float, p: float, config: Solver
     The state for a coefficient mu follows from it by
     `ScalarGroundState.scaled`.  Seeds: the first max(n_mode_seeds, 4)
     modes, then n_random_seeds random mixtures of the first 8.  The search
-    reads the box, kappa, p and the seeding only, so its state is kept by
-    those values (the SCALAR_MEMO_SIZE latest) and shared by every mu,
-    lambda and budget of the process; a failed search is not kept.
+    reads the box, kappa, p and the seeding only (the seed only when it
+    draws random seeds), so its state is kept by those values (the
+    SCALAR_MEMO_SIZE latest) and shared by every mu, lambda and budget of
+    the process; a failed search is not kept.
     """
-    key = (basis.domain.lengths, basis.cutoffs, kappa, p,
-           config.n_mode_seeds, config.n_random_seeds, config.rng_seed)
+    key = (basis.domain.lengths, basis.cutoffs, kappa, p, config.n_mode_seeds, config.n_random_seeds,
+           config.rng_seed if config.n_random_seeds > 0 else None)
     state = _scalar_memo.pop(key, None)
     if state is None:
         state = _scalar_search(basis, kappa, p, config)
@@ -464,16 +460,12 @@ def _scalar_search(basis: SineBasis, kappa: float, p: float, config: SolverConfi
     prob = ScalarProblem(basis, kappa, 1.0, p)
     rng = np.random.default_rng(config.rng_seed)
     m = basis.size
-    seeds = []
-    for j in range(min(max(config.n_mode_seeds, 4), m)):
-        e = np.zeros(m)
-        e[j] = SEED_AMPLITUDE
-        seeds.append(e)
+    seeds = list(np.eye(m)[: min(max(config.n_mode_seeds, 4), m)])
     for _ in range(config.n_random_seeds):
         z = np.zeros(m)
         low = min(m, 8)
         z[:low] = rng.standard_normal(low)
-        seeds.append(SEED_AMPLITUDE * z / np.linalg.norm(z))
+        seeds.append(z / np.linalg.norm(z))
     z = _least_energy(prob, seeds)
     return ScalarGroundState(
         w=z,
@@ -500,19 +492,19 @@ def semitrivial_threshold(params: SystemParams, basis: SineBasis, config: Solver
     return ThresholdResult(scalar_states=(s1, s2), scalar_solves=len(units))
 
 
-def below_c0(energy: float, c0: float) -> bool:
-    """Whether energy lies under the semitrivial threshold c0 by more than rounding."""
-    return bool(energy < c0 - C0_MARGIN * abs(c0))
+def below(energy: float, level: float) -> bool:
+    """Whether energy lies under level by more than rounding: the one rule for "lower energy"."""
+    return bool(energy < level - BELOW_MARGIN * abs(level))
 
 
 def classify(point: CriticalPoint, c0: float) -> str:
     """Cross-check the energy-window criterion against the mass floors.
 
     Raises ClassificationContradictionError when a point with positive
-    energy `below_c0` fails the componentwise mass floor; that would falsify
+    energy `below` c0 fails the componentwise mass floor; that would falsify
     the run.
     """
-    if 0.0 < point.energy and below_c0(point.energy, c0) and point.grad_norm <= 1e-6:
+    if 0.0 < point.energy and below(point.energy, c0) and point.grad_norm <= 1e-6:
         if point.classification != FULLY_NONTRIVIAL:
             raise ClassificationContradictionError(
                 f"energy {point.energy:.6g} lies in (0, {c0:.6g}) but masses "
@@ -538,7 +530,7 @@ def ground_state(
     rng = np.random.default_rng(config.rng_seed)
     seeds = _system_seeds(engine, config, rng, threshold.scalar_states, config.n_random_seeds)
     best = evaluate_point(engine, _least_energy(engine, seeds))
-    return dataclasses.replace(best, below_threshold=below_c0(best.energy, threshold.c0))
+    return dataclasses.replace(best, below_threshold=below(best.energy, threshold.c0))
 
 
 def _deflation_factor(z: np.ndarray, images: np.ndarray):
@@ -628,8 +620,8 @@ def multiplicity_search(
         if (
             pt.classification == FULLY_NONTRIVIAL
             and 0.0 < pt.energy
-            and below_c0(pt.energy, threshold.c0)
-            and _plus_h1_norm(engine, z) >= PLUS_FLOOR
+            and below(pt.energy, threshold.c0)
+            and _has_positive_part(engine, z)
         ):
             hits.append(dataclasses.replace(pt, below_threshold=True))
     # each hit lies at least DEDUP_TOL from every earlier one (all of them

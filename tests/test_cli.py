@@ -349,23 +349,44 @@ def test_convergence_failure_exit_3_counts_the_seed_diagnostics(tmp_path, monkey
     cfg["output"]["report"] = str(tmp_path / "never.json")
     if cause == "unreachable tolerance":
         monkeypatch.setattr(nehari, "NEWTON_TOL", 1e-30)
-    elif cause == "no positive part":  # above gamma_16 every mode is nonpositive, so no seed has a ray
+    else:  # above gamma_16 every mode is nonpositive, so no seed has a ray, at any scale
         cfg["problem"]["kappa1"] = 1.01 * 16**2 * np.pi**2
-    else:  # each seed converges to a state whose positive part lies under PLUS_FLOOR
-        cfg["problem"].update({"mu1": 1e14, "mu2": 1e14, "lambda": 5e15})
-        cfg["solver"] = {"n_mode_seeds": 2, "n_random_seeds": 0}
+        if cause == "scaled coefficients":
+            cfg["problem"].update({"mu1": 1e14, "mu2": 1e14, "lambda": 5e15})
     command, runner = SUBCOMMANDS["ground-state"]
     with pytest.raises(ConvergenceFailureError) as failure:
         runner(parse_config(copy.deepcopy(cfg), command))
     diagnostics = failure.value.diagnostics
     assert diagnostics
-    if cause == "scaled coefficients":
-        assert set(diagnostics) == {nehari.UNDER_PLUS_FLOOR}
+    if cause != "unreachable tolerance":
+        assert set(diagnostics) == {nehari.NO_POSITIVE_PART}
     assert main(["ground-state", "--config", write_config(tmp_path, cfg)]) == 3
     err = capsys.readouterr().err
     counts = ", ".join(f"{diagnostics.count(r)} {r}" for r in sorted(set(diagnostics)))
     assert err == f"solver failure: {failure.value} ({counts})\n"
     assert not os.path.exists(tmp_path / "never.json")
+
+
+@pytest.mark.parametrize("kappa, cutoff", [(0.0, 16), (15.0, 24)])
+def test_ground_state_is_scale_free(tmp_path, kappa, cutoff):
+    # scaling (mu1, mu2, lambda) by c maps each solution u to c^(-1/2) u (p = 4)
+    # and its energy E to E / c, so every c must give the same kind of state
+    energies = []
+    for k in (0, 20, 46, 60, 80):
+        c = 2.0**k
+        cfg = copy.deepcopy(BASE)
+        cfg["problem"].update({"kappa1": kappa, "kappa2": kappa, "cutoffs": [cutoff],
+                               "mu1": c, "mu2": c, "lambda": 50.0 * c})
+        cfg["output"]["report"] = str(tmp_path / f"k{k}.json")
+        assert main(["ground-state", "--config", write_config(tmp_path, cfg)]) == 0
+        results = json.loads((tmp_path / f"k{k}.json").read_text())["results"]
+        (row,) = [r for r in results if r["family"] == "system"]
+        assert row["classification"] == "fully-nontrivial"
+        energies.append(row["energy"] * c)
+    # at kappa = 15, E*c moves by 1.1e-6 relative at k = 60: the gradient scales
+    # by c^(-1/2) too, and Newton stops at the absolute gradient norm NEWTON_TOL
+    tol = 1e-12 if kappa == 0.0 else 1e-5 * energies[0]
+    assert max(abs(e - energies[0]) for e in energies) <= tol
 
 
 # each dimension's eps floor, 1e-102.51 (N=3), 1e-76.61 (N=4), 1e-61.06 (N=5),

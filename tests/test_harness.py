@@ -121,6 +121,16 @@ def test_only_the_engines_and_the_linking_rule_read_nonpositive_modes():
     assert readers == ["energy", "estimates"]
 
 
+def test_only_the_positive_part_rule_and_diagonal_sup_read_plus_weights():
+    # "outside X~" has one scale-free test in nehari, _has_positive_part;
+    # diagonal_sup reads the weights only to skip starts inside X~
+    tree = ast.parse((REPO / "src" / "sinesolve" / "nehari.py").read_text(encoding="utf-8"))
+    readers = {getattr(stmt, "name", type(stmt).__name__) for stmt in tree.body
+               if any(isinstance(node, ast.Attribute) and node.attr == "plus_weights"
+                      for node in ast.walk(stmt))}
+    assert readers == {"_has_positive_part", "diagonal_sup"}
+
+
 def test_cli_import_loads_no_scipy():
     # a fresh interpreter: another test may have loaded SciPy into this one
     probe = "import sys, sinesolve.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"

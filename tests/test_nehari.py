@@ -40,13 +40,12 @@ from sinesolve.nehari import (
     NEWTON_TOL,
     NO_POSITIVE_PART,
     NONPOSITIVE_ENERGY,
-    UNDER_PLUS_FLOOR,
     _converge_seed,
     _deflated_root,
     _deflation_factor,
     _least_energy,
     _system_seeds,
-    below_c0,
+    below,
     evaluate_point,
     nehari_descent,
     newton_polish,
@@ -242,12 +241,13 @@ def test_scalar_memo_keys_on_the_box_kappa_p_and_seeding(scalar_searches):
     first = scalar_ground_state(box(), 0.0, 4.0, cfg)
     with pytest.raises(ValueError):
         first.w[0] = 1.0
-    # a new basis object with the same box is a hit; mu, lambda and the
-    # budget do not enter the search
+    # a new basis object with the same box is a hit; mu, lambda, the budget
+    # and, without random seeds, the rng seed do not enter the search
     for params, budget in ((params_with(mu1=2.0, mu2=3.0), 1), (params_with(lam=50.0), 60)):
         th = semitrivial_threshold(params, box(), dataclasses.replace(cfg, budget=budget))
         assert th.scalar_solves == 1
         assert th.scalar_states[0].energy == first.scaled(params.mu1, 4.0).energy
+    assert scalar_ground_state(box(), 0.0, 4.0, dataclasses.replace(cfg, rng_seed=1)) is first
     assert scalar_ground_state(box(), 0.0, 4.0, cfg) is first
     assert scalar_searches == [(0.0, 4.0)]
     misses = [
@@ -257,7 +257,7 @@ def test_scalar_memo_keys_on_the_box_kappa_p_and_seeding(scalar_searches):
         (box(cutoff=10), 0.0, 4.0, cfg),
         (box(), 0.0, 4.0, dataclasses.replace(cfg, n_mode_seeds=5)),
         (box(), 0.0, 4.0, dataclasses.replace(cfg, n_random_seeds=1)),
-        (box(), 0.0, 4.0, dataclasses.replace(cfg, rng_seed=1)),
+        (box(), 0.0, 4.0, dataclasses.replace(cfg, n_random_seeds=1, rng_seed=1)),
     ]
     for n, args in enumerate(misses, start=2):
         state = scalar_ground_state(*args)
@@ -316,7 +316,7 @@ def test_classify_semitrivial(basis, config):
         pt = evaluate_point(GalerkinSystem(pr, basis), np.concatenate(blocks))
         assert pt.classification == f"semitrivial-{i + 1}"
         assert pt.energy >= th.c0 - 1e-9
-        assert not below_c0(pt.energy, th.c0)
+        assert not below(pt.energy, th.c0)
         assert classify(pt, th.c0) == f"semitrivial-{i + 1}"
 
 
@@ -812,19 +812,25 @@ def test_ground_state_convergence_failure(basis, monkeypatch):
     assert len(diagnostics) == 7
 
 
-def test_least_energy_names_each_converged_seed_it_drops(basis, config, monkeypatch):
-    # scaled by c, every state shrinks by c^(-1/2); at c = 1e14 each converged
-    # seed's positive part falls under the absolute PLUS_FLOOR
-    pr = params_with(mu1=1e14, mu2=1e14, lam=5e15)
-    th = semitrivial_threshold(pr, basis, config)
-    with pytest.raises(ConvergenceFailureError) as failure:
-        ground_state(pr, basis, SolverConfig(n_mode_seeds=1, n_random_seeds=1), th)
-    assert failure.value.diagnostics == [UNDER_PLUS_FLOOR] * 7
+def test_least_energy_names_each_converged_seed_it_drops(basis, monkeypatch):
     # a seed that converges to the zero point has energy 0
     monkeypatch.setattr(nehari, "_converge_seed", lambda engine, z0: (np.zeros_like(z0), ""))
     with pytest.raises(ConvergenceFailureError) as failure:
         _least_energy(GalerkinSystem(params_with(), basis), [e1_pair(basis)] * 2)
     assert failure.value.diagnostics == [NONPOSITIVE_ENERGY] * 2
+    # at kappa = gamma_1 (1 - 1e-10) mode 1 is a zero mode, in the nonpositive
+    # subspace, but its quadratic form is positive: a small point on it has
+    # positive energy and no positive part, at every scale
+    kappa = basis.eigenvalues[0] * (1.0 - 1e-10)
+    engine = GalerkinSystem(params_with(kappa1=kappa, kappa2=kappa), basis)
+    e1 = np.eye(basis.size)[0]
+    for size in (1e-6, 1e-12):
+        inside = size * np.concatenate([e1, e1])
+        assert engine.energy(inside) > 0.0
+        monkeypatch.setattr(nehari, "_converge_seed", lambda engine, z0: (inside, ""))
+        with pytest.raises(ConvergenceFailureError) as failure:
+            _least_energy(engine, [e1_pair(basis)] * 2)
+        assert failure.value.diagnostics == [NO_POSITIVE_PART] * 2
 
 
 def test_scalar_ground_state_records_seeds_without_positive_part(basis):
