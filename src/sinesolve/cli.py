@@ -48,13 +48,9 @@ from .errors import (
     SolverError,
 )
 from .estimates import (
-    SWEEP_CUTOFF,
-    CutoffSpec,
     calculus_inequalities,
-    check_eps_grid,
-    check_ray_eps,
-    check_sweep_eps,
-    cutoff_bubble_integrals,
+    check_linking_eps,
+    check_sweep,
     default_eps_grid,
     fit_orders,
     linking_scope,
@@ -186,19 +182,15 @@ class RunConfig:
     raw: dict
     params: SystemParams
     limit: LimitParams | None
-    lengths: tuple[float, ...] | None
-    cutoffs: tuple[int, ...] | None
+    basis: SineBasis | None  # None when the config gives no box
     solver: SolverConfig
     task: dict
     report_path: str
     formats: tuple[str, ...]
 
-    def basis(self) -> SineBasis:
-        return SineBasis(BoxDomain(self.lengths), self.cutoffs)
-
 
 def parse_config(raw: dict, command: Command) -> RunConfig:
-    """Check every block of raw against the schema and command's rules; no solver runs."""
+    """Check every block of raw against the schema and command's rules, and build the run's basis; no solver runs."""
     try:
         blocks = _read(raw, _BLOCKS, "config")
         prob = _read(blocks["problem"], SCHEMA["problem"], "problem")
@@ -229,22 +221,18 @@ def parse_config(raw: dict, command: Command) -> RunConfig:
         if not out["formats"]:
             raise ConfigError("output.formats must name at least one format")
 
-        if "m" in task and task["m"] > math.prod(cutoffs):
-            raise ConfigError(f"task.m must lie in [1, {math.prod(cutoffs)}], the number of modes")
+        basis = None if cutoffs is None or lengths is None else SineBasis(BoxDomain(lengths), cutoffs)
+        if "m" in task and task["m"] > basis.size:
+            raise ConfigError(f"task.m must lie in [1, {basis.size}], the number of modes")
         if "eps_grid" in task:  # verify-estimates: each eps the run would refuse
-            check_eps_grid(task["eps_grid"])
-            for eps in task["eps_grid"]:
-                check_sweep_eps(eps, SWEEP_CUTOFF, dim)
-            if lengths is not None and cutoffs is not None:
-                box_cutoff = CutoffSpec.for_domain(BoxDomain(lengths))
-                for eps in task["linking_eps"]:
-                    check_ray_eps(eps, box_cutoff, dim)
+            check_sweep(task["eps_grid"], dim)
+            if basis is not None:
+                check_linking_eps(task["linking_eps"], basis)
     except (ValueError, OverflowError) as exc:  # also the data classes' checks and huge integers
         raise ConfigError(str(exc)) from exc
 
     solver = SolverConfig(rng_seed=sol.pop("seed"), **sol)
-    return RunConfig(raw=raw, params=params, limit=limit, lengths=lengths, cutoffs=cutoffs,
-                     solver=solver, task=task,
+    return RunConfig(raw=raw, params=params, limit=limit, basis=basis, solver=solver, task=task,
                      report_path=out["report"], formats=out["formats"])
 
 
@@ -316,9 +304,8 @@ def _report(cfg: RunConfig, results: list[dict], thresholds: dict, counters: dic
 
 
 def _run_ground_state(cfg: RunConfig) -> tuple[dict, int]:
-    basis = cfg.basis()
-    th = semitrivial_threshold(cfg.params, basis, cfg.solver)
-    gs = ground_state(cfg.params, basis, cfg.solver, th)
+    th = semitrivial_threshold(cfg.params, cfg.basis, cfg.solver)
+    gs = ground_state(cfg.params, cfg.basis, cfg.solver, th)
     code = 0
     try:
         classify(gs, th.c0)
@@ -333,21 +320,19 @@ def _run_ground_state(cfg: RunConfig) -> tuple[dict, int]:
 
 
 def _run_multiplicity(cfg: RunConfig) -> tuple[dict, int]:
-    basis = cfg.basis()
     k = cfg.task["k"]
-    th = semitrivial_threshold(cfg.params, basis, cfg.solver)
+    th = semitrivial_threshold(cfg.params, cfg.basis, cfg.solver)
     # every point kept is fully nontrivial with energy in (0, c0): classify cannot object
-    pts = multiplicity_search(cfg.params, basis, k, cfg.solver, th)
+    pts = multiplicity_search(cfg.params, cfg.basis, k, cfg.solver, th)
     return _report(cfg, _sorted_records([_point_record(p, "system") for p in pts]),
                    {"c0": float(th.c0), "min_scalar_b": float(th.min_b)},
                    {"scalar_solves": th.scalar_solves, "orbits_found": len(pts), "target_k": k}), 0
 
 
 def _run_thresholds(cfg: RunConfig) -> tuple[dict, int]:
-    basis = cfg.basis()
     m, lam_grid = cfg.task["m"], cfg.task["lambda_grid"]
-    th = semitrivial_threshold(cfg.params, basis, cfg.solver)
-    sup0 = diagonal_sup(cfg.params, m, basis)
+    th = semitrivial_threshold(cfg.params, cfg.basis, cfg.solver)
+    sup0 = diagonal_sup(cfg.params, m, cfg.basis)
     sups = [rescale_diagonal_sup(cfg.params, sup0, lam) for lam in lam_grid]
     lam_bar = coupling_threshold(cfg.params, th.c0, sup0)
     results = [
@@ -358,35 +343,38 @@ def _run_thresholds(cfg: RunConfig) -> tuple[dict, int]:
                    {"lambda_points": len(lam_grid), "scalar_solves": th.scalar_solves}), 0
 
 
-def _run_limit(cfg: RunConfig) -> tuple[dict, int]:
-    lp = cfg.limit
-    s_const = sobolev_constant(lp.dim)
-    lam0 = interior_threshold(lp.mu1, lp.mu2, lp.alpha, lp.beta, lp.dim)
-    thresholds = {"sobolev_constant": float(s_const), "lambda0": float(lam0)}
+def _coupled_minimizer(lp: LimitParams, thresholds: dict) -> tuple[float, float, float, float] | None:
+    """Record lambda0, then S_lambda and the minimizer's amplitudes, in thresholds.
+
+    Returns (S_lambda, r_min, s, t), or None when the infimum lies on the
+    boundary and lambda0 alone is recorded.
+    """
+    thresholds["lambda0"] = float(interior_threshold(lp.mu1, lp.mu2, lp.alpha, lp.beta, lp.dim))
     try:
         s_coupled, r_min = coupled_sobolev_constant(lp)
-        s_amp, t_amp = minimizer_amplitudes(lp, s_coupled, r_min)
-        thresholds.update(
-            {
-                "coupled_constant": float(s_coupled),
-                "r_min": float(r_min),
-                "s_amplitude": float(s_amp),
-                "t_amplitude": float(t_amp),
-                "grid_oracle": float(pair_grid_infimum(lp)),
-                "boundary_infimum": False,
-            }
-        )
     except BoundaryInfimumError:
-        thresholds["boundary_infimum"] = True
+        return None
+    s_amp, t_amp = minimizer_amplitudes(lp, s_coupled, r_min)
+    thresholds.update({"coupled_constant": float(s_coupled),
+                       "s_amplitude": float(s_amp), "t_amplitude": float(t_amp)})
+    return s_coupled, r_min, s_amp, t_amp
+
+
+def _run_limit(cfg: RunConfig) -> tuple[dict, int]:
+    lp = cfg.limit
+    thresholds = {"sobolev_constant": float(sobolev_constant(lp.dim))}
+    found = _coupled_minimizer(lp, thresholds)
+    thresholds["boundary_infimum"] = found is None
+    if found is not None:
+        thresholds.update({"r_min": float(found[1]), "grid_oracle": float(pair_grid_infimum(lp))})
     return _report(cfg, [], thresholds, {}), 0
 
 
 def _run_synchronized(cfg: RunConfig) -> tuple[dict, int]:
-    basis = cfg.basis()
     roots = find_roots(cfg.params)
     # scalar profile of the unit-coefficient equation
-    w_state = scalar_ground_state(basis, cfg.params.kappa1, cfg.params.p, cfg.solver)
-    engine = GalerkinSystem(cfg.params, basis)
+    w_state = scalar_ground_state(cfg.basis, cfg.params.kappa1, cfg.params.p, cfg.solver)
+    engine = GalerkinSystem(cfg.params, cfg.basis)
     records = []
     for r in roots:
         s, t = amplitudes(r, cfg.params)
@@ -409,23 +397,17 @@ def _run_synchronized(cfg: RunConfig) -> tuple[dict, int]:
 
 def _linking_rows(cfg: RunConfig, thresholds: dict) -> tuple[list[dict], str | None]:
     """verify-estimates' ray-max and linking rows, or the note saying why the bound was skipped."""
-    lp, pr = cfg.limit, cfg.params
-    if cfg.lengths is None or cfg.cutoffs is None:
+    lp, pr, basis = cfg.limit, cfg.params, cfg.basis
+    if basis is None:
         return [], "no box given: linking bound skipped"
-    basis = cfg.basis()
     note = linking_scope(pr, basis)
     if note is not None:
         return [], note
-    thresholds["lambda0"] = float(interior_threshold(lp.mu1, lp.mu2, lp.alpha, lp.beta, lp.dim))
-    try:
-        s_coupled, r_min = coupled_sobolev_constant(lp)
-    except BoundaryInfimumError:
+    found = _coupled_minimizer(lp, thresholds)
+    if found is None:
         return [], "coupling below the interior threshold: linking bound skipped"
-    s_amp, t_amp = minimizer_amplitudes(lp, s_coupled, r_min)
-    thresholds.update({"coupled_constant": float(s_coupled),
-                       "s_amplitude": float(s_amp), "t_amplitude": float(t_amp)})
-    box_cutoff = CutoffSpec.for_domain(BoxDomain(cfg.lengths))
-    records = linking_sweep(cfg.task["linking_eps"], lp, pr, basis, box_cutoff, s_amp, t_amp, s_coupled)
+    s_coupled, _, s_amp, t_amp = found
+    records = linking_sweep(cfg.task["linking_eps"], lp, pr, basis, s_amp, t_amp, s_coupled)
     rows = []
     for rec, (closed, direct) in records:
         agree = abs(closed - direct) <= 1e-8 * max(abs(closed), 1e-300)
@@ -450,10 +432,9 @@ def _run_verify_estimates(cfg: RunConfig) -> tuple[dict, int]:
     s_const = sobolev_constant(lp.dim)
     eps_independent = abs(g2 - g1) <= 1e-8 * abs(g1)
 
-    sweeps = [cutoff_bubble_integrals(e, SWEEP_CUTOFF, lp.dim) for e in eps_grid]
-    fit = fit_orders(sweeps, lp.dim, SWEEP_CUTOFF)
+    fit = fit_orders(eps_grid, lp.dim)
     inequalities = calculus_inequalities()
-    results = ([{"family": "bubble-integrals", **_fields(s)} for s in sweeps]
+    results = ([{"family": "bubble-integrals", **_fields(s)} for s in fit.sweeps]
                + [{"family": "order-fit", **_fields(f)} for f in fit.fits]
                + [{"family": "inequality", **_fields(rep)} for rep in inequalities])
     thresholds: dict[str, Any] = {

@@ -58,7 +58,7 @@ class CutoffSpec:
     @classmethod
     def for_domain(cls, domain: BoxDomain) -> "CutoffSpec":
         # plateau at 1/8 of the inscribed radius, support at 1/4: the box
-        # contains the support, as linking_sweep requires
+        # contains the support, as the linking ray requires
         return cls(domain.inscribed_radius / 8.0)
 
     def value(self, radius) -> np.ndarray:
@@ -71,6 +71,10 @@ class CutoffSpec:
         r = np.asarray(radius, dtype=float)
         tau = np.clip((r - self.delta) / self.delta, 0.0, 1.0)
         return -30.0 * tau**2 * (1.0 - tau) ** 2 / self.delta
+
+
+#: The cutoff of the order-fit sweep (`verify-estimates`' bubble-integrals rows).
+SWEEP_CUTOFF = CutoffSpec(1.5)
 
 
 @dataclass(frozen=True)
@@ -136,8 +140,9 @@ class SlopeFit:
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """Fitted orders of an eps sweep of the bubble integrals, with pass flags."""
+    """An eps sweep of the bubble integrals and its fitted orders, with pass flags."""
 
+    sweeps: tuple[BubbleIntegrals, ...]
     fits: tuple[SlopeFit, ...]
     square_prefactor: float  # fitted constant in front of the leading term of int (psi U)^2
 
@@ -180,22 +185,20 @@ def bubble_deficits(eps: float, cutoff: CutoffSpec, n_dim: int) -> tuple[float, 
     return float(grad_def), float(crit_def)
 
 
-def fit_orders(sweeps: Sequence[BubbleIntegrals], n_dim: int, cutoff: CutoffSpec) -> EstimateReport:
-    """Fit log-log slopes of the sweep against the expected asymptotic orders.
+def fit_orders(eps_grid: Sequence[float], n_dim: int) -> EstimateReport:
+    """Sweep the bubble integrals over eps_grid at SWEEP_CUTOFF and fit their log-log slopes.
 
     Deficits of the gradient and critical masses are measured against the
     whole-space bubble values (eps-independent).  In dimension 4 the two
     quantities with a logarithmic correction are fitted against
     log(eps^2 |ln eps|) instead of a pure power.  The orders are
-    asymptotic, so every eps must sit well inside the plateau
-    (`check_sweep_eps`); PreconditionError otherwise.
+    asymptotic, so the grid must pass `check_sweep`; PreconditionError
+    otherwise.  The report carries the sweep it fits.
     """
-    eps = np.array([s.eps for s in sweeps])
-    check_eps_grid(eps)
-    for e in eps:
-        check_sweep_eps(e, cutoff, n_dim)
-
-    deficits = np.array([bubble_deficits(e, cutoff, n_dim) for e in eps])
+    check_sweep(eps_grid, n_dim)
+    sweeps = tuple(cutoff_bubble_integrals(e, SWEEP_CUTOFF, n_dim) for e in eps_grid)
+    eps = np.asarray(eps_grid, dtype=float)
+    deficits = np.array([bubble_deficits(e, SWEEP_CUTOFF, n_dim) for e in eps])
     quantities = {
         "grad_sq_deficit": np.abs(deficits[:, 0]),
         "crit_deficit": np.abs(deficits[:, 1]),
@@ -242,17 +245,7 @@ def fit_orders(sweeps: Sequence[BubbleIntegrals], n_dim: int, cutoff: CutoffSpec
     sq = quantities["square"]
     lead = eps**2 * np.abs(np.log(eps)) if n_dim == 4 else eps**2
     prefactor = float(np.exp(np.mean(np.log(sq) - np.log(lead))))
-    return EstimateReport(fits=tuple(fits), square_prefactor=prefactor)
-
-
-def check_eps_grid(eps: Sequence[float]) -> None:
-    """Raise PreconditionError unless `fit_orders` can fit a sweep over eps."""
-    if len(eps) < 6:
-        raise PreconditionError("need at least 6 sweep points")
-    if np.any(np.diff(eps) >= 0):
-        raise PreconditionError("eps grid must be strictly decreasing")
-    if eps[0] / eps[-1] < 99.0:
-        raise PreconditionError("eps grid must span at least two decades")
+    return EstimateReport(sweeps=sweeps, fits=tuple(fits), square_prefactor=prefactor)
 
 
 def eps_floor(n_dim: int) -> float:
@@ -273,22 +266,31 @@ def _check_above_floor(eps: float, n_dim: int) -> None:
                                 "where the bubble integrands overflow")
 
 
-def check_sweep_eps(eps: float, cutoff: CutoffSpec, n_dim: int) -> None:
-    """Raise PreconditionError unless a sweep's eps sits well inside the plateau of cutoff and above the floor."""
-    if not eps < cutoff.delta / 10.0:
-        raise PreconditionError("eps must sit well inside the plateau (eps < delta/10)")
-    _check_above_floor(eps, n_dim)
+def check_sweep(eps_grid: Sequence[float], n_dim: int) -> None:
+    """Raise PreconditionError unless `fit_orders` can fit a sweep over eps_grid.
+
+    Each eps must sit well inside the plateau of SWEEP_CUTOFF and above the
+    floor, checked before the grid's length, order and two-decade span.
+    """
+    for eps in eps_grid:
+        if not eps < SWEEP_CUTOFF.delta / 10.0:
+            raise PreconditionError("eps must sit well inside the plateau (eps < delta/10)")
+        _check_above_floor(eps, n_dim)
+    if len(eps_grid) < 6:
+        raise PreconditionError("need at least 6 sweep points")
+    if np.any(np.diff(eps_grid) >= 0):
+        raise PreconditionError("eps grid must be strictly decreasing")
+    if eps_grid[0] / eps_grid[-1] < 99.0:
+        raise PreconditionError("eps grid must span at least two decades")
 
 
-def check_ray_eps(eps: float, cutoff: CutoffSpec, n_dim: int) -> None:
-    """Raise PreconditionError unless a linking ray can take eps with this cutoff and dimension."""
-    if not eps < cutoff.delta / 2.0:
-        raise PreconditionError("eps must sit inside the plateau (eps < delta/2)")
-    _check_above_floor(eps, n_dim)
-
-
-#: The cutoff of the order-fit sweep (`verify-estimates`' bubble-integrals rows).
-SWEEP_CUTOFF = CutoffSpec(1.5)
+def check_linking_eps(eps_grid: Sequence[float], basis: SineBasis) -> None:
+    """Raise PreconditionError unless the linking ray on basis can take every eps of eps_grid."""
+    cutoff = CutoffSpec.for_domain(basis.domain)
+    for eps in eps_grid:
+        if not eps < cutoff.delta / 2.0:
+            raise PreconditionError("eps must sit inside the plateau (eps < delta/2)")
+        _check_above_floor(eps, basis.domain.dim)
 
 
 def default_eps_grid() -> tuple[float, ...]:
@@ -303,7 +305,6 @@ def _ray_coefficients(
     eps: float, cutoff: CutoffSpec, lp: LimitParams, kappa1: float, kappa2: float, s_amp: float, t_amp: float
 ) -> tuple[float, float]:
     """Quadratic and p-homogeneous coefficients of the ray energy through the bubble pair at eps."""
-    check_ray_eps(eps, cutoff, lp.dim)
     integrals = cutoff_bubble_integrals(eps, cutoff, lp.dim)
     ts = lp.two_star
     quad = (s_amp**2 + t_amp**2) * integrals.grad_sq - (
@@ -371,23 +372,25 @@ def linking_sweep(
     lp: LimitParams,
     params: SystemParams,
     basis: SineBasis,
-    cutoff: CutoffSpec,
     s_amp: float,
     t_amp: float,
     s_coupled: float,
 ) -> list[tuple[LinkingRecord, tuple[float, float]]]:
     """Maximize the energy over the ray {t * bubble pair : t > 0} per eps.
 
-    The best value is the closed-form ray maximum, and the reported flag
-    says whether it stays below (1/N) S_coupled^{N/2}.  Where `linking_scope`
-    gives a note, the sweep raises PreconditionError with it.  Each eps's
-    record comes with the `ray_maximum` pair of its ray, which is built once.
+    The bubbles are cut off by `CutoffSpec.for_domain` of the basis's box,
+    whose support the box contains.  The best value is the closed-form ray
+    maximum, and the reported flag says whether it stays below (1/N)
+    S_coupled^{N/2}.  Where `linking_scope` gives a note, the sweep raises
+    PreconditionError with it, and so does an eps that `check_linking_eps`
+    refuses.  Each eps's record comes with the `ray_maximum` pair of its
+    ray, which is built once.
     """
-    if cutoff.support_radius > basis.domain.inscribed_radius:
-        raise PreconditionError("the box must contain the cutoff support")
     note = linking_scope(params, basis)
     if note is not None:
         raise PreconditionError(note)
+    check_linking_eps(eps_grid, basis)
+    cutoff = CutoffSpec.for_domain(basis.domain)
     n = lp.dim
     threshold = s_coupled ** (n / 2.0) / n
     records = []

@@ -480,16 +480,13 @@ def semitrivial_threshold(params: SystemParams, basis: SineBasis, config: Solver
 
     Any critical point of the coupled system with energy strictly inside
     (0, c0) must have both components nonzero.  The scalar state depends on
-    mu_i only through `ScalarGroundState.scaled`, so one unit-coefficient
-    state is asked for per distinct kappa.
+    mu_i only through `ScalarGroundState.scaled`, and the memo of
+    `scalar_ground_state` shares one unit-coefficient state between equal
+    kappas, so there is one search per distinct kappa.
     """
-    units: dict[float, ScalarGroundState] = {}
-    for kappa in (params.kappa1, params.kappa2):
-        if kappa not in units:
-            units[kappa] = scalar_ground_state(basis, kappa, params.p, config)
-    s1 = units[params.kappa1].scaled(params.mu1, params.p)
-    s2 = units[params.kappa2].scaled(params.mu2, params.p)
-    return ThresholdResult(scalar_states=(s1, s2), scalar_solves=len(units))
+    s1 = scalar_ground_state(basis, params.kappa1, params.p, config).scaled(params.mu1, params.p)
+    s2 = scalar_ground_state(basis, params.kappa2, params.p, config).scaled(params.mu2, params.p)
+    return ThresholdResult(scalar_states=(s1, s2), scalar_solves=len({params.kappa1, params.kappa2}))
 
 
 def below(energy: float, level: float) -> bool:

@@ -13,11 +13,14 @@ decaying integrand into a smooth one and removes truncation error entirely.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cache
 from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+
+#: Gauss-Legendre nodes per panel of every radial rule.
+ORDER = 48
 
 
 def sphere_area(n_dim: int) -> float:
@@ -25,18 +28,18 @@ def sphere_area(n_dim: int) -> float:
     return 2.0 * math.pi ** (n_dim / 2.0) / math.gamma(n_dim / 2.0)
 
 
-@lru_cache(maxsize=8)
-def _reference_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], built once per order and read-only."""
-    xg, wg = leggauss(order)
+@cache
+def _reference_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of ORDER points on [-1, 1], built once and read-only."""
+    xg, wg = leggauss(ORDER)
     xg.flags.writeable = False
     wg.flags.writeable = False
     return xg, wg
 
 
-def panel_rule(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre rule of `order` nodes on each panel between consecutive edges."""
-    xg, wg = _reference_rule(order)
+def panel_rule(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre rule of ORDER nodes on each panel between consecutive edges."""
+    xg, wg = _reference_rule()
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
     nodes = mid[:, None] + half[:, None] * xg
@@ -62,7 +65,6 @@ def radial_integral(
     n_dim: int,
     r_max: float | None = None,
     scale: float = 1.0,
-    order: int = 48,
 ) -> float:
     """sigma_{N-1} * int_0^{r_max} g(r) r^{N-1} dr (r_max=None integrates to infinity).
 
@@ -71,19 +73,14 @@ def radial_integral(
     exactly through the inversion r = scale/y.
     """
     if r_max is not None:
-        r, w = panel_rule(graded_edges(scale, r_max), order)
+        r, w = panel_rule(graded_edges(scale, r_max))
         return sphere_area(n_dim) * float(np.sum(w * g(r) * r ** (n_dim - 1)))
-    r_in, w_in = panel_rule(scale * np.array([0.0, 0.25, 0.5, 1.0]), order)
+    r_in, w_in = panel_rule(scale * np.array([0.0, 0.25, 0.5, 1.0]))
     inner = float(np.sum(w_in * g(r_in) * r_in ** (n_dim - 1)))
-    return sphere_area(n_dim) * (inner + _inverted_tail(g, n_dim, scale, order))
+    return sphere_area(n_dim) * (inner + _inverted_tail(g, n_dim, scale))
 
 
-def radial_tail_integral(
-    g: Callable[[np.ndarray], np.ndarray],
-    n_dim: int,
-    r_min: float,
-    order: int = 48,
-) -> float:
+def radial_tail_integral(g: Callable[[np.ndarray], np.ndarray], n_dim: int, r_min: float) -> float:
     """sigma_{N-1} * int_{r_min}^infinity g(r) r^{N-1} dr through r = r_min / y.
 
     Evaluating tail quantities directly (rather than as differences of large
@@ -91,11 +88,11 @@ def radial_tail_integral(
     """
     if r_min <= 0:
         raise ValueError("r_min must be positive")
-    return sphere_area(n_dim) * _inverted_tail(g, n_dim, r_min, order)
+    return sphere_area(n_dim) * _inverted_tail(g, n_dim, r_min)
 
 
-def _inverted_tail(g: Callable[[np.ndarray], np.ndarray], n_dim: int, r0: float, order: int) -> float:
+def _inverted_tail(g: Callable[[np.ndarray], np.ndarray], n_dim: int, r0: float) -> float:
     """int_{r0}^infinity g(r) r^{N-1} dr, mapped onto y in (0, 1] by r = r0/y."""
-    y, wy = panel_rule(np.array([0.0, 0.25, 0.5, 1.0]), order)
+    y, wy = panel_rule(np.array([0.0, 0.25, 0.5, 1.0]))
     r = r0 / y
     return float(np.sum(wy * g(r) * r ** (n_dim - 1) * r0 / y**2))

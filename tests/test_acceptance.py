@@ -13,7 +13,6 @@ import pytest
 
 from sinesolve import (
     BoxDomain,
-    CutoffSpec,
     GalerkinSystem,
     QuadratureGrid,
     SineBasis,
@@ -29,7 +28,7 @@ from sinesolve import (
 )
 from sinesolve.cli import main
 from sinesolve.domain import SineTransform, mode_mass_matrix
-from sinesolve.estimates import cutoff_bubble_integrals, default_eps_grid, fit_orders, linking_sweep, verify_product_powers, verify_single_power
+from sinesolve.estimates import default_eps_grid, fit_orders, linking_sweep, verify_product_powers, verify_single_power
 from sinesolve.limit import LimitParams, bubble_norms, pair_grid_infimum
 from sinesolve.nehari import project_general
 from sinesolve.synchronized import amplitude_identities, amplitudes, find_roots, synchronized_solution
@@ -275,12 +274,10 @@ def test_criterion_08_synchronized_algebra():
 
 def test_criterion_09_bubble_integral_orders():
     t0 = time.perf_counter()
-    cut = CutoffSpec(1.5)
     checks = []
     details = []
     for n in (4, 5):
-        sweeps = [cutoff_bubble_integrals(e, cut, n) for e in default_eps_grid()]
-        rep = fit_orders(sweeps, n, cut)
+        rep = fit_orders(default_eps_grid(), n)
         checks.append(rep.all_passed)
         worst = max(abs(f.slope - f.expected) for f in rep.fits)
         details.append(f"N={n} worst slope dev {worst:.3f}")
@@ -305,10 +302,9 @@ def test_criterion_10_critical_linking_bound():
     s_amp, t_amp = minimizer_amplitudes(lp, s_coupled, r_min)
     pr = SystemParams(kappa1=kappa, kappa2=kappa, mu1=1.0, mu2=1.0, lam=lam,
                       alpha=5.0 / 3.0, beta=5.0 / 3.0, dim=n)
-    cut = CutoffSpec.for_domain(dom)
     checks = []
     margins = []
-    records = linking_sweep((1e-2, 1e-3), lp, pr, basis, cut, s_amp, t_amp, s_coupled)
+    records = linking_sweep((1e-2, 1e-3), lp, pr, basis, s_amp, t_amp, s_coupled)
     for rec, (closed, direct) in records:
         checks.append(abs(closed - direct) <= 1e-8 * abs(closed))
         checks.append(rec.passed and rec.best_value < rec.threshold)

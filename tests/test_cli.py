@@ -36,7 +36,8 @@ def write_config(tmp_path, cfg, name="cfg.json"):
 def test_parse_config_roundtrip():
     cfg = parse_config(copy.deepcopy(BASE), SUBCOMMANDS["ground-state"][0])
     assert cfg.params.lam == 50.0
-    assert cfg.lengths == (1.0,)
+    assert cfg.basis.domain.lengths == (1.0,)
+    assert cfg.basis.cutoffs == (16,)
     assert cfg.solver.rng_seed == 3
 
 
@@ -285,7 +286,6 @@ def test_verify_estimates_bubble_integrals_once_per_eps(tmp_path, monkeypatch):
         return counted(*args, **kwargs)
 
     monkeypatch.setattr(estimates, "cutoff_bubble_integrals", counting)
-    monkeypatch.setattr(cli, "cutoff_bubble_integrals", counting)
     cfg = {"problem": _unit_4box(2.0 * np.pi**2), "task": {"linking_eps": [1e-2, 1e-3]},
            "output": {"report": str(tmp_path / "count.json"), "formats": ["json"]}}
     main(["verify-estimates", "--config", write_config(tmp_path, cfg)])
@@ -638,7 +638,7 @@ VALID = {
 
 # every solver entry point a runner reaches first
 SOLVER_ENTRY_POINTS = ("semitrivial_threshold", "diagonal_sup", "find_roots", "sobolev_constant",
-                       "bubble_norms", "cutoff_bubble_integrals")
+                       "bubble_norms", "fit_orders")
 
 
 @pytest.mark.parametrize("subcommand", sorted(VALID))

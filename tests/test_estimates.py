@@ -1,5 +1,6 @@
 """Cutoff-bubble orders, ray formula, linking harness, inequalities."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -68,9 +69,8 @@ def test_cutoff_validation():
 
 def test_bn_regime_precondition(sweep_cutoff):
     # the fitted orders are asymptotic: a sweep eps at delta/10 or above is refused by the fit
-    sweeps = [cutoff_bubble_integrals(e, sweep_cutoff, 4) for e in np.geomspace(0.5, 5e-3, 6)]
     with pytest.raises(PreconditionError, match="plateau"):
-        fit_orders(sweeps, 4, sweep_cutoff)
+        fit_orders(np.geomspace(0.5, 5e-3, 6), 4)
     # the integrals themselves refuse only eps at or below the overflow floor
     for eps in (estimates.eps_floor(4), 0.5 * estimates.eps_floor(4)):
         with pytest.raises(PreconditionError, match="floor"):
@@ -118,18 +118,27 @@ def test_deficits_positive_and_small(sweep_cutoff):
 
 
 @pytest.mark.parametrize("n_dim", [4, 5])
-def test_fit_orders_pass(n_dim, sweep_cutoff):
-    sweeps = [cutoff_bubble_integrals(e, sweep_cutoff, n_dim) for e in default_eps_grid()]
-    rep = fit_orders(sweeps, n_dim, sweep_cutoff)
+def test_fit_orders_pass(n_dim):
+    rep = fit_orders(default_eps_grid(), n_dim)
     for f in rep.fits:
         assert f.passed, f
     assert rep.square_prefactor > 0.0
 
 
-def test_fit_orders_needs_two_decades(sweep_cutoff):
-    sweeps = [cutoff_bubble_integrals(e, sweep_cutoff, 4) for e in np.geomspace(1e-1, 2e-2, 6)]
+@pytest.mark.parametrize("n_dim", [3, 4, 5])
+def test_fit_orders_reports_the_sweep_it_fits(n_dim):
+    # the sweep runs at the one cutoff the deficits use, SWEEP_CUTOFF
+    grid = default_eps_grid()
+    rep = fit_orders(grid, n_dim)
+    assert len(rep.sweeps) == len(grid)
+    for eps, row in zip(grid, rep.sweeps):
+        want = cutoff_bubble_integrals(eps, estimates.SWEEP_CUTOFF, n_dim)
+        assert dataclasses.astuple(row) == dataclasses.astuple(want)
+
+
+def test_fit_orders_needs_two_decades():
     with pytest.raises(PreconditionError):
-        fit_orders(sweeps, 4, sweep_cutoff)
+        fit_orders(np.geomspace(1e-1, 2e-2, 6), 4)
 
 
 @pytest.fixture(scope="module")
@@ -181,7 +190,7 @@ def test_linking_definite_reduces_to_ray(n5_setting):
                           alpha=lp.alpha, beta=lp.beta, dim=5)
     assert all(z.size == 0 for z in nonpositive_modes(basis, kappa))
     cut = CutoffSpec.for_domain(dom)
-    recs = linking_sweep([1e-2, 1e-3], lp, params, basis, cut, s_amp, t_amp, s_coupled)
+    recs = linking_sweep([1e-2, 1e-3], lp, params, basis, s_amp, t_amp, s_coupled)
     for rec, ray_pair in recs:
         quad, hom = estimates._ray_coefficients(rec.eps, cut, lp, kappa, kappa, s_amp, t_amp)
         assert ray_pair == ray_maximum(quad, hom, lp)
@@ -189,17 +198,6 @@ def test_linking_definite_reduces_to_ray(n5_setting):
         assert rec.passed
         # past its positive zero the ray energy stays negative
         assert ray_energy(2.0 * max(rec.ray_radius, 1.0), quad, hom, lp.two_star) < 0.0
-
-
-def test_linking_rejects_small_box(n5_setting):
-    dom, kappa, lp, s_coupled, s_amp, t_amp = n5_setting
-    tiny = BoxDomain((0.1,) * 5)
-    basis = SineBasis(tiny, (2,) * 5)
-    params = SystemParams(kappa1=kappa, kappa2=kappa, mu1=1.0, mu2=1.0, lam=lp.lam,
-                          alpha=lp.alpha, beta=lp.beta, dim=5)
-    cut = CutoffSpec(0.5)
-    with pytest.raises(PreconditionError):
-        linking_sweep([1e-2], lp, params, basis, cut, s_amp, t_amp, s_coupled)
 
 
 def test_linking_rejects_nonpositive_kappa_and_wide_eps(n5_setting):
@@ -210,7 +208,7 @@ def test_linking_rejects_nonpositive_kappa_and_wide_eps(n5_setting):
         params = SystemParams(kappa1=kappa1, kappa2=kappa, mu1=1.0, mu2=1.0, lam=lp.lam,
                               alpha=lp.alpha, beta=lp.beta, dim=5)
         with pytest.raises(PreconditionError):
-            linking_sweep([eps], lp, params, basis, cut, s_amp, t_amp, s_coupled)
+            linking_sweep([eps], lp, params, basis, s_amp, t_amp, s_coupled)
 
 
 @pytest.mark.parametrize("n", [3, 5])
@@ -225,12 +223,11 @@ def test_linking_rejects_nontrivial_tilde(n):
     lp = LimitParams(mu1=1.0, mu2=1.0, lam=lam, alpha=ab, beta=ab, dim=n)
     s_coupled, r_min = coupled_sobolev_constant(lp)
     s_amp, t_amp = minimizer_amplitudes(lp, s_coupled, r_min)
-    cut = CutoffSpec.for_domain(dom)
 
     def sweep(kappa):
         params = SystemParams(kappa1=kappa, kappa2=kappa, mu1=1.0, mu2=1.0, lam=lam,
                               alpha=ab, beta=ab, dim=n)
-        return linking_sweep([1e-2], lp, params, basis, cut, s_amp, t_amp, s_coupled)
+        return linking_sweep([1e-2], lp, params, basis, s_amp, t_amp, s_coupled)
 
     below, between = 0.5 * g[0], 0.5 * (g[0] + g[1])
     assert [z.tolist() for z in nonpositive_modes(basis, below)] == [[], []]
@@ -275,14 +272,13 @@ def test_linking_scope_note_is_the_sweep_refusal(n, kappas, note):
     s_amp, t_amp = minimizer_amplitudes(lp, s_coupled, r_min)
     params = SystemParams(kappa1=at[kappas[0]], kappa2=at[kappas[1]], mu1=1.0, mu2=1.0, lam=lam,
                           alpha=ab, beta=ab, dim=n)
-    cut = CutoffSpec.for_domain(basis.domain)
     want = _SCOPE_NOTES.get(note)
     assert linking_scope(params, basis) == want
     if want is None:
-        assert len(linking_sweep([1e-2], lp, params, basis, cut, s_amp, t_amp, s_coupled)) == 1
+        assert len(linking_sweep([1e-2], lp, params, basis, s_amp, t_amp, s_coupled)) == 1
     else:
         with pytest.raises(PreconditionError) as refusal:
-            linking_sweep([1e-2], lp, params, basis, cut, s_amp, t_amp, s_coupled)
+            linking_sweep([1e-2], lp, params, basis, s_amp, t_amp, s_coupled)
         assert str(refusal.value) == want
 
 
@@ -354,22 +350,34 @@ def test_perturbed_constant_fails_every_check(factor, monkeypatch, tmp_path):
     assert main(["verify-estimates", "--config", str(path)]) == 4
 
 
-def test_fit_orders_degenerate_rejected(sweep_cutoff):
+def test_fit_orders_degenerate_rejected(monkeypatch):
     from sinesolve.estimates import BubbleIntegrals
 
-    eps = default_eps_grid()
-    fake = [BubbleIntegrals(eps=e, grad_sq=1.0, crit=1.0, crit_minus_one=0.0,
-                            linear=1.0, grad_abs=1.0, crit_minus_two=1.0, square=1.0)
-            for e in eps]
-    with pytest.raises(PreconditionError):
-        fit_orders(fake, 5, sweep_cutoff)
+    def fake(eps, cutoff, n_dim):
+        return BubbleIntegrals(eps=eps, grad_sq=1.0, crit=1.0, crit_minus_one=0.0,
+                               linear=1.0, grad_abs=1.0, crit_minus_two=1.0, square=1.0)
+
+    monkeypatch.setattr(estimates, "cutoff_bubble_integrals", fake)
+    with pytest.raises(PreconditionError, match="degenerate fit: crit_minus_one"):
+        fit_orders(default_eps_grid(), 5)
+
+
+@pytest.mark.parametrize("last", [0.0, -1e-3])
+def test_sweep_ending_at_or_below_zero_rejected(last):
+    # each eps meets the floor before the grid's span divides by the last one
+    grid = (0.1, 0.05, 0.02, 0.01, 0.005, last)
+    for refuse in (estimates.check_sweep, fit_orders):
+        with pytest.raises(PreconditionError, match="floor"):
+            refuse(grid, 5)
 
 
 def test_linking_dim4_nonresonant_calibrated_cutoff():
     # in dimension 4 the kappa gain carries only a |ln eps| advantage over the
     # cutoff-bridge term and both scale the same way with the box, so the
     # default plateau (inscribed/8) misses the bound at eps >= 1e-3; a fatter
-    # plateau (inscribed/4) quarters the bridge constant and the sweep passes
+    # plateau (inscribed/4) quarters the bridge constant and the ray maximum
+    # stays below it.  linking_sweep takes the default cutoff of the box, so
+    # the ray is built here
     n = 4
     dom = BoxDomain((8.0,) * n)
     basis = SineBasis(dom, (2,) * n)
@@ -377,9 +385,9 @@ def test_linking_dim4_nonresonant_calibrated_cutoff():
     lp = LimitParams(mu1=1.0, mu2=1.0, lam=1.0, alpha=2.0, beta=2.0, dim=n)
     s_coupled, r_min = coupled_sobolev_constant(lp)
     s_amp, t_amp = minimizer_amplitudes(lp, s_coupled, r_min)
-    pr = SystemParams(kappa1=kappa, kappa2=kappa, mu1=1.0, mu2=1.0, lam=1.0,
-                      alpha=2.0, beta=2.0, dim=n)
     cut = CutoffSpec(dom.inscribed_radius / 4.0)
-    recs = linking_sweep([1e-2, 1e-3], lp, pr, basis, cut, s_amp, t_amp, s_coupled)
-    for rec, _ in recs:
-        assert rec.passed, rec
+    threshold = s_coupled ** (n / 2.0) / n
+    for eps in (1e-2, 1e-3):
+        quad, hom = estimates._ray_coefficients(eps, cut, lp, kappa, kappa, s_amp, t_amp)
+        closed, _ = ray_maximum(quad, hom, lp)
+        assert closed < threshold, eps

@@ -95,19 +95,30 @@ def test_no_module_imports_scipy():
     assert [p.stem for p in modules if "scipy" in _imported_packages(p)] == []
 
 
-def test_no_module_calls_einsum():
-    # mode_mass_matrix contracts in one fixed order per dimension; an einsum,
-    # called or imported under any name, would tie the Hessian's bits to
-    # numpy's contraction planner again
-    banned = {"einsum", "einsum_path"}
+def _modules_naming(banned: set[str]) -> list[str]:
+    """The src modules that name any of banned: as a name, an attribute, an import or a definition."""
 
     def names(node):
         return {getattr(node, "attr", None), getattr(node, "id", None), getattr(node, "name", None)}
 
     modules = sorted((REPO / "src" / "sinesolve").glob("*.py"))
     assert len(modules) > 5
-    assert [p.stem for p in modules
-            if any(names(node) & banned for node in ast.walk(ast.parse(p.read_text(encoding="utf-8"))))] == []
+    return [p.stem for p in modules
+            if any(names(node) & banned for node in ast.walk(ast.parse(p.read_text(encoding="utf-8"))))]
+
+
+def test_no_module_calls_einsum():
+    # mode_mass_matrix contracts in one fixed order per dimension; an einsum,
+    # called or imported under any name, would tie the Hessian's bits to
+    # numpy's contraction planner again
+    assert _modules_naming({"einsum", "einsum_path"}) == []
+
+
+def test_only_estimates_names_the_cutoffs():
+    # estimates alone decides which cutoff each check uses: SWEEP_CUTOFF for
+    # the order fit, CutoffSpec.for_domain of the box for the linking ray
+    # (__init__ only re-exports CutoffSpec)
+    assert _modules_naming({"CutoffSpec", "SWEEP_CUTOFF"}) == ["__init__", "estimates"]
 
 
 def test_only_the_engines_and_the_linking_rule_read_nonpositive_modes():

@@ -215,20 +215,10 @@ def test_scalar_threshold_monotone_in_mu(basis, config):
 
 
 @pytest.mark.parametrize("kappa2, searches", [(0.0, 1), (5.0, 2)])
-def test_semitrivial_threshold_one_search_per_kappa(basis, monkeypatch, kappa2, searches):
-    from sinesolve import nehari
-
-    calls = []
-    original = nehari.scalar_ground_state
-
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(nehari, "scalar_ground_state", counting)
+def test_semitrivial_threshold_one_search_per_kappa(basis, kappa2, searches, scalar_searches):
     cfg = SolverConfig(n_mode_seeds=2, n_random_seeds=0)
     th = semitrivial_threshold(params_with(kappa2=kappa2, mu2=2.0), basis, cfg)
-    assert len(calls) == searches
+    assert len(scalar_searches) == searches
     assert th.scalar_solves == searches
     assert th.c0 == min(s.energy for s in th.scalar_states)
 

@@ -1,4 +1,4 @@
-"""Gauss-Legendre panels: one shared reference rule per order."""
+"""Gauss-Legendre panels: one shared reference rule."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from numpy.polynomial.legendre import leggauss
 
 from sinesolve import radial
 from sinesolve.limit import bubble_norms, sobolev_constant
-from sinesolve.radial import _reference_rule, graded_edges, panel_rule, radial_integral
+from sinesolve.radial import _reference_rule, graded_edges, panel_rule, radial_integral, radial_tail_integral
 
 
 @pytest.fixture
@@ -26,23 +26,23 @@ def test_reference_rule_built_once_per_order(monkeypatch, cold_rule_cache):
     monkeypatch.setattr(radial, "leggauss", counting_leggauss)
     for _ in range(3):
         radial_integral(lambda r: np.exp(-r * r), 4)
-        radial_integral(lambda r: np.exp(-r * r), 3, r_max=2.0, order=32)
+        radial_integral(lambda r: np.exp(-r * r), 3, r_max=2.0)
+        radial_tail_integral(lambda r: np.exp(-r * r), 5, 0.5)
         sobolev_constant(4)
         bubble_norms(5, 0.1)
-        radial_integral(lambda r: np.exp(-r * r), 5, order=8)
-    assert sorted(calls) == [8, 32, 48]
+    assert calls == [48]
 
 
 def test_reference_rule_is_read_only(cold_rule_cache):
-    xg, wg = _reference_rule(48)
+    xg, wg = _reference_rule()
     with pytest.raises(ValueError):
         xg[0] = 0.0
     with pytest.raises(ValueError):
         wg[:] = 1.0
-    assert np.array_equal(_reference_rule(48)[0], leggauss(48)[0])
+    assert np.array_equal(_reference_rule()[0], leggauss(48)[0])
 
 
-@pytest.mark.parametrize("order", [8, 32, 48])
+@pytest.mark.parametrize("order", [radial.ORDER])  # the one order of every radial rule
 @pytest.mark.parametrize(
     "edges",
     [
@@ -60,7 +60,7 @@ def test_panel_rule_matches_direct_build(order, edges, cold_rule_cache):
     want_nodes = (mid[:, None] + half[:, None] * xg).ravel()
     want_weights = (half[:, None] * wg).ravel()
     for _ in range(2):  # cold, then warm
-        nodes, weights = panel_rule(edges, order)
+        nodes, weights = panel_rule(edges)
         assert np.array_equal(nodes, want_nodes)
         assert np.array_equal(weights, want_weights)
         assert nodes.flags.writeable and weights.flags.writeable
