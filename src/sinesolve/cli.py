@@ -132,11 +132,13 @@ _BLOCKS = {name: ("object", REQUIRED if name == "problem" else {}, "any")
 
 @dataclass(frozen=True)
 class Command:
-    """What one subcommand asks of a config: its task keys and cross-field rules."""
+    """What one subcommand asks of a config: its task keys and cross-field rules.
+
+    A `limit` run reads one `LimitParams`, box optional; any other, a `SystemParams` on a box.
+    """
 
     task: dict
-    needs_box: bool = True  # problem.lengths and problem.cutoffs
-    limit: bool = False  # valid whole-space LimitParams
+    limit: bool = False
     equal_kappas: bool = False
 
 
@@ -180,8 +182,7 @@ class RunConfig:
     """Validated run configuration (config echo keeps the raw dict)."""
 
     raw: dict
-    params: SystemParams
-    limit: LimitParams | None
+    params: SystemParams  # a LimitParams for a limit Command
     basis: SineBasis | None  # None when the config gives no box
     solver: SolverConfig
     task: dict
@@ -199,29 +200,28 @@ def parse_config(raw: dict, command: Command) -> RunConfig:
         task = _read(blocks["task"], command.task, "task")
 
         lengths, cutoffs, dim = prob["lengths"], prob["cutoffs"], prob["dim"]
-        if command.needs_box and (lengths is None or cutoffs is None):
+        if (lengths is None) != (cutoffs is None):
+            raise ConfigError("problem.lengths and problem.cutoffs go together: give both or neither")
+        if lengths is None and not command.limit:
             raise ConfigError("this subcommand requires problem.lengths and problem.cutoffs")
-        if lengths is not None and cutoffs is not None and len(lengths) != len(cutoffs):
-            raise ConfigError("lengths and cutoffs must have equal length")
         if lengths is not None:
+            if len(lengths) != len(cutoffs):
+                raise ConfigError("lengths and cutoffs must have equal length")
             if dim not in (None, len(lengths)):
                 raise ConfigError("problem.dim contradicts len(problem.lengths)")
             dim = len(lengths)
         elif dim is None:
             raise ConfigError("problem needs either lengths or dim")
-        params = SystemParams(kappa1=prob["kappa1"], kappa2=prob["kappa2"], mu1=prob["mu1"],
-                              mu2=prob["mu2"], lam=prob["lambda"], alpha=prob["alpha"],
-                              beta=prob["beta"], dim=dim)
-        limit = None
-        if command.limit:
-            limit = LimitParams(mu1=params.mu1, mu2=params.mu2, lam=params.lam,
-                                alpha=params.alpha, beta=params.beta, dim=dim)
+        record = LimitParams if command.limit else SystemParams
+        params = record(kappa1=prob["kappa1"], kappa2=prob["kappa2"], mu1=prob["mu1"],
+                        mu2=prob["mu2"], lam=prob["lambda"], alpha=prob["alpha"],
+                        beta=prob["beta"], dim=dim)
         if command.equal_kappas and params.kappa1 != params.kappa2:
             raise ConfigError("synchronized runs need kappa1 == kappa2")
         if not out["formats"]:
             raise ConfigError("output.formats must name at least one format")
 
-        basis = None if cutoffs is None or lengths is None else SineBasis(BoxDomain(lengths), cutoffs)
+        basis = None if lengths is None else SineBasis(BoxDomain(lengths), cutoffs)
         if "m" in task and task["m"] > basis.size:
             raise ConfigError(f"task.m must lie in [1, {basis.size}], the number of modes")
         if "eps_grid" in task:  # verify-estimates: each eps the run would refuse
@@ -232,7 +232,7 @@ def parse_config(raw: dict, command: Command) -> RunConfig:
         raise ConfigError(str(exc)) from exc
 
     solver = SolverConfig(rng_seed=sol.pop("seed"), **sol)
-    return RunConfig(raw=raw, params=params, limit=limit, basis=basis, solver=solver, task=task,
+    return RunConfig(raw=raw, params=params, basis=basis, solver=solver, task=task,
                      report_path=out["report"], formats=out["formats"])
 
 
@@ -361,7 +361,7 @@ def _coupled_minimizer(lp: LimitParams, thresholds: dict) -> tuple[float, float,
 
 
 def _run_limit(cfg: RunConfig) -> tuple[dict, int]:
-    lp = cfg.limit
+    lp = cfg.params
     thresholds = {"sobolev_constant": float(sobolev_constant(lp.dim))}
     found = _coupled_minimizer(lp, thresholds)
     thresholds["boundary_infimum"] = found is None
@@ -397,17 +397,17 @@ def _run_synchronized(cfg: RunConfig) -> tuple[dict, int]:
 
 def _linking_rows(cfg: RunConfig, thresholds: dict) -> tuple[list[dict], str | None]:
     """verify-estimates' ray-max and linking rows, or the note saying why the bound was skipped."""
-    lp, pr, basis = cfg.limit, cfg.params, cfg.basis
+    lp, basis = cfg.params, cfg.basis
     if basis is None:
         return [], "no box given: linking bound skipped"
-    note = linking_scope(pr, basis)
+    note = linking_scope(lp, basis)
     if note is not None:
         return [], note
     found = _coupled_minimizer(lp, thresholds)
     if found is None:
         return [], "coupling below the interior threshold: linking bound skipped"
     s_coupled, _, s_amp, t_amp = found
-    records = linking_sweep(cfg.task["linking_eps"], lp, pr, basis, s_amp, t_amp, s_coupled)
+    records = linking_sweep(cfg.task["linking_eps"], lp, basis, s_amp, t_amp, s_coupled)
     rows = []
     for rec, (closed, direct) in records:
         agree = abs(closed - direct) <= 1e-8 * max(abs(closed), 1e-300)
@@ -424,7 +424,7 @@ def _run_verify_estimates(cfg: RunConfig) -> tuple[dict, int]:
     or the run's coupling does not, the report carries the note instead of
     the ray-max and linking rows.
     """
-    lp, eps_grid = cfg.limit, cfg.task["eps_grid"]
+    lp, eps_grid = cfg.params, cfg.task["eps_grid"]
 
     # bubble-identity and eps-independence of the whole-space norms
     g1, _ = bubble_norms(lp.dim, 1.0)
@@ -463,12 +463,12 @@ SUBCOMMANDS = {
         "m": ("integer", REQUIRED, ">= 1"),
         "lambda_grid": ("numbers", tuple(np.geomspace(0.5, 500, 10)), "> 0"),
     }), _run_thresholds),
-    "limit": (Command({}, needs_box=False, limit=True), _run_limit),
+    "limit": (Command({}, limit=True), _run_limit),
     "synchronized": (Command({}, equal_kappas=True), _run_synchronized),
     "verify-estimates": (Command({
         "eps_grid": ("numbers", default_eps_grid(), "> 0"),
         "linking_eps": ("numbers", (1e-2, 1e-3), "> 0"),
-    }, needs_box=False, limit=True), _run_verify_estimates),
+    }, limit=True), _run_verify_estimates),
 }
 
 

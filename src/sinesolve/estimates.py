@@ -302,15 +302,15 @@ def default_eps_grid() -> tuple[float, ...]:
 
 
 def _ray_coefficients(
-    eps: float, cutoff: CutoffSpec, lp: LimitParams, kappa1: float, kappa2: float, s_amp: float, t_amp: float
+    eps: float, cutoff: CutoffSpec, params: LimitParams, s_amp: float, t_amp: float
 ) -> tuple[float, float]:
     """Quadratic and p-homogeneous coefficients of the ray energy through the bubble pair at eps."""
-    integrals = cutoff_bubble_integrals(eps, cutoff, lp.dim)
-    ts = lp.two_star
+    integrals = cutoff_bubble_integrals(eps, cutoff, params.dim)
+    ts, a, b = params.critical_exponent, params.alpha, params.beta
     quad = (s_amp**2 + t_amp**2) * integrals.grad_sq - (
-        kappa1 * s_amp**2 + kappa2 * t_amp**2
+        params.kappa1 * s_amp**2 + params.kappa2 * t_amp**2
     ) * integrals.square
-    hom = (lp.mu1 * s_amp**ts + lp.mu2 * t_amp**ts + ts * lp.lam * s_amp**lp.alpha * t_amp**lp.beta) * integrals.crit
+    hom = (params.mu1 * s_amp**ts + params.mu2 * t_amp**ts + ts * params.lam * s_amp**a * t_amp**b) * integrals.crit
     return float(quad), float(hom)
 
 
@@ -329,7 +329,7 @@ def ray_maximum(quad: float, hom: float, lp: LimitParams) -> tuple[float, float]
     """
     if quad <= 0.0:
         return 0.0, 0.0
-    ts = lp.two_star
+    ts = lp.critical_exponent
     closed = (quad / hom ** (2.0 / ts)) ** (lp.dim / 2.0) / lp.dim
     direct = ray_energy((quad / hom) ** (1.0 / (ts - 2.0)), quad, hom, ts)
     return float(closed), float(direct)
@@ -369,18 +369,18 @@ def linking_scope(params: SystemParams, basis: SineBasis) -> str | None:
 
 def linking_sweep(
     eps_grid: Sequence[float],
-    lp: LimitParams,
-    params: SystemParams,
+    params: LimitParams,
     basis: SineBasis,
     s_amp: float,
     t_amp: float,
     s_coupled: float,
 ) -> list[tuple[LinkingRecord, tuple[float, float]]]:
-    """Maximize the energy over the ray {t * bubble pair : t > 0} per eps.
+    """Maximize the energy of params over the ray {t * bubble pair : t > 0} per eps.
 
     The bubbles are cut off by `CutoffSpec.for_domain` of the basis's box,
-    whose support the box contains.  The best value is the closed-form ray
-    maximum, and the reported flag says whether it stays below (1/N)
+    whose support the box contains, and the ray energy carries the box's
+    shifts kappa1 and kappa2 from params.  The best value is the closed-form
+    ray maximum, and the reported flag says whether it stays below (1/N)
     S_coupled^{N/2}.  Where `linking_scope` gives a note, the sweep raises
     PreconditionError with it, and so does an eps that `check_linking_eps`
     refuses.  Each eps's record comes with the `ray_maximum` pair of its
@@ -391,14 +391,13 @@ def linking_sweep(
         raise PreconditionError(note)
     check_linking_eps(eps_grid, basis)
     cutoff = CutoffSpec.for_domain(basis.domain)
-    n = lp.dim
+    n, ts = params.dim, params.critical_exponent
     threshold = s_coupled ** (n / 2.0) / n
     records = []
     for eps in eps_grid:
-        quad, hom = _ray_coefficients(eps, cutoff, lp, params.kappa1, params.kappa2, s_amp, t_amp)
-        ts = lp.two_star
+        quad, hom = _ray_coefficients(eps, cutoff, params, s_amp, t_amp)
         ray_r = (ts * quad / (2.0 * hom)) ** (1.0 / (ts - 2.0)) if quad > 0 else 0.0
-        closed, direct = ray_maximum(quad, hom, lp)
+        closed, direct = ray_maximum(quad, hom, params)
         record = LinkingRecord(
             eps=float(eps),
             best_value=float(closed),

@@ -20,11 +20,12 @@ amplitudes come from formulas; only `bubble_norms` integrates, to check
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
+from .energy import SystemParams
 from .errors import BoundaryInfimumError, InconsistencyError, PreconditionError
 from .radial import radial_integral
 from .solve import bisect
@@ -43,29 +44,20 @@ _LAMBDA0_MEMO_SIZE = 64
 
 
 @dataclass(frozen=True)
-class LimitParams:
-    """Data of the whole-space critical system (no linear shifts)."""
+class LimitParams(SystemParams):
+    """`SystemParams` at the critical exponent: alpha + beta = 2N/(N-2), N >= 3.
 
-    mu1: float
-    mu2: float
-    lam: float
-    alpha: float
-    beta: float
-    dim: int
+    The whole-space system is the box system without its shifts, so the
+    limit functions read only mu1, mu2, lam, alpha, beta and dim; the
+    linking ray on a box reads kappa1 and kappa2 from the same record.
+    """
 
     def __post_init__(self):
         if self.dim < 3:
             raise ValueError("the limit system needs dim >= 3")
-        if self.mu1 <= 0 or self.mu2 <= 0 or self.lam <= 0:
-            raise ValueError("mu1, mu2, lam must be positive")
-        if self.alpha <= 1 or self.beta <= 1:
-            raise ValueError("alpha and beta must exceed 1")
-        if abs(self.alpha + self.beta - self.two_star) > 1e-12:
+        super().__post_init__()
+        if abs(self.p - self.critical_exponent) > 1e-12:
             raise ValueError("alpha + beta must equal 2N/(N-2)")
-
-    @property
-    def two_star(self) -> float:
-        return 2.0 * self.dim / (self.dim - 2.0)
 
 
 @dataclass(frozen=True)
@@ -101,7 +93,7 @@ def f_lambda(r: float, lp: LimitParams) -> float:
     """One-variable quotient (r^2+1)/(mu1 r^{2*} + mu2 + 2* lam r^alpha)^{2/2*}."""
     if r < 0:
         raise PreconditionError("r must be nonnegative")
-    ts = lp.two_star
+    ts = lp.critical_exponent
     denom = lp.mu1 * r**ts + lp.mu2 + ts * lp.lam * r**lp.alpha
     return float((r**2 + 1.0) / denom ** (2.0 / ts))
 
@@ -110,7 +102,7 @@ def _log_scan(lp: LimitParams):
     """(x, lam -> f_lam(exp(x))) on the log grid; the parts free of lam are built once."""
     x = np.linspace(np.log(_SCAN_LO), np.log(_SCAN_HI), _SCAN_POINTS)
     r = np.exp(x)
-    ts = lp.two_star
+    ts = lp.critical_exponent
     num, base, ra, expo = r**2 + 1.0, lp.mu1 * r**ts + lp.mu2, r**lp.alpha, 2.0 / ts
     return x, lambda lam: num / (base + ts * lam * ra) ** expo
 
@@ -134,7 +126,7 @@ def _golden_min(fun, a: float, b: float, tol: float = 1e-10) -> float:
 
 def _boundary_bound(lp: LimitParams) -> float:
     """min{mu1^(-2/2*), mu2^(-2/2*)}: the smaller of the two semitrivial limits."""
-    e = -2.0 / lp.two_star
+    e = -2.0 / lp.critical_exponent
     return min(lp.mu1**e, lp.mu2**e)
 
 
@@ -187,14 +179,14 @@ def interior_threshold(mu1: float, mu2: float, alpha: float, beta: float, dim: i
     The threshold does not depend on lam, so a lam-sweep computes it once per
     process; invalid input is not kept and raises ValueError on every call.
     """
-    lp = LimitParams(mu1=mu1, mu2=mu2, lam=1.0, alpha=alpha, beta=beta, dim=dim)
+    lp = LimitParams(0.0, 0.0, mu1, mu2, 1.0, alpha, beta, dim)
     cut = _boundary_bound(lp) - _LAMBDA0_MARGIN
     x, f_at = _log_scan(lp)
     def below(lam: float) -> bool:
         vals = f_at(lam)
         if vals.min() < cut - _LAMBDA0_SLACK * cut:
             return True
-        return _refine(x, vals, LimitParams(mu1, mu2, lam, alpha, beta, dim))[0] < cut
+        return _refine(x, vals, replace(lp, lam=lam))[0] < cut
 
     lo, hi = 0.0, 1.0
     for _ in range(200):
@@ -232,7 +224,7 @@ def pair_grid_infimum(lp: LimitParams) -> float:
     round-off; one point per diagonal picks those that can hold the minimum,
     and their nodes are evaluated exactly as the full grid would be.
     """
-    ts = lp.two_star
+    ts = lp.critical_exponent
     n = _PAIR_POINTS
     g = np.geomspace(_PAIR_LO, _PAIR_HI, n)
     g2, p, a, b = g**2, g**ts, g**lp.alpha, g**lp.beta
@@ -262,7 +254,7 @@ def minimizer_amplitudes(lp: LimitParams, s_coupled: float, r_min: float) -> tup
     its scan minimizes).
     """
     n = lp.dim
-    ts = lp.two_star
+    ts = lp.critical_exponent
     denom = lp.mu1 * r_min**ts + lp.mu2 + ts * lp.lam * r_min**lp.alpha
     t_lam = ((r_min**2 + 1.0) / denom) ** (1.0 / (ts - 2.0))
     s_lam = r_min * t_lam

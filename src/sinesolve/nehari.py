@@ -48,7 +48,8 @@ TRIVIALITY_FLOOR = 1e-10
 #: Deflation factor prod_i (d_i^-DEFLATION_POWER + DEFLATION_SHIFT) over the orbit distances d_i.
 DEFLATION_POWER = 2
 DEFLATION_SHIFT = 1.0
-#: multiplicity_search: orbit distance under which a converged point repeats a known orbit.
+#: multiplicity_search: orbit distance, relative to the smaller scalar ground state's
+#: coefficient norm, under which a converged point repeats a known orbit.
 DEDUP_TOL = 1e-4
 #: newton_polish: gradient norm at which Newton counts as converged.
 NEWTON_TOL = 1e-10
@@ -584,8 +585,11 @@ def multiplicity_search(
     Deflated multistart Newton from at most `config.budget` seeds: each found orbit
     (of any classification, including the trivial solution) deflates the
     residual, so later runs are pushed toward new orbits; a point within
-    DEDUP_TOL of a known orbit is dropped.  Returns fully nontrivial points
-    with energy in (0, c0), sorted by energy; may return fewer than k.
+    DEDUP_TOL times the smaller coefficient norm of the threshold's scalar
+    states of a known orbit is dropped.  Scaling (mu1, mu2, lam) scales every
+    solution and both scalar states alike, so the search keeps the same
+    orbits at every scale.  Returns fully nontrivial points with energy in
+    (0, c0), sorted by energy; may return fewer than k.
     """
     if k < 1:
         raise ValueError("target count k must be at least 1")
@@ -593,7 +597,8 @@ def multiplicity_search(
     rng = np.random.default_rng(config.rng_seed)
 
     # never re-converge to 0: the orbit distance from 0 is the norm, so the
-    # dedup check also drops every converged point of norm under DEDUP_TOL
+    # dedup check also drops every converged point of norm under dedup
+    dedup = DEDUP_TOL * min(float(np.linalg.norm(s.w)) for s in threshold.scalar_states)
     deflate: list[np.ndarray] = [np.zeros(2 * engine.m)]
     hits: list[CriticalPoint] = []
     seeds = _system_seeds(engine, config, rng, threshold.scalar_states, config.budget)
@@ -610,7 +615,7 @@ def multiplicity_search(
         z, ok = newton_polish(engine, z)
         if not ok:
             continue
-        if any(orbit_distance(z, r) < DEDUP_TOL for r in deflate):
+        if any(orbit_distance(z, r) < dedup for r in deflate):
             continue
         deflate.append(z.copy())
         pt = evaluate_point(engine, z)
@@ -621,7 +626,7 @@ def multiplicity_search(
             and _has_positive_part(engine, z)
         ):
             hits.append(dataclasses.replace(pt, below_threshold=True))
-    # each hit lies at least DEDUP_TOL from every earlier one (all of them
+    # each hit lies at least dedup from every earlier one (all of them
     # deflate), and orbit_distance is symmetric, so each is its own orbit
     hits.sort(key=lambda p: p.energy)  # stable: equal energies keep the order found
     return [dataclasses.replace(h, orbit_id=i) for i, h in enumerate(hits)]

@@ -66,7 +66,7 @@ def _full_pair_grid(lp, n=601, lo=1e-3, hi=1e3):
     # test_harness.py copies this file where sinesolve is not
     from sinesolve.limit import sobolev_constant
 
-    ts = lp.two_star
+    ts = lp.critical_exponent
     s = np.geomspace(lo, hi, n)[:, None]
     t = np.geomspace(lo, hi, n)[None, :]
     denom = lp.mu1 * s**ts + lp.mu2 * t**ts + ts * lp.lam * s**lp.alpha * t**lp.beta
@@ -111,10 +111,11 @@ def _reference_interior_threshold(mu1, mu2, alpha, beta, dim, n=2001, lo=1e-6, h
     from sinesolve import limit
 
     def below(lam):
-        lp = limit.LimitParams(mu1=mu1, mu2=mu2, lam=lam, alpha=alpha, beta=beta, dim=dim)
+        lp = limit.LimitParams(kappa1=0.0, kappa2=0.0, mu1=mu1, mu2=mu2, lam=lam,
+                               alpha=alpha, beta=beta, dim=dim)
         x = np.linspace(np.log(lo), np.log(hi), n)
         r = np.exp(x)
-        ts = lp.two_star
+        ts = lp.critical_exponent
         vals = (r**2 + 1.0) / (lp.mu1 * r**ts + lp.mu2 + ts * lp.lam * r**lp.alpha) ** (2.0 / ts)
         j = int(np.argmin(vals))
         val = vals[j]
@@ -149,7 +150,7 @@ def _reference_minimizer_amplitudes(lp, r_min):
     from sinesolve.limit import BubbleProfile, bubble_norms
     from sinesolve.radial import radial_integral
 
-    n, ts = lp.dim, lp.two_star
+    n, ts = lp.dim, lp.critical_exponent
     grad2, mass = bubble_norms(n, 1.0)
     b = BubbleProfile(n, 1.0)
     mix = radial_integral(lambda r: b.value(r) ** lp.alpha * b.value(r) ** lp.beta, n)

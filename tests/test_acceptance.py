@@ -221,7 +221,7 @@ def test_criterion_06_diagonal_sup_and_threshold():
 
 def test_criterion_07_limit_constant():
     t0 = time.perf_counter()
-    lp = LimitParams(mu1=1.0, mu2=1.0, lam=1.0, alpha=2.0, beta=2.0, dim=4)
+    lp = LimitParams(kappa1=0.0, kappa2=0.0, mu1=1.0, mu2=1.0, lam=1.0, alpha=2.0, beta=2.0, dim=4)
     checks = []
     s_const = sobolev_constant(4)
     grad2, mass = bubble_norms(4, 1.0)
@@ -297,14 +297,12 @@ def test_criterion_10_critical_linking_bound():
     basis = SineBasis(dom, (2,) * n)
     kappa = 0.5 * float(basis.eigenvalues[0])
     lam = 2.0 * interior_threshold(1.0, 1.0, 5.0 / 3.0, 5.0 / 3.0, n)
-    lp = LimitParams(mu1=1.0, mu2=1.0, lam=lam, alpha=5.0 / 3.0, beta=5.0 / 3.0, dim=n)
+    lp = LimitParams(kappa1=kappa, kappa2=kappa, mu1=1.0, mu2=1.0, lam=lam, alpha=5.0 / 3.0, beta=5.0 / 3.0, dim=n)
     s_coupled, r_min = coupled_sobolev_constant(lp)
     s_amp, t_amp = minimizer_amplitudes(lp, s_coupled, r_min)
-    pr = SystemParams(kappa1=kappa, kappa2=kappa, mu1=1.0, mu2=1.0, lam=lam,
-                      alpha=5.0 / 3.0, beta=5.0 / 3.0, dim=n)
     checks = []
     margins = []
-    records = linking_sweep((1e-2, 1e-3), lp, pr, basis, s_amp, t_amp, s_coupled)
+    records = linking_sweep((1e-2, 1e-3), lp, basis, s_amp, t_amp, s_coupled)
     for rec, (closed, direct) in records:
         checks.append(abs(closed - direct) <= 1e-8 * abs(closed))
         checks.append(rec.passed and rec.best_value < rec.threshold)

@@ -11,7 +11,9 @@ import pytest
 
 from sinesolve import cli, estimates
 from sinesolve.cli import SUBCOMMANDS, main, parse_config
+from sinesolve.energy import SystemParams
 from sinesolve.errors import ConfigError
+from sinesolve.limit import LimitParams
 from sinesolve.nehari import SolverConfig
 from sinesolve.radial import _reference_rule
 
@@ -387,6 +389,27 @@ def test_ground_state_is_scale_free(tmp_path, kappa, cutoff):
     # by c^(-1/2) too, and Newton stops at the absolute gradient norm NEWTON_TOL
     tol = 1e-12 if kappa == 0.0 else 1e-5 * energies[0]
     assert max(abs(e - energies[0]) for e in energies) <= tol
+
+
+@pytest.mark.parametrize("kappa, cutoff", [(0.0, 16), (15.0, 24)])
+def test_multiplicity_is_scale_free(tmp_path, kappa, cutoff):
+    # scaling (mu1, mu2, lambda) by c scales every orbit and every orbit
+    # distance by c^(-1/2), so the dedup rule must keep the same orbits: an
+    # absolute one drops them all as copies of 0 once their norm is small
+    energies = []
+    for k in (0, 20, 40, 60):
+        c = 2.0**k
+        cfg = copy.deepcopy(BASE)
+        cfg["problem"].update({"kappa1": kappa, "kappa2": kappa, "cutoffs": [cutoff],
+                               "mu1": c, "mu2": c, "lambda": 200.0 * c})
+        cfg["solver"] = {"n_mode_seeds": 2, "n_random_seeds": 0, "budget": 8}
+        cfg["task"] = {"k": 2}
+        cfg["output"]["report"] = str(tmp_path / f"k{k}.json")
+        assert main(["multiplicity", "--config", write_config(tmp_path, cfg)]) == 0
+        results = json.loads((tmp_path / f"k{k}.json").read_text())["results"]
+        assert len(results) == 2, k
+        energies.append([row["energy"] * c for row in results])
+    assert max(abs(e - e0) for row in energies for e, e0 in zip(row, energies[0])) <= 1e-12
 
 
 # each dimension's eps floor, 1e-102.51 (N=3), 1e-76.61 (N=4), 1e-61.06 (N=5),
@@ -828,8 +851,22 @@ def test_typed_values_and_defaults():
     assert run.solver.budget == 7 and isinstance(run.solver.budget, int)
     assert run.solver.rng_seed == 2
     assert run.task == {"eps_grid": estimates.default_eps_grid(), "linking_eps": (1e-2, 1e-3)}
-    assert run.limit is not None and run.limit.dim == 4
+    assert isinstance(run.params, LimitParams)
+    assert type(parse_config(copy.deepcopy(BASE), SUBCOMMANDS["ground-state"][0]).params) is SystemParams
     assert run.raw is cfg  # the report echoes the config as given
+
+
+@pytest.mark.parametrize("half", [{"lengths": [1.0] * 4}, {"cutoffs": [2] * 4, "dim": 4}],
+                         ids=["lengths-only", "cutoffs-only"])
+@pytest.mark.parametrize("subcommand", ["limit", "verify-estimates"])
+def test_half_a_box_is_refused(tmp_path, capsys, subcommand, half):
+    # a whole-space run may leave the box out, but half of one is a config
+    # error, not a run without the box
+    problem = {k: v for k, v in VALID["verify-estimates"]["problem"].items() if k != "dim"}
+    cfg = {"problem": {**problem, **half}, "output": {"report": str(tmp_path / "r.json")}}
+    assert main([subcommand, "--config", write_config(tmp_path, cfg)]) == 2
+    assert "problem.lengths and problem.cutoffs go together" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_every_solver_field_is_a_config_key():

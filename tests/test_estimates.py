@@ -10,7 +10,6 @@ from sinesolve import (
     BoxDomain,
     CutoffSpec,
     SineBasis,
-    SystemParams,
     calculus_inequalities,
     cutoff_bubble_integrals,
     fit_orders,
@@ -147,7 +146,7 @@ def n5_setting():
     dom = BoxDomain((8.0,) * n)
     kappa = 0.5 * (n * np.pi**2 / 64.0)
     lam = 2.0 * interior_threshold(1.0, 1.0, 5.0 / 3.0, 5.0 / 3.0, n)
-    lp = LimitParams(mu1=1.0, mu2=1.0, lam=lam, alpha=5.0 / 3.0, beta=5.0 / 3.0, dim=n)
+    lp = LimitParams(kappa1=0.0, kappa2=0.0, mu1=1.0, mu2=1.0, lam=lam, alpha=5.0 / 3.0, beta=5.0 / 3.0, dim=n)
     s_coupled, r_min = coupled_sobolev_constant(lp)
     s_amp, t_amp = minimizer_amplitudes(lp, s_coupled, r_min)
     return dom, kappa, lp, s_coupled, s_amp, t_amp
@@ -158,15 +157,16 @@ def test_ray_maximum_consistency_sweep(n5_setting, grid_ray_maximum):
     cut = CutoffSpec.for_domain(dom)
     for eps in (2e-2, 1e-2, 5e-3, 1e-3):
         for kscale in (0.5, 1.0):
-            quad, hom = estimates._ray_coefficients(eps, cut, lp, kscale * kappa, kappa, s_amp, t_amp)
+            shifted = dataclasses.replace(lp, kappa1=kscale * kappa, kappa2=kappa)
+            quad, hom = estimates._ray_coefficients(eps, cut, shifted, s_amp, t_amp)
             closed, direct = ray_maximum(quad, hom, lp)
             assert closed == pytest.approx(direct, rel=1e-8)
             # the stationary point is the maximizer a grid-plus-golden search finds
-            assert direct == pytest.approx(grid_ray_maximum(quad, hom, lp.two_star), rel=1e-14)
+            assert direct == pytest.approx(grid_ray_maximum(quad, hom, lp.critical_exponent), rel=1e-14)
 
 
 def test_ray_maximum_zero_without_positive_quadratic_part():
-    lp = LimitParams(mu1=1.0, mu2=1.0, lam=1.0, alpha=2.0, beta=2.0, dim=4)
+    lp = LimitParams(kappa1=0.0, kappa2=0.0, mu1=1.0, mu2=1.0, lam=1.0, alpha=2.0, beta=2.0, dim=4)
     assert ray_maximum(0.0, 1.0, lp) == (0.0, 0.0)
     assert ray_maximum(-2.5, 1.0, lp) == (0.0, 0.0)
 
@@ -177,7 +177,8 @@ def test_ray_maximum_gap_shrinks_as_kappa_vanishes(n5_setting):
     target = s_coupled ** (lp.dim / 2.0) / lp.dim
     gaps = []
     for scale in (1.0, 0.5, 0.25, 0.125):
-        quad, hom = estimates._ray_coefficients(1e-3, cut, lp, scale * kappa, scale * kappa, s_amp, t_amp)
+        shifted = dataclasses.replace(lp, kappa1=scale * kappa, kappa2=scale * kappa)
+        quad, hom = estimates._ray_coefficients(1e-3, cut, shifted, s_amp, t_amp)
         closed, _ = ray_maximum(quad, hom, lp)
         gaps.append(target - closed)
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
@@ -186,18 +187,17 @@ def test_ray_maximum_gap_shrinks_as_kappa_vanishes(n5_setting):
 def test_linking_definite_reduces_to_ray(n5_setting):
     dom, kappa, lp, s_coupled, s_amp, t_amp = n5_setting
     basis = SineBasis(dom, (2,) * 5)
-    params = SystemParams(kappa1=kappa, kappa2=kappa, mu1=1.0, mu2=1.0, lam=lp.lam,
-                          alpha=lp.alpha, beta=lp.beta, dim=5)
+    params = dataclasses.replace(lp, kappa1=kappa, kappa2=kappa)
     assert all(z.size == 0 for z in nonpositive_modes(basis, kappa))
     cut = CutoffSpec.for_domain(dom)
-    recs = linking_sweep([1e-2, 1e-3], lp, params, basis, s_amp, t_amp, s_coupled)
+    recs = linking_sweep([1e-2, 1e-3], params, basis, s_amp, t_amp, s_coupled)
     for rec, ray_pair in recs:
-        quad, hom = estimates._ray_coefficients(rec.eps, cut, lp, kappa, kappa, s_amp, t_amp)
+        quad, hom = estimates._ray_coefficients(rec.eps, cut, params, s_amp, t_amp)
         assert ray_pair == ray_maximum(quad, hom, lp)
         assert rec.best_value == ray_pair[0]
         assert rec.passed
         # past its positive zero the ray energy stays negative
-        assert ray_energy(2.0 * max(rec.ray_radius, 1.0), quad, hom, lp.two_star) < 0.0
+        assert ray_energy(2.0 * max(rec.ray_radius, 1.0), quad, hom, lp.critical_exponent) < 0.0
 
 
 def test_linking_rejects_nonpositive_kappa_and_wide_eps(n5_setting):
@@ -205,10 +205,9 @@ def test_linking_rejects_nonpositive_kappa_and_wide_eps(n5_setting):
     basis = SineBasis(dom, (2,) * 5)
     cut = CutoffSpec.for_domain(dom)
     for kappa1, eps in ((0.0, 1e-2), (kappa, cut.delta / 2.0)):
-        params = SystemParams(kappa1=kappa1, kappa2=kappa, mu1=1.0, mu2=1.0, lam=lp.lam,
-                              alpha=lp.alpha, beta=lp.beta, dim=5)
+        params = dataclasses.replace(lp, kappa1=kappa1, kappa2=kappa)
         with pytest.raises(PreconditionError):
-            linking_sweep([eps], lp, params, basis, s_amp, t_amp, s_coupled)
+            linking_sweep([eps], params, basis, s_amp, t_amp, s_coupled)
 
 
 @pytest.mark.parametrize("n", [3, 5])
@@ -220,14 +219,13 @@ def test_linking_rejects_nontrivial_tilde(n):
     g = basis.eigenvalues
     ab = n / (n - 2.0)
     lam = 4.0 * interior_threshold(1.0, 1.0, ab, ab, n)
-    lp = LimitParams(mu1=1.0, mu2=1.0, lam=lam, alpha=ab, beta=ab, dim=n)
+    lp = LimitParams(kappa1=0.0, kappa2=0.0, mu1=1.0, mu2=1.0, lam=lam, alpha=ab, beta=ab, dim=n)
     s_coupled, r_min = coupled_sobolev_constant(lp)
     s_amp, t_amp = minimizer_amplitudes(lp, s_coupled, r_min)
 
     def sweep(kappa):
-        params = SystemParams(kappa1=kappa, kappa2=kappa, mu1=1.0, mu2=1.0, lam=lam,
-                              alpha=ab, beta=ab, dim=n)
-        return linking_sweep([1e-2], lp, params, basis, s_amp, t_amp, s_coupled)
+        return linking_sweep([1e-2], dataclasses.replace(lp, kappa1=kappa, kappa2=kappa),
+                             basis, s_amp, t_amp, s_coupled)
 
     below, between = 0.5 * g[0], 0.5 * (g[0] + g[1])
     assert [z.tolist() for z in nonpositive_modes(basis, below)] == [[], []]
@@ -267,18 +265,17 @@ def test_linking_scope_note_is_the_sweep_refusal(n, kappas, note):
           "between": 0.5 * (g[0] + g[1])}
     ab = n / (n - 2.0)
     lam = 4.0 * interior_threshold(1.0, 1.0, ab, ab, n)
-    lp = LimitParams(mu1=1.0, mu2=1.0, lam=lam, alpha=ab, beta=ab, dim=n)
+    lp = LimitParams(kappa1=0.0, kappa2=0.0, mu1=1.0, mu2=1.0, lam=lam, alpha=ab, beta=ab, dim=n)
     s_coupled, r_min = coupled_sobolev_constant(lp)
     s_amp, t_amp = minimizer_amplitudes(lp, s_coupled, r_min)
-    params = SystemParams(kappa1=at[kappas[0]], kappa2=at[kappas[1]], mu1=1.0, mu2=1.0, lam=lam,
-                          alpha=ab, beta=ab, dim=n)
+    params = dataclasses.replace(lp, kappa1=at[kappas[0]], kappa2=at[kappas[1]])
     want = _SCOPE_NOTES.get(note)
     assert linking_scope(params, basis) == want
     if want is None:
-        assert len(linking_sweep([1e-2], lp, params, basis, s_amp, t_amp, s_coupled)) == 1
+        assert len(linking_sweep([1e-2], params, basis, s_amp, t_amp, s_coupled)) == 1
     else:
         with pytest.raises(PreconditionError) as refusal:
-            linking_sweep([1e-2], lp, params, basis, s_amp, t_amp, s_coupled)
+            linking_sweep([1e-2], params, basis, s_amp, t_amp, s_coupled)
         assert str(refusal.value) == want
 
 
@@ -382,12 +379,12 @@ def test_linking_dim4_nonresonant_calibrated_cutoff():
     dom = BoxDomain((8.0,) * n)
     basis = SineBasis(dom, (2,) * n)
     kappa = 0.5 * float(basis.eigenvalues[0])
-    lp = LimitParams(mu1=1.0, mu2=1.0, lam=1.0, alpha=2.0, beta=2.0, dim=n)
+    lp = LimitParams(kappa1=kappa, kappa2=kappa, mu1=1.0, mu2=1.0, lam=1.0, alpha=2.0, beta=2.0, dim=n)
     s_coupled, r_min = coupled_sobolev_constant(lp)
     s_amp, t_amp = minimizer_amplitudes(lp, s_coupled, r_min)
     cut = CutoffSpec(dom.inscribed_radius / 4.0)
     threshold = s_coupled ** (n / 2.0) / n
     for eps in (1e-2, 1e-3):
-        quad, hom = estimates._ray_coefficients(eps, cut, lp, kappa, kappa, s_amp, t_amp)
+        quad, hom = estimates._ray_coefficients(eps, cut, lp, s_amp, t_amp)
         closed, _ = ray_maximum(quad, hom, lp)
         assert closed < threshold, eps

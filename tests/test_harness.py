@@ -1,12 +1,13 @@
 """The test harness itself: the repo's pytest settings, tests/conftest.py, an
-import check over the sources and tests, and the names the benchmark reaches
-in the sources."""
+import check over the sources and tests, the names the benchmark reaches
+in the sources, and the report-digest tool."""
 
 import ast
 import importlib.util
 import json
 import os
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -224,3 +225,15 @@ def test_bench_setup_parses_every_workload_config(tmp_path):
                           cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert "versions" in json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_report_digests_covers_every_workload_job():
+    # tools/report_digests.py digests the JSON and CSV report of each of the
+    # 108 workload jobs at seeds 0 and 7, and prints one exit line per run
+    proc = subprocess.run([sys.executable, str(REPO / "tools" / "report_digests.py")],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    lines = proc.stdout.splitlines()
+    digests = [line for line in lines if re.fullmatch(r"[0-9a-f]{64}  \S+\.(json|csv)", line)]
+    exits = [line for line in lines if re.fullmatch(r"exit -?\d+  \S+", line)]
+    assert (len(digests), len(exits), len(lines)) == (432, 216, 648)

@@ -26,7 +26,7 @@ S4_PINNED = 10.260398641294913
 
 
 def lp_with(**kw):
-    base = dict(mu1=1.0, mu2=1.0, lam=1.0, alpha=2.0, beta=2.0, dim=4)
+    base = dict(kappa1=0.0, kappa2=0.0, mu1=1.0, mu2=1.0, lam=1.0, alpha=2.0, beta=2.0, dim=4)
     base.update(kw)
     return LimitParams(**base)
 
@@ -115,7 +115,7 @@ def test_coupled_constant_grid_oracle():
 def _critical(dim, mu2, lam, alpha=None, mu1=1.0):
     ts = 2.0 * dim / (dim - 2.0)
     a = ts / 2.0 if alpha is None else alpha
-    return LimitParams(mu1=mu1, mu2=mu2, lam=lam, alpha=a, beta=ts - a, dim=dim)
+    return LimitParams(kappa1=0.0, kappa2=0.0, mu1=mu1, mu2=mu2, lam=lam, alpha=a, beta=ts - a, dim=dim)
 
 
 # lam = 0.003 is below every interior threshold: the flat boundary branch,
@@ -176,7 +176,7 @@ def test_interior_threshold_bisection_contract():
     def inf_f(lam):
         lp = lp_with(mu2=2.0, lam=lam)
         r = np.geomspace(1e-6, 1e6, 20001)
-        ts = lp.two_star
+        ts = lp.critical_exponent
         vals = (r**2 + 1.0) / (lp.mu1 * r**ts + lp.mu2 + ts * lp.lam * r**lp.alpha) ** (2.0 / ts)
         return vals.min()
 
@@ -226,7 +226,7 @@ def test_log_scan_equals_the_quotient_on_the_grid(lp):
     # the lam-free parts are hoisted without changing one bit of the scan
     x, f_at = limit._log_scan(lp)
     r = np.exp(np.linspace(np.log(1e-6), np.log(1e6), 2001))
-    ts = lp.two_star
+    ts = lp.critical_exponent
     vals = (r**2 + 1.0) / (lp.mu1 * r**ts + lp.mu2 + ts * lp.lam * r**lp.alpha) ** (2.0 / ts)
     assert np.array_equal(np.exp(x), r)
     assert np.array_equal(f_at(lp.lam), vals)
@@ -281,7 +281,7 @@ def test_amplitudes_energy_identity_and_symmetry():
     assert s_amp == pytest.approx(t_amp, rel=1e-6)
     # stationarity of the ray through the scaled pair
     grad2, mass = bubble_norms(4, 1.0)
-    ts = lp.two_star
+    ts = lp.critical_exponent
     ray = (s_amp**2 + t_amp**2) * grad2 - (
         lp.mu1 * s_amp**ts + lp.mu2 * t_amp**ts + ts * lp.lam * s_amp**lp.alpha * t_amp**lp.beta
     ) * mass

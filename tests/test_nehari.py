@@ -544,8 +544,10 @@ def test_multiplicity_orbits(basis, config):
     th = semitrivial_threshold(pr, basis, config)
     pts = multiplicity_search(pr, basis, 2, dataclasses.replace(config, budget=30), th)
     assert len(pts) >= 2
-    # each point lies at least DEDUP_TOL from every earlier one
-    assert all(orbit_distance(b.z, a.z) >= DEDUP_TOL for i, a in enumerate(pts) for b in pts[i + 1 :])
+    # each point lies at least DEDUP_TOL times the smaller scalar state's norm
+    # from every earlier one
+    dedup = DEDUP_TOL * min(np.linalg.norm(s.w) for s in th.scalar_states)
+    assert all(orbit_distance(b.z, a.z) >= dedup for i, a in enumerate(pts) for b in pts[i + 1 :])
     assert [p.orbit_id for p in pts] == list(range(len(pts)))
     for p in pts:
         assert 0.0 < p.energy < th.c0
@@ -580,8 +582,8 @@ def test_multiplicity_small_lambda_best_effort(basis, config):
 
 
 def test_multiplicity_drops_a_converged_point_near_zero(basis, config, monkeypatch):
-    # a converged point of norm 1e-6 lies within DEDUP_TOL of the deflated
-    # zero vector: it is no orbit and deflates nothing
+    # a converged point of norm 1e-6 lies within DEDUP_TOL times the scalar
+    # states' norm of the deflated zero vector: it is no orbit and deflates nothing
     pr = params_with(lam=200.0)
     th = semitrivial_threshold(pr, basis, config)
     tiny = np.full(2 * basis.size, 1e-6 / np.sqrt(2 * basis.size))
