@@ -256,10 +256,17 @@ def _sorted_records(records: list[dict]) -> list[dict]:
 
 
 def _write_atomically(path: str, text: str) -> None:
-    """Write text to a temporary file beside path, then rename it over path."""
+    """Write text to a temporary file beside path, then rename it over path.
+
+    The file gets the mode a plain open would give it, 0o666 less the
+    umask; mkstemp alone would leave it 0600.
+    """
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:  # a failed write or rename leaves no temporary file behind

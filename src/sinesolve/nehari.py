@@ -71,6 +71,7 @@ LAMBDA_BAR_RANGE = (1e-6, 1e8)
 NO_POSITIVE_PART = "no positive part"
 NOT_CONVERGED = "did not converge"
 NONPOSITIVE_ENERGY = "converged at energy <= 0"
+SIGN_IMAGE = "sign image of an earlier seed"
 
 
 @dataclass(frozen=True)
@@ -148,7 +149,7 @@ class ScalarGroundState:
         energy and quadratic form scale by s^2 and its gradient by s.
         Quadrature is linear, so the law holds for the discrete energy too.
         """
-        s = mu ** (-1.0 / (p - 2.0))
+        s = nehari_power(mu, -1.0 / (p - 2.0))
         return ScalarGroundState(
             w=s * self.w,
             energy=s * s * self.energy,
@@ -195,6 +196,18 @@ def _has_positive_part(engine, z: np.ndarray) -> bool:
     return plus >= 1e-12 * max(np.linalg.norm(z), 1e-300)
 
 
+def nehari_power(base: float, power: float) -> float:
+    """base ** power for a Nehari scaling; a result beyond the float range is a NoProjectionError.
+
+    The powers are +-1/(p-2), so exponents near p = 2 carry a modest base
+    past the largest float.
+    """
+    try:
+        return float(base) ** power
+    except OverflowError:
+        raise NoProjectionError("Nehari scaling overflows") from None
+
+
 def project_ray(engine, z: np.ndarray) -> np.ndarray:
     """Closed-form Nehari scaling t* z, valid when the quadratic form is positive."""
     b = engine.quadratic(z)
@@ -203,7 +216,7 @@ def project_ray(engine, z: np.ndarray) -> np.ndarray:
     d = engine.nehari_denominator(z)
     if d <= 0.0:
         raise NoProjectionError("vanishing nonlinear mass along the ray")
-    t = (b / d) ** (1.0 / (engine.p - 2.0))
+    t = nehari_power(b / d, 1.0 / (engine.p - 2.0))
     return t * z
 
 
@@ -358,11 +371,17 @@ def orbit_distance(z1: np.ndarray, z2: np.ndarray) -> float:
 def _system_seeds(
     engine: GalerkinSystem,
     config: SolverConfig,
-    rng: np.random.Generator,
     scalar_states: tuple[ScalarGroundState, ScalarGroundState],
     n_random: int,
 ) -> Iterable[np.ndarray]:
-    """Symmetric mode pairs, scalar-ground-state crosses, and n_random low-mode noise seeds."""
+    """Symmetric mode pairs, scalar-ground-state crosses, and n_random low-mode noise seeds.
+
+    Each pair (e_j, e_j) is followed by its u_2-flip (e_j, -e_j), and the
+    two delta = 1 crosses are equal.  `ground_state` skips such sign images;
+    `multiplicity_search` keeps them, since deflation sends a repeated seed
+    toward a new orbit.  The noise comes from config.rng_seed; its generator,
+    and with it numpy.random, is made only when the first noise seed is drawn.
+    """
     m = engine.m
     for j in range(min(config.n_mode_seeds, m)):
         e = np.zeros(m)
@@ -373,12 +392,14 @@ def _system_seeds(
     for delta in (0.1, 1.0):
         yield np.concatenate([w1, delta * w2])
         yield np.concatenate([delta * w1, w2])
-    low = min(m, max(8, config.n_mode_seeds))
-    for _ in range(n_random):
-        z = np.zeros(2 * m)
-        z[:low] = rng.standard_normal(low)
-        z[m : m + low] = rng.standard_normal(low)
-        yield z / max(np.linalg.norm(z), 1e-12)
+    if n_random > 0:
+        rng = np.random.default_rng(config.rng_seed)
+        low = min(m, max(8, config.n_mode_seeds))
+        for _ in range(n_random):
+            z = np.zeros(2 * m)
+            z[:low] = rng.standard_normal(low)
+            z[m : m + low] = rng.standard_normal(low)
+            yield z / max(np.linalg.norm(z), 1e-12)
 
 
 def _converge_seed(engine, z0) -> tuple[np.ndarray | None, str]:
@@ -400,16 +421,27 @@ def _converge_seed(engine, z0) -> tuple[np.ndarray | None, str]:
     return (z, "") if ok else (None, NOT_CONVERGED)
 
 
-def _least_energy(engine, seeds: Iterable[np.ndarray]) -> np.ndarray:
+def _least_energy(engine, seeds: Iterable[np.ndarray], orbit=None) -> np.ndarray:
     """The converged seed of least positive energy outside the nonpositive subspace.
 
     A later seed replaces the best only when its energy lies `below` the
-    best's.  Raises ConvergenceFailureError, with one reason per dropped
-    seed, when no seed qualifies.
+    best's.  With `orbit` (a seed's images under a symmetry of the energy,
+    such as `sign_orbit`), a seed equal entry for entry to an image of an
+    earlier one is skipped as SIGN_IMAGE: every step commutes with the
+    symmetry, so it would end at the image of that seed's end, at the same
+    energy, never below it.  Raises
+    ConvergenceFailureError, with one reason per dropped or skipped seed,
+    when no seed qualifies.
     """
     best, best_energy = None, 0.0
     diagnostics: list[str] = []
+    tried: list[np.ndarray] = []  # the images of every seed tried so far
     for z0 in seeds:
+        if orbit is not None:
+            if any(np.array_equal(z0, img) for img in tried):
+                diagnostics.append(SIGN_IMAGE)
+                continue
+            tried += orbit(z0)
         z, dropped = _converge_seed(engine, z0)
         if z is not None:
             e = engine.energy(z)
@@ -459,14 +491,15 @@ def scalar_ground_state(basis: SineBasis, kappa: float, p: float, config: Solver
 def _scalar_search(basis: SineBasis, kappa: float, p: float, config: SolverConfig) -> ScalarGroundState:
     """`scalar_ground_state` without the memo: the multistart search itself."""
     prob = ScalarProblem(basis, kappa, 1.0, p)
-    rng = np.random.default_rng(config.rng_seed)
     m = basis.size
     seeds = list(np.eye(m)[: min(max(config.n_mode_seeds, 4), m)])
-    for _ in range(config.n_random_seeds):
-        z = np.zeros(m)
+    if config.n_random_seeds > 0:  # numpy.random loads only for a search that draws
+        rng = np.random.default_rng(config.rng_seed)
         low = min(m, 8)
-        z[:low] = rng.standard_normal(low)
-        seeds.append(z / np.linalg.norm(z))
+        for _ in range(config.n_random_seeds):
+            z = np.zeros(m)
+            z[:low] = rng.standard_normal(low)
+            seeds.append(z / np.linalg.norm(z))
     z = _least_energy(prob, seeds)
     return ScalarGroundState(
         w=z,
@@ -522,12 +555,13 @@ def ground_state(
     Seeds are carried to a minimum of the Nehari quotient (definite case)
     or projected onto the Nehari set (indefinite case), then Newton-polished;
     the best accepted point is returned with `below_threshold` recording
-    whether its energy sits under the semitrivial threshold.
+    whether its energy sits under the semitrivial threshold.  Each sign
+    orbit of seeds is converged once: a seed equal to a `sign_orbit` image
+    of an earlier one is skipped.
     """
     engine = GalerkinSystem(params, basis)
-    rng = np.random.default_rng(config.rng_seed)
-    seeds = _system_seeds(engine, config, rng, threshold.scalar_states, config.n_random_seeds)
-    best = evaluate_point(engine, _least_energy(engine, seeds))
+    seeds = _system_seeds(engine, config, threshold.scalar_states, config.n_random_seeds)
+    best = evaluate_point(engine, _least_energy(engine, seeds, sign_orbit))
     return dataclasses.replace(best, below_threshold=below(best.energy, threshold.c0))
 
 
@@ -594,17 +628,14 @@ def multiplicity_search(
     if k < 1:
         raise ValueError("target count k must be at least 1")
     engine = GalerkinSystem(params, basis)
-    rng = np.random.default_rng(config.rng_seed)
 
     # never re-converge to 0: the orbit distance from 0 is the norm, so the
     # dedup check also drops every converged point of norm under dedup
     dedup = DEDUP_TOL * min(float(np.linalg.norm(s.w)) for s in threshold.scalar_states)
     deflate: list[np.ndarray] = [np.zeros(2 * engine.m)]
     hits: list[CriticalPoint] = []
-    seeds = _system_seeds(engine, config, rng, threshold.scalar_states, config.budget)
+    seeds = _system_seeds(engine, config, threshold.scalar_states, config.budget)
     for z0 in itertools.islice(seeds, config.budget):
-        if len(hits) >= k:
-            break
         if not _has_positive_part(engine, z0):
             continue
         try:
@@ -626,6 +657,8 @@ def multiplicity_search(
             and _has_positive_part(engine, z)
         ):
             hits.append(dataclasses.replace(pt, below_threshold=True))
+            if len(hits) >= k:  # before the next seed is drawn
+                break
     # each hit lies at least dedup from every earlier one (all of them
     # deflate), and orbit_distance is symmetric, so each is its own orbit
     hits.sort(key=lambda p: p.energy)  # stable: equal energies keep the order found
@@ -659,7 +692,7 @@ def rescale_diagonal_sup(params: SystemParams, value: float, lam: float) -> floa
     sup(lam) = sup(params.lam) (mu_eff(params.lam) / mu_eff(lam))^(2/(p-2)).
     """
     ratio = _mu_eff(params, params.lam) / _mu_eff(params, lam)
-    return float(value * ratio ** (2.0 / (params.p - 2.0)))
+    return float(value * nehari_power(ratio, 2.0 / (params.p - 2.0)))
 
 
 def diagonal_sup(params: SystemParams, m: int, basis: SineBasis) -> float:

@@ -57,7 +57,9 @@ def graded_edges(scale: float, r_max: float) -> np.ndarray:
             edges.append(r)
             r *= 2.0
     edges.append(r_max)
-    return np.unique(np.asarray(edges))
+    edges = np.asarray(edges)
+    # ascending already, so dropping repeats needs no sort (np.unique would also load numpy.ma)
+    return edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
 
 
 def radial_integral(

@@ -19,7 +19,7 @@ import numpy as np
 
 from .energy import GalerkinSystem, SystemParams
 from .errors import PreconditionError
-from .nehari import CriticalPoint, evaluate_point
+from .nehari import CriticalPoint, evaluate_point, nehari_power
 from .solve import bisect
 
 #: Largest |h(r)|, relative to mu2 + lam beta r^alpha, that `amplitudes` accepts as a root.
@@ -92,7 +92,7 @@ def amplitudes(r: float, params: SystemParams) -> tuple[float, float]:
     scale = pr.mu2 + pr.lam * pr.beta * r**pr.alpha
     if abs(h) > _H_TOL * scale:
         raise PreconditionError(f"h({r}) = {h:g} is not a root within {_H_TOL:g} of {scale:g}")
-    t = scale ** (-1.0 / (pr.p - 2.0))
+    t = nehari_power(scale, -1.0 / (pr.p - 2.0))
     return float(r * t), float(t)
 
 

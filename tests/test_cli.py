@@ -805,6 +805,41 @@ def test_failed_report_write_leaves_no_temporary_file(tmp_path, text):
     assert os.listdir(tmp_path) == ["report.json"]
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_reports_get_the_mode_a_plain_open_gives(tmp_path, umask):
+    report = {"results": [{"family": "scalar", "energy": 1.0}]}
+    saved = os.umask(umask)
+    try:
+        written = cli.write_report(report, str(tmp_path / "r.json"), ["json", "csv"])
+        (tmp_path / "plain").write_text("")
+    finally:
+        os.umask(saved)
+    assert [os.path.basename(p) for p in written] == ["r.json", "r.csv"]
+    plain = os.stat(tmp_path / "plain").st_mode & 0o777
+    assert plain == 0o666 & ~umask
+    assert [os.stat(p).st_mode & 0o777 for p in written] == [plain, plain]
+    assert sorted(os.listdir(tmp_path)) == ["plain", "r.csv", "r.json"]
+
+
+def test_exponents_near_2_exit_without_a_traceback(tmp_path, capsys):
+    # at alpha = beta = 1.0001 the Nehari scaling (b/d)^(1/(p-2)) is a
+    # 5000th power, beyond the float range for the first mode seeds: those
+    # seeds fail their projection, and diagonal_sup's start fails outright
+    cfg = copy.deepcopy(BASE)
+    cfg["problem"].update({"alpha": 1.0001, "beta": 1.0001, "cutoffs": [8]})
+    tasks = {"ground-state": ({}, 0), "synchronized": ({}, 0), "thresholds": ({"m": 2}, 3),
+             "multiplicity": ({"k": 2}, 0)}
+    for name, (task, code) in tasks.items():
+        cfg.update(task=task, output={"report": str(tmp_path / f"{name}.json")})
+        # multiplicity's deflated Newton runs out to |z| ~ 1e210, where
+        # np.linalg.norm overflows: a RuntimeWarning on stderr outside pytest
+        with np.errstate(over="ignore"):
+            assert main([name, "--config", write_config(tmp_path, cfg, f"{name}.config.json")]) == code, name
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "solver failure: Nehari scaling overflows\n" in err
+
+
 @pytest.mark.parametrize("lam", [0.3, 0.8])
 def test_semitrivial_ground_state_at_c0_exits_0(tmp_path, lam):
     # below the cubic transition 2 lam = max(mu) the ground state is (0, w_2),

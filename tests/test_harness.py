@@ -12,6 +12,8 @@ import shutil
 import subprocess
 import sys
 
+import pytest
+
 from sinesolve import cli
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
@@ -113,6 +115,39 @@ def test_no_module_calls_einsum():
     # called or imported under any name, would tie the Hessian's bits to
     # numpy's contraction planner again
     assert _modules_naming({"einsum", "einsum_path"}) == []
+
+
+LAZY_MODULES = r"""
+import json, math, os, sys
+from sinesolve import cli
+
+out, box = sys.argv[1], {"kappa1": 0.0, "kappa2": 0.0, "mu1": 1.0, "mu2": 1.0, "lambda": 50.0,
+                         "alpha": 2.0, "beta": 2.0, "lengths": [1.0], "cutoffs": [16]}
+four = {**box, "kappa1": 2 * math.pi**2, "kappa2": 2 * math.pi**2, "lambda": 1.0,
+        "lengths": [1.0] * 4, "cutoffs": [2] * 4}
+runs = {"ground-state": {"problem": box, "solver": {"n_mode_seeds": 2, "n_random_seeds": 0}},
+        "verify-estimates": {"problem": four, "task": {"linking_eps": [1e-2]}}}
+codes = []
+for name, cfg in runs.items():
+    path = os.path.join(out, name + ".config.json")
+    with open(path, "w") as fh:
+        json.dump({**cfg, "output": {"report": os.path.join(out, name + ".json")}}, fh)
+    codes.append(cli.main([name, "--config", path]))
+print(json.dumps([codes, sorted(m for m in ("numpy.random", "numpy.ma") if m in sys.modules)]))
+"""
+
+
+def test_runs_without_random_starts_load_neither_numpy_random_nor_numpy_ma(tmp_path):
+    # numpy loads both lazily: numpy.random (with secrets, hashlib and hmac)
+    # on the first default_rng, numpy.ma on the first np.unique, about 10 ms
+    # each, so a run that draws no random start and sorts nothing leaves them out
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    proc = subprocess.run([sys.executable, "-c", LAZY_MODULES, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert codes[0] == 0 and codes[1] in (0, 4)  # 4: a failed property check, after every estimate ran
+    assert loaded == []
 
 
 def test_only_estimates_names_the_cutoffs():
@@ -225,6 +260,33 @@ def test_bench_setup_parses_every_workload_config(tmp_path):
                           cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert "versions" in json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_bench_pairs_summarizes_alternating_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", REPO / "tools" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+
+    def result(wall, rss, correct=True):
+        return {"correct": correct, "failed": 0 if correct else 1,
+                "metrics": {"wall_s": {"value": wall, "unit": "s"}, "peak_rss_mb": {"value": rss, "unit": "MB"}}}
+
+    walls = [(1.0, 0.8), (1.2, 0.9), (1.1, 1.15), (1.3, 0.7), (0.9, 0.85)]
+    pairs = [{"first": ("parent", "change")[i % 2], "parent": result(p, 40.0), "change": result(c, 40.0 + i)}
+             for i, (p, c) in enumerate(walls)]
+    pairs[3]["change"] = result(0.7, 43.0, correct=False)
+    summary = bench_pairs.summarize(pairs)
+    assert (summary["pairs"], summary["correct"], summary["failed"]) == (5, False, 1)
+    wall = summary["metrics"]["wall_s"]
+    # statistics.quantiles(n=4) of 0.9, 1.0, 1.1, 1.2, 1.3 (the exclusive method)
+    assert wall["parent"] == pytest.approx({"median": 1.1, "q1": 0.95, "q3": 1.25})
+    assert wall["change"]["median"] == pytest.approx(0.85)
+    assert wall["pairs_change_lower"] == 4
+    assert wall["median_change_rel"] == pytest.approx(-0.2273)
+    assert wall["parent_iqr"] == pytest.approx(0.3)
+    assert wall["per_pair"][1] == {"first": "change", "parent": 1.2, "change": 0.9}
+    rss = summary["metrics"]["peak_rss_mb"]
+    assert (rss["pairs_change_lower"], rss["median_change_rel"]) == (0, 0.05)
 
 
 def test_report_digests_covers_every_workload_job():

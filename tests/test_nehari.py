@@ -40,6 +40,8 @@ from sinesolve.nehari import (
     NEWTON_TOL,
     NO_POSITIVE_PART,
     NONPOSITIVE_ENERGY,
+    SIGN_IMAGE,
+    ScalarGroundState,
     _converge_seed,
     _deflated_root,
     _deflation_factor,
@@ -440,7 +442,7 @@ def test_descent_polishes_to_the_reference_energy(lam, reference_nehari_descent)
         return out
 
     system = GalerkinSystem(pr, basis)
-    for z0 in _system_seeds(system, seeding, np.random.default_rng(0), th.scalar_states, seeding.n_random_seeds):
+    for z0 in _system_seeds(system, seeding, th.scalar_states, seeding.n_random_seeds):
         new, ref = energies(system, z0)
         assert new == pytest.approx(ref, rel=1e-12)
     scalar = ScalarProblem(basis, pr.kappa1, 1.0, pr.p)
@@ -796,12 +798,12 @@ def test_ground_state_convergence_failure(basis, monkeypatch):
     th = ThresholdResult(scalar_states=(fake_scalar, fake_scalar), scalar_solves=0)
     with pytest.raises(ConvergenceFailureError) as failure:
         ground_state(pr, basis, cfg, th)
-    # the two mode seeds and the random one reach Newton; the four crosses
-    # of the zero scalar states have no positive part
+    # the mode seed (e_1, e_1) and the random one reach Newton, and (e_1, -e_1)
+    # is its sign image; the four crosses of the zero scalar states are the
+    # zero seed, which has no positive part, and three repeats of it
     diagnostics = failure.value.diagnostics
-    assert diagnostics.count("did not converge") == 3
-    assert diagnostics.count("no positive part") == 4
-    assert len(diagnostics) == 7
+    assert diagnostics == [
+        "did not converge", SIGN_IMAGE, "no positive part", SIGN_IMAGE, SIGN_IMAGE, SIGN_IMAGE, "did not converge"]
 
 
 def test_least_energy_names_each_converged_seed_it_drops(basis, monkeypatch):
@@ -1015,20 +1017,80 @@ def test_deflated_jacobian_reuses_the_residual_gradient(basis24, indefinite24, m
     assert work["mode_mass_matrix"] == 3 * len(set(asked["hessian"]))
 
 
-@pytest.mark.parametrize("lengths, cutoffs, kappa", [((1.0,), (24,), 15.0), ((1.0, 1.0), (8, 8), 25.0)],
-                         ids=["1d-k24", "2d-8x8"])
+@pytest.mark.parametrize("lengths, cutoffs, kappa",
+                         [((1.0,), (16,), 0.0), ((1.0,), (24,), 15.0), ((1.0, 1.0), (8, 8), 25.0)],
+                         ids=["1d-k16-definite", "1d-k24", "2d-8x8"])
 def test_mirror_mode_seeds_converge_to_the_exact_sign_image(lengths, cutoffs, kappa):
-    # the energy is even in u_2 and every step of the projection and Newton
-    # commutes with flipping it, so the seed (e_j, -e_j) ends at the sign
-    # image of where (e_j, e_j) ends, byte for byte; e_1 spans X^- on both
-    # boxes, so that pair is dropped both times
+    # the energy is even in each component and every step of the descent, the
+    # projection and Newton commutes with flipping one, so each sign image of
+    # the seed (e_j, e_j) ends at the same image of where (e_j, e_j) ends, byte
+    # for byte; ground_state's skipping of sign images rests on this.  On the
+    # indefinite boxes e_1 spans X^-, so those seeds are all dropped.
     basis = SineBasis(BoxDomain(lengths), cutoffs)
     engine = GalerkinSystem(params_with(kappa1=kappa, kappa2=kappa, lam=50.0, dim=len(lengths)), basis)
+    assert (engine.tilde.size == 0) == (kappa == 0.0)  # only the definite box descends
     m = basis.size
     for j in range(3):
         e = np.eye(m)[j]
-        z, dropped = _converge_seed(engine, np.concatenate([e, e]))
-        mirror, mirror_dropped = _converge_seed(engine, np.concatenate([e, -e]))
-        assert mirror_dropped == dropped and (z is None) == (j == 0)
-        if z is not None:
-            assert np.concatenate([z[:m], -z[m:]]).tobytes() == mirror.tobytes()
+        seed = np.concatenate([e, e])
+        z, dropped = _converge_seed(engine, seed)
+        assert (z is None) == (kappa > 0.0 and j == 0)
+        ends = sign_orbit(z) if z is not None else [None] * 4
+        for seed_image, end in zip(sign_orbit(seed)[1:], ends[1:]):  # u_2-, u_1- and both flipped
+            image, image_dropped = _converge_seed(engine, seed_image)
+            assert image_dropped == dropped
+            if z is not None:
+                assert image.tobytes() == end.tobytes()
+
+
+def test_system_seeds_repeat_sign_images_and_ground_state_converges_each_once(monkeypatch):
+    # the benchmark's definite K=16 ground state: 2 mode pairs and 4 crosses
+    basis = SineBasis(BoxDomain((1.0,)), (16,))
+    pr = params_with(lam=50.0)
+    seeding = SolverConfig(n_mode_seeds=2, n_random_seeds=0)
+    th = semitrivial_threshold(pr, basis, seeding)
+    engine = GalerkinSystem(pr, basis)
+    seeds = list(_system_seeds(engine, seeding, th.scalar_states, 0))
+    assert len(seeds) == 8
+    for j in (0, 2):  # (e_j, -e_j) is the u_2-flip of (e_j, e_j)
+        assert sign_orbit(seeds[j])[1].tobytes() == seeds[j + 1].tobytes()
+    assert seeds[6].tobytes() == seeds[7].tobytes()  # the two delta = 1 crosses
+    converged = []
+    converge = nehari._converge_seed
+    monkeypatch.setattr(nehari, "_converge_seed", lambda engine, z0: converged.append(z0) or converge(engine, z0))
+    best = ground_state(pr, basis, seeding, th)
+    assert [z.tobytes() for z in converged] == [seeds[i].tobytes() for i in (0, 2, 4, 5, 6)]
+    # converging all eight seeds ends at the same point, byte for byte
+    every = _least_energy(engine, _system_seeds(engine, seeding, th.scalar_states, 0))
+    assert len(converged) == 13
+    assert best.z.tobytes() == every.tobytes()
+
+
+def test_system_seeds_draw_noise_from_the_config_seed():
+    basis = SineBasis(BoxDomain((1.0,)), (16,))
+    seeding = SolverConfig(n_mode_seeds=2, n_random_seeds=3, rng_seed=5)
+    engine = GalerkinSystem(params_with(), basis)
+    unit = ScalarGroundState(w=np.eye(basis.size)[0], energy=1.0, grad_norm=0.0, b_value=1.0)
+    seeds = list(_system_seeds(engine, seeding, (unit, unit), 3))
+    rng, m = np.random.default_rng(5), basis.size
+    for z in seeds[8:]:
+        expected = np.zeros(2 * m)
+        expected[:8] = rng.standard_normal(8)
+        expected[m : m + 8] = rng.standard_normal(8)
+        assert z.tobytes() == (expected / np.linalg.norm(expected)).tobytes()
+    assert len(seeds) == 11
+
+
+def test_nehari_scalings_beyond_the_float_range_raise_no_projection():
+    # at p = 2.0002 the scaling powers are +-5000
+    p = 2.0002
+    state = ScalarGroundState(w=np.ones(3), energy=1.0, grad_norm=0.0, b_value=1.0)
+    assert state.scaled(2.0, p).energy == 0.0  # 2^-5000 underflows quietly
+    with pytest.raises(NoProjectionError, match="overflows"):
+        state.scaled(0.5, p)
+    pr = params_with(alpha=1.0001, beta=1.0001)
+    with pytest.raises(NoProjectionError, match="overflows"):
+        rescale_diagonal_sup(pr, 1.0, 0.1)  # (2.0001 / 1.10001)^10000
+    basis = SineBasis(BoxDomain((1.0,)), (8,))
+    with pytest.raises(NoProjectionError, match="overflows"):
+        project_ray(GalerkinSystem(pr, basis), e1_pair(basis))

@@ -16,7 +16,7 @@ from sinesolve import (
     scalar_ground_state,
     synchronized_solution,
 )
-from sinesolve.errors import PreconditionError
+from sinesolve.errors import NoProjectionError, PreconditionError
 from sinesolve.nehari import _least_energy
 from sinesolve.synchronized import R_WINDOW, amplitude_identities, root_guaranteed
 
@@ -162,3 +162,12 @@ def test_synchronized_requires_equal_kappas(solved_profile):
     s, t = amplitudes(1.0, params_with())
     with pytest.raises(PreconditionError):
         synchronized_solution(GalerkinSystem(bad, basis), state.w, s, t)
+
+
+def test_amplitudes_beyond_the_float_range_raise_no_projection():
+    # r = 1 is a root when mu1 = mu2 and alpha = beta; then t = (mu2 + lam beta)^(-1/(p-2)),
+    # a 5000th power of 1/0.51 at p = 2.0002
+    pr = params_with(mu1=0.5, mu2=0.5, lam=0.01, alpha=1.0001, beta=1.0001)
+    assert ratio_function(1.0, pr) == 0.0
+    with pytest.raises(NoProjectionError, match="overflows"):
+        amplitudes(1.0, pr)
