@@ -65,6 +65,8 @@ DEFLATED_DAMPING = 1e-3
 BELOW_MARGIN = 1e-12
 #: scalar_ground_state keeps the unit-coefficient states of this many searches per process.
 SCALAR_MEMO_SIZE = 16
+#: diagonal_sup's 4 mixture starts: mode j (from 1) enters with sign signs[(j - 1) % 4] and weight 1/j.
+MIXTURE_SIGNS = ((1, 1, 1, 1), (1, -1, 1, -1), (1, -1, -1, 1), (-1, -1, 1, 1))
 #: coupling_threshold refuses a crossing lam_bar outside (lo, hi].
 LAMBDA_BAR_RANGE = (1e-6, 1e8)
 #: Why a search dropped a seed, as listed in ConvergenceFailureError.diagnostics.
@@ -200,12 +202,16 @@ def nehari_power(base: float, power: float) -> float:
     """base ** power for a Nehari scaling; a result beyond the float range is a NoProjectionError.
 
     The powers are +-1/(p-2), so exponents near p = 2 carry a modest base
-    past the largest float.
+    past the largest float, or a positive one down to 0.0, which would turn
+    a nontrivial scaling into the trivial point.
     """
     try:
-        return float(base) ** power
+        value = float(base) ** power
     except OverflowError:
         raise NoProjectionError("Nehari scaling overflows") from None
+    if value == 0.0 and base > 0.0:
+        raise NoProjectionError("Nehari scaling underflows")
+    return value
 
 
 def project_ray(engine, z: np.ndarray) -> np.ndarray:
@@ -700,15 +706,18 @@ def diagonal_sup(params: SystemParams, m: int, basis: SineBasis) -> float:
 
     Trust-region Newton (`trust_region_min`), on the m x m block of the
     Hessian, runs from the Nehari point of each positive mode and from 4
-    random starts drawn at seed 0, whatever the solver seed; the positive
-    modes are those outside the diagonal engine's `tilde`.  Returns exactly
-    0 when that `tilde`, the nonpositive subspace for kbar = (kappa_1 +
-    kappa_2)/2, holds mode m; the modes are sorted by eigenvalue, so that is
-    m <= its dimension.  Then gamma_m <= kbar up to the 1e-9 gamma_1 zero
-    tolerance, so the quadratic part is nonpositive on the whole subspace up
-    to it, and the supremum is the 0 attained at the origin.  Otherwise the
-    mode-m start has positive energy and the trust region never ends below
-    its start, so the result is positive: 0 marks exactly the resonant case.
+    fixed mixtures of all m modes, mode j with weight +-1/j by
+    MIXTURE_SIGNS, each at the norm of the last mode start; the positive
+    modes are those outside the diagonal engine's `tilde`.  No random
+    number is drawn, so the result does not depend on the solver seed.
+    Returns exactly 0 when that `tilde`, the nonpositive subspace for kbar =
+    (kappa_1 + kappa_2)/2, holds mode m; the modes are sorted by eigenvalue,
+    so that is m <= its dimension.  Then gamma_m <= kbar up to the 1e-9
+    gamma_1 zero tolerance, so the quadratic part is nonpositive on the
+    whole subspace up to it, and the supremum is the 0 attained at the
+    origin.  Otherwise the mode-m start has positive energy and the trust
+    region never ends below its start, so the result is positive: 0 marks
+    exactly the resonant case.
     """
     if not 1 <= m <= basis.size:
         raise PreconditionError(f"m must lie in [1, {basis.size}]")
@@ -734,10 +743,10 @@ def diagonal_sup(params: SystemParams, m: int, basis: SineBasis) -> float:
         e = np.zeros(basis.size)
         e[j] = 1.0
         starts.append(project_ray(prob, e)[:m])
-    rng = np.random.default_rng(0)
     scale = np.linalg.norm(starts[-1]) if starts else 1.0
-    for _ in range(4):
-        starts.append(scale * rng.standard_normal(m))
+    for signs in MIXTURE_SIGNS:
+        v = np.take(signs, head % 4) / (head + 1.0)
+        starts.append(scale / np.linalg.norm(v) * v)
     best = 0.0
     for c0 in starts:
         best = max(best, -trust_region_min(neg, neg_grad, neg_hess, c0, **TRUST_OPTIONS)[1])

@@ -98,16 +98,17 @@ def test_no_module_imports_scipy():
     assert [p.stem for p in modules if "scipy" in _imported_packages(p)] == []
 
 
+def _names(node: ast.AST) -> set:
+    """What node names: a name, an attribute, an import or a definition."""
+    return {getattr(node, "attr", None), getattr(node, "id", None), getattr(node, "name", None)}
+
+
 def _modules_naming(banned: set[str]) -> list[str]:
-    """The src modules that name any of banned: as a name, an attribute, an import or a definition."""
-
-    def names(node):
-        return {getattr(node, "attr", None), getattr(node, "id", None), getattr(node, "name", None)}
-
+    """The src modules that name any of banned."""
     modules = sorted((REPO / "src" / "sinesolve").glob("*.py"))
     assert len(modules) > 5
     return [p.stem for p in modules
-            if any(names(node) & banned for node in ast.walk(ast.parse(p.read_text(encoding="utf-8"))))]
+            if any(_names(node) & banned for node in ast.walk(ast.parse(p.read_text(encoding="utf-8"))))]
 
 
 def test_no_module_calls_einsum():
@@ -125,7 +126,9 @@ out, box = sys.argv[1], {"kappa1": 0.0, "kappa2": 0.0, "mu1": 1.0, "mu2": 1.0, "
                          "alpha": 2.0, "beta": 2.0, "lengths": [1.0], "cutoffs": [16]}
 four = {**box, "kappa1": 2 * math.pi**2, "kappa2": 2 * math.pi**2, "lambda": 1.0,
         "lengths": [1.0] * 4, "cutoffs": [2] * 4}
-runs = {"ground-state": {"problem": box, "solver": {"n_mode_seeds": 2, "n_random_seeds": 0}},
+seeding = {"n_mode_seeds": 2, "n_random_seeds": 0}
+runs = {"ground-state": {"problem": box, "solver": seeding},
+        "thresholds": {"problem": {**box, "lambda": 1.0}, "solver": seeding, "task": {"m": 3}},
         "verify-estimates": {"problem": four, "task": {"linking_eps": [1e-2]}}}
 codes = []
 for name, cfg in runs.items():
@@ -137,17 +140,31 @@ print(json.dumps([codes, sorted(m for m in ("numpy.random", "numpy.ma") if m in 
 """
 
 
-def test_runs_without_random_starts_load_neither_numpy_random_nor_numpy_ma(tmp_path):
+def test_runs_without_solver_seeded_random_starts_load_neither_numpy_random_nor_numpy_ma(tmp_path):
     # numpy loads both lazily: numpy.random (with secrets, hashlib and hmac)
     # on the first default_rng, numpy.ma on the first np.unique, about 10 ms
-    # each, so a run that draws no random start and sorts nothing leaves them out
+    # each, so a run that draws no random start and sorts nothing leaves them
+    # out; thresholds is the box1d-definite benchmark job, whose diagonal_sup
+    # starts from fixed mixtures
     env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
     proc = subprocess.run([sys.executable, "-c", LAZY_MODULES, str(tmp_path)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     codes, loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert codes[0] == 0 and codes[1] in (0, 4)  # 4: a failed property check, after every estimate ran
+    assert codes[:2] == [0, 0] and codes[2] in (0, 4)  # 4: a failed property check, after every estimate ran
     assert loaded == []
+
+
+def test_only_the_solver_seeded_searches_make_a_generator():
+    # solver.seed seeds the two random draws, the system and the scalar
+    # noise seeds; a generator anywhere else draws the same numbers whatever
+    # the seed, so fixed starts would do, without loading numpy.random
+    makers = set()
+    for path in sorted((REPO / "src" / "sinesolve").glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if any("default_rng" in _names(node) for node in ast.walk(stmt)):
+                makers.add(f"{path.stem}.{getattr(stmt, 'name', type(stmt).__name__)}")
+    assert makers == {"nehari._scalar_search", "nehari._system_seeds"}
 
 
 def test_only_estimates_names_the_cutoffs():

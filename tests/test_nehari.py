@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import itertools
 
 import numpy as np
 import pytest
@@ -639,7 +640,7 @@ def test_diagonal_sup_resonant_zero(basis, case):
 def test_diagonal_sup_starts_from_the_modes_outside_tilde(basis, monkeypatch):
     # kbar = gamma_2 (1 - 1e-12) leaves mode 2 a positive shift, but inside
     # the zero tolerance it is a zero mode of X~, so no start comes from it:
-    # the m - |X~| = 1 mode start and the 4 random ones run
+    # the m - |X~| = 1 mode start and the 4 fixed mixtures run
     runs = []
     original = nehari.trust_region_min
 
@@ -651,6 +652,31 @@ def test_diagonal_sup_starts_from_the_modes_outside_tilde(basis, monkeypatch):
     kbar = float(basis.eigenvalues[1]) * (1.0 - 1e-12)
     assert diagonal_sup(params_with(kappa1=kbar, kappa2=kbar), 3, basis) > 0.0
     assert len(runs) == (3 - 2) + 4
+
+
+@pytest.mark.parametrize("m", [3, 4, 8])
+def test_diagonal_sup_mixture_starts_are_distinct_and_off_axis(basis, monkeypatch, m):
+    # after the m mode starts come 4 fixed mixtures at the norm of the last
+    # one: no two equal up to sign (two sign patterns differ in one of the
+    # first 3 modes, whose weights are at least 1/3 of the largest), and each
+    # mixes every one of the m modes, so none lies along a mode start
+    starts = []
+    original = nehari.trust_region_min
+
+    def recording(fun, grad, hess, x0, **options):
+        starts.append(np.array(x0))
+        return original(fun, grad, hess, x0, **options)
+
+    monkeypatch.setattr(nehari, "trust_region_min", recording)
+    diagonal_sup(params_with(), m, basis)
+    assert len(starts) == m + 4
+    mixtures = starts[m:]
+    for a, b in itertools.combinations(mixtures, 2):
+        assert np.max(np.abs(a - b)) > 0.5 * np.max(np.abs(a))
+        assert np.max(np.abs(a + b)) > 0.5 * np.max(np.abs(a))
+    assert all(np.all(c != 0.0) for c in mixtures)
+    norm = np.linalg.norm(starts[m - 1])
+    assert [np.linalg.norm(c) for c in mixtures] == pytest.approx([norm] * 4, rel=1e-15)
 
 
 def test_diagonal_sup_decreasing_in_lambda(basis):
@@ -746,7 +772,7 @@ def _diagonal_ray_values(pr, basis, thetas):
 def test_diagonal_sup_near_p2_takes_few_steps_per_start(basis, monkeypatch):
     # at p = 2.2 the maximizers lie at norms near 1e8: a trust radius that
     # starts at each start's norm reaches them in at most 22 Hessians here,
-    # where a unit radius spent a 500-step budget on every random start
+    # where a unit radius spent a 500-step budget on every start off the modes
     hessians = []
     original = nehari.trust_region_min
 
@@ -764,7 +790,7 @@ def test_diagonal_sup_near_p2_takes_few_steps_per_start(basis, monkeypatch):
         hessians.clear()
         pr = params_with(alpha=1.1, beta=1.1)
         sup = diagonal_sup(pr, m, basis)
-        assert len(hessians) == m + 4  # the m mode starts and 4 random ones
+        assert len(hessians) == m + 4  # the m mode starts and the 4 fixed mixtures
         assert max(hessians) <= 30
         # each start converges: the exact coupling law holds to 1e-10
         doubled = dataclasses.replace(pr, lam=2.0)
@@ -1085,7 +1111,8 @@ def test_nehari_scalings_beyond_the_float_range_raise_no_projection():
     # at p = 2.0002 the scaling powers are +-5000
     p = 2.0002
     state = ScalarGroundState(w=np.ones(3), energy=1.0, grad_norm=0.0, b_value=1.0)
-    assert state.scaled(2.0, p).energy == 0.0  # 2^-5000 underflows quietly
+    with pytest.raises(NoProjectionError, match="underflows"):
+        state.scaled(2.0, p)  # 2^-5000
     with pytest.raises(NoProjectionError, match="overflows"):
         state.scaled(0.5, p)
     pr = params_with(alpha=1.0001, beta=1.0001)

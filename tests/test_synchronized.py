@@ -171,3 +171,15 @@ def test_amplitudes_beyond_the_float_range_raise_no_projection():
     assert ratio_function(1.0, pr) == 0.0
     with pytest.raises(NoProjectionError, match="overflows"):
         amplitudes(1.0, pr)
+
+
+def test_amplitudes_that_underflow_raise_no_projection():
+    # the same root at mu1 = mu2 = 1, lam = 50: t = 51.005^-5000 rounds to 0.0,
+    # which would report the trivial point (0, 0) as a synchronized solution
+    pr = params_with(lam=50.0, alpha=1.0001, beta=1.0001)
+    assert ratio_function(1.0, pr) == 0.0
+    with pytest.raises(NoProjectionError, match="underflows"):
+        amplitudes(1.0, pr)
+    # a small amplitude that stays a float is kept
+    s, t = amplitudes(1.0, params_with(lam=50.0, alpha=1.01, beta=1.01))
+    assert s == t > 0.0
