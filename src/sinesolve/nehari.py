@@ -198,31 +198,36 @@ def _has_positive_part(engine, z: np.ndarray) -> bool:
     return plus >= 1e-12 * max(np.linalg.norm(z), 1e-300)
 
 
-def nehari_power(base: float, power: float) -> float:
+def nehari_power(base: float, power: float, zero_ok: bool = False) -> float:
     """base ** power for a Nehari scaling; a result beyond the float range is a NoProjectionError.
 
     The powers are +-1/(p-2), so exponents near p = 2 carry a modest base
     past the largest float, or a positive one down to 0.0, which would turn
-    a nontrivial scaling into the trivial point.
+    a nontrivial scaling into the trivial point.  With zero_ok the 0.0 is
+    returned: a search may start from the origin, a result may not be it.
     """
     try:
         value = float(base) ** power
     except OverflowError:
         raise NoProjectionError("Nehari scaling overflows") from None
-    if value == 0.0 and base > 0.0:
+    if value == 0.0 and base > 0.0 and not zero_ok:
         raise NoProjectionError("Nehari scaling underflows")
     return value
 
 
 def project_ray(engine, z: np.ndarray) -> np.ndarray:
-    """Closed-form Nehari scaling t* z, valid when the quadratic form is positive."""
+    """Closed-form Nehari scaling t* z, valid when the quadratic form is positive.
+
+    A t* that rounds to 0.0 gives the origin: every caller starts a search
+    there, which then fails or moves off it.
+    """
     b = engine.quadratic(z)
     if b <= 0.0:
         raise NoProjectionError("quadratic form nonpositive: the ray misses the Nehari set")
     d = engine.nehari_denominator(z)
     if d <= 0.0:
         raise NoProjectionError("vanishing nonlinear mass along the ray")
-    t = nehari_power(b / d, 1.0 / (engine.p - 2.0))
+    t = nehari_power(b / d, 1.0 / (engine.p - 2.0), zero_ok=True)
     return t * z
 
 
@@ -710,6 +715,9 @@ def diagonal_sup(params: SystemParams, m: int, basis: SineBasis) -> float:
     MIXTURE_SIGNS, each at the norm of the last mode start; the positive
     modes are those outside the diagonal engine's `tilde`.  No random
     number is drawn, so the result does not depend on the solver seed.
+    The 4 mixtures differ up to sign only from m = 3 on: at m = 2 they
+    give 2 directions and at m = 1 the mode start again, and as the energy
+    is even a repeat just reruns a start, which is accepted.
     Returns exactly 0 when that `tilde`, the nonpositive subspace for kbar =
     (kappa_1 + kappa_2)/2, holds mode m; the modes are sorted by eigenvalue,
     so that is m <= its dimension.  Then gamma_m <= kbar up to the 1e-9

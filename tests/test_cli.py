@@ -841,9 +841,9 @@ def test_reports_get_the_mode_a_plain_open_gives(tmp_path, umask):
 def test_exponents_near_2_exit_without_a_traceback(tmp_path, capsys):
     # at alpha = beta = 1.0001 the Nehari scaling (b/d)^(1/(p-2)) is a
     # 5000th power, beyond the float range for the first mode seeds: those
-    # seeds fail their projection, and diagonal_sup's mode-1 start
-    # (0.19^5000) fails outright, as does synchronized's t = 51^-5000; both
-    # round to 0.0, which is no Nehari scaling
+    # seeds fail their projection, and diagonal_sup's start fails outright;
+    # synchronized's amplitude t = 51^-5000 rounds to 0.0, which is no
+    # Nehari scaling
     cfg = copy.deepcopy(BASE)
     cfg["problem"].update({"alpha": 1.0001, "beta": 1.0001, "cutoffs": [8]})
     tasks = {"ground-state": ({}, 0), "synchronized": ({}, 3), "thresholds": ({"m": 2}, 3),
@@ -851,13 +851,13 @@ def test_exponents_near_2_exit_without_a_traceback(tmp_path, capsys):
     for name, (task, code) in tasks.items():
         cfg.update(task=task, output={"report": str(tmp_path / f"{name}.json")})
         # multiplicity's deflated Newton runs out to |z| ~ 1e210, where
-        # np.linalg.norm overflows and its Jacobian adds inf to -inf:
-        # RuntimeWarnings on stderr outside pytest
-        with np.errstate(over="ignore", invalid="ignore"):
+        # np.linalg.norm overflows: a RuntimeWarning on stderr outside pytest
+        with np.errstate(over="ignore"):
             assert main([name, "--config", write_config(tmp_path, cfg, f"{name}.config.json")]) == code, name
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert err.count("solver failure: Nehari scaling underflows\n") == 2
+    assert err.count("solver failure: Nehari scaling overflows\n") == 1
+    assert err.count("solver failure: Nehari scaling underflows\n") == 1
 
 
 @pytest.mark.parametrize("lam", [0.3, 0.8])

@@ -654,12 +654,14 @@ def test_diagonal_sup_starts_from_the_modes_outside_tilde(basis, monkeypatch):
     assert len(runs) == (3 - 2) + 4
 
 
-@pytest.mark.parametrize("m", [3, 4, 8])
-def test_diagonal_sup_mixture_starts_are_distinct_and_off_axis(basis, monkeypatch, m):
+@pytest.mark.parametrize("m, new", [(1, 0), (2, 2), (3, 4), (4, 4), (8, 4)])
+def test_diagonal_sup_mixture_starts_are_distinct_and_off_axis(basis, monkeypatch, m, new):
     # after the m mode starts come 4 fixed mixtures at the norm of the last
-    # one: no two equal up to sign (two sign patterns differ in one of the
-    # first 3 modes, whose weights are at least 1/3 of the largest), and each
-    # mixes every one of the m modes, so none lies along a mode start
+    # one, each mixing every one of the m modes.  From m = 3 on no two are
+    # equal up to sign (two sign patterns differ in one of the first 3
+    # modes, whose weights are at least 1/3 of the largest), so all 4 are
+    # new directions; at m = 2 the patterns give (1, 1/2) and (1, -1/2) up
+    # to sign, and at m = 1 each mixture is the mode start up to sign
     starts = []
     original = nehari.trust_region_min
 
@@ -667,13 +669,20 @@ def test_diagonal_sup_mixture_starts_are_distinct_and_off_axis(basis, monkeypatc
         starts.append(np.array(x0))
         return original(fun, grad, hess, x0, **options)
 
+    def same_up_to_sign(a, b):
+        return np.allclose(a, b, rtol=1e-15, atol=0.0) or np.allclose(a, -b, rtol=1e-15, atol=0.0)
+
     monkeypatch.setattr(nehari, "trust_region_min", recording)
     diagonal_sup(params_with(), m, basis)
     assert len(starts) == m + 4
-    mixtures = starts[m:]
-    for a, b in itertools.combinations(mixtures, 2):
-        assert np.max(np.abs(a - b)) > 0.5 * np.max(np.abs(a))
-        assert np.max(np.abs(a + b)) > 0.5 * np.max(np.abs(a))
+    mixtures, seen = starts[m:], starts[:m]
+    for c in mixtures:
+        if not any(same_up_to_sign(c, s) for s in seen):
+            seen.append(c)
+    assert len(seen) == m + new
+    if m >= 3:
+        for a, b in itertools.combinations(mixtures, 2):
+            assert min(np.max(np.abs(a - b)), np.max(np.abs(a + b))) > 0.5 * np.max(np.abs(a))
     assert all(np.all(c != 0.0) for c in mixtures)
     norm = np.linalg.norm(starts[m - 1])
     assert [np.linalg.norm(c) for c in mixtures] == pytest.approx([norm] * 4, rel=1e-15)
@@ -1121,3 +1130,7 @@ def test_nehari_scalings_beyond_the_float_range_raise_no_projection():
     basis = SineBasis(BoxDomain((1.0,)), (8,))
     with pytest.raises(NoProjectionError, match="overflows"):
         project_ray(GalerkinSystem(pr, basis), e1_pair(basis))
+    # a ray scaling that rounds to 0.0 (0.0987^5000) is only a search start:
+    # project_ray returns the origin, and the searches fail or move off it
+    tiny = GalerkinSystem(params_with(mu1=100.0, alpha=1.0001, beta=1.0001), basis)
+    assert not project_ray(tiny, e1_pair(basis)).any()
